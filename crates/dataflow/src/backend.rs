@@ -30,6 +30,7 @@
 
 use crate::env::env_parse;
 use crate::health::{jittered_backoff, HealthBoard};
+use crate::ops::OpStore;
 use crate::sync::channel::{unbounded, RecvTimeoutError, Sender};
 use crate::sync::Mutex;
 use crate::wire::{self, BlockKey, BlockMeta, Frame, OpInput, ReplyBody, RequestBody};
@@ -179,17 +180,17 @@ pub(crate) fn make_backend(
     }
 }
 
-/// The driver-local block store: the whole data plane of the in-process
-/// backend, and the degraded tier of the process backend (slots past the
-/// worker cap, or slots whose worker could not be spawned).
+/// The driver-local operator stores, one per slot: the whole data plane
+/// of the in-process backend, and the degraded tier of the process backend
+/// (slots past the worker cap, or slots whose worker could not be spawned).
 struct LocalStore {
-    slots: Vec<Mutex<HashMap<BlockKey, Arc<Vec<u8>>>>>,
+    slots: Vec<Mutex<OpStore>>,
 }
 
 impl LocalStore {
     fn new(executors: usize) -> Self {
         LocalStore {
-            slots: (0..executors).map(|_| Mutex::new(HashMap::new())).collect(),
+            slots: (0..executors).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -198,60 +199,24 @@ impl LocalStore {
         slot: usize,
         op: &str,
         args: &[u8],
-        inputs: Vec<OpInput>,
+        inputs: &[OpInput],
         out_keys: &[BlockKey],
     ) -> Result<Vec<BlockMeta>, BackendError> {
-        let meta = |bytes: &[u8]| BlockMeta {
-            len: bytes.len() as u64,
-            checksum: wire::fnv1a64(bytes),
-        };
-        let mut store = self.slots[slot].lock();
-        if !out_keys.is_empty() && out_keys.iter().all(|k| store.contains_key(k)) {
-            return Ok(out_keys.iter().map(|k| meta(&store[k])).collect());
-        }
-        let mut resolved: Vec<Arc<Vec<u8>>> = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            match input {
-                OpInput::Inline(bytes) => resolved.push(Arc::new(bytes)),
-                OpInput::Local(key) => match store.get(&key) {
-                    Some(bytes) => resolved.push(Arc::clone(bytes)),
-                    None => return Err(BackendError::Op(format!("missing local input {key:?}"))),
-                },
-            }
-        }
-        let views: Vec<&[u8]> = resolved.iter().map(|b| b.as_slice()).collect();
-        let outputs =
-            crate::ops::run_op(op, args, &views, &AtomicU64::new(0)).map_err(BackendError::Op)?;
-        if outputs.len() != out_keys.len() {
-            return Err(BackendError::Op(format!(
-                "operator {op:?} produced {} outputs for {} keys",
-                outputs.len(),
-                out_keys.len()
-            )));
-        }
-        let metas = outputs.iter().map(|b| meta(b)).collect();
-        for (key, bytes) in out_keys.iter().zip(outputs) {
-            store.insert(*key, Arc::new(bytes));
-        }
-        Ok(metas)
+        self.slots[slot]
+            .lock()
+            .run(op, args, inputs, out_keys, &AtomicU64::new(0))
+            .map_err(BackendError::Op)
     }
 
     fn fetch(&self, slot: usize, key: BlockKey) -> Result<Vec<u8>, BackendError> {
         self.slots[slot]
             .lock()
-            .get(&key)
-            .map(|b| b.as_ref().clone())
+            .get(key)
             .ok_or(BackendError::NotFound)
     }
 
     fn stats(&self, slot: usize, epoch: u64) -> WorkerStats {
-        let store = self.slots[slot].lock();
-        WorkerStats {
-            blocks: store.len() as u64,
-            bytes: store.values().map(|b| b.len() as u64).sum(),
-            epoch,
-            pid: std::process::id() as u64,
-        }
+        self.slots[slot].lock().stats(epoch)
     }
 
     /// A killed incarnation's blocks die with it.
@@ -282,7 +247,7 @@ impl ExecutorBackend for InProcBackend {
         inputs: Vec<OpInput>,
         out_keys: &[BlockKey],
     ) -> Result<Vec<BlockMeta>, BackendError> {
-        self.local.run_op(slot, op, args, inputs, out_keys)
+        self.local.run_op(slot, op, args, &inputs, out_keys)
     }
 
     fn fetch(&self, slot: usize, key: BlockKey) -> Result<Vec<u8>, BackendError> {
@@ -708,7 +673,7 @@ impl ExecutorBackend for ProcBackend {
         out_keys: &[BlockKey],
     ) -> Result<Vec<BlockMeta>, BackendError> {
         match self.session_of(slot) {
-            None => self.local.run_op(slot, op, args, inputs, out_keys),
+            None => self.local.run_op(slot, op, args, &inputs, out_keys),
             Some(session) => {
                 let body = RequestBody::Run {
                     op: op.to_string(),
@@ -741,17 +706,7 @@ impl ExecutorBackend for ProcBackend {
         match self.session_of(slot) {
             None => Ok(self.local.stats(slot, epoch)),
             Some(session) => match self.call(&session, RequestBody::Stats)? {
-                ReplyBody::StatsOk {
-                    blocks,
-                    bytes,
-                    epoch,
-                    pid,
-                } => Ok(WorkerStats {
-                    blocks,
-                    bytes,
-                    epoch,
-                    pid,
-                }),
+                ReplyBody::StatsOk(stats) => Ok(stats),
                 _ => Err(BackendError::WorkerDead),
             },
         }

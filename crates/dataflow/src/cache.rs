@@ -12,23 +12,18 @@
 //! [`BlockManager::discard_executor`] and the next access recomputes them,
 //! exactly like a single-block eviction.
 //!
-//! Like the shuffle service, the cache is tiered: under memory pressure
-//! (see [`crate::SpangleContext`]'s watermark enforcement) cold blocks are
-//! encoded with the spill codec and demoted to disk, and a later `get`
-//! rehydrates them instead of recomputing lineage. This slots a rung into
-//! the degradation ladder — resident hit, then disk hit, then lineage
-//! recompute — so crossing the watermark costs IO before it costs CPU. A
-//! spilled block whose file turns out torn simply misses (returns `None`)
-//! and lineage recomputes it: the cache's usual contract.
+//! Like the shuffle service, the cache keeps its blocks in a `TieredStore`
+//! (`blockstore.rs`): under memory pressure cold partitions are demoted
+//! to disk and a later `get` rehydrates them instead of recomputing lineage.
+//! This slots a rung into the degradation ladder — resident hit, then disk
+//! hit, then lineage recompute — so crossing the watermark costs IO before
+//! it costs CPU. A spilled block whose file turns out torn simply misses
+//! (returns `None`) and lineage recomputes it: the cache's usual contract.
 
+use crate::blockstore::{Fetched, TieredStore};
 use crate::executor::BlockOrigin;
-use crate::metrics::MetricField;
-use crate::spill::{SpillCodec, SpillStore};
-use crate::sync::RwLock;
+use crate::spill::SpillStore;
 use crate::{Data, SpangleContext};
-use std::any::Any;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Key of a cached partition.
@@ -40,66 +35,17 @@ pub struct CacheKey {
     pub partition: usize,
 }
 
-type CachedBlock = Arc<dyn Any + Send + Sync>;
-
-/// Where one cached partition's records currently live.
-enum StoredBlock {
-    /// On the heap; `get` clones the `Arc`, not the records.
-    Resident(CachedBlock),
-    /// Encoded in the manager's spill store.
-    Spilled { file: u64, disk_len: usize },
-}
-
-/// One cached partition with its tier, accounting, and spill identity.
-struct CacheEntry {
-    data: StoredBlock,
-    /// Deep size of the records (counted in `resident_bytes` while
-    /// resident).
-    bytes: usize,
-    origin: BlockOrigin,
-    /// Captured at `put`, where the element type is still concrete; `None`
-    /// pins the block resident.
-    codec: Option<SpillCodec>,
-    /// Last-access tick; spilling evicts the smallest first.
-    touch: AtomicU64,
-}
-
 /// In-memory store of persisted partitions with an on-disk spill tier.
 #[derive(Default)]
 pub struct BlockManager {
-    blocks: RwLock<HashMap<CacheKey, CacheEntry>>,
-    /// Bytes of the `Resident` tier, maintained under the `blocks` write
-    /// lock (O(1) reads instead of a map walk; debug builds assert it
-    /// against the walk in every mutating op).
-    resident: AtomicUsize,
-    /// Monotone access clock feeding each entry's `touch`.
-    clock: AtomicU64,
-    /// On-disk tier for spilled partitions.
-    spill: SpillStore,
+    blocks: TieredStore<CacheKey>,
 }
 
 impl BlockManager {
-    /// See [`crate::shuffle::ShuffleService`]'s counterpart: exact because
-    /// the counter only moves under the blocks write lock.
-    fn debug_check_resident(&self, blocks: &HashMap<CacheKey, CacheEntry>) {
-        debug_assert_eq!(
-            self.resident.load(Ordering::Relaxed),
-            blocks
-                .values()
-                .filter(|e| matches!(e.data, StoredBlock::Resident(_)))
-                .map(|e| e.bytes)
-                .sum::<usize>(),
-            "cache resident-bytes counter drifted from the block map"
-        );
-    }
-
-    /// Releases one entry's accounting (resident bytes or spill file).
-    fn release(&self, entry: &CacheEntry) {
-        match entry.data {
-            StoredBlock::Resident(_) => {
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-            }
-            StoredBlock::Spilled { file, disk_len } => self.spill.remove(file, disk_len),
+    /// A manager whose partitions spill into `spill`.
+    pub(crate) fn new(spill: Arc<SpillStore>) -> Self {
+        BlockManager {
+            blocks: TieredStore::new(spill),
         }
     }
 
@@ -107,142 +53,34 @@ impl BlockManager {
     /// spilled partition is rehydrated transparently; a torn spill file
     /// reads as a miss (`None`) and the caller recomputes from lineage.
     pub fn get<T: Data>(&self, ctx: &SpangleContext, key: CacheKey) -> Option<Arc<Vec<T>>> {
-        loop {
-            let (file, disk_len, codec) = {
-                let guard = self.blocks.read();
-                let entry = guard.get(&key)?;
-                match &entry.data {
-                    StoredBlock::Resident(block) => {
-                        entry.touch.store(
-                            self.clock.fetch_add(1, Ordering::Relaxed),
-                            Ordering::Relaxed,
-                        );
-                        return Some(
-                            block
-                                .clone()
-                                .downcast::<Vec<T>>()
-                                .expect("cached block type mismatch"),
-                        );
-                    }
-                    StoredBlock::Spilled { file, disk_len } => (
-                        *file,
-                        *disk_len,
-                        entry.codec.expect("spilled cache block without a codec"),
-                    ),
-                }
-            };
-            let decoded = self
-                .spill
-                .read(file)
-                .and_then(|payload| codec.decode(&payload));
-            let mut blocks = self.blocks.write();
-            let entry = blocks.get_mut(&key)?;
-            match entry.data {
-                StoredBlock::Resident(_) => continue,
-                StoredBlock::Spilled { file: f, .. } if f != file => continue,
-                StoredBlock::Spilled { .. } => {}
-            }
-            let Some(payload) = decoded else {
-                // Torn spill file: drop the entry; the caller falls back to
-                // lineage recomputation, the cache's normal miss path.
-                let entry = blocks.remove(&key).expect("entry checked above");
-                self.release(&entry);
-                self.debug_check_resident(&blocks);
-                return None;
-            };
-            entry.data = StoredBlock::Resident(payload.clone());
-            entry.touch.store(
-                self.clock.fetch_add(1, Ordering::Relaxed),
-                Ordering::Relaxed,
-            );
-            let bytes = entry.bytes;
-            self.resident.fetch_add(bytes, Ordering::Relaxed);
-            self.spill.remove(file, disk_len);
-            self.debug_check_resident(&blocks);
-            drop(blocks);
-            ctx.metrics().add(MetricField::BlocksRehydrated, 1);
-            ctx.enforce_memory_watermark();
-            return Some(
-                payload
+        match self.blocks.get(ctx, &key) {
+            Fetched::Hit { block, .. } => Some(
+                block
                     .downcast::<Vec<T>>()
-                    .expect("cached block type mismatch after rehydrate"),
-            );
+                    .expect("cached block type mismatch"),
+            ),
+            Fetched::Absent | Fetched::Torn => None,
         }
     }
 
     /// Stores a computed partition with its deep size in bytes, attributed
-    /// to the executor incarnation that computed it.
+    /// to the executor incarnation that computed it. Cache deposits count
+    /// against the memory watermark like shuffle deposits do.
     pub fn put<T: Data>(
         &self,
+        ctx: &SpangleContext,
         key: CacheKey,
         data: Arc<Vec<T>>,
         bytes: usize,
         origin: BlockOrigin,
     ) {
-        let entry = CacheEntry {
-            data: StoredBlock::Resident(data),
-            bytes,
-            origin,
-            codec: SpillCodec::of::<T>(),
-            touch: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
-        };
-        let mut blocks = self.blocks.write();
-        self.resident.fetch_add(bytes, Ordering::Relaxed);
-        if let Some(old) = blocks.insert(key, entry) {
-            self.release(&old);
-        }
-        self.debug_check_resident(&blocks);
+        self.blocks.put_many(ctx, [(key, data, bytes)], origin);
     }
 
     /// Demotes cold resident partitions to the disk tier until roughly
-    /// `need` resident bytes are freed; least-recently-accessed first.
-    /// Returns the bytes actually freed.
+    /// `need` resident bytes are freed; see [`TieredStore::spill_up_to`].
     pub(crate) fn spill_up_to(&self, ctx: &SpangleContext, need: usize) -> usize {
-        let mut freed = 0usize;
-        let mut spilled_blocks = 0u64;
-        let mut spilled_disk = 0u64;
-        {
-            let mut blocks = self.blocks.write();
-            let mut candidates: Vec<(CacheKey, u64)> = blocks
-                .iter()
-                .filter(|(_, e)| e.codec.is_some() && matches!(e.data, StoredBlock::Resident(_)))
-                .map(|(key, e)| (*key, e.touch.load(Ordering::Relaxed)))
-                .collect();
-            candidates.sort_unstable_by_key(|&(_, touch)| touch);
-            for (key, _) in candidates {
-                if freed >= need {
-                    break;
-                }
-                let entry = blocks
-                    .get(&key)
-                    .expect("candidate vanished under write lock");
-                let StoredBlock::Resident(payload) = &entry.data else {
-                    continue;
-                };
-                let codec = entry.codec.expect("candidates are filtered on codec");
-                let encoded = codec.encode(payload.as_ref());
-                let Ok((file, disk_len)) = self.spill.write(&encoded) else {
-                    break;
-                };
-                let entry = blocks.get_mut(&key).expect("still under the write lock");
-                entry.data = StoredBlock::Spilled { file, disk_len };
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-                freed += entry.bytes;
-                spilled_blocks += 1;
-                spilled_disk += disk_len as u64;
-            }
-            self.debug_check_resident(&blocks);
-        }
-        if spilled_blocks > 0 {
-            ctx.metrics()
-                .add(MetricField::BlocksSpilled, spilled_blocks);
-            ctx.metrics().add(MetricField::SpillBytes, spilled_disk);
-            ctx.metrics().raise(
-                MetricField::DiskResidentBytes,
-                ctx.disk_resident_bytes() as u64,
-            );
-        }
-        freed
+        self.blocks.spill_up_to(ctx, need)
     }
 
     /// Discards every cached partition the given executor produced (any
@@ -250,67 +88,37 @@ impl BlockManager {
     /// stale on disk too. Returns `(partitions_dropped, bytes_dropped)`
     /// with logical record bytes for both tiers.
     pub fn discard_executor(&self, executor: usize) -> (usize, usize) {
-        let mut blocks = self.blocks.write();
-        let before = blocks.len();
-        let mut bytes_dropped = 0;
-        blocks.retain(|_, entry| {
-            let keep = !entry.origin.lives_on(executor);
-            if !keep {
-                bytes_dropped += entry.bytes;
-                self.release(entry);
-            }
-            keep
-        });
-        self.debug_check_resident(&blocks);
-        (before - blocks.len(), bytes_dropped)
+        self.blocks.retain(|_, origin| !origin.lives_on(executor))
     }
 
     /// Removes one block (simulating executor loss of that partition).
     /// Returns true when a block was present.
     pub fn evict(&self, key: CacheKey) -> bool {
-        let mut blocks = self.blocks.write();
-        match blocks.remove(&key) {
-            Some(entry) => {
-                self.release(&entry);
-                self.debug_check_resident(&blocks);
-                true
-            }
-            None => false,
-        }
+        self.blocks.remove(&key)
     }
 
     /// Removes every cached partition of an RDD (`unpersist`), returning
     /// how many blocks were dropped (so callers can charge the
     /// `partitions_evicted` metric).
     pub fn evict_rdd(&self, rdd_id: usize) -> usize {
-        let mut blocks = self.blocks.write();
-        let before = blocks.len();
-        blocks.retain(|k, entry| {
-            let keep = k.rdd_id != rdd_id;
-            if !keep {
-                self.release(entry);
-            }
-            keep
-        });
-        self.debug_check_resident(&blocks);
-        before - blocks.len()
+        self.blocks.retain(|key, _| key.rdd_id != rdd_id).0
     }
 
     /// Number of cached blocks (both tiers).
     pub fn num_blocks(&self) -> usize {
-        self.blocks.read().len()
+        self.blocks.len()
     }
 
     /// Total bytes of cached data resident in memory (O(1); spilled
     /// partitions freed their heap bytes and do not count).
     pub fn resident_bytes(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
+        self.blocks.resident_bytes()
     }
 
     /// Bytes currently held by the cache's on-disk spill tier (framed file
     /// sizes).
     pub fn disk_bytes(&self) -> usize {
-        self.spill.disk_bytes()
+        self.blocks.disk_bytes()
     }
 }
 
@@ -327,7 +135,13 @@ mod tests {
             partition: 1,
         };
         assert!(bm.get::<u64>(&ctx, key).is_none());
-        bm.put(key, Arc::new(vec![1u64, 2, 3]), 24, BlockOrigin::DRIVER);
+        bm.put(
+            &ctx,
+            key,
+            Arc::new(vec![1u64, 2, 3]),
+            24,
+            BlockOrigin::DRIVER,
+        );
         assert_eq!(*bm.get::<u64>(&ctx, key).unwrap(), vec![1, 2, 3]);
         assert_eq!(bm.resident_bytes(), 24);
         assert!(bm.evict(key));
@@ -336,50 +150,37 @@ mod tests {
         assert_eq!(bm.resident_bytes(), 0);
     }
 
-    #[test]
-    fn evict_rdd_removes_all_its_partitions() {
-        let bm = BlockManager::default();
-        for p in 0..4 {
+    /// Four single-record partitions of `rdd_id`, produced alternately by
+    /// executors 0 and 1.
+    fn seed(ctx: &SpangleContext, bm: &BlockManager, rdd_id: usize) {
+        for partition in 0..4 {
             bm.put(
-                CacheKey {
-                    rdd_id: 7,
-                    partition: p,
-                },
-                Arc::new(vec![p as u64]),
+                ctx,
+                CacheKey { rdd_id, partition },
+                Arc::new(vec![partition as u64]),
                 8,
-                BlockOrigin::DRIVER,
+                BlockOrigin::executor(partition % 2, 0),
             );
         }
-        bm.put(
-            CacheKey {
-                rdd_id: 8,
-                partition: 0,
-            },
-            Arc::new(vec![0u64]),
-            8,
-            BlockOrigin::DRIVER,
-        );
+    }
+
+    #[test]
+    fn evict_rdd_removes_all_its_partitions() {
+        let ctx = SpangleContext::new(2);
+        let bm = BlockManager::default();
+        seed(&ctx, &bm, 7);
+        seed(&ctx, &bm, 8);
         assert_eq!(bm.evict_rdd(7), 4);
-        assert_eq!(bm.num_blocks(), 1);
+        assert_eq!(bm.num_blocks(), 4);
         assert_eq!(bm.evict_rdd(7), 0, "second eviction finds nothing");
-        assert_eq!(bm.resident_bytes(), 8);
+        assert_eq!(bm.resident_bytes(), 32);
     }
 
     #[test]
     fn discard_executor_drops_only_its_partitions() {
-        let ctx = SpangleContext::new(1);
+        let ctx = SpangleContext::new(2);
         let bm = BlockManager::default();
-        for p in 0..4 {
-            bm.put(
-                CacheKey {
-                    rdd_id: 2,
-                    partition: p,
-                },
-                Arc::new(vec![p as u64]),
-                8,
-                BlockOrigin::executor(p % 2, 0),
-            );
-        }
+        seed(&ctx, &bm, 2);
         assert_eq!(bm.discard_executor(1), (2, 16));
         assert_eq!(bm.num_blocks(), 2);
         for p in 0..4 {
@@ -396,70 +197,23 @@ mod tests {
         );
     }
 
+    /// The cache's reading of a torn spill file: a miss, so the caller
+    /// recomputes from lineage — and the block is gone, not retried.
     #[test]
-    fn spilled_partitions_rehydrate_on_get() {
+    fn a_torn_spill_file_reads_as_a_miss() {
         let ctx = SpangleContext::new(1);
-        let bm = BlockManager::default();
-        let records: Vec<(u64, f64)> = (0..50).map(|i| (i, i as f64)).collect();
-        for p in 0..3 {
-            bm.put(
-                CacheKey {
-                    rdd_id: 1,
-                    partition: p,
-                },
-                Arc::new(records.clone()),
-                800,
-                BlockOrigin::DRIVER,
-            );
-        }
-        let freed = bm.spill_up_to(&ctx, 1000);
-        assert_eq!(freed, 1600, "two coldest partitions demoted");
-        assert_eq!(bm.resident_bytes(), 800);
-        assert!(bm.disk_bytes() > 0);
-        assert_eq!(bm.num_blocks(), 3, "spilled partitions stay cached");
-        let before = ctx.metrics_snapshot();
-        for p in 0..3 {
-            let got = bm
-                .get::<(u64, f64)>(
-                    &ctx,
-                    CacheKey {
-                        rdd_id: 1,
-                        partition: p,
-                    },
-                )
-                .expect("spilled partition must still hit");
-            assert_eq!(*got, records);
-        }
-        assert_eq!((ctx.metrics_snapshot() - before).blocks_rehydrated, 2);
-        assert_eq!(bm.resident_bytes(), 2400);
-        assert_eq!(bm.disk_bytes(), 0, "rehydrated files are deleted");
-    }
-
-    #[test]
-    fn discarding_an_executor_deletes_its_spilled_partitions() {
-        let ctx = SpangleContext::new(2);
-        let bm = BlockManager::default();
-        bm.put(
-            CacheKey {
-                rdd_id: 1,
-                partition: 0,
-            },
-            Arc::new(vec![1u64, 2]),
-            16,
-            BlockOrigin::executor(0, 0),
-        );
+        let spill = Arc::new(SpillStore::default());
+        let bm = BlockManager::new(Arc::clone(&spill));
+        seed(&ctx, &bm, 1);
         bm.spill_up_to(&ctx, usize::MAX);
-        assert!(bm.disk_bytes() > 0);
-        assert_eq!(bm.discard_executor(0), (1, 16));
-        assert_eq!(bm.disk_bytes(), 0, "the spill file goes with the block");
-        assert!(bm
-            .get::<u64>(
-                &ctx,
-                CacheKey {
-                    rdd_id: 1,
-                    partition: 0
-                }
-            )
-            .is_none());
+        assert_eq!(bm.resident_bytes(), 0);
+        spill.tear_files();
+        let key = CacheKey {
+            rdd_id: 1,
+            partition: 0,
+        };
+        assert!(bm.get::<u64>(&ctx, key).is_none());
+        assert_eq!(bm.num_blocks(), 3, "the torn block is dropped");
+        assert!(bm.get::<u64>(&ctx, key).is_none());
     }
 }

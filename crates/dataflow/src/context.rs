@@ -13,6 +13,7 @@ use crate::rdd::sources::ParallelizeRdd;
 use crate::rdd::Rdd;
 use crate::scheduler::{SchedulerService, SpeculationConfig};
 use crate::shuffle::ShuffleService;
+use crate::spill::SpillStore;
 use crate::Data;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -167,7 +168,7 @@ impl Default for SpangleContextBuilder {
             admission,
             planner: PlannerConfig::default(),
             speculation: SpeculationConfig::default(),
-            spill_to_disk: std::env::var_os("SPANGLE_DISABLE_SPILL").is_none_or(|v| v == "0"),
+            spill_to_disk: true,
             health: HealthConfig::default(),
             backoff: RetryBackoffConfig::default(),
             backend: None,
@@ -251,10 +252,9 @@ impl SpangleContextBuilder {
         self
     }
 
-    /// Enables or disables the on-disk spill tier (default on; the
-    /// `SPANGLE_DISABLE_SPILL` environment variable flips the default off,
-    /// an explicit call here wins). With spilling on, crossing the memory
-    /// watermark demotes the least-recently-fetched shuffle blocks and
+    /// Enables or disables the on-disk spill tier (default on). With
+    /// spilling on, crossing the memory watermark demotes the
+    /// least-recently-fetched shuffle blocks and
     /// cached partitions to accounted spill files and rehydrates them on
     /// demand; with it off the watermark falls back to shedding and
     /// queueing work, the pre-spill behavior.
@@ -438,13 +438,19 @@ impl SpangleContextBuilder {
         }
         let failures = FailureInjector::default();
         failures.attach_health(pool.health_board());
+        // Every thread is spawned before the spill store's temp-dir sweep:
+        // which malloc arena a new thread inherits from a retired context
+        // is a race the sweep's syscalls otherwise tilt (peak RSS +25 MB).
+        let scheduler = SchedulerService::new();
+        // One spill directory for both block stores.
+        let spill = Arc::new(SpillStore::default());
         SpangleContext {
             inner: Arc::new(ContextInner {
-                scheduler: SchedulerService::new(),
+                scheduler,
                 pool,
                 backend,
-                shuffle: ShuffleService::default(),
-                cache: BlockManager::default(),
+                shuffle: ShuffleService::new(Arc::clone(&spill)),
+                cache: BlockManager::new(spill),
                 metrics: Metrics::with_history(self.job_report_history),
                 failures,
                 next_rdd_id: AtomicUsize::new(0),
@@ -657,26 +663,22 @@ impl SpangleContext {
     /// not thrash the tier boundary. Returns whether residency is below
     /// the watermark afterwards — `false` means the remaining blocks are
     /// unspillable (or spilling is disabled) and admission control should
-    /// treat memory as saturated.
+    /// treat memory as saturated. Every growth of resident memory ends
+    /// here, so this is also where the (post-spill) peak is recorded.
     pub(crate) fn enforce_memory_watermark(&self) -> bool {
         let watermark = self.inner.admission.memory_high_watermark_bytes;
-        if watermark == usize::MAX {
-            return true;
+        let resident = self.cached_bytes() + self.shuffle_resident_bytes();
+        if resident >= watermark && self.inner.spill_enabled {
+            let need = resident - (watermark - watermark / 4);
+            let freed = self.inner.shuffle.spill_up_to(self, need);
+            if freed < need {
+                self.inner.cache.spill_up_to(self, need - freed);
+            }
         }
         let resident = self.cached_bytes() + self.shuffle_resident_bytes();
-        if resident < watermark {
-            return true;
-        }
-        if !self.inner.spill_enabled {
-            return false;
-        }
-        let target = watermark - watermark / 4;
-        let need = resident - target;
-        let freed = self.inner.shuffle.spill_up_to(self, need);
-        if freed < need {
-            self.inner.cache.spill_up_to(self, need - freed);
-        }
-        self.cached_bytes() + self.shuffle_resident_bytes() < watermark
+        self.metrics()
+            .raise(MetricField::MemoryHighwaterBytes, resident as u64);
+        resident < watermark
     }
 
     /// Cumulative nanoseconds each executor has spent running task bodies

@@ -39,11 +39,13 @@
 //! precisely the set of mechanisms the Spangle evaluation reasons about.
 
 pub mod backend;
+pub(crate) mod blockstore;
 pub mod cache;
 pub mod context;
 pub(crate) mod env;
 pub mod executor;
 pub mod failure;
+pub(crate) mod frame;
 pub mod health;
 pub mod memsize;
 pub mod metrics;
@@ -75,7 +77,7 @@ pub use rdd::pair::PairRdd;
 pub use rdd::Rdd;
 pub use remote::{
     remote_collect_pairs, remote_exchange, remote_map, remote_pagerank_step, remote_source,
-    remote_zip, BucketRef, ShardHandle,
+    remote_zip, ShardHandle,
 };
 pub use scheduler::{submit_job, JobError, JobHandle, SpeculationConfig, TaskError};
 

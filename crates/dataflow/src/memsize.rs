@@ -89,13 +89,13 @@ impl<'a> SpillCursor<'a> {
             .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
     }
 
-    /// Reads a `u64` length prefix written by [`put_len`], refusing
-    /// lengths that cannot possibly fit in the remaining input (each
-    /// element costs at least one byte — this bounds pre-allocation on
-    /// corrupt frames).
+    /// Reads a `u64` length prefix written by [`put_len`]. The count is
+    /// *not* checked against the remaining input — an element may encode
+    /// to zero bytes (`()`), so a short input has to fail in the element
+    /// decoder. Callers must cap any pre-allocation by
+    /// [`SpillCursor::remaining`], never by the count alone.
     pub fn len_prefix(&mut self) -> Option<usize> {
-        let n = usize::try_from(self.u64()?).ok()?;
-        (n <= self.buf.len()).then_some(n)
+        usize::try_from(self.u64()?).ok()
     }
 
     /// Bytes not yet consumed.
@@ -119,6 +119,34 @@ impl<'a> SpillCursor<'a> {
 /// Writes a collection length as a little-endian `u64` prefix.
 pub fn put_len(out: &mut Vec<u8>, len: usize) {
     out.extend_from_slice(&(len as u64).to_le_bytes());
+}
+
+/// The block codec: a count prefix, then every element's own encoding.
+/// `Vec<T>`, `Box<[T]>`, spill files and the named operators' pair blocks
+/// are all this one layout.
+pub(crate) fn encode_records<T: MemSize>(records: &[T], out: &mut Vec<u8>) {
+    put_len(out, records.len());
+    for record in records {
+        record.spill_encode(out);
+    }
+}
+
+/// Decodes records written by [`encode_records`], advancing the cursor.
+pub(crate) fn decode_records<T: MemSize>(input: &mut SpillCursor<'_>) -> Option<Vec<T>> {
+    let n = input.len_prefix()?;
+    // The count bounds nothing on corrupt input; the bytes left do.
+    let mut records = Vec::with_capacity(n.min(input.remaining()));
+    for _ in 0..n {
+        records.push(T::spill_decode(input)?);
+    }
+    Some(records)
+}
+
+/// Decodes a whole encoded block; trailing bytes are corruption.
+pub(crate) fn decode_block<T: MemSize>(block: &[u8]) -> Option<Vec<T>> {
+    let mut cur = SpillCursor::new(block);
+    let records = decode_records(&mut cur)?;
+    (cur.remaining() == 0).then_some(records)
 }
 
 /// Fixed-width numeric primitives: `mem_size` is `size_of`, the spill
@@ -260,18 +288,10 @@ impl<T: MemSize> MemSize for Vec<T> {
         T::spillable()
     }
     fn spill_encode(&self, out: &mut Vec<u8>) {
-        put_len(out, self.len());
-        for v in self {
-            v.spill_encode(out);
-        }
+        encode_records(self, out);
     }
     fn spill_decode(input: &mut SpillCursor<'_>) -> Option<Self> {
-        let n = input.len_prefix()?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(T::spill_decode(input)?);
-        }
-        Some(out)
+        decode_records(input)
     }
 }
 
@@ -283,13 +303,10 @@ impl<T: MemSize> MemSize for Box<[T]> {
         T::spillable()
     }
     fn spill_encode(&self, out: &mut Vec<u8>) {
-        put_len(out, self.len());
-        for v in self.iter() {
-            v.spill_encode(out);
-        }
+        encode_records(self, out);
     }
     fn spill_decode(input: &mut SpillCursor<'_>) -> Option<Self> {
-        Vec::<T>::spill_decode(input).map(Vec::into_boxed_slice)
+        decode_records(input).map(Vec::into_boxed_slice)
     }
 }
 
@@ -463,9 +480,58 @@ mod tests {
         vec![1u64, 2, 3].spill_encode(&mut buf);
         buf.truncate(buf.len() - 1);
         assert!(Vec::<u64>::spill_decode(&mut SpillCursor::new(&buf)).is_none());
-        // A length prefix promising more than the buffer holds is refused
-        // before any allocation.
+        // A count promising more than the buffer holds fails in the first
+        // element decode, having pre-allocated nothing.
         let lie = u64::MAX.to_le_bytes().to_vec();
         assert!(Vec::<u8>::spill_decode(&mut SpillCursor::new(&lie)).is_none());
+    }
+
+    /// Bugfix regression: the count prefix used to be refused when it
+    /// exceeded the remaining bytes, but `()` encodes to zero bytes, so
+    /// `vec![(); 3]` (8 bytes) never decoded.
+    #[test]
+    fn zero_byte_elements_roundtrip() {
+        roundtrip(&vec![(); 3]);
+        roundtrip(&vec![((), ()); 64]);
+        roundtrip(&vec![(7u64, ()), (8, ())]);
+        let mut buf = Vec::new();
+        vec![(); 3].spill_encode(&mut buf);
+        assert_eq!(buf.len(), 8);
+        assert_eq!(decode_block::<()>(&buf), Some(vec![(); 3]));
+    }
+
+    /// Mutation fuzz over the block codec: a truncated block never
+    /// decodes, and no mutation panics or pre-allocates past its input.
+    #[test]
+    fn mutated_blocks_never_panic_and_truncations_never_decode() {
+        fn fuzz<T: MemSize + PartialEq + std::fmt::Debug>(block: Vec<T>) {
+            let mut bytes = Vec::new();
+            block.spill_encode(&mut bytes);
+            assert_eq!(decode_block::<T>(&bytes).as_ref(), Some(&block));
+            for cut in 0..bytes.len() {
+                assert!(decode_block::<T>(&bytes[..cut]).is_none(), "cut at {cut}");
+            }
+            for bit in 0..bytes.len() * 8 {
+                let mut mutated = bytes.clone();
+                mutated[bit / 8] ^= 1 << (bit % 8);
+                // Unframed, a flip may decode to a different value — the
+                // frame checksum exists for that — but never to more
+                // records than the input has bytes for.
+                if let Some(decoded) = decode_block::<T>(&mutated) {
+                    assert!(decoded.capacity() <= mutated.len().max(block.len()));
+                }
+            }
+        }
+        spangle_testkit::run_cases(0xB10C_C0DE, 12, |rng| {
+            fuzz(rng.vec_of(0..6, |r| (r.next_u64(), r.next_u64())));
+            fuzz(rng.vec_of(0..5, |r| (r.next_u64(), r.vec_of(0..4, |r| r.f64_unit()))));
+            fuzz(rng.vec_of(0..4, |r| crate::remote::ShardHandle {
+                slot: r.next_u64(),
+                epoch: r.next_u64(),
+                key: (r.next_u64(), r.next_u64()),
+                len: r.next_u64(),
+                checksum: r.next_u64(),
+            }));
+        });
     }
 }

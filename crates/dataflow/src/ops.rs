@@ -9,15 +9,23 @@
 //! same op on a fresh incarnation regenerates byte-for-byte the blocks the
 //! dead process held.
 //!
-//! Encodings are the PR 8 spill primitives ([`put_len`] +
-//! [`SpillCursor`]); the workhorse format is a *pair block*: a `u64` count
-//! followed by `(u64, u64)` little-endian pairs. The registered families
-//! cover the workloads the fig harnesses exercise: the fixed-point
-//! PageRank loop (`pr.*`, the fig11 kernel) and sum-by-key aggregation
-//! (`sum.*`), plus two tiny `test.*` ops for plumbing tests.
+//! The workhorse format is a *pair block*: a `Vec<(u64, u64)>` in the
+//! [`crate::MemSize`] block codec — the encoding a spilled block of the
+//! same pairs has. The registered families cover the workloads the fig
+//! harnesses exercise: the fixed-point PageRank loop (`pr.*`, the fig11
+//! kernel) and sum-by-key aggregation (`sum.*`), plus two tiny `test.*`
+//! ops for plumbing tests.
+//!
+//! The blocks the operators produce live in an `OpStore`, one per
+//! executor slot: in the driver for the in-process backend and for a
+//! process backend's degraded slots, in the worker process otherwise.
 
+use crate::backend::WorkerStats;
+use crate::frame::fnv1a64;
 use crate::health::splitmix64;
-use crate::memsize::{put_len, SpillCursor};
+use crate::memsize::{decode_block, encode_records, SpillCursor};
+use crate::wire::{BlockKey, BlockMeta, OpInput};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Signature of a registered operator: `(args, inputs, progress)` to
@@ -56,29 +64,92 @@ pub fn run_op(
     op(args, inputs, progress)
 }
 
-/// Encodes `(u64, u64)` pairs as a count-prefixed little-endian block.
+/// One slot's store of operator output blocks, keyed by the
+/// driver-allocated [`BlockKey`]s.
+#[derive(Default)]
+pub(crate) struct OpStore {
+    blocks: HashMap<BlockKey, Vec<u8>>,
+}
+
+impl OpStore {
+    /// Runs the named operator over `inputs`, storing its outputs under
+    /// `out_keys` and returning their metas. Idempotent replay: operators
+    /// are deterministic, so outputs already stored under every requested
+    /// key *are* the recompute's bytes and are answered from the store (a
+    /// replayed narrow chain re-runs its sources this way without
+    /// duplicating work). Errors are task-level failures: the operator's
+    /// own, or a missing local input — the driver's view of this store is
+    /// stale (e.g. it outlived a crash the driver has not noticed yet), so
+    /// the driver retries with fresh placement.
+    pub(crate) fn run(
+        &mut self,
+        op: &str,
+        args: &[u8],
+        inputs: &[OpInput],
+        out_keys: &[BlockKey],
+        progress: &AtomicU64,
+    ) -> Result<Vec<BlockMeta>, String> {
+        let meta = |bytes: &Vec<u8>| BlockMeta {
+            len: bytes.len() as u64,
+            checksum: fnv1a64(bytes),
+        };
+        if !out_keys.is_empty() && out_keys.iter().all(|k| self.blocks.contains_key(k)) {
+            return Ok(out_keys.iter().map(|k| meta(&self.blocks[k])).collect());
+        }
+        let views = inputs
+            .iter()
+            .map(|input| match input {
+                OpInput::Inline(bytes) => Ok(bytes.as_slice()),
+                OpInput::Local(key) => match self.blocks.get(key) {
+                    Some(bytes) => Ok(bytes.as_slice()),
+                    None => Err(format!("missing local input {key:?}")),
+                },
+            })
+            .collect::<Result<Vec<&[u8]>, String>>()?;
+        let outputs = run_op(op, args, &views, progress)?;
+        if outputs.len() != out_keys.len() {
+            return Err(format!(
+                "operator {op:?} produced {} outputs for {} keys",
+                outputs.len(),
+                out_keys.len()
+            ));
+        }
+        let metas = outputs.iter().map(meta).collect();
+        self.blocks.extend(out_keys.iter().copied().zip(outputs));
+        Ok(metas)
+    }
+
+    /// A stored block's bytes.
+    pub(crate) fn get(&self, key: BlockKey) -> Option<Vec<u8>> {
+        self.blocks.get(&key).cloned()
+    }
+
+    /// Snapshot of the store as the incarnation `epoch` of this process.
+    pub(crate) fn stats(&self, epoch: u64) -> WorkerStats {
+        WorkerStats {
+            blocks: self.blocks.len() as u64,
+            bytes: self.blocks.values().map(|b| b.len() as u64).sum(),
+            epoch,
+            pid: std::process::id() as u64,
+        }
+    }
+
+    /// Drops every block: a killed incarnation's blocks die with it.
+    pub(crate) fn clear(&mut self) {
+        self.blocks.clear();
+    }
+}
+
+/// Encodes `(u64, u64)` pairs as a block of the [`crate::MemSize`] codec.
 pub fn encode_pairs(pairs: &[(u64, u64)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + pairs.len() * 16);
-    put_len(&mut out, pairs.len());
-    for &(a, b) in pairs {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
-    }
+    encode_records(pairs, &mut out);
     out
 }
 
 /// Decodes a block written by [`encode_pairs`].
 pub fn decode_pairs(block: &[u8]) -> Option<Vec<(u64, u64)>> {
-    let mut cur = SpillCursor::new(block);
-    let n = usize::try_from(cur.u64()?).ok()?;
-    if cur.remaining() != n.checked_mul(16)? {
-        return None;
-    }
-    let mut pairs = Vec::with_capacity(n);
-    for _ in 0..n {
-        pairs.push((cur.u64()?, cur.u64()?));
-    }
-    Some(pairs)
+    decode_block(block)
 }
 
 fn args_u64s(args: &[u8], n: usize) -> Result<Vec<u64>, String> {
@@ -331,6 +402,58 @@ mod tests {
         let mut long = block.clone();
         long.push(0);
         assert!(decode_pairs(&long).is_none(), "trailing bytes");
+    }
+
+    #[test]
+    fn pair_blocks_are_the_block_codec() {
+        use crate::MemSize;
+        let pairs = vec![(7u64, 8u64), (9, 10)];
+        let mut spilled = Vec::new();
+        pairs.spill_encode(&mut spilled);
+        assert_eq!(encode_pairs(&pairs), spilled);
+    }
+
+    #[test]
+    fn store_runs_once_and_replays_from_its_blocks() {
+        let mut store = OpStore::default();
+        let progress = AtomicU64::new(0);
+        let payload = encode_pairs(&[(1, 2)]);
+        let inputs = [OpInput::Inline(payload.clone())];
+        let metas = store
+            .run("test.echo", &[], &inputs, &[(9, 0)], &progress)
+            .unwrap();
+        assert_eq!(metas[0].len, payload.len() as u64);
+        assert_eq!(metas[0].checksum, fnv1a64(&payload));
+        assert_eq!(store.get((9, 0)), Some(payload.clone()));
+        assert_eq!(store.get((9, 1)), None);
+        let stats = store.stats(5);
+        assert_eq!(
+            (stats.blocks, stats.bytes, stats.epoch),
+            (1, payload.len() as u64, 5)
+        );
+        // The re-run answers from the store, even for an op that would
+        // now fail, and a stored block feeds a later op by key.
+        let replay = store.run("test.fail", b"x", &[], &[(9, 0)], &progress);
+        assert_eq!(replay.unwrap(), metas);
+        let local = [OpInput::Local((9, 0))];
+        let echoed = store.run("test.echo", &[], &local, &[(10, 0)], &progress);
+        assert_eq!(echoed.unwrap(), metas);
+        store.clear();
+        assert_eq!(store.stats(5).blocks, 0);
+    }
+
+    #[test]
+    fn missing_local_inputs_op_failures_and_arity_are_errors() {
+        let mut store = OpStore::default();
+        let progress = AtomicU64::new(0);
+        let local = [OpInput::Local((1, 1))];
+        let missing = store.run("test.echo", &[], &local, &[(2, 0)], &progress);
+        assert!(missing.unwrap_err().contains("missing local input"));
+        let failed = store.run("test.fail", b"kaput", &[], &[], &progress);
+        assert_eq!(failed.unwrap_err(), "kaput");
+        let arity = store.run("test.echo", &[], &[], &[(3, 0)], &progress);
+        assert!(arity.unwrap_err().contains("0 outputs for 1 keys"));
+        assert_eq!(store.stats(0).blocks, 0, "a failed run stores nothing");
     }
 
     #[test]

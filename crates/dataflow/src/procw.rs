@@ -4,7 +4,7 @@
 //! slot. It connects back to the driver's Unix socket, announces itself
 //! with a `Hello { slot, epoch }` frame, then serves requests from a
 //! sequential frame loop: `Run` a named [`crate::ops`] operator (outputs
-//! land in the worker's in-memory block store), `Get` a stored block's
+//! land in the worker's `OpStore`), `Get` a stored block's
 //! bytes (the remote shuffle-fetch path), `Stats`, `Shutdown`. A separate
 //! thread writes `Heartbeat` keepalives every half heartbeat interval —
 //! those are the *only* liveness signal the driver has, so a `SIGKILL`ed
@@ -16,10 +16,10 @@
 //! bit-identically by re-running the same operators on a replacement
 //! incarnation, which is what the driver's lineage replay does.
 
-use crate::ops;
+use crate::frame::FrameError;
+use crate::ops::OpStore;
 use crate::sync::Mutex;
-use crate::wire::{self, BlockKey, BlockMeta, Frame, OpInput, ReplyBody, RequestBody, WireError};
-use std::collections::HashMap;
+use crate::wire::{self, Frame, ReplyBody, RequestBody};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,22 +38,15 @@ pub struct WorkerConfig {
     pub heartbeat: Duration,
 }
 
-/// The worker's in-memory block store plus the op-progress counter its
+/// The worker's operator store plus the op-progress counter its
 /// heartbeats report.
 struct WorkerState {
     epoch: u64,
-    store: HashMap<BlockKey, Arc<Vec<u8>>>,
+    store: OpStore,
     op_progress: Arc<AtomicU64>,
 }
 
 impl WorkerState {
-    fn meta(bytes: &[u8]) -> BlockMeta {
-        BlockMeta {
-            len: bytes.len() as u64,
-            checksum: wire::fnv1a64(bytes),
-        }
-    }
-
     fn handle(&mut self, body: RequestBody) -> ReplyBody {
         match body {
             RequestBody::Run {
@@ -61,71 +54,19 @@ impl WorkerState {
                 args,
                 inputs,
                 out_keys,
-            } => self.run(&op, &args, inputs, &out_keys),
-            RequestBody::Get { key } => match self.store.get(&key) {
-                Some(bytes) => ReplyBody::GetOk(bytes.as_ref().clone()),
+            } => match self
+                .store
+                .run(&op, &args, &inputs, &out_keys, &self.op_progress)
+            {
+                Ok(metas) => ReplyBody::RunOk(metas),
+                Err(msg) => ReplyBody::OpError(msg),
+            },
+            RequestBody::Get { key } => match self.store.get(key) {
+                Some(bytes) => ReplyBody::GetOk(bytes),
                 None => ReplyBody::NotFound,
             },
-            RequestBody::Stats => ReplyBody::StatsOk {
-                blocks: self.store.len() as u64,
-                bytes: self.store.values().map(|b| b.len() as u64).sum(),
-                epoch: self.epoch,
-                pid: std::process::id() as u64,
-            },
+            RequestBody::Stats => ReplyBody::StatsOk(self.store.stats(self.epoch)),
             RequestBody::Shutdown => ReplyBody::ShuttingDown,
-        }
-    }
-
-    fn run(
-        &mut self,
-        op: &str,
-        args: &[u8],
-        inputs: Vec<OpInput>,
-        out_keys: &[BlockKey],
-    ) -> ReplyBody {
-        // Idempotent replay: operators are deterministic, so outputs
-        // already stored under every requested key *are* the recompute's
-        // bytes — answer from the store. (A replayed narrow chain re-runs
-        // its sources this way without duplicating work.)
-        if !out_keys.is_empty() && out_keys.iter().all(|k| self.store.contains_key(k)) {
-            let metas = out_keys
-                .iter()
-                .map(|k| Self::meta(&self.store[k]))
-                .collect();
-            return ReplyBody::RunOk(metas);
-        }
-        let mut resolved: Vec<Arc<Vec<u8>>> = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            match input {
-                OpInput::Inline(bytes) => resolved.push(Arc::new(bytes)),
-                OpInput::Local(key) => match self.store.get(&key) {
-                    Some(bytes) => resolved.push(Arc::clone(bytes)),
-                    // A missing local input means the driver's view of
-                    // this store is stale (e.g. it outlived a crash the
-                    // driver has not noticed yet) — a task failure the
-                    // driver retries with fresh placement, not a protocol
-                    // error.
-                    None => return ReplyBody::OpError(format!("missing local input {key:?}")),
-                },
-            }
-        }
-        let views: Vec<&[u8]> = resolved.iter().map(|b| b.as_slice()).collect();
-        match ops::run_op(op, args, &views, &self.op_progress) {
-            Ok(outputs) => {
-                if outputs.len() != out_keys.len() {
-                    return ReplyBody::OpError(format!(
-                        "operator {op:?} produced {} outputs for {} keys",
-                        outputs.len(),
-                        out_keys.len()
-                    ));
-                }
-                let metas = outputs.iter().map(|b| Self::meta(b)).collect();
-                for (key, bytes) in out_keys.iter().zip(outputs) {
-                    self.store.insert(*key, Arc::new(bytes));
-                }
-                ReplyBody::RunOk(metas)
-            }
-            Err(msg) => ReplyBody::OpError(msg),
         }
     }
 }
@@ -187,7 +128,7 @@ pub fn worker_main(cfg: &WorkerConfig) -> i32 {
 
     let mut state = WorkerState {
         epoch: cfg.epoch,
-        store: HashMap::new(),
+        store: OpStore::default(),
         op_progress,
     };
     loop {
@@ -212,7 +153,7 @@ pub fn worker_main(cfg: &WorkerConfig) -> i32 {
             // future protocol extension stays backwards-compatible.
             Ok(_) => {}
             // The driver closed the socket (context drop): exit quietly.
-            Err(WireError::Eof) => return 0,
+            Err(FrameError::Eof) => return 0,
             Err(e) => {
                 eprintln!("spangle_worker[{}]: {e}", cfg.slot);
                 return 1;
@@ -226,10 +167,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_stores_outputs_and_replays_from_the_store() {
+    fn requests_map_onto_the_store_and_back_to_replies() {
+        use crate::wire::OpInput;
         let mut state = WorkerState {
             epoch: 3,
-            store: HashMap::new(),
+            store: OpStore::default(),
             op_progress: Arc::new(AtomicU64::new(0)),
         };
         let payload = crate::ops::encode_pairs(&[(1, 2)]);
@@ -243,38 +185,19 @@ mod tests {
             panic!("run must succeed");
         };
         assert_eq!(metas[0].len, payload.len() as u64);
-
-        // The output is fetchable and the re-run answers from the store.
+        assert!(matches!(state.handle(run), ReplyBody::RunOk(m) if m == metas));
         let ReplyBody::GetOk(bytes) = state.handle(RequestBody::Get { key: (9, 0) }) else {
             panic!("stored block must be fetchable");
         };
         assert_eq!(bytes, payload);
-        assert!(matches!(state.handle(run), ReplyBody::RunOk(m) if m == metas));
-
-        let ReplyBody::StatsOk { blocks, epoch, .. } = state.handle(RequestBody::Stats) else {
-            panic!("stats must answer");
-        };
-        assert_eq!((blocks, epoch), (1, 3));
         assert!(matches!(
             state.handle(RequestBody::Get { key: (9, 1) }),
             ReplyBody::NotFound
         ));
-    }
-
-    #[test]
-    fn missing_local_inputs_and_op_failures_are_op_errors() {
-        let mut state = WorkerState {
-            epoch: 0,
-            store: HashMap::new(),
-            op_progress: Arc::new(AtomicU64::new(0)),
+        let ReplyBody::StatsOk(stats) = state.handle(RequestBody::Stats) else {
+            panic!("stats must answer");
         };
-        let missing = state.handle(RequestBody::Run {
-            op: "test.echo".into(),
-            args: vec![],
-            inputs: vec![OpInput::Local((1, 1))],
-            out_keys: vec![(2, 0)],
-        });
-        assert!(matches!(missing, ReplyBody::OpError(_)));
+        assert_eq!((stats.blocks, stats.epoch), (1, 3));
         let failed = state.handle(RequestBody::Run {
             op: "test.fail".into(),
             args: b"kaput".to_vec(),

@@ -213,18 +213,12 @@ impl<T: Data> Rdd<T> {
                 base.ctx
                     .inner
                     .cache
-                    .put(key, Arc::clone(&data), bytes, tc.origin());
-                // Cache deposits count against the memory watermark like
-                // shuffle deposits do: spill cold blocks first, then record
-                // the post-spill peaks.
-                base.ctx.enforce_memory_watermark();
+                    .put(&base.ctx, key, Arc::clone(&data), bytes, tc.origin());
+                // The deposit already gave the spill tier its chance, so
+                // this is the post-spill peak.
                 base.ctx.metrics().raise(
                     MetricField::CacheHighwaterBytes,
                     base.ctx.inner.cache.resident_bytes() as u64,
-                );
-                base.ctx.metrics().raise(
-                    MetricField::MemoryHighwaterBytes,
-                    (base.ctx.cached_bytes() + base.ctx.shuffle_resident_bytes()) as u64,
                 );
             }
             return data;

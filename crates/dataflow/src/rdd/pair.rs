@@ -120,6 +120,23 @@ impl<K: Key, V: Data, C: Data> ShuffleDependency<K, V, C> {
     fn context(&self) -> &crate::SpangleContext {
         self.parent.context()
     }
+
+    /// The reduce side's read: visits this shuffle's block for reduce
+    /// partition `split` from every map partition, in map order. Zero-copy
+    /// — `fetch_block` hands back the map side's block by `Arc`, so
+    /// visitors clone records one at a time, never the whole vector.
+    fn fetch_each(&self, split: usize, mut visit: impl FnMut(&[(K, C)])) {
+        let ctx = self.context();
+        for map_id in 0..self.parent.num_partitions() {
+            cancellation_point();
+            let id = BlockId {
+                shuffle_id: self.shuffle_id,
+                map_id,
+                reduce_id: split,
+            };
+            visit(&ctx.inner.shuffle.fetch_block::<(K, C)>(ctx, id));
+        }
+    }
 }
 
 impl<K: Key, V: Data, C: Data> ShuffleDepDyn for ShuffleDependency<K, V, C> {
@@ -298,41 +315,16 @@ impl<K: Key, V: Data, C: Data> RddNode<(K, C)> for ShuffledRdd<K, V, C> {
                 return merged.into_iter().collect();
             }
         };
-        let ctx = dep.context().clone();
-        // Zero-copy reads: `fetch_block` hands back the map side's block by
-        // `Arc`; records are cloned one at a time into the output (or the
-        // merge table) — the whole-vector deep copy per fetched block is
-        // gone.
         match &self.merge {
             None => {
                 let mut out: Vec<(K, C)> = Vec::new();
-                for map_id in 0..dep.num_map_partitions() {
-                    cancellation_point();
-                    let block = ctx.inner.shuffle.fetch_block::<(K, C)>(
-                        &ctx,
-                        BlockId {
-                            shuffle_id: dep.shuffle_id,
-                            map_id,
-                            reduce_id: split,
-                        },
-                    );
-                    out.extend(block.iter().cloned());
-                }
+                dep.fetch_each(split, |block| out.extend_from_slice(block));
                 out
             }
             Some(merge) => {
                 let mut merged: HashMap<K, C> = HashMap::new();
-                for map_id in 0..dep.num_map_partitions() {
-                    cancellation_point();
-                    let block = ctx.inner.shuffle.fetch_block::<(K, C)>(
-                        &ctx,
-                        BlockId {
-                            shuffle_id: dep.shuffle_id,
-                            map_id,
-                            reduce_id: split,
-                        },
-                    );
-                    for (k, c) in block.iter() {
+                dep.fetch_each(split, |block| {
+                    for (k, c) in block {
                         match merged.remove(k) {
                             Some(existing) => {
                                 merged.insert(k.clone(), merge(existing, c.clone()));
@@ -342,7 +334,7 @@ impl<K: Key, V: Data, C: Data> RddNode<(K, C)> for ShuffledRdd<K, V, C> {
                             }
                         }
                     }
-                }
+                });
                 merged.into_iter().collect()
             }
         }
@@ -354,21 +346,7 @@ impl<K: Key, V: Data, C: Data> RddNode<(K, C)> for ShuffledRdd<K, V, C> {
         // node heads a fused chain. Merging and elided paths need their
         // hash table anyway; they drain the materialising path.
         if let (ShuffleInput::Wide(dep), None) = (&self.input, &self.merge) {
-            let ctx = dep.context().clone();
-            for map_id in 0..dep.num_map_partitions() {
-                cancellation_point();
-                let block = ctx.inner.shuffle.fetch_block::<(K, C)>(
-                    &ctx,
-                    BlockId {
-                        shuffle_id: dep.shuffle_id,
-                        map_id,
-                        reduce_id: split,
-                    },
-                );
-                for pair in block.iter() {
-                    sink(pair.clone());
-                }
-            }
+            dep.fetch_each(split, |block| block.iter().cloned().for_each(&mut *sink));
             return;
         }
         for t in self.compute(split, tc) {
@@ -410,23 +388,7 @@ impl<K: Key, V: Data> CoSide<K, V> {
         match self {
             CoSide::Local(rdd) => rdd.stream(split, tc, sink),
             CoSide::Shuffled(dep) => {
-                let ctx = dep.context().clone();
-                for map_id in 0..dep.num_map_partitions() {
-                    cancellation_point();
-                    let block = ctx.inner.shuffle.fetch_block::<(K, V)>(
-                        &ctx,
-                        BlockId {
-                            shuffle_id: dep.shuffle_id,
-                            map_id,
-                            reduce_id: split,
-                        },
-                    );
-                    // Clone out of the shared block per record; the block
-                    // itself is never copied.
-                    for pair in block.iter() {
-                        sink(pair.clone());
-                    }
-                }
+                dep.fetch_each(split, |block| block.iter().cloned().for_each(&mut *sink))
             }
         }
     }

@@ -4,10 +4,10 @@
 //!
 //! Closures cannot be shipped to a worker process, so remote pipelines
 //! are built from the named operators of [`crate::ops`]: an RDD element
-//! here is a [`ShardHandle`] (or, mid-exchange, a [`BucketRef`]) naming
-//! a block in some slot's store, and the closures the scheduler runs are
-//! thin drivers that resolve handles to bytes and invoke operators on
-//! the worker owning the current slot. Everything else — stages,
+//! here is a [`ShardHandle`] naming a block in some slot's store, and the
+//! closures the scheduler runs are thin drivers that resolve handles to
+//! bytes and invoke operators on the worker owning the current slot.
+//! Everything else — stages,
 //! placement, retries, lineage recovery, speculation, health — is the
 //! ordinary engine acting on ordinary (small) elements.
 //!
@@ -28,6 +28,7 @@
 
 use crate::context::SpangleContext;
 use crate::executor::{self, CancelledError};
+use crate::frame::fnv1a64;
 use crate::health::jittered_backoff;
 use crate::memsize::{MemSize, SpillCursor};
 use crate::ops;
@@ -35,7 +36,7 @@ use crate::partitioner::ModPartitioner;
 use crate::rdd::pair::PairRdd;
 use crate::rdd::{Dependency, Rdd};
 use crate::shuffle::FetchFailedError;
-use crate::wire::{self, BlockKey, BlockMeta, OpInput};
+use crate::wire::{BlockKey, BlockMeta, OpInput};
 use crate::JobError;
 use std::panic::panic_any;
 use std::sync::Arc;
@@ -58,62 +59,27 @@ pub struct ShardHandle {
     pub checksum: u64,
 }
 
-/// A reference to one routed bucket travelling through a shuffle: like a
-/// [`ShardHandle`] plus the map partition that produced it, so a failed
-/// fetch can name the exact map output to regenerate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BucketRef {
-    /// Executor slot whose store holds the bucket.
-    pub slot: u64,
-    /// Slot incarnation the bucket was computed on.
-    pub epoch: u64,
-    /// Store key of the bucket block.
-    pub key: BlockKey,
-    /// Encoded length.
-    pub len: u64,
-    /// FNV-1a of the bytes.
-    pub checksum: u64,
-    /// Map partition that produced this bucket (the `map_id` a fetch
-    /// failure reports).
-    pub src_map: u64,
+impl MemSize for ShardHandle {
+    fn mem_size(&self) -> usize {
+        std::mem::size_of::<ShardHandle>()
+    }
+    fn spillable() -> bool {
+        true
+    }
+    fn spill_encode(&self, out: &mut Vec<u8>) {
+        (self.slot, self.epoch, self.key, self.len, self.checksum).spill_encode(out);
+    }
+    fn spill_decode(input: &mut SpillCursor<'_>) -> Option<Self> {
+        let (slot, epoch, key, len, checksum) = MemSize::spill_decode(input)?;
+        Some(ShardHandle {
+            slot,
+            epoch,
+            key,
+            len,
+            checksum,
+        })
+    }
 }
-
-macro_rules! u64_spill_codec {
-    ($ty:ident { $($field:tt),+ }) => {
-        impl MemSize for $ty {
-            fn mem_size(&self) -> usize {
-                std::mem::size_of::<$ty>()
-            }
-            fn spillable() -> bool {
-                true
-            }
-            fn spill_encode(&self, out: &mut Vec<u8>) {
-                $(out.extend_from_slice(&self.$field.to_le_bytes());)+
-                out.extend_from_slice(&self.key.0.to_le_bytes());
-                out.extend_from_slice(&self.key.1.to_le_bytes());
-            }
-            fn spill_decode(input: &mut SpillCursor<'_>) -> Option<Self> {
-                $(let $field = input.u64()?;)+
-                let key = (input.u64()?, input.u64()?);
-                Some($ty { $($field,)+ key })
-            }
-        }
-    };
-}
-
-u64_spill_codec!(ShardHandle {
-    slot,
-    epoch,
-    len,
-    checksum
-});
-u64_spill_codec!(BucketRef {
-    slot,
-    epoch,
-    len,
-    checksum,
-    src_map
-});
 
 /// How many times a peer fetch retries a dead/torn connection (with
 /// seeded backoff) before declaring the bytes unfetchable.
@@ -131,53 +97,34 @@ fn my_slot() -> usize {
     executor::current_slot().expect("remote-plane operator invoked outside an executor task")
 }
 
-/// Runs a named operator on the *current slot's* worker, waiting out a
-/// dead worker until the health plane kills the slot (which cancels this
-/// task and reruns it on the replacement incarnation).
-fn run_on_own_worker(
+/// Calls the *current slot's own* worker until it answers (`call`
+/// returning `Ok(None)` is a torn reply: retry), waiting out a dead worker
+/// until the health plane kills the slot — which cancels this task and
+/// reruns it on the replacement incarnation — rather than burning task
+/// attempts on a doomed fast-fail.
+fn on_own_worker<R>(
     ctx: &SpangleContext,
     slot: usize,
-    op: &str,
-    args: &[u8],
-    inputs: Vec<OpInput>,
-    out_keys: &[BlockKey],
-) -> Vec<BlockMeta> {
+    what: &dyn std::fmt::Debug,
+    mut call: impl FnMut() -> Result<Option<R>, crate::backend::BackendError>,
+) -> R {
     use crate::backend::BackendError;
     let epoch_at_start = ctx.inner.pool.epoch(slot);
     let deadline = Instant::now() + OWN_WORKER_DEADLINE;
     loop {
-        match ctx
-            .inner
-            .backend
-            .run_op(slot, op, args, inputs.clone(), out_keys)
-        {
-            Ok(metas) => return metas,
+        // No `cancellation_point` in this loop — that would stamp this
+        // slot's heartbeat and hide the very death we may be waiting on.
+        if executor::is_task_cancelled() {
+            panic_any(CancelledError);
+        }
+        match call() {
+            Ok(Some(answer)) => return answer,
+            Ok(None) => {}
             Err(BackendError::Cancelled) => panic_any(CancelledError),
-            Err(BackendError::Op(msg)) => {
-                // A stale (already-cancelled) task can reach a freshly
-                // reseated worker whose store lacks its inputs; that is
-                // cancellation, not an operator bug.
-                if executor::is_task_cancelled() {
-                    panic_any(CancelledError);
-                }
-                panic!("operator {op:?} failed on executor {slot}: {msg}")
-            }
-            Err(BackendError::NotFound) => {
-                if executor::is_task_cancelled() {
-                    panic_any(CancelledError);
-                }
-                panic!("operator {op:?} failed on executor {slot}: block not found")
-            }
             Err(BackendError::WorkerDead | BackendError::Timeout) => {
                 // Our own failure domain is gone. Do NOT paper over it:
                 // spin on the cancellation token so the loss is detected
                 // by missed heartbeats and unwinds as an executor loss.
-                // (No `cancellation_point` here — that would stamp this
-                // slot's heartbeat and hide the very death we are
-                // waiting on.)
-                if executor::is_task_cancelled() {
-                    panic_any(CancelledError);
-                }
                 if ctx.inner.pool.epoch(slot) != epoch_at_start {
                     // The slot was already killed and reseated while we
                     // waited; this task is a stale incarnation's.
@@ -189,15 +136,40 @@ fn run_on_own_worker(
                          lost (is health monitoring disabled?)"
                     );
                 }
-                std::thread::sleep(Duration::from_millis(2));
+            }
+            Err(e) => {
+                // A stale (already-cancelled) task can reach a freshly
+                // reseated worker whose store lacks its blocks; that is
+                // cancellation, not an operator bug.
+                if executor::is_task_cancelled() {
+                    panic_any(CancelledError);
+                }
+                panic!("{what:?} failed on executor {slot}: {e}")
             }
         }
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 
-/// Reads a block from the *current slot's own* worker, with the same
-/// dead-worker discipline as [`run_on_own_worker`]: wait for the health
-/// plane rather than burning task attempts on a doomed fast-fail.
+/// Runs a named operator on the current slot's worker.
+fn run_on_own_worker(
+    ctx: &SpangleContext,
+    slot: usize,
+    op: &str,
+    args: &[u8],
+    inputs: Vec<OpInput>,
+    out_keys: &[BlockKey],
+) -> Vec<BlockMeta> {
+    on_own_worker(ctx, slot, &op, || {
+        let backend = &ctx.inner.backend;
+        backend
+            .run_op(slot, op, args, inputs.clone(), out_keys)
+            .map(Some)
+    })
+}
+
+/// Reads a block from the current slot's own worker. A verification
+/// failure on a healthy local read is a torn reply.
 fn fetch_own_block(
     ctx: &SpangleContext,
     slot: usize,
@@ -205,37 +177,10 @@ fn fetch_own_block(
     len: u64,
     checksum: u64,
 ) -> Vec<u8> {
-    use crate::backend::BackendError;
-    let epoch_at_start = ctx.inner.pool.epoch(slot);
-    let deadline = Instant::now() + OWN_WORKER_DEADLINE;
-    loop {
-        if executor::is_task_cancelled() {
-            panic_any(CancelledError);
-        }
-        match ctx.inner.backend.fetch(slot, key) {
-            Ok(bytes) if bytes.len() as u64 == len && wire::fnv1a64(&bytes) == checksum => {
-                return bytes
-            }
-            // A verification failure on a healthy local read is a torn
-            // reply; retry.
-            Ok(_) => {}
-            Err(BackendError::Cancelled) => panic_any(CancelledError),
-            Err(BackendError::NotFound) => panic!("own shard {key:?} vanished from its store"),
-            Err(BackendError::Op(msg)) => panic!("own shard {key:?} unreadable: {msg}"),
-            Err(BackendError::WorkerDead | BackendError::Timeout) => {
-                if ctx.inner.pool.epoch(slot) != epoch_at_start {
-                    panic_any(CancelledError);
-                }
-                if Instant::now() > deadline {
-                    panic!(
-                        "worker process for executor {slot} unreachable and never declared \
-                         lost (is health monitoring disabled?)"
-                    );
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    on_own_worker(ctx, slot, &key, || {
+        let bytes = ctx.inner.backend.fetch(slot, key)?;
+        Ok((bytes.len() as u64 == len && fnv1a64(&bytes) == checksum).then_some(bytes))
+    })
 }
 
 /// Fetches and verifies a referenced block from a peer slot's store,
@@ -256,7 +201,7 @@ fn fetch_verified(
         }
         match ctx.inner.backend.fetch(slot, key) {
             Ok(bytes) => {
-                if bytes.len() as u64 == len && wire::fnv1a64(&bytes) == checksum {
+                if bytes.len() as u64 == len && fnv1a64(&bytes) == checksum {
                     return Ok(bytes);
                 }
                 last = format!("block {key:?} from executor {slot} failed verification");
@@ -281,17 +226,20 @@ fn fetch_verified(
 
 /// Resolves one input handle for an operator about to run on `slot`:
 /// same live slot — pass by store key; anywhere else — fetch the bytes
-/// and pass inline. A narrow-position handle that can be neither (its
-/// incarnation died and the peer fetch failed) is a plain task failure;
-/// the retried task recomputes the chain and mints fresh handles.
-fn resolve_input(ctx: &SpangleContext, slot: usize, h: &ShardHandle) -> OpInput {
+/// and pass inline. `Err` means the handle's incarnation died and the
+/// peer fetch failed.
+fn try_resolve(ctx: &SpangleContext, slot: usize, h: &ShardHandle) -> Result<OpInput, String> {
     if h.slot == slot as u64 && h.epoch == ctx.inner.pool.epoch(slot) {
-        return OpInput::Local(h.key);
+        return Ok(OpInput::Local(h.key));
     }
-    match fetch_verified(ctx, h.slot as usize, h.key, h.len, h.checksum) {
-        Ok(bytes) => OpInput::Inline(bytes),
-        Err(why) => panic!("stale shard handle {:?}: {why}", h.key),
-    }
+    fetch_verified(ctx, h.slot as usize, h.key, h.len, h.checksum).map(OpInput::Inline)
+}
+
+/// [`try_resolve`] for a narrow-position handle, where failure is a plain
+/// task failure: the retried task recomputes the chain and mints fresh
+/// handles.
+fn resolve_input(ctx: &SpangleContext, slot: usize, h: &ShardHandle) -> OpInput {
+    try_resolve(ctx, slot, h).unwrap_or_else(|why| panic!("stale shard handle {:?}: {why}", h.key))
 }
 
 fn handle_from(slot: usize, epoch: u64, key: BlockKey, meta: &BlockMeta) -> ShardHandle {
@@ -366,9 +314,9 @@ pub fn remote_zip(a: &Rdd<ShardHandle>, b: &Rdd<ShardHandle>) -> Rdd<ShardHandle
 /// All-to-all exchange over the worker stores.
 ///
 /// `route_op(route_args; partition handles...)` runs on each input
-/// partition's slot, emitting `parts` bucket blocks; the small
-/// [`BucketRef`]s ride the engine's ordinary typed shuffle to the reduce
-/// side, where `merge_op(merge_args ++ [r]; buckets...)` combines every
+/// partition's slot, emitting `parts` bucket blocks; small
+/// `(producing map partition, handle)` pairs ride the engine's ordinary
+/// typed shuffle to the reduce side, where `merge_op(merge_args ++ [r]; buckets...)` combines every
 /// bucket routed to reduce partition `r` (fetched from peer workers as
 /// needed) into one output shard. A bucket whose bytes cannot be fetched
 /// panics with a typed [`FetchFailedError`] naming its producing map
@@ -386,43 +334,34 @@ pub fn remote_exchange(
     let merge_ns = ctx.new_rdd_id() as u64;
 
     let ctx_route = ctx.clone();
-    let routed: Rdd<(u64, BucketRef)> = input.map_partitions_with_index(move |p, handles| {
-        let slot = my_slot();
-        let epoch = ctx_route.inner.pool.epoch(slot);
-        let inputs: Vec<OpInput> = handles
-            .iter()
-            .map(|h| resolve_input(&ctx_route, slot, h))
-            .collect();
-        let out_keys: Vec<BlockKey> = (0..parts)
-            .map(|r| (route_ns, (p * parts + r) as u64))
-            .collect();
-        let metas = run_on_own_worker(
-            &ctx_route,
-            slot,
-            route_op,
-            &ops::pack_args(&route_args),
-            inputs,
-            &out_keys,
-        );
-        metas
-            .iter()
-            .zip(&out_keys)
-            .enumerate()
-            .map(|(r, (meta, key))| {
-                (
-                    r as u64,
-                    BucketRef {
-                        slot: slot as u64,
-                        epoch,
-                        key: *key,
-                        len: meta.len,
-                        checksum: meta.checksum,
-                        src_map: p as u64,
-                    },
-                )
-            })
-            .collect()
-    });
+    let routed: Rdd<(u64, (u64, ShardHandle))> =
+        input.map_partitions_with_index(move |p, handles| {
+            let slot = my_slot();
+            let epoch = ctx_route.inner.pool.epoch(slot);
+            let inputs: Vec<OpInput> = handles
+                .iter()
+                .map(|h| resolve_input(&ctx_route, slot, h))
+                .collect();
+            let out_keys: Vec<BlockKey> = (0..parts)
+                .map(|r| (route_ns, (p * parts + r) as u64))
+                .collect();
+            let metas = run_on_own_worker(
+                &ctx_route,
+                slot,
+                route_op,
+                &ops::pack_args(&route_args),
+                inputs,
+                &out_keys,
+            );
+            metas
+                .iter()
+                .zip(&out_keys)
+                .enumerate()
+                .map(|(r, (meta, key))| {
+                    (r as u64, (p as u64, handle_from(slot, epoch, *key, meta)))
+                })
+                .collect()
+        });
 
     let grouped = routed.group_by_key(Arc::new(ModPartitioner::new(parts)));
     let shuffle_id = grouped
@@ -438,23 +377,19 @@ pub fn remote_exchange(
     grouped.map_partitions_with_index(move |r, groups| {
         let slot = my_slot();
         let epoch = ctx.inner.pool.epoch(slot);
-        let mut refs: Vec<BucketRef> = groups
+        let mut refs: Vec<(u64, ShardHandle)> = groups
             .iter()
             .flat_map(|(_, bucket_refs)| bucket_refs.iter().copied())
             .collect();
         // Merge in ascending map order so the input sequence (though not
         // the registered ops' arithmetic) is deterministic too.
-        refs.sort_unstable_by_key(|b| b.src_map);
+        refs.sort_unstable_by_key(|&(src_map, _)| src_map);
         let mut inputs: Vec<OpInput> = Vec::with_capacity(refs.len());
         let mut lost: Vec<usize> = Vec::new();
-        for b in &refs {
-            if b.slot == slot as u64 && b.epoch == ctx.inner.pool.epoch(slot) {
-                inputs.push(OpInput::Local(b.key));
-                continue;
-            }
-            match fetch_verified(&ctx, b.slot as usize, b.key, b.len, b.checksum) {
-                Ok(bytes) => inputs.push(OpInput::Inline(bytes)),
-                Err(_) => lost.push(b.src_map as usize),
+        for (src_map, bucket) in &refs {
+            match try_resolve(&ctx, slot, bucket) {
+                Ok(input) => inputs.push(input),
+                Err(_) => lost.push(*src_map as usize),
             }
         }
         if let Some(&first) = lost.first() {

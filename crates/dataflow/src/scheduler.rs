@@ -740,18 +740,9 @@ impl AdmissionController {
     /// watermark *after* the spill tier has had a chance to demote cold
     /// blocks to disk. Spilling comes before shedding: memory saturation
     /// only queues or sheds work when the disk tier could not (or was not
-    /// allowed to) bring resident bytes back under the watermark. Also
-    /// raises the memory high-water-mark metric, since this is where
-    /// saturation is observed.
+    /// allowed to) bring resident bytes back under the watermark.
     fn saturated(ctx: &SpangleContext, running: usize) -> bool {
-        if running >= Self::effective_capacity(ctx) {
-            return true;
-        }
-        let under_watermark = ctx.enforce_memory_watermark();
-        let resident = (ctx.cached_bytes() + ctx.shuffle_resident_bytes()) as u64;
-        ctx.metrics()
-            .raise(MetricField::MemoryHighwaterBytes, resident);
-        !under_watermark
+        running >= Self::effective_capacity(ctx) || !ctx.enforce_memory_watermark()
     }
 
     /// Planned tasks currently queued at `priority` (the unit of the

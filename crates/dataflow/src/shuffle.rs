@@ -35,29 +35,19 @@
 //! [`ShuffleService::try_claim`]) and resubmits only the missing map
 //! partitions from lineage.
 //!
-//! # Memory tiers
-//!
-//! Blocks live in one of two tiers. They are deposited *resident* (the
-//! records stay on the heap behind an `Arc`, fetched zero-copy) and may be
-//! demoted to *spilled* (encoded with the [`crate::MemSize`] spill codec
-//! and written to a framed, checksummed spill file, heap bytes freed)
-//! when resident cache + shuffle memory crosses the admission watermark —
-//! see [`crate::SpangleContext`]'s `enforce_memory_watermark`. A fetch that
-//! touches a spilled block *rehydrates* it: the file is read back,
-//! verified, decoded, reinstated as resident, and the file deleted. Spill
-//! victims are picked coldest-first by a touch clock that every fetch
-//! bumps. Blocks whose element type opted out of the spill codec simply
-//! stay resident — spilling is an optimization, never a correctness
-//! requirement.
+//! Block storage itself — the resident and spilled tiers, byte accounting,
+//! LRU spilling and rehydration — is one `TieredStore` (`blockstore.rs`)
+//! keyed by [`BlockId`]; this service adds what a *lost* block means: a
+//! torn spill file or a discarded executor unregisters the map output,
+//! and the next fetch fails typed.
 
+use crate::blockstore::{Fetched, TieredStore};
 use crate::executor::BlockOrigin;
 use crate::metrics::MetricField;
-use crate::spill::{SpillCodec, SpillStore};
-use crate::sync::{Mutex, RwLock, Subscribers};
+use crate::spill::SpillStore;
+use crate::sync::{Mutex, Subscribers};
 use crate::{Data, SpangleContext};
-use std::any::Any;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Key of one shuffle block: output of map partition `map_id` destined for
@@ -70,33 +60,6 @@ pub struct BlockId {
     pub map_id: usize,
     /// Reduce-side partition the block is destined for.
     pub reduce_id: usize,
-}
-
-type BlockPayload = Arc<dyn Any + Send + Sync>;
-
-/// Where one block's records currently live.
-enum StoredBlock {
-    /// On the heap; fetches clone the `Arc`, not the records.
-    Resident(BlockPayload),
-    /// Encoded on disk in the service's spill store; `disk_len` is the
-    /// framed file size (kept so removal can release the accounted bytes).
-    Spilled { file: u64, disk_len: usize },
-}
-
-/// One deposited block with its tier, accounting, and spill identity.
-struct ShuffleEntry {
-    data: StoredBlock,
-    /// Deep size of the records (the logical, in-memory size — charged as
-    /// shuffle volume and counted in `resident_bytes` while resident).
-    bytes: usize,
-    origin: BlockOrigin,
-    /// Captured at deposit, where the element type is still concrete.
-    /// `None` means the type opted out of spilling; the block is pinned
-    /// resident.
-    codec: Option<SpillCodec>,
-    /// Last-fetch tick from the service clock; spilling evicts the block
-    /// with the smallest value first.
-    touch: AtomicU64,
 }
 
 /// A one-shot completion callback: `true` means the map stage completed,
@@ -161,7 +124,7 @@ pub enum ShuffleClaim {
 /// Stores shuffle blocks between stages and tracks map-stage ownership.
 #[derive(Default)]
 pub struct ShuffleService {
-    blocks: RwLock<HashMap<BlockId, ShuffleEntry>>,
+    blocks: TieredStore<BlockId>,
     /// Per-shuffle map-stage state; absent means "never run, unclaimed".
     stages: Mutex<HashMap<usize, MapStageState>>,
     /// Per-shuffle registry of which executor incarnation produced each map
@@ -177,58 +140,16 @@ pub struct ShuffleService {
     /// context-monotone and never reused, so the set only grows — one
     /// `usize` per GC'd shuffle over the context's life.
     removed: Mutex<HashSet<usize>>,
-    /// Bytes of the `Resident` tier, maintained under the `blocks` write
-    /// lock on every insert/remove/tier-flip so `resident_bytes` is an
-    /// O(1) load instead of a full map walk per deposit.
-    resident: AtomicUsize,
-    /// Monotone fetch clock feeding each entry's `touch`.
-    clock: AtomicU64,
-    /// On-disk tier for spilled blocks.
-    spill: SpillStore,
 }
 
 impl ShuffleService {
-    /// Asserts the O(1) resident counter against the ground-truth walk.
-    /// Called in debug builds by every mutating operation, *while still
-    /// holding the blocks write lock* — the counter is only ever updated
-    /// under that lock, so the comparison is exact, never racy.
-    fn debug_check_resident(&self, blocks: &HashMap<BlockId, ShuffleEntry>) {
-        debug_assert_eq!(
-            self.resident.load(Ordering::Relaxed),
-            blocks
-                .values()
-                .filter(|e| matches!(e.data, StoredBlock::Resident(_)))
-                .map(|e| e.bytes)
-                .sum::<usize>(),
-            "shuffle resident-bytes counter drifted from the block map"
-        );
-    }
-
-    /// Inserts a resident entry, keeping the resident counter and the spill
-    /// store consistent when an existing entry (either tier) is replaced.
-    fn install(
-        &self,
-        blocks: &mut HashMap<BlockId, ShuffleEntry>,
-        id: BlockId,
-        entry: ShuffleEntry,
-    ) {
-        if matches!(entry.data, StoredBlock::Resident(_)) {
-            self.resident.fetch_add(entry.bytes, Ordering::Relaxed);
-        }
-        if let Some(old) = blocks.insert(id, entry) {
-            self.release(&old);
-        }
-    }
-
-    /// Releases one entry's accounting: resident bytes for the in-memory
-    /// tier, the spill file for the disk tier. Caller holds the blocks
-    /// write lock (or exclusive ownership of a just-removed entry).
-    fn release(&self, entry: &ShuffleEntry) {
-        match entry.data {
-            StoredBlock::Resident(_) => {
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-            }
-            StoredBlock::Spilled { file, disk_len } => self.spill.remove(file, disk_len),
+    /// A service whose blocks spill into `spill`.
+    pub(crate) fn new(spill: Arc<SpillStore>) -> Self {
+        ShuffleService {
+            blocks: TieredStore::new(spill),
+            stages: Mutex::default(),
+            outputs: Mutex::default(),
+            removed: Mutex::default(),
         }
     }
 
@@ -272,29 +193,8 @@ impl ShuffleService {
             .add(MetricField::ShuffleWriteBytes, bytes as u64);
         ctx.metrics()
             .add(MetricField::ShuffleRecords, records.len() as u64);
-        {
-            let mut blocks = self.blocks.write();
-            self.install(
-                &mut blocks,
-                id,
-                ShuffleEntry {
-                    data: StoredBlock::Resident(Arc::new(records)),
-                    bytes,
-                    origin,
-                    codec: SpillCodec::of::<T>(),
-                    touch: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
-                },
-            );
-            self.debug_check_resident(&blocks);
-        }
-        // Resident cache + shuffle memory is what admission control's high
-        // watermark is evaluated against; give the spill tier a chance to
-        // shed cold blocks first, then record the (post-spill) peak.
-        ctx.enforce_memory_watermark();
-        ctx.metrics().raise(
-            MetricField::MemoryHighwaterBytes,
-            (self.resident_bytes() + ctx.cached_bytes()) as u64,
-        );
+        self.blocks
+            .put_many(ctx, [(id, Arc::new(records), bytes)], origin);
     }
 
     /// Records that map partition `map_id` of `shuffle_id` deposited all
@@ -351,39 +251,24 @@ impl ShuffleService {
         maps.insert(map_id, origin);
         let mut total_bytes = 0u64;
         let mut total_records = 0u64;
-        {
-            let mut blocks = self.blocks.write();
-            for (reduce_id, records, bytes) in buckets {
-                total_bytes += bytes as u64;
-                total_records += records.len() as u64;
-                self.install(
-                    &mut blocks,
-                    BlockId {
-                        shuffle_id,
-                        map_id,
-                        reduce_id,
-                    },
-                    ShuffleEntry {
-                        data: StoredBlock::Resident(Arc::new(records)),
-                        bytes,
-                        origin,
-                        codec: SpillCodec::of::<T>(),
-                        touch: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
-                    },
-                );
-            }
-            self.debug_check_resident(&blocks);
-        }
+        let deposits = buckets.into_iter().map(|(reduce_id, records, bytes)| {
+            total_bytes += bytes as u64;
+            total_records += records.len() as u64;
+            let id = BlockId {
+                shuffle_id,
+                map_id,
+                reduce_id,
+            };
+            (id, Arc::new(records), bytes)
+        });
+        // Still under the registry lock: registration and blocks appear
+        // (and are discarded with their executor) as one unit.
+        self.blocks.put_many(ctx, deposits, origin);
         drop(outputs);
         ctx.metrics()
             .add(MetricField::ShuffleWriteBytes, total_bytes);
         ctx.metrics()
             .add(MetricField::ShuffleRecords, total_records);
-        ctx.enforce_memory_watermark();
-        ctx.metrics().raise(
-            MetricField::MemoryHighwaterBytes,
-            (self.resident_bytes() + ctx.cached_bytes()) as u64,
-        );
         true
     }
 
@@ -404,56 +289,20 @@ impl ShuffleService {
     /// caller must not treat it as empty. The scheduler converts this
     /// panic into [`crate::TaskError::FetchFailed`] and recovers.
     pub fn fetch_block<T: Data>(&self, ctx: &SpangleContext, id: BlockId) -> Arc<Vec<T>> {
-        loop {
-            // Fast path: resident block under the read lock. A spilled hit
-            // captures the file identity and rehydrates outside all locks.
-            let (file, disk_len, codec) = {
-                let guard = self.blocks.read();
-                let Some(entry) = guard.get(&id) else { break };
-                match &entry.data {
-                    StoredBlock::Resident(payload) => {
-                        entry.touch.store(
-                            self.clock.fetch_add(1, Ordering::Relaxed),
-                            Ordering::Relaxed,
-                        );
-                        ctx.metrics()
-                            .add(MetricField::ShuffleReadBytes, entry.bytes as u64);
-                        return payload.clone().downcast::<Vec<T>>().expect(
-                            "shuffle block type mismatch: reduce side fetched a different \
-                             type than the map side wrote",
-                        );
-                    }
-                    StoredBlock::Spilled { file, disk_len } => (
-                        *file,
-                        *disk_len,
-                        entry.codec.expect("spilled block without a codec"),
-                    ),
-                }
-            };
-            let decoded = self
-                .spill
-                .read(file)
-                .and_then(|payload| codec.decode(&payload));
-            let mut blocks = self.blocks.write();
-            let Some(entry) = blocks.get_mut(&id) else {
-                break;
-            };
-            match entry.data {
-                // Raced with another rehydrator (or a re-deposit): take the
-                // read path again.
-                StoredBlock::Resident(_) => continue,
-                StoredBlock::Spilled { file: f, .. } if f != file => continue,
-                StoredBlock::Spilled { .. } => {}
+        match self.blocks.get(ctx, &id) {
+            Fetched::Hit { block, bytes } => {
+                ctx.metrics()
+                    .add(MetricField::ShuffleReadBytes, bytes as u64);
+                return block.downcast::<Vec<T>>().expect(
+                    "shuffle block type mismatch: reduce side fetched a different \
+                     type than the map side wrote",
+                );
             }
-            let Some(payload) = decoded else {
+            Fetched::Torn => {
                 // The spill file is torn or unreadable: the block is gone
-                // for real. Drop the entry and its registration so this
-                // surfaces exactly like executor loss — typed, recoverable
-                // from lineage — instead of decoding garbage.
-                let entry = blocks.remove(&id).expect("entry checked above");
-                self.release(&entry);
-                self.debug_check_resident(&blocks);
-                drop(blocks);
+                // for real. Drop its registration so this surfaces exactly
+                // like executor loss — typed, recoverable from lineage —
+                // instead of decoding garbage.
                 if let Some(maps) = self.outputs.lock().get_mut(&id.shuffle_id) {
                     maps.remove(&id.map_id);
                 }
@@ -461,30 +310,8 @@ impl ShuffleService {
                     shuffle_id: id.shuffle_id,
                     map_id: id.map_id,
                 });
-            };
-            entry.data = StoredBlock::Resident(payload.clone());
-            entry.touch.store(
-                self.clock.fetch_add(1, Ordering::Relaxed),
-                Ordering::Relaxed,
-            );
-            let bytes = entry.bytes;
-            self.resident.fetch_add(bytes, Ordering::Relaxed);
-            self.spill.remove(file, disk_len);
-            self.debug_check_resident(&blocks);
-            drop(blocks);
-            ctx.metrics().add(MetricField::BlocksRehydrated, 1);
-            ctx.metrics()
-                .add(MetricField::ShuffleReadBytes, bytes as u64);
-            // Rehydrating grew the resident tier; let the watermark demote
-            // a colder block in exchange if memory is tight.
-            ctx.enforce_memory_watermark();
-            ctx.metrics().raise(
-                MetricField::MemoryHighwaterBytes,
-                (self.resident_bytes() + ctx.cached_bytes()) as u64,
-            );
-            return payload
-                .downcast::<Vec<T>>()
-                .expect("shuffle block type mismatch after rehydrate");
+            }
+            Fetched::Absent => {}
         }
         // Absent. Registered-but-absent is a genuinely empty bucket.
         let registered = self
@@ -510,57 +337,9 @@ impl ShuffleService {
     }
 
     /// Demotes cold resident blocks to the disk tier until roughly `need`
-    /// resident bytes are freed (or no spillable candidates remain).
-    /// Victims are picked least-recently-fetched first. Returns the bytes
-    /// actually freed. Blocks without a codec are skipped; an IO error
-    /// stops the sweep (memory pressure is better than cascading disk
-    /// failures).
+    /// resident bytes are freed; see [`TieredStore::spill_up_to`].
     pub(crate) fn spill_up_to(&self, ctx: &SpangleContext, need: usize) -> usize {
-        let mut freed = 0usize;
-        let mut spilled_blocks = 0u64;
-        let mut spilled_disk = 0u64;
-        {
-            let mut blocks = self.blocks.write();
-            let mut candidates: Vec<(BlockId, u64)> = blocks
-                .iter()
-                .filter(|(_, e)| e.codec.is_some() && matches!(e.data, StoredBlock::Resident(_)))
-                .map(|(id, e)| (*id, e.touch.load(Ordering::Relaxed)))
-                .collect();
-            candidates.sort_unstable_by_key(|&(_, touch)| touch);
-            for (id, _) in candidates {
-                if freed >= need {
-                    break;
-                }
-                let entry = blocks
-                    .get(&id)
-                    .expect("candidate vanished under write lock");
-                let StoredBlock::Resident(payload) = &entry.data else {
-                    continue;
-                };
-                let codec = entry.codec.expect("candidates are filtered on codec");
-                let encoded = codec.encode(payload.as_ref());
-                let Ok((file, disk_len)) = self.spill.write(&encoded) else {
-                    break;
-                };
-                let entry = blocks.get_mut(&id).expect("still under the write lock");
-                entry.data = StoredBlock::Spilled { file, disk_len };
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-                freed += entry.bytes;
-                spilled_blocks += 1;
-                spilled_disk += disk_len as u64;
-            }
-            self.debug_check_resident(&blocks);
-        }
-        if spilled_blocks > 0 {
-            ctx.metrics()
-                .add(MetricField::BlocksSpilled, spilled_blocks);
-            ctx.metrics().add(MetricField::SpillBytes, spilled_disk);
-            ctx.metrics().raise(
-                MetricField::DiskResidentBytes,
-                ctx.disk_resident_bytes() as u64,
-            );
-        }
-        freed
+        self.blocks.spill_up_to(ctx, need)
     }
 
     /// Atomically claims the map stage of `shuffle_id`. At most one caller
@@ -630,12 +409,7 @@ impl ShuffleService {
     pub fn mark_completed(&self, shuffle_id: usize, num_maps: usize) -> Vec<usize> {
         let mut stages = self.stages.lock();
         let previous = stages.insert(shuffle_id, MapStageState::Completed { num_maps });
-        let outputs = self.outputs.lock();
-        let missing = match outputs.get(&shuffle_id) {
-            Some(maps) => (0..num_maps).filter(|m| !maps.contains_key(m)).collect(),
-            None => (0..num_maps).collect(),
-        };
-        drop(outputs);
+        let missing = self.missing_maps(shuffle_id, num_maps);
         drop(stages);
         if let Some(MapStageState::InFlight { waiters }) = previous {
             waiters.fire(true);
@@ -671,15 +445,7 @@ impl ShuffleService {
     /// Drops every block (either tier) of one shuffle, releasing resident
     /// bytes and spill files.
     fn drop_blocks_of(&self, shuffle_id: usize) {
-        let mut blocks = self.blocks.write();
-        blocks.retain(|id, entry| {
-            let keep = id.shuffle_id != shuffle_id;
-            if !keep {
-                self.release(entry);
-            }
-            keep
-        });
-        self.debug_check_resident(&blocks);
+        self.blocks.retain(|id, _| id.shuffle_id != shuffle_id);
     }
 
     /// Blocks until the map stage of `shuffle_id` is no longer in flight.
@@ -745,19 +511,7 @@ impl ShuffleService {
         for maps in self.outputs.lock().values_mut() {
             maps.retain(|_, origin| !origin.lives_on(executor));
         }
-        let mut blocks = self.blocks.write();
-        let before = blocks.len();
-        let mut bytes_dropped = 0;
-        blocks.retain(|_, entry| {
-            let keep = !entry.origin.lives_on(executor);
-            if !keep {
-                bytes_dropped += entry.bytes;
-                self.release(entry);
-            }
-            keep
-        });
-        self.debug_check_resident(&blocks);
-        (before - blocks.len(), bytes_dropped)
+        self.blocks.retain(|_, origin| !origin.lives_on(executor))
     }
 
     /// Drops one map partition's registered output (and its blocks) so a
@@ -771,15 +525,17 @@ impl ShuffleService {
         if let Some(maps) = self.outputs.lock().get_mut(&shuffle_id) {
             maps.remove(&map_id);
         }
-        let mut blocks = self.blocks.write();
-        blocks.retain(|id, entry| {
-            let keep = !(id.shuffle_id == shuffle_id && id.map_id == map_id);
-            if !keep {
-                self.release(entry);
-            }
-            keep
-        });
-        self.debug_check_resident(&blocks);
+        self.blocks
+            .retain(|id, _| !(id.shuffle_id == shuffle_id && id.map_id == map_id));
+    }
+
+    /// Map partitions of `shuffle_id` with no registered output, ascending.
+    fn missing_maps(&self, shuffle_id: usize, num_maps: usize) -> Vec<usize> {
+        let outputs = self.outputs.lock();
+        let maps = outputs.get(&shuffle_id);
+        (0..num_maps)
+            .filter(|m| !maps.is_some_and(|maps| maps.contains_key(m)))
+            .collect()
     }
 
     /// Atomically claims the *recovery* of a shuffle whose completed map
@@ -814,12 +570,7 @@ impl ShuffleService {
         shuffle_id: usize,
         num_maps: usize,
     ) -> RecoveryClaim {
-        let outputs = self.outputs.lock();
-        let missing: Vec<usize> = match outputs.get(&shuffle_id) {
-            Some(maps) => (0..num_maps).filter(|m| !maps.contains_key(m)).collect(),
-            None => (0..num_maps).collect(),
-        };
-        drop(outputs);
+        let missing = self.missing_maps(shuffle_id, num_maps);
         if missing.is_empty() {
             return RecoveryClaim::Recovered;
         }
@@ -840,13 +591,13 @@ impl ShuffleService {
     /// recomputed per call — deposits used to pay a full map walk here,
     /// turning an n-block shuffle write phase into O(n²).
     pub fn resident_bytes(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
+        self.blocks.resident_bytes()
     }
 
     /// Bytes currently held by this service's on-disk spill tier (framed
     /// file sizes).
     pub fn disk_bytes(&self) -> usize {
-        self.spill.disk_bytes()
+        self.blocks.disk_bytes()
     }
 
     /// Bytes deposited for each reduce partition of one shuffle, summed
@@ -856,17 +607,17 @@ impl ShuffleService {
     /// ([`crate::SpangleContextBuilder::coalesce_partitions`]).
     pub fn reduce_bucket_bytes(&self, shuffle_id: usize, num_reduce: usize) -> Vec<usize> {
         let mut out = vec![0usize; num_reduce];
-        for (id, entry) in self.blocks.read().iter() {
+        self.blocks.for_each_size(|id, bytes| {
             if id.shuffle_id == shuffle_id && id.reduce_id < num_reduce {
-                out[id.reduce_id] += entry.bytes;
+                out[id.reduce_id] += bytes;
             }
-        }
+        });
         out
     }
 
     /// Number of blocks currently stored (both tiers).
     pub fn num_blocks(&self) -> usize {
-        self.blocks.read().len()
+        self.blocks.len()
     }
 }
 
@@ -989,35 +740,6 @@ mod tests {
         assert!(got.is_empty());
     }
 
-    /// Bugfix regression: the O(1) resident counter must track every
-    /// insert, replace, discard, and removal exactly (debug builds also
-    /// assert it against the full walk inside each mutating op).
-    #[test]
-    fn resident_counter_tracks_every_mutation() {
-        let ctx = SpangleContext::new(2);
-        let svc = ShuffleService::default();
-        let id0 = BlockId {
-            shuffle_id: 1,
-            map_id: 0,
-            reduce_id: 0,
-        };
-        let id1 = BlockId {
-            shuffle_id: 1,
-            map_id: 1,
-            reduce_id: 0,
-        };
-        svc.put_block(&ctx, id0, vec![1u64, 2], 16, BlockOrigin::DRIVER);
-        svc.put_block(&ctx, id1, vec![3u64], 8, BlockOrigin::executor(1, 0));
-        assert_eq!(svc.resident_bytes(), 24);
-        // Replacing a block swaps its accounted size, not leaks it.
-        svc.put_block(&ctx, id0, vec![9u64], 8, BlockOrigin::DRIVER);
-        assert_eq!(svc.resident_bytes(), 16);
-        svc.discard_executor(1);
-        assert_eq!(svc.resident_bytes(), 8);
-        svc.remove_shuffle(1);
-        assert_eq!(svc.resident_bytes(), 0);
-    }
-
     /// Bugfix regression: `put_block` used to install unconditionally,
     /// letting a late speculative loser (live, but beaten to the commit)
     /// overwrite the winner's block through the legacy path.
@@ -1079,94 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn spill_and_rehydrate_roundtrip_with_accounting() {
-        let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
-        let records: Vec<(u64, f64)> = (0..100).map(|i| (i, i as f64 * 1.5)).collect();
-        for map_id in 0..4 {
-            svc.put_block(
-                &ctx,
-                BlockId {
-                    shuffle_id: 1,
-                    map_id,
-                    reduce_id: 0,
-                },
-                records.clone(),
-                1600,
-                BlockOrigin::DRIVER,
-            );
-        }
-        assert_eq!(svc.resident_bytes(), 6400);
-        let before = ctx.metrics_snapshot();
-        let freed = svc.spill_up_to(&ctx, 3000);
-        assert_eq!(freed, 3200, "two coldest blocks demoted");
-        assert_eq!(svc.resident_bytes(), 3200);
-        assert!(svc.disk_bytes() > 0);
-        assert_eq!(svc.num_blocks(), 4, "spilled blocks stay fetchable");
-        let mid = ctx.metrics_snapshot();
-        assert_eq!((mid - before).blocks_spilled, 2);
-        assert!((mid - before).spill_bytes >= (mid - before).disk_resident_bytes);
-        // Every block — spilled or resident — fetches bit-identically.
-        for map_id in 0..4 {
-            let got: Arc<Vec<(u64, f64)>> = svc.fetch_block(
-                &ctx,
-                BlockId {
-                    shuffle_id: 1,
-                    map_id,
-                    reduce_id: 0,
-                },
-            );
-            assert_eq!(*got, records);
-        }
-        let after = ctx.metrics_snapshot();
-        assert_eq!((after - mid).blocks_rehydrated, 2);
-        assert_eq!(svc.resident_bytes(), 6400, "rehydration restores the tier");
-        assert_eq!(svc.disk_bytes(), 0, "rehydrated files are deleted");
-    }
-
-    #[test]
-    fn spilling_prefers_the_least_recently_fetched_block() {
-        let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
-        for map_id in 0..3 {
-            svc.put_block(
-                &ctx,
-                BlockId {
-                    shuffle_id: 1,
-                    map_id,
-                    reduce_id: 0,
-                },
-                vec![map_id as u64; 4],
-                32,
-                BlockOrigin::DRIVER,
-            );
-        }
-        // Touch block 0 so block 1 becomes the coldest.
-        let _: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 1,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        svc.spill_up_to(&ctx, 1);
-        assert_eq!(svc.resident_bytes(), 64);
-        // Block 1 must be the spilled one: fetching it rehydrates.
-        let before = ctx.metrics_snapshot();
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 1,
-                map_id: 1,
-                reduce_id: 0,
-            },
-        );
-        assert_eq!(*got, vec![1, 1, 1, 1]);
-        assert_eq!((ctx.metrics_snapshot() - before).blocks_rehydrated, 1);
-    }
-
-    #[test]
     fn spilled_blocks_of_a_dead_executor_are_discarded_not_rehydrated() {
         let ctx = SpangleContext::new(2);
         let svc = ShuffleService::default();
@@ -1205,24 +839,40 @@ mod tests {
         assert!(err.downcast_ref::<FetchFailedError>().is_some());
     }
 
+    /// The shuffle's reading of a torn spill file: the map output is
+    /// lost, exactly like executor loss — typed failure, registration
+    /// dropped so recovery re-runs that map, survivors untouched.
     #[test]
-    fn unspillable_blocks_are_skipped_by_the_sweep() {
-        let ctx = SpangleContext::new(1);
-        let svc = ShuffleService::default();
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 1,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec!["static strings have no stable byte form"],
-            64,
-            BlockOrigin::DRIVER,
+    fn a_torn_spill_file_fails_typed_and_unregisters_the_map() {
+        let ctx = SpangleContext::new(2);
+        let spill = Arc::new(SpillStore::default());
+        let svc = ShuffleService::new(Arc::clone(&spill));
+        seed_two_map_shuffle(&ctx, &svc, 6);
+        svc.spill_up_to(&ctx, usize::MAX);
+        spill.tear_files();
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _: Arc<Vec<u64>> = svc.fetch_block(
+                &ctx,
+                BlockId {
+                    shuffle_id: 6,
+                    map_id: 1,
+                    reduce_id: 0,
+                },
+            );
+        }))
+        .expect_err("a torn block must not decode");
+        assert_eq!(
+            err.downcast_ref::<FetchFailedError>(),
+            Some(&FetchFailedError {
+                shuffle_id: 6,
+                map_id: 1
+            })
         );
-        assert_eq!(svc.spill_up_to(&ctx, usize::MAX), 0);
-        assert_eq!(svc.resident_bytes(), 64, "pinned resident");
-        assert_eq!(svc.disk_bytes(), 0);
+        assert_eq!(svc.num_blocks(), 1, "the torn block is dropped");
+        assert_eq!(
+            svc.claim_recovery(6, 2),
+            RecoveryClaim::Owner { missing: vec![1] }
+        );
     }
 
     #[test]

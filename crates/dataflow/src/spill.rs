@@ -2,55 +2,46 @@
 //!
 //! When resident cache + shuffle bytes cross the admission memory
 //! watermark, cold blocks are *demoted*: their records are encoded with the
-//! hand-rolled [`MemSize`] spill codec and written to a private temp
-//! directory, freeing their heap bytes while keeping them fetchable. A later
-//! read *rehydrates* the block — reads the file back, verifies the frame,
-//! decodes, and reinstates the records in memory — instead of failing the
-//! fetch or recomputing lineage.
+//! hand-rolled [`MemSize`](crate::MemSize) block codec and written to a
+//! private temp directory, freeing their heap bytes while keeping them
+//! fetchable. A later read *rehydrates* the block — reads the file back,
+//! verifies the frame, decodes, and reinstates the records in memory —
+//! instead of failing the fetch or recomputing lineage.
 //!
 //! The store is deliberately primitive: one file per block, written whole
 //! and read whole, so the per-chunk IO cost model used by the local-engine
-//! baseline maps one-to-one onto real syscalls. Files are framed with a
-//! magic, an explicit payload length, and an FNV-1a checksum so a torn or
-//! truncated write is detected on read rather than decoded into garbage.
+//! baseline maps one-to-one onto real syscalls. Files carry the crate's
+//! one [`frame`] so a torn or truncated write is detected on read rather
+//! than decoded into garbage. Byte accounting is the
+//! [`TieredStore`](crate::blockstore::TieredStore)'s job, not this one's.
 
 use std::any::Any;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::{fs, io};
 
-use crate::memsize::{put_len, SpillCursor};
+use crate::frame;
+use crate::memsize::{decode_block, encode_records};
 use crate::Data;
 
 /// Frame magic for spill files; bump when the framing changes.
-const MAGIC: &[u8; 4] = b"SPL1";
+const MAGIC: [u8; 4] = *b"SPL2";
 
-/// Bytes of framing around each payload: magic + length + checksum.
-const FRAME_OVERHEAD: usize = 4 + 8 + 8;
+/// The only frame kind a spill file holds: one encoded block.
+const KIND_BLOCK: u8 = 0;
 
-/// Process-wide sequence so two stores in one process (shuffle + cache, or
-/// many test contexts) never share a directory.
+/// Process-wide sequence so two stores in one process (many test
+/// contexts) never share a directory.
 static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// FNV-1a 64-bit over the payload — cheap, dependency-free corruption check.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Accounted directory of spill files. Each [`write`](SpillStore::write)
-/// produces one file named by a monotone id; [`read`](SpillStore::read)
-/// verifies the frame before returning the payload. Dropping the store
-/// removes the whole directory.
+/// A directory of spill files. Each [`write`](SpillStore::write) produces
+/// one file named by a monotone id; [`read`](SpillStore::read) verifies
+/// the frame before returning the payload. Dropping the store removes the
+/// whole directory.
 pub(crate) struct SpillStore {
     root: PathBuf,
     next_file: AtomicU64,
-    disk_bytes: AtomicUsize,
 }
 
 impl Default for SpillStore {
@@ -62,7 +53,6 @@ impl Default for SpillStore {
         SpillStore {
             root,
             next_file: AtomicU64::new(0),
-            disk_bytes: AtomicUsize::new(0),
         }
     }
 }
@@ -102,49 +92,30 @@ fn sweep_stale_spill_dirs() {
 
 impl SpillStore {
     /// Frame `payload` and write it as a new file. Returns the file id and
-    /// the on-disk length (framing included), which the caller must keep to
-    /// account the later [`remove`](SpillStore::remove).
+    /// the on-disk length (framing included).
     pub(crate) fn write(&self, payload: &[u8]) -> io::Result<(u64, usize)> {
         // The directory is created lazily so contexts that never spill
         // leave no trace in the temp dir.
         fs::create_dir_all(&self.root)?;
         let id = self.next_file.fetch_add(1, Ordering::Relaxed);
-        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-        frame.extend_from_slice(MAGIC);
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        fs::write(self.root.join(id.to_string()), &frame)?;
-        self.disk_bytes.fetch_add(frame.len(), Ordering::Relaxed);
-        Ok((id, frame.len()))
+        let framed = frame::encode(MAGIC, KIND_BLOCK, payload);
+        fs::write(self.root.join(id.to_string()), &framed)?;
+        Ok((id, framed.len()))
     }
 
-    /// Read a spill file back, verifying magic, length, and checksum.
-    /// Returns `None` when the file is missing, torn, or corrupt.
+    /// Read a spill file back, verifying its frame. Returns `None` when
+    /// the file is missing, torn, corrupt, or longer than its frame.
     pub(crate) fn read(&self, id: u64) -> Option<Vec<u8>> {
-        let frame = fs::read(self.root.join(id.to_string())).ok()?;
-        if frame.len() < FRAME_OVERHEAD || &frame[..4] != MAGIC {
-            return None;
-        }
-        let len = u64::from_le_bytes(frame[4..12].try_into().unwrap()) as usize;
-        let sum = u64::from_le_bytes(frame[12..20].try_into().unwrap());
-        let payload = &frame[FRAME_OVERHEAD..];
-        if payload.len() != len || fnv1a64(payload) != sum {
-            return None;
-        }
-        Some(payload.to_vec())
+        let mut file = fs::File::open(self.root.join(id.to_string())).ok()?;
+        let (kind, payload) = frame::read(&mut file, MAGIC, u64::MAX).ok()?;
+        let at_end = matches!(io::Read::read(&mut file, &mut [0u8]), Ok(0));
+        (kind == KIND_BLOCK && at_end).then_some(payload)
     }
 
-    /// Delete a spill file and release its accounted bytes. Best-effort:
-    /// a file already gone (e.g. a racing rehydrate) is not an error.
-    pub(crate) fn remove(&self, id: u64, disk_len: usize) {
+    /// Delete a spill file. Best-effort: a file already gone is not an
+    /// error.
+    pub(crate) fn remove(&self, id: u64) {
         let _ = fs::remove_file(self.root.join(id.to_string()));
-        self.disk_bytes.fetch_sub(disk_len, Ordering::Relaxed);
-    }
-
-    /// Bytes currently resident in this store's disk tier.
-    pub(crate) fn disk_bytes(&self) -> usize {
-        self.disk_bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -176,21 +147,11 @@ impl SpillCodec {
                 .downcast_ref::<Vec<T>>()
                 .expect("spill codec applied to a block of a different type");
             let mut out = Vec::new();
-            put_len(&mut out, records.len());
-            for record in records {
-                record.spill_encode(&mut out);
-            }
+            encode_records(records, &mut out);
             out
         }
         fn decode<T: Data>(payload: &[u8]) -> Option<Arc<dyn Any + Send + Sync>> {
-            let mut cur = SpillCursor::new(payload);
-            let count = cur.len_prefix()?;
-            let mut records = Vec::with_capacity(count);
-            for _ in 0..count {
-                records.push(T::spill_decode(&mut cur)?);
-            }
-            // A frame with trailing bytes is corrupt, not short.
-            (cur.remaining() == 0).then_some(Arc::new(records) as Arc<dyn Any + Send + Sync>)
+            decode_block::<T>(payload).map(|records| Arc::new(records) as _)
         }
         if !T::spillable() {
             return None;
@@ -214,16 +175,27 @@ impl SpillCodec {
 mod tests {
     use super::*;
 
+    impl SpillStore {
+        /// Test hook: truncates every spill file by one byte, tearing it.
+        pub(crate) fn tear_files(&self) {
+            for entry in fs::read_dir(&self.root).unwrap() {
+                let file = fs::OpenOptions::new()
+                    .write(true)
+                    .open(entry.unwrap().path())
+                    .unwrap();
+                file.set_len(file.metadata().unwrap().len() - 1).unwrap();
+            }
+        }
+    }
+
     #[test]
-    fn write_read_roundtrip_accounts_bytes() {
+    fn write_read_remove_roundtrip() {
         let store = SpillStore::default();
         let payload = vec![7u8; 100];
         let (id, disk_len) = store.write(&payload).unwrap();
-        assert_eq!(disk_len, payload.len() + FRAME_OVERHEAD);
-        assert_eq!(store.disk_bytes(), disk_len);
+        assert_eq!(disk_len, payload.len() + frame::HEADER_LEN);
         assert_eq!(store.read(id).as_deref(), Some(&payload[..]));
-        store.remove(id, disk_len);
-        assert_eq!(store.disk_bytes(), 0);
+        store.remove(id);
         assert!(store.read(id).is_none());
     }
 
@@ -232,20 +204,25 @@ mod tests {
         let store = SpillStore::default();
         let (id, _) = store.write(b"hello spill tier").unwrap();
         let path = store.root.join(id.to_string());
+        let good = fs::read(&path).unwrap();
 
         // Flip one payload byte: checksum mismatch.
-        let mut frame = fs::read(&path).unwrap();
+        let mut frame = good.clone();
         let last = frame.len() - 1;
         frame[last] ^= 0xff;
         fs::write(&path, &frame).unwrap();
         assert!(store.read(id).is_none());
 
-        // Truncate mid-payload: length mismatch.
-        frame.truncate(frame.len() - 4);
+        // Truncate mid-payload, or append past the frame: length mismatch.
+        fs::write(&path, &good[..good.len() - 4]).unwrap();
+        assert!(store.read(id).is_none());
+        frame = good.clone();
+        frame.push(0);
         fs::write(&path, &frame).unwrap();
         assert!(store.read(id).is_none());
 
         // Wrong magic.
+        frame = good;
         frame[0] = b'X';
         fs::write(&path, &frame).unwrap();
         assert!(store.read(id).is_none());

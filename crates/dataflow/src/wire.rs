@@ -1,17 +1,13 @@
 //! The length-prefixed wire protocol spoken between the driver and the
 //! worker processes of the multi-process executor backend.
 //!
-//! Frames are hand-rolled over the PR 8 spill primitives (`put_len` and
-//! `SpillCursor`) — no serialization framework, std only. Every frame is
-//!
-//! ```text
-//! "SPW1" | type: u8 | len: u64 LE | crc: u64 LE | payload (len bytes)
-//! ```
-//!
-//! where `crc` is the FNV-1a64 of the payload (the same hash the spill
-//! files use). A frame that is short, oversized, carries a bad magic, an
-//! unknown type, a mismatched checksum, or a payload its type cannot
-//! decode is *torn*: the reader reports `WireError::Torn` and the
+//! Messages are hand-rolled over the spill primitives (`put_len` and
+//! `SpillCursor`) — no serialization framework, std only — and travel in
+//! the crate's one frame (`frame.rs`: the same header and checksum the
+//! spill files use) under the `SPW2` magic, the frame kind naming the
+//! message type. A
+//! frame the reader rejects, an unknown type, or a payload its type cannot
+//! decode is *torn*: the reader reports `FrameError::Torn` and the
 //! connection is considered broken — the failure discipline above this
 //! layer turns that into a typed fetch failure or a worker-loss wait,
 //! never into silently truncated data.
@@ -22,15 +18,17 @@
 //! answers driver `Request`s (`Run` a named operator, `Get` a stored
 //! block, `Stats`, `Shutdown`) with correlated `Reply` frames.
 
-use crate::memsize::{put_len, SpillCursor};
+use crate::backend::WorkerStats;
+use crate::frame::{self, FrameError};
+use crate::memsize::{decode_records, encode_records, put_len, MemSize, SpillCursor};
 use std::io::{Read, Write};
 
-/// Frame preamble, first on the wire.
-pub(crate) const MAGIC: [u8; 4] = *b"SPW1";
+/// Frame preamble, first on the wire; bump when the framing changes.
+pub(crate) const MAGIC: [u8; 4] = *b"SPW2";
 
 /// Upper bound a reader accepts for one payload; anything larger is torn
-/// (a corrupted length prefix would otherwise ask for an absurd
-/// allocation).
+/// (a corrupted length prefix would otherwise swallow every later frame
+/// on the stream as its payload).
 pub(crate) const MAX_FRAME_PAYLOAD: u64 = 1 << 32;
 
 const FRAME_HELLO: u8 = 1;
@@ -52,17 +50,6 @@ const REPLY_SHUTTING_DOWN: u8 = 5;
 
 const INPUT_INLINE: u8 = 0;
 const INPUT_LOCAL: u8 = 1;
-
-/// FNV-1a64 of `bytes` — the frame checksum (identical to the spill-file
-/// hash, so a torn frame and a corrupt spill page fail the same way).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Identity of one block in a worker's store. The remote data plane keys
 /// blocks `(namespace, index)` where the namespace is a driver-allocated
@@ -125,16 +112,7 @@ pub(crate) enum ReplyBody {
     /// `Get` found the block.
     GetOk(Vec<u8>),
     /// `Stats` snapshot.
-    StatsOk {
-        /// Blocks resident in the worker's store.
-        blocks: u64,
-        /// Total encoded bytes of those blocks.
-        bytes: u64,
-        /// Incarnation the worker was spawned for.
-        epoch: u64,
-        /// OS pid of the worker process.
-        pid: u64,
-    },
+    StatsOk(WorkerStats),
     /// `Get` found nothing under the key.
     NotFound,
     /// The operator returned an error (a *task* failure, not a transport
@@ -179,33 +157,12 @@ pub(crate) enum Frame {
     },
 }
 
-/// Why a frame could not be read.
-#[derive(Debug)]
-pub(crate) enum WireError {
-    /// Clean end of stream at a frame boundary (peer closed).
-    Eof,
-    /// Transport error mid-frame.
-    Io(std::io::Error),
-    /// The bytes on the wire do not decode to a frame: short read,
-    /// bad magic, oversized length, checksum mismatch, or an undecodable
-    /// payload. The connection is unusable from here on.
-    Torn(&'static str),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Eof => write!(f, "connection closed"),
-            WireError::Io(e) => write!(f, "transport error: {e}"),
-            WireError::Torn(why) => write!(f, "torn frame: {why}"),
-        }
-    }
-}
-
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Byte strings travel as a length prefix plus the raw bytes — what the
+/// block codec writes for a `Vec<u8>`, copied in bulk.
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_len(out, bytes.len());
     out.extend_from_slice(bytes);
@@ -214,15 +171,6 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 fn take_bytes(cur: &mut SpillCursor<'_>) -> Option<Vec<u8>> {
     let n = cur.len_prefix()?;
     cur.take(n).map(|b| b.to_vec())
-}
-
-fn put_key(out: &mut Vec<u8>, key: BlockKey) {
-    put_u64(out, key.0);
-    put_u64(out, key.1);
-}
-
-fn take_key(cur: &mut SpillCursor<'_>) -> Option<BlockKey> {
-    Some((cur.u64()?, cur.u64()?))
 }
 
 impl Frame {
@@ -258,10 +206,7 @@ impl Frame {
                         out.push(REQ_RUN);
                         put_bytes(&mut out, op.as_bytes());
                         put_bytes(&mut out, args);
-                        put_len(&mut out, out_keys.len());
-                        for &key in out_keys {
-                            put_key(&mut out, key);
-                        }
+                        encode_records(out_keys, &mut out);
                         put_len(&mut out, inputs.len());
                         for input in inputs {
                             match input {
@@ -271,14 +216,14 @@ impl Frame {
                                 }
                                 OpInput::Local(key) => {
                                     out.push(INPUT_LOCAL);
-                                    put_key(&mut out, *key);
+                                    key.spill_encode(&mut out);
                                 }
                             }
                         }
                     }
                     RequestBody::Get { key } => {
                         out.push(REQ_GET);
-                        put_key(&mut out, *key);
+                        key.spill_encode(&mut out);
                     }
                     RequestBody::Stats => out.push(REQ_STATS),
                     RequestBody::Shutdown => out.push(REQ_SHUTDOWN),
@@ -299,17 +244,11 @@ impl Frame {
                         out.push(REPLY_GET_OK);
                         put_bytes(&mut out, bytes);
                     }
-                    ReplyBody::StatsOk {
-                        blocks,
-                        bytes,
-                        epoch,
-                        pid,
-                    } => {
+                    ReplyBody::StatsOk(stats) => {
                         out.push(REPLY_STATS_OK);
-                        put_u64(&mut out, *blocks);
-                        put_u64(&mut out, *bytes);
-                        put_u64(&mut out, *epoch);
-                        put_u64(&mut out, *pid);
+                        for v in [stats.blocks, stats.bytes, stats.epoch, stats.pid] {
+                            put_u64(&mut out, v);
+                        }
                     }
                     ReplyBody::NotFound => out.push(REPLY_NOT_FOUND),
                     ReplyBody::OpError(msg) => {
@@ -340,17 +279,13 @@ impl Frame {
                     REQ_RUN => {
                         let op = String::from_utf8(take_bytes(&mut cur)?).ok()?;
                         let args = take_bytes(&mut cur)?;
-                        let n_keys = cur.len_prefix()?;
-                        let mut out_keys = Vec::with_capacity(n_keys.min(1024));
-                        for _ in 0..n_keys {
-                            out_keys.push(take_key(&mut cur)?);
-                        }
+                        let out_keys = decode_records(&mut cur)?;
                         let n_inputs = cur.len_prefix()?;
-                        let mut inputs = Vec::with_capacity(n_inputs.min(1024));
+                        let mut inputs = Vec::with_capacity(n_inputs.min(cur.remaining()));
                         for _ in 0..n_inputs {
                             inputs.push(match cur.u8()? {
                                 INPUT_INLINE => OpInput::Inline(take_bytes(&mut cur)?),
-                                INPUT_LOCAL => OpInput::Local(take_key(&mut cur)?),
+                                INPUT_LOCAL => OpInput::Local(BlockKey::spill_decode(&mut cur)?),
                                 _ => return None,
                             });
                         }
@@ -362,7 +297,7 @@ impl Frame {
                         }
                     }
                     REQ_GET => RequestBody::Get {
-                        key: take_key(&mut cur)?,
+                        key: BlockKey::spill_decode(&mut cur)?,
                     },
                     REQ_STATS => RequestBody::Stats,
                     REQ_SHUTDOWN => RequestBody::Shutdown,
@@ -375,7 +310,7 @@ impl Frame {
                 let body = match cur.u8()? {
                     REPLY_RUN_OK => {
                         let n = cur.len_prefix()?;
-                        let mut metas = Vec::with_capacity(n.min(1024));
+                        let mut metas = Vec::with_capacity(n.min(cur.remaining()));
                         for _ in 0..n {
                             metas.push(BlockMeta {
                                 len: cur.u64()?,
@@ -385,12 +320,12 @@ impl Frame {
                         ReplyBody::RunOk(metas)
                     }
                     REPLY_GET_OK => ReplyBody::GetOk(take_bytes(&mut cur)?),
-                    REPLY_STATS_OK => ReplyBody::StatsOk {
+                    REPLY_STATS_OK => ReplyBody::StatsOk(WorkerStats {
                         blocks: cur.u64()?,
                         bytes: cur.u64()?,
                         epoch: cur.u64()?,
                         pid: cur.u64()?,
-                    },
+                    }),
                     REPLY_NOT_FOUND => ReplyBody::NotFound,
                     REPLY_OP_ERROR => {
                         ReplyBody::OpError(String::from_utf8(take_bytes(&mut cur)?).ok()?)
@@ -408,14 +343,7 @@ impl Frame {
     /// Encodes the full frame (header + payload) into one buffer, ready
     /// for a single `write_all`.
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(21 + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.push(self.frame_type());
-        put_u64(&mut out, payload.len() as u64);
-        put_u64(&mut out, fnv1a64(&payload));
-        out.extend_from_slice(&payload);
-        out
+        frame::encode(MAGIC, self.frame_type(), &self.encode_payload())
     }
 }
 
@@ -426,48 +354,12 @@ pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<
     w.flush()
 }
 
-fn read_exact_or(r: &mut impl Read, buf: &mut [u8], torn: &'static str) -> Result<(), WireError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if filled == 0 {
-                    WireError::Eof
-                } else {
-                    // The peer died mid-frame: a short read, not a clean
-                    // close.
-                    WireError::Torn(torn)
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    Ok(())
-}
-
-/// Reads and validates one frame. [`WireError::Eof`] means the peer
+/// Reads and validates one frame. [`FrameError::Eof`] means the peer
 /// closed cleanly between frames; everything else means the connection is
 /// broken and must not be read again.
-pub(crate) fn read_frame(r: &mut impl Read) -> Result<Frame, WireError> {
-    let mut header = [0u8; 21];
-    read_exact_or(r, &mut header, "short header")?;
-    if header[..4] != MAGIC {
-        return Err(WireError::Torn("bad magic"));
-    }
-    let frame_type = header[4];
-    let len = u64::from_le_bytes(header[5..13].try_into().unwrap());
-    let crc = u64::from_le_bytes(header[13..21].try_into().unwrap());
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::Torn("oversized payload"));
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or(r, &mut payload, "short payload")?;
-    if fnv1a64(&payload) != crc {
-        return Err(WireError::Torn("checksum mismatch"));
-    }
-    Frame::decode_payload(frame_type, &payload).ok_or(WireError::Torn("undecodable payload"))
+pub(crate) fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
+    let (frame_type, payload) = frame::read(r, MAGIC, MAX_FRAME_PAYLOAD)?;
+    Frame::decode_payload(frame_type, &payload).ok_or(FrameError::Torn("undecodable payload"))
 }
 
 #[cfg(test)]
@@ -522,12 +414,12 @@ mod tests {
         });
         roundtrip(Frame::Reply {
             req_id: 13,
-            body: ReplyBody::StatsOk {
+            body: ReplyBody::StatsOk(WorkerStats {
                 blocks: 2,
                 bytes: 64,
                 epoch: 1,
                 pid: 4242,
-            },
+            }),
         });
         roundtrip(Frame::Reply {
             req_id: 14,
@@ -546,7 +438,7 @@ mod tests {
     #[test]
     fn clean_eof_at_frame_boundary_is_eof_not_torn() {
         let mut cursor = std::io::Cursor::new(Vec::<u8>::new());
-        assert!(matches!(read_frame(&mut cursor), Err(WireError::Eof)));
+        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Eof)));
     }
 
     #[test]
@@ -556,7 +448,7 @@ mod tests {
         for cut in [1, 10, full.len() - 1] {
             let mut cursor = std::io::Cursor::new(full[..cut].to_vec());
             assert!(
-                matches!(read_frame(&mut cursor), Err(WireError::Torn(_))),
+                matches!(read_frame(&mut cursor), Err(FrameError::Torn(_))),
                 "cut at {cut} must be torn"
             );
         }
@@ -567,7 +459,7 @@ mod tests {
         let mut bad_magic = Frame::Hello { slot: 1, epoch: 2 }.encode();
         bad_magic[0] = b'X';
         let mut cursor = std::io::Cursor::new(bad_magic);
-        assert!(matches!(read_frame(&mut cursor), Err(WireError::Torn(_))));
+        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Torn(_))));
 
         // Flip one payload byte: the checksum must catch it.
         let mut bad_crc = Frame::Heartbeat {
@@ -580,7 +472,7 @@ mod tests {
         let mut cursor = std::io::Cursor::new(bad_crc);
         assert!(matches!(
             read_frame(&mut cursor),
-            Err(WireError::Torn("checksum mismatch"))
+            Err(FrameError::Torn("checksum mismatch"))
         ));
 
         // An absurd length prefix must be refused before allocating.
@@ -589,31 +481,112 @@ mod tests {
         let mut cursor = std::io::Cursor::new(oversized);
         assert!(matches!(
             read_frame(&mut cursor),
-            Err(WireError::Torn("oversized payload"))
+            Err(FrameError::Torn("oversized payload"))
         ));
     }
 
     #[test]
     fn unknown_frame_types_and_trailing_bytes_are_torn() {
-        let mut unknown = Frame::Hello { slot: 1, epoch: 2 }.encode();
-        unknown[4] = 200;
+        let inner = Frame::Hello { slot: 1, epoch: 2 };
+        let unknown = frame::encode(MAGIC, 200, &inner.encode_payload());
         let mut cursor = std::io::Cursor::new(unknown);
-        assert!(matches!(read_frame(&mut cursor), Err(WireError::Torn(_))));
+        assert!(matches!(
+            read_frame(&mut cursor),
+            Err(FrameError::Torn("undecodable payload"))
+        ));
 
         // A payload with trailing garbage (but a matching checksum) is
         // still refused: every byte must be consumed by the decoder.
-        let inner = Frame::Hello { slot: 1, epoch: 2 };
         let mut payload = vec![];
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.extend_from_slice(&2u64.to_le_bytes());
         payload.push(99);
-        let mut framed = Vec::new();
-        framed.extend_from_slice(&MAGIC);
-        framed.push(inner.frame_type());
-        framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        framed.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
+        let framed = frame::encode(MAGIC, inner.frame_type(), &payload);
         let mut cursor = std::io::Cursor::new(framed);
-        assert!(matches!(read_frame(&mut cursor), Err(WireError::Torn(_))));
+        assert!(matches!(read_frame(&mut cursor), Err(FrameError::Torn(_))));
+    }
+    fn random_frame(rng: &mut spangle_testkit::Rng) -> Frame {
+        let bytes = |rng: &mut spangle_testkit::Rng| rng.vec_of(0..12, |r| r.next_u64() as u8);
+        let key = |rng: &mut spangle_testkit::Rng| (rng.next_u64(), rng.next_u64());
+        let req_id = rng.next_u64();
+        match rng.usize_in(0..6) {
+            0 => Frame::Hello {
+                slot: rng.next_u64(),
+                epoch: rng.next_u64(),
+            },
+            1 => Frame::Heartbeat {
+                beats: rng.next_u64(),
+                op_progress: rng.next_u64(),
+            },
+            2 => Frame::Request {
+                req_id,
+                body: RequestBody::Run {
+                    op: "sum.merge".into(),
+                    args: bytes(rng),
+                    inputs: rng.vec_of(0..4, |r| {
+                        if r.bool() {
+                            OpInput::Inline(bytes(r))
+                        } else {
+                            OpInput::Local(key(r))
+                        }
+                    }),
+                    out_keys: rng.vec_of(0..4, key),
+                },
+            },
+            3 => Frame::Request {
+                req_id,
+                body: RequestBody::Get { key: key(rng) },
+            },
+            4 => Frame::Reply {
+                req_id,
+                body: ReplyBody::RunOk(rng.vec_of(0..4, |r| BlockMeta {
+                    len: r.next_u64(),
+                    checksum: r.next_u64(),
+                })),
+            },
+            _ => Frame::Reply {
+                req_id,
+                body: ReplyBody::GetOk(bytes(rng)),
+            },
+        }
+    }
+
+    /// Mutation fuzz: a mutated framed message never reads as `Ok`, and
+    /// the payload decoder alone (no checksum in front of it) never
+    /// panics, never accepts a truncation, and never pre-allocates past
+    /// its input.
+    #[test]
+    fn mutated_messages_never_decode_from_a_frame_and_never_panic_without_one() {
+        spangle_testkit::run_cases(0x3173_F022, 48, |rng| {
+            let frame = random_frame(rng);
+            let framed = frame.encode();
+            for cut in 0..framed.len() {
+                assert!(read_frame(&mut &framed[..cut]).is_err(), "cut at {cut}");
+            }
+            for bit in 0..framed.len() * 8 {
+                let mut mutated = framed.clone();
+                mutated[bit / 8] ^= 1 << (bit % 8);
+                assert!(read_frame(&mut &mutated[..]).is_err(), "bit {bit}");
+            }
+            let (kind, payload) = (frame.frame_type(), frame.encode_payload());
+            assert_eq!(Frame::decode_payload(kind, &payload), Some(frame));
+            for cut in 0..payload.len() {
+                assert_eq!(Frame::decode_payload(kind, &payload[..cut]), None);
+            }
+            for bit in 0..payload.len() * 8 {
+                let mut mutated = payload.clone();
+                mutated[bit / 8] ^= 1 << (bit % 8);
+                if let Some(Frame::Request {
+                    body:
+                        RequestBody::Run {
+                            inputs, out_keys, ..
+                        },
+                    ..
+                }) = Frame::decode_payload(kind, &mutated)
+                {
+                    assert!(inputs.capacity().max(out_keys.capacity()) <= mutated.len());
+                }
+            }
+        });
     }
 }

@@ -245,3 +245,29 @@ fn spill_speculation_and_kills_overlap_without_corruption() {
         assert!(snap.blocks_spilled > 0, "{snap:?}");
     });
 }
+
+/// Bugfix regression: blocks of zero-byte-encoded elements never
+/// rehydrated — the codec's count prefix was refused for exceeding the
+/// (empty) remaining input, every spilled block read back as torn, and
+/// the job aborted on `FetchFailed` instead of finishing.
+#[test]
+fn blocks_of_zero_byte_elements_survive_the_spill_tier() {
+    let run = |ctx: &SpangleContext| {
+        ctx.parallelize(vec![((), ()); 64], 4)
+            .group_by_key(Arc::new(HashPartitioner::new(2)))
+            .collect()
+            .expect("the job must not abort")
+    };
+    let expected = run(&SpangleContext::new(2));
+    assert_eq!(expected, vec![((), vec![(); 64])]);
+
+    let ctx = SpangleContext::builder()
+        .executors(2)
+        .memory_high_watermark_bytes(1)
+        .build();
+    assert_eq!(run(&ctx), expected);
+    let snap = ctx.metrics_snapshot();
+    assert!(snap.blocks_spilled > 0, "{snap:?}");
+    assert!(snap.blocks_rehydrated > 0, "{snap:?}");
+    assert_eq!(snap.fetch_failures, 0, "{snap:?}");
+}

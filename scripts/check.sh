@@ -12,9 +12,9 @@
 #   scripts/check.sh <step> [...]     run only the named steps, in order
 #
 # Steps: fmt clippy build test planoff specoff spill health healthoff
-# proc doc stress bench
-# (proc, stress and bench are CI-job-only: they are not part of the
-# default full gate because of their runtime.)
+# proc doc stress bench benchmark
+# (proc, stress, bench and benchmark are CI-job-only: they are not part of
+# the default full gate because of their runtime.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -170,11 +170,21 @@ run_bench() {
     return "$status"
 }
 
+# benchmark/ is a workspace of its own, so nothing above compiles it: this
+# step builds it against the crates as they are now, runs its unit tests,
+# and drives every workload once for a second each (same checks as a full
+# run, ~40 s).
+run_benchmark() {
+    echo "== benchmark: unit tests + one quick run of every workload (watchdog ${WATCHDOG_SECS}s)"
+    watchdog cargo test -q --manifest-path benchmark/Cargo.toml
+    watchdog benchmark/run.sh --quick
+}
+
 steps=()
 for arg in "$@"; do
     case "$arg" in
     --quick) steps+=(fmt clippy test planoff specoff spill health healthoff doc) ;;
-    fmt | clippy | build | test | planoff | specoff | spill | health | healthoff | proc | doc | stress | bench) steps+=("$arg") ;;
+    fmt | clippy | build | test | planoff | specoff | spill | health | healthoff | proc | doc | stress | bench | benchmark) steps+=("$arg") ;;
     -h | --help | *) usage ;;
     esac
 done
