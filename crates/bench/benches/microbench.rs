@@ -10,7 +10,7 @@ use spangle_bitmask::{
 use spangle_core::{Chunk, ChunkPolicy};
 use spangle_linalg::block::{
     block_from_triplets, block_multiply_dense_into, block_multiply_into,
-    block_multiply_offsets_into,
+    block_multiply_offsets_into, block_multiply_sparse, ColumnIndex, SparseAccumulator,
 };
 use std::hint::black_box;
 
@@ -154,6 +154,44 @@ fn bench_block_kernels(c: &mut Criterion) {
                 block_multiply_dense_into(&a, n, &b_block, n, n, &mut out);
                 out
             })
+        });
+    }
+    // The kernel `multiply()` / `gram()` run, at the two block shapes of
+    // the benchmark's gram workloads (`linalg.block_mul_*` probes): both
+    // blocks indexed beforehand, one accumulator reused, sparse output.
+    // `index_build` is what a block pays once per contraction key;
+    // `bitmask` at the same shape is the dense-output kernel, index
+    // included.
+    for (label, n, per_million) in [
+        ("512_1e-3", 512usize, 1_000u64),
+        ("256_1.4e-2", 256, 14_000),
+    ] {
+        let block = |seed: u64| {
+            block_from_triplets(
+                n,
+                n,
+                (0..n * n).filter_map(|i| {
+                    let h = (i as u64 ^ seed << 32).wrapping_mul(0x9E3779B97F4A7C15);
+                    ((h >> 11) % 1_000_000 < per_million)
+                        .then(|| (i % n, i / n, ((h >> 40) + 1) as f64 / (1u64 << 24) as f64))
+                }),
+                &ChunkPolicy::default(),
+            )
+            .expect("block")
+        };
+        let (a, b_block) = (block(1), block(2));
+        let a_index = ColumnIndex::of_block(&a, n, n);
+        let b_index = ColumnIndex::of_block(&b_block, n, n);
+        let mut acc = SparseAccumulator::default();
+        group.bench_with_input(BenchmarkId::new("sparse_acc", label), &n, |bch, _| {
+            bch.iter(|| block_multiply_sparse(&a_index, &b_index, &mut acc))
+        });
+        group.bench_with_input(BenchmarkId::new("index_build", label), &n, |bch, _| {
+            bch.iter(|| ColumnIndex::of_block(black_box(&a), n, n))
+        });
+        let mut out = vec![0.0; n * n];
+        group.bench_with_input(BenchmarkId::new("bitmask", label), &n, |bch, _| {
+            bch.iter(|| block_multiply_into(&a, n, &b_block, n, n, black_box(&mut out)))
         });
     }
     group.finish();

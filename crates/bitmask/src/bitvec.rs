@@ -159,6 +159,11 @@ impl Bitmask {
         }
     }
 
+    /// Clears every bit, keeping the length (and the allocation).
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     /// Total number of set bits (valid cells).
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()

@@ -129,23 +129,29 @@ impl<E: Element> Chunk<E> {
         }
         Some(match policy.mode_for(mask.len(), valid) {
             ChunkMode::Dense => Chunk::Dense { payload, mask },
-            ChunkMode::Sparse => {
-                let compact: Vec<E> = mask.iter_ones().map(|i| payload[i]).collect();
-                let milestones = policy.build_milestones.then(|| Milestones::build(&mask));
-                Chunk::Sparse {
-                    payload: compact,
-                    mask,
-                    milestones,
-                }
-            }
-            ChunkMode::SuperSparse => {
-                let compact: Vec<E> = mask.iter_ones().map(|i| payload[i]).collect();
-                Chunk::SuperSparse {
-                    payload: compact,
-                    mask: HierarchicalBitmask::compress(&mask),
-                }
+            mode => {
+                let compact = mask.iter_ones().map(|i| payload[i]).collect();
+                Chunk::compressed(mode, compact, mask, policy)
             }
         })
+    }
+
+    /// A Sparse or SuperSparse chunk over `mask` whose valid cells are
+    /// already compacted in `payload`, in ascending offset order.
+    fn compressed(mode: ChunkMode, payload: Vec<E>, mask: Bitmask, policy: &ChunkPolicy) -> Self {
+        debug_assert_eq!(payload.len(), mask.count_ones());
+        match mode {
+            ChunkMode::Dense => unreachable!("dense chunks keep their full payload"),
+            ChunkMode::Sparse => Chunk::Sparse {
+                milestones: policy.build_milestones.then(|| Milestones::build(&mask)),
+                payload,
+                mask,
+            },
+            ChunkMode::SuperSparse => Chunk::SuperSparse {
+                payload,
+                mask: HierarchicalBitmask::compress(&mask),
+            },
+        }
     }
 
     /// Builds directly from `(local offset, value)` pairs (offsets need not
@@ -167,6 +173,44 @@ impl<E: Element> Chunk<E> {
             return None;
         }
         Chunk::build(payload, mask, policy)
+    }
+
+    /// [`Chunk::from_cells`] for pairs that arrive in strictly ascending
+    /// offset order: they are already the compact payload of a Sparse or
+    /// SuperSparse chunk, so only the mask is sized by `volume` — the
+    /// full-volume payload is materialised only when the policy picks
+    /// Dense. Cost is O(cells + volume / 64) instead of O(volume).
+    pub fn from_sorted_cells(
+        volume: usize,
+        cells: impl IntoIterator<Item = (usize, E)>,
+        policy: &ChunkPolicy,
+    ) -> Option<Self> {
+        let cells = cells.into_iter();
+        let mut compact = Vec::with_capacity(cells.size_hint().0);
+        let mut mask = Bitmask::zeros(volume);
+        let mut next_free = 0;
+        for (off, v) in cells {
+            assert!(
+                next_free <= off && off < volume,
+                "cell offsets must ascend strictly within the chunk volume"
+            );
+            next_free = off + 1;
+            mask.set(off, true);
+            compact.push(v);
+        }
+        if compact.is_empty() {
+            return None;
+        }
+        Some(match policy.mode_for(volume, compact.len()) {
+            ChunkMode::Dense => {
+                let mut payload = vec![E::default(); volume];
+                for (off, v) in mask.iter_ones().zip(compact) {
+                    payload[off] = v;
+                }
+                Chunk::Dense { payload, mask }
+            }
+            mode => Chunk::compressed(mode, compact, mask, policy),
+        })
     }
 
     /// The mode this chunk is managed in.
@@ -548,6 +592,49 @@ mod tests {
         assert_eq!(c.get(5), Some(5.0));
         assert_eq!(c.get(7), Some(7.0));
         assert_eq!(c.get(0), None);
+    }
+
+    #[test]
+    fn from_sorted_cells_equals_from_cells_in_every_mode() {
+        let mut modes_seen = [false; 3];
+        spangle_testkit::run_cases(0x50C7, 300, |rng| {
+            let volume = rng.usize_in(1..3000);
+            let policy = match rng.usize_in(0..3) {
+                0 => ChunkPolicy::always_dense(),
+                1 => ChunkPolicy::default(),
+                _ => ChunkPolicy::naive_sparse(),
+            };
+            // From a single cell through super-sparse and sparse to full.
+            let keep_one_in = [1, 2, 3, 20, 200, volume][rng.usize_in(0..6)];
+            let mut cells: Vec<(usize, f64)> = Vec::new();
+            for i in 0..volume {
+                if rng.usize_in(0..keep_one_in) == 0 {
+                    cells.push((i, rng.f64_unit() - 0.5));
+                }
+            }
+            if cells.is_empty() {
+                cells.push((rng.usize_in(0..volume), 1.0));
+            }
+            let sorted = Chunk::from_sorted_cells(volume, cells.clone(), &policy).unwrap();
+            let unsorted = Chunk::from_cells(volume, cells, &policy).unwrap();
+            modes_seen[sorted.mode() as usize] = true;
+            // Physically identical, not merely logically equal: the
+            // encodings agree byte for byte.
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            sorted.spill_encode(&mut a);
+            unsorted.spill_encode(&mut b);
+            assert_eq!(a, b);
+            assert_eq!(sorted.mem_bytes(), unsorted.mem_bytes());
+            assert!((0..volume).all(|i| sorted.get(i) == unsorted.get(i)));
+        });
+        assert_eq!(modes_seen, [true; 3], "every mode must be generated");
+        assert!(Chunk::<f64>::from_sorted_cells(9, [], &ChunkPolicy::default()).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend strictly")]
+    fn from_sorted_cells_rejects_unsorted_offsets() {
+        let _ = Chunk::from_sorted_cells(10, [(5, 5.0), (2, 2.0)], &ChunkPolicy::default());
     }
 
     #[test]

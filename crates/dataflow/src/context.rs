@@ -796,6 +796,36 @@ mod tests {
         assert_eq!(delta.broadcast_bytes, 4 * (800 + 24));
     }
 
+    /// A task closure can outlive every driver-side handle; the context is
+    /// then torn down on the executor that drops the closure, which must
+    /// not try to join itself.
+    #[test]
+    fn last_handle_dropped_on_an_executor_tears_down_cleanly() {
+        use std::sync::mpsc::channel;
+        let ctx = SpangleContext::new(2);
+        let held = ctx.clone();
+        let (go_tx, go_rx) = channel::<()>();
+        let (done_tx, done_rx) = channel();
+        ctx.inner
+            .pool
+            .submit(
+                0,
+                Box::new(move |_| {
+                    go_rx.recv().expect("driver side releases the task");
+                    let teardown =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(held)));
+                    done_tx.send(teardown.is_ok()).expect("test is waiting");
+                }),
+            )
+            .expect("pool is up");
+        drop(ctx);
+        go_tx.send(()).expect("task is waiting");
+        let clean = done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("teardown on an executor thread hung");
+        assert!(clean, "teardown on an executor thread panicked");
+    }
+
     #[test]
     fn broadcast_is_shared_not_copied() {
         let ctx = SpangleContext::new(2);

@@ -676,6 +676,13 @@ impl ExecutorPool {
     /// tasks running at shutdown are cancelled so a cooperative straggler
     /// cannot hang the teardown forever. Idempotent: later calls
     /// (including the one from `Drop`) are no-ops.
+    ///
+    /// A worker can end up here itself: a task closure that holds the last
+    /// context clone is dropped on the executor that ran it, and dropping
+    /// the context tears the pool down from that thread. Joining yourself
+    /// fails (`EDEADLK`), so that handle is detached instead — the worker
+    /// is already past its task and exits as soon as it sees the closed
+    /// queues.
     pub fn shutdown(&self) {
         self.queues.close();
         self.heartbeater_stop.store(true, Ordering::SeqCst);
@@ -685,8 +692,11 @@ impl ExecutorPool {
             }
         }
         let handles = std::mem::take(&mut *self.handles.lock());
+        let me = std::thread::current().id();
         for handle in handles {
-            let _ = handle.join();
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
         }
     }
 }

@@ -36,6 +36,31 @@ impl RddBase {
             persist: AtomicBool::new(false),
         }
     }
+
+    /// Drops this dataset's cached partitions, charging
+    /// `partitions_evicted`.
+    fn evict_cached(&self) {
+        let dropped = self.ctx.inner.cache.evict_rdd(self.id);
+        self.ctx
+            .metrics()
+            .add(MetricField::PartitionsEvicted, dropped as u64);
+    }
+}
+
+impl Drop for RddBase {
+    /// Releases the cached partitions of a persisted dataset when its node
+    /// goes — which is when the last [`Rdd`] handle on it *and* the last
+    /// child node built on it (children hold their parents) have gone, so
+    /// nothing can read the blocks again. This is what lets an operator
+    /// persist a layout only it names (`gram()`, `pagerank`) without
+    /// leaving a copy of its input in the cache on every call — the cache's
+    /// counterpart of [`pair::ShuffleDependency`] freeing its shuffle
+    /// blocks with its last reader.
+    fn drop(&mut self) {
+        if *self.persist.get_mut() {
+            self.evict_cached();
+        }
+    }
 }
 
 /// A node of the lineage graph producing elements of type `T`.
@@ -170,19 +195,20 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Marks this dataset for caching: the first action materialises each
-    /// partition into the block manager, later actions reuse it.
+    /// partition into the block manager, later actions reuse it. The
+    /// blocks live as long as the dataset can still be named: they are
+    /// released when the last handle on it — this one, its clones, and
+    /// every dataset derived from it — is dropped (or earlier, by
+    /// [`Rdd::unpersist`]).
     pub fn persist(&self) -> &Self {
         self.node.base().persist.store(true, Ordering::Relaxed);
         self
     }
 
-    /// Drops the cached partitions (the persistence mark stays, so the next
-    /// action re-caches).
+    /// Drops the cached partitions now, while handles remain (the
+    /// persistence mark stays, so the next action re-caches).
     pub fn unpersist(&self) {
-        let dropped = self.context().inner.cache.evict_rdd(self.id());
-        self.context()
-            .metrics()
-            .add(MetricField::PartitionsEvicted, dropped as u64);
+        self.node.base().evict_cached();
     }
 
     /// Type-erased lineage view for the scheduler.

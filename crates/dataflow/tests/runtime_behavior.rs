@@ -2,7 +2,7 @@
 //! broadcast variables inside jobs, stage reuse across actions, metrics
 //! plumbing, and executor-loss fault tolerance.
 
-use spangle_dataflow::{HashPartitioner, JobOutcome, PairRdd, SpangleContext};
+use spangle_dataflow::{HashPartitioner, JobOutcome, PairRdd, SpangleContext, SpeculationConfig};
 use std::sync::Arc;
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
@@ -26,6 +26,66 @@ fn dropping_a_shuffled_rdd_frees_its_shuffle_blocks() {
         0,
         "dropping the last reader garbage-collects the shuffle"
     );
+}
+
+/// A two-executor context that launches no speculative duplicates. A
+/// cancelled duplicate keeps its lineage until its next cancellation
+/// point, so with speculation the last handle can go a moment *after* the
+/// action returned, on an executor; these tests assert on the moment.
+fn ctx_without_speculation() -> SpangleContext {
+    SpangleContext::builder()
+        .executors(2)
+        .speculation(SpeculationConfig {
+            enabled: false,
+            ..SpeculationConfig::default()
+        })
+        .build()
+}
+
+#[test]
+fn cached_partitions_live_exactly_as_long_as_the_dataset_can_be_named() {
+    let ctx = ctx_without_speculation();
+    let cached = ctx.parallelize((0u64..1000).collect(), 4).map(|x| x * 3);
+    cached.persist();
+    let child = cached.map(|x| x + 1);
+    assert_eq!(child.count().unwrap(), 1000);
+    let resident = ctx.cached_bytes();
+    assert!(resident > 0);
+
+    // The child still names its parent: dropping the user's handle keeps
+    // the blocks, and the child's next action reads all of them.
+    drop(cached);
+    assert_eq!(ctx.cached_bytes(), resident);
+    let before = ctx.metrics_snapshot();
+    assert_eq!(child.count().unwrap(), 1000);
+    let delta = ctx.metrics_snapshot() - before;
+    assert_eq!((delta.cache_hits, delta.cache_misses), (4, 0));
+    assert_eq!(delta.partitions_evicted, 0);
+
+    // The last handle goes: so do the blocks, charged like `unpersist`.
+    let before = ctx.metrics_snapshot();
+    drop(child);
+    assert_eq!(ctx.cached_bytes(), 0);
+    assert_eq!((ctx.metrics_snapshot() - before).partitions_evicted, 4);
+}
+
+#[test]
+fn unpersist_drops_blocks_now_and_the_next_action_recaches() {
+    let ctx = ctx_without_speculation();
+    let cached = ctx.parallelize((0u64..1000).collect(), 4).map(|x| x * 3);
+    cached.persist();
+    cached.count().unwrap();
+    let resident = ctx.cached_bytes();
+    cached.unpersist();
+    assert_eq!(ctx.cached_bytes(), 0, "handles remain, blocks are gone");
+    let before = ctx.metrics_snapshot();
+    cached.count().unwrap();
+    assert_eq!((ctx.metrics_snapshot() - before).cache_misses, 4);
+    assert_eq!(ctx.cached_bytes(), resident, "the persistence mark stayed");
+    // A dataset that was never persisted charges nothing when it goes.
+    let before = ctx.metrics_snapshot();
+    drop(ctx.parallelize(vec![1u64], 1));
+    assert_eq!((ctx.metrics_snapshot() - before).partitions_evicted, 0);
 }
 
 #[test]

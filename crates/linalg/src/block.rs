@@ -5,14 +5,22 @@
 //! layout). Zero entries are invalid cells; multiplication only touches
 //! pairs that survive the bitmask AND, "avoid\[ing\] the multiplication if
 //! one of them is zero".
+//!
+//! Every product here is a Gustavson column walk over a [`ColumnIndex`]:
+//! `A` is indexed once as compressed columns, `B`'s valid cells are visited
+//! in offset order (column by column, `k` ascending inside a column), and
+//! each `B[k, c]` scales column `k` of `A` into output column `c`. Work is
+//! proportional to the non-zeros and the multiplications they imply, never
+//! to the block volume, and every output cell receives its terms in
+//! ascending `k` — so all kernels below agree bit for bit.
 
-use spangle_bitmask::{choose_validity_repr, OffsetArray, ValidityRepr};
+use spangle_bitmask::{choose_validity_repr, Bitmask, OffsetArray, ValidityRepr};
 use spangle_core::{Chunk, ChunkPolicy};
 
 /// Builds a block chunk from a dense column-last buffer, dropping zeros
 /// into the mask (zero == invalid in matrix mode).
 pub fn block_from_dense(values: Vec<f64>, policy: &ChunkPolicy) -> Option<Chunk<f64>> {
-    let mask = spangle_bitmask::Bitmask::from_fn(values.len(), |i| values[i] != 0.0);
+    let mask = Bitmask::from_fn(values.len(), |i| values[i] != 0.0);
     Chunk::build(values, mask, policy)
 }
 
@@ -33,13 +41,166 @@ pub fn block_from_triplets(
     Chunk::from_cells(rows * cols, cells, policy)
 }
 
+/// A block's valid cells as compressed columns: column `c` owns the slots
+/// `col_ptr[c]..col_ptr[c + 1]` of `row` / `val`, rows ascending.
+///
+/// One pass over the block's valid cells builds it (they arrive in offset
+/// order, which is column-major), with no division per cell. A block that
+/// meets many partners under one contraction key is indexed once and the
+/// index reused for every pair.
+pub struct ColumnIndex {
+    rows: usize,
+    col_ptr: Vec<u32>,
+    row: Vec<u32>,
+    val: Vec<f64>,
+}
+
+impl ColumnIndex {
+    /// Indexes a `rows × cols` block.
+    pub fn of_block(block: &Chunk<f64>, rows: usize, cols: usize) -> Self {
+        debug_assert_eq!(block.volume(), rows * cols, "block extent mismatch");
+        Self::from_ordered_cells(rows, cols, block.valid_count(), block.iter_valid())
+    }
+
+    /// Indexes `(local offset, value)` cells given in ascending offset
+    /// order; `nnz` only sizes the allocation.
+    fn from_ordered_cells(
+        rows: usize,
+        cols: usize,
+        nnz: usize,
+        cells: impl Iterator<Item = (usize, f64)>,
+    ) -> Self {
+        let mut col_ptr = Vec::with_capacity(cols + 1);
+        let mut row = Vec::with_capacity(nnz);
+        let mut val = Vec::with_capacity(nnz);
+        // One past the last offset of the column being filled.
+        let mut col_end = 0;
+        for (local, v) in cells {
+            while local >= col_end {
+                col_ptr.push(row.len() as u32);
+                col_end += rows;
+            }
+            row.push((local + rows - col_end) as u32);
+            val.push(v);
+        }
+        debug_assert!(col_ptr.len() <= cols, "cell beyond the block extent");
+        col_ptr.resize(cols + 1, row.len() as u32);
+        ColumnIndex {
+            rows,
+            col_ptr,
+            row,
+            val,
+        }
+    }
+
+    fn cols(&self) -> usize {
+        self.col_ptr.len() - 1
+    }
+
+    /// The valid cells of column `c` as parallel `(rows, values)` slices.
+    fn column(&self, c: usize) -> (&[u32], &[f64]) {
+        let span = self.col_ptr[c] as usize..self.col_ptr[c + 1] as usize;
+        (&self.row[span.clone()], &self.val[span])
+    }
+}
+
+/// One output column's running sums plus the bitmask of the rows touched
+/// so far. Flushing walks the mask's set bits, which yields the column's
+/// non-zeros already sorted, and leaves both all-zero — so one accumulator
+/// serves any number of products in a row.
+pub struct SparseAccumulator {
+    sums: Vec<f64>,
+    touched: Bitmask,
+}
+
+impl Default for SparseAccumulator {
+    /// An empty accumulator; it grows to the tallest block it meets.
+    fn default() -> Self {
+        SparseAccumulator {
+            sums: Vec::new(),
+            touched: Bitmask::zeros(0),
+        }
+    }
+}
+
+impl SparseAccumulator {
+    fn fit(&mut self, rows: usize) {
+        if self.sums.len() < rows {
+            self.sums.resize(rows, 0.0);
+            self.touched = Bitmask::zeros(rows);
+        }
+    }
+
+    /// Appends the touched rows' sums as `(base + r, sum)` in ascending
+    /// `r`, dropping exact zeros, and resets the accumulator.
+    fn flush_into(&mut self, base: usize, out: &mut Vec<(u32, f64)>) {
+        for r in self.touched.iter_ones() {
+            let v = std::mem::take(&mut self.sums[r]);
+            if v != 0.0 {
+                out.push(((base + r) as u32, v));
+            }
+        }
+        self.touched.clear();
+    }
+}
+
+/// `A · B` for indexed blocks `A (a.rows × inner)` and `B (inner × b.cols)`
+/// as the sorted `(local offset, value)` run of its non-zeros — the form
+/// partial products cross the shuffle in. Exact cancellations are dropped.
+///
+/// Output column `c` is accumulated in `acc` and flushed through its
+/// touched-rows bitmask before column `c + 1` starts, so offsets come out
+/// strictly ascending with no scratch of the block's volume, no scan and
+/// no sort.
+pub fn block_multiply_sparse(
+    a: &ColumnIndex,
+    b: &ColumnIndex,
+    acc: &mut SparseAccumulator,
+) -> Vec<(u32, f64)> {
+    debug_assert_eq!(a.cols(), b.rows, "inner block extents must agree");
+    acc.fit(a.rows);
+    let mut out = Vec::new();
+    for c in 0..b.cols() {
+        let (ks, vbs) = b.column(c);
+        let mut touched_any = false;
+        for (&k, &vb) in ks.iter().zip(vbs) {
+            let (rs, vas) = a.column(k as usize);
+            touched_any |= !rs.is_empty();
+            for (&r, &va) in rs.iter().zip(vas) {
+                acc.sums[r as usize] += va * vb;
+                acc.touched.set(r as usize, true);
+            }
+        }
+        if touched_any {
+            acc.flush_into(c * a.rows, &mut out);
+        }
+    }
+    out
+}
+
+/// `out[r + c * a.rows] += A · B` into a dense column-last buffer: the
+/// same walk as [`block_multiply_sparse`] with `B` read straight from its
+/// cells and the buffer itself as the accumulator.
+fn multiply_into_dense(
+    a: &ColumnIndex,
+    b_cells: impl Iterator<Item = (usize, f64)>,
+    inner: usize,
+    out: &mut [f64],
+) {
+    for (local, vb) in b_cells {
+        let (k, c) = (local % inner, local / inner);
+        let out_col = &mut out[c * a.rows..(c + 1) * a.rows];
+        let (rs, vas) = a.column(k);
+        for (&r, &va) in rs.iter().zip(vas) {
+            out_col[r as usize] += va * vb;
+        }
+    }
+}
+
 /// `out[r + c*a_rows] += A · B` for blocks `A (a_rows × inner)` and
 /// `B (inner × b_cols)`, skipping invalid (zero) pairs via the sparsity
-/// the bitmask preserved.
-///
-/// The kernel walks A's valid cells once and joins them against a per-row
-/// index of B's valid cells — effectively the bitmask-AND of Fig. 5
-/// evaluated lazily.
+/// the bitmask preserved — the bitmask-AND of Fig. 5 evaluated lazily:
+/// only `B` cells whose `k` names a non-empty column of `A` cost anything.
 pub fn block_multiply_into(
     a: &Chunk<f64>,
     a_rows: usize,
@@ -48,23 +209,10 @@ pub fn block_multiply_into(
     b_cols: usize,
     out: &mut [f64],
 ) {
-    debug_assert_eq!(a.volume(), a_rows * inner, "A block extent mismatch");
     debug_assert_eq!(b.volume(), inner * b_cols, "B block extent mismatch");
     debug_assert_eq!(out.len(), a_rows * b_cols);
-    // Index B by inner row: b_rows[k] lists (col, value).
-    let mut b_rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); inner];
-    for (local, v) in b.iter_valid() {
-        let k = local % inner;
-        let c = local / inner;
-        b_rows[k].push((c as u32, v));
-    }
-    for (local, va) in a.iter_valid() {
-        let r = local % a_rows;
-        let k = local / a_rows;
-        for &(c, vb) in &b_rows[k] {
-            out[r + c as usize * a_rows] += va * vb;
-        }
-    }
+    let a = ColumnIndex::of_block(a, a_rows, inner);
+    multiply_into_dense(&a, b.iter_valid(), inner, out);
 }
 
 /// Dense reference kernel: ignores the mask entirely and multiplies every
@@ -101,7 +249,7 @@ pub fn block_multiply_dense_into(
 }
 
 /// Offset-array kernel (§V-A4): the same contraction as
-/// [`block_multiply_into`] but driving A's traversal through an explicit
+/// [`block_multiply_into`] but reading A's cells from an explicit
 /// [`OffsetArray`] instead of the bitmask — profitable for static,
 /// hyper-sparse blocks where the offsets are smaller than the mask.
 pub fn block_multiply_offsets_into(
@@ -115,19 +263,14 @@ pub fn block_multiply_offsets_into(
 ) {
     debug_assert_eq!(a_offsets.count_ones(), a_values.len());
     debug_assert_eq!(b.volume(), inner * b_cols);
-    let mut b_rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); inner];
-    for (local, v) in b.iter_valid() {
-        b_rows[local % inner].push(((local / inner) as u32, v));
-    }
-    for (slot, &off) in a_offsets.offsets().iter().enumerate() {
-        let local = off as usize;
-        let r = local % a_rows;
-        let k = local / a_rows;
-        let va = a_values[slot];
-        for &(c, vb) in &b_rows[k] {
-            out[r + c as usize * a_rows] += va * vb;
-        }
-    }
+    let a_cells = a_offsets.offsets().iter().map(|&off| off as usize);
+    let a = ColumnIndex::from_ordered_cells(
+        a_rows,
+        inner,
+        a_values.len(),
+        a_cells.zip(a_values.iter().copied()),
+    );
+    multiply_into_dense(&a, b.iter_valid(), inner, out);
 }
 
 /// The validity representation a static block should use for repeated
@@ -137,20 +280,35 @@ pub fn preferred_repr(block: &Chunk<f64>) -> ValidityRepr {
 }
 
 /// Transposes a block: `(rows × cols)` column-last to `(cols × rows)`
-/// column-last.
+/// column-last. A counting sort by source row over the block's
+/// [`ColumnIndex`] emits the transposed cells already in offset order, so
+/// the result is encoded without a scratch of the block's volume.
 pub fn block_transpose(
     block: &Chunk<f64>,
     rows: usize,
     cols: usize,
     policy: &ChunkPolicy,
 ) -> Option<Chunk<f64>> {
-    debug_assert_eq!(block.volume(), rows * cols);
-    let cells = block.iter_valid().map(|(local, v)| {
-        let r = local % rows;
-        let c = local / rows;
-        (c + r * cols, v)
-    });
-    Chunk::from_cells(rows * cols, cells.collect::<Vec<_>>(), policy)
+    let index = ColumnIndex::of_block(block, rows, cols);
+    // next[r]: the slot the next cell of source row r (target column r)
+    // lands in.
+    let mut next = vec![0usize; rows + 1];
+    for &r in &index.row {
+        next[r as usize + 1] += 1;
+    }
+    for r in 0..rows {
+        next[r + 1] += next[r];
+    }
+    let mut cells = vec![(0usize, 0.0f64); index.row.len()];
+    for c in 0..cols {
+        let (rs, vs) = index.column(c);
+        for (&r, &v) in rs.iter().zip(vs) {
+            let r = r as usize;
+            cells[next[r]] = (c + r * cols, v);
+            next[r] += 1;
+        }
+    }
+    Chunk::from_sorted_cells(rows * cols, cells, policy)
 }
 
 #[cfg(test)]
@@ -224,6 +382,200 @@ mod tests {
         let mut got = vec![0.0; 8 * 6];
         block_multiply_offsets_into(&offsets, &values, 8, &b, 8, 6, &mut got);
         assert_eq!(got, expected);
+    }
+
+    /// The retired operator path, kept as the bit-identity reference: a
+    /// dense scratch of the output block's volume, filled by walking A's
+    /// cells against B's per-row cell lists, then scanned for non-zeros.
+    fn retired_dense_scratch_product(
+        a: &Chunk<f64>,
+        a_rows: usize,
+        b: &Chunk<f64>,
+        inner: usize,
+        b_cols: usize,
+    ) -> Vec<(u32, f64)> {
+        let mut b_by_row: Vec<(usize, usize, f64)> = b
+            .iter_valid()
+            .map(|(local, v)| (local % inner, local / inner, v))
+            .collect();
+        b_by_row.sort_by_key(|&(k, c, _)| (k, c));
+        let mut scratch = vec![0.0f64; a_rows * b_cols];
+        for (local, va) in a.iter_valid() {
+            let (r, k) = (local % a_rows, local / a_rows);
+            let row = &b_by_row[b_by_row.partition_point(|e| e.0 < k)..];
+            for &(_, c, vb) in row.iter().take_while(|e| e.0 == k) {
+                scratch[r + c * a_rows] += va * vb;
+            }
+        }
+        scratch
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| **v != 0.0)
+            .map(|(i, &v)| (i as u32, v))
+            .collect()
+    }
+
+    /// A `rows × cols` block of `nnz` distinct cells under `policy`.
+    /// `integral` values are small integers of both signs (sums cancel
+    /// exactly); otherwise reals of both signs (sums round).
+    fn generated_block(
+        rng: &mut spangle_testkit::Rng,
+        rows: usize,
+        cols: usize,
+        nnz: usize,
+        integral: bool,
+        policy: &ChunkPolicy,
+    ) -> Chunk<f64> {
+        let mut slots: Vec<usize> = (0..rows * cols).collect();
+        for i in 0..nnz {
+            let j = rng.usize_in(i..slots.len());
+            slots.swap(i, j);
+        }
+        let cells = slots[..nnz].iter().map(|&local| {
+            let v = if integral {
+                [-2.0, -1.0, 1.0, 2.0][rng.usize_in(0..4)]
+            } else {
+                rng.f64_unit() - 0.5
+            };
+            (local % rows, local / rows, v)
+        });
+        block_from_triplets(rows, cols, cells.collect::<Vec<_>>(), policy).expect("nnz >= 1")
+    }
+
+    /// Non-zero counts from a single cell to a full block.
+    fn generated_nnz(rng: &mut spangle_testkit::Rng, volume: usize) -> usize {
+        match rng.usize_in(0..6) {
+            0 => 1,
+            1 => rng.usize_in(1..4),
+            2 => volume.div_ceil(100),
+            3 => volume.div_ceil(10),
+            4 => volume.div_ceil(2),
+            _ => volume,
+        }
+        .min(volume)
+    }
+
+    fn generated_policy(rng: &mut spangle_testkit::Rng) -> ChunkPolicy {
+        match rng.usize_in(0..3) {
+            0 => ChunkPolicy::always_dense(),
+            1 => ChunkPolicy::default(),
+            _ => ChunkPolicy::naive_sparse(),
+        }
+    }
+
+    #[test]
+    fn column_walk_is_bit_identical_to_the_retired_path_over_generated_blocks() {
+        // One accumulator for the whole run: reuse across products is part
+        // of what is under test.
+        let mut acc = SparseAccumulator::default();
+        let mut modes_seen = [[false; 3]; 2];
+        let mut cancellations = 0usize;
+        spangle_testkit::run_cases(0xB10C, 400, |rng| {
+            // Ragged extents: rows != cols, smaller than any block size.
+            let (a_rows, inner, b_cols) = (
+                rng.usize_in(1..40),
+                rng.usize_in(1..40),
+                rng.usize_in(1..40),
+            );
+            let integral = rng.bool();
+            let a_nnz = generated_nnz(rng, a_rows * inner);
+            let b_nnz = generated_nnz(rng, inner * b_cols);
+            let (a_policy, b_policy) = (generated_policy(rng), generated_policy(rng));
+            let a = generated_block(rng, a_rows, inner, a_nnz, integral, &a_policy);
+            let b = generated_block(rng, inner, b_cols, b_nnz, integral, &b_policy);
+            for (side, block) in [&a, &b].into_iter().enumerate() {
+                modes_seen[side][block.mode() as usize] = true;
+            }
+
+            let a_index = ColumnIndex::of_block(&a, a_rows, inner);
+            let b_index = ColumnIndex::of_block(&b, inner, b_cols);
+            let got = block_multiply_sparse(&a_index, &b_index, &mut acc);
+
+            assert!(
+                acc.sums.iter().all(|v| v.to_bits() == 0) && acc.touched.all_zero(),
+                "accumulator must be all-zero after a product"
+            );
+            assert!(
+                got.windows(2).all(|w| w[0].0 < w[1].0),
+                "offsets must ascend strictly"
+            );
+            assert!(got.iter().all(|&(_, v)| v != 0.0), "zeros are not emitted");
+
+            let retired = retired_dense_scratch_product(&a, a_rows, &b, inner, b_cols);
+            let bits = |run: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                run.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&retired), "partials must be bit-identical");
+
+            // Terms that summed to an exact zero were dropped.
+            let mut structural = vec![false; a_rows * b_cols];
+            for (la, _) in a.iter_valid() {
+                for (lb, _) in b.iter_valid() {
+                    if la / a_rows == lb % inner {
+                        structural[la % a_rows + (lb / inner) * a_rows] = true;
+                    }
+                }
+            }
+            cancellations += structural.iter().filter(|s| **s).count() - got.len();
+
+            let mut got_dense = vec![0.0; a_rows * b_cols];
+            for &(i, v) in &got {
+                got_dense[i as usize] = v;
+            }
+            let mut dense = vec![0.0; a_rows * b_cols];
+            block_multiply_dense_into(&a, a_rows, &b, inner, b_cols, &mut dense);
+            for (i, (x, y)) in got_dense.iter().zip(&dense).enumerate() {
+                assert!((x - y).abs() <= 1e-12, "cell {i}: {x} vs dense {y}");
+            }
+
+            // The dense-output kernels are the same walk: same bits (a
+            // cancelled cell reads 0.0 there and is absent here).
+            let mut masked = vec![0.0; a_rows * b_cols];
+            block_multiply_into(&a, a_rows, &b, inner, b_cols, &mut masked);
+            let offsets = OffsetArray::from_mask(&a.mask());
+            let values: Vec<f64> = a.iter_valid().map(|(_, v)| v).collect();
+            let mut via_offsets = vec![0.0; a_rows * b_cols];
+            block_multiply_offsets_into(
+                &offsets,
+                &values,
+                a_rows,
+                &b,
+                inner,
+                b_cols,
+                &mut via_offsets,
+            );
+            for kernel in [&masked, &via_offsets] {
+                for (i, (x, y)) in got_dense.iter().zip(kernel).enumerate() {
+                    assert!(
+                        x.to_bits() == y.to_bits() || (*x == 0.0 && *y == 0.0),
+                        "cell {i}"
+                    );
+                }
+            }
+        });
+        assert_eq!(
+            modes_seen, [[true; 3]; 2],
+            "every chunk mode must occur on both sides"
+        );
+        assert!(cancellations > 0, "no case exercised an exact cancellation");
+    }
+
+    #[test]
+    fn transpose_matches_the_unsorted_cell_constructor_in_every_mode() {
+        spangle_testkit::run_cases(0x7A05, 200, |rng| {
+            let (rows, cols) = (rng.usize_in(1..48), rng.usize_in(1..48));
+            let nnz = generated_nnz(rng, rows * cols);
+            let policy = generated_policy(rng);
+            let block = generated_block(rng, rows, cols, nnz, false, &policy);
+            let got = block_transpose(&block, rows, cols, &policy).expect("non-empty");
+            let unsorted = block
+                .iter_valid()
+                .map(|(local, v)| (local / rows + (local % rows) * cols, v));
+            let expected = Chunk::from_cells(rows * cols, unsorted, &policy).expect("non-empty");
+            assert_eq!(got.mode(), expected.mode());
+            assert_eq!(got.mem_bytes(), expected.mem_bytes());
+            assert_eq!(got, expected);
+        });
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! which is how the tailored PageRank and SGD avoid shuffling anything but
 //! tiny partial vectors.
 
-use crate::block::{block_multiply_into, block_transpose};
+use crate::block::{block_multiply_sparse, block_transpose, ColumnIndex, SparseAccumulator};
 
 /// Merge-adds two sorted sparse partial blocks.
 fn merge_sparse_partials(a: Vec<(u32, f64)>, b: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
@@ -247,9 +247,14 @@ impl DistMatrix {
         };
 
         // Join on the inner index and contract each (A-block, B-block)
-        // pair. Partials are shipped *sparsely* — sorted `(local offset,
-        // value)` runs — so hyper-sparse contractions (the MᵀM cases that
-        // OOM dense systems, §VII-C) stay proportional to their non-zeros.
+        // pair. Every block under a key is indexed once — it meets every
+        // block of the other side there — and one accumulator serves all
+        // the key's pairs, so a pair costs its multiplications and nothing
+        // proportional to the block volume. Partials are shipped
+        // *sparsely* — sorted `(local offset, value)` runs, which is how
+        // the kernel emits them — so hyper-sparse contractions (the MᵀM
+        // cases that OOM dense systems, §VII-C) stay proportional to their
+        // non-zeros.
         let out_grid_rows = out_meta.grid_dims()[0] as u64;
         let contraction_meta = (a_meta.clone(), b_meta.clone());
         let partials =
@@ -261,35 +266,29 @@ impl DistMatrix {
                     let b_mapper = b_meta.mapper();
                     let a_grid_rows = a_meta.grid_dims()[0] as u64;
                     let b_grid_rows = b_meta.grid_dims()[0] as u64;
-                    let mut out = Vec::with_capacity(a_blocks.len() * b_blocks.len());
-                    for (gr, a_chunk) in &a_blocks {
-                        let a_id = gr + kb * a_grid_rows;
-                        let a_extent = a_mapper.chunk_extent(a_id);
-                        for (gc, b_chunk) in &b_blocks {
+                    let a_indexed: Vec<(u64, ColumnIndex)> = a_blocks
+                        .iter()
+                        .map(|(gr, chunk)| {
+                            let extent = a_mapper.chunk_extent(gr + kb * a_grid_rows);
+                            (*gr, ColumnIndex::of_block(chunk, extent[0], extent[1]))
+                        })
+                        .collect();
+                    let b_indexed: Vec<(u64, ColumnIndex)> = b_blocks
+                        .iter()
+                        .map(|(gc, chunk)| {
+                            let extent = b_mapper.chunk_extent(kb + gc * b_grid_rows);
+                            (*gc, ColumnIndex::of_block(chunk, extent[0], extent[1]))
+                        })
+                        .collect();
+                    let mut acc = SparseAccumulator::default();
+                    let mut out = Vec::with_capacity(a_indexed.len() * b_indexed.len());
+                    for (gr, a_index) in &a_indexed {
+                        for (gc, b_index) in &b_indexed {
                             // One poll per block pair: a straggling or
                             // deadlined contraction yields between GEMM
                             // kernels rather than finishing the tile walk.
                             cancellation_point();
-                            let b_id = kb + gc * b_grid_rows;
-                            let b_extent = b_mapper.chunk_extent(b_id);
-                            debug_assert_eq!(a_extent[1], b_extent[0]);
-                            // Dense scratch per pair (transient), compacted to
-                            // sparse triplets before it crosses the shuffle.
-                            let mut acc = vec![0.0f64; a_extent[0] * b_extent[1]];
-                            block_multiply_into(
-                                a_chunk,
-                                a_extent[0],
-                                b_chunk,
-                                a_extent[1],
-                                b_extent[1],
-                                &mut acc,
-                            );
-                            let sparse: Vec<(u32, f64)> = acc
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, v)| **v != 0.0)
-                                .map(|(i, &v)| (i as u32, v))
-                                .collect();
+                            let sparse = block_multiply_sparse(a_index, b_index, &mut acc);
                             if sparse.is_empty() {
                                 continue;
                             }
@@ -309,11 +308,13 @@ impl DistMatrix {
         let rdd = reduced.flat_map(move |(id, cells)| {
             let volume = red_meta.mapper().chunk_volume(id);
             // Exact cancellations are zeros, and zeros are invalid cells.
+            // Merged runs stay sorted, so the chunk is encoded from them
+            // directly.
             let cells = cells
                 .into_iter()
                 .filter(|(_, v)| *v != 0.0)
                 .map(|(i, v)| (i as usize, v));
-            Chunk::from_cells(volume, cells, &policy)
+            Chunk::from_sorted_cells(volume, cells, &policy)
                 .map(|c| (id, c))
                 .into_iter()
                 .collect::<Vec<_>>()
@@ -401,6 +402,13 @@ impl DistMatrix {
     /// proves both legs of the join co-partitioned and elides their
     /// shuffles, so each input block crosses the network once instead of
     /// three times (transpose + two join sides).
+    ///
+    /// Under one contraction key every block of `Mᵀ` meets every block of
+    /// `M`, so the product indexes each block once per key (see
+    /// [`ColumnIndex`]) and a pair costs only its multiplications. The
+    /// shared layout is persisted — both operands read it — and is named
+    /// only by the returned matrix's lineage: its cached partitions are
+    /// released when that matrix is dropped.
     pub fn gram(&self) -> DistMatrix {
         let n = self.array.rdd().num_partitions();
         let (grid_rows, _) = self.grid();

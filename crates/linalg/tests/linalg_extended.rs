@@ -2,7 +2,7 @@
 //! and property-based equivalence of the two multiplication plans.
 
 use spangle_core::ChunkPolicy;
-use spangle_dataflow::SpangleContext;
+use spangle_dataflow::{SpangleContext, SpeculationConfig};
 use spangle_linalg::{DenseVector, DistMatrix, Orientation};
 
 fn entry(seed: u64) -> impl Fn(usize, usize) -> Option<f64> + Send + Sync + Clone + 'static {
@@ -165,4 +165,38 @@ fn product_transpose_identity() {
             assert!((x - y).abs() < 1e-9, "index {}", i);
         }
     });
+}
+
+/// A two-executor context that launches no speculative duplicates. A
+/// cancelled duplicate keeps its lineage until its next cancellation
+/// point, so with speculation the last handle can go a moment *after* the
+/// action returned, on an executor; these tests assert on the moment.
+fn ctx_without_speculation() -> SpangleContext {
+    SpangleContext::builder()
+        .executors(2)
+        .speculation(SpeculationConfig {
+            enabled: false,
+            ..SpeculationConfig::default()
+        })
+        .build()
+}
+
+/// `gram()` persists the row-block layout both operands read; that layout
+/// must go with the product that owns it, not stay for the context's life.
+#[test]
+fn repeated_gram_calls_leave_nothing_behind() {
+    let ctx = ctx_without_speculation();
+    let m = DistMatrix::generate(&ctx, 96, 64, (16, 16), ChunkPolicy::default(), entry(7));
+    m.persist();
+    let nnz = m.gram().nnz().unwrap();
+    let cached_after_first = ctx.cached_bytes();
+    assert!(
+        cached_after_first > 0,
+        "the input matrix itself stays cached"
+    );
+    for _ in 0..20 {
+        assert_eq!(m.gram().nnz().unwrap(), nnz);
+    }
+    assert_eq!(ctx.cached_bytes(), cached_after_first);
+    assert_eq!(ctx.shuffle_resident_bytes(), 0);
 }

@@ -316,6 +316,9 @@ pub struct PageRankResult {
 }
 
 /// Runs the customised PageRank of §VI-B on `graph`.
+///
+/// The adjacency matrix is built and cached for the iterations of this
+/// call; its blocks leave the cache with the matrix when the call returns.
 pub fn pagerank(
     graph: &Graph,
     block_size: usize,

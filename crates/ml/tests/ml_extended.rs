@@ -1,6 +1,6 @@
 //! Extended ML tests: PageRank invariants and SGD determinism.
 
-use spangle_dataflow::SpangleContext;
+use spangle_dataflow::{SpangleContext, SpeculationConfig};
 use spangle_ml::pagerank::pagerank_reference;
 use spangle_ml::{datasets, pagerank, Graph, LogisticRegression, SgdConfig};
 
@@ -104,4 +104,32 @@ fn pagerank_matches_reference_on_random_graphs() {
             assert!((a - b).abs() < 1e-12, "vertex {}: {} vs {}", v, a, b);
         }
     });
+}
+
+/// A two-executor context that launches no speculative duplicates. A
+/// cancelled duplicate keeps its lineage until its next cancellation
+/// point, so with speculation the last handle can go a moment *after* the
+/// action returned, on an executor; these tests assert on the moment.
+fn ctx_without_speculation() -> SpangleContext {
+    SpangleContext::builder()
+        .executors(2)
+        .speculation(SpeculationConfig {
+            enabled: false,
+            ..SpeculationConfig::default()
+        })
+        .build()
+}
+
+/// Each call builds and persists its own adjacency matrix; it must be
+/// released when the call returns.
+#[test]
+fn pagerank_releases_its_adjacency_matrix() {
+    let ctx = ctx_without_speculation();
+    let g = Graph::power_law(&ctx, 256, 4000, 5, 2);
+    let cached_before = ctx.cached_bytes();
+    for _ in 0..2 {
+        pagerank(&g, 32, false, 0.85, 3).unwrap();
+    }
+    assert_eq!(ctx.cached_bytes(), cached_before);
+    assert_eq!(ctx.shuffle_resident_bytes(), 0);
 }
