@@ -276,25 +276,6 @@ fn bench_local_join_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: flat vs hierarchical adjacency masks on a super-sparse
-/// graph (the Fig. 11 LiveJournal setting).
-fn bench_mask_mode_ablation(c: &mut Criterion) {
-    use spangle_ml::pagerank as run_pagerank;
-    let ctx = small_ctx();
-    let g = Graph::power_law(&ctx, 16_384, 60_000, 31, 4);
-    g.edges().persist();
-    g.num_edges().expect("graph");
-    let mut group = c.benchmark_group("ablation_mask_mode_pagerank");
-    group.sample_size(10);
-    group.bench_function("flat_bitmask", |b| {
-        b.iter(|| run_pagerank(&g, 512, false, 0.85, 3).expect("pr"))
-    });
-    group.bench_function("hierarchical_bitmask", |b| {
-        b.iter(|| run_pagerank(&g, 512, true, 0.85, 3).expect("pr"))
-    });
-    group.finish();
-}
-
 /// Short measurement windows so `cargo bench --workspace` stays quick;
 /// raise `measurement_time`/`sample_size` here for tighter numbers.
 fn quick_config() -> Criterion {
@@ -307,6 +288,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_fig7, bench_fig8, bench_fig9b, bench_fig10, bench_fig11, bench_fig12, bench_local_join_ablation, bench_mask_mode_ablation
+    targets = bench_fig7, bench_fig8, bench_fig9b, bench_fig10, bench_fig11, bench_fig12, bench_local_join_ablation
 }
 criterion_main!(benches);

@@ -7,7 +7,7 @@ use spangle_bench::{criterion_group, criterion_main};
 use spangle_bitmask::{
     harley_seal, Bitmask, DeltaCursor, HierarchicalBitmask, Milestones, OffsetArray,
 };
-use spangle_core::{Chunk, ChunkPolicy};
+use spangle_core::{Chunk, ChunkPolicy, ColumnWalk};
 use spangle_linalg::block::{
     block_from_triplets, block_multiply_dense_into, block_multiply_into,
     block_multiply_offsets_into, block_multiply_sparse, ColumnIndex, SparseAccumulator,
@@ -209,6 +209,117 @@ fn bench_hierarchical(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `A'·q` kernel of PageRank over one partition's worth of adjacency
+/// blocks, flat against hierarchical masks, at the two densities that
+/// decide the representation: 35 edges per 256² block (twitter-like at
+/// block 256 — 2048 blocks, 71 680 edges, 16 MiB of flat masks per
+/// iteration) and 3 % (16 blocks, 31 456 edges). Divide the printed time
+/// by the edge count for ns/edge.
+fn bench_adjacency_walk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("adjacency_walk");
+    group.sample_size(15);
+    let rows = 256usize;
+    let volume = rows * rows;
+    let q: Vec<f64> = (0..rows).map(|j| 1.0 / (j + 1) as f64).collect();
+    for (label, blocks, edges_per_block) in [("35_per_block", 2048u64, 35u64), ("3pct", 16, 1966)] {
+        let offsets = |block: u64| {
+            let mut edges: Vec<usize> = (0..edges_per_block)
+                .map(|e| {
+                    let h = (block << 32 | e).wrapping_mul(0x9E3779B97F4A7C15);
+                    (h >> 40) as usize % volume
+                })
+                .collect();
+            edges.sort_unstable();
+            edges.dedup();
+            edges
+        };
+        let flat: Vec<Bitmask> = (0..blocks)
+            .map(|b| Bitmask::from_ones(volume, offsets(b)))
+            .collect();
+        let hier: Vec<HierarchicalBitmask> = (0..blocks)
+            .map(|b| HierarchicalBitmask::from_sorted_ones(volume, offsets(b)))
+            .collect();
+        let edges: usize = flat.iter().map(Bitmask::count_ones).sum();
+        let mut segment = vec![0.0f64; rows];
+        group.bench_function(format!("flat/{label}/{edges}_edges"), |b| {
+            b.iter(|| {
+                for mask in &flat {
+                    let mut walk = ColumnWalk::new(black_box(rows));
+                    mask.for_each_one(|local| {
+                        let (i, j) = walk.locate(local);
+                        segment[i] += q[j];
+                    });
+                }
+            })
+        });
+        group.bench_function(format!("hierarchical/{label}/{edges}_edges"), |b| {
+            b.iter(|| {
+                for mask in &hier {
+                    let mut walk = ColumnWalk::new(black_box(rows));
+                    mask.for_each_one(|local| {
+                        let (i, j) = walk.locate(local);
+                        segment[i] += q[j];
+                    });
+                }
+            })
+        });
+        black_box(&segment);
+    }
+    group.finish();
+}
+
+/// The `M·x` kernel over one 5 %-dense block: the boxed `iter_valid`
+/// against the in-place `for_each_valid`, each splitting the offset with a
+/// `%` and a `/` or with a [`ColumnWalk`] — at 256 rows (shift and mask)
+/// and at 250 (running column boundary).
+fn bench_chunk_scan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("chunk_scan");
+    group.sample_size(20);
+    for rows in [256usize, 250] {
+        let volume = rows * 256;
+        let payload: Vec<f64> = (0..volume).map(|i| i as f64).collect();
+        let chunk = Chunk::build(payload, pattern_mask(volume, 20), &ChunkPolicy::default())
+            .expect("chunk");
+        let x: Vec<f64> = (0..256).map(|j| 1.0 / (j + 1) as f64).collect();
+        let mut acc = vec![0.0f64; rows];
+        let nnz = chunk.valid_count();
+        group.bench_function(format!("iter_valid+div/{rows}_rows/{nnz}_nnz"), |b| {
+            b.iter(|| {
+                let rows = black_box(rows);
+                for (local, v) in chunk.iter_valid() {
+                    acc[local % rows] += v * x[local / rows];
+                }
+            })
+        });
+        group.bench_function(format!("iter_valid+walk/{rows}_rows/{nnz}_nnz"), |b| {
+            b.iter(|| {
+                let mut walk = ColumnWalk::new(black_box(rows));
+                for (local, v) in chunk.iter_valid() {
+                    let (r, c) = walk.locate(local);
+                    acc[r] += v * x[c];
+                }
+            })
+        });
+        group.bench_function(format!("for_each_valid+div/{rows}_rows/{nnz}_nnz"), |b| {
+            b.iter(|| {
+                let rows = black_box(rows);
+                chunk.for_each_valid(|local, v| acc[local % rows] += v * x[local / rows]);
+            })
+        });
+        group.bench_function(format!("for_each_valid+walk/{rows}_rows/{nnz}_nnz"), |b| {
+            b.iter(|| {
+                let mut walk = ColumnWalk::new(black_box(rows));
+                chunk.for_each_valid(|local, v| {
+                    let (r, c) = walk.locate(local);
+                    acc[r] += v * x[c];
+                });
+            })
+        });
+        black_box(&acc);
+    }
+    group.finish();
+}
+
 /// Short measurement windows so `cargo bench --workspace` stays quick;
 /// raise `measurement_time`/`sample_size` here for tighter numbers.
 fn quick_config() -> Criterion {
@@ -221,6 +332,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_popcount, bench_rank_strategies, bench_chunk_access, bench_block_kernels, bench_hierarchical
+    targets = bench_popcount, bench_rank_strategies, bench_chunk_access, bench_block_kernels, bench_hierarchical, bench_adjacency_walk, bench_chunk_scan
 }
 criterion_main!(benches);

@@ -11,7 +11,10 @@
 //! and the counters (bytes, planner rewrites, speculation) are asserted
 //! by the test suites, not by this gate. The threshold defaults to 25%
 //! and can be widened/tightened with `BENCH_REGRESSION_PCT` for noisy
-//! runners.
+//! runners. Before that verdict every timing cell is printed on its own
+//! row (baseline, current, change, largest increase first): the sum is
+//! dominated by two or three cells, and the table is where the others
+//! show.
 //!
 //! The gate also tracks the memory trajectory: `memory_peak_bytes` keys
 //! (the run's post-spill resident peak) are summed and compared under
@@ -231,20 +234,89 @@ fn parse(text: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+/// Named values of an artifact: `(cell, value)`.
+type Cells = Vec<(String, f64)>;
+
+/// Every numeric value stored under one of `keys`, at any nesting depth,
+/// as `(cell, value)`. A cell is named by the `name` and `op` strings of
+/// the objects that enclose it — `mouse-like/MtM`, `twitter-like` — and an
+/// artifact-level value has the empty name.
+fn cells(value: &Value, keys: &[&str]) -> Cells {
+    fn walk(value: &Value, keys: &[&str], path: &mut Vec<String>, out: &mut Cells) {
+        match value {
+            Value::Arr(items) => items.iter().for_each(|v| walk(v, keys, path, out)),
+            Value::Obj(entries) => {
+                let depth = path.len();
+                for (key, v) in entries {
+                    if let ("name" | "op", Value::Str(s)) = (key.as_str(), v) {
+                        path.push(s.clone());
+                    }
+                }
+                for (key, v) in entries {
+                    match v {
+                        Value::Num(n) if keys.contains(&key.as_str()) => {
+                            out.push((path.join("/"), *n))
+                        }
+                        nested => walk(nested, keys, path, out),
+                    }
+                }
+                path.truncate(depth);
+            }
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    walk(value, keys, &mut Vec::new(), &mut out);
+    out
+}
+
 /// Sums every numeric value stored under one of `keys`, at any nesting
 /// depth.
 fn sum_keys(value: &Value, keys: &[&str]) -> f64 {
-    match value {
-        Value::Arr(items) => items.iter().map(|v| sum_keys(v, keys)).sum(),
-        Value::Obj(entries) => entries
-            .iter()
-            .map(|(key, v)| match v {
-                Value::Num(n) if keys.contains(&key.as_str()) => *n,
-                nested => sum_keys(nested, keys),
-            })
-            .sum(),
-        _ => 0.0,
+    cells(value, keys).iter().map(|(_, v)| v).sum()
+}
+
+/// The per-key table printed before the summed verdict: every timing cell
+/// of either artifact with its baseline, its fresh value and the change,
+/// largest increase first. The verdict sums cells that span three orders
+/// of magnitude, so a cell that tripled can hide in it; here it cannot.
+fn per_key_table(baseline: &Cells, fresh: &Cells) -> String {
+    let find =
+        |cells: &[(String, f64)], key: &str| cells.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+    let mut keys: Vec<&str> = baseline.iter().map(|(k, _)| k.as_str()).collect();
+    for (k, _) in fresh {
+        if !keys.contains(&k.as_str()) {
+            keys.push(k);
+        }
     }
+    let mut rows: Vec<(&str, Option<f64>, Option<f64>, f64)> = keys
+        .into_iter()
+        .map(|key| {
+            let (b, f) = (find(baseline, key), find(fresh, key));
+            let change = match (b, f) {
+                (Some(b), Some(f)) if b > 0.0 => (f / b - 1.0) * 100.0,
+                // Present on one side only: sorts below every real change.
+                _ => f64::NEG_INFINITY,
+            };
+            (key, b, f, change)
+        })
+        .collect();
+    rows.sort_by(|a, b| b.3.total_cmp(&a.3));
+    let width = rows.iter().map(|r| r.0.len()).max().unwrap_or(0).max(3);
+    let ms = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.3}"));
+    let mut table = format!(
+        "  {:<width$} {:>12} {:>12} {:>9}\n",
+        "key", "baseline ms", "current ms", "change"
+    );
+    for (key, b, f, change) in rows {
+        let change = if change.is_finite() {
+            format!("{change:+.1}%")
+        } else {
+            "-".to_string()
+        };
+        table += &format!("  {key:<width$} {:>12} {:>12} {change:>9}\n", ms(b), ms(f));
+    }
+    table
 }
 
 /// The executor backend that produced an artifact: its top-level
@@ -262,19 +334,19 @@ fn backend_of(value: &Value) -> String {
     "inproc".to_string()
 }
 
-/// One artifact's gated scores: summed wall-clock, summed memory peak
-/// (0 when the file predates the memory export), and the backend that
-/// produced it.
-fn load(path: &str) -> Result<(f64, f64, String), String> {
+/// One artifact's gated scores: its timing cells (their sum is the gated
+/// wall-clock), summed memory peak (0 when the file predates the memory
+/// export), and the backend that produced it.
+fn load(path: &str) -> Result<(Cells, f64, String), String> {
     let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
     let value = parse(&text).map_err(|err| format!("{path}: {err}"))?;
-    let total = sum_keys(&value, TIMING_KEYS);
-    if total <= 0.0 {
+    let timings = cells(&value, TIMING_KEYS);
+    if timings.iter().map(|(_, v)| v).sum::<f64>() <= 0.0 {
         return Err(format!(
             "{path}: no {TIMING_KEYS:?} keys found — wrong file?"
         ));
     }
-    Ok((total, sum_keys(&value, MEMORY_KEYS), backend_of(&value)))
+    Ok((timings, sum_keys(&value, MEMORY_KEYS), backend_of(&value)))
 }
 
 fn pct_from_env(var: &str, default: f64) -> Result<f64, String> {
@@ -314,7 +386,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let ((baseline, baseline_mem, baseline_backend), (fresh, fresh_mem, fresh_backend)) =
+    let ((baseline_cells, baseline_mem, baseline_backend), (fresh_cells, fresh_mem, fresh_backend)) =
         match (load(baseline_path), load(fresh_path)) {
             (Ok(b), Ok(f)) => (b, f),
             (b, f) => {
@@ -336,6 +408,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let figure = figure_label(fresh_path);
+    print!(
+        "bench_compare {figure}: per-key wall, largest increase first\n{}",
+        per_key_table(&baseline_cells, &fresh_cells)
+    );
+    let baseline: f64 = baseline_cells.iter().map(|(_, v)| v).sum();
+    let fresh: f64 = fresh_cells.iter().map(|(_, v)| v).sum();
     let limit = baseline * (1.0 + pct / 100.0);
     let change = (fresh / baseline - 1.0) * 100.0;
     let memory = if baseline_mem > 0.0 {
@@ -348,8 +426,9 @@ fn main() -> ExitCode {
     } else {
         "memory gate skipped (baseline has no memory_peak_bytes)".to_string()
     };
-    // Green runs get exactly one line per figure so CI logs still show
-    // the perf trajectory; the detail lines below are failure-only.
+    // After the table, green runs get exactly one verdict line per figure
+    // so CI logs still show the perf trajectory; the detail lines below
+    // are failure-only.
     println!(
         "bench_compare {figure}: wall {fresh:.1} ms vs {baseline:.1} ms \
          ({change:+.1}%, limit +{pct:.0}%), {memory}"
@@ -396,6 +475,54 @@ mod tests {
         .unwrap();
         assert!((sum_keys(&v, TIMING_KEYS) - 20.0).abs() < 1e-9);
         assert!((sum_keys(&v, MEMORY_KEYS) - 4096.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn cells_are_named_by_their_enclosing_objects_and_tabled_by_change() {
+        let baseline = parse(
+            r#"{"figure":"f","workloads":[{"name":"mouse-like","ops":[
+                {"op":"MxV","wall_ms":2.0,"queue_wait_ms":9.0},{"op":"MtM","wall_ms":400.0}]}],
+                "graphs":[{"name":"twitter-like","build_ms":5.0,"total_ms":800.0}]}"#,
+        )
+        .unwrap();
+        let fresh = parse(
+            r#"{"workloads":[{"name":"mouse-like","ops":[
+                {"op":"MxV","wall_ms":6.0},{"op":"MtM","wall_ms":380.0},{"op":"VtxM","wall_ms":1.0}]}],
+                "graphs":[{"name":"twitter-like","total_ms":200.0}]}"#,
+        )
+        .unwrap();
+        let (b, f) = (cells(&baseline, TIMING_KEYS), cells(&fresh, TIMING_KEYS));
+        assert_eq!(
+            b,
+            vec![
+                ("mouse-like/MxV".to_string(), 2.0),
+                ("mouse-like/MtM".to_string(), 400.0),
+                ("twitter-like".to_string(), 800.0),
+            ]
+        );
+        // The sum falls by half while one cell triples: the table leads
+        // with it.
+        let table = per_key_table(&b, &f);
+        let keys: Vec<&str> = table
+            .lines()
+            .skip(1)
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "mouse-like/MxV",
+                "mouse-like/MtM",
+                "twitter-like",
+                "mouse-like/VtxM"
+            ]
+        );
+        assert!(
+            table.contains("+200.0%") && table.contains("-75.0%"),
+            "{table}"
+        );
+        let unmatched = table.lines().last().unwrap();
+        assert!(unmatched.contains(" - ") && unmatched.trim_end().ends_with('-'));
     }
 
     #[test]

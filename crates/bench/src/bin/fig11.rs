@@ -2,8 +2,9 @@
 //! the GraphX-like baseline, on four power-law graphs scaled after
 //! Table IIb.
 //!
-//! As in §VII-C, Spangle runs the sparse (flat bitmask) mode on three
-//! graphs and the super-sparse (hierarchical) mode on the
+//! As in §VII-C, Spangle runs the sparse mode on three graphs (each
+//! adjacency block keeps a flat or a hierarchical mask, by its own
+//! density) and the super-sparse mode (hierarchical everywhere) on the
 //! LiveJournal-like one. Reported: end-to-end time, average per-iteration
 //! time, and the iteration-time trend (first vs last iteration), which is
 //! where GraphX's growing triplet state shows up.

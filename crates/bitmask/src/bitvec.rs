@@ -87,16 +87,21 @@ impl Bitmask {
 
     /// Decodes a mask written by [`Bitmask::write_le`] from the front of
     /// `buf`, returning it and the number of bytes consumed. `None` on
-    /// truncated input.
+    /// truncated input and on a frame with a bit set at or beyond `len`
+    /// (the encoder never writes one).
     pub fn read_le(buf: &[u8]) -> Option<(Bitmask, usize)> {
         let len = usize::try_from(u64::from_le_bytes(buf.get(..8)?.try_into().unwrap())).ok()?;
         let words_bytes = len.div_ceil(WORD_BITS).checked_mul(8)?;
         let raw = buf.get(8..8 + words_bytes)?;
-        let words = raw
+        let words: Vec<u64> = raw
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        Some((Bitmask::from_words(len, words), 8 + words_bytes))
+        let tail = len % WORD_BITS;
+        if tail != 0 && words[words.len() - 1] >> tail != 0 {
+            return None;
+        }
+        Some((Bitmask { words, len }, 8 + words_bytes))
     }
 
     /// Number of bits (cells) in the mask.
@@ -229,6 +234,16 @@ impl Bitmask {
         }
     }
 
+    /// Calls `f` with the position of every set bit, in increasing order —
+    /// [`Bitmask::iter_ones`] as an internal walk: `f` is inlined into the
+    /// word loop, so a hot kernel pays no iterator state per bit.
+    #[inline]
+    pub fn for_each_one(&self, mut f: impl FnMut(usize)) {
+        for (word_idx, &word) in self.words.iter().enumerate() {
+            for_each_bit(word, word_idx * WORD_BITS, &mut f);
+        }
+    }
+
     /// Bitwise AND with `other`, in place. Panics if the lengths differ.
     pub fn and_assign(&mut self, other: &Bitmask) {
         assert_eq!(self.len, other.len, "bitmask length mismatch in AND");
@@ -282,6 +297,15 @@ impl Bitmask {
                 *last &= (1u64 << tail) - 1;
             }
         }
+    }
+}
+
+/// Calls `f` with `base + b` for every set bit `b` of `word`, lowest first.
+#[inline]
+pub(crate) fn for_each_bit(mut word: u64, base: usize, f: &mut impl FnMut(usize)) {
+    while word != 0 {
+        f(base + word.trailing_zeros() as usize);
+        word &= word - 1;
     }
 }
 
@@ -370,6 +394,16 @@ mod tests {
     }
 
     #[test]
+    fn for_each_one_matches_iter_ones() {
+        for (len, every) in [(0, 1), (1, 1), (64, 1), (65, 64), (1000, 7), (5000, 977)] {
+            let m = Bitmask::from_fn(len, |i| i % every == 0);
+            let mut walked = Vec::new();
+            m.for_each_one(|i| walked.push(i));
+            assert_eq!(walked, m.iter_ones().collect::<Vec<_>>(), "len={len}");
+        }
+    }
+
+    #[test]
     fn bitwise_ops_match_per_bit_semantics() {
         let a = Bitmask::from_fn(100, |i| i % 2 == 0);
         let b = Bitmask::from_fn(100, |i| i % 3 == 0);
@@ -416,6 +450,19 @@ mod tests {
             let slow = Bitmask::from_fn(200, |i| i >= start && i < end);
             assert_eq!(fast, slow, "range [{start},{end})");
         }
+    }
+
+    #[test]
+    fn codec_roundtrips_and_rejects_bits_beyond_len() {
+        let m = Bitmask::from_fn(130, |i| i % 3 == 0);
+        let mut buf = Vec::new();
+        m.write_le(&mut buf);
+        assert_eq!(Bitmask::read_le(&buf), Some((m, buf.len())));
+        assert_eq!(Bitmask::read_le(&buf[..buf.len() - 1]), None);
+        // Bit 130 — the third bit of the last word — is past the end.
+        let last = buf.len() - 8;
+        buf[last] |= 1 << 2;
+        assert_eq!(Bitmask::read_le(&buf), None);
     }
 
     #[test]

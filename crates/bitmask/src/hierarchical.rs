@@ -6,7 +6,7 @@
 //! 64-bit lower word is zero and is not stored at all. Only non-zero lower
 //! words are kept, densely packed.
 
-use crate::bitvec::Bitmask;
+use crate::bitvec::{for_each_bit, Bitmask};
 use crate::WORD_BITS;
 
 /// Compressed two-level bitmask.
@@ -43,19 +43,87 @@ impl HierarchicalBitmask {
         }
     }
 
+    /// Builds the hierarchical form straight from set-bit positions, never
+    /// allocating the flat mask: cost is O(positions + len / 4096), so a
+    /// block that will be stored hierarchically is built at the size it is
+    /// kept at. Positions must be `< len` and must not descend from one
+    /// 64-bit word to an earlier one; duplicates are idempotent. Equal to
+    /// `compress(&Bitmask::from_ones(len, ones))`.
+    pub fn from_sorted_ones(len: usize, ones: impl IntoIterator<Item = usize>) -> Self {
+        let mut upper = Bitmask::zeros(len.div_ceil(WORD_BITS));
+        let mut lower: Vec<u64> = Vec::new();
+        // Word index of the lower word being filled (`lower.last()`).
+        let mut current = None;
+        for i in ones {
+            assert!(i < len, "bit index {i} out of range {len}");
+            let word_idx = i / WORD_BITS;
+            if current != Some(word_idx) {
+                assert!(current < Some(word_idx), "set-bit positions must ascend");
+                upper.set(word_idx, true);
+                lower.push(0);
+                current = Some(word_idx);
+            }
+            *lower.last_mut().expect("a word was just opened") |= 1u64 << (i % WORD_BITS);
+        }
+        HierarchicalBitmask { upper, lower, len }
+    }
+
+    /// Serialises the mask in its own two-level form — `len:u64`, the
+    /// upper mask ([`Bitmask::write_le`]), then `count:u64 | lower words` —
+    /// all little-endian: a super-sparse block spills at the size it is
+    /// held at, not at its flat mask's.
+    pub fn write_le(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.len as u64).to_le_bytes());
+        self.upper.write_le(out);
+        out.extend_from_slice(&(self.lower.len() as u64).to_le_bytes());
+        for w in &self.lower {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Decodes a mask written by [`HierarchicalBitmask::write_le`] from the
+    /// front of `buf`, returning it and the number of bytes consumed.
+    /// `None` on truncated input and on any frame that breaks the
+    /// structure's invariants: an upper mask of the wrong length, a lower
+    /// word count other than the upper mask's population, a zero lower
+    /// word, or a bit at or beyond `len`.
+    pub fn read_le(buf: &[u8]) -> Option<(Self, usize)> {
+        let u64_at = |pos: usize| {
+            let raw = buf.get(pos..pos.checked_add(8)?)?;
+            Some(u64::from_le_bytes(raw.try_into().expect("8 bytes")))
+        };
+        let len = usize::try_from(u64_at(0)?).ok()?;
+        let (upper, upper_bytes) = Bitmask::read_le(&buf[8..])?;
+        if upper.len() != len.div_ceil(WORD_BITS) {
+            return None;
+        }
+        let mut pos = 8 + upper_bytes;
+        let count = usize::try_from(u64_at(pos)?).ok()?;
+        pos += 8;
+        if count != upper.count_ones() {
+            return None;
+        }
+        let lower: Vec<u64> = buf
+            .get(pos..pos.checked_add(count.checked_mul(8)?)?)?
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+            .collect();
+        pos += count * 8;
+        if lower.contains(&0) {
+            return None;
+        }
+        // Only the final lower-level word can reach past `len`.
+        let tail = len % WORD_BITS;
+        if tail != 0 && upper.get(upper.len() - 1) && lower[count - 1] >> tail != 0 {
+            return None;
+        }
+        Some((HierarchicalBitmask { upper, lower, len }, pos))
+    }
+
     /// Expands back to a flat mask.
     pub fn decompress(&self) -> Bitmask {
         let mut out = Bitmask::zeros(self.len);
-        for (slot, word_idx) in self.upper.iter_ones().enumerate() {
-            let w = self.lower[slot];
-            let base = word_idx * WORD_BITS;
-            let mut bits = w;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                out.set(base + b, true);
-            }
-        }
+        self.for_each_one(|i| out.set(i, true));
         out
     }
 
@@ -119,6 +187,19 @@ impl HierarchicalBitmask {
                     base: word_idx * WORD_BITS,
                 }
             })
+    }
+
+    /// Calls `f` with the position of every set bit, in increasing order —
+    /// [`HierarchicalBitmask::iter_ones`] as an internal walk: the upper
+    /// mask's set bits name the surviving words, consumed in step with
+    /// `lower`, and `f` is inlined into the loop.
+    #[inline]
+    pub fn for_each_one(&self, mut f: impl FnMut(usize)) {
+        let mut lower = self.lower.iter();
+        self.upper.for_each_one(|word_idx| {
+            let &word = lower.next().expect("one lower word per upper bit");
+            for_each_bit(word, word_idx * WORD_BITS, &mut f);
+        });
     }
 
     /// Deep size in bytes. For genuinely super-sparse data this is far below
@@ -190,6 +271,86 @@ mod tests {
         let flat: Vec<usize> = m.iter_ones().collect();
         let hier: Vec<usize> = h.iter_ones().collect();
         assert_eq!(flat, hier);
+    }
+
+    #[test]
+    fn for_each_one_matches_iter_ones() {
+        for every in [1, 3, 64, 211, 4096] {
+            let h = HierarchicalBitmask::compress(&sparse_mask(5_000, every));
+            let mut walked = Vec::new();
+            h.for_each_one(|i| walked.push(i));
+            assert_eq!(walked, h.iter_ones().collect::<Vec<_>>(), "every={every}");
+        }
+    }
+
+    #[test]
+    fn from_sorted_ones_equals_compress() {
+        // Duplicates, a shared word, a skipped word, the final partial word.
+        let ones = [0, 0, 5, 63, 64, 64, 300, 999];
+        let built = HierarchicalBitmask::from_sorted_ones(1000, ones);
+        assert_eq!(
+            built,
+            HierarchicalBitmask::compress(&Bitmask::from_ones(1000, ones))
+        );
+        assert_eq!(
+            HierarchicalBitmask::from_sorted_ones(70, []),
+            HierarchicalBitmask::compress(&Bitmask::zeros(70))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "must ascend")]
+    fn from_sorted_ones_rejects_descending_words() {
+        let _ = HierarchicalBitmask::from_sorted_ones(1000, [700, 3]);
+    }
+
+    fn encoded(h: &HierarchicalBitmask) -> Vec<u8> {
+        let mut buf = Vec::new();
+        h.write_le(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn codec_roundtrips_without_the_flat_mask() {
+        for (len, every) in [(0, 1), (1, 1), (64, 7), (1000, 131), (1 << 16, 5000)] {
+            let h = HierarchicalBitmask::compress(&sparse_mask(len, every));
+            let buf = encoded(&h);
+            let (back, used) = HierarchicalBitmask::read_le(&buf).expect("decode");
+            assert_eq!((back, used), (h, buf.len()), "len={len} every={every}");
+        }
+        // 14 set bits of 65 536: three u64 headers, 16 upper and 14 lower
+        // words — not the flat mask's 1024.
+        let h = HierarchicalBitmask::compress(&sparse_mask(1 << 16, 5000));
+        assert_eq!(encoded(&h).len(), 8 * (3 + 16 + 14));
+    }
+
+    #[test]
+    fn decoder_rejects_frames_that_break_the_invariants() {
+        // Bits 3 and 997 of 1000: upper mask of 16 bits (one word), two
+        // lower words. Layout: len | upper len | upper word | count | lower….
+        let h = HierarchicalBitmask::from_sorted_ones(1000, [3, 997]);
+        let good = encoded(&h);
+        assert_eq!(good.len(), 8 * 6);
+        let with_u64 = |at: usize, v: u64| {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            HierarchicalBitmask::read_le(&bad)
+        };
+        // popcount(upper) != lower word count, in either field.
+        assert_eq!(with_u64(24, 1), None);
+        assert_eq!(with_u64(16, 0b1), None);
+        // A zero lower word.
+        assert_eq!(with_u64(32, 0), None);
+        // A bit at position 1000 + 8 (bit 48 of the last word).
+        assert_eq!(with_u64(40, 1 << 48), None);
+        // An upper mask sized for a different `len`.
+        assert_eq!(with_u64(0, 5000), None);
+        assert_eq!(with_u64(8, 15), None);
+        // The same edits that keep the invariants still decode.
+        assert!(with_u64(40, 1 << 39).is_some());
+        for cut in 0..good.len() {
+            assert_eq!(HierarchicalBitmask::read_le(&good[..cut]), None);
+        }
     }
 
     #[test]

@@ -80,6 +80,42 @@ fn hierarchical_and_offset_roundtrips() {
     });
 }
 
+/// Building from sorted offsets — duplicates included — is `compress` of
+/// the flat mask, at every density from empty to full; the internal walks
+/// visit what the iterators yield; the native codec round-trips.
+#[test]
+fn hierarchical_builders_walks_and_codec_agree() {
+    run_cases(0xB177_0007, CASES, |rng| {
+        let len = rng.usize_in(1..6000);
+        let keep_one_in = [1, 2, 40, 700, len][rng.usize_in(0..5)];
+        let mut ones: Vec<usize> = Vec::new();
+        for i in 0..len {
+            if rng.usize_in(0..keep_one_in) == 0 {
+                // Some offsets arrive twice, as duplicate edges do.
+                ones.extend(std::iter::repeat_n(i, rng.usize_in(1..3)));
+            }
+        }
+        let flat = Bitmask::from_ones(len, ones.iter().copied());
+        let hier = HierarchicalBitmask::from_sorted_ones(len, ones.iter().copied());
+        assert_eq!(hier, HierarchicalBitmask::compress(&flat));
+
+        ones.dedup();
+        let (mut flat_walk, mut hier_walk) = (Vec::new(), Vec::new());
+        flat.for_each_one(|i| flat_walk.push(i));
+        hier.for_each_one(|i| hier_walk.push(i));
+        assert_eq!(flat_walk, ones);
+        assert_eq!(hier_walk, ones);
+
+        let mut buf = Vec::new();
+        hier.write_le(&mut buf);
+        assert_eq!(
+            HierarchicalBitmask::read_le(&buf),
+            Some((hier, buf.len())),
+            "native codec round-trip"
+        );
+    });
+}
+
 #[test]
 fn set_range_equals_per_bit_sets() {
     run_cases(0xB177_0005, CASES, |rng| {

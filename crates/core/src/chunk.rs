@@ -324,6 +324,31 @@ impl<E: Element> Chunk<E> {
         }
     }
 
+    /// [`Chunk::iter_valid`] as an internal walk: calls `f(local offset,
+    /// value)` for every valid cell in offset order. The mode is matched
+    /// once and `f` is inlined into the mask's word loop, so a kernel pays
+    /// neither a boxed iterator nor a virtual call per cell.
+    #[inline]
+    pub fn for_each_valid(&self, mut f: impl FnMut(usize, E)) {
+        match self {
+            Chunk::Dense { payload, mask } => mask.for_each_one(|i| f(i, payload[i])),
+            Chunk::Sparse { payload, mask, .. } => {
+                let mut slot = 0;
+                mask.for_each_one(|i| {
+                    f(i, payload[slot]);
+                    slot += 1;
+                });
+            }
+            Chunk::SuperSparse { payload, mask } => {
+                let mut slot = 0;
+                mask.for_each_one(|i| {
+                    f(i, payload[slot]);
+                    slot += 1;
+                });
+            }
+        }
+    }
+
     /// Sequential scan that *demonstrates* the delta-count discipline
     /// explicitly: ranks each valid position through a [`DeltaCursor`].
     /// Semantically identical to [`Chunk::iter_valid`]; used by the Fig. 8
@@ -583,6 +608,50 @@ mod tests {
         }
     }
 
+    /// The in-place walk visits what `iter_valid` yields, and a
+    /// [`ColumnWalk`](crate::ColumnWalk) over it splits every offset as the
+    /// division does — in all three modes, for clipped extents, single
+    /// rows and columns, and blocks whose first or last columns are empty.
+    #[test]
+    fn for_each_valid_and_column_walk_match_iter_valid_and_division() {
+        let mut modes_seen = [false; 3];
+        spangle_testkit::run_cases(0xC01A, 300, |rng| {
+            let rows = [1, 2, 3, 17, 44, 64, 100][rng.usize_in(0..7)];
+            let cols = [1, 2, 9, 40][rng.usize_in(0..4)];
+            let volume = rows * cols;
+            let policy = match rng.usize_in(0..3) {
+                0 => ChunkPolicy::always_dense(),
+                1 => ChunkPolicy::default(),
+                _ => ChunkPolicy::naive_sparse(),
+            };
+            // Valid cells only inside a band of columns, so leading and
+            // trailing columns are empty in most cases.
+            let (a, b) = (rng.usize_in(0..cols), rng.usize_in(0..cols));
+            let band = a.min(b) * rows..(a.max(b) + 1) * rows;
+            let keep_one_in = [1, 3, 70, volume][rng.usize_in(0..4)];
+            let mut cells: Vec<(usize, f64)> = band
+                .clone()
+                .filter(|_| rng.usize_in(0..keep_one_in) == 0)
+                .map(|i| (i, i as f64 + 0.5))
+                .collect();
+            if cells.is_empty() {
+                cells.push((band.start, 1.0));
+            }
+            let chunk = Chunk::from_sorted_cells(volume, cells.clone(), &policy).unwrap();
+            modes_seen[chunk.mode() as usize] = true;
+
+            let mut walked = Vec::new();
+            let mut walk = crate::ColumnWalk::new(rows);
+            chunk.for_each_valid(|local, v| {
+                assert_eq!(walk.locate(local), (local % rows, local / rows));
+                walked.push((local, v));
+            });
+            assert_eq!(walked, cells);
+            assert_eq!(walked, chunk.iter_valid().collect::<Vec<_>>());
+        });
+        assert_eq!(modes_seen, [true; 3], "every mode must be generated");
+    }
+
     #[test]
     fn from_cells_accepts_unsorted_offsets() {
         let policy = ChunkPolicy::default();
@@ -746,6 +815,40 @@ mod tests {
         assert!(
             Chunk::<f64>::spill_decode(&mut spangle_dataflow::SpillCursor::new(&bad_tag)).is_none()
         );
+    }
+
+    /// Mutation fuzzing of the element codec: no truncation, bit flip or
+    /// lying length makes the decoder panic, and whatever still decodes is
+    /// a chunk whose payload and mask agree — it scans, answers random
+    /// access and re-encodes to the bytes it was read from.
+    #[test]
+    fn spill_codec_survives_mutation_fuzzing() {
+        for (every, policy) in [
+            (1, ChunkPolicy::default()),      // dense
+            (7, ChunkPolicy::default()),      // sparse with milestones
+            (7, ChunkPolicy::naive_sparse()), // sparse without milestones
+            (90, ChunkPolicy::default()),     // super-sparse
+        ] {
+            let c = make_chunk(200, every, &policy);
+            let mut frame = Vec::new();
+            c.spill_encode(&mut frame);
+            spangle_testkit::for_each_mutation(&frame, |bytes| {
+                let mut cur = spangle_dataflow::SpillCursor::new(bytes);
+                let Some(back) = Chunk::<f64>::spill_decode(&mut cur) else {
+                    return;
+                };
+                let consumed = bytes.len() - cur.remaining();
+                let cells: Vec<(usize, f64)> = back.iter_valid().collect();
+                assert_eq!(cells.len(), back.valid_count());
+                assert!(cells.iter().all(|&(i, _)| i < back.volume()));
+                for &(i, v) in &cells {
+                    assert_eq!(back.get(i).map(f64::to_bits), Some(v.to_bits()));
+                }
+                let mut again = Vec::new();
+                back.spill_encode(&mut again);
+                assert!(again == bytes[..consumed], "re-encoding differs");
+            });
+        }
     }
 
     #[test]

@@ -33,4 +33,4 @@ pub use array::{ArrayBuilder, ArrayRdd};
 pub use chunk::{Chunk, ChunkMode, ChunkPolicy};
 pub use element::Element;
 pub use maskrdd::{AttrMask, JoinMode, MaskRdd, SpangleArray};
-pub use meta::{ArrayMeta, ChunkId, Mapper};
+pub use meta::{ArrayMeta, ChunkId, ColumnWalk, Mapper};

@@ -316,9 +316,77 @@ impl Mapper {
     }
 }
 
+/// [`Mapper::unravel`] without the division, for the walk every matrix
+/// kernel makes: the valid cells of one `rows × cols` block (local offset
+/// `row + col * rows`) visited in ascending offset, each needing its
+/// `(row, column)`.
+///
+/// When `rows` is a power of two the split is a mask and a shift; otherwise
+/// the walk keeps the boundary of the column it is in and steps it forward
+/// — offsets only ascend, so each column boundary is crossed once per block
+/// rather than a quotient taken once per cell.
+#[derive(Clone, Copy, Debug)]
+pub struct ColumnWalk {
+    rows: usize,
+    /// `log2(rows)` when `rows` is a power of two.
+    shift: Option<u32>,
+    col: usize,
+    /// One past the last offset of column `col`.
+    col_end: usize,
+}
+
+impl ColumnWalk {
+    /// A walk positioned before the first cell of a block `rows` tall.
+    pub fn new(rows: usize) -> Self {
+        assert!(rows > 0, "blocks have at least one row");
+        ColumnWalk {
+            rows,
+            shift: rows.is_power_of_two().then(|| rows.trailing_zeros()),
+            col: 0,
+            col_end: rows,
+        }
+    }
+
+    /// `(local % rows, local / rows)`. Offsets must not descend from one
+    /// call to the next.
+    #[inline]
+    pub fn locate(&mut self, local: usize) -> (usize, usize) {
+        if let Some(shift) = self.shift {
+            return (local & (self.rows - 1), local >> shift);
+        }
+        while local >= self.col_end {
+            self.col += 1;
+            self.col_end += self.rows;
+        }
+        debug_assert!(local + self.rows >= self.col_end, "offsets must ascend");
+        (local + self.rows - self.col_end, self.col)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn column_walk_equals_division_for_every_extent() {
+        // Powers of two, clipped edge extents, single rows and columns.
+        for rows in [1usize, 2, 3, 7, 44, 64, 100, 256] {
+            for cols in [1usize, 2, 5, 33] {
+                // Every cell, then sparse walks with empty leading,
+                // interior and trailing columns.
+                for step in [1, 2, rows, rows + 1, 3 * rows + 2, rows * cols] {
+                    let mut walk = ColumnWalk::new(rows);
+                    for local in (step - 1..rows * cols).step_by(step) {
+                        assert_eq!(
+                            walk.locate(local),
+                            (local % rows, local / rows),
+                            "rows={rows} cols={cols} step={step} local={local}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn mapper_2d() -> Mapper {
         // 100 x 60 array in 32 x 32 chunks => 4 x 2 grid, edge clipping on

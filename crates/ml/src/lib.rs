@@ -8,7 +8,7 @@
 //! * [`mod@pagerank`] — the customised PageRank of §VI-B: the transition
 //!   matrix is decomposed as `A = A' ∘ w` so the 0/1 structure matrix `A'`
 //!   lives in *bitmask-only* adjacency blocks (one bit per edge; the
-//!   hierarchical mask for super-sparse graphs) and the power iteration is
+//!   hierarchical mask for super-sparse blocks) and the power iteration is
 //!   `p ← α·A'(w ∘ p) + (1-α)/n`;
 //! * [`sgd`] — the parallel mini-batch SGD of §VI-C with the Eq. 2 chunk
 //!   numbering (`Cn = nP·rID + pID`, reversed for shuffle-free sampling)

@@ -108,9 +108,76 @@ pub fn run_cases(test_seed: u64, cases: u64, mut body: impl FnMut(&mut Rng)) {
     }
 }
 
+/// Mutation fuzzing for decoders: calls `check` with every hostile variant
+/// of a well-formed encoded `frame` —
+///
+/// * truncated at every offset (including to nothing),
+/// * with every single bit flipped,
+/// * with every 8-byte window overwritten by a little-endian `u64` that
+///   lies about a length: 0, one more and one less than what was there,
+///   2³², and `u64::MAX`.
+///
+/// `check` decodes the bytes and asserts whatever must hold of the outcome
+/// (no panic, and a frame that still decodes yields a value its invariants
+/// accept). A failing variant is named on stderr before the panic resumes.
+pub fn for_each_mutation(frame: &[u8], mut check: impl FnMut(&[u8])) {
+    let mut run = |what: &dyn Fn() -> String, bytes: &[u8]| {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(bytes)));
+        if let Err(payload) = result {
+            eprintln!("decoder failed on a {}-byte frame {}", frame.len(), what());
+            std::panic::resume_unwind(payload);
+        }
+    };
+    for cut in 0..frame.len() {
+        run(&|| format!("truncated to {cut} bytes"), &frame[..cut]);
+    }
+    let mut bytes = frame.to_vec();
+    for bit in 0..frame.len() * 8 {
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        run(&|| format!("with bit {bit} flipped"), &bytes);
+        bytes[bit / 8] ^= 1 << (bit % 8);
+    }
+    for at in 0..frame.len().saturating_sub(7) {
+        let window = at..at + 8;
+        let stored = u64::from_le_bytes(frame[window.clone()].try_into().expect("8 bytes"));
+        for lie in [
+            0,
+            stored.wrapping_add(1),
+            stored.wrapping_sub(1),
+            1 << 32,
+            u64::MAX,
+        ] {
+            bytes[window.clone()].copy_from_slice(&lie.to_le_bytes());
+            run(
+                &|| format!("with u64 {lie:#x} written at byte {at}"),
+                &bytes,
+            );
+        }
+        bytes[window.clone()].copy_from_slice(&frame[window]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn for_each_mutation_covers_cuts_flips_and_length_lies() {
+        let frame: Vec<u8> = (1..=10).collect();
+        let (mut cuts, mut same_len, mut intact) = (0, 0, 0);
+        for_each_mutation(&frame, |bytes| {
+            if bytes.len() < frame.len() {
+                cuts += 1;
+            } else if bytes == frame {
+                intact += 1;
+            } else {
+                same_len += 1;
+            }
+        });
+        assert_eq!(cuts, 10);
+        // 80 flips and 3 windows of 5 lies, none of which restores the frame.
+        assert_eq!((same_len, intact), (80 + 15, 0));
+    }
 
     #[test]
     fn equal_seeds_give_equal_streams() {
