@@ -319,25 +319,10 @@ fn per_key_table(baseline: &Cells, fresh: &Cells) -> String {
     table
 }
 
-/// The executor backend that produced an artifact: its top-level
-/// `"backend"` key, or `"inproc"` for baselines that predate the stamp.
-fn backend_of(value: &Value) -> String {
-    if let Value::Obj(entries) = value {
-        for (key, v) in entries {
-            if key == "backend" {
-                if let Value::Str(s) = v {
-                    return s.clone();
-                }
-            }
-        }
-    }
-    "inproc".to_string()
-}
-
 /// One artifact's gated scores: its timing cells (their sum is the gated
-/// wall-clock), summed memory peak (0 when the file predates the memory
-/// export), and the backend that produced it.
-fn load(path: &str) -> Result<(Cells, f64, String), String> {
+/// wall-clock) and summed memory peak (0 when the file predates the memory
+/// export).
+fn load(path: &str) -> Result<(Cells, f64), String> {
     let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
     let value = parse(&text).map_err(|err| format!("{path}: {err}"))?;
     let timings = cells(&value, TIMING_KEYS);
@@ -346,7 +331,7 @@ fn load(path: &str) -> Result<(Cells, f64, String), String> {
             "{path}: no {TIMING_KEYS:?} keys found — wrong file?"
         ));
     }
-    Ok((timings, sum_keys(&value, MEMORY_KEYS), backend_of(&value)))
+    Ok((timings, sum_keys(&value, MEMORY_KEYS)))
 }
 
 fn pct_from_env(var: &str, default: f64) -> Result<f64, String> {
@@ -386,7 +371,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let ((baseline_cells, baseline_mem, baseline_backend), (fresh_cells, fresh_mem, fresh_backend)) =
+    let ((baseline_cells, baseline_mem), (fresh_cells, fresh_mem)) =
         match (load(baseline_path), load(fresh_path)) {
             (Ok(b), Ok(f)) => (b, f),
             (b, f) => {
@@ -396,17 +381,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-    // Timings from different executor backends are not comparable: a
-    // multi-process run pays process spawns and wire hops an in-process
-    // baseline never sees, so a cross-backend diff would gate on noise.
-    if baseline_backend != fresh_backend {
-        eprintln!(
-            "backend mismatch: baseline {baseline_path} was produced under \
-             '{baseline_backend}' but fresh {fresh_path} under '{fresh_backend}' — \
-             regenerate the baseline under the same SPANGLE_BACKEND"
-        );
-        return ExitCode::from(2);
-    }
     let figure = figure_label(fresh_path);
     print!(
         "bench_compare {figure}: per-key wall, largest increase first\n{}",
@@ -543,14 +517,6 @@ mod tests {
             }
             _ => panic!("expected object"),
         }
-    }
-
-    #[test]
-    fn backend_defaults_to_inproc_for_unstamped_baselines() {
-        let stamped = parse(r#"{"backend":"proc","wall_ms":1.0}"#).unwrap();
-        assert_eq!(backend_of(&stamped), "proc");
-        let legacy = parse(r#"{"wall_ms":1.0}"#).unwrap();
-        assert_eq!(backend_of(&legacy), "inproc");
     }
 
     #[test]

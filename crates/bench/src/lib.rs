@@ -182,36 +182,12 @@ impl Json {
     }
 }
 
-/// The executor-backend label stamped into every artifact: the parsed
-/// `SPANGLE_BACKEND` value, `"inproc"` when unset or unrecognised — the
-/// same default the context builder applies.
-pub fn backend_label() -> &'static str {
-    match std::env::var("SPANGLE_BACKEND")
-        .ok()
-        .and_then(|raw| raw.parse::<spangle_dataflow::BackendKind>().ok())
-        .unwrap_or_default()
-    {
-        spangle_dataflow::BackendKind::InProc => "inproc",
-        spangle_dataflow::BackendKind::Proc => "proc",
-    }
-}
-
 /// Writes a figure harness's machine-readable results to
 /// `BENCH_<name>.json` at the repository root and prints the path.
-///
-/// Every object artifact gets a top-level `"backend"` key stamped in
-/// here (unless the harness set one itself), so `bench_compare` can
-/// refuse to diff a multi-process run against an in-process baseline.
 pub fn write_bench_json(name: &str, value: &Json) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join(format!("BENCH_{name}.json"));
-    let mut value = value.clone();
-    if let Json::Obj(entries) = &mut value {
-        if !entries.iter().any(|(key, _)| key == "backend") {
-            entries.insert(0, ("backend".into(), Json::Str(backend_label().into())));
-        }
-    }
     let mut body = value.render();
     body.push('\n');
     match std::fs::write(&path, body) {

@@ -12,7 +12,9 @@ use crate::element::Element;
 use crate::meta::{ArrayMeta, ChunkId, Mapper};
 use spangle_bitmask::Bitmask;
 use spangle_dataflow::rdd::sources::GeneratedRdd;
-use spangle_dataflow::{HashPartitioner, JobError, PairRdd, Partitioner, Rdd, SpangleContext};
+use spangle_dataflow::{
+    cancellation_point, HashPartitioner, JobError, PairRdd, Partitioner, Rdd, SpangleContext,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -98,6 +100,7 @@ impl<E: Element> ArrayBuilder<E> {
                 if partitioner.partition(&chunk_id) != p {
                     continue;
                 }
+                cancellation_point();
                 let volume = mapper.chunk_volume(chunk_id);
                 let origin = mapper.chunk_origin(chunk_id);
                 let extent = mapper.chunk_extent(chunk_id);
@@ -651,6 +654,36 @@ mod tests {
         // Only the 4 chunks of the first grid column are non-empty.
         assert_eq!(arr.num_chunks().unwrap(), 4);
         assert_eq!(arr.count_valid().unwrap(), 16 * 64);
+    }
+
+    /// Bugfix regression: the generator stamped no progress, so a partition
+    /// whose ingest was merely slow looked wedged to the no-progress
+    /// watchdog (and could not be cancelled until it returned).
+    #[test]
+    fn slow_ingest_over_many_chunks_trips_no_watchdog() {
+        use std::time::Duration;
+        let ctx = SpangleContext::builder()
+            .executors(2)
+            .health_monitoring(true)
+            .watchdog_interval(Duration::from_millis(200))
+            .build();
+        let before = ctx.metrics_snapshot();
+        // 320 one-row chunks over two partitions, 5 ms of modelled ingest
+        // cost per chunk: each generator lives ≈ 0.8 s — four watchdog
+        // intervals — while reaching a chunk boundary every 5 ms.
+        let arr = ArrayBuilder::new(&ctx, ArrayMeta::new(vec![320, 2], vec![1, 2]))
+            .num_partitions(2)
+            .ingest(|c| {
+                if c[1] == 0 {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Some(1.0f64)
+            })
+            .build();
+        assert_eq!(arr.count_valid().unwrap(), 640);
+        let delta = ctx.metrics_snapshot() - before;
+        assert_eq!(delta.watchdog_trips, 0, "a clean run tripped: {delta:?}");
+        assert_eq!(delta.tasks_speculated, 0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The driver-side entry point: a handle on the simulated cluster.
 
-use crate::backend::{backend_kind_from_env, make_backend, BackendKind, ExecutorBackend};
 use crate::cache::BlockManager;
 use crate::env::env_parse;
 use crate::executor::ExecutorPool;
@@ -60,10 +59,6 @@ pub(crate) struct ContextInner {
     /// before the executor workers do on drop.
     pub(crate) scheduler: SchedulerService,
     pub(crate) pool: ExecutorPool,
-    /// Declared after `pool` so worker processes outlive the executor
-    /// threads that talk to them, and are torn down right after those
-    /// threads join on drop.
-    pub(crate) backend: Arc<dyn ExecutorBackend>,
     pub(crate) shuffle: ShuffleService,
     pub(crate) cache: BlockManager,
     pub(crate) metrics: Metrics,
@@ -147,7 +142,6 @@ pub struct SpangleContextBuilder {
     spill_to_disk: bool,
     health: HealthConfig,
     backoff: RetryBackoffConfig,
-    backend: Option<BackendKind>,
 }
 
 impl Default for SpangleContextBuilder {
@@ -171,7 +165,6 @@ impl Default for SpangleContextBuilder {
             spill_to_disk: true,
             health: HealthConfig::default(),
             backoff: RetryBackoffConfig::default(),
-            backend: None,
         }
     }
 }
@@ -410,30 +403,10 @@ impl SpangleContextBuilder {
         self
     }
 
-    /// Which executor backend the cluster runs on (default: the
-    /// `SPANGLE_BACKEND` environment knob, falling back to
-    /// [`BackendKind::InProc`]). Under [`BackendKind::Proc`] every
-    /// executor slot is served by a real worker *process* whose
-    /// keepalives feed the health plane — see the "Executor backends"
-    /// section of DESIGN.md.
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = Some(kind);
-        self
-    }
-
     /// Starts the cluster.
     pub fn build(self) -> SpangleContext {
         let pool = ExecutorPool::new(self.executors);
-        let backend = make_backend(
-            self.backend.unwrap_or_else(backend_kind_from_env),
-            self.executors,
-            pool.health_board(),
-            self.health.heartbeat_interval,
-        );
-        // A backend that stamps heartbeats itself (worker keepalives +
-        // the degraded-slot stamper) replaces the in-process heartbeater:
-        // running both would let driver threads vouch for dead processes.
-        if self.health.enabled && !backend.provides_heartbeats() {
+        if self.health.enabled {
             pool.start_heartbeater(self.health.heartbeat_interval);
         }
         let failures = FailureInjector::default();
@@ -448,7 +421,6 @@ impl SpangleContextBuilder {
             inner: Arc::new(ContextInner {
                 scheduler,
                 pool,
-                backend,
                 shuffle: ShuffleService::new(Arc::clone(&spill)),
                 cache: BlockManager::new(spill),
                 metrics: Metrics::with_history(self.job_report_history),
@@ -579,9 +551,6 @@ impl SpangleContext {
             self.inner.shuffle.discard_executor(executor);
         let (cached_partitions_dropped, cached_bytes_dropped) =
             self.inner.cache.discard_executor(executor);
-        // The dead incarnation's worker process (and every block it held)
-        // goes with it; the backend seats a replacement for the new epoch.
-        self.inner.backend.on_executor_killed(executor, incarnation);
         self.metrics().add(MetricField::ExecutorsLost, 1);
         ExecutorLoss {
             executor,
@@ -591,37 +560,6 @@ impl SpangleContext {
             cached_partitions_dropped,
             cached_bytes_dropped,
         }
-    }
-
-    /// Which executor backend this cluster runs on.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.inner.backend.kind()
-    }
-
-    /// OS pid of `executor`'s worker process, when the backend runs one.
-    pub fn worker_pid(&self, executor: usize) -> Option<u32> {
-        self.inner.backend.worker_pid(executor)
-    }
-
-    /// Snapshot of `executor`'s backend block store, when reachable.
-    pub fn worker_stats(&self, executor: usize) -> Option<crate::backend::WorkerStats> {
-        self.inner.backend.stats(executor).ok()
-    }
-
-    /// Number of executor slots currently served by real worker
-    /// processes (0 under the in-process backend).
-    pub fn real_worker_slots(&self) -> usize {
-        self.inner.backend.real_worker_slots()
-    }
-
-    /// Chaos hook: `SIGKILL` the worker process serving `executor` and
-    /// tell no part of the driver about it. Detection must come from the
-    /// health plane noticing the missed socket keepalives — this is how
-    /// the crash-recovery gate simulates a machine losing a process.
-    /// Returns whether a process was actually signalled (always `false`
-    /// under the in-process backend and for degraded slots).
-    pub fn sigkill_worker(&self, executor: usize) -> bool {
-        self.inner.backend.sigkill_worker(executor)
     }
 
     /// Drops a cached partition, simulating the loss of an executor's

@@ -128,13 +128,6 @@ pub fn is_task_cancelled() -> bool {
     })
 }
 
-/// Health slot of the executor serving the current thread, or `None` on
-/// driver threads. The remote data plane uses this to decide *whose*
-/// worker process a named operator runs on.
-pub(crate) fn current_slot() -> Option<usize> {
-    CURRENT_HEALTH.with(|slot| slot.borrow().as_ref().map(|(_, executor)| *executor))
-}
-
 /// A cooperative cancellation point: panics with a [`CancelledError`]
 /// payload when the current task's token was cancelled, and is a cheap
 /// no-op otherwise. Operator loops call this at chunk boundaries so a

@@ -70,7 +70,7 @@ pub struct HealthConfig {
 /// `SPANGLE_DISABLE_HEALTH=1` turns the whole layer off (an explicit
 /// builder call still wins, it is applied after this default).
 pub(crate) fn health_enabled_by_env() -> bool {
-    std::env::var_os("SPANGLE_DISABLE_HEALTH").is_none_or(|v| v == "0")
+    !crate::env::env_flag("SPANGLE_DISABLE_HEALTH")
 }
 
 fn env_millis(var: &str) -> Option<Duration> {

@@ -38,7 +38,6 @@
 //! boundaries, shuffle volume, task scheduling, caching, recomputation — is
 //! precisely the set of mechanisms the Spangle evaluation reasons about.
 
-pub mod backend;
 pub(crate) mod blockstore;
 pub mod cache;
 pub mod context;
@@ -49,19 +48,14 @@ pub(crate) mod frame;
 pub mod health;
 pub mod memsize;
 pub mod metrics;
-pub mod ops;
 pub mod partitioner;
 pub mod plan;
-pub mod procw;
 pub mod rdd;
-pub mod remote;
 pub mod scheduler;
 pub mod shuffle;
 pub(crate) mod spill;
 pub mod sync;
-pub mod wire;
 
-pub use backend::{BackendKind, ExecutorBackend, WorkerStats};
 pub use context::{Broadcast, ExecutorLoss, SpangleContext, SpangleContextBuilder};
 pub use executor::{
     cancellation_point, is_task_cancelled, BlockOrigin, CancelGauge, CancelToken, CancelledError,
@@ -75,10 +69,6 @@ pub use partitioner::{
 pub use plan::PlanNodeInfo;
 pub use rdd::pair::PairRdd;
 pub use rdd::Rdd;
-pub use remote::{
-    remote_collect_pairs, remote_exchange, remote_map, remote_pagerank_step, remote_source,
-    remote_zip, ShardHandle,
-};
 pub use scheduler::{submit_job, JobError, JobHandle, SpeculationConfig, TaskError};
 
 /// Marker for types that can be elements of an [`Rdd`].

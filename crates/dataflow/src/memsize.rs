@@ -121,23 +121,43 @@ pub fn put_len(out: &mut Vec<u8>, len: usize) {
     out.extend_from_slice(&(len as u64).to_le_bytes());
 }
 
+/// Most records a block may claim once one of them has decoded from zero
+/// bytes. Records that consume input are bounded by the input; records
+/// that consume none (`()`, tuples and `Arc`s of it) are bounded by
+/// nothing but the count, so a corrupt count would otherwise buy 2⁶⁴
+/// decode steps with eight bytes. A million is far above any block of
+/// unit records this runtime deposits and far below a wedged task;
+/// [`encode_records`] refuses to write what [`decode_records`] would not
+/// read back.
+pub(crate) const MAX_EMPTY_RECORDS: usize = 1 << 20;
+
 /// The block codec: a count prefix, then every element's own encoding.
-/// `Vec<T>`, `Box<[T]>`, spill files and the named operators' pair blocks
-/// are all this one layout.
+/// `Vec<T>`, `Box<[T]>` and spill files are all this one layout.
 pub(crate) fn encode_records<T: MemSize>(records: &[T], out: &mut Vec<u8>) {
     put_len(out, records.len());
+    let start = out.len();
     for record in records {
         record.spill_encode(out);
     }
+    assert!(
+        out.len() > start || records.len() <= MAX_EMPTY_RECORDS,
+        "a block of {} zero-byte records exceeds the codec's bound",
+        records.len()
+    );
 }
 
-/// Decodes records written by [`encode_records`], advancing the cursor.
+/// Decodes records written by [`encode_records`], advancing the cursor, in
+/// time bounded by the input length plus [`MAX_EMPTY_RECORDS`].
 pub(crate) fn decode_records<T: MemSize>(input: &mut SpillCursor<'_>) -> Option<Vec<T>> {
     let n = input.len_prefix()?;
     // The count bounds nothing on corrupt input; the bytes left do.
     let mut records = Vec::with_capacity(n.min(input.remaining()));
     for _ in 0..n {
+        let before = input.remaining();
         records.push(T::spill_decode(input)?);
+        if n > MAX_EMPTY_RECORDS && input.remaining() == before {
+            return None;
+        }
     }
     Some(records)
 }
@@ -500,38 +520,84 @@ mod tests {
         assert_eq!(decode_block::<()>(&buf), Some(vec![(); 3]));
     }
 
+    /// Bugfix regression: a count nothing in the input backs used to be
+    /// looped over in full when records decode from zero bytes — 2⁶⁴ steps
+    /// for eight hostile bytes. The element counts its decodes and panics
+    /// past a small limit, so the old loop fails here instead of hanging.
+    #[test]
+    fn a_lying_count_of_zero_byte_records_is_refused_at_the_first_record() {
+        use std::cell::Cell;
+        thread_local!(static STEPS: Cell<usize> = const { Cell::new(0) });
+        #[derive(Debug, PartialEq)]
+        struct Counted;
+        impl MemSize for Counted {
+            fn mem_size(&self) -> usize {
+                0
+            }
+            fn spillable() -> bool {
+                true
+            }
+            fn spill_encode(&self, _out: &mut Vec<u8>) {}
+            fn spill_decode(_input: &mut SpillCursor<'_>) -> Option<Self> {
+                let steps = STEPS.get() + 1;
+                assert!(steps <= 64, "decode loop ran away on a lying count");
+                STEPS.set(steps);
+                Some(Counted)
+            }
+        }
+        for lie in [u64::MAX, 1 << 32, MAX_EMPTY_RECORDS as u64 + 1] {
+            STEPS.set(0);
+            assert_eq!(decode_block::<Counted>(&lie.to_le_bytes()), None);
+            assert_eq!(STEPS.get(), 1, "count {lie:#x}");
+            // Nested, the outer records do consume bytes; the inner lie
+            // is still the first thing its decoder meets.
+            let mut nested = 1u64.to_le_bytes().to_vec();
+            nested.extend_from_slice(&lie.to_le_bytes());
+            assert_eq!(decode_block::<Vec<()>>(&nested), None);
+        }
+        // An honest count still decodes, one step per record.
+        STEPS.set(0);
+        let three = decode_block::<Counted>(&3u64.to_le_bytes()).expect("three units");
+        assert_eq!((three.len(), STEPS.get()), (3, 3));
+    }
+
     /// Mutation fuzz over the block codec: a truncated block never
-    /// decodes, and no mutation panics or pre-allocates past its input.
+    /// decodes; no truncation, bit flip or length lie panics, and whatever
+    /// still decodes re-encodes and was not allocated past its input.
     #[test]
     fn mutated_blocks_never_panic_and_truncations_never_decode() {
         fn fuzz<T: MemSize + PartialEq + std::fmt::Debug>(block: Vec<T>) {
             let mut bytes = Vec::new();
             block.spill_encode(&mut bytes);
             assert_eq!(decode_block::<T>(&bytes).as_ref(), Some(&block));
-            for cut in 0..bytes.len() {
-                assert!(decode_block::<T>(&bytes[..cut]).is_none(), "cut at {cut}");
-            }
-            for bit in 0..bytes.len() * 8 {
-                let mut mutated = bytes.clone();
-                mutated[bit / 8] ^= 1 << (bit % 8);
+            spangle_testkit::for_each_mutation(&bytes, |mutated| {
                 // Unframed, a flip may decode to a different value — the
-                // frame checksum exists for that — but never to more
-                // records than the input has bytes for.
-                if let Some(decoded) = decode_block::<T>(&mutated) {
+                // frame checksum exists for that — but never from a prefix
+                // and never to more records than the input has bytes for.
+                let Some(decoded) = decode_block::<T>(mutated) else {
+                    return;
+                };
+                assert!(mutated.len() >= bytes.len(), "a truncation decoded");
+                // Zero-sized records own no heap: only their count is bounded.
+                if std::mem::size_of::<T>() == 0 {
+                    assert!(decoded.len() <= MAX_EMPTY_RECORDS);
+                } else {
                     assert!(decoded.capacity() <= mutated.len().max(block.len()));
                 }
-            }
+                let mut again = Vec::new();
+                decoded.spill_encode(&mut again);
+                assert_eq!(again, mutated);
+            });
         }
         spangle_testkit::run_cases(0xB10C_C0DE, 12, |rng| {
             fuzz(rng.vec_of(0..6, |r| (r.next_u64(), r.next_u64())));
             fuzz(rng.vec_of(0..5, |r| (r.next_u64(), r.vec_of(0..4, |r| r.f64_unit()))));
-            fuzz(rng.vec_of(0..4, |r| crate::remote::ShardHandle {
-                slot: r.next_u64(),
-                epoch: r.next_u64(),
-                key: (r.next_u64(), r.next_u64()),
-                len: r.next_u64(),
-                checksum: r.next_u64(),
+            fuzz(rng.vec_of(0..4, |r| {
+                let key = (r.next_u64(), r.next_u64());
+                (r.next_u64(), r.next_u64(), key, r.next_u64(), r.next_u64())
             }));
+            fuzz(rng.vec_of(0..4, |_| ()));
+            fuzz(rng.vec_of(0..4, |r| (r.next_u64(), ())));
         });
     }
 }

@@ -69,7 +69,7 @@ impl Default for PlannerConfig {
     /// path tested. Explicit builder calls always win over the
     /// environment.
     fn default() -> Self {
-        let disabled = std::env::var_os("SPANGLE_DISABLE_PLANNER").is_some_and(|v| v != "0");
+        let disabled = crate::env::env_flag("SPANGLE_DISABLE_PLANNER");
         PlannerConfig {
             fuse_narrow_chains: !disabled,
             elide_shuffles: !disabled,

@@ -171,7 +171,7 @@ impl Default for SpeculationConfig {
     /// the non-speculative path tested. Explicit builder calls always win
     /// over the environment.
     fn default() -> Self {
-        let disabled = std::env::var_os("SPANGLE_DISABLE_SPECULATION").is_some_and(|v| v != "0");
+        let disabled = crate::env::env_flag("SPANGLE_DISABLE_SPECULATION");
         SpeculationConfig {
             enabled: !disabled,
             multiplier: 4.0,

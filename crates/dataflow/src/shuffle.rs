@@ -514,21 +514,6 @@ impl ShuffleService {
         self.blocks.retain(|_, origin| !origin.lives_on(executor))
     }
 
-    /// Drops one map partition's registered output (and its blocks) so a
-    /// later [`ShuffleService::claim_recovery`] reports it missing and
-    /// re-runs exactly that map task. The remote data plane calls this
-    /// when a map output's *payload* is unreachable even though the
-    /// driver-side records survive — the referenced bytes died with a
-    /// worker process — before failing the reduce with the matching
-    /// [`FetchFailedError`].
-    pub fn discard_map_output(&self, shuffle_id: usize, map_id: usize) {
-        if let Some(maps) = self.outputs.lock().get_mut(&shuffle_id) {
-            maps.remove(&map_id);
-        }
-        self.blocks
-            .retain(|id, _| !(id.shuffle_id == shuffle_id && id.map_id == map_id));
-    }
-
     /// Map partitions of `shuffle_id` with no registered output, ascending.
     fn missing_maps(&self, shuffle_id: usize, num_maps: usize) -> Vec<usize> {
         let outputs = self.outputs.lock();

@@ -25,9 +25,6 @@ use crate::frame;
 use crate::memsize::{decode_block, encode_records};
 use crate::Data;
 
-/// Frame magic for spill files; bump when the framing changes.
-const MAGIC: [u8; 4] = *b"SPL2";
-
 /// The only frame kind a spill file holds: one encoded block.
 const KIND_BLOCK: u8 = 0;
 
@@ -98,7 +95,7 @@ impl SpillStore {
         // leave no trace in the temp dir.
         fs::create_dir_all(&self.root)?;
         let id = self.next_file.fetch_add(1, Ordering::Relaxed);
-        let framed = frame::encode(MAGIC, KIND_BLOCK, payload);
+        let framed = frame::encode(KIND_BLOCK, payload);
         fs::write(self.root.join(id.to_string()), &framed)?;
         Ok((id, framed.len()))
     }
@@ -107,7 +104,7 @@ impl SpillStore {
     /// the file is missing, torn, corrupt, or longer than its frame.
     pub(crate) fn read(&self, id: u64) -> Option<Vec<u8>> {
         let mut file = fs::File::open(self.root.join(id.to_string())).ok()?;
-        let (kind, payload) = frame::read(&mut file, MAGIC, u64::MAX).ok()?;
+        let (kind, payload) = frame::read(&mut file).ok()?;
         let at_end = matches!(io::Read::read(&mut file, &mut [0u8]), Ok(0));
         (kind == KIND_BLOCK && at_end).then_some(payload)
     }

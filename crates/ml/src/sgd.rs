@@ -429,6 +429,33 @@ mod tests {
         }
     }
 
+    /// Mutation fuzzing of the sample-block codec: no truncation, bit flip
+    /// or length lie panics, a prefix never decodes, and whatever decodes
+    /// was not allocated past its input and re-encodes to the bytes it read.
+    #[test]
+    fn sample_block_codec_survives_mutation_fuzzing() {
+        let block = SampleBlock {
+            rows: vec![vec![(0, 1.0), (2, -2.0)], vec![], vec![(7, f64::NAN)]],
+            labels: vec![1.0, 0.0, 1.0],
+        };
+        let mut frame = Vec::new();
+        block.spill_encode(&mut frame);
+        spangle_testkit::for_each_mutation(&frame, |bytes| {
+            let mut cur = spangle_dataflow::SpillCursor::new(bytes);
+            let Some(back) = SampleBlock::spill_decode(&mut cur) else {
+                return;
+            };
+            assert!(bytes.len() >= frame.len(), "a truncation decoded");
+            let held = back.rows.capacity()
+                + back.rows.iter().map(Vec::capacity).sum::<usize>()
+                + back.labels.capacity();
+            assert!(held <= bytes.len(), "allocated past the input");
+            let mut again = Vec::new();
+            back.spill_encode(&mut again);
+            assert!(again == bytes[..bytes.len() - cur.remaining()]);
+        });
+    }
+
     #[test]
     fn opt_levels_agree_on_the_gradient() {
         let block = SampleBlock {

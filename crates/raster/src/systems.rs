@@ -573,6 +573,32 @@ mod tests {
         (spangle, dense, tiles)
     }
 
+    /// Mutation fuzzing of the tile codec: no truncation, bit flip or
+    /// length lie panics, a prefix never decodes, and whatever decodes was
+    /// not allocated past its input and re-encodes to the bytes it read.
+    #[test]
+    fn tile_codec_survives_mutation_fuzzing() {
+        let tile = Tile {
+            origin: vec![32, 64, 2],
+            extent: vec![3, 2],
+            data: vec![0.5, f64::NAN, -1.0, 2.0, 0.0, 7.25],
+        };
+        let mut frame = Vec::new();
+        tile.spill_encode(&mut frame);
+        spangle_testkit::for_each_mutation(&frame, |bytes| {
+            let mut cur = spangle_dataflow::SpillCursor::new(bytes);
+            let Some(back) = Tile::spill_decode(&mut cur) else {
+                return;
+            };
+            assert!(bytes.len() >= frame.len(), "a truncation decoded");
+            let held = back.origin.capacity() + back.extent.capacity() + back.data.capacity();
+            assert!(held <= bytes.len(), "allocated past the input");
+            let mut again = Vec::new();
+            back.spill_encode(&mut again);
+            assert!(again == bytes[..bytes.len() - cur.remaining()]);
+        });
+    }
+
     #[test]
     fn all_systems_agree_on_every_query() {
         let ctx = SpangleContext::new(4);

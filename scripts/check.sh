@@ -12,9 +12,9 @@
 #   scripts/check.sh <step> [...]     run only the named steps, in order
 #
 # Steps: fmt clippy build test planoff specoff spill health healthoff
-# proc doc stress bench benchmark
-# (proc, stress, bench and benchmark are CI-job-only: they are not part of
-# the default full gate because of their runtime.)
+# doc stress bench benchmark
+# (stress, bench and benchmark are CI-job-only: they are not part of the
+# default full gate because of their runtime.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -119,25 +119,6 @@ run_doc() {
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 }
 
-# The executor backend defaults to the in-process pool; this step runs
-# the whole suite with SPANGLE_BACKEND=proc, so every context is served
-# by real worker OS processes speaking the Unix-socket wire protocol,
-# then runs the SIGKILL crash gate: one worker process killed per
-# PageRank iteration, detected purely by missed socket heartbeats,
-# recovered bit-identically from lineage. Tests that pin a backend
-# through the builder win over the env default.
-run_proc() {
-    echo "== cargo test with SPANGLE_BACKEND=proc (watchdog ${WATCHDOG_SECS}s)"
-    cargo build -q -p spangle-dataflow --bin spangle_worker
-    local worker_bin="$PWD/target/debug/spangle_worker"
-    SPANGLE_BACKEND=proc SPANGLE_WORKER_BIN="$worker_bin" \
-        SPANGLE_PROC_MAX_WORKERS=4 \
-        watchdog cargo test -q --workspace
-    echo "== proc: SIGKILL crash-recovery gate"
-    SPANGLE_WORKER_BIN="$worker_bin" \
-        watchdog cargo test -q -p spangle-dataflow --test proc_backend -- --ignored
-}
-
 run_stress() {
     echo "== stress: concurrent jobs, admission overload (watchdog ${WATCHDOG_SECS}s)"
     # Serial: both scenarios assert on process-wide thread counts.
@@ -184,7 +165,7 @@ steps=()
 for arg in "$@"; do
     case "$arg" in
     --quick) steps+=(fmt clippy test planoff specoff spill health healthoff doc) ;;
-    fmt | clippy | build | test | planoff | specoff | spill | health | healthoff | proc | doc | stress | bench | benchmark) steps+=("$arg") ;;
+    fmt | clippy | build | test | planoff | specoff | spill | health | healthoff | doc | stress | bench | benchmark) steps+=("$arg") ;;
     -h | --help | *) usage ;;
     esac
 done
