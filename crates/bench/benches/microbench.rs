@@ -184,7 +184,7 @@ fn bench_block_kernels(c: &mut Criterion) {
         let b_index = ColumnIndex::of_block(&b_block, n, n);
         let mut acc = SparseAccumulator::default();
         group.bench_with_input(BenchmarkId::new("sparse_acc", label), &n, |bch, _| {
-            bch.iter(|| block_multiply_sparse(&a_index, &b_index, &mut acc))
+            bch.iter(|| block_multiply_sparse(&[(&a_index, &b_index)], &mut acc))
         });
         group.bench_with_input(BenchmarkId::new("index_build", label), &n, |bch, _| {
             bch.iter(|| ColumnIndex::of_block(black_box(&a), n, n))
@@ -320,6 +320,127 @@ fn bench_chunk_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// The spill frame's checksum at 1 MiB — `spangle-dataflow`'s own
+/// `frame.rs`, compiled into this bench by path because the module is
+/// private to its crate — against the byte-at-a-time FNV-1a it replaced.
+/// Divide 1 048 576 B by the printed time for GB/s.
+#[allow(dead_code)]
+#[path = "../../dataflow/src/frame.rs"]
+mod frame;
+
+fn bench_frame_checksum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("frame_checksum");
+    group.sample_size(20);
+    let payload: Vec<u8> = (0..1usize << 20)
+        .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+        .collect();
+    group.bench_function("four_lane_words/1MiB", |b| {
+        b.iter(|| frame::header(0, black_box(&payload)))
+    });
+    group.bench_function("fnv1a_bytes/1MiB", |b| {
+        b.iter(|| {
+            black_box(&payload)
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+                    (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        })
+    });
+    group.finish();
+}
+
+/// The reduce side of `MᵀM` for one output block: four 18 %-dense sorted
+/// runs of a 256² block (what four map partitions deposit per block on
+/// `gram_shuffle`; their sum is 55 % dense, a Dense chunk).
+/// `merge_pairwise` is the retired path — each run cloned out of its
+/// shuffle block, then merge-added into a fresh vector — and
+/// `accumulate` the scatter-add of the runs where they lie.
+/// `encode_from_sorted_cells` is the retired encode of the merged cell
+/// list, `take_chunk` the drain straight from the accumulator. The
+/// accumulator's two halves each time themselves, the other half running
+/// untimed in between.
+fn bench_partial_reduce(c: &mut Criterion) {
+    fn merge(a: Vec<(u32, f64)>, b: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    out.push((a[i].0, a[i].1 + b[j].1));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        out
+    }
+    let mut group = c.benchmark_group("partial_reduce");
+    group.sample_size(15);
+    let volume = 256 * 256;
+    let runs: Vec<Vec<(u32, f64)>> = (1..=4u64)
+        .map(|seed| {
+            (0..volume as u64)
+                .filter_map(|i| {
+                    let mut h = (i + (seed << 32)).wrapping_mul(0x9E3779B97F4A7C15);
+                    h = (h ^ (h >> 29)).wrapping_mul(0xBF58476D1CE4E5B9);
+                    h ^= h >> 32;
+                    (h % 100 < 18).then(|| (i as u32, ((h >> 40) + 1) as f64 / (1u64 << 24) as f64))
+                })
+                .collect()
+        })
+        .collect();
+    let entries: usize = runs.iter().map(Vec::len).sum();
+    let policy = ChunkPolicy::default();
+    group.bench_function(format!("merge_pairwise/{entries}_entries"), |b| {
+        b.iter(|| black_box(&runs).iter().cloned().fold(Vec::new(), merge))
+    });
+    let mut acc = SparseAccumulator::default();
+    acc.fit(volume);
+    group.bench_function(format!("accumulate/{entries}_entries"), |b| {
+        b.iter_custom(|iters| {
+            let mut timed = std::time::Duration::ZERO;
+            for _ in 0..iters {
+                let started = std::time::Instant::now();
+                acc.add_runs(black_box(&runs).iter().map(Vec::as_slice));
+                timed += started.elapsed();
+                black_box(acc.take_chunk(&policy));
+            }
+            timed
+        })
+    });
+    let merged = runs.iter().cloned().fold(Vec::new(), merge);
+    let cells = merged.len();
+    group.bench_function(format!("encode_from_sorted_cells/{cells}_cells"), |b| {
+        b.iter(|| {
+            let cells = black_box(&merged).iter().map(|&(i, v)| (i as usize, v));
+            Chunk::from_sorted_cells(volume, cells, &policy)
+        })
+    });
+    group.bench_function(format!("take_chunk/{cells}_cells"), |b| {
+        b.iter_custom(|iters| {
+            let mut timed = std::time::Duration::ZERO;
+            for _ in 0..iters {
+                acc.add_runs(black_box(&runs).iter().map(Vec::as_slice));
+                let started = std::time::Instant::now();
+                black_box(acc.take_chunk(&policy));
+                timed += started.elapsed();
+            }
+            timed
+        })
+    });
+    group.finish();
+}
+
 /// Short measurement windows so `cargo bench --workspace` stays quick;
 /// raise `measurement_time`/`sample_size` here for tighter numbers.
 fn quick_config() -> Criterion {
@@ -332,6 +453,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_popcount, bench_rank_strategies, bench_chunk_access, bench_block_kernels, bench_hierarchical, bench_adjacency_walk, bench_chunk_scan
+    targets = bench_popcount, bench_rank_strategies, bench_chunk_access, bench_block_kernels, bench_hierarchical, bench_adjacency_walk, bench_chunk_scan, bench_frame_checksum, bench_partial_reduce
 }
 criterion_main!(benches);

@@ -169,6 +169,13 @@ impl Bencher {
         }
         self.elapsed += start.elapsed();
     }
+
+    /// Lets the routine time itself, for hot loops with an untimed reset
+    /// between iterations: `f` runs this sample's iteration count and
+    /// returns how long the measured part of them took.
+    pub fn iter_custom(&mut self, mut f: impl FnMut(u64) -> Duration) {
+        self.elapsed += f(self.iters);
+    }
 }
 
 /// A benchmark name with a parameter, printed as `name/param`.
@@ -223,6 +230,9 @@ mod tests {
         b.iter(|| count += 1);
         assert_eq!(count, 25);
         assert!(b.elapsed > Duration::ZERO);
+        let before = b.elapsed;
+        b.iter_custom(Duration::from_nanos);
+        assert_eq!(b.elapsed - before, Duration::from_nanos(25));
     }
 
     #[test]

@@ -198,12 +198,22 @@ impl<E: Element> Chunk<E> {
             mask.set(off, true);
             compact.push(v);
         }
+        Chunk::from_compact(compact, mask, policy)
+    }
+
+    /// Builds from the valid cells' values alone — `compact[k]` is the
+    /// value of the cell at `mask`'s `k`-th set bit — which is already the
+    /// payload of a Sparse or SuperSparse chunk: the full-volume payload is
+    /// materialised only when the policy picks Dense. Returns `None` when
+    /// no cell is valid.
+    pub fn from_compact(compact: Vec<E>, mask: Bitmask, policy: &ChunkPolicy) -> Option<Self> {
+        assert_eq!(compact.len(), mask.count_ones(), "one value per valid cell");
         if compact.is_empty() {
             return None;
         }
-        Some(match policy.mode_for(volume, compact.len()) {
+        Some(match policy.mode_for(mask.len(), compact.len()) {
             ChunkMode::Dense => {
-                let mut payload = vec![E::default(); volume];
+                let mut payload = vec![E::default(); mask.len()];
                 for (off, v) in mask.iter_ones().zip(compact) {
                     payload[off] = v;
                 }

@@ -14,7 +14,9 @@
 //! * [`Rdd<T>`] is a typed, lazily evaluated lineage node supporting the
 //!   Spark transformations Spangle uses (`map`, `filter`, `flat_map`,
 //!   `map_partitions`, `union`, `zip_partitions`) and pair-RDD shuffles
-//!   (`reduce_by_key`, `group_by_key`, `partition_by`, `join`, `cogroup`);
+//!   (`reduce_by_key`, `group_by_key`, `partition_by`, `join`, `cogroup`,
+//!   and `map_shuffled_partitions`, which lends a reduce partition to its
+//!   closure by reference);
 //! * actions (`collect`, `count`, `reduce`, …) trigger the
 //!   [`scheduler`], which splits the lineage into stages at
 //!   [`shuffle`] dependencies and runs tasks on the executor pool;

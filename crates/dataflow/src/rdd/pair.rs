@@ -15,6 +15,7 @@ use crate::plan::PlanNodeInfo;
 use crate::scheduler::TaskContext;
 use crate::shuffle::BlockId;
 use crate::{Data, Key};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -97,22 +98,12 @@ impl<K: Key, V: Data, C: Data> ShuffleDependency<K, V, C> {
             parent,
             num_reduce_partitions: num_reduce,
             route: Arc::new(move |feed: RecordFeed<K, V>, n| {
-                let mut buckets: Vec<HashMap<K, C>> = vec![HashMap::new(); n];
+                let mut buckets: Vec<Combiners<K, C>> = vec![HashMap::new(); n];
                 feed(&mut |(k, v)| {
                     let bucket = &mut buckets[partitioner.partition(&k)];
-                    match bucket.remove(&k) {
-                        Some(c) => {
-                            bucket.insert(k, merge_value(c, v));
-                        }
-                        None => {
-                            bucket.insert(k, create(v));
-                        }
-                    }
+                    combine_owned(bucket, k, v, &create, &merge_value);
                 });
-                buckets
-                    .into_iter()
-                    .map(|m| m.into_iter().collect())
-                    .collect()
+                buckets.into_iter().map(drain_combiners).collect()
             }),
         })
     }
@@ -124,8 +115,9 @@ impl<K: Key, V: Data, C: Data> ShuffleDependency<K, V, C> {
     /// The reduce side's read: visits this shuffle's block for reduce
     /// partition `split` from every map partition, in map order. Zero-copy
     /// — `fetch_block` hands back the map side's block by `Arc`, so
-    /// visitors clone records one at a time, never the whole vector.
-    fn fetch_each(&self, split: usize, mut visit: impl FnMut(&[(K, C)])) {
+    /// visitors clone records one at a time (or keep the handle and clone
+    /// none), never the whole vector.
+    fn fetch_each(&self, split: usize, mut visit: impl FnMut(Arc<Vec<(K, C)>>)) {
         let ctx = self.context();
         for map_id in 0..self.parent.num_partitions() {
             cancellation_point();
@@ -134,7 +126,7 @@ impl<K: Key, V: Data, C: Data> ShuffleDependency<K, V, C> {
                 map_id,
                 reduce_id: split,
             };
-            visit(&ctx.inner.shuffle.fetch_block::<(K, C)>(ctx, id));
+            visit(ctx.inner.shuffle.fetch_block::<(K, C)>(ctx, id));
         }
     }
 }
@@ -195,6 +187,37 @@ impl<K: Key, V: Data, C: Data> Drop for ShuffleDependency<K, V, C> {
         // accumulate dead blocks.
         self.context().inner.shuffle.remove_shuffle(self.shuffle_id);
     }
+}
+
+/// Per-key combiners under construction. A slot is `None` only while its
+/// combiner is out being merged, so a record costs one hash: look the slot
+/// up, take the combiner, put the merged one back.
+type Combiners<K, C> = HashMap<K, Option<C>>;
+
+/// Folds one owned record into `combiners`.
+fn combine_owned<K: Key, V, C>(
+    combiners: &mut Combiners<K, C>,
+    k: K,
+    v: V,
+    create: impl Fn(V) -> C,
+    merge_value: impl Fn(C, V) -> C,
+) {
+    match combiners.entry(k) {
+        Entry::Occupied(mut slot) => {
+            let c = slot.get_mut().take().expect("combiner slot left empty");
+            *slot.get_mut() = Some(merge_value(c, v));
+        }
+        Entry::Vacant(slot) => {
+            slot.insert(Some(create(v)));
+        }
+    }
+}
+
+fn drain_combiners<K: Key, C>(combiners: Combiners<K, C>) -> Vec<(K, C)> {
+    combiners
+        .into_iter()
+        .map(|(k, c)| (k, c.expect("combiner slot left empty")))
+        .collect()
 }
 
 /// Where a shuffled dataset's records come from: the shuffle service
@@ -303,39 +326,37 @@ impl<K: Key, V: Data, C: Data> RddNode<(K, C)> for ShuffledRdd<K, V, C> {
                 // Per-key combine over the already co-located partition —
                 // the map-side and reduce-side combines of the wide path
                 // collapse into one local pass.
-                let mut merged: HashMap<K, C> = HashMap::new();
-                parent.stream(split, tc, &mut |(k, v)| match merged.remove(&k) {
-                    Some(c) => {
-                        merged.insert(k, merge_value(c, v));
-                    }
-                    None => {
-                        merged.insert(k, create(v));
-                    }
+                let mut merged: Combiners<K, C> = HashMap::new();
+                parent.stream(split, tc, &mut |(k, v)| {
+                    combine_owned(&mut merged, k, v, &**create, &**merge_value);
                 });
-                return merged.into_iter().collect();
+                return drain_combiners(merged);
             }
         };
         match &self.merge {
             None => {
                 let mut out: Vec<(K, C)> = Vec::new();
-                dep.fetch_each(split, |block| out.extend_from_slice(block));
+                dep.fetch_each(split, |block| out.extend_from_slice(&block));
                 out
             }
             Some(merge) => {
-                let mut merged: HashMap<K, C> = HashMap::new();
+                let mut merged: Combiners<K, C> = HashMap::new();
                 dep.fetch_each(split, |block| {
-                    for (k, c) in block {
-                        match merged.remove(k) {
-                            Some(existing) => {
-                                merged.insert(k.clone(), merge(existing, c.clone()));
+                    for (k, c) in block.iter() {
+                        // The key is cloned for the first record of a key
+                        // only; every later one is a lookup by reference.
+                        match merged.get_mut(k) {
+                            Some(slot) => {
+                                let existing = slot.take().expect("combiner slot left empty");
+                                *slot = Some(merge(existing, c.clone()));
                             }
                             None => {
-                                merged.insert(k.clone(), c.clone());
+                                merged.insert(k.clone(), Some(c.clone()));
                             }
                         }
                     }
                 });
-                merged.into_iter().collect()
+                drain_combiners(merged)
             }
         }
     }
@@ -352,6 +373,48 @@ impl<K: Key, V: Data, C: Data> RddNode<(K, C)> for ShuffledRdd<K, V, C> {
         for t in self.compute(split, tc) {
             sink(t);
         }
+    }
+}
+
+/// A reduce partition as its reader meets it: one slice per map partition,
+/// in map order.
+type BucketsFn<K, V, U> = Arc<dyn Fn(&[&[(K, V)]]) -> Vec<U> + Send + Sync>;
+
+/// Reduce side of a plain shuffle that is *transformed where it lands*
+/// instead of being concatenated first: the node behind
+/// [`PairRdd::map_shuffled_partitions`]. It fetches through the same
+/// [`ShuffleDependency::plain`] edge as `partition_by` — so lost map
+/// output, first-write-wins commits, spilled blocks and runtime coalescing
+/// behave exactly as they do there — but keeps the fetched blocks' handles
+/// and lends them to the closure, so no record is cloned between the map
+/// side's commit and the closure's own reads.
+struct ShuffleReadRdd<K: Key, V: Data, U: Data> {
+    base: RddBase,
+    dep: Arc<ShuffleDependency<K, V, V>>,
+    f: BucketsFn<K, V, U>,
+}
+
+impl<K: Key, V: Data, U: Data> RddNode<U> for ShuffleReadRdd<K, V, U> {
+    fn base(&self) -> &RddBase {
+        &self.base
+    }
+
+    fn num_partitions(&self) -> usize {
+        self.dep.num_reduce_partitions
+    }
+
+    fn dependencies(&self) -> Vec<Dependency> {
+        vec![Dependency::Shuffle(self.dep.clone())]
+    }
+
+    fn compute(&self, split: usize, _tc: &TaskContext) -> Vec<U> {
+        // Holds one reduce partition's blocks for the length of the call:
+        // what a concatenating reader would have copied, not more.
+        let mut blocks = Vec::with_capacity(self.dep.num_map_partitions());
+        self.dep.fetch_each(split, |block| blocks.push(block));
+        let buckets: Vec<&[(K, V)]> = blocks.iter().map(|block| block.as_slice()).collect();
+        cancellation_point();
+        (self.f)(&buckets)
     }
 }
 
@@ -471,6 +534,27 @@ pub trait PairRdd<K: Key, V: Data> {
     /// Re-partitions by key, preserving duplicates.
     fn partition_by(&self, partitioner: Arc<dyn Partitioner<K>>) -> Rdd<(K, V)>;
 
+    /// Re-partitions by key like [`PairRdd::partition_by`] and transforms
+    /// each reduce partition where it lands, *by reference*: `f` receives
+    /// the partition as the buckets the map side deposited for it — one
+    /// slice per map partition, in map order, an empty slice where a map
+    /// partition had nothing for it — and no record is cloned on the way.
+    /// Where each key's records sit inside a bucket is the order the map
+    /// partition emitted them in.
+    ///
+    /// This is the reduce for values that are large and only *read* to be
+    /// combined (sorted runs summed into an accumulator): `reduce_by_key`
+    /// would clone every fetched value to own it. Always a real shuffle,
+    /// never elided — the closure's contract is the map partitions'
+    /// buckets — and the output carries no partitioner signature, since
+    /// `f` may emit anything; re-attach one with
+    /// [`Rdd::assert_partitioned`] when `f` keeps the keys.
+    fn map_shuffled_partitions<U: Data>(
+        &self,
+        partitioner: Arc<dyn Partitioner<K>>,
+        f: impl Fn(&[&[(K, V)]]) -> Vec<U> + Send + Sync + 'static,
+    ) -> Rdd<U>;
+
     /// Merges all values of each key with `f`, combining map-side first.
     fn reduce_by_key(
         &self,
@@ -529,6 +613,18 @@ impl<K: Key, V: Data> PairRdd<K, V> for Rdd<(K, V)> {
         }
         let dep = ShuffleDependency::plain(self.clone(), partitioner);
         ShuffledRdd::create(dep, sig, None)
+    }
+
+    fn map_shuffled_partitions<U: Data>(
+        &self,
+        partitioner: Arc<dyn Partitioner<K>>,
+        f: impl Fn(&[&[(K, V)]]) -> Vec<U> + Send + Sync + 'static,
+    ) -> Rdd<U> {
+        Rdd::from_node(Arc::new(ShuffleReadRdd {
+            base: RddBase::new(self.context()),
+            dep: ShuffleDependency::plain(self.clone(), partitioner),
+            f: Arc::new(f),
+        }))
     }
 
     fn reduce_by_key(

@@ -16,6 +16,7 @@
 //! [`TieredStore`](crate::blockstore::TieredStore)'s job, not this one's.
 
 use std::any::Any;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -88,23 +89,27 @@ fn sweep_stale_spill_dirs() {
 }
 
 impl SpillStore {
-    /// Frame `payload` and write it as a new file. Returns the file id and
-    /// the on-disk length (framing included).
+    /// Frame `payload` and write it as a new file: the header, then the
+    /// payload from where it already is. Returns the file id and the
+    /// on-disk length (framing included).
     pub(crate) fn write(&self, payload: &[u8]) -> io::Result<(u64, usize)> {
         // The directory is created lazily so contexts that never spill
         // leave no trace in the temp dir.
         fs::create_dir_all(&self.root)?;
         let id = self.next_file.fetch_add(1, Ordering::Relaxed);
-        let framed = frame::encode(KIND_BLOCK, payload);
-        fs::write(self.root.join(id.to_string()), &framed)?;
-        Ok((id, framed.len()))
+        let mut file = fs::File::create(self.root.join(id.to_string()))?;
+        file.write_all(&frame::header(KIND_BLOCK, payload))?;
+        file.write_all(payload)?;
+        Ok((id, frame::HEADER_LEN + payload.len()))
     }
 
     /// Read a spill file back, verifying its frame. Returns `None` when
-    /// the file is missing, torn, corrupt, or longer than its frame.
+    /// the file is missing, torn, corrupt, or longer than its frame. The
+    /// payload buffer is sized once, from the file's own length.
     pub(crate) fn read(&self, id: u64) -> Option<Vec<u8>> {
         let mut file = fs::File::open(self.root.join(id.to_string())).ok()?;
-        let (kind, payload) = frame::read(&mut file).ok()?;
+        let on_disk = usize::try_from(file.metadata().ok()?.len()).ok()?;
+        let (kind, payload) = frame::read(&mut file, on_disk).ok()?;
         let at_end = matches!(io::Read::read(&mut file, &mut [0u8]), Ok(0));
         (kind == KIND_BLOCK && at_end).then_some(payload)
     }

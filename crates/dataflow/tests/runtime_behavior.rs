@@ -445,3 +445,144 @@ fn executor_count_does_not_change_results() {
     assert_eq!(outputs[0], outputs[1]);
     assert_eq!(outputs[1], outputs[2]);
 }
+
+/// What one reduce partition's closure saw under
+/// [`PairRdd::map_shuffled_partitions`]: per bucket, its records as
+/// `(key, map partition that emitted it, payload)`.
+type SeenBuckets = Vec<Vec<(u64, usize, u64)>>;
+
+/// The by-reference reduce read: the closure meets the map side's own
+/// records — not one clone between the commit and the closure — as one
+/// slice per map partition, in map order, an empty slice where a map
+/// partition had nothing for the reduce partition; and what it sees does
+/// not depend on shuffle elision being on or on the reduce tasks having
+/// been coalesced.
+#[test]
+fn shuffled_partitions_are_read_in_place_in_map_order() {
+    use spangle_dataflow::{MemSize, ModPartitioner};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    static CLONES: AtomicUsize = AtomicUsize::new(0);
+    struct Counted {
+        map: usize,
+        payload: u64,
+    }
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.fetch_add(1, Ordering::SeqCst);
+            Counted {
+                map: self.map,
+                payload: self.payload,
+            }
+        }
+    }
+    impl MemSize for Counted {
+        fn mem_size(&self) -> usize {
+            16
+        }
+    }
+
+    const MAPS: usize = 3;
+    const REDUCES: usize = 4;
+    // Map partition 1 emits even keys only: its buckets for the odd reduce
+    // partitions are empty.
+    let emits = |map: usize, x: u64| map != 1 || x.is_multiple_of(2);
+    let seen_by = |ctx: &SpangleContext| {
+        let read = ctx
+            .parallelize((0u64..60).collect(), MAPS)
+            .map_partitions_with_index(move |map, xs| {
+                xs.iter()
+                    .filter(|x| emits(map, **x))
+                    .map(|&x| (x % 8, Counted { map, payload: x }))
+                    .collect()
+            })
+            .map_shuffled_partitions(Arc::new(ModPartitioner::new(REDUCES)), |buckets| {
+                let seen: SeenBuckets = buckets
+                    .iter()
+                    .map(|bucket| bucket.iter().map(|(k, v)| (*k, v.map, v.payload)).collect())
+                    .collect();
+                vec![seen]
+            });
+        let first = read.collect().unwrap();
+        // The map output is committed; a second action reads it again and
+        // runs nothing of the map side.
+        let clones_before = CLONES.load(Ordering::SeqCst);
+        let before = ctx.metrics_snapshot();
+        let second = read.collect().unwrap();
+        let delta = ctx.metrics_snapshot() - before;
+        assert_eq!(delta.shuffle_write_bytes, 0, "the map stage was skipped");
+        assert!(delta.shuffle_read_bytes > 0);
+        assert_eq!(
+            CLONES.load(Ordering::SeqCst),
+            clones_before,
+            "no record may be cloned between the commit and the closure"
+        );
+        assert_eq!(first, second);
+        (first, delta.partitions_coalesced)
+    };
+
+    let pinned = |elide: bool, coalesce: bool| {
+        SpangleContext::builder()
+            .executors(2)
+            .elide_shuffles(elide)
+            .coalesce_partitions(coalesce)
+            .build()
+    };
+    let (seen, coalesced) = seen_by(&pinned(true, false));
+    assert_eq!(coalesced, 0);
+    assert_eq!(seen.len(), REDUCES, "one closure call per reduce partition");
+    for (reduce, buckets) in seen.iter().enumerate() {
+        assert_eq!(buckets.len(), MAPS, "one bucket per map partition");
+        for (map, bucket) in buckets.iter().enumerate() {
+            // 60 records over 3 map partitions: partition `map` holds
+            // 20·map .. 20·(map + 1), emitted in ascending order.
+            let expected: Vec<(u64, usize, u64)> = (20 * map as u64..20 * (map as u64 + 1))
+                .filter(|x| emits(map, *x) && (x % 8) as usize % REDUCES == reduce)
+                .map(|x| (x % 8, map, x))
+                .collect();
+            assert_eq!(bucket, &expected, "reduce {reduce}, bucket {map}");
+        }
+    }
+    assert!(seen[1][1].is_empty() && seen[3][1].is_empty());
+    assert!(!seen[1][0].is_empty() && !seen[1][2].is_empty());
+
+    let (unelided, _) = seen_by(&pinned(false, false));
+    assert_eq!(unelided, seen);
+    // A few hundred bytes against a 1 MiB target: four reduce partitions
+    // run as two tasks (one per executor).
+    let (coalesced_seen, coalesced) = seen_by(&pinned(true, true));
+    assert!(coalesced > 0, "the reduce tasks must have been coalesced");
+    assert_eq!(coalesced_seen, seen);
+}
+
+/// The by-reference reader inherits fetch-failure recovery from the plain
+/// shuffle it reads: an executor killed between the map stage and the
+/// reduce surfaces as a typed `FetchFailed`, only its map partition is
+/// recomputed, and the re-run bucket is back in its map-order slot.
+#[test]
+fn a_lost_map_output_under_the_by_reference_reader_reruns_only_that_map() {
+    let ctx = SpangleContext::new(2);
+    let read = ctx
+        .parallelize((0u64..100).map(|i| (i % 4, i)).collect(), 2)
+        .map_shuffled_partitions(Arc::new(HashPartitioner::new(2)), |buckets| {
+            let sums: Vec<u64> = buckets
+                .iter()
+                .map(|bucket| bucket.iter().map(|(_, v)| v).sum())
+                .collect();
+            vec![sums]
+        });
+    let baseline = read.collect().unwrap();
+    assert!(baseline.iter().all(|sums| sums.len() == 2));
+
+    let s1 = ctx.metrics_snapshot();
+    let loss = ctx.kill_executor(1);
+    assert!(loss.shuffle_blocks_dropped >= 1);
+    let recovered = read.collect().unwrap();
+    let recovery = ctx.metrics_snapshot() - s1;
+    assert_eq!(recovered, baseline, "bucket by bucket, in map order");
+    assert!(recovery.fetch_failures >= 1, "{recovery:?}");
+    assert_eq!(
+        recovery.map_partitions_recomputed, 1,
+        "only executor 1's map partition is recomputed: {recovery:?}"
+    );
+}

@@ -15,7 +15,7 @@
 //! ascending `k` — so all kernels below agree bit for bit.
 
 use spangle_bitmask::{choose_validity_repr, Bitmask, OffsetArray, ValidityRepr};
-use spangle_core::{Chunk, ChunkPolicy};
+use spangle_core::{Chunk, ChunkMode, ChunkPolicy};
 
 /// Builds a block chunk from a dense column-last buffer, dropping zeros
 /// into the mask (zero == invalid in matrix mode).
@@ -104,17 +104,18 @@ impl ColumnIndex {
     }
 }
 
-/// One output column's running sums plus the bitmask of the rows touched
-/// so far. Flushing walks the mask's set bits, which yields the column's
-/// non-zeros already sorted, and leaves both all-zero — so one accumulator
-/// serves any number of products in a row.
+/// Running sums plus the bitmask of the slots touched so far. Draining it
+/// — [`SparseAccumulator::take_chunk`] on the reduce side, the kernel's
+/// per-column flush on the multiply side — walks the mask's set bits, which
+/// yields the non-zeros already sorted, and leaves both all-zero: one
+/// accumulator serves any number of products in a row.
 pub struct SparseAccumulator {
     sums: Vec<f64>,
     touched: Bitmask,
 }
 
 impl Default for SparseAccumulator {
-    /// An empty accumulator; it grows to the tallest block it meets.
+    /// An empty accumulator; it takes the length of the block it meets.
     fn default() -> Self {
         SparseAccumulator {
             sums: Vec::new(),
@@ -124,55 +125,145 @@ impl Default for SparseAccumulator {
 }
 
 impl SparseAccumulator {
-    fn fit(&mut self, rows: usize) {
-        if self.sums.len() < rows {
-            self.sums.resize(rows, 0.0);
-            self.touched = Bitmask::zeros(rows);
+    /// Sizes the (all-zero) accumulator to exactly `len` slots.
+    pub fn fit(&mut self, len: usize) {
+        if self.sums.len() != len {
+            self.sums.clear();
+            self.sums.resize(len, 0.0);
+            self.touched = Bitmask::zeros(len);
         }
     }
 
-    /// Appends the touched rows' sums as `(base + r, sum)` in ascending
-    /// `r`, dropping exact zeros, and resets the accumulator.
+    /// Sums sorted partial-product runs into the accumulator, in the order
+    /// given. The accumulator must be drained (all-zero), which is what
+    /// lets the first run be *stored* rather than added: `0.0 + v` is `v`,
+    /// and a store never reads its slot.
+    ///
+    /// The store is worth more than the load it saves. A Dense chunk takes
+    /// the sums buffer with it ([`SparseAccumulator::take_chunk`]), so the
+    /// next block's sums are pages fresh from the allocator, and a
+    /// read-modify-write of an untouched page faults twice — the read maps
+    /// the shared zero page, the write then replaces it, with a TLB
+    /// shootdown — where a store faults once. Any run dense enough to sum
+    /// to a Dense chunk touches every page, so after the first run no slot
+    /// is on a fresh page. On the 2-vCPU box the 64 output blocks of one
+    /// `gram_shuffle` reduce task (3 M entries) sum in 7–20 ms this way and
+    /// in 125–205 ms when the first run is added like the rest.
+    pub fn add_runs<'a>(&mut self, runs: impl IntoIterator<Item = &'a [(u32, f64)]>) {
+        debug_assert!(self.touched.all_zero(), "accumulator not drained");
+        let mut runs = runs.into_iter();
+        if let Some(first) = runs.next() {
+            for &(i, v) in first {
+                self.sums[i as usize] = v;
+                self.touched.set(i as usize, true);
+            }
+        }
+        for run in runs {
+            for &(i, v) in run {
+                self.sums[i as usize] += v;
+                self.touched.set(i as usize, true);
+            }
+        }
+    }
+
+    /// Appends the touched slots' sums as `(base + i, sum)` in ascending
+    /// `i`, dropping exact zeros, and resets the accumulator.
     fn flush_into(&mut self, base: usize, out: &mut Vec<(u32, f64)>) {
-        for r in self.touched.iter_ones() {
-            let v = std::mem::take(&mut self.sums[r]);
+        for i in self.touched.iter_ones() {
+            let v = std::mem::take(&mut self.sums[i]);
             if v != 0.0 {
-                out.push(((base + r) as u32, v));
+                out.push(((base + i) as u32, v));
             }
         }
         self.touched.clear();
     }
+
+    /// Drains the accumulator into the chunk of its non-zero sums — the
+    /// mask from the touched mask, the payload from the sums, with no cell
+    /// list in between — and resets it. `None` when nothing is left: exact
+    /// cancellations are zeros, and zeros are invalid cells.
+    pub fn take_chunk(&mut self, policy: &ChunkPolicy) -> Option<Chunk<f64>> {
+        let volume = self.sums.len();
+        let touched = self.touched.count_ones();
+        if policy.mode_for(volume, touched) == ChunkMode::Dense {
+            // The sums are the payload as they stand: the chunk takes the
+            // buffer and the accumulator a fresh one. Untouched slots are
+            // zero like cancelled ones, so a touched word's valid bits are
+            // exactly its non-zero slots.
+            let words = self.touched.words().iter().zip(self.sums.chunks(64));
+            let valid = words.map(|(&word, slots)| match word {
+                0 => 0,
+                _ => slots
+                    .iter()
+                    .enumerate()
+                    .fold(0, |bits, (j, v)| bits | u64::from(*v != 0.0) << j),
+            });
+            let mask = Bitmask::from_words(volume, valid.collect());
+            self.touched.clear();
+            let payload = std::mem::replace(&mut self.sums, vec![0.0; volume]);
+            return Chunk::build(payload, mask, policy);
+        }
+        // Fewer valid cells only lower the density: not Dense either. One
+        // walk over the touched slots copies the non-zero sums out in mask
+        // order and resets every slot it passes.
+        let mut compact = Vec::with_capacity(touched);
+        let mut cancelled = Vec::new();
+        let sums = &mut self.sums;
+        self.touched
+            .for_each_one(|i| match std::mem::take(&mut sums[i]) {
+                v if v != 0.0 => compact.push(v),
+                _ => cancelled.push(i),
+            });
+        let mut mask = std::mem::replace(&mut self.touched, Bitmask::zeros(volume));
+        for i in cancelled {
+            mask.set(i, false);
+        }
+        Chunk::from_compact(compact, mask, policy)
+    }
 }
 
-/// `A · B` for indexed blocks `A (a.rows × inner)` and `B (inner × b.cols)`
-/// as the sorted `(local offset, value)` run of its non-zeros — the form
-/// partial products cross the shuffle in. Exact cancellations are dropped.
+/// `Σ A_k · B_k` over `pairs` of indexed blocks `A_k (rows × inner_k)` and
+/// `B_k (inner_k × cols)` — every contribution to one output block — as the
+/// sorted `(local offset, value)` run of its non-zeros, the form partial
+/// products cross the shuffle in. Exact cancellations are dropped.
 ///
-/// Output column `c` is accumulated in `acc` and flushed through its
-/// touched-rows bitmask before column `c + 1` starts, so offsets come out
-/// strictly ascending with no scratch of the block's volume, no scan and
-/// no sort.
+/// Output column `c` is accumulated in `acc` over *all* pairs and flushed
+/// through its touched-rows bitmask before column `c + 1` starts, so every
+/// entry is written once however many pairs feed it, offsets come out
+/// strictly ascending, and there is no scratch of the block's volume, no
+/// merge and no sort. With `pairs` in ascending contraction order each cell
+/// receives its terms in ascending global `k`.
 pub fn block_multiply_sparse(
-    a: &ColumnIndex,
-    b: &ColumnIndex,
+    pairs: &[(&ColumnIndex, &ColumnIndex)],
     acc: &mut SparseAccumulator,
 ) -> Vec<(u32, f64)> {
-    debug_assert_eq!(a.cols(), b.rows, "inner block extents must agree");
-    acc.fit(a.rows);
+    let Some(&(first_a, first_b)) = pairs.first() else {
+        return Vec::new();
+    };
+    let (rows, cols) = (first_a.rows, first_b.cols());
+    debug_assert!(
+        pairs
+            .iter()
+            .all(|(a, b)| a.rows == rows && b.cols() == cols && a.cols() == b.rows),
+        "pairs must share the output extent and agree on their inner extents"
+    );
+    acc.fit(rows);
     let mut out = Vec::new();
-    for c in 0..b.cols() {
-        let (ks, vbs) = b.column(c);
+    for c in 0..cols {
         let mut touched_any = false;
-        for (&k, &vb) in ks.iter().zip(vbs) {
-            let (rs, vas) = a.column(k as usize);
-            touched_any |= !rs.is_empty();
-            for (&r, &va) in rs.iter().zip(vas) {
-                acc.sums[r as usize] += va * vb;
-                acc.touched.set(r as usize, true);
+        for (a, b) in pairs {
+            let (ks, vbs) = b.column(c);
+            for (&k, &vb) in ks.iter().zip(vbs) {
+                let (rs, vas) = a.column(k as usize);
+                touched_any |= !rs.is_empty();
+                for (&r, &va) in rs.iter().zip(vas) {
+                    acc.sums[r as usize] += va * vb;
+                    acc.touched.set(r as usize, true);
+                }
             }
         }
         if touched_any {
-            acc.flush_into(c * a.rows, &mut out);
+            acc.flush_into(c * rows, &mut out);
         }
     }
     out
@@ -489,7 +580,7 @@ mod tests {
 
             let a_index = ColumnIndex::of_block(&a, a_rows, inner);
             let b_index = ColumnIndex::of_block(&b, inner, b_cols);
-            let got = block_multiply_sparse(&a_index, &b_index, &mut acc);
+            let got = block_multiply_sparse(&[(&a_index, &b_index)], &mut acc);
 
             assert!(
                 acc.sums.iter().all(|v| v.to_bits() == 0) && acc.touched.all_zero(),
@@ -502,9 +593,6 @@ mod tests {
             assert!(got.iter().all(|&(_, v)| v != 0.0), "zeros are not emitted");
 
             let retired = retired_dense_scratch_product(&a, a_rows, &b, inner, b_cols);
-            let bits = |run: &[(u32, f64)]| -> Vec<(u32, u64)> {
-                run.iter().map(|&(i, v)| (i, v.to_bits())).collect()
-            };
             assert_eq!(bits(&got), bits(&retired), "partials must be bit-identical");
 
             // Terms that summed to an exact zero were dropped.
@@ -558,6 +646,225 @@ mod tests {
             "every chunk mode must occur on both sides"
         );
         assert!(cancellations > 0, "no case exercised an exact cancellation");
+    }
+
+    /// Merge-adds two sorted sparse partial blocks — how partial products
+    /// were combined before the kernel summed all of a block's pairs
+    /// itself: one fresh vector per merge. Kept as the reference.
+    fn merge_sparse_partials(a: Vec<(u32, f64)>, b: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    out.push((a[i].0, a[i].1 + b[j].1));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        out
+    }
+
+    fn bits(run: &[(u32, f64)]) -> Vec<(u32, u64)> {
+        run.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+    }
+
+    fn dense_of_run(run: &[(u32, f64)], volume: usize) -> Vec<f64> {
+        let mut out = vec![0.0; volume];
+        for &(i, v) in run {
+            out[i as usize] = v;
+        }
+        out
+    }
+
+    /// The multi-pair product against the retired path — one run emitted
+    /// per pair, the runs merge-added in ascending key order, zeros dropped
+    /// at the end — and against the dense kernels.
+    ///
+    /// Both paths add the same terms; they associate them differently. The
+    /// retired path closes each pair's sum before adding it to the total,
+    /// `(t₁ + t₂) + (t₃ + t₄)`; one accumulator across the pairs is the
+    /// running sum `((t₁ + t₂) + t₃) + t₄`. So the runs are compared bit
+    /// for bit wherever the arithmetic is exact — integral values, which
+    /// is also where sums cancel, and any product of at most one pair —
+    /// and to 1e-12 otherwise; and *always* bit for bit against the
+    /// dense-output kernel accumulating pair after pair into one buffer,
+    /// which is the same running sum.
+    #[test]
+    fn multi_pair_product_matches_the_retired_merge_path_over_generated_blocks() {
+        let mut acc = SparseAccumulator::default();
+        let mut modes_seen = [[false; 3]; 2];
+        let mut pair_counts_seen = [false; 3];
+        let (mut cancellations, mut reassociated) = (0usize, 0usize);
+        spangle_testkit::run_cases(0xACC5, 400, |rng| {
+            let (rows, cols) = (rng.usize_in(1..40), rng.usize_in(1..40));
+            let volume = rows * cols;
+            let integral = rng.bool();
+            let num_pairs = [0, 1, rng.usize_in(2..7)][rng.usize_in(0..3)];
+            pair_counts_seen[num_pairs.min(2)] = true;
+            // Each pair has its own inner extent: the last contraction
+            // block of a ragged matrix is narrower than the others.
+            let blocks: Vec<(usize, Chunk<f64>, Chunk<f64>)> = (0..num_pairs)
+                .map(|_| {
+                    let inner = rng.usize_in(1..40);
+                    let a_nnz = generated_nnz(rng, rows * inner);
+                    let b_nnz = generated_nnz(rng, inner * cols);
+                    let (a_policy, b_policy) = (generated_policy(rng), generated_policy(rng));
+                    let a = generated_block(rng, rows, inner, a_nnz, integral, &a_policy);
+                    let b = generated_block(rng, inner, cols, b_nnz, integral, &b_policy);
+                    modes_seen[0][a.mode() as usize] = true;
+                    modes_seen[1][b.mode() as usize] = true;
+                    (inner, a, b)
+                })
+                .collect();
+            let indexed: Vec<(ColumnIndex, ColumnIndex)> = blocks
+                .iter()
+                .map(|(inner, a, b)| {
+                    (
+                        ColumnIndex::of_block(a, rows, *inner),
+                        ColumnIndex::of_block(b, *inner, cols),
+                    )
+                })
+                .collect();
+            let pairs: Vec<(&ColumnIndex, &ColumnIndex)> =
+                indexed.iter().map(|(a, b)| (a, b)).collect();
+
+            let got = block_multiply_sparse(&pairs, &mut acc);
+            assert!(
+                acc.sums.iter().all(|v| v.to_bits() == 0) && acc.touched.all_zero(),
+                "accumulator must be all-zero after a product"
+            );
+            assert!(
+                got.windows(2).all(|w| w[0].0 < w[1].0),
+                "offsets must ascend strictly"
+            );
+            assert!(got.iter().all(|&(_, v)| v != 0.0), "zeros are not emitted");
+            let got_dense = dense_of_run(&got, volume);
+
+            let mut retired = pairs
+                .iter()
+                .map(|&pair| block_multiply_sparse(&[pair], &mut acc))
+                .fold(Vec::new(), merge_sparse_partials);
+            let merged_len = retired.len();
+            retired.retain(|&(_, v)| v != 0.0);
+            cancellations += merged_len - retired.len();
+            if integral || num_pairs <= 1 {
+                assert_eq!(
+                    bits(&got),
+                    bits(&retired),
+                    "exact sums must agree to the bit"
+                );
+            } else {
+                let retired_dense = dense_of_run(&retired, volume);
+                for (i, (x, y)) in got_dense.iter().zip(&retired_dense).enumerate() {
+                    assert!((x - y).abs() <= 1e-12, "cell {i}: {x} vs retired {y}");
+                }
+                reassociated += usize::from(bits(&got) != bits(&retired));
+            }
+
+            let mut masked = vec![0.0; volume];
+            let mut dense = vec![0.0; volume];
+            for (inner, a, b) in &blocks {
+                block_multiply_into(a, rows, b, *inner, cols, &mut masked);
+                block_multiply_dense_into(a, rows, b, *inner, cols, &mut dense);
+            }
+            for (i, (x, y)) in got_dense.iter().zip(&masked).enumerate() {
+                assert!(
+                    x.to_bits() == y.to_bits() || (*x == 0.0 && *y == 0.0),
+                    "cell {i}: {x} vs the running dense sum {y}"
+                );
+            }
+            for (i, (x, y)) in got_dense.iter().zip(&dense).enumerate() {
+                assert!((x - y).abs() <= 1e-12, "cell {i}: {x} vs dense {y}");
+            }
+        });
+        assert_eq!(
+            modes_seen, [[true; 3]; 2],
+            "every chunk mode must occur on both sides"
+        );
+        assert_eq!(pair_counts_seen, [true; 3], "0, 1 and many pairs");
+        assert!(cancellations > 0, "no case exercised an exact cancellation");
+        assert!(
+            reassociated > 0,
+            "no real-valued case told the two associations apart"
+        );
+    }
+
+    /// The reduce side's drain: runs scatter-added in order, the chunk
+    /// taken from the touched mask and the sums, against the retired
+    /// merge-then-`from_sorted_cells` encode — byte-identical chunks in
+    /// every mode, cancelled cells invalid, the accumulator all-zero after.
+    #[test]
+    fn take_chunk_equals_merging_runs_and_encoding_their_cells() {
+        let mut acc = SparseAccumulator::default();
+        let mut modes_seen = [false; 3];
+        let (mut cancellations, mut empties) = (0usize, 0usize);
+        spangle_testkit::run_cases(0x7A4E, 300, |rng| {
+            let volume = rng.usize_in(1..1600);
+            let policy = generated_policy(rng);
+            let integral = rng.bool();
+            let keep_one_in = [1, 2, 3, 20, 200, volume][rng.usize_in(0..6)];
+            let runs: Vec<Vec<(u32, f64)>> = (0..rng.usize_in(0..5))
+                .map(|_| {
+                    (0..volume)
+                        .filter_map(|i| {
+                            if rng.usize_in(0..keep_one_in) != 0 {
+                                return None;
+                            }
+                            let v = if integral {
+                                [-1.0, 1.0][rng.usize_in(0..2)]
+                            } else {
+                                rng.f64_unit() - 0.5
+                            };
+                            Some((i as u32, v))
+                        })
+                        .collect()
+                })
+                .collect();
+            acc.fit(volume);
+            acc.add_runs(runs.iter().map(Vec::as_slice));
+            let got = acc.take_chunk(&policy);
+            assert!(
+                acc.sums.iter().all(|v| v.to_bits() == 0) && acc.touched.all_zero(),
+                "accumulator must be all-zero after a drain"
+            );
+            assert_eq!((acc.sums.len(), acc.touched.len()), (volume, volume));
+
+            let merged = runs.iter().cloned().fold(Vec::new(), merge_sparse_partials);
+            let cells: Vec<(usize, f64)> = merged
+                .iter()
+                .filter(|(_, v)| *v != 0.0)
+                .map(|&(i, v)| (i as usize, v))
+                .collect();
+            cancellations += merged.len() - cells.len();
+            let expected = Chunk::from_sorted_cells(volume, cells, &policy);
+            match (&got, &expected) {
+                (None, None) => empties += 1,
+                (Some(got), Some(expected)) => {
+                    modes_seen[got.mode() as usize] = true;
+                    use spangle_dataflow::MemSize;
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    got.spill_encode(&mut a);
+                    expected.spill_encode(&mut b);
+                    assert_eq!(a, b, "encodings must agree byte for byte");
+                    assert_eq!(got.mem_bytes(), expected.mem_bytes());
+                }
+                _ => panic!("one path built a chunk, the other none"),
+            }
+        });
+        assert_eq!(modes_seen, [true; 3], "every mode must be generated");
+        assert!(cancellations > 0 && empties > 0);
     }
 
     #[test]

@@ -17,32 +17,6 @@
 //! tiny partial vectors.
 
 use crate::block::{block_multiply_sparse, block_transpose, ColumnIndex, SparseAccumulator};
-
-/// Merge-adds two sorted sparse partial blocks.
-fn merge_sparse_partials(a: Vec<(u32, f64)>, b: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((a[i].0, a[i].1 + b[j].1));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
 use crate::vector::{DenseVector, Orientation};
 use spangle_core::{ArrayBuilder, ArrayMeta, ArrayRdd, Chunk, ChunkPolicy, ColumnWalk};
 use spangle_dataflow::{
@@ -247,79 +221,100 @@ impl DistMatrix {
             }
         };
 
-        // Join on the inner index and contract each (A-block, B-block)
-        // pair. Every block under a key is indexed once — it meets every
-        // block of the other side there — and one accumulator serves all
-        // the key's pairs, so a pair costs its multiplications and nothing
-        // proportional to the block volume. Partials are shipped
-        // *sparsely* — sorted `(local offset, value)` runs, which is how
-        // the kernel emits them — so hyper-sparse contractions (the MᵀM
-        // cases that OOM dense systems, §VII-C) stay proportional to their
-        // non-zeros.
+        // Join on the inner index and contract, one pass per partition.
+        // Every block is indexed once — under its key it meets every block
+        // of the other side — and every output block the partition
+        // contributes to is summed over *all* the partition's keys in one
+        // accumulator before it is emitted, so a term costs its
+        // multiply-add and an entry is written once. What crosses the
+        // shuffle is one sorted `(local offset, value)` run per partition
+        // and output block: hyper-sparse contractions (the MᵀM cases that
+        // OOM dense systems, §VII-C) stay proportional to their non-zeros.
+        //
+        // Keys are visited in ascending order — a cogrouped partition lists
+        // them in an order that differs from run to run — so every cell's
+        // terms are added in ascending `k` and the runs are a fixed
+        // function of the layout.
         let out_grid_rows = out_meta.grid_dims()[0] as u64;
         let contraction_meta = (a_meta.clone(), b_meta.clone());
-        let partials =
-            keyed_a
-                .cogroup(&keyed_b, partitioner)
-                .flat_map(move |(kb, (a_blocks, b_blocks))| {
-                    let (a_meta, b_meta) = &contraction_meta;
-                    let a_mapper = a_meta.mapper();
-                    let b_mapper = b_meta.mapper();
-                    let a_grid_rows = a_meta.grid_dims()[0] as u64;
-                    let b_grid_rows = b_meta.grid_dims()[0] as u64;
-                    let a_indexed: Vec<(u64, ColumnIndex)> = a_blocks
-                        .iter()
-                        .map(|(gr, chunk)| {
+        let partials = keyed_a
+            .cogroup(&keyed_b, partitioner)
+            .map_partitions(move |groups| {
+                let (a_meta, b_meta) = &contraction_meta;
+                let a_mapper = a_meta.mapper();
+                let b_mapper = b_meta.mapper();
+                let a_grid_rows = a_meta.grid_dims()[0] as u64;
+                let b_grid_rows = b_meta.grid_dims()[0] as u64;
+                let mut groups: Vec<_> = groups.iter().collect();
+                groups.sort_unstable_by_key(|(kb, _)| *kb);
+                type Indexed = Vec<(u64, ColumnIndex)>;
+                let indexed: Vec<(Indexed, Indexed)> = groups
+                    .into_iter()
+                    .map(|(kb, (a_blocks, b_blocks))| {
+                        let a_indexed = a_blocks.iter().map(|(gr, chunk)| {
                             let extent = a_mapper.chunk_extent(gr + kb * a_grid_rows);
                             (*gr, ColumnIndex::of_block(chunk, extent[0], extent[1]))
-                        })
-                        .collect();
-                    let b_indexed: Vec<(u64, ColumnIndex)> = b_blocks
-                        .iter()
-                        .map(|(gc, chunk)| {
+                        });
+                        let b_indexed = b_blocks.iter().map(|(gc, chunk)| {
                             let extent = b_mapper.chunk_extent(kb + gc * b_grid_rows);
                             (*gc, ColumnIndex::of_block(chunk, extent[0], extent[1]))
-                        })
-                        .collect();
-                    let mut acc = SparseAccumulator::default();
-                    let mut out = Vec::with_capacity(a_indexed.len() * b_indexed.len());
-                    for (gr, a_index) in &a_indexed {
-                        for (gc, b_index) in &b_indexed {
-                            // One poll per block pair: a straggling or
-                            // deadlined contraction yields between GEMM
-                            // kernels rather than finishing the tile walk.
-                            cancellation_point();
-                            let sparse = block_multiply_sparse(a_index, b_index, &mut acc);
-                            if sparse.is_empty() {
-                                continue;
-                            }
+                        });
+                        (a_indexed.collect(), b_indexed.collect())
+                    })
+                    .collect();
+                let mut by_output: BTreeMap<u64, Vec<(&ColumnIndex, &ColumnIndex)>> =
+                    BTreeMap::new();
+                for (a_indexed, b_indexed) in &indexed {
+                    for (gr, a_index) in a_indexed {
+                        for (gc, b_index) in b_indexed {
                             let out_id = gr + gc * out_grid_rows;
-                            out.push((out_id, sparse));
+                            by_output
+                                .entry(out_id)
+                                .or_default()
+                                .push((a_index, b_index));
                         }
                     }
-                    out
-                });
+                }
+                let mut acc = SparseAccumulator::default();
+                let mut out = Vec::with_capacity(by_output.len());
+                for (out_id, pairs) in by_output {
+                    // One poll per output block: a straggling or deadlined
+                    // contraction yields between GEMM kernels rather than
+                    // finishing the tile walk.
+                    cancellation_point();
+                    let run = block_multiply_sparse(&pairs, &mut acc);
+                    if !run.is_empty() {
+                        out.push((out_id, run));
+                    }
+                }
+                out
+            });
 
-        // Reduce sparse partials per output chunk (merge-add of sorted
-        // runs) and re-encode as chunks.
+        // Reduce per output chunk, reading the shuffled runs where the map
+        // side left them: a block's runs are scatter-added, in map order,
+        // into one accumulator of the block's volume, and the chunk is
+        // encoded straight from its touched mask and sums.
         let n_out = self.array.rdd().num_partitions();
-        let reduced =
-            partials.reduce_by_key(Arc::new(HashPartitioner::new(n_out)), merge_sparse_partials);
         let red_meta = out_meta.clone();
-        let rdd = reduced.flat_map(move |(id, cells)| {
-            let volume = red_meta.mapper().chunk_volume(id);
-            // Exact cancellations are zeros, and zeros are invalid cells.
-            // Merged runs stay sorted, so the chunk is encoded from them
-            // directly.
-            let cells = cells
-                .into_iter()
-                .filter(|(_, v)| *v != 0.0)
-                .map(|(i, v)| (i as usize, v));
-            Chunk::from_sorted_cells(volume, cells, &policy)
-                .map(|c| (id, c))
-                .into_iter()
-                .collect::<Vec<_>>()
-        });
+        let rdd = partials.map_shuffled_partitions(
+            Arc::new(HashPartitioner::new(n_out)),
+            move |buckets| {
+                let mapper = red_meta.mapper();
+                // Stable: a block's runs keep their bucket (= map) order.
+                let mut runs: Vec<_> = buckets.iter().flat_map(|bucket| bucket.iter()).collect();
+                runs.sort_by_key(|(id, _)| *id);
+                let mut acc = SparseAccumulator::default();
+                let mut out = Vec::new();
+                for block_runs in runs.chunk_by(|a, b| a.0 == b.0) {
+                    cancellation_point();
+                    let id = block_runs[0].0;
+                    acc.fit(mapper.chunk_volume(id));
+                    acc.add_runs(block_runs.iter().map(|(_, run)| run.as_slice()));
+                    out.extend(acc.take_chunk(&policy).map(|chunk| (id, chunk)));
+                }
+                out
+            },
+        );
         let sig = spangle_dataflow::Partitioner::<u64>::sig(&HashPartitioner::new(n_out));
         let rdd = rdd.assert_partitioned(sig);
         DistMatrix {

@@ -200,3 +200,72 @@ fn repeated_gram_calls_leave_nothing_behind() {
     assert_eq!(ctx.cached_bytes(), cached_after_first);
     assert_eq!(ctx.shuffle_resident_bytes(), 0);
 }
+
+/// Entries that do not round-trip through small integers: their products
+/// round, so the order a cell's terms are added in shows in its last bits.
+fn real_entry(r: usize, c: usize) -> Option<f64> {
+    let h = (r as u64)
+        .wrapping_mul(0x9E3779B97F4A7C15)
+        .wrapping_add((c as u64).wrapping_mul(0xC2B2AE3D27D4EB4F))
+        .wrapping_mul(0xBF58476D1CE4E5B9)
+        >> 20;
+    (h % 100 < 6).then(|| ((h >> 8) % 1999) as f64 / 997.0 - 1.0)
+}
+
+/// 512², 6 % dense, 32² blocks: every output block sums 16 contraction
+/// keys, four per partition.
+fn real_matrix(ctx: &SpangleContext) -> DistMatrix {
+    let m = DistMatrix::generate(ctx, 512, 512, (32, 32), ChunkPolicy::default(), real_entry);
+    m.persist();
+    m
+}
+
+fn bits(values: Vec<f64>) -> Vec<u64> {
+    values.into_iter().map(f64::to_bits).collect()
+}
+
+/// `MᵀM` is a fixed function of its input: partial products are added in
+/// ascending contraction order inside a partition and in map-partition
+/// order across them, never in the order a hash map happened to list them.
+#[test]
+fn repeated_gram_calls_are_bit_identical() {
+    let ctx = SpangleContext::new(2);
+    let m = real_matrix(&ctx);
+    let first = bits(m.gram().to_local().unwrap());
+    assert!(first.iter().any(|b| f64::from_bits(*b) != 0.0));
+    for call in 1..=10 {
+        assert!(
+            bits(m.gram().to_local().unwrap()) == first,
+            "call {call} differs from the first"
+        );
+    }
+}
+
+/// The spill tier is invisible in the result: under a watermark far below
+/// the partial products' volume — every shuffle of the job demotes and
+/// rehydrates blocks — the product equals the unspilled one bit for bit.
+#[test]
+fn gram_under_a_low_watermark_equals_the_unspilled_bits() {
+    let unspilled = {
+        // Pinned: the suite also runs with a low watermark in the
+        // environment.
+        let ctx = SpangleContext::builder()
+            .executors(2)
+            .memory_high_watermark_bytes(usize::MAX)
+            .build();
+        let product = bits(real_matrix(&ctx).gram().to_local().unwrap());
+        assert_eq!(ctx.metrics_snapshot().blocks_spilled, 0);
+        product
+    };
+    let ctx = SpangleContext::builder()
+        .executors(2)
+        .memory_high_watermark_bytes(256 << 10)
+        .build();
+    let spilled = bits(real_matrix(&ctx).gram().to_local().unwrap());
+    let snapshot = ctx.metrics_snapshot();
+    assert!(
+        snapshot.blocks_spilled > 0 && snapshot.blocks_rehydrated > 0,
+        "the watermark must have sent blocks through the spill tier: {snapshot:?}"
+    );
+    assert!(spilled == unspilled, "spilling changed the product's bits");
+}

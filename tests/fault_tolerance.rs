@@ -110,3 +110,39 @@ fn pagerank_is_unaffected_by_mid_run_failures() {
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }
+
+/// An executor dies between `MᵀM`'s multiply and reduce stages: its share
+/// of the partial products and of the cached layout goes with it, the
+/// reduce finds the hole, and lineage rebuilds exactly the lost multiply
+/// partitions. The recovered product equals the clean one bit for bit —
+/// partial products are added in an order fixed by the layout, so a
+/// recomputed run is the run that was lost.
+#[test]
+fn gram_recovers_bit_identically_from_an_executor_killed_between_multiply_and_reduce() {
+    let ctx = SpangleContext::new(2);
+    // Entries whose products round, so a changed order of additions would
+    // show in the last bits; 16 contraction keys per output block.
+    let m = DistMatrix::generate(&ctx, 512, 512, (32, 32), ChunkPolicy::default(), |r, c| {
+        let h = (r as u64)
+            .wrapping_mul(0x9E3779B97F4A7C15)
+            .wrapping_add((c as u64).wrapping_mul(0xC2B2AE3D27D4EB4F))
+            .wrapping_mul(0xBF58476D1CE4E5B9)
+            >> 20;
+        (h % 100 < 6).then(|| ((h >> 8) % 1999) as f64 / 997.0 - 1.0)
+    });
+    m.persist();
+    let product = m.gram();
+    let bits = |values: Vec<f64>| -> Vec<u64> { values.into_iter().map(f64::to_bits).collect() };
+    let clean = bits(product.to_local().unwrap());
+
+    // The multiply stage's output is committed and stays while `product`
+    // lives; the next action on it goes straight to the reduce.
+    let before = ctx.metrics_snapshot();
+    let loss = ctx.kill_executor(1);
+    assert!(loss.shuffle_blocks_dropped >= 1, "{loss:?}");
+    let recovered = bits(product.to_local().unwrap());
+    let recovery = ctx.metrics_snapshot() - before;
+    assert!(recovery.fetch_failures >= 1, "{recovery:?}");
+    assert!(recovery.map_partitions_recomputed >= 1, "{recovery:?}");
+    assert!(recovered == clean, "recovery changed the product's bits");
+}
