@@ -814,12 +814,7 @@ mod tests {
 
     #[test]
     fn zip_with_is_local_for_copartitioned_arrays() {
-        // Asserts the shuffle-elision rewrite itself, so pin it on
-        // regardless of SPANGLE_DISABLE_PLANNER.
-        let ctx = SpangleContext::builder()
-            .executors(4)
-            .elide_shuffles(true)
-            .build();
+        let ctx = SpangleContext::new(4);
         let meta = ArrayMeta::new(vec![32, 32], vec![8, 8]);
         let a = ArrayBuilder::new(&ctx, meta.clone())
             .ingest(|c| Some(c[0] as f64))

@@ -6,7 +6,7 @@ use crate::executor::ExecutorPool;
 use crate::failure::FailureInjector;
 use crate::health::{HealthConfig, RetryBackoffConfig};
 use crate::memsize::MemSize;
-use crate::metrics::{MetricField, Metrics, MetricsSnapshot, DEFAULT_JOB_REPORT_HISTORY};
+use crate::metrics::{MetricField, Metrics, MetricsSnapshot};
 use crate::plan::PlannerConfig;
 use crate::rdd::sources::ParallelizeRdd;
 use crate::rdd::Rdd;
@@ -61,7 +61,8 @@ pub(crate) struct ContextInner {
     pub(crate) pool: ExecutorPool,
     pub(crate) shuffle: ShuffleService,
     pub(crate) cache: BlockManager,
-    pub(crate) metrics: Metrics,
+    /// Shared with every job's attempt ledger.
+    pub(crate) metrics: Arc<Metrics>,
     pub(crate) failures: FailureInjector,
     next_rdd_id: AtomicUsize,
     next_shuffle_id: AtomicUsize,
@@ -106,7 +107,6 @@ pub struct SpangleContext {
 ///     .executors(4)
 ///     .max_task_attempts(2)
 ///     .max_resubmissions(8)
-///     .job_report_history(16)
 ///     .max_concurrent_jobs(8)
 ///     .max_queued_tasks_per_priority(1024)
 ///     .memory_high_watermark_bytes(64 << 20)
@@ -135,7 +135,6 @@ pub struct SpangleContextBuilder {
     executors: usize,
     max_task_attempts: usize,
     max_resubmissions: usize,
-    job_report_history: usize,
     admission: AdmissionConfig,
     planner: PlannerConfig,
     speculation: SpeculationConfig,
@@ -158,7 +157,6 @@ impl Default for SpangleContextBuilder {
             executors: 2,
             max_task_attempts: 4,
             max_resubmissions: 16,
-            job_report_history: DEFAULT_JOB_REPORT_HISTORY,
             admission,
             planner: PlannerConfig::default(),
             speculation: SpeculationConfig::default(),
@@ -189,13 +187,6 @@ impl SpangleContextBuilder {
     /// a permanently poisoned shuffle (default 16).
     pub fn max_resubmissions(mut self, resubmissions: usize) -> Self {
         self.max_resubmissions = resubmissions;
-        self
-    }
-
-    /// How many recent [`crate::metrics::JobReport`]s the context retains
-    /// (default 256, clamped to at least 1).
-    pub fn job_report_history(mut self, depth: usize) -> Self {
-        self.job_report_history = depth;
         self
     }
 
@@ -261,9 +252,7 @@ impl SpangleContextBuilder {
     /// execute as one fused streaming task instead of materialising an
     /// intermediate `Vec` per lineage node. Persisted RDDs and
     /// multi-consumer nodes are fusion barriers, so cache semantics and
-    /// lineage recovery are unchanged. Default on; the
-    /// `SPANGLE_DISABLE_PLANNER` environment variable flips the default
-    /// off (explicit calls always win).
+    /// lineage recovery are unchanged. Default on.
     pub fn fuse_narrow_chains(mut self, enabled: bool) -> Self {
         self.planner.fuse_narrow_chains = enabled;
         self
@@ -274,9 +263,7 @@ impl SpangleContextBuilder {
     /// [`crate::PartitionerSig`] is rewritten into a narrow pass-through
     /// — no shuffle id, no blocks, no map stage. Applies to every shuffle
     /// site (`partition_by`, `reduce_by_key`, `group_by_key`,
-    /// `combine_by_key`, `cogroup`, `join`). Default on; see
-    /// [`SpangleContextBuilder::fuse_narrow_chains`] for the environment
-    /// override.
+    /// `combine_by_key`, `cogroup`, `join`). Default on.
     pub fn elide_shuffles(mut self, enabled: bool) -> Self {
         self.planner.elide_shuffles = enabled;
         self
@@ -287,9 +274,7 @@ impl SpangleContextBuilder {
     /// fall below the [`SpangleContextBuilder::target_partition_bytes`]
     /// target are packed into shared executor tasks. Logical partitions
     /// (and therefore fetch-failure recovery) are unchanged — only the
-    /// scheduling granularity coarsens. Default on; see
-    /// [`SpangleContextBuilder::fuse_narrow_chains`] for the environment
-    /// override.
+    /// scheduling granularity coarsens. Default on.
     pub fn coalesce_partitions(mut self, enabled: bool) -> Self {
         self.planner.coalesce_partitions = enabled;
         self
@@ -309,9 +294,7 @@ impl SpangleContextBuilder {
     /// exceeds the configured multiple of its stage's median completed
     /// duration is duplicated on an idle executor; the first completion
     /// wins and the loser is cancelled through its token. Default on at
-    /// 4× the median with a 10 ms floor; the `SPANGLE_DISABLE_SPECULATION`
-    /// environment variable flips the default off (an explicit call here
-    /// always wins).
+    /// 4× the median with a 10 ms floor.
     pub fn speculation(mut self, config: SpeculationConfig) -> Self {
         assert!(
             config.multiplier >= 1.0,
@@ -383,10 +366,8 @@ impl SpangleContextBuilder {
 
     /// Enables or disables the whole health-monitoring layer — heartbeat
     /// loss detection, the no-progress watchdog, and quarantine (default
-    /// on; the `SPANGLE_DISABLE_HEALTH` environment variable flips the
-    /// default off, an explicit call here wins). Off restores the
-    /// announced-failures-only behavior: only `kill_executor` and
-    /// injected failures trigger recovery.
+    /// on). Off restores the announced-failures-only behavior: only
+    /// `kill_executor` and injected failures trigger recovery.
     pub fn health_monitoring(mut self, enabled: bool) -> Self {
         self.health.enabled = enabled;
         self
@@ -395,9 +376,7 @@ impl SpangleContextBuilder {
     /// Seeded deterministic exponential backoff with jitter applied
     /// before every re-submitted task attempt — failure retries and
     /// executor-loss/fetch-failure resubmissions (see
-    /// [`RetryBackoffConfig`]). Default on at 1 ms base, 64 ms cap;
-    /// `SPANGLE_DISABLE_HEALTH=1` flips the default off so the kill
-    /// switch restores immediate-retry behavior exactly.
+    /// [`RetryBackoffConfig`]). Default on at 1 ms base, 64 ms cap.
     pub fn retry_backoff(mut self, config: RetryBackoffConfig) -> Self {
         self.backoff = config;
         self
@@ -423,7 +402,7 @@ impl SpangleContextBuilder {
                 pool,
                 shuffle: ShuffleService::new(Arc::clone(&spill)),
                 cache: BlockManager::new(spill),
-                metrics: Metrics::with_history(self.job_report_history),
+                metrics: Arc::default(),
                 failures,
                 next_rdd_id: AtomicUsize::new(0),
                 next_shuffle_id: AtomicUsize::new(0),

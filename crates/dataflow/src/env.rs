@@ -1,8 +1,7 @@
 //! Parsing of `SPANGLE_*` environment knobs.
 //!
-//! Every knob is read here and nowhere else — the three kill switches
-//! through [`env_flag`], the three valued knobs through [`env_parse`] — so
-//! an invalid value is never silently ignored: the first time a malformed
+//! Every knob is read here and nowhere else, through [`env_parse`], so an
+//! invalid value is never silently ignored: the first time a malformed
 //! knob is seen, one warning goes to stderr naming the variable, the
 //! rejected value, and the default that will be used instead. (Silently
 //! falling back used to turn a typo like `SPANGLE_HEARTBEAT_MS=abc` into a
@@ -44,11 +43,6 @@ pub(crate) fn env_parse<T: FromStr>(var: &str) -> Option<T> {
     }
 }
 
-/// Whether the kill switch `var` is on: set, to anything but `0`.
-pub(crate) fn env_flag(var: &str) -> bool {
-    std::env::var_os(var).is_some_and(|v| v != "0")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,12 +64,6 @@ mod tests {
 
         std::env::set_var(var, " 42 ");
         assert_eq!(env_parse::<u64>(var), Some(42), "valid (trimmed) parses");
-        assert!(env_flag(var), "any value but 0 switches a flag on");
-        for (value, on) in [("0", false), ("1", true), ("", true)] {
-            std::env::set_var(var, value);
-            assert_eq!(env_flag(var), on, "{var}={value:?}");
-        }
         std::env::remove_var(var);
-        assert!(!env_flag(var), "unset is off");
     }
 }

@@ -18,7 +18,7 @@
 //! ran via [`TaskInfo`], so the scheduler can charge stolen ("remote")
 //! executions to the job's metrics.
 //!
-//! Tasks submitted through [`ExecutorPool::submit_tagged`] carry a
+//! Tasks submitted through [`ExecutorPool::submit_on`] carry a
 //! [`TaskTag`] with their job's priority: each executor serves its queue
 //! highest-priority-first (FIFO within a priority), which is how the
 //! shared scheduler service lets a high-priority job's ready tasks
@@ -74,7 +74,7 @@ impl CancelToken {
     }
 
     /// Whether two handles share one underlying token — i.e. name the
-    /// same task attempt.
+    /// same executor task.
     pub(crate) fn same(&self, other: &CancelToken) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
@@ -190,6 +190,22 @@ impl CancelGauge {
 /// One worker thread's "currently running" slot: the cancel token of the
 /// in-flight task body plus the instant it started running.
 type RunningSlot = Mutex<Option<(CancelToken, Instant)>>;
+
+/// What an executor is running right now, as the scheduler's straggler
+/// scan sees it ([`ExecutorPool::executing`]).
+#[derive(Debug)]
+pub struct Executing {
+    /// Token of the running task.
+    pub token: CancelToken,
+    /// When the body started: the run stamp keeps queue time out of the
+    /// straggler threshold (a task parked behind a straggler is not
+    /// itself slow).
+    pub since: Instant,
+    /// The executor's progress-tick count.
+    pub progress: u64,
+    /// Time since the executor last stamped a heartbeat.
+    pub silent_for: Duration,
+}
 
 /// Where a task was placed and where it actually ran.
 #[derive(Clone, Copy, Debug)]
@@ -328,6 +344,10 @@ pub struct ExecutorPool {
     /// [`ExecutorPool::start_heartbeater`]); the thread's handle joins the
     /// workers' in `handles`.
     heartbeater_stop: Arc<AtomicBool>,
+    /// Calls of [`ExecutorPool::executing`], the scheduler's only look at
+    /// running tasks: its scan-count regression test reads this.
+    #[cfg(test)]
+    pub(crate) looks: AtomicU64,
 }
 
 impl ExecutorPool {
@@ -417,6 +437,8 @@ impl ExecutorPool {
             num_executors,
             handles: Mutex::new(handles),
             heartbeater_stop: Arc::new(AtomicBool::new(false)),
+            #[cfg(test)]
+            looks: AtomicU64::new(0),
         }
     }
 
@@ -536,42 +558,23 @@ impl ExecutorPool {
     /// when the pool has been shut down, so a job racing a teardown can
     /// abort cleanly.
     pub fn submit(&self, partition: usize, task: Task) -> Result<(), PoolShutdown> {
-        self.submit_tagged(partition, TaskTag::default(), task)
+        self.submit_on(self.place(partition), TaskTag::default(), None, task)
     }
 
-    /// Queues a task on the executor owning `partition`, ordered by the
-    /// tag's job priority: a higher-priority task is popped before any
-    /// queued lower-priority work, FIFO within a priority. Fails when the
-    /// pool has been shut down.
-    pub fn submit_tagged(
-        &self,
-        partition: usize,
-        tag: TaskTag,
-        task: Task,
-    ) -> Result<(), PoolShutdown> {
-        let home = self.health.place(self.executor_for(partition));
-        self.submit_on(home, tag, None, task)
+    /// Where a task for `partition` goes right now: its home executor,
+    /// unless the quarantine mask diverts it (see
+    /// `HealthBoard::place` — a home on probation admits exactly one
+    /// canary, so call this once per task actually submitted).
+    pub fn place(&self, partition: usize) -> usize {
+        self.health.place(self.executor_for(partition))
     }
 
-    /// Queues a task on the executor owning `partition` with a
-    /// cancellation token: the worker installs the token around the task
-    /// body so `cancellation_point()` inside the closure observes
-    /// driver-side cancellations. Fails when the pool has been shut down.
-    pub fn submit_cancellable(
-        &self,
-        partition: usize,
-        tag: TaskTag,
-        token: CancelToken,
-        task: Task,
-    ) -> Result<(), PoolShutdown> {
-        let home = self.health.place(self.executor_for(partition));
-        self.submit_on(home, tag, Some(token), task)
-    }
-
-    /// Queues a task on an *explicit* executor, bypassing partition
-    /// placement — the speculative-execution path, which deliberately runs
-    /// a duplicate attempt away from the straggler's home slot. An idle
-    /// sibling may still steal it during a drain.
+    /// Queues a task on `executor`, ordered by the tag's job priority: a
+    /// higher-priority task is popped before any queued lower-priority
+    /// work, FIFO within a priority (an idle sibling may still steal it).
+    /// The worker installs `token` around the task body so
+    /// `cancellation_point()` inside the closure observes driver-side
+    /// cancellations. Fails when the pool has been shut down.
     pub fn submit_on(
         &self,
         executor: usize,
@@ -616,23 +619,24 @@ impl ExecutorPool {
             .collect()
     }
 
-    /// The executor currently executing the task that holds `token` and
-    /// the instant its body started, if it is running at all. Racy like
-    /// [`ExecutorPool::queue_lens`] — a completion can slip in after the
-    /// scan — but a straggler past the speculation threshold stays put,
-    /// which is what the speculation planner needs this for: the run
-    /// stamp keeps queue time out of the straggler threshold (a task
-    /// parked behind a straggler is not itself slow), and the slot index
-    /// keeps the duplicate from queuing *behind* the very task it is
-    /// meant to outrun (a one-task backlog behind a wedged body is never
-    /// stolen).
-    pub fn executor_running(&self, token: &CancelToken) -> Option<(usize, Instant)> {
-        self.running.iter().enumerate().find_map(|(i, slot)| {
-            slot.lock()
-                .as_ref()
-                .filter(|(t, _)| t.same(token))
-                .map(|(_, started)| (i, *started))
-        })
+    /// What each executor is executing right now, indexed by executor id
+    /// (`None` for an idle executor, or one running an untokened task).
+    /// Racy like [`ExecutorPool::queue_lens`] — a completion can slip in
+    /// after the look — but a straggler stays put, which is what the
+    /// scheduler's straggler scan needs this for.
+    pub fn executing(&self) -> Vec<Option<Executing>> {
+        #[cfg(test)]
+        self.looks.fetch_add(1, Ordering::Relaxed);
+        let view = |(e, slot): (usize, &RunningSlot)| {
+            let (token, since) = slot.lock().clone()?;
+            Some(Executing {
+                token,
+                since,
+                progress: self.health.progress_value(e),
+                silent_for: self.health.heartbeat_age(e),
+            })
+        };
+        self.running.iter().enumerate().map(view).collect()
     }
 
     /// Whether [`ExecutorPool::shutdown`] has run.
@@ -851,9 +855,10 @@ mod tests {
             job_id: 42,
             priority: 10,
         };
-        pool.submit_tagged(
+        pool.submit_on(
             0,
             high,
+            None,
             Box::new(move |_: &TaskInfo| tx.send("high").unwrap()),
         )
         .unwrap();

@@ -23,6 +23,10 @@
 //! atomic: stamping sits on the task hot path and must cost no more than
 //! a TLS read and a store.
 
+use crate::context::SpangleContext;
+use crate::metrics::MetricField;
+use crate::scheduler::TaskError;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
@@ -36,9 +40,8 @@ pub(crate) const STATE_PROBATION: u8 = 2;
 pub(crate) const STATE_CANARY: u8 = 3;
 
 /// When the driver declares executors lost and tasks wedged; configured
-/// through [`crate::SpangleContextBuilder`], defaults overridable with
-/// `SPANGLE_DISABLE_HEALTH=1` (kill switch), `SPANGLE_HEARTBEAT_MS`, and
-/// `SPANGLE_WATCHDOG_MS`.
+/// through [`crate::SpangleContextBuilder`], interval defaults overridable
+/// with `SPANGLE_HEARTBEAT_MS` and `SPANGLE_WATCHDOG_MS`.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthConfig {
     /// Master switch for the whole layer: loss detection, watchdog,
@@ -67,12 +70,6 @@ pub struct HealthConfig {
     pub probation: Duration,
 }
 
-/// `SPANGLE_DISABLE_HEALTH=1` turns the whole layer off (an explicit
-/// builder call still wins, it is applied after this default).
-pub(crate) fn health_enabled_by_env() -> bool {
-    !crate::env::env_flag("SPANGLE_DISABLE_HEALTH")
-}
-
 fn env_millis(var: &str) -> Option<Duration> {
     // A malformed knob (`SPANGLE_HEARTBEAT_MS=abc`) warns once and falls
     // back to the built-in default instead of being silently ignored.
@@ -82,7 +79,7 @@ fn env_millis(var: &str) -> Option<Duration> {
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
-            enabled: health_enabled_by_env(),
+            enabled: true,
             // Heartbeats come from the pool's dedicated heartbeater, so
             // task-body length cannot trip loss detection; the margins
             // only cover scheduler-delay of the heartbeater thread itself:
@@ -110,9 +107,7 @@ impl HealthConfig {
 
 /// Seeded, deterministic exponential backoff with jitter, applied to every
 /// retry path: task retries, executor-loss/fetch-failure resubmissions,
-/// and quarantine probation. Disabled (zero delay everywhere) under
-/// `SPANGLE_DISABLE_HEALTH=1` so the kill switch restores immediate-retry
-/// behavior exactly.
+/// and quarantine probation.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryBackoffConfig {
     /// Off means every delay is zero (immediate retry, the pre-health
@@ -129,7 +124,7 @@ pub struct RetryBackoffConfig {
 impl Default for RetryBackoffConfig {
     fn default() -> Self {
         RetryBackoffConfig {
-            enabled: health_enabled_by_env(),
+            enabled: true,
             base: Duration::from_millis(1),
             cap: Duration::from_millis(64),
             seed: 0x5EED_BACC_0FF5,
@@ -174,12 +169,7 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 
 /// `base * 2^strike` saturating at `cap`, jittered deterministically into
 /// `[1/2, 1]` of the raw value by `seed`.
-pub(crate) fn jittered_backoff(
-    base: Duration,
-    cap: Duration,
-    strike: usize,
-    seed: u64,
-) -> Duration {
+fn jittered_backoff(base: Duration, cap: Duration, strike: usize, seed: u64) -> Duration {
     let base = base.as_nanos() as u64;
     if base == 0 {
         return Duration::ZERO;
@@ -366,6 +356,100 @@ impl HealthBoard {
             }
         }
         home
+    }
+}
+
+/// Driver-local half of the quarantine state machine: per-executor
+/// recent-outcome windows plus strike counts. The shared [`HealthBoard`]
+/// carries only what workers must see (heartbeats, the placement mask);
+/// what only the driver reasons about lives here, unsynchronized.
+#[derive(Default)]
+pub(crate) struct QuarantineMonitor {
+    /// Recent task outcomes per executor (`true` = success), bounded by
+    /// the configured quarantine window.
+    outcomes: Vec<VecDeque<bool>>,
+    /// Times each executor has been quarantined; doubles (with jitter) its
+    /// probation on every failed canary.
+    strikes: Vec<usize>,
+}
+
+impl QuarantineMonitor {
+    /// Benches `executor`: drains placement to it for a probation of the
+    /// configured base doubled per prior strike (jittered
+    /// deterministically from the backoff seed), bans it from stealing,
+    /// and counts the quarantine.
+    fn quarantine(&mut self, ctx: &SpangleContext, board: &HealthBoard, executor: usize) {
+        let cfg = &ctx.inner.health;
+        let probation = jittered_backoff(
+            cfg.probation,
+            cfg.probation.saturating_mul(64),
+            self.strikes[executor],
+            ctx.inner.backoff.seed ^ splitmix64(executor as u64),
+        );
+        board.quarantine(executor, probation);
+        ctx.inner.pool.set_steal_ban(executor, true);
+        self.strikes[executor] += 1;
+        self.outcomes[executor].clear();
+        ctx.metrics().add(MetricField::ExecutorsQuarantined, 1);
+    }
+
+    /// Feeds one task outcome into the quarantine state machine: resolves
+    /// an in-flight canary, or updates the executor's failure window and
+    /// benches it when the recent rate crosses the threshold. Only genuine
+    /// task faults (injected failures, panics) count against an executor —
+    /// cancellations, kills, and fetch failures are the scheduler's (or a
+    /// parent's) doing, and counting them would quarantine executors the
+    /// driver itself disrupted.
+    pub(crate) fn observe_task(
+        &mut self,
+        ctx: &SpangleContext,
+        executor: usize,
+        outcome: Result<(), &TaskError>,
+    ) {
+        let cfg = &ctx.inner.health;
+        if !cfg.enabled {
+            return;
+        }
+        let n = ctx.num_executors();
+        self.outcomes.resize_with(n, VecDeque::new);
+        self.strikes.resize(n, 0);
+        let board = ctx.inner.pool.health_board();
+        let fault = matches!(
+            outcome,
+            Err(TaskError::Injected) | Err(TaskError::Panicked(_))
+        );
+        if board.is_canary(executor) {
+            match outcome {
+                Ok(()) => {
+                    // The canary came back clean: full re-admission.
+                    board.mark_healthy(executor);
+                    ctx.inner.pool.set_steal_ban(executor, false);
+                    self.outcomes[executor].clear();
+                }
+                Err(_) if fault => self.quarantine(ctx, &board, executor),
+                Err(_) => board.reopen_probation(executor),
+            }
+            return;
+        }
+        if !fault && outcome.is_err() {
+            return;
+        }
+        let window = &mut self.outcomes[executor];
+        window.push_back(outcome.is_ok());
+        while window.len() > cfg.quarantine_window {
+            window.pop_front();
+        }
+        if !fault || board.state(executor) != STATE_HEALTHY {
+            return;
+        }
+        let samples = window.len();
+        if samples < cfg.quarantine_min_samples {
+            return;
+        }
+        let failures = window.iter().filter(|&&ok| !ok).count();
+        if failures as f64 / samples as f64 >= cfg.quarantine_threshold {
+            self.quarantine(ctx, &board, executor);
+        }
     }
 }
 

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default number of recent job reports kept per context (iterative
 /// workloads run hundreds of jobs; older reports are dropped
-/// oldest-first). Override via `SpangleContext::builder()`.
+/// oldest-first).
 pub(crate) const DEFAULT_JOB_REPORT_HISTORY: usize = 256;
 
 /// Cumulative counters maintained by the runtime.
@@ -276,9 +276,10 @@ pub(crate) enum MetricField {
 }
 
 /// How one stage of a job ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StageOutcome {
     /// The stage's tasks ran in this job.
+    #[default]
     Ran,
     /// The stage's shuffle output already existed (or another concurrent
     /// job produced it); nothing ran here.
@@ -311,7 +312,7 @@ pub enum JobOutcome {
 }
 
 /// Per-stage accounting of one job.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StageReport {
     /// Context-wide stage id (allocated when the stage was scheduled).
     pub stage_id: usize,

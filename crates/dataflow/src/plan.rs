@@ -63,17 +63,12 @@ pub(crate) struct PlannerConfig {
 }
 
 impl Default for PlannerConfig {
-    /// All rewrites on. Setting the `SPANGLE_DISABLE_PLANNER` environment
-    /// variable (to anything but `0`) flips every default off — the lever
-    /// `scripts/check.sh planoff` uses to keep the unoptimised execution
-    /// path tested. Explicit builder calls always win over the
-    /// environment.
+    /// All rewrites on.
     fn default() -> Self {
-        let disabled = crate::env::env_flag("SPANGLE_DISABLE_PLANNER");
         PlannerConfig {
-            fuse_narrow_chains: !disabled,
-            elide_shuffles: !disabled,
-            coalesce_partitions: !disabled,
+            fuse_narrow_chains: true,
+            elide_shuffles: true,
+            coalesce_partitions: true,
             target_partition_bytes: DEFAULT_TARGET_PARTITION_BYTES,
         }
     }

@@ -161,10 +161,9 @@ fn pagerank_survives_one_executor_kill_per_iteration() {
     });
 }
 
-/// A context whose speculation fires regardless of the
-/// `SPANGLE_DISABLE_SPECULATION` matrix flag, with a threshold low enough
-/// for the stress gate but high enough that only a genuinely wedged task
-/// (never one briefly parked in a queue) is duplicated.
+/// A context whose speculation threshold is low enough for the stress
+/// gate but high enough that only a genuinely wedged task (never one
+/// briefly parked in a queue) is duplicated.
 fn speculating_ctx(executors: usize) -> SpangleContext {
     SpangleContext::builder()
         .executors(executors)

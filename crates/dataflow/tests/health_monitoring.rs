@@ -5,11 +5,6 @@
 //! into the existing recovery paths (kill + lineage recompute,
 //! speculation-style duplicate, quarantine + canary re-admission) with
 //! results bit-identical to a clean run.
-//!
-//! Every chaos context pins `health_monitoring(true)` and its intervals
-//! explicitly, so the suite keeps testing the layer even under the
-//! `SPANGLE_DISABLE_HEALTH=1` CI matrix leg (builder calls win over the
-//! environment).
 
 use spangle_dataflow::{
     HashPartitioner, PairRdd, RetryBackoffConfig, SpangleContext, SpeculationConfig,
@@ -282,11 +277,11 @@ fn flaky_executor_is_quarantined_and_rejoins_through_a_canary() {
     assert_threads_drain_to(baseline_threads);
 }
 
-/// The kill switch: with `health_monitoring(false)` (the builder twin of
-/// `SPANGLE_DISABLE_HEALTH=1`) and backoff disabled, a paused-heartbeat
-/// executor running a long quiet task is never declared lost, a flaky
-/// executor is never quarantined, and every health counter stays zero —
-/// announced-failures-only behavior, exactly as before this layer.
+/// The off switch: with `health_monitoring(false)` and backoff disabled,
+/// a paused-heartbeat executor running a long quiet task is never
+/// declared lost, a flaky executor is never quarantined, and every health
+/// counter stays zero — announced-failures-only behavior, exactly as
+/// before this layer.
 #[test]
 fn disabled_health_restores_announced_failures_only() {
     let baseline_threads = thread_count();

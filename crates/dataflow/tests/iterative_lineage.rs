@@ -60,12 +60,7 @@ fn iterative_loop_with_persist_reuses_previous_iterations() {
 
 #[test]
 fn diamond_lineage_over_a_copartitioned_parent_joins_locally() {
-    // Asserts the shuffle-elision rewrite itself, so pin it on regardless
-    // of SPANGLE_DISABLE_PLANNER.
-    let ctx = SpangleContext::builder()
-        .executors(2)
-        .elide_shuffles(true)
-        .build();
+    let ctx = SpangleContext::new(2);
     let partitioner: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(2));
     let base = ctx
         .parallelize((0u64..40).map(|i| (i % 5, i)).collect(), 4)

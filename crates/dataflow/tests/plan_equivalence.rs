@@ -10,17 +10,12 @@
 //! candidate). All arithmetic is u64 wrapping/commutative, so any
 //! execution plan — including one recovering from a mid-job executor
 //! kill — must produce bit-identical sorted output.
-//!
-//! Every context here sets all four planner knobs explicitly, so the
-//! comparisons hold regardless of the `SPANGLE_DISABLE_PLANNER`
-//! environment (the lever `scripts/check.sh planoff` pulls).
 
 use spangle_dataflow::{HashPartitioner, PairRdd, SpangleContext};
 use spangle_testkit::{run_cases, Rng};
 use std::sync::Arc;
 
-/// Which rewrites a run enables; applied explicitly so the environment
-/// default never leaks into a comparison.
+/// Which rewrites a run enables.
 #[derive(Clone, Copy)]
 struct Flags {
     fuse: bool,

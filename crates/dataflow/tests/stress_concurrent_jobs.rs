@@ -317,10 +317,9 @@ fn speculation_bounds_tail_latency_under_a_slowed_executor() {
         let n_jobs = 12;
         let slow_thread = format!("spangle-executor-{}", rng.usize_in(0..executors));
 
-        // Speculation pinned on (the suite also runs under
-        // SPANGLE_DISABLE_SPECULATION=1) with a threshold low enough to
-        // fire quickly but far above a healthy task's runtime; coalescing
-        // off because coalesced groups are never speculated.
+        // Speculation with a threshold low enough to fire quickly but
+        // far above a healthy task's runtime; coalescing off because
+        // coalesced groups are never speculated.
         let ctx_for = || {
             SpangleContext::builder()
                 .executors(executors)

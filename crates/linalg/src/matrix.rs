@@ -655,12 +655,7 @@ mod tests {
 
     #[test]
     fn local_multiply_joins_without_shuffling_inputs() {
-        // Asserts the shuffle-elision rewrite itself, so pin it on
-        // regardless of SPANGLE_DISABLE_PLANNER.
-        let ctx = SpangleContext::builder()
-            .executors(4)
-            .elide_shuffles(true)
-            .build();
+        let ctx = SpangleContext::new(4);
         let a = dense_mat(&ctx, 24, 24, (8, 8));
         let b = dense_mat(&ctx, 24, 24, (8, 8));
         let left = a.partition_left_by_inner(4);

@@ -11,8 +11,7 @@
 #   scripts/check.sh --quick          full gate minus the release build
 #   scripts/check.sh <step> [...]     run only the named steps, in order
 #
-# Steps: fmt clippy build test planoff specoff spill health healthoff
-# doc stress bench benchmark
+# Steps: fmt clippy build test spill health doc stress bench benchmark
 # (stress, bench and benchmark are CI-job-only: they are not part of the
 # default full gate because of their runtime.)
 set -euo pipefail
@@ -61,26 +60,6 @@ run_test() {
     watchdog cargo test -q --workspace
 }
 
-# The adaptive plan layer (narrow-chain fusion, shuffle elision, runtime
-# partition coalescing) defaults on; this step proves the unoptimised
-# execution paths still work by running the whole suite with every
-# planner rewrite disabled. Tests that assert a rewrite's own behaviour
-# pin their flags through the builder, which wins over the env default.
-run_planoff() {
-    echo "== cargo test with SPANGLE_DISABLE_PLANNER=1 (watchdog ${WATCHDOG_SECS}s)"
-    SPANGLE_DISABLE_PLANNER=1 watchdog cargo test -q --workspace
-}
-
-# Speculative execution defaults on; this step proves the scheduler is
-# correct without its straggler mitigation by running the whole suite
-# with speculation disabled. Tests that assert speculation's own
-# behaviour pin it on through the builder, which wins over the env
-# default.
-run_specoff() {
-    echo "== cargo test with SPANGLE_DISABLE_SPECULATION=1 (watchdog ${WATCHDOG_SECS}s)"
-    SPANGLE_DISABLE_SPECULATION=1 watchdog cargo test -q --workspace
-}
-
 # The tiered block store defaults to a disabled watermark (usize::MAX);
 # this step proves the spill/rehydrate machinery is load-bearing by
 # running the whole suite with an artificially low watermark, so cold
@@ -102,16 +81,6 @@ run_spill() {
 run_health() {
     echo "== cargo test with SPANGLE_HEARTBEAT_MS=40 SPANGLE_WATCHDOG_MS=1000 (watchdog ${WATCHDOG_SECS}s)"
     SPANGLE_HEARTBEAT_MS=40 SPANGLE_WATCHDOG_MS=1000 watchdog cargo test -q --workspace
-}
-
-# Health monitoring (and its retry backoff) defaults on; this step proves
-# the announced-failures-only paths still work by running the whole suite
-# with the layer's kill switch thrown — exactly the pre-health scheduler.
-# Tests that assert the monitor's own behaviour pin it on through the
-# builder, which wins over the env default.
-run_healthoff() {
-    echo "== cargo test with SPANGLE_DISABLE_HEALTH=1 (watchdog ${WATCHDOG_SECS}s)"
-    SPANGLE_DISABLE_HEALTH=1 watchdog cargo test -q --workspace
 }
 
 run_doc() {
@@ -164,13 +133,13 @@ run_benchmark() {
 steps=()
 for arg in "$@"; do
     case "$arg" in
-    --quick) steps+=(fmt clippy test planoff specoff spill health healthoff doc) ;;
-    fmt | clippy | build | test | planoff | specoff | spill | health | healthoff | doc | stress | bench | benchmark) steps+=("$arg") ;;
+    --quick) steps+=(fmt clippy test spill health doc) ;;
+    fmt | clippy | build | test | spill | health | doc | stress | bench | benchmark) steps+=("$arg") ;;
     -h | --help | *) usage ;;
     esac
 done
 if [ ${#steps[@]} -eq 0 ]; then
-    steps=(fmt clippy build test planoff specoff spill health healthoff doc)
+    steps=(fmt clippy build test spill health doc)
 fi
 
 for step in "${steps[@]}"; do
