@@ -406,8 +406,7 @@ fn main() {
     }
 
     // Figure-level memory trajectory: the run's peak resident bytes
-    // (post-spill) and the spill tier's activity, gated alongside wall
-    // clock by `bench_compare`.
+    // (post-spill) and the spill tier's activity.
     let final_snap = ctx.metrics_snapshot();
     write_bench_json(
         "fig10",

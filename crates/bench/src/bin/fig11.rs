@@ -257,7 +257,7 @@ fn main() {
     }
     table.print();
 
-    // Figure-level memory trajectory for the bench_compare memory gate.
+    // Figure-level memory trajectory.
     let final_snap = ctx.metrics_snapshot();
     write_bench_json(
         "fig11",

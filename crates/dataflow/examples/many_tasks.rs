@@ -1,6 +1,6 @@
 //! Driver cost per task event: a one-stage `parallelize(..).map(..).count()`
 //! of 8 … 8 192 tasks on a default two-executor context (health
-//! monitoring and speculation both on), best and median of 7 runs each.
+//! monitoring on, so the driver polls), best and median of 7 runs each.
 //!
 //! Task bodies are empty, so the reading is the scheduler's own work per
 //! task: launch, one event, the slot's transition. It should stay flat as

@@ -68,25 +68,9 @@ pub(crate) struct ContextInner {
     next_shuffle_id: AtomicUsize,
     next_stage_id: AtomicUsize,
     next_job_id: AtomicUsize,
-    /// Maximum attempts per task before the job fails.
-    pub(crate) max_task_attempts: usize,
-    /// Per-job budget of executor-loss / fetch-failure resubmissions
-    /// before the job aborts.
-    pub(crate) max_resubmissions: usize,
-    /// Admission-control bounds enforced by the scheduler service.
-    pub(crate) admission: AdmissionConfig,
-    /// Which plan rewrites (fusion / elision / coalescing) are active.
-    pub(crate) planner: PlannerConfig,
-    /// When the driver duplicates straggling task attempts.
-    pub(crate) speculation: SpeculationConfig,
-    /// Whether crossing the memory watermark demotes cold blocks to the
-    /// on-disk spill tier (instead of only shedding/queueing work).
-    pub(crate) spill_enabled: bool,
-    /// Heartbeat/watchdog/quarantine thresholds for the driver's health
-    /// monitor.
-    pub(crate) health: HealthConfig,
-    /// Seeded exponential backoff applied to every retry path.
-    pub(crate) backoff: RetryBackoffConfig,
+    /// The configuration the cluster was built from, kept whole: every
+    /// reader — each job's attempt ledger included — reads this one value.
+    pub(crate) config: Arc<SpangleContextBuilder>,
 }
 
 /// A handle on the simulated cluster; the analogue of Spark's
@@ -133,14 +117,25 @@ pub struct SpangleContext {
 #[derive(Clone, Copy, Debug)]
 pub struct SpangleContextBuilder {
     executors: usize,
-    max_task_attempts: usize,
-    max_resubmissions: usize,
-    admission: AdmissionConfig,
-    planner: PlannerConfig,
-    speculation: SpeculationConfig,
+    /// Maximum attempts per task before the job fails.
+    pub(crate) max_task_attempts: usize,
+    /// Per-job budget of executor-loss / fetch-failure resubmissions
+    /// before the job aborts.
+    pub(crate) max_resubmissions: usize,
+    /// Admission-control bounds enforced by the scheduler service.
+    pub(crate) admission: AdmissionConfig,
+    /// Which plan rewrites (fusion / elision / coalescing) are active.
+    pub(crate) planner: PlannerConfig,
+    /// When the driver duplicates straggling task attempts.
+    pub(crate) speculation: SpeculationConfig,
+    /// Whether crossing the memory watermark demotes cold blocks to the
+    /// on-disk spill tier (instead of only shedding/queueing work).
     spill_to_disk: bool,
-    health: HealthConfig,
-    backoff: RetryBackoffConfig,
+    /// Heartbeat/watchdog/quarantine thresholds for the driver's health
+    /// monitor.
+    pub(crate) health: HealthConfig,
+    /// Seeded exponential backoff applied to every retry path.
+    pub(crate) backoff: RetryBackoffConfig,
 }
 
 impl Default for SpangleContextBuilder {
@@ -293,8 +288,9 @@ impl SpangleContextBuilder {
     /// [`SpeculationConfig`]): a running original whose elapsed time
     /// exceeds the configured multiple of its stage's median completed
     /// duration is duplicated on an idle executor; the first completion
-    /// wins and the loser is cancelled through its token. Default on at
-    /// 4× the median with a 10 ms floor.
+    /// wins and the loser is cancelled through its token. Default off;
+    /// [`SpeculationConfig::default`] with `enabled: true` is 4× the
+    /// median with a 10 ms floor.
     pub fn speculation(mut self, config: SpeculationConfig) -> Self {
         assert!(
             config.multiplier >= 1.0,
@@ -389,7 +385,7 @@ impl SpangleContextBuilder {
             pool.start_heartbeater(self.health.heartbeat_interval);
         }
         let failures = FailureInjector::default();
-        failures.attach_health(pool.health_board());
+        failures.attach_health(Arc::clone(pool.health_board()));
         // Every thread is spawned before the spill store's temp-dir sweep:
         // which malloc arena a new thread inherits from a retired context
         // is a race the sweep's syscalls otherwise tilt (peak RSS +25 MB).
@@ -408,14 +404,7 @@ impl SpangleContextBuilder {
                 next_shuffle_id: AtomicUsize::new(0),
                 next_stage_id: AtomicUsize::new(0),
                 next_job_id: AtomicUsize::new(0),
-                max_task_attempts: self.max_task_attempts,
-                max_resubmissions: self.max_resubmissions,
-                admission: self.admission,
-                planner: self.planner,
-                speculation: self.speculation,
-                spill_enabled: self.spill_to_disk,
-                health: self.health,
-                backoff: self.backoff,
+                config: Arc::new(self),
             }),
         }
     }
@@ -437,7 +426,12 @@ impl SpangleContext {
     /// Maximum attempts per task before a job aborts, as configured at
     /// build time.
     pub fn max_task_attempts(&self) -> usize {
-        self.inner.max_task_attempts
+        self.config().max_task_attempts
+    }
+
+    /// The configuration the cluster was built from (fixed at build time).
+    pub(crate) fn config(&self) -> &SpangleContextBuilder {
+        &self.inner.config
     }
 
     /// Runs `f` with every job submitted from this thread scheduled at
@@ -493,7 +487,7 @@ impl SpangleContext {
 
     /// The plan rewrites active for this cluster (fixed at build time).
     pub(crate) fn planner(&self) -> &PlannerConfig {
-        &self.inner.planner
+        &self.config().planner
     }
 
     /// Snapshot of the cumulative counters; subtract two to cost a job.
@@ -583,9 +577,9 @@ impl SpangleContext {
     /// treat memory as saturated. Every growth of resident memory ends
     /// here, so this is also where the (post-spill) peak is recorded.
     pub(crate) fn enforce_memory_watermark(&self) -> bool {
-        let watermark = self.inner.admission.memory_high_watermark_bytes;
+        let watermark = self.config().admission.memory_high_watermark_bytes;
         let resident = self.cached_bytes() + self.shuffle_resident_bytes();
-        if resident >= watermark && self.inner.spill_enabled {
+        if resident >= watermark && self.config().spill_to_disk {
             let need = resident - (watermark - watermark / 4);
             let freed = self.inner.shuffle.spill_up_to(self, need);
             if freed < need {

@@ -38,11 +38,11 @@
 //! on the replacement incarnation, exactly like Spark rescheduling a lost
 //! executor's pending tasks.
 
-use crate::health::HealthBoard;
+use crate::health::{ExecutorSlot, HealthBoard};
 use crate::sync::{Mutex, Next, StealQueues};
 use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -102,7 +102,7 @@ thread_local! {
 fn stamp_progress_tick() {
     CURRENT_HEALTH.with(|slot| {
         if let Some((board, executor)) = slot.borrow().as_ref() {
-            board.stamp_progress(*executor);
+            board.slot(*executor).stamp_progress();
         }
     });
 }
@@ -113,7 +113,7 @@ fn stamp_progress_tick() {
 pub(crate) fn stamp_heartbeat_only() {
     CURRENT_HEALTH.with(|slot| {
         if let Some((board, executor)) = slot.borrow().as_ref() {
-            board.stamp_heartbeat(*executor);
+            board.slot(*executor).stamp_heartbeat();
         }
     });
 }
@@ -186,10 +186,6 @@ impl CancelGauge {
         }
     }
 }
-
-/// One worker thread's "currently running" slot: the cancel token of the
-/// in-flight task body plus the instant it started running.
-type RunningSlot = Mutex<Option<(CancelToken, Instant)>>;
 
 /// What an executor is running right now, as the scheduler's straggler
 /// scan sees it ([`ExecutorPool::executing`]).
@@ -308,37 +304,13 @@ struct PlacedTask {
     token: Option<CancelToken>,
 }
 
-/// Per-executor counters, updated by the owning worker thread.
-#[derive(Debug, Default)]
-struct ExecutorStats {
-    /// Nanoseconds spent inside task bodies on this executor.
-    busy_nanos: AtomicU64,
-    /// Tasks this executor ran that were placed on a sibling.
-    tasks_stolen: AtomicU64,
-}
-
 /// Fixed pool of executor threads over work-stealing per-executor deques.
 pub struct ExecutorPool {
     queues: Arc<StealQueues<PlacedTask>>,
-    stats: Arc<Vec<ExecutorStats>>,
-    /// Incarnation counter per executor slot; bumped by
-    /// [`ExecutorPool::kill`].
-    epochs: Arc<Vec<AtomicU64>>,
-    /// Last incarnation of each slot to *complete* a task. A slot whose
-    /// current epoch is ahead of this is a freshly-seated replacement that
-    /// is still warming up (see [`ExecutorPool::warming_replacements`]).
-    active_epochs: Arc<Vec<AtomicU64>>,
-    /// Token of the task each worker thread is currently running, if any,
-    /// with the instant the body started: [`ExecutorPool::kill`] cancels
-    /// the victim slot's entry so the dead incarnation's in-flight body
-    /// stops at its next cancellation point, and the speculation planner
-    /// measures a straggler's *running* time from the stamp (queue time
-    /// must not count toward the median-multiple threshold).
-    running: Arc<Vec<RunningSlot>>,
-    /// Heartbeat/progress/quarantine state per executor slot, stamped by
-    /// the worker threads and read by the driver's health monitor.
-    health: Arc<HealthBoard>,
-    num_executors: usize,
+    /// One [`ExecutorSlot`] per executor — incarnation, running task,
+    /// counters, heartbeat, placement state — shared with the worker
+    /// threads, the heartbeater and the driver's health monitor.
+    board: Arc<HealthBoard>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Stop flag for the heartbeater thread (see
     /// [`ExecutorPool::start_heartbeater`]); the thread's handle joins the
@@ -347,7 +319,7 @@ pub struct ExecutorPool {
     /// Calls of [`ExecutorPool::executing`], the scheduler's only look at
     /// running tasks: its scan-count regression test reads this.
     #[cfg(test)]
-    pub(crate) looks: AtomicU64,
+    pub(crate) looks: std::sync::atomic::AtomicU64,
 }
 
 impl ExecutorPool {
@@ -356,72 +328,45 @@ impl ExecutorPool {
         assert!(num_executors > 0, "a cluster needs at least one executor");
         silence_cancellation_panics();
         let queues = Arc::new(StealQueues::<PlacedTask>::new(num_executors));
-        let stats: Arc<Vec<ExecutorStats>> = Arc::new(
-            (0..num_executors)
-                .map(|_| ExecutorStats::default())
-                .collect(),
-        );
-        let epochs: Arc<Vec<AtomicU64>> =
-            Arc::new((0..num_executors).map(|_| AtomicU64::new(0)).collect());
-        let active_epochs: Arc<Vec<AtomicU64>> =
-            Arc::new((0..num_executors).map(|_| AtomicU64::new(0)).collect());
-        let running: Arc<Vec<RunningSlot>> =
-            Arc::new((0..num_executors).map(|_| Mutex::new(None)).collect());
-        let health = Arc::new(HealthBoard::new(num_executors));
+        let board = Arc::new(HealthBoard::new(num_executors));
         let mut handles = Vec::with_capacity(num_executors);
         for i in 0..num_executors {
             let queues = Arc::clone(&queues);
-            let stats = Arc::clone(&stats);
-            let epochs = Arc::clone(&epochs);
-            let active_epochs = Arc::clone(&active_epochs);
-            let running = Arc::clone(&running);
-            let health = Arc::clone(&health);
+            let board = Arc::clone(&board);
             let handle = std::thread::Builder::new()
                 .name(format!("spangle-executor-{i}"))
                 .spawn(move || {
-                    // Install this worker's health slot so chunk-boundary
+                    let slot = board.slot(i);
+                    // Install this worker's slot so chunk-boundary
                     // instrumentation (cancellation_point) can stamp
                     // progress from inside task bodies.
-                    CURRENT_HEALTH.with(|slot| *slot.borrow_mut() = Some((Arc::clone(&health), i)));
+                    CURRENT_HEALTH.with(|tls| *tls.borrow_mut() = Some((Arc::clone(&board), i)));
                     loop {
-                        let (task, stolen) = match queues.next(i) {
+                        // A quarantined worker drains its own queue but
+                        // pulls no healthy work onto itself.
+                        let (task, stolen) = match queues.next(i, || slot.is_healthy()) {
                             Next::Local(task) => (task, false),
                             Next::Stolen { item, .. } => (item, true),
                             Next::Closed => break,
                         };
-                        health.stamp_heartbeat(i);
+                        let (epoch, started) = slot.begin(task.token.as_ref(), stolen);
                         let info = TaskInfo {
                             home: task.home,
                             ran_on: i,
                             stolen,
-                            epoch: epochs[i].load(Ordering::SeqCst),
+                            epoch,
                         };
-                        if stolen {
-                            stats[i].tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                        }
-                        // Publish the task's token so kill/shutdown can reach
-                        // the running body, and install it thread-locally so
-                        // cancellation_point() inside the closure sees it.
-                        let started = Instant::now();
-                        *running[i].lock() = task.token.clone().map(|t| (t, started));
-                        CURRENT_TOKEN.with(|slot| *slot.borrow_mut() = task.token);
+                        // Installed thread-locally so cancellation_point()
+                        // inside the closure sees the token.
+                        CURRENT_TOKEN.with(|tls| *tls.borrow_mut() = task.token);
                         // A panicking task must not take the worker down with
                         // it: orphaning the executor's queue would strand
                         // later local tasks. The scheduler catches panics
                         // inside its own task bodies anyway; this is the
                         // backstop for raw pool users.
                         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| (task.run)(&info)));
-                        CURRENT_TOKEN.with(|slot| *slot.borrow_mut() = None);
-                        *running[i].lock() = None;
-                        health.stamp_heartbeat(i);
-                        stats[i]
-                            .busy_nanos
-                            .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        // The incarnation that started this task has now
-                        // completed one; it is no longer a warming replacement.
-                        // Tasks run serially per worker, so the stored epoch is
-                        // monotone even without a compare-exchange.
-                        active_epochs[i].store(info.epoch, Ordering::SeqCst);
+                        CURRENT_TOKEN.with(|tls| *tls.borrow_mut() = None);
+                        slot.finish(epoch, started);
                     }
                 })
                 .expect("failed to spawn executor thread");
@@ -429,22 +374,17 @@ impl ExecutorPool {
         }
         ExecutorPool {
             queues,
-            stats,
-            epochs,
-            active_epochs,
-            running,
-            health,
-            num_executors,
+            board,
             handles: Mutex::new(handles),
             heartbeater_stop: Arc::new(AtomicBool::new(false)),
             #[cfg(test)]
-            looks: AtomicU64::new(0),
+            looks: Default::default(),
         }
     }
 
     /// Spawns the pool's dedicated heartbeater: one thread stamping every
     /// executor slot's heartbeat each half-`interval` (paused slots are
-    /// suppressed by the board, which is how tests inject silence).
+    /// suppressed by the slot, which is how tests inject silence).
     ///
     /// Heartbeats deliberately do NOT ride the task bodies alone: a body
     /// deep in a long compute kernel may not reach a chunk boundary for
@@ -465,17 +405,14 @@ impl ExecutorPool {
         {
             return;
         }
-        let health = Arc::clone(&self.health);
+        let board = Arc::clone(&self.board);
         let stop = Arc::clone(&self.heartbeater_stop);
-        let n = self.num_executors;
         let step = (interval / 2).clamp(Duration::from_millis(1), Duration::from_millis(50));
         let handle = std::thread::Builder::new()
             .name("spangle-heartbeat".into())
             .spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
-                    for e in 0..n {
-                        health.stamp_heartbeat(e);
-                    }
+                    board.slots().iter().for_each(ExecutorSlot::stamp_heartbeat);
                     std::thread::sleep(step);
                 }
             })
@@ -485,12 +422,12 @@ impl ExecutorPool {
 
     /// Number of executors in the cluster.
     pub fn num_executors(&self) -> usize {
-        self.num_executors
+        self.slots().len()
     }
 
     /// Current incarnation of an executor slot (0 until its first kill).
     pub fn epoch(&self, executor: usize) -> u64 {
-        self.epochs[executor].load(Ordering::SeqCst)
+        self.slot(executor).epoch()
     }
 
     /// Kills the current incarnation of `executor` and seats a replacement
@@ -508,15 +445,7 @@ impl ExecutorPool {
     /// its next cancellation point instead of running its remainder to
     /// completion just to be declared lost.
     pub fn kill(&self, executor: usize) -> u64 {
-        let epoch = self.epochs[executor].fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some((token, _)) = self.running[executor].lock().as_ref() {
-            token.cancel();
-        }
-        // The replacement incarnation starts with a fresh, un-paused
-        // heartbeat — a lost executor must not look lost again the moment
-        // it is reseated.
-        self.health.reset_after_kill(executor);
-        epoch
+        self.slot(executor).kill()
     }
 
     /// Whether `executor`'s current incarnation is a warming replacement:
@@ -524,8 +453,7 @@ impl ExecutorPool {
     /// task. A freshly-constructed pool is never warming (epoch 0 counts
     /// as warmed at birth).
     pub fn is_warming(&self, executor: usize) -> bool {
-        self.epochs[executor].load(Ordering::SeqCst)
-            != self.active_epochs[executor].load(Ordering::SeqCst)
+        self.slot(executor).is_warming()
     }
 
     /// Number of executor slots whose replacement incarnation has not yet
@@ -533,9 +461,8 @@ impl ExecutorPool {
     /// slots as missing capacity (`num_executors - warming_replacements()`
     /// healthy executors) until they prove themselves.
     pub fn warming_replacements(&self) -> usize {
-        (0..self.num_executors)
-            .filter(|&e| self.is_warming(e))
-            .count()
+        let warming = |slot: &&ExecutorSlot| slot.is_warming();
+        self.slots().iter().filter(warming).count()
     }
 
     /// Whether the incarnation that produced `origin` is still alive.
@@ -550,7 +477,7 @@ impl ExecutorPool {
     /// Executor a partition is placed on.
     #[inline]
     pub fn executor_for(&self, partition: usize) -> usize {
-        partition % self.num_executors
+        partition % self.num_executors()
     }
 
     /// Queues a task on the executor owning `partition` (an idle sibling
@@ -562,11 +489,11 @@ impl ExecutorPool {
     }
 
     /// Where a task for `partition` goes right now: its home executor,
-    /// unless the quarantine mask diverts it (see
+    /// unless that slot's placement state diverts it (see
     /// `HealthBoard::place` — a home on probation admits exactly one
     /// canary, so call this once per task actually submitted).
     pub fn place(&self, partition: usize) -> usize {
-        self.health.place(self.executor_for(partition))
+        self.board.place(self.executor_for(partition))
     }
 
     /// Queues a task on `executor`, ordered by the tag's job priority: a
@@ -595,26 +522,34 @@ impl ExecutorPool {
             .map_err(|_| PoolShutdown)
     }
 
-    /// Shared heartbeat/progress/quarantine board for this pool's
-    /// executors. Workers stamp it; the driver's health monitor reads it
-    /// and flips quarantine states on it.
-    pub(crate) fn health_board(&self) -> Arc<HealthBoard> {
-        Arc::clone(&self.health)
+    /// The slot table, for holders that outlive a borrow of the pool (the
+    /// failure injector's pause flags).
+    pub(crate) fn health_board(&self) -> &Arc<HealthBoard> {
+        &self.board
     }
 
-    /// Bans or re-admits `executor` as a *thief*: a banned worker drains
-    /// its own queue but never steals from siblings (siblings may still
-    /// steal from it). Used while an executor is quarantined so it cannot
-    /// pull healthy work onto itself.
-    pub(crate) fn set_steal_ban(&self, executor: usize, banned: bool) {
-        self.queues.set_steal_ban(executor, banned);
+    /// Everything the pool knows about `executor`.
+    pub(crate) fn slot(&self, executor: usize) -> &ExecutorSlot {
+        self.board.slot(executor)
+    }
+
+    fn slots(&self) -> &[ExecutorSlot] {
+        self.board.slots()
+    }
+
+    /// Re-admits a quarantined `executor` as fully healthy (its canary
+    /// succeeded), and wakes the workers: its own may be asleep on an
+    /// empty queue beside a sibling's stealable backlog.
+    pub(crate) fn readmit(&self, executor: usize) {
+        self.slot(executor).mark_healthy();
+        self.queues.wake();
     }
 
     /// Queued (not yet started) tasks per executor, indexed by executor id.
     /// Racy; used by the speculation planner to pick an idle slot for a
     /// duplicate attempt.
     pub fn queue_lens(&self) -> Vec<usize> {
-        (0..self.num_executors)
+        (0..self.num_executors())
             .map(|e| self.queues.len(e))
             .collect()
     }
@@ -627,16 +562,7 @@ impl ExecutorPool {
     pub fn executing(&self) -> Vec<Option<Executing>> {
         #[cfg(test)]
         self.looks.fetch_add(1, Ordering::Relaxed);
-        let view = |(e, slot): (usize, &RunningSlot)| {
-            let (token, since) = slot.lock().clone()?;
-            Some(Executing {
-                token,
-                since,
-                progress: self.health.progress_value(e),
-                silent_for: self.health.heartbeat_age(e),
-            })
-        };
-        self.running.iter().enumerate().map(view).collect()
+        self.slots().iter().map(ExecutorSlot::executing).collect()
     }
 
     /// Whether [`ExecutorPool::shutdown`] has run.
@@ -647,19 +573,13 @@ impl ExecutorPool {
     /// Nanoseconds each executor has spent running task bodies, indexed by
     /// executor id.
     pub fn busy_nanos(&self) -> Vec<u64> {
-        self.stats
-            .iter()
-            .map(|s| s.busy_nanos.load(Ordering::Relaxed))
-            .collect()
+        self.slots().iter().map(ExecutorSlot::busy_nanos).collect()
     }
 
     /// Tasks each executor ran that were placed on a sibling, indexed by
     /// the executor that did the stealing.
     pub fn steals_per_executor(&self) -> Vec<u64> {
-        self.stats
-            .iter()
-            .map(|s| s.tasks_stolen.load(Ordering::Relaxed))
-            .collect()
+        self.slots().iter().map(ExecutorSlot::steals).collect()
     }
 
     /// Total tasks that ran away from their placed executor.
@@ -683,11 +603,7 @@ impl ExecutorPool {
     pub fn shutdown(&self) {
         self.queues.close();
         self.heartbeater_stop.store(true, Ordering::SeqCst);
-        for slot in self.running.iter() {
-            if let Some((token, _)) = slot.lock().as_ref() {
-                token.cancel();
-            }
-        }
+        self.slots().iter().for_each(ExecutorSlot::cancel_running);
         let handles = std::mem::take(&mut *self.handles.lock());
         let me = std::thread::current().id();
         for handle in handles {
@@ -958,6 +874,40 @@ mod tests {
             .unwrap();
         rx.recv()
             .expect("the worker must survive a panicking task and run the next one");
+    }
+
+    /// The worker hands its slot's placement state to the steal loop: a
+    /// quarantined executor drains what is placed on it and leaves a
+    /// sibling's backlog alone, until its re-admission wakes it to help.
+    #[test]
+    fn a_quarantined_executor_drains_its_queue_but_steals_nothing() {
+        let pool = ExecutorPool::new(2);
+        pool.slot(1).quarantine(Duration::from_secs(60));
+        let (release_tx, release_rx) = unbounded::<()>();
+        let (tx, rx) = unbounded();
+        let report = |tx: &crate::sync::channel::Sender<TaskInfo>| {
+            let tx = tx.clone();
+            Box::new(move |info: &TaskInfo| tx.send(*info).unwrap())
+        };
+        // Executor 0 is held on a task with a backlog of four behind it.
+        let held = Box::new(move |_: &TaskInfo| {
+            let _ = release_rx.recv();
+        });
+        pool.submit_on(0, TaskTag::default(), None, held).unwrap();
+        for _ in 0..4 {
+            pool.submit_on(0, TaskTag::default(), None, report(&tx))
+                .unwrap();
+        }
+        pool.submit_on(1, TaskTag::default(), None, report(&tx))
+            .unwrap();
+        let own = rx.recv().unwrap();
+        assert_eq!((own.ran_on, own.stolen), (1, false), "its own task runs");
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(pool.tasks_stolen(), 0, "the backlog is not its to take");
+        pool.readmit(1);
+        let helped = rx.recv().unwrap();
+        assert_eq!((helped.ran_on, helped.stolen), (1, true));
+        release_tx.send(()).unwrap();
     }
 
     #[test]

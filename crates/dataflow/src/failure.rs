@@ -19,10 +19,16 @@
 //! an executor fail with a seeded probability until it is healed — the
 //! workload the quarantine monitor exists for.
 
-use crate::health::{splitmix64, HealthBoard};
+use crate::context::SpangleContext;
+use crate::executor::{
+    cancellation_point, is_task_cancelled, stamp_heartbeat_only, CancelledError, TaskInfo,
+};
+use crate::health::{splitmix64, ExecutorSlot, HealthBoard};
+use crate::scheduler::TaskError;
 use crate::sync::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Identifies a schedulable task: the RDD whose partition the task produces
 /// (for result stages) or the shuffle map side's parent RDD (for shuffle
@@ -35,41 +41,109 @@ pub struct TaskSite {
     pub partition: usize,
 }
 
-/// Injects failures into the first N attempts of selected tasks, or into
-/// the next N task attempts regardless of site.
-#[derive(Default)]
-pub struct FailureInjector {
-    /// Remaining number of failures to inject per site.
-    remaining: Mutex<HashMap<TaskSite, usize>>,
-    /// Remaining site-independent failures.
-    any: std::sync::atomic::AtomicUsize,
-    /// Per-executor queue of armed kills: each entry is a countdown of
-    /// tasks until that executor (incarnation) is killed; the next
-    /// countdown starts once the previous kill fired.
-    kill_after: Mutex<HashMap<usize, VecDeque<usize>>>,
-    /// Remaining number of wedges to inject per site (see
-    /// [`FailureInjector::wedge_task`]).
-    wedged: Mutex<HashMap<TaskSite, usize>>,
-    /// Remaining number of progress stalls to inject per site (see
-    /// [`FailureInjector::stall_progress`]).
-    stalled: Mutex<HashMap<TaskSite, usize>>,
-    /// Per-executor seeded failure rate (see
-    /// [`FailureInjector::flaky_executor`]): rate, seed, and a draw
-    /// counter so successive tasks see independent deterministic draws.
-    flaky: Mutex<HashMap<usize, FlakySlot>>,
-    /// Health board of the attached pool; lets heartbeat injections flip
-    /// pause flags that the executor-side stamps observe.
-    health: Mutex<Option<Arc<HealthBoard>>>,
+/// What an attempt does in place of its body, as drawn by
+/// [`FailureInjector::draw`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fault {
+    /// Fail at once with [`TaskError::Injected`].
+    Fail,
+    /// Spin at a cancellation point until cancelled: a deterministic
+    /// straggler.
+    Wedge,
+    /// Spin stamping heartbeats but never progress, until cancelled: alive
+    /// by every liveness signal, yet stuck.
+    Stall,
 }
 
-/// Seeded per-executor failure state for [`FailureInjector::flaky_executor`].
-struct FlakySlot {
+impl Fault {
+    /// Plays the fault out on the executor thread that drew it. `Fail`
+    /// returns its error; the spins end only by unwinding with
+    /// [`CancelledError`] once the driver's speculation (or an abort)
+    /// cancels the attempt.
+    pub(crate) fn play(self) -> TaskError {
+        let pause = || std::thread::sleep(Duration::from_micros(200));
+        match self {
+            Fault::Fail => TaskError::Injected,
+            Fault::Wedge => loop {
+                cancellation_point();
+                pause();
+            },
+            Fault::Stall => loop {
+                // Deliberately NOT cancellation_point(): that would tick
+                // progress and hide the stall from the watchdog.
+                if is_task_cancelled() {
+                    std::panic::panic_any(CancelledError);
+                }
+                stamp_heartbeat_only();
+                pause();
+            },
+        }
+    }
+}
+
+/// One-shot faults armed on a task site: attempts left to play each
+/// [`Fault`], indexed by it.
+type SiteFaults = [usize; 3];
+
+/// Faults armed on an executor.
+#[derive(Default)]
+struct ExecutorFaults {
+    /// Armed kills: each entry is a countdown of tasks until the executor
+    /// (incarnation) is killed; the next countdown starts once the
+    /// previous kill fired.
+    kills: VecDeque<usize>,
+    /// Seeded failure rate, see [`FailureInjector::flaky_executor`].
+    flaky: Option<Flaky>,
+}
+
+/// Rate, seed, and a draw counter so successive tasks see independent
+/// deterministic draws.
+struct Flaky {
     rate: f64,
     seed: u64,
     draws: u64,
 }
 
+/// Every armed fault. An entry exists only while something in it is armed,
+/// so "drained" is "both maps empty".
+#[derive(Default)]
+struct Armed {
+    sites: HashMap<TaskSite, SiteFaults>,
+    /// Remaining site-independent failures (first attempts only).
+    any: usize,
+    executors: HashMap<usize, ExecutorFaults>,
+}
+
+/// Takes one from `counter` if any are left.
+fn take(counter: &mut usize) -> bool {
+    let armed = *counter > 0;
+    *counter -= armed as usize;
+    armed
+}
+
+/// Injects failures into the first N attempts of selected tasks, into the
+/// next N task attempts regardless of site, or into whatever runs on a
+/// selected executor. The scheduler consults it twice per attempt: one
+/// `draw` before the body, one `settle` after it.
+#[derive(Default)]
+pub struct FailureInjector {
+    armed: Mutex<Armed>,
+    /// Slot table of the attached pool; lets heartbeat injections flip
+    /// pause flags that the executor-side stamps observe.
+    health: Mutex<Option<Arc<HealthBoard>>>,
+}
+
 impl FailureInjector {
+    /// Arms `times` more attempts of a site to play `fault`.
+    fn arm_site(&self, rdd_id: usize, partition: usize, times: usize, fault: Fault) {
+        if times > 0 {
+            let mut armed = self.armed.lock();
+            let site = TaskSite { rdd_id, partition };
+            let left = &mut armed.sites.entry(site).or_default()[fault as usize];
+            *left = left.saturating_add(times);
+        }
+    }
+
     /// Makes the next `times` attempts of the task computing `partition` of
     /// `rdd_id` fail with [`crate::TaskError::Injected`].
     ///
@@ -83,12 +157,7 @@ impl FailureInjector {
     /// separate sites — use [`FailureInjector::fail_next_tasks`] to kill
     /// tasks without knowing the plan.
     pub fn fail_task(&self, rdd_id: usize, partition: usize, times: usize) {
-        let mut map = self.remaining.lock();
-        let slot = map.entry(TaskSite { rdd_id, partition }).or_insert(0);
-        *slot = slot.saturating_add(times);
-        if *slot == 0 {
-            map.remove(&TaskSite { rdd_id, partition });
-        }
+        self.arm_site(rdd_id, partition, times, Fault::Fail);
     }
 
     /// Arms a kill of `executor` that fires right after it finishes its
@@ -103,32 +172,9 @@ impl FailureInjector {
     /// each.
     pub fn kill_executor_after(&self, executor: usize, tasks: usize) {
         assert!(tasks > 0, "a kill needs at least one task to fire after");
-        self.kill_after
-            .lock()
-            .entry(executor)
-            .or_default()
-            .push_back(tasks);
-    }
-
-    /// Counts one finished scheduled task on `executor`; `true` when an
-    /// armed kill just hit zero and the caller must kill the executor.
-    pub(crate) fn take_executor_kill(&self, executor: usize) -> bool {
-        let mut map = self.kill_after.lock();
-        let Some(queue) = map.get_mut(&executor) else {
-            return false;
-        };
-        let front = queue
-            .front_mut()
-            .expect("armed kill queues are never left empty");
-        *front -= 1;
-        if *front > 0 {
-            return false;
-        }
-        queue.pop_front();
-        if queue.is_empty() {
-            map.remove(&executor);
-        }
-        true
+        let mut armed = self.armed.lock();
+        let faults = armed.executors.entry(executor).or_default();
+        faults.kills.push_back(tasks);
     }
 
     /// Wedges the next `times` attempts of the task computing `partition`
@@ -139,30 +185,10 @@ impl FailureInjector {
     /// 1` the speculative duplicate (or a retry) of the same task runs
     /// clean while the original hangs.
     pub fn wedge_task(&self, rdd_id: usize, partition: usize, times: usize) {
-        if times == 0 {
-            return;
-        }
-        let mut map = self.wedged.lock();
-        let slot = map.entry(TaskSite { rdd_id, partition }).or_insert(0);
-        *slot = slot.saturating_add(times);
+        self.arm_site(rdd_id, partition, times, Fault::Wedge);
     }
 
-    /// Consumes one armed wedge for the site, if any remain.
-    pub(crate) fn take_wedge(&self, site: TaskSite) -> bool {
-        let mut map = self.wedged.lock();
-        match map.get_mut(&site) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                if *n == 0 {
-                    map.remove(&site);
-                }
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Connects this injector to the pool's health board so heartbeat
+    /// Connects this injector to the pool's slot table so heartbeat
     /// injections can reach executor-side state. Called once at context
     /// construction; injectors used standalone (unit tests) simply have no
     /// board and treat heartbeat injections as no-ops.
@@ -178,14 +204,14 @@ impl FailureInjector {
     /// notice the missing heartbeats on its own.
     pub fn pause_heartbeats(&self, executor: usize) {
         if let Some(board) = self.health.lock().as_ref() {
-            board.set_paused(executor, true);
+            board.slot(executor).set_paused(true);
         }
     }
 
     /// Lets a paused executor stamp heartbeats again.
     pub fn resume_heartbeats(&self, executor: usize) {
         if let Some(board) = self.health.lock().as_ref() {
-            board.set_paused(executor, false);
+            board.slot(executor).set_paused(false);
         }
     }
 
@@ -201,35 +227,26 @@ impl FailureInjector {
             (0.0..=1.0).contains(&rate),
             "failure rate must be within [0, 1]"
         );
-        self.flaky.lock().insert(
-            executor,
-            FlakySlot {
-                rate,
-                seed,
-                draws: 0,
-            },
-        );
+        let flaky = Flaky {
+            rate,
+            seed,
+            draws: 0,
+        };
+        let mut armed = self.armed.lock();
+        armed.executors.entry(executor).or_default().flaky = Some(flaky);
     }
 
     /// Clears a [`FailureInjector::flaky_executor`] arm; tasks landing on
     /// the executor run clean again (its quarantine probation canary can
     /// now succeed).
     pub fn heal_executor(&self, executor: usize) {
-        self.flaky.lock().remove(&executor);
-    }
-
-    /// One seeded draw against `executor`'s flaky rate, if armed. `true`
-    /// means this attempt must fail with [`crate::TaskError::Injected`].
-    pub(crate) fn should_fail_on(&self, executor: usize) -> bool {
-        let mut map = self.flaky.lock();
-        let Some(slot) = map.get_mut(&executor) else {
-            return false;
-        };
-        let draw = splitmix64(slot.seed.wrapping_add(slot.draws));
-        slot.draws += 1;
-        // Map the top 53 bits to [0, 1) — the standard uniform construction.
-        let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
-        unit < slot.rate
+        let mut armed = self.armed.lock();
+        if let Some(faults) = armed.executors.get_mut(&executor) {
+            faults.flaky = None;
+            if faults.kills.is_empty() {
+                armed.executors.remove(&executor);
+            }
+        }
     }
 
     /// Makes the next `times` attempts of the task computing `partition`
@@ -241,27 +258,7 @@ impl FailureInjector {
     /// speculation trigger only sees it once the runtime crosses the
     /// straggler threshold.
     pub fn stall_progress(&self, rdd_id: usize, partition: usize, times: usize) {
-        if times == 0 {
-            return;
-        }
-        let mut map = self.stalled.lock();
-        let slot = map.entry(TaskSite { rdd_id, partition }).or_insert(0);
-        *slot = slot.saturating_add(times);
-    }
-
-    /// Consumes one armed stall for the site, if any remain.
-    pub(crate) fn take_stall(&self, site: TaskSite) -> bool {
-        let mut map = self.stalled.lock();
-        match map.get_mut(&site) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                if *n == 0 {
-                    map.remove(&site);
-                }
-                true
-            }
-            _ => false,
-        }
+        self.arm_site(rdd_id, partition, times, Fault::Stall);
     }
 
     /// Makes the next `n` distinct tasks fail their first attempt, whatever
@@ -274,56 +271,119 @@ impl FailureInjector {
     /// armed with this method wants. Use [`FailureInjector::fail_task`] to
     /// kill retries of a specific task.
     pub fn fail_next_tasks(&self, n: usize) {
-        self.any.fetch_add(n, std::sync::atomic::Ordering::SeqCst);
+        self.armed.lock().any += n;
     }
 
-    /// Consumes one injected failure for the site, if any remain.
-    pub(crate) fn should_fail(&self, site: TaskSite, attempt: usize) -> bool {
-        // Site-independent injections first; they only apply to first
-        // attempts (see `fail_next_tasks`).
-        if attempt == 0 {
-            let mut current = self.any.load(std::sync::atomic::Ordering::SeqCst);
-            while current > 0 {
-                match self.any.compare_exchange(
-                    current,
-                    current - 1,
-                    std::sync::atomic::Ordering::SeqCst,
-                    std::sync::atomic::Ordering::SeqCst,
-                ) {
-                    Ok(_) => return true,
-                    Err(now) => current = now,
-                }
+    /// The one draw before an attempt's body: what attempt number
+    /// `attempt` of `site`, about to run on `executor`, does instead of
+    /// it. Every one-shot armed on the site is consumed by the attempt
+    /// that meets it — a wedge and a stall even when a failure preempts
+    /// them — and a failure wins over a wedge, a wedge over a stall.
+    /// Site-independent failures come first and apply to first attempts
+    /// only (see [`FailureInjector::fail_next_tasks`]); the executor's
+    /// flaky rate is drawn only by an attempt nothing else failed.
+    pub(crate) fn draw(&self, site: TaskSite, attempt: usize, executor: usize) -> Option<Fault> {
+        let mut armed = self.armed.lock();
+        let mut fail = attempt == 0 && take(&mut armed.any);
+        let (mut wedge, mut stall) = (false, false);
+        if let Some(left) = armed.sites.get_mut(&site) {
+            wedge = take(&mut left[Fault::Wedge as usize]);
+            stall = take(&mut left[Fault::Stall as usize]);
+            fail = fail || take(&mut left[Fault::Fail as usize]);
+            if *left == [0; 3] {
+                armed.sites.remove(&site);
             }
         }
-        let mut map = self.remaining.lock();
-        match map.get_mut(&site) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                if *n == 0 {
-                    map.remove(&site);
-                }
-                true
+        if !fail {
+            if let Some(flaky) = armed
+                .executors
+                .get_mut(&executor)
+                .and_then(|e| e.flaky.as_mut())
+            {
+                let draw = splitmix64(flaky.seed.wrapping_add(flaky.draws));
+                flaky.draws += 1;
+                // Map the top 53 bits to [0, 1) — the standard uniform
+                // construction.
+                fail = ((draw >> 11) as f64 / (1u64 << 53) as f64) < flaky.rate;
             }
-            _ => false,
         }
+        match (fail, wedge, stall) {
+            (true, ..) => Some(Fault::Fail),
+            (_, true, _) => Some(Fault::Wedge),
+            (.., true) => Some(Fault::Stall),
+            _ => None,
+        }
+    }
+
+    /// Counts one finished scheduled task on `executor`; `true` when an
+    /// armed kill just hit zero and the caller must kill the executor.
+    fn kill_due(&self, executor: usize) -> bool {
+        let mut armed = self.armed.lock();
+        let Some(faults) = armed.executors.get_mut(&executor) else {
+            return false;
+        };
+        let Some(countdown) = faults.kills.front_mut() else {
+            return false;
+        };
+        *countdown -= 1;
+        if *countdown > 0 {
+            return false;
+        }
+        faults.kills.pop_front();
+        if faults.kills.is_empty() && faults.flaky.is_none() {
+            armed.executors.remove(&executor);
+        }
+        true
+    }
+
+    /// The one call after an attempt's body, with the `outcome` it came
+    /// to: fires an armed kill of the executor that ran it, and decides
+    /// what the attempt reports.
+    ///
+    /// An armed kill fires here, after the victim's Nth task body ran: the
+    /// kill discards the incarnation's blocks and retires its epoch, so
+    /// this very attempt is the first casualty. An attempt that outlived
+    /// its incarnation — killed here, by the driver's monitor or by a test
+    /// — lost its output with the executor and reports the loss instead of
+    /// a stale success. A fetch failure keeps precedence — it names the
+    /// shuffle the scheduler must repair either way — and so does an
+    /// injected failure: `fail_task` armed together with
+    /// `kill_executor_after` must still charge the attempt budget
+    /// deterministically, not vanish into the free replay the
+    /// executor-lost path grants.
+    pub(crate) fn settle<R>(
+        &self,
+        ctx: &SpangleContext,
+        info: &TaskInfo,
+        outcome: Result<R, TaskError>,
+    ) -> Result<R, TaskError> {
+        if self.kill_due(info.ran_on) {
+            ctx.kill_executor(info.ran_on);
+        }
+        let keeps = matches!(
+            outcome,
+            Err(TaskError::FetchFailed { .. }) | Err(TaskError::Injected)
+        );
+        if keeps || ctx.inner.pool.epoch(info.ran_on) == info.epoch {
+            return outcome;
+        }
+        Err(TaskError::ExecutorLost {
+            executor: info.ran_on,
+        })
     }
 
     /// True when no injections are pending — site-specific failures,
-    /// site-independent failures, armed executor kills, stalls, flaky
-    /// arms, and paused heartbeats alike (useful to assert a test
+    /// site-independent failures, armed executor kills, wedges, stalls,
+    /// flaky arms, and paused heartbeats alike (useful to assert a test
     /// consumed or healed everything it armed).
     pub fn is_drained(&self) -> bool {
-        self.remaining.lock().is_empty()
-            && self.any.load(std::sync::atomic::Ordering::SeqCst) == 0
-            && self.kill_after.lock().is_empty()
-            && self.wedged.lock().is_empty()
-            && self.stalled.lock().is_empty()
-            && self.flaky.lock().is_empty()
-            && self
-                .health
-                .lock()
-                .as_ref()
-                .is_none_or(|board| !board.any_paused())
+        let armed = self.armed.lock();
+        let board = self.health.lock();
+        let mut slots = board.iter().flat_map(|board| board.slots());
+        armed.sites.is_empty()
+            && armed.any == 0
+            && armed.executors.is_empty()
+            && !slots.any(ExecutorSlot::is_paused)
     }
 }
 
@@ -331,30 +391,36 @@ impl FailureInjector {
 mod tests {
     use super::*;
 
+    fn site(rdd_id: usize, partition: usize) -> TaskSite {
+        TaskSite { rdd_id, partition }
+    }
+
+    /// Whether the injector fails attempt `attempt` of `site` (on an
+    /// executor nothing is armed on).
+    fn fails(inj: &FailureInjector, site: TaskSite, attempt: usize) -> bool {
+        inj.draw(site, attempt, 0) == Some(Fault::Fail)
+    }
+
+    /// Whether the injector fails a retry of an unarmed task that lands on
+    /// `executor`.
+    fn fails_on(inj: &FailureInjector, executor: usize) -> bool {
+        inj.draw(site(usize::MAX, 0), 1, executor) == Some(Fault::Fail)
+    }
+
     #[test]
     fn injector_fails_exactly_n_times() {
         let inj = FailureInjector::default();
         inj.fail_task(7, 2, 2);
-        let site = TaskSite {
-            rdd_id: 7,
-            partition: 2,
-        };
-        assert!(inj.should_fail(site, 0));
-        assert!(inj.should_fail(site, 1));
-        assert!(!inj.should_fail(site, 2));
+        assert!(fails(&inj, site(7, 2), 0));
+        assert!(fails(&inj, site(7, 2), 1));
+        assert!(!fails(&inj, site(7, 2), 2));
         assert!(inj.is_drained());
     }
 
     #[test]
     fn unarmed_sites_never_fail() {
         let inj = FailureInjector::default();
-        assert!(!inj.should_fail(
-            TaskSite {
-                rdd_id: 0,
-                partition: 0
-            },
-            0
-        ));
+        assert_eq!(inj.draw(site(0, 0), 0, 0), None);
     }
 
     /// Regression: a second `fail_task` for the same site used to
@@ -364,14 +430,10 @@ mod tests {
         let inj = FailureInjector::default();
         inj.fail_task(3, 1, 2);
         inj.fail_task(3, 1, 1);
-        let site = TaskSite {
-            rdd_id: 3,
-            partition: 1,
-        };
         for attempt in 0..3 {
-            assert!(inj.should_fail(site, attempt), "attempt {attempt} armed");
+            assert!(fails(&inj, site(3, 1), attempt), "attempt {attempt} armed");
         }
-        assert!(!inj.should_fail(site, 3));
+        assert!(!fails(&inj, site(3, 1), 3));
         assert!(inj.is_drained());
         // Arming zero times is a no-op, not a pending entry.
         inj.fail_task(4, 0, 0);
@@ -384,14 +446,11 @@ mod tests {
         inj.kill_executor_after(1, 2);
         inj.kill_executor_after(1, 1);
         assert!(!inj.is_drained());
-        assert!(!inj.take_executor_kill(0), "unarmed executors never die");
-        assert!(!inj.take_executor_kill(1), "first countdown at 1 of 2");
-        assert!(inj.take_executor_kill(1), "first kill fires");
-        assert!(
-            inj.take_executor_kill(1),
-            "second armed kill fires one task later"
-        );
-        assert!(!inj.take_executor_kill(1));
+        assert!(!inj.kill_due(0), "unarmed executors never die");
+        assert!(!inj.kill_due(1), "first countdown at 1 of 2");
+        assert!(inj.kill_due(1), "first kill fires");
+        assert!(inj.kill_due(1), "second armed kill fires one task later");
+        assert!(!inj.kill_due(1));
         assert!(inj.is_drained());
     }
 
@@ -399,16 +458,11 @@ mod tests {
     fn wedges_are_consumed_one_shot_per_site() {
         let inj = FailureInjector::default();
         inj.wedge_task(5, 0, 1);
-        let site = TaskSite {
-            rdd_id: 5,
-            partition: 0,
-        };
         assert!(!inj.is_drained());
-        assert!(inj.take_wedge(site), "first attempt wedges");
-        assert!(
-            !inj.take_wedge(site),
-            "the speculative duplicate runs clean"
-        );
+        let first = inj.draw(site(5, 0), 0, 0);
+        assert_eq!(first, Some(Fault::Wedge), "first attempt wedges");
+        let duplicate = inj.draw(site(5, 0), 0, 1);
+        assert_eq!(duplicate, None, "the speculative duplicate runs clean");
         assert!(inj.is_drained());
         inj.wedge_task(5, 0, 0);
         assert!(inj.is_drained(), "arming zero wedges is a no-op");
@@ -420,19 +474,19 @@ mod tests {
         let b = FailureInjector::default();
         a.flaky_executor(2, 0.3, 42);
         b.flaky_executor(2, 0.3, 42);
-        let draws_a: Vec<bool> = (0..64).map(|_| a.should_fail_on(2)).collect();
-        let draws_b: Vec<bool> = (0..64).map(|_| b.should_fail_on(2)).collect();
+        let draws_a: Vec<bool> = (0..64).map(|_| fails_on(&a, 2)).collect();
+        let draws_b: Vec<bool> = (0..64).map(|_| fails_on(&b, 2)).collect();
         assert_eq!(draws_a, draws_b, "same seed, same draw sequence");
         let fails = draws_a.iter().filter(|&&f| f).count();
         assert!(
             (8..=32).contains(&fails),
             "a 30% rate over 64 draws should fail roughly a third, got {fails}"
         );
-        assert!(!a.should_fail_on(0), "unarmed executors never draw");
+        assert!(!fails_on(&a, 0), "unarmed executors never draw");
         assert!(!a.is_drained());
         a.heal_executor(2);
         assert!(a.is_drained());
-        assert!(!a.should_fail_on(2), "healed executors run clean");
+        assert!(!fails_on(&a, 2), "healed executors run clean");
     }
 
     #[test]
@@ -441,8 +495,8 @@ mod tests {
         inj.flaky_executor(0, 1.0, 7);
         inj.flaky_executor(1, 0.0, 7);
         for _ in 0..16 {
-            assert!(inj.should_fail_on(0), "rate 1.0 fails every draw");
-            assert!(!inj.should_fail_on(1), "rate 0.0 never fails");
+            assert!(fails_on(&inj, 0), "rate 1.0 fails every draw");
+            assert!(!fails_on(&inj, 1), "rate 0.0 never fails");
         }
     }
 
@@ -450,16 +504,99 @@ mod tests {
     fn stalls_are_consumed_one_shot_per_site() {
         let inj = FailureInjector::default();
         inj.stall_progress(9, 3, 1);
-        let site = TaskSite {
-            rdd_id: 9,
-            partition: 3,
-        };
         assert!(!inj.is_drained());
-        assert!(inj.take_stall(site), "first attempt stalls");
-        assert!(!inj.take_stall(site), "the duplicate attempt runs clean");
+        let first = inj.draw(site(9, 3), 0, 0);
+        assert_eq!(first, Some(Fault::Stall), "first attempt stalls");
+        let duplicate = inj.draw(site(9, 3), 0, 1);
+        assert_eq!(duplicate, None, "the duplicate attempt runs clean");
         assert!(inj.is_drained());
         inj.stall_progress(9, 3, 0);
         assert!(inj.is_drained(), "arming zero stalls is a no-op");
+    }
+
+    /// Everything armed on one site is met by one draw: each attempt
+    /// consumes one of every counter that is left — the wedge and the
+    /// stall even when the failure preempts them — and plays the one that
+    /// wins: failure, then wedge, then stall.
+    #[test]
+    fn one_sites_failure_wedge_and_stall_are_consumed_together_in_precedence_order() {
+        let inj = FailureInjector::default();
+        inj.fail_task(4, 0, 1);
+        inj.wedge_task(4, 0, 2);
+        inj.stall_progress(4, 0, 3);
+        // A site-independent failure is taken first and spares the site's
+        // own counter, but not its wedge and stall.
+        inj.fail_next_tasks(1);
+        let played: Vec<_> = (0..5).map(|_| inj.draw(site(4, 0), 0, 0)).collect();
+        use Fault::*;
+        assert_eq!(
+            played,
+            [Some(Fail), Some(Fail), Some(Stall), None, None],
+            "any+wedge+stall, fail+wedge+stall, stall, then drained"
+        );
+        assert!(inj.is_drained());
+    }
+
+    /// A flaky rate and armed kills on one executor: the rate is drawn
+    /// before the body by every attempt nothing else failed, the kill
+    /// counts bodies after them, and the executor stays armed until both
+    /// are gone.
+    #[test]
+    fn an_executors_flaky_rate_and_kill_are_drawn_before_and_counted_after() {
+        let inj = FailureInjector::default();
+        inj.flaky_executor(1, 1.0, 7);
+        inj.kill_executor_after(1, 2);
+        inj.fail_task(6, 0, 1);
+        // The site's failure preempts the flaky draw: no draw is spent.
+        assert_eq!(inj.draw(site(6, 0), 3, 1), Some(Fault::Fail));
+        let draws = |inj: &FailureInjector| {
+            let armed = inj.armed.lock();
+            (
+                armed.sites.len(),
+                armed.executors[&1].flaky.as_ref().unwrap().draws,
+            )
+        };
+        assert_eq!(draws(&inj), (0, 0));
+        assert!(fails_on(&inj, 1) && !inj.kill_due(1), "first body: 1 of 2");
+        inj.heal_executor(1);
+        assert!(!inj.is_drained(), "the kill is still armed");
+        assert!(!fails_on(&inj, 1) && inj.kill_due(1), "second body: killed");
+        assert!(inj.is_drained());
+    }
+
+    /// What an attempt reports once its body is over: an armed kill fires
+    /// and costs the attempt its success, but a fetch failure and an
+    /// injected failure keep their names.
+    #[test]
+    fn settle_fires_the_kill_and_keeps_the_errors_that_outrank_the_loss() {
+        let ctx = SpangleContext::new(2);
+        let inj = ctx.failure_injector();
+        let on = |executor, epoch| TaskInfo {
+            home: executor,
+            ran_on: executor,
+            stolen: false,
+            epoch,
+        };
+        assert!(matches!(inj.settle(&ctx, &on(0, 0), Ok(7)), Ok(7)));
+        inj.kill_executor_after(0, 1);
+        let lost = inj.settle(&ctx, &on(0, 0), Ok(7));
+        assert!(matches!(lost, Err(TaskError::ExecutorLost { executor: 0 })));
+        assert_eq!(ctx.inner.pool.epoch(0), 1, "the armed kill fired");
+        // The dead incarnation's stragglers: lost, unless they failed in a
+        // way that outranks it.
+        let injected = inj.settle(&ctx, &on(0, 0), Err::<u64, _>(TaskError::Injected));
+        assert!(matches!(injected, Err(TaskError::Injected)));
+        let fetch = TaskError::FetchFailed {
+            shuffle_id: 3,
+            map_id: 1,
+        };
+        let fetch = inj.settle(&ctx, &on(0, 0), Err::<u64, _>(fetch));
+        assert!(matches!(fetch, Err(TaskError::FetchFailed { .. })));
+        let panicked = TaskError::Panicked("late".into());
+        let panicked = inj.settle(&ctx, &on(0, 0), Err::<u64, _>(panicked));
+        assert!(matches!(panicked, Err(TaskError::ExecutorLost { .. })));
+        assert!(matches!(inj.settle(&ctx, &on(0, 1), Ok(7)), Ok(7)));
+        assert!(inj.is_drained());
     }
 
     #[test]
@@ -472,10 +609,10 @@ mod tests {
         let board = Arc::new(HealthBoard::new(2));
         inj.attach_health(Arc::clone(&board));
         inj.pause_heartbeats(1);
-        assert!(board.any_paused());
+        assert!(board.slot(1).is_paused());
         assert!(!inj.is_drained(), "a paused executor is a live injection");
         inj.resume_heartbeats(1);
-        assert!(!board.any_paused());
+        assert!(!board.slot(1).is_paused());
         assert!(inj.is_drained());
     }
 
@@ -483,19 +620,12 @@ mod tests {
     fn site_independent_injections_spare_retries() {
         let inj = FailureInjector::default();
         inj.fail_next_tasks(2);
-        let a = TaskSite {
-            rdd_id: 1,
-            partition: 0,
-        };
-        let b = TaskSite {
-            rdd_id: 1,
-            partition: 1,
-        };
-        assert!(inj.should_fail(a, 0));
+        let (a, b) = (site(1, 0), site(1, 1));
+        assert!(fails(&inj, a, 0));
         // The retry of `a` must not consume the second injection...
-        assert!(!inj.should_fail(a, 1));
+        assert!(!fails(&inj, a, 1));
         // ...which is left for the first attempt of a different task.
-        assert!(inj.should_fail(b, 0));
+        assert!(fails(&inj, b, 0));
         assert!(inj.is_drained());
     }
 }

@@ -1,43 +1,53 @@
-//! Autonomous failure detection: heartbeats, progress ticks, the
-//! quarantine placement mask, and seeded retry backoff.
+//! Autonomous failure detection: the per-executor slot table (heartbeats,
+//! progress ticks, incarnations, the quarantine placement state) and
+//! seeded retry backoff.
 //!
 //! The `HealthBoard` is the shared blackboard between the executor pool
-//! and the scheduler's driver loop. A pool-owned *heartbeater* thread
-//! stamps every executor's heartbeat (an executor-is-alive timestamp)
-//! each half-interval — heartbeats model the dedicated reporter a remote
-//! executor process would run, so silence means the executor is *gone*,
-//! never merely busy in a long compute kernel. Workers additionally stamp
-//! at their loop points (task pop, task completion) and tick *progress*
-//! (a monotone per-executor counter) at chunk boundaries through
-//! `cancellation_point`. The driver reads the ages back to declare an
-//! executor lost after `missed_heartbeat_limit` silent intervals and a
+//! and the scheduler's driver loop: one `ExecutorSlot` per executor
+//! holding everything the runtime knows about it. A pool-owned
+//! *heartbeater* thread stamps every slot's heartbeat (an
+//! executor-is-alive timestamp) each half-interval — heartbeats model the
+//! dedicated reporter a remote executor process would run, so silence
+//! means the executor is *gone*, never merely busy in a long compute
+//! kernel. Workers additionally stamp around every task and tick
+//! *progress* (a monotone per-executor counter) at chunk boundaries
+//! through `cancellation_point`. The driver reads the ages back to declare
+//! an executor lost after `missed_heartbeat_limit` silent intervals and a
 //! task wedged after a no-progress watchdog interval, then routes into
 //! the existing recovery paths (kill + lineage recompute, or a
 //! speculation-style duplicate) — detection is new, recovery semantics
 //! are not.
 //!
-//! The board also owns the *placement mask* for quarantine: an executor
-//! whose recent task-failure rate crosses the threshold is drained
-//! (placement and stealing skip it) and re-admitted through probation
-//! with a single canary task. Everything on the board is a relaxed
-//! atomic: stamping sits on the task hot path and must cost no more than
-//! a TLS read and a store.
+//! The slot's *placement state* is the quarantine mask: an executor whose
+//! recent task-failure rate crosses the threshold is drained (placement
+//! and stealing both read the one state and skip it) and re-admitted
+//! through probation with a single canary task. Everything in a slot but
+//! the running-task handle is an atomic: stamping sits on the task hot
+//! path and must cost no more than a TLS read and a store.
 
 use crate::context::SpangleContext;
+use crate::executor::{CancelToken, Executing};
 use crate::metrics::MetricField;
 use crate::scheduler::TaskError;
+use crate::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
-/// Placement states of one executor slot, kept in the board's mask.
-/// `Healthy` is the only state placement targets; `Probation` admits
+/// Placement states of one executor slot. `Healthy` is the only state
+/// placement targets and the only one that may steal; `Probation` admits
 /// exactly one canary task (CAS to `Canary`); `Quarantined` flips to
 /// `Probation` lazily once its deadline passes.
-pub(crate) const STATE_HEALTHY: u8 = 0;
-pub(crate) const STATE_QUARANTINED: u8 = 1;
-pub(crate) const STATE_PROBATION: u8 = 2;
-pub(crate) const STATE_CANARY: u8 = 3;
+const STATE_HEALTHY: u8 = 0;
+const STATE_QUARANTINED: u8 = 1;
+const STATE_PROBATION: u8 = 2;
+const STATE_CANARY: u8 = 3;
+
+/// Minimum recent outcomes observed on an executor before its failure
+/// rate is judged at all.
+const QUARANTINE_MIN_SAMPLES: usize = 5;
+/// How many recent task outcomes per executor feed the failure rate.
+const QUARANTINE_WINDOW: usize = 20;
 
 /// When the driver declares executors lost and tasks wedged; configured
 /// through [`crate::SpangleContextBuilder`], interval defaults overridable
@@ -60,11 +70,6 @@ pub struct HealthConfig {
     /// Recent task-failure rate (failures / window) at or above which an
     /// executor is quarantined.
     pub quarantine_threshold: f64,
-    /// Minimum recent outcomes observed on an executor before its failure
-    /// rate is judged at all.
-    pub quarantine_min_samples: usize,
-    /// How many recent task outcomes per executor feed the failure rate.
-    pub quarantine_window: usize,
     /// How long a quarantined executor is drained before probation offers
     /// it one canary task (doubled with jitter per failed canary).
     pub probation: Duration,
@@ -91,8 +96,6 @@ impl Default for HealthConfig {
             missed_heartbeat_limit: 10,
             watchdog_interval: env_millis("SPANGLE_WATCHDOG_MS").unwrap_or(Duration::from_secs(10)),
             quarantine_threshold: 0.5,
-            quarantine_min_samples: 5,
-            quarantine_window: 20,
             probation: Duration::from_millis(250),
         }
     }
@@ -183,190 +186,288 @@ fn jittered_backoff(base: Duration, cap: Duration, strike: usize, seed: u64) -> 
     Duration::from_nanos(jittered)
 }
 
-/// One executor's health slot plus the quarantine placement mask, shared
-/// between the pool's workers (writers) and the driver loop (reader and
-/// state machine).
-pub(crate) struct HealthBoard {
-    /// Board creation; heartbeat timestamps are nanos since this.
-    epoch: Instant,
-    /// Last heartbeat per executor, nanos since `epoch`.
-    hb_nanos: Vec<AtomicU64>,
-    /// Monotone chunk-boundary tick counter per executor.
-    progress: Vec<AtomicU64>,
+/// Everything the runtime knows about one executor, in one place (Spark's
+/// `ExecutorData`): which incarnation sits in the slot, what it is running,
+/// how much it has run, when it was last heard from, and whether placement
+/// may target it. Written by the slot's worker thread, the pool's
+/// heartbeater, chunk-boundary stamps from task bodies, kills, the failure
+/// injector's pause and the driver's quarantine monitor; read by
+/// placement, the steal loop, the straggler scan and the reports.
+pub(crate) struct ExecutorSlot {
+    /// Time base of the nanosecond stamps below.
+    origin: Instant,
+    /// Incarnation seated in the slot; bumped by [`ExecutorSlot::kill`].
+    epoch: AtomicU64,
+    /// Last incarnation to *complete* a task. A slot whose `epoch` is
+    /// ahead of this is a freshly-seated replacement still warming up.
+    active_epoch: AtomicU64,
+    /// Token of the task body the worker is running, if any, with the
+    /// instant it started: a kill cancels it so the dead incarnation's
+    /// body stops at its next cancellation point, and the straggler scan
+    /// measures *running* time from the stamp (queue time must not count
+    /// toward the median-multiple threshold).
+    running: Mutex<Option<(CancelToken, Instant)>>,
+    /// Nanoseconds spent inside task bodies.
+    busy_nanos: AtomicU64,
+    /// Tasks run here that were placed on a sibling.
+    steals: AtomicU64,
+    /// Last heartbeat, nanos since `origin`.
+    hb_nanos: AtomicU64,
+    /// Monotone chunk-boundary tick counter.
+    progress: AtomicU64,
     /// Failure injection: a paused executor's stamps are suppressed, so
     /// it looks silent to the monitor while actually running.
-    paused: Vec<AtomicBool>,
-    /// Placement mask (`STATE_*`).
-    state: Vec<AtomicU8>,
-    /// When a quarantined executor's probation opens, nanos since `epoch`.
-    probation_until: Vec<AtomicU64>,
+    paused: AtomicBool,
+    /// Placement state (`STATE_*`).
+    state: AtomicU8,
+    /// When a quarantined slot's probation opens, nanos since `origin`.
+    probation_until: AtomicU64,
 }
 
-impl HealthBoard {
-    pub(crate) fn new(num_executors: usize) -> Self {
-        let slot = |_| AtomicU64::new(0);
-        HealthBoard {
-            epoch: Instant::now(),
-            hb_nanos: (0..num_executors).map(slot).collect(),
-            progress: (0..num_executors).map(slot).collect(),
-            paused: (0..num_executors).map(|_| AtomicBool::new(false)).collect(),
-            state: (0..num_executors)
-                .map(|_| AtomicU8::new(STATE_HEALTHY))
-                .collect(),
-            probation_until: (0..num_executors).map(slot).collect(),
+impl ExecutorSlot {
+    fn new(origin: Instant) -> Self {
+        ExecutorSlot {
+            origin,
+            epoch: AtomicU64::new(0),
+            active_epoch: AtomicU64::new(0),
+            running: Mutex::new(None),
+            busy_nanos: AtomicU64::new(0),
+            steals: AtomicU64::new(0),
+            hb_nanos: AtomicU64::new(0),
+            progress: AtomicU64::new(0),
+            paused: AtomicBool::new(false),
+            state: AtomicU8::new(STATE_HEALTHY),
+            probation_until: AtomicU64::new(0),
         }
     }
 
     fn now_nanos(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.origin.elapsed().as_nanos() as u64
     }
 
-    /// Stamp "executor `e` is alive" — worker loop points and injected
-    /// stall spins call this.
-    pub(crate) fn stamp_heartbeat(&self, executor: usize) {
-        if self.paused[executor].load(Ordering::Relaxed) {
-            return;
+    /// Current incarnation (0 until the slot's first kill).
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+
+    /// Whether the current incarnation is a warming replacement: seated by
+    /// a kill and yet to complete a task. Epoch 0 counts as warmed at
+    /// birth.
+    pub(crate) fn is_warming(&self) -> bool {
+        self.epoch() != self.active_epoch.load(Ordering::SeqCst)
+    }
+
+    /// The worker is about to run a task body: stamps a heartbeat, counts
+    /// a steal, and publishes the body's token so a kill or shutdown can
+    /// reach it. Returns the incarnation the task runs under and when it
+    /// started.
+    pub(crate) fn begin(&self, token: Option<&CancelToken>, stolen: bool) -> (u64, Instant) {
+        self.stamp_heartbeat();
+        let epoch = self.epoch();
+        if stolen {
+            self.steals.fetch_add(1, Ordering::Relaxed);
         }
-        self.hb_nanos[executor].store(self.now_nanos(), Ordering::Relaxed);
+        let started = Instant::now();
+        *self.running.lock() = token.map(|t| (t.clone(), started));
+        (epoch, started)
+    }
+
+    /// The body [`ExecutorSlot::begin`] announced returned (or unwound).
+    pub(crate) fn finish(&self, epoch: u64, started: Instant) {
+        *self.running.lock() = None;
+        self.stamp_heartbeat();
+        let nanos = started.elapsed().as_nanos() as u64;
+        self.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
+        // The incarnation that started this task has now completed one; it
+        // is no longer a warming replacement. Tasks run serially per
+        // worker, so the stored epoch is monotone without a
+        // compare-exchange.
+        self.active_epoch.store(epoch, Ordering::SeqCst);
+    }
+
+    /// Retires the current incarnation and seats a replacement, returning
+    /// its epoch. The body the dead incarnation was running is cancelled
+    /// through its token, and the replacement starts un-paused with a
+    /// fresh heartbeat — a lost executor must not look lost again the
+    /// moment it is reseated, and a pause injection dies with the
+    /// incarnation it silenced.
+    pub(crate) fn kill(&self) -> u64 {
+        let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
+        self.cancel_running();
+        self.paused.store(false, Ordering::Relaxed);
+        self.hb_nanos.store(self.now_nanos(), Ordering::Relaxed);
+        epoch
+    }
+
+    /// Cancels the token of the running body, if any.
+    pub(crate) fn cancel_running(&self) {
+        if let Some((token, _)) = self.running.lock().as_ref() {
+            token.cancel();
+        }
+    }
+
+    /// What the slot is executing right now (`None` when idle, or running
+    /// an untokened task).
+    pub(crate) fn executing(&self) -> Option<Executing> {
+        let (token, since) = self.running.lock().clone()?;
+        Some(Executing {
+            token,
+            since,
+            progress: self.progress.load(Ordering::Relaxed),
+            silent_for: self.heartbeat_age(),
+        })
+    }
+
+    pub(crate) fn busy_nanos(&self) -> u64 {
+        self.busy_nanos.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn steals(&self) -> u64 {
+        self.steals.load(Ordering::Relaxed)
+    }
+
+    /// Stamp "this executor is alive" — the worker loop, the heartbeater
+    /// and injected stall spins call this.
+    pub(crate) fn stamp_heartbeat(&self) {
+        if !self.is_paused() {
+            self.hb_nanos.store(self.now_nanos(), Ordering::Relaxed);
+        }
     }
 
     /// Stamp a chunk-boundary progress tick (which is also a heartbeat).
-    pub(crate) fn stamp_progress(&self, executor: usize) {
-        if self.paused[executor].load(Ordering::Relaxed) {
-            return;
+    pub(crate) fn stamp_progress(&self) {
+        if !self.is_paused() {
+            self.progress.fetch_add(1, Ordering::Relaxed);
+            self.hb_nanos.store(self.now_nanos(), Ordering::Relaxed);
         }
-        self.progress[executor].fetch_add(1, Ordering::Relaxed);
-        self.hb_nanos[executor].store(self.now_nanos(), Ordering::Relaxed);
     }
 
-    /// Time since executor `e` last stamped anything.
-    pub(crate) fn heartbeat_age(&self, executor: usize) -> Duration {
-        let last = self.hb_nanos[executor].load(Ordering::Relaxed);
+    /// Time since the slot last stamped anything.
+    fn heartbeat_age(&self) -> Duration {
+        let last = self.hb_nanos.load(Ordering::Relaxed);
         Duration::from_nanos(self.now_nanos().saturating_sub(last))
     }
 
-    /// Current progress-tick count of executor `e`.
-    pub(crate) fn progress_value(&self, executor: usize) -> u64 {
-        self.progress[executor].load(Ordering::Relaxed)
+    /// Failure injection: suppress (or restore) all stamps from the slot.
+    pub(crate) fn set_paused(&self, paused: bool) {
+        self.paused.store(paused, Ordering::Relaxed);
     }
 
-    /// Failure injection: suppress (or restore) all stamps from `e`.
-    pub(crate) fn set_paused(&self, executor: usize, paused: bool) {
-        self.paused[executor].store(paused, Ordering::Relaxed);
+    pub(crate) fn is_paused(&self) -> bool {
+        self.paused.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn any_paused(&self) -> bool {
-        self.paused.iter().any(|p| p.load(Ordering::Relaxed))
+    /// Whether placement may target the slot and its worker may steal:
+    /// not quarantined, on probation, or mid-canary.
+    pub(crate) fn is_healthy(&self) -> bool {
+        self.state.load(Ordering::Relaxed) == STATE_HEALTHY
     }
 
-    /// Reset slot `e` after a kill: the replacement incarnation starts
-    /// with a fresh heartbeat (so it is not instantly re-declared lost)
-    /// and any pause injection dies with the old incarnation.
-    pub(crate) fn reset_after_kill(&self, executor: usize) {
-        self.paused[executor].store(false, Ordering::Relaxed);
-        self.hb_nanos[executor].store(self.now_nanos(), Ordering::Relaxed);
+    /// Drain the slot: placement and stealing skip it until probation
+    /// opens, `probation_in` from now.
+    pub(crate) fn quarantine(&self, probation_in: Duration) {
+        let until = self
+            .now_nanos()
+            .saturating_add(probation_in.as_nanos() as u64);
+        self.probation_until.store(until, Ordering::Relaxed);
+        self.state.store(STATE_QUARANTINED, Ordering::Relaxed);
     }
 
-    pub(crate) fn state(&self, executor: usize) -> u8 {
-        self.state[executor].load(Ordering::Relaxed)
+    /// Re-admit the slot as fully healthy (its canary succeeded).
+    pub(crate) fn mark_healthy(&self) {
+        self.state.store(STATE_HEALTHY, Ordering::Relaxed);
     }
 
-    /// Drain `e`: placement and stealing skip it until probation.
-    pub(crate) fn quarantine(&self, executor: usize, probation_in: Duration) {
-        self.probation_until[executor].store(
-            self.now_nanos()
-                .saturating_add(probation_in.as_nanos() as u64),
-            Ordering::Relaxed,
-        );
-        self.state[executor].store(STATE_QUARANTINED, Ordering::Relaxed);
+    /// Whether the quarantine canary is currently in flight.
+    pub(crate) fn is_canary(&self) -> bool {
+        self.state.load(Ordering::Relaxed) == STATE_CANARY
     }
 
-    /// Re-admit `e` as fully healthy (a canary task succeeded).
-    pub(crate) fn mark_healthy(&self, executor: usize) {
-        self.state[executor].store(STATE_HEALTHY, Ordering::Relaxed);
-    }
-
-    /// Executors currently excluded from placement (quarantined, on
-    /// probation, or mid-canary).
-    pub(crate) fn quarantined_executors(&self) -> Vec<usize> {
-        (0..self.state.len())
-            .filter(|&e| self.state(e) != STATE_HEALTHY)
-            .collect()
-    }
-
-    /// Whether the quarantine canary for `e` is currently in flight.
-    pub(crate) fn is_canary(&self, executor: usize) -> bool {
-        self.state(executor) == STATE_CANARY
+    fn advance(&self, from: u8, to: u8) -> bool {
+        let relaxed = Ordering::Relaxed;
+        self.state
+            .compare_exchange(from, to, relaxed, relaxed)
+            .is_ok()
     }
 
     /// A canary attempt resolved without verdict (cancelled, or lost with
     /// its executor): re-open probation so the next placement can admit a
     /// fresh canary instead of leaving the slot stuck mid-trial.
-    pub(crate) fn reopen_probation(&self, executor: usize) {
-        let _ = self.state[executor].compare_exchange(
-            STATE_CANARY,
-            STATE_PROBATION,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
+    pub(crate) fn reopen_probation(&self) {
+        self.advance(STATE_CANARY, STATE_PROBATION);
     }
 
-    /// Lazily open probation once a quarantine deadline passes.
-    fn maybe_open_probation(&self, executor: usize) {
-        if self.state(executor) == STATE_QUARANTINED
-            && self.now_nanos() >= self.probation_until[executor].load(Ordering::Relaxed)
-        {
-            let _ = self.state[executor].compare_exchange(
-                STATE_QUARANTINED,
-                STATE_PROBATION,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
+    /// Whether the slot takes one more task placed on it: always when
+    /// healthy, exactly once — the canary — when its quarantine deadline
+    /// has passed (probation opens lazily, here), otherwise not.
+    fn admits(&self) -> bool {
+        if self.is_healthy() {
+            return true;
         }
+        if self.now_nanos() >= self.probation_until.load(Ordering::Relaxed) {
+            self.advance(STATE_QUARANTINED, STATE_PROBATION);
+        }
+        self.advance(STATE_PROBATION, STATE_CANARY)
+    }
+}
+
+/// The slot table: one [`ExecutorSlot`] per executor, shared between the
+/// pool's threads (writers) and the driver loop (reader and quarantine
+/// state machine).
+pub(crate) struct HealthBoard {
+    slots: Vec<ExecutorSlot>,
+}
+
+impl HealthBoard {
+    pub(crate) fn new(num_executors: usize) -> Self {
+        let origin = Instant::now();
+        HealthBoard {
+            slots: (0..num_executors)
+                .map(|_| ExecutorSlot::new(origin))
+                .collect(),
+        }
+    }
+
+    pub(crate) fn slot(&self, executor: usize) -> &ExecutorSlot {
+        &self.slots[executor]
+    }
+
+    pub(crate) fn slots(&self) -> &[ExecutorSlot] {
+        &self.slots
+    }
+
+    /// Executors currently excluded from placement (quarantined, on
+    /// probation, or mid-canary).
+    pub(crate) fn quarantined_executors(&self) -> Vec<usize> {
+        let unhealthy = |e: &usize| !self.slots[*e].is_healthy();
+        (0..self.slots.len()).filter(unhealthy).collect()
     }
 
     /// Where a task placed on `home` actually goes. Healthy executors keep
     /// their placement; an executor on probation admits exactly one canary
-    /// task (CAS `Probation -> Canary`); otherwise the next healthy slot
-    /// takes the task. With every slot unhealthy the home placement stands
-    /// — the system degrades to normal retry rather than deadlocking.
+    /// task; otherwise the next healthy slot takes the task. With every
+    /// slot unhealthy the home placement stands — the system degrades to
+    /// normal retry rather than deadlocking.
     pub(crate) fn place(&self, home: usize) -> usize {
-        let n = self.state.len();
-        self.maybe_open_probation(home);
-        match self.state(home) {
-            STATE_HEALTHY => return home,
-            STATE_PROBATION
-                if self.state[home]
-                    .compare_exchange(
-                        STATE_PROBATION,
-                        STATE_CANARY,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok() =>
-            {
-                return home;
-            }
-            _ => {}
+        if self.slots[home].admits() {
+            return home;
         }
-        for off in 1..n {
-            let e = (home + off) % n;
-            if self.state(e) == STATE_HEALTHY {
-                return e;
-            }
-        }
-        home
+        let n = self.slots.len();
+        (1..n)
+            .map(|off| (home + off) % n)
+            .find(|&e| self.slots[e].is_healthy())
+            .unwrap_or(home)
     }
 }
 
 /// Driver-local half of the quarantine state machine: per-executor
-/// recent-outcome windows plus strike counts. The shared [`HealthBoard`]
-/// carries only what workers must see (heartbeats, the placement mask);
+/// recent-outcome windows plus strike counts. The shared [`ExecutorSlot`]
+/// carries only what workers must see (heartbeats, the placement state);
 /// what only the driver reasons about lives here, unsynchronized.
 #[derive(Default)]
 pub(crate) struct QuarantineMonitor {
     /// Recent task outcomes per executor (`true` = success), bounded by
-    /// the configured quarantine window.
+    /// [`QUARANTINE_WINDOW`].
     outcomes: Vec<VecDeque<bool>>,
     /// Times each executor has been quarantined; doubles (with jitter) its
     /// probation on every failed canary.
@@ -374,20 +475,19 @@ pub(crate) struct QuarantineMonitor {
 }
 
 impl QuarantineMonitor {
-    /// Benches `executor`: drains placement to it for a probation of the
-    /// configured base doubled per prior strike (jittered
-    /// deterministically from the backoff seed), bans it from stealing,
-    /// and counts the quarantine.
-    fn quarantine(&mut self, ctx: &SpangleContext, board: &HealthBoard, executor: usize) {
-        let cfg = &ctx.inner.health;
+    /// Benches `executor`: drains placement and stealing for a probation
+    /// of the configured base doubled per prior strike (jittered
+    /// deterministically from the backoff seed), and counts the
+    /// quarantine.
+    fn quarantine(&mut self, ctx: &SpangleContext, executor: usize) {
+        let config = ctx.config();
         let probation = jittered_backoff(
-            cfg.probation,
-            cfg.probation.saturating_mul(64),
+            config.health.probation,
+            config.health.probation.saturating_mul(64),
             self.strikes[executor],
-            ctx.inner.backoff.seed ^ splitmix64(executor as u64),
+            config.backoff.seed ^ splitmix64(executor as u64),
         );
-        board.quarantine(executor, probation);
-        ctx.inner.pool.set_steal_ban(executor, true);
+        ctx.inner.pool.slot(executor).quarantine(probation);
         self.strikes[executor] += 1;
         self.outcomes[executor].clear();
         ctx.metrics().add(MetricField::ExecutorsQuarantined, 1);
@@ -406,28 +506,27 @@ impl QuarantineMonitor {
         executor: usize,
         outcome: Result<(), &TaskError>,
     ) {
-        let cfg = &ctx.inner.health;
+        let cfg = &ctx.config().health;
         if !cfg.enabled {
             return;
         }
         let n = ctx.num_executors();
         self.outcomes.resize_with(n, VecDeque::new);
         self.strikes.resize(n, 0);
-        let board = ctx.inner.pool.health_board();
+        let slot = ctx.inner.pool.slot(executor);
         let fault = matches!(
             outcome,
             Err(TaskError::Injected) | Err(TaskError::Panicked(_))
         );
-        if board.is_canary(executor) {
+        if slot.is_canary() {
             match outcome {
                 Ok(()) => {
                     // The canary came back clean: full re-admission.
-                    board.mark_healthy(executor);
-                    ctx.inner.pool.set_steal_ban(executor, false);
+                    ctx.inner.pool.readmit(executor);
                     self.outcomes[executor].clear();
                 }
-                Err(_) if fault => self.quarantine(ctx, &board, executor),
-                Err(_) => board.reopen_probation(executor),
+                Err(_) if fault => self.quarantine(ctx, executor),
+                Err(_) => slot.reopen_probation(),
             }
             return;
         }
@@ -436,19 +535,19 @@ impl QuarantineMonitor {
         }
         let window = &mut self.outcomes[executor];
         window.push_back(outcome.is_ok());
-        while window.len() > cfg.quarantine_window {
+        while window.len() > QUARANTINE_WINDOW {
             window.pop_front();
         }
-        if !fault || board.state(executor) != STATE_HEALTHY {
+        if !fault || !slot.is_healthy() {
             return;
         }
         let samples = window.len();
-        if samples < cfg.quarantine_min_samples {
+        if samples < QUARANTINE_MIN_SAMPLES {
             return;
         }
         let failures = window.iter().filter(|&&ok| !ok).count();
         if failures as f64 / samples as f64 >= cfg.quarantine_threshold {
-            self.quarantine(ctx, &board, executor);
+            self.quarantine(ctx, executor);
         }
     }
 }
@@ -487,57 +586,93 @@ mod tests {
         assert_eq!(off.delay(1, 0, 3, 3), Duration::ZERO);
     }
 
+    fn ticks(slot: &ExecutorSlot) -> u64 {
+        slot.progress.load(Ordering::Relaxed)
+    }
+
     #[test]
     fn heartbeats_and_progress_stamp_and_pause() {
         let board = HealthBoard::new(2);
-        board.stamp_heartbeat(0);
-        assert!(board.heartbeat_age(0) < Duration::from_secs(1));
-        assert_eq!(board.progress_value(0), 0);
-        board.stamp_progress(0);
-        assert_eq!(board.progress_value(0), 1);
+        let (a, b) = (board.slot(0), board.slot(1));
+        a.stamp_heartbeat();
+        assert!(a.heartbeat_age() < Duration::from_secs(1));
+        assert_eq!(ticks(a), 0);
+        a.stamp_progress();
+        assert_eq!(ticks(a), 1);
 
-        // Pausing suppresses both stamps; a kill reset lifts the pause.
-        board.set_paused(1, true);
-        assert!(board.any_paused());
-        board.stamp_progress(1);
-        assert_eq!(board.progress_value(1), 0);
-        board.reset_after_kill(1);
-        assert!(!board.any_paused());
-        assert!(board.heartbeat_age(1) < Duration::from_secs(1));
-        board.stamp_progress(1);
-        assert_eq!(board.progress_value(1), 1);
+        // Pausing suppresses both stamps, on that slot only.
+        b.set_paused(true);
+        b.stamp_progress();
+        assert_eq!((ticks(b), b.is_paused(), a.is_paused()), (0, true, false));
+    }
+
+    /// A kill retires the incarnation and re-seats the slot: the running
+    /// body is cancelled, the replacement is warming, un-paused, and
+    /// freshly heard from — it must not look lost the moment it sits down.
+    #[test]
+    fn a_kill_reseats_the_slot_unpaused_with_a_fresh_heartbeat() {
+        let board = HealthBoard::new(1);
+        let slot = board.slot(0);
+        let token = CancelToken::new();
+        let (epoch, started) = slot.begin(Some(&token), true);
+        assert_eq!((epoch, slot.steals(), slot.is_warming()), (0, 1, false));
+        assert!(slot.executing().is_some_and(|run| run.token.same(&token)));
+        slot.set_paused(true);
+
+        assert_eq!(slot.kill(), 1);
+        assert!(token.is_cancelled(), "the dead incarnation's body stops");
+        assert!(!slot.is_paused(), "the pause died with the incarnation");
+        assert!(slot.heartbeat_age() < Duration::from_secs(1));
+        slot.stamp_progress();
+        assert_eq!(ticks(slot), 1);
+
+        // The dead incarnation's body returning does not warm the
+        // replacement; the replacement's own first task does.
+        slot.finish(epoch, started);
+        assert!(slot.is_warming() && slot.executing().is_none());
+        let (epoch, started) = slot.begin(None, false);
+        slot.finish(epoch, started);
+        assert_eq!((epoch, slot.is_warming()), (1, false));
     }
 
     #[test]
     fn quarantine_drains_placement_and_probation_admits_one_canary() {
         let board = HealthBoard::new(3);
+        let slot = board.slot(1);
         assert_eq!(board.place(1), 1, "healthy executors keep their home");
+        assert!(slot.is_healthy(), "and may steal");
 
-        board.quarantine(1, Duration::from_secs(60));
+        slot.quarantine(Duration::from_secs(60));
         assert_eq!(
             board.place(1),
             2,
             "quarantined home diverts to the next healthy slot"
         );
+        assert!(!slot.is_healthy(), "a quarantined worker steals nothing");
         assert_eq!(board.quarantined_executors(), vec![1]);
 
         // Expired probation admits exactly one canary; the next placement
         // diverts again until the canary resolves.
-        board.quarantine(1, Duration::ZERO);
+        slot.quarantine(Duration::ZERO);
         assert_eq!(board.place(1), 1, "probation admits the canary");
-        assert!(board.is_canary(1));
+        assert!(slot.is_canary());
         assert_eq!(board.place(1), 2, "only one canary at a time");
+        assert!(!slot.is_healthy(), "nor does the slot steal mid-trial");
 
-        board.mark_healthy(1);
+        // A canary lost without a verdict re-opens probation for another.
+        slot.reopen_probation();
+        assert_eq!((board.place(1), board.place(1)), (1, 2));
+
+        slot.mark_healthy();
         assert_eq!(board.place(1), 1);
-        assert!(board.quarantined_executors().is_empty());
+        assert!(slot.is_healthy() && board.quarantined_executors().is_empty());
     }
 
     #[test]
     fn all_unhealthy_placement_falls_back_to_home() {
         let board = HealthBoard::new(2);
-        board.quarantine(0, Duration::from_secs(60));
-        board.quarantine(1, Duration::from_secs(60));
+        board.slot(0).quarantine(Duration::from_secs(60));
+        board.slot(1).quarantine(Duration::from_secs(60));
         assert_eq!(board.place(0), 0, "no healthy slot: home placement stands");
     }
 

@@ -32,7 +32,7 @@ impl AdmissionController {
     fn effective_capacity(ctx: &SpangleContext) -> usize {
         let total = ctx.num_executors();
         let warming = ctx.inner.pool.warming_replacements().min(total);
-        let bound = ctx.inner.admission.max_concurrent_jobs;
+        let bound = ctx.config().admission.max_concurrent_jobs;
         (bound.saturating_mul(total - warming) / total).max(1)
     }
 
@@ -67,7 +67,7 @@ impl AdmissionController {
         }
         // The job would have to wait. (The queue is only ever non-empty
         // while the scheduler is saturated: drain() empties it otherwise.)
-        let cfg = &ctx.inner.admission;
+        let cfg = &ctx.config().admission;
         let shed = cfg.shed_below_priority.is_some_and(|t| job.priority < t)
             || self.queued_tasks_at(job.priority) + job.planned_tasks()
                 > cfg.max_queued_tasks_per_priority;

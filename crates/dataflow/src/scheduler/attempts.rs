@@ -31,9 +31,9 @@
 //! threads or sleeps.
 
 use super::graph::Stage;
-use super::{JobError, SpeculationConfig, TaskError};
+use super::{JobError, TaskError};
+use crate::context::SpangleContextBuilder;
 use crate::executor::{CancelToken, Executing};
-use crate::health::{HealthConfig, RetryBackoffConfig};
 use crate::metrics::{MetricField, Metrics, MetricsSnapshot, StageOutcome, StageReport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,18 +45,16 @@ pub(super) type AttemptId = u64;
 /// the policies they apply, and the attempt-id counter.
 pub(super) struct Ledger {
     pub(super) job_id: usize,
-    /// Attempts per task before the job aborts.
-    pub(super) max_task_attempts: usize,
     /// Remaining executor-loss / fetch-failure resubmissions before the
     /// job aborts (failures of this kind do not charge the per-task
     /// attempt budget).
     pub(super) resubmissions_left: usize,
-    pub(super) backoff: RetryBackoffConfig,
-    pub(super) speculation: SpeculationConfig,
-    pub(super) health: HealthConfig,
     pub(super) next_id: AttemptId,
     /// The context's counters, ticked where the table decides.
     pub(super) metrics: Arc<Metrics>,
+    /// The context's configuration: the attempt budget, the backoff, and
+    /// when the scan duplicates or declares lost.
+    pub(super) config: Arc<SpangleContextBuilder>,
 }
 
 /// One executor task the caller must submit: it runs `partitions` in
@@ -380,7 +378,7 @@ impl StageRun {
         let policy = reason.policy();
         let attempt = self.slots[partition].attempt;
         let spent = match policy.budget {
-            Budget::Attempt => attempt + 1 >= ledger.max_task_attempts,
+            Budget::Attempt => attempt + 1 >= ledger.config.max_task_attempts,
             Budget::Resubmission => ledger.resubmissions_left == 0,
             Budget::Free => false,
         };
@@ -417,9 +415,8 @@ impl StageRun {
     /// up to the cap; a zero delay (backoff off) launches at once.
     fn after_backoff(&mut self, partition: usize, now: Instant, ledger: &mut Ledger) -> Step {
         let slot = &mut self.slots[partition];
-        let delay = ledger
-            .backoff
-            .delay(ledger.job_id, self.stage_idx, partition, slot.strikes);
+        let backoff = &ledger.config.backoff;
+        let delay = backoff.delay(ledger.job_id, self.stage_idx, partition, slot.strikes);
         slot.strikes += 1;
         if delay.is_zero() {
             return Step::Launch(self.start(vec![partition], None, ledger));
@@ -490,7 +487,7 @@ impl StageRun {
         executing: &[Option<Executing>],
         ledger: &mut Ledger,
     ) -> Result<(Vec<Launch>, Vec<usize>), JobError> {
-        let (health, speculation) = (ledger.health, ledger.speculation);
+        let (health, speculation) = (ledger.config.health, ledger.config.speculation);
         let loss = health.loss_threshold();
         let executor_of = |live: &Live| {
             let runs = |r: &&Executing| r.token.same(&live.token);
@@ -603,7 +600,9 @@ fn median_nanos(samples: &[u64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::RetryBackoffConfig;
     use crate::plan::StagePlan;
+    use crate::scheduler::SpeculationConfig;
 
     /// A table over `slots` partitions of a stand-alone stage, its ledger,
     /// and the instant the test calls "now". No context, no threads.
@@ -611,28 +610,26 @@ mod tests {
         let stage = Stage::new(None, Arc::new(|_| None), slots, 0, StagePlan::default());
         let t0 = crate::scheduler::tests::origin();
         let run = StageRun::new(0, &stage, 7, slots, t0, MetricsSnapshot::default());
-        let ledger = Ledger {
-            job_id: 1,
-            max_task_attempts: 3,
-            resubmissions_left: 2,
-            backoff: RetryBackoffConfig {
+        let config = crate::SpangleContext::builder()
+            .max_task_attempts(3)
+            .retry_backoff(RetryBackoffConfig {
                 enabled: backoff,
                 ..RetryBackoffConfig::default()
-            },
-            speculation: SpeculationConfig {
+            })
+            .speculation(SpeculationConfig {
                 enabled: true,
                 multiplier: 2.0,
                 min_runtime: Duration::from_millis(10),
-            },
-            health: HealthConfig {
-                enabled: true,
-                heartbeat_interval: Duration::from_millis(100),
-                missed_heartbeat_limit: 10,
-                watchdog_interval: Duration::from_millis(500),
-                ..HealthConfig::default()
-            },
+            })
+            .heartbeat_interval(Duration::from_millis(100))
+            .missed_heartbeat_limit(10)
+            .watchdog_interval(Duration::from_millis(500));
+        let ledger = Ledger {
+            job_id: 1,
+            resubmissions_left: 2,
             next_id: 0,
             metrics: Arc::new(Metrics::default()),
+            config: Arc::new(config),
         };
         (run, ledger, t0)
     }

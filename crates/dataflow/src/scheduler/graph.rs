@@ -32,7 +32,8 @@ use std::time::Instant;
 pub(super) enum StageState {
     /// Not reached by activation yet.
     Idle,
-    /// This job owns the stage and is waiting on `waiting_on` parents.
+    /// This job owns the stage and is waiting for every parent to be
+    /// satisfied.
     Waiting,
     /// Another job is running the stage; a completion callback will post
     /// back into the shared loop when it resolves.
@@ -61,8 +62,6 @@ pub(super) struct Stage {
     /// execute (see [`plan::analyze_stages`]).
     pub(super) plan: StagePlan,
     pub(super) state: StageState,
-    /// Unsatisfied parents (only meaningful in `Waiting`).
-    pub(super) waiting_on: usize,
     /// The current run: `Some` exactly while the stage is `Running`.
     pub(super) run: Option<StageRun>,
 }
@@ -84,7 +83,6 @@ impl Stage {
             site_rdd,
             plan,
             state: StageState::Idle,
-            waiting_on: 0,
             run: None,
         }
     }
@@ -262,19 +260,24 @@ impl JobRun {
     }
 
     /// Activates a stage this job owns: activates its parents, then either
-    /// submits it (all parents satisfied) or parks it in `Waiting`.
+    /// submits it (all parents satisfied) or leaves it in `Waiting`.
     fn activate_owned(&mut self, idx: usize) -> Result<(), JobError> {
         self.stages[idx].state = StageState::Waiting;
-        let parents = self.stages[idx].parents.clone();
-        let mut waiting_on = 0;
-        for p in parents {
+        for p in self.stages[idx].parents.clone() {
             self.activate(p)?;
-            if !self.stages[p].is_satisfied() {
-                waiting_on += 1;
-            }
         }
-        self.stages[idx].waiting_on = waiting_on;
-        if waiting_on == 0 {
+        self.submit_if_ready(idx)
+    }
+
+    /// Submits the `Waiting` stage `idx` once every parent is satisfied.
+    /// Readiness is read off the parents' states each time rather than
+    /// counted down: a parent that finished and is running again — a
+    /// recovery re-run of map output it lost — is unsatisfied for as long
+    /// as that run lasts, and finishing it twice counts once.
+    fn submit_if_ready(&mut self, idx: usize) -> Result<(), JobError> {
+        let stage = &self.stages[idx];
+        let waiting = stage.state == StageState::Waiting;
+        if waiting && stage.parents.iter().all(|&p| self.stages[p].is_satisfied()) {
             self.submit_stage(idx)?;
         }
         Ok(())
@@ -327,26 +330,19 @@ impl JobRun {
         Ok(())
     }
 
-    /// Decrements the waiting count of every child parked on this (now
-    /// satisfied) stage and submits those that became ready. A *running*
-    /// child can only be here because its attempts parked on a fetch
-    /// failure against this stage's shuffle — whole again now, so they
-    /// relaunch.
+    /// Submits every child waiting on this (now satisfied) stage that has
+    /// no other parent left to wait for. A *running* child can only be
+    /// here because its attempts parked on a fetch failure against this
+    /// stage's shuffle — whole again now, so they relaunch.
     pub(super) fn satisfy_children(&mut self, idx: usize) -> Result<(), JobError> {
         for child in self.stages[idx].children.clone() {
             match self.stages[child].state {
-                StageState::Waiting => {
-                    self.stages[child].waiting_on -= 1;
-                    if self.stages[child].waiting_on == 0 {
-                        self.submit_stage(child)?;
-                    }
-                }
                 StageState::Running => {
                     if let Some(shuffle_id) = self.stages[idx].shuffle_id {
                         self.flush_parked(child, shuffle_id)?;
                     }
                 }
-                _ => {}
+                _ => self.submit_if_ready(child)?,
             }
         }
         Ok(())

@@ -68,12 +68,9 @@ use self::admission::AdmissionController;
 use self::attempts::{AttemptId, Launch, Ledger, StageRun, Step};
 use self::graph::{build_stages, Stage, StageState};
 use crate::context::SpangleContext;
-use crate::executor::{
-    cancellation_point, is_task_cancelled, stamp_heartbeat_only, BlockOrigin, CancelledError,
-    TaskInfo, TaskTag,
-};
+use crate::executor::{BlockOrigin, CancelledError, TaskInfo, TaskTag};
 use crate::failure::TaskSite;
-use crate::health::{QuarantineMonitor, STATE_HEALTHY};
+use crate::health::QuarantineMonitor;
 use crate::metrics::{JobOutcome, JobReport, MetricField, StageOutcome, StageReport};
 use crate::plan;
 use crate::rdd::Rdd;
@@ -121,7 +118,10 @@ impl TaskContext {
 
 /// When the driver launches speculative duplicates for tail tasks; built
 /// by `SpangleContext::builder().speculation(..)` and immutable for the
-/// context's lifetime.
+/// context's lifetime. Opt-in: no benchmark workload shows a duplicate
+/// winning, and a cancelled duplicate holds its lineage a moment past the
+/// job (DESIGN.md §4 has the decision record). The no-progress watchdog
+/// duplicates a frozen attempt whether or not this is on.
 ///
 /// While a stage runs, the driver keeps the durations of its completed
 /// task attempts. A still-running original attempt whose elapsed time
@@ -147,10 +147,11 @@ pub struct SpeculationConfig {
 }
 
 impl Default for SpeculationConfig {
-    /// Speculation on, at 4× the stage median with a 10 ms floor.
+    /// Speculation off; a caller that turns it on gets 4× the stage median
+    /// with a 10 ms floor unless it says otherwise.
     fn default() -> Self {
         SpeculationConfig {
-            enabled: true,
+            enabled: false,
             multiplier: 4.0,
             min_runtime: Duration::from_millis(10),
         }
@@ -391,13 +392,10 @@ pub fn submit_job<T: Data, R: Send + 'static>(
         admission_wait_nanos: 0,
         ledger: Ledger {
             job_id,
-            max_task_attempts: ctx.inner.max_task_attempts,
-            resubmissions_left: ctx.inner.max_resubmissions,
-            backoff: ctx.inner.backoff,
-            speculation: ctx.inner.speculation,
-            health: ctx.inner.health,
+            resubmissions_left: ctx.config().max_resubmissions,
             next_id: 0,
             metrics: Arc::clone(&ctx.inner.metrics),
+            config: Arc::clone(&ctx.inner.config),
         },
         reports: Vec::new(),
         results: std::iter::repeat_with(|| None).take(num_results).collect(),
@@ -955,83 +953,19 @@ impl JobRun {
                 };
                 let start = Instant::now();
                 let body = work.as_ref().expect("task group released work early");
-                // An armed wedge turns this attempt into a deterministic
-                // straggler: it spins at a cancellation point in place of
-                // its body until the driver's speculation (or an abort)
-                // cancels it. The wedge is consumed here, so the
-                // speculative duplicate of the same site runs clean. A
-                // stall is the sneakier cousin: the spin keeps stamping
-                // heartbeats (the executor looks alive) but never ticks
-                // progress, so only the no-progress watchdog can see it.
-                let wedged = ctx.inner.failures.take_wedge(site);
-                let stalled = ctx.inner.failures.take_stall(site);
-                let mut outcome = if ctx.inner.failures.should_fail(site, attempt)
-                    || ctx.inner.failures.should_fail_on(info.ran_on)
-                {
-                    Err(TaskError::Injected)
-                } else {
-                    std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        if wedged {
-                            loop {
-                                cancellation_point();
-                                std::thread::sleep(Duration::from_micros(200));
-                            }
-                        }
-                        if stalled {
-                            loop {
-                                // Deliberately NOT cancellation_point():
-                                // that would tick progress and hide the
-                                // stall from the watchdog.
-                                if is_task_cancelled() {
-                                    std::panic::panic_any(CancelledError);
-                                }
-                                stamp_heartbeat_only();
-                                std::thread::sleep(Duration::from_micros(200));
-                            }
-                        }
-                        body(&tc)
-                    }))
-                    .map_err(|payload| {
-                        if payload.downcast_ref::<CancelledError>().is_some() {
-                            TaskError::Cancelled
-                        } else {
-                            match payload.downcast_ref::<FetchFailedError>() {
-                                Some(fetch) => TaskError::FetchFailed {
-                                    shuffle_id: fetch.shuffle_id,
-                                    map_id: fetch.map_id,
-                                },
-                                None => TaskError::Panicked(panic_message(payload.as_ref())),
-                            }
-                        }
-                    })
-                };
-                // The injector's executor kills fire here, after the victim's
-                // Nth task body ran: the kill discards the incarnation's
-                // blocks and retires its epoch, so the check below turns this
-                // very attempt into the first casualty.
-                if ctx.inner.failures.take_executor_kill(info.ran_on) {
-                    ctx.kill_executor(info.ran_on);
-                }
-                // An attempt that outlived its incarnation lost its output
-                // with the executor; report the loss instead of a stale
-                // success. A fetch failure keeps precedence — it names the
-                // shuffle the scheduler must repair either way — and so does
-                // an injected failure: `fail_task` armed together with
-                // `kill_executor_after` must still charge the attempt budget
-                // deterministically, not vanish into the free replay the
-                // executor-lost path grants. Later partitions of a killed
-                // group run under the stale epoch and take the same
-                // executor-lost replay, one event each.
-                if ctx.inner.pool.epoch(info.ran_on) != info.epoch
-                    && !matches!(
-                        outcome,
-                        Err(TaskError::FetchFailed { .. }) | Err(TaskError::Injected)
-                    )
-                {
-                    outcome = Err(TaskError::ExecutorLost {
-                        executor: info.ran_on,
-                    });
-                }
+                // The attempt runs its body, or what the injector drew in
+                // its place; what it then reports is the injector's to
+                // settle too (an armed kill fires after the body, and an
+                // attempt that outlived its executor is lost). Later
+                // partitions of a killed group run under the stale epoch
+                // and take the same executor-lost replay, one event each.
+                let fault = ctx.inner.failures.draw(site, attempt, info.ran_on);
+                let ran = std::panic::catch_unwind(AssertUnwindSafe(|| match fault {
+                    Some(fault) => Err(fault.play()),
+                    None => Ok(body(&tc)),
+                }));
+                let outcome = ran.unwrap_or_else(|payload| Err(task_error(payload.as_ref())));
+                let outcome = ctx.inner.failures.settle(&ctx, info, outcome);
                 // Release the work closure (and the lineage Arcs it captures)
                 // BEFORE signalling the driver: once the driver sees the
                 // group's final event the job may return and drop its RDDs,
@@ -1063,10 +997,9 @@ impl JobRun {
                 // the very kind of executor speculation exists to escape.
                 // With no healthy alternative, any other slot will do.
                 let lens = pool.queue_lens();
-                let board = pool.health_board();
                 let others = || (0..lens.len()).filter(|&e| e != avoid);
                 others()
-                    .filter(|&e| board.state(e) == STATE_HEALTHY)
+                    .filter(|&e| pool.slot(e).is_healthy())
                     .min_by_key(|&e| lens[e])
                     .or_else(|| others().min_by_key(|&e| lens[e]))
                     .expect("a duplicate is only decided with two or more executors")
@@ -1093,8 +1026,9 @@ impl JobRun {
     /// freezes without generating any event, so while a stage runs (and a
     /// detector is on) the loop must wake on time to notice.
     fn wants_poll(&self) -> bool {
-        let speculating = self.ledger.speculation.enabled && self.ctx.num_executors() >= 2;
-        self.running > 0 && (self.ledger.health.enabled || speculating)
+        let config = self.ctx.config();
+        let speculating = config.speculation.enabled && self.ctx.num_executors() >= 2;
+        self.running > 0 && (config.health.enabled || speculating)
     }
 
     /// The nearest instant this job needs the driver awake at: its
@@ -1296,19 +1230,27 @@ impl JobRun {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
+/// What a task body's unwind means: a cancellation, a typed fetch failure
+/// (which names the shuffle to repair), or a panic with its message.
+fn task_error(payload: &(dyn Any + Send)) -> TaskError {
+    if payload.downcast_ref::<CancelledError>().is_some() {
+        TaskError::Cancelled
+    } else if let Some(fetch) = payload.downcast_ref::<FetchFailedError>() {
+        TaskError::FetchFailed {
+            shuffle_id: fetch.shuffle_id,
+            map_id: fetch.map_id,
+        }
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        TaskError::Panicked((*s).to_string())
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
+        TaskError::Panicked(s.clone())
     } else {
-        "unknown panic payload".to_string()
+        TaskError::Panicked("unknown panic payload".to_string())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::SpeculationConfig;
     use crate::metrics::{JobOutcome, StageOutcome};
     use crate::rdd::pair::PairRdd;
     use crate::{HashPartitioner, SpangleContext};
@@ -1625,16 +1567,7 @@ mod tests {
     /// the steals are charged as remote in the job report.
     #[test]
     fn skewed_partitions_are_stolen_and_charged_remote() {
-        // Speculation would hand the idle executor duplicate attempts
-        // instead of letting it steal, so pin it off: this test is about
-        // the steal path.
-        let ctx = SpangleContext::builder()
-            .executors(2)
-            .speculation(SpeculationConfig {
-                enabled: false,
-                ..SpeculationConfig::default()
-            })
-            .build();
+        let ctx = SpangleContext::new(2);
         // 6 partitions of 10 elements on 2 executors: partitions 0/2/4
         // (all placed on executor 0) sleep once, partitions 1/3/5 are
         // instant — executor 1 drains its own queue and must steal.
@@ -1772,6 +1705,55 @@ mod tests {
             "partial map output must be dropped with the abandoned claim"
         );
         assert_eq!(ctx.last_job_report().unwrap().outcome, JobOutcome::Aborted);
+    }
+
+    /// Regression: a child's readiness used to be a countdown that every
+    /// finish of a parent decremented — a *recovery* re-run's included —
+    /// so a child of two parents could be submitted while the other parent
+    /// still ran. Shuffle A (two maps) feeds map stage B (one task, on
+    /// executor 0) and, with B, the co-partitioned join C. Executor 0 is
+    /// killed as B's task ends: its replay finds A's map 0 gone and parks,
+    /// A's recovery re-runs that map, and when it finishes B is running
+    /// again. C must wait for B. The resubmission budget is exactly what
+    /// the loss costs — B's replay and its park — so a C submitted early,
+    /// whose task parks on B's unfinished shuffle, overdraws it.
+    #[test]
+    fn a_recovery_rerun_of_one_parent_does_not_release_a_child_of_two() {
+        let ctx = SpangleContext::builder()
+            .executors(2)
+            .max_resubmissions(2)
+            .coalesce_partitions(false)
+            .build();
+        let one: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(1));
+        let base = ctx.parallelize((0u64..40).map(|i| (i % 8, i)).collect(), 2);
+        let a = base.reduce_by_key(one.clone(), |x, y| x + y);
+        let b = a
+            .map(|(k, v)| (k % 2, v))
+            .reduce_by_key(one.clone(), |x, y| x + y);
+        let c = a.cogroup(&b, one);
+        // Executor 0 runs A's map 0, then B's only task, and dies.
+        ctx.failure_injector().kill_executor_after(0, 2);
+        let before = ctx.metrics_snapshot();
+        assert_eq!(c.count().unwrap(), 8);
+        assert!(ctx.failure_injector().is_drained());
+
+        let delta = ctx.metrics_snapshot() - before;
+        assert_eq!((delta.executors_lost, delta.fetch_failures), (1, 1));
+        assert_eq!(delta.map_partitions_recomputed, 1, "A's map 0, not B's");
+        let report = ctx.last_job_report().unwrap();
+        let runs: Vec<_> = report
+            .stages
+            .iter()
+            .map(|s| (s.shuffle_id.is_some(), s.map_partitions_recomputed))
+            .collect();
+        assert_eq!(
+            runs,
+            [(true, 0), (true, 1), (true, 0), (false, 0)],
+            "A, A's recovery, B, then C: {report}"
+        );
+        let join = report.stages.last().unwrap();
+        assert_eq!(join.fetch_failures, 0, "C never read a parent mid-run");
+        assert!(report.stages.iter().all(|s| s.stage_id <= join.stage_id));
     }
 
     /// Regression (per-event rescans): the straggler scan — the only

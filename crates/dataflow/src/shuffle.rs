@@ -7,39 +7,51 @@
 //! tasks fetch them, and every byte that logically crosses the network is
 //! charged to the metrics.
 //!
-//! Besides block storage, the service is the arbiter of *map-stage
-//! ownership*. Concurrent jobs (or sibling stages of one job) may share a
-//! shuffle dependency; `is_completed`-then-run was a check-then-act race
-//! that could run the same map stage twice. Schedulers now
-//! [`ShuffleService::try_claim`] a shuffle: exactly one caller becomes the
-//! owner and runs the stage, everyone else either reuses the completed
-//! output or registers a completion callback via
-//! [`ShuffleService::subscribe`]. Subscription is checked under the same
-//! lock as the stage state, so a callback can never be lost to a
-//! check-then-subscribe race — it fires immediately when the stage is
+//! Everything the service knows about one shuffle is one `ShuffleEntry`
+//! (Spark's `ShuffleStatus`) in one table under one lock: the state of its
+//! map stage and the registry of which executor incarnation
+//! ([`BlockOrigin`]) produced each map partition's output.
+//!
+//! ```text
+//!              try_claim                mark_completed
+//!   Unclaimed -----------> InFlight ------------------> Completed
+//!       ^                   |    ^                          |
+//!       +------ abandon ----+    +---- claim_recovery ------+
+//!        (registry and blocks      (some map unregistered: executor
+//!         dropped, waiters false)   killed, spill file torn)
+//!
+//!   any state -- remove_shuffle --> Removed (the tombstone; terminal)
+//! ```
+//!
+//! The service is the arbiter of *map-stage ownership*: concurrent jobs (or
+//! sibling stages of one job) may share a shuffle dependency, and exactly
+//! one [`ShuffleService::try_claim`] caller per run becomes the owner and
+//! runs the stage; everyone else reuses the completed output or registers
+//! a completion callback ([`ShuffleService::subscribe`]). State check and
+//! subscription share the entry's lock, so a callback can never be lost to
+//! a check-then-subscribe race — it fires immediately when the stage is
 //! already resolved, and exactly once from
 //! [`ShuffleService::mark_completed`] / [`ShuffleService::abandon`]
-//! otherwise. No thread ever parks inside the service on behalf of a
-//! scheduler: stage readiness is event-driven end to end.
+//! otherwise, always outside the lock. No thread ever parks inside the
+//! service on behalf of a scheduler.
 //!
-//! The service is also executor-loss aware. Every block is attributed to
-//! the executor incarnation ([`BlockOrigin`]) that produced it, and every
-//! map task registers its output — even an all-empty one — in a
-//! per-shuffle registry ([`ShuffleService::register_map_output`]). When an
-//! executor dies, [`ShuffleService::discard_executor`] drops its blocks
-//! and registrations; a reduce task that later fetches a block whose map
-//! output is no longer registered panics with a typed
-//! [`FetchFailedError`] instead of silently reading an empty bucket. The
-//! scheduler catches that panic, claims the *recovery* of the shuffle
-//! ([`ShuffleService::claim_recovery`] — the re-run analogue of
-//! [`ShuffleService::try_claim`]) and resubmits only the missing map
+//! It is also executor-loss aware. Every map task commits its output —
+//! even an all-empty one — through [`ShuffleService::commit_map_output`],
+//! which registers the map under the same lock that deposits its blocks.
+//! When an executor dies, [`ShuffleService::discard_executor`] drops its
+//! blocks and registrations; the stage stays `Completed`, with holes. A
+//! fetch is answered from the registry alone: a registered map's absent
+//! block is a genuinely empty bucket, and *anything else* — a hole, an
+//! abandoned or removed shuffle, one the service never heard of — panics
+//! with a typed [`FetchFailedError`], never reads as empty. The scheduler
+//! catches that panic, claims the *recovery* of the shuffle
+//! ([`ShuffleService::claim_recovery`]) and resubmits only the missing map
 //! partitions from lineage.
 //!
 //! Block storage itself — the resident and spilled tiers, byte accounting,
 //! LRU spilling and rehydration — is one `TieredStore` (`blockstore.rs`)
-//! keyed by [`BlockId`]; this service adds what a *lost* block means: a
-//! torn spill file or a discarded executor unregisters the map output,
-//! and the next fetch fails typed.
+//! keyed by [`BlockId`]. Lock order: the entry table before the block
+//! store, never the reverse.
 
 use crate::blockstore::{Fetched, TieredStore};
 use crate::executor::BlockOrigin;
@@ -47,7 +59,7 @@ use crate::metrics::MetricField;
 use crate::spill::SpillStore;
 use crate::sync::{Mutex, Subscribers};
 use crate::{Data, SpangleContext};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Key of one shuffle block: output of map partition `map_id` destined for
@@ -67,19 +79,49 @@ pub struct BlockId {
 pub type ShuffleCallback = Box<dyn FnOnce(bool) + Send>;
 
 /// Map-stage progress of one shuffle.
-enum MapStageState {
-    /// Some job claimed the map stage and is running it; `waiters` fire
-    /// when it resolves.
+#[derive(Default)]
+enum MapStage {
+    /// Nobody owns the stage — never claimed, or released by an abandon:
+    /// the next [`ShuffleService::try_claim`] wins it.
+    #[default]
+    Unclaimed,
+    /// Some job claimed the map stage (or its recovery) and is running it;
+    /// `waiters` fire when it resolves.
     InFlight { waiters: Subscribers<bool> },
     /// The map stage ran to completion with this many map partitions.
     Completed { num_maps: usize },
+    /// Torn down by [`ShuffleService::remove_shuffle`] (lineage GC). Ids
+    /// are context-monotone and never reused, so tombstones only
+    /// accumulate: one entry per GC'd shuffle over the context's life.
+    Removed,
+}
+
+/// Everything the service knows about one shuffle.
+#[derive(Default)]
+struct ShuffleEntry {
+    stage: MapStage,
+    /// Which executor incarnation produced each map partition's output. A
+    /// map task registers here even when every bucket it produced was
+    /// empty, so "block absent but map registered" means an empty bucket
+    /// while "absent and unregistered" means the output is lost.
+    outputs: HashMap<usize, BlockOrigin>,
+}
+
+impl ShuffleEntry {
+    /// Map partitions below `num_maps` with no registered output, ascending.
+    fn missing_maps(&self, num_maps: usize) -> Vec<usize> {
+        (0..num_maps)
+            .filter(|m| !self.outputs.contains_key(m))
+            .collect()
+    }
 }
 
 /// Panic payload raised by [`ShuffleService::fetch_block`] when the block's
-/// map output was lost after the map stage completed (the executor that
-/// produced it died). The scheduler downcasts this out of the task panic
-/// and turns it into [`crate::TaskError::FetchFailed`], which triggers
-/// lineage-based resubmission of exactly the missing map partitions.
+/// map output is not there to read: lost with the executor that produced
+/// it, torn on disk, dropped by an abandon, or garbage-collected. The
+/// scheduler downcasts this out of the task panic and turns it into
+/// [`crate::TaskError::FetchFailed`], which triggers lineage-based
+/// resubmission of exactly the missing map partitions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FetchFailedError {
     /// Shuffle whose map output is gone.
@@ -116,8 +158,7 @@ pub enum ShuffleClaim {
     /// The map stage already ran; its output can be read immediately.
     Completed,
     /// Another scheduler is running the map stage right now; register a
-    /// callback with [`ShuffleService::subscribe`] (or block on
-    /// [`ShuffleService::wait_finished`]).
+    /// callback with [`ShuffleService::subscribe`].
     InFlight,
 }
 
@@ -125,21 +166,9 @@ pub enum ShuffleClaim {
 #[derive(Default)]
 pub struct ShuffleService {
     blocks: TieredStore<BlockId>,
-    /// Per-shuffle map-stage state; absent means "never run, unclaimed".
-    stages: Mutex<HashMap<usize, MapStageState>>,
-    /// Per-shuffle registry of which executor incarnation produced each map
-    /// partition's output. A map task registers here even when every bucket
-    /// it produced was empty, so "block absent but map registered" means an
-    /// empty bucket while "absent and unregistered" means the output was
-    /// lost with its executor.
-    outputs: Mutex<HashMap<usize, HashMap<usize, BlockOrigin>>>,
-    /// Shuffles torn down by [`ShuffleService::remove_shuffle`] (lineage
-    /// GC). A fetch against a tombstoned shuffle fails typed instead of
-    /// reading an empty bucket: "never had stage state" (test-seeded) and
-    /// "had state, then removed" are different answers. Ids are
-    /// context-monotone and never reused, so the set only grows — one
-    /// `usize` per GC'd shuffle over the context's life.
-    removed: Mutex<HashSet<usize>>,
+    /// One entry per shuffle the service has heard of; no entry reads as
+    /// an unclaimed shuffle with nothing registered.
+    shuffles: Mutex<HashMap<usize, ShuffleEntry>>,
 }
 
 impl ShuffleService {
@@ -147,76 +176,8 @@ impl ShuffleService {
     pub(crate) fn new(spill: Arc<SpillStore>) -> Self {
         ShuffleService {
             blocks: TieredStore::new(spill),
-            stages: Mutex::default(),
-            outputs: Mutex::default(),
-            removed: Mutex::default(),
+            shuffles: Mutex::default(),
         }
-    }
-
-    /// Deposits the bucket for one (map, reduce) pair. `bytes` is the deep
-    /// size of the records, charged as shuffle write volume.
-    ///
-    /// A deposit from a dead executor incarnation (killed while the map
-    /// task was running) is silently dropped — its blocks were already
-    /// discarded and the task's attempt is being replayed elsewhere, so
-    /// accepting the stale write would interleave two attempts' output.
-    ///
-    /// A deposit for a (shuffle, map) pair already registered by a
-    /// *different live* incarnation is also refused: that map partition has
-    /// a committed winner (see [`ShuffleService::commit_map_output`]'s
-    /// first-write-wins rule), and a late speculative loser writing through
-    /// this legacy path must not overwrite the winner's blocks. Deposits
-    /// from the registered origin itself remain allowed (recovery re-seeds
-    /// and put-then-register callers).
-    pub fn put_block<T: Data>(
-        &self,
-        ctx: &SpangleContext,
-        id: BlockId,
-        records: Vec<T>,
-        bytes: usize,
-        origin: BlockOrigin,
-    ) {
-        if !ctx.inner.pool.origin_is_live(origin) {
-            return;
-        }
-        if let Some(winner) = self
-            .outputs
-            .lock()
-            .get(&id.shuffle_id)
-            .and_then(|maps| maps.get(&id.map_id))
-        {
-            if *winner != origin && ctx.inner.pool.origin_is_live(*winner) {
-                return;
-            }
-        }
-        ctx.metrics()
-            .add(MetricField::ShuffleWriteBytes, bytes as u64);
-        ctx.metrics()
-            .add(MetricField::ShuffleRecords, records.len() as u64);
-        self.blocks
-            .put_many(ctx, [(id, Arc::new(records), bytes)], origin);
-    }
-
-    /// Records that map partition `map_id` of `shuffle_id` deposited all
-    /// its (possibly empty) buckets. Every map task calls this once at the
-    /// end, so [`ShuffleService::fetch_block`] can tell a legitimately
-    /// empty bucket from one lost with its executor. Registrations from a
-    /// dead incarnation are dropped like stale block deposits.
-    pub fn register_map_output(
-        &self,
-        ctx: &SpangleContext,
-        shuffle_id: usize,
-        map_id: usize,
-        origin: BlockOrigin,
-    ) {
-        if !ctx.inner.pool.origin_is_live(origin) {
-            return;
-        }
-        self.outputs
-            .lock()
-            .entry(shuffle_id)
-            .or_default()
-            .insert(map_id, origin);
     }
 
     /// Atomically deposits *all* buckets of one map task and registers its
@@ -227,9 +188,10 @@ impl ShuffleService {
     /// this attempt won.
     ///
     /// A commit loses when the (shuffle, map) pair is already registered
-    /// by a live incarnation, or when the depositing incarnation itself is
-    /// dead (killed mid-task — same rule as [`ShuffleService::put_block`]).
-    /// Losing commits charge no shuffle-write volume.
+    /// by a live incarnation, when the depositing incarnation itself is
+    /// dead (killed mid-task: its blocks were already discarded and its
+    /// attempt is being replayed elsewhere), or when the shuffle was
+    /// removed. Losing commits charge no shuffle-write volume.
     pub fn commit_map_output<T: Data>(
         &self,
         ctx: &SpangleContext,
@@ -238,17 +200,21 @@ impl ShuffleService {
         buckets: Vec<(usize, Vec<T>, usize)>,
         origin: BlockOrigin,
     ) -> bool {
-        if !ctx.inner.pool.origin_is_live(origin) {
+        let live = |origin| ctx.inner.pool.origin_is_live(origin);
+        if !live(origin) {
             return false;
         }
-        let mut outputs = self.outputs.lock();
-        let maps = outputs.entry(shuffle_id).or_default();
-        if let Some(existing) = maps.get(&map_id) {
-            if ctx.inner.pool.origin_is_live(*existing) {
-                return false;
-            }
+        let mut shuffles = self.shuffles.lock();
+        let entry = shuffles.entry(shuffle_id).or_default();
+        if matches!(entry.stage, MapStage::Removed)
+            || entry
+                .outputs
+                .get(&map_id)
+                .is_some_and(|&winner| live(winner))
+        {
+            return false;
         }
-        maps.insert(map_id, origin);
+        entry.outputs.insert(map_id, origin);
         let mut total_bytes = 0u64;
         let mut total_records = 0u64;
         let deposits = buckets.into_iter().map(|(reduce_id, records, bytes)| {
@@ -261,10 +227,10 @@ impl ShuffleService {
             };
             (id, Arc::new(records), bytes)
         });
-        // Still under the registry lock: registration and blocks appear
-        // (and are discarded with their executor) as one unit.
+        // Still under the table lock: registration and blocks appear (and
+        // are discarded with their executor) as one unit.
         self.blocks.put_many(ctx, deposits, origin);
-        drop(outputs);
+        drop(shuffles);
         ctx.metrics()
             .add(MetricField::ShuffleWriteBytes, total_bytes);
         ctx.metrics()
@@ -275,21 +241,21 @@ impl ShuffleService {
     /// Fetches one bucket, charging shuffle read volume. Returns a shared
     /// handle to the bucket's records — reduce tasks iterate the `Arc`
     /// without cloning the underlying vector. Returns an empty block when
-    /// the map task produced nothing for this reduce partition. A spilled
-    /// block is rehydrated (read back, verified, reinstated resident)
-    /// transparently.
+    /// the map task registered its output but produced nothing for this
+    /// reduce partition. A spilled block is rehydrated (read back,
+    /// verified, reinstated resident) transparently.
     ///
     /// # Panics
     ///
     /// Panics with a [`FetchFailedError`] payload when the block is absent
-    /// *and* its map partition is not registered for a shuffle whose map
-    /// stage ran — or whose state was torn down by
-    /// [`ShuffleService::remove_shuffle`]: the output existed and was lost
-    /// (executor death, lineage GC, or a corrupt spill file), so the
-    /// caller must not treat it as empty. The scheduler converts this
-    /// panic into [`crate::TaskError::FetchFailed`] and recovers.
+    /// and its map partition is not registered in a live shuffle — a hole
+    /// left by a dead executor or a torn spill file, a shuffle whose owner
+    /// abandoned it, a removed one, or one the service never heard of. The
+    /// output is *gone*, not empty, so the caller must not read on. The
+    /// scheduler converts this panic into
+    /// [`crate::TaskError::FetchFailed`] and recovers.
     pub fn fetch_block<T: Data>(&self, ctx: &SpangleContext, id: BlockId) -> Arc<Vec<T>> {
-        match self.blocks.get(ctx, &id) {
+        let torn = match self.blocks.get(ctx, &id) {
             Fetched::Hit { block, bytes } => {
                 ctx.metrics()
                     .add(MetricField::ShuffleReadBytes, bytes as u64);
@@ -298,42 +264,30 @@ impl ShuffleService {
                      type than the map side wrote",
                 );
             }
-            Fetched::Torn => {
-                // The spill file is torn or unreadable: the block is gone
-                // for real. Drop its registration so this surfaces exactly
-                // like executor loss — typed, recoverable from lineage —
-                // instead of decoding garbage.
-                if let Some(maps) = self.outputs.lock().get_mut(&id.shuffle_id) {
-                    maps.remove(&id.map_id);
-                }
-                std::panic::panic_any(FetchFailedError {
-                    shuffle_id: id.shuffle_id,
-                    map_id: id.map_id,
-                });
-            }
-            Fetched::Absent => {}
-        }
-        // Absent. Registered-but-absent is a genuinely empty bucket.
-        let registered = self
-            .outputs
-            .lock()
-            .get(&id.shuffle_id)
-            .is_some_and(|maps| maps.contains_key(&id.map_id));
-        if registered {
+            Fetched::Torn => true,
+            Fetched::Absent => false,
+        };
+        let mut shuffles = self.shuffles.lock();
+        let outputs = shuffles.get_mut(&id.shuffle_id).map(|e| &mut e.outputs);
+        let empty = if torn {
+            // The spill file is torn or unreadable: the block is gone for
+            // real. Drop its registration so this surfaces exactly like
+            // executor loss — typed, recoverable from lineage — instead of
+            // decoding garbage.
+            outputs.and_then(|o| o.remove(&id.map_id));
+            false
+        } else {
+            // Registered-but-absent is a genuinely empty bucket.
+            outputs.is_some_and(|o| o.contains_key(&id.map_id))
+        };
+        drop(shuffles);
+        if empty {
             return Arc::new(Vec::new());
         }
-        // Unregistered: a tombstoned shuffle (lineage GC beat this fetch)
-        // or one whose map stage ran fails typed; a shuffle that never had
-        // stage state at all is a test-seeded block map — keep the
-        // historical empty-fetch behavior for those.
-        let removed = self.removed.lock().contains(&id.shuffle_id);
-        if removed || self.stages.lock().contains_key(&id.shuffle_id) {
-            std::panic::panic_any(FetchFailedError {
-                shuffle_id: id.shuffle_id,
-                map_id: id.map_id,
-            });
-        }
-        Arc::new(Vec::new())
+        std::panic::panic_any(FetchFailedError {
+            shuffle_id: id.shuffle_id,
+            map_id: id.map_id,
+        });
     }
 
     /// Demotes cold resident blocks to the disk tier until roughly `need`
@@ -347,17 +301,17 @@ impl ShuffleService {
     /// owner must finish with [`ShuffleService::mark_completed`] (success)
     /// or [`ShuffleService::abandon`] (job abort) so waiters wake up.
     pub fn try_claim(&self, shuffle_id: usize) -> ShuffleClaim {
-        let mut stages = self.stages.lock();
-        match stages.get(&shuffle_id) {
-            Some(MapStageState::Completed { .. }) => ShuffleClaim::Completed,
-            Some(MapStageState::InFlight { .. }) => ShuffleClaim::InFlight,
-            None => {
-                stages.insert(
-                    shuffle_id,
-                    MapStageState::InFlight {
-                        waiters: Subscribers::new(),
-                    },
-                );
+        let mut shuffles = self.shuffles.lock();
+        let entry = shuffles.entry(shuffle_id).or_default();
+        match entry.stage {
+            MapStage::Completed { .. } => ShuffleClaim::Completed,
+            MapStage::InFlight { .. } => ShuffleClaim::InFlight,
+            // A removed shuffle's dependency is gone, so nothing that could
+            // claim it is left; were it claimed all the same, it runs anew.
+            MapStage::Unclaimed | MapStage::Removed => {
+                entry.stage = MapStage::InFlight {
+                    waiters: Subscribers::new(),
+                };
                 ShuffleClaim::Owner
             }
         }
@@ -367,10 +321,10 @@ impl ShuffleService {
     ///
     /// The state check and registration happen under one lock, so a
     /// callback can never miss its notification: if the stage is already
-    /// `Completed` the callback fires immediately with `true`; if it is
-    /// unclaimed (never run, or abandoned) it fires immediately with
-    /// `false` (the caller should [`ShuffleService::try_claim`]); if it is
-    /// in flight, the callback fires exactly once when the owner
+    /// `Completed` the callback fires immediately with `true`; if nobody
+    /// owns it (never claimed, abandoned, removed) it fires immediately
+    /// with `false` (the caller should [`ShuffleService::try_claim`]); if
+    /// it is in flight, the callback fires exactly once when the owner
     /// [`ShuffleService::mark_completed`]s (`true`) or
     /// [`ShuffleService::abandon`]s (`false`) the stage.
     ///
@@ -378,20 +332,14 @@ impl ShuffleService {
     /// or another job's driver) and must not block; schedulers send an
     /// event into their own channel.
     pub fn subscribe(&self, shuffle_id: usize, callback: ShuffleCallback) {
-        let mut stages = self.stages.lock();
-        match stages.get_mut(&shuffle_id) {
-            Some(MapStageState::InFlight { waiters }) => {
-                waiters.push(callback);
-            }
-            Some(MapStageState::Completed { .. }) => {
-                drop(stages);
-                callback(true);
-            }
-            None => {
-                drop(stages);
-                callback(false);
-            }
-        }
+        let mut shuffles = self.shuffles.lock();
+        let completed = match shuffles.get_mut(&shuffle_id).map(|e| &mut e.stage) {
+            Some(MapStage::InFlight { waiters }) => return waiters.push(callback),
+            Some(MapStage::Completed { .. }) => true,
+            _ => false,
+        };
+        drop(shuffles);
+        callback(completed);
     }
 
     /// Marks the map stage of `shuffle_id` complete with `num_maps` map
@@ -407,37 +355,43 @@ impl ShuffleService {
     /// ignore the list; tests that seed completions without deposits get
     /// the full range back.
     pub fn mark_completed(&self, shuffle_id: usize, num_maps: usize) -> Vec<usize> {
-        let mut stages = self.stages.lock();
-        let previous = stages.insert(shuffle_id, MapStageState::Completed { num_maps });
-        let missing = self.missing_maps(shuffle_id, num_maps);
-        drop(stages);
-        if let Some(MapStageState::InFlight { waiters }) = previous {
+        let mut shuffles = self.shuffles.lock();
+        let entry = shuffles.entry(shuffle_id).or_default();
+        let previous = std::mem::replace(&mut entry.stage, MapStage::Completed { num_maps });
+        let missing = entry.missing_maps(num_maps);
+        drop(shuffles);
+        if let MapStage::InFlight { waiters } = previous {
             waiters.fire(true);
         }
         missing
     }
 
     /// Releases an [`ShuffleClaim::Owner`] claim without completing the
-    /// stage (the owning job aborted). Subscribed callbacks fire with
-    /// `false` and their schedulers race to re-claim.
+    /// stage (the owning job aborted); a no-op on a stage that is not in
+    /// flight. Subscribed callbacks fire with `false` and their schedulers
+    /// race to re-claim.
     ///
-    /// Any partial map output the aborted attempt already deposited is
-    /// dropped with the claim — both tiers: leaving it resident would leak
-    /// `resident_bytes` (and spill files) until shuffle GC, and a
-    /// re-claiming owner would interleave its fresh blocks with the
-    /// aborted attempt's stale ones. The shuffle is *not* tombstoned: a
-    /// re-claim runs the stage again from scratch, so later fetches are
-    /// legitimate.
+    /// Everything deposited so far is dropped with the claim, registry and
+    /// both block tiers, under the table lock: leaving it resident would
+    /// leak `resident_bytes` (and spill files) until shuffle GC. That
+    /// holds for an abandoned *recovery* too — the maps that survived the
+    /// loss go with the re-run ones, and the next claimant runs the whole
+    /// stage: one rule for every abandon, at the price of recomputing a
+    /// map stage in the rare job that aborts mid-recovery. A concurrent
+    /// job's reduce task still reading a survivor fails typed and its
+    /// scheduler becomes that claimant.
     pub fn abandon(&self, shuffle_id: usize) {
-        let mut stages = self.stages.lock();
-        let abandoned = match stages.get(&shuffle_id) {
-            Some(MapStageState::InFlight { .. }) => stages.remove(&shuffle_id),
-            _ => None,
+        let mut shuffles = self.shuffles.lock();
+        let Some(entry) = shuffles.get_mut(&shuffle_id) else {
+            return;
         };
-        drop(stages);
-        if let Some(MapStageState::InFlight { waiters }) = abandoned {
-            self.outputs.lock().remove(&shuffle_id);
-            self.drop_blocks_of(shuffle_id);
+        if !matches!(entry.stage, MapStage::InFlight { .. }) {
+            return;
+        }
+        let abandoned = std::mem::take(entry);
+        self.drop_blocks_of(shuffle_id);
+        drop(shuffles);
+        if let MapStage::InFlight { waiters } = abandoned.stage {
             waiters.fire(false);
         }
     }
@@ -448,51 +402,27 @@ impl ShuffleService {
         self.blocks.retain(|id, _| id.shuffle_id != shuffle_id);
     }
 
-    /// Blocks until the map stage of `shuffle_id` is no longer in flight.
-    /// Returns `true` when it completed, `false` when the owner abandoned
-    /// it (the caller should [`ShuffleService::try_claim`] again).
-    ///
-    /// This is [`ShuffleService::subscribe`] plus a channel for callers
-    /// that genuinely have nothing else to do; the scheduler itself never
-    /// blocks here.
-    pub fn wait_finished(&self, shuffle_id: usize) -> bool {
-        let (tx, rx) = crate::sync::channel::unbounded();
-        self.subscribe(
-            shuffle_id,
-            Box::new(move |completed| {
-                let _ = tx.send(completed);
-            }),
-        );
-        rx.recv().unwrap_or(false)
-    }
-
-    /// Whether the map stage of `shuffle_id` already ran.
-    pub fn is_completed(&self, shuffle_id: usize) -> bool {
-        matches!(
-            self.stages.lock().get(&shuffle_id),
-            Some(MapStageState::Completed { .. })
-        )
-    }
-
     /// Drops all blocks and completion state of one shuffle. Called when
     /// the owning dependency is garbage-collected so iterative jobs do not
     /// accumulate dead shuffle outputs. Any callbacks still subscribed
     /// (there should be none by GC time) fire with `false`.
     ///
-    /// The shuffle id is tombstoned: a straggling reduce fetch arriving
-    /// after GC raises [`FetchFailedError`] instead of silently reading an
-    /// empty bucket (its data *existed* — it is gone, not empty).
+    /// The entry stays behind as a tombstone: a straggler's late commit is
+    /// refused instead of re-seeding blocks nobody will ever collect, and
+    /// its fetch raises [`FetchFailedError`] like any other read of output
+    /// that is gone.
     pub fn remove_shuffle(&self, shuffle_id: usize) {
-        let removed = self.stages.lock().remove(&shuffle_id);
-        let had_state = removed.is_some();
-        if let Some(MapStageState::InFlight { waiters }) = removed {
+        let mut shuffles = self.shuffles.lock();
+        let tombstone = ShuffleEntry {
+            stage: MapStage::Removed,
+            outputs: HashMap::new(),
+        };
+        let removed = shuffles.insert(shuffle_id, tombstone);
+        self.drop_blocks_of(shuffle_id);
+        drop(shuffles);
+        if let Some(MapStage::InFlight { waiters }) = removed.map(|e| e.stage) {
             waiters.fire(false);
         }
-        if had_state {
-            self.removed.lock().insert(shuffle_id);
-        }
-        self.outputs.lock().remove(&shuffle_id);
-        self.drop_blocks_of(shuffle_id);
     }
 
     /// Drops every block and map-output registration produced by the given
@@ -503,24 +433,16 @@ impl ShuffleService {
     /// its producer's epoch is retired, so its data is as stale as a
     /// resident block's would be.
     ///
-    /// Completion state is deliberately left alone: a shuffle stays
-    /// `Completed` with holes, and the holes surface as
-    /// [`FetchFailedError`] on the next fetch so recovery is driven by the
-    /// jobs that actually need the data.
+    /// Stage state is deliberately left alone: a shuffle stays `Completed`
+    /// with holes, and the holes surface as [`FetchFailedError`] on the
+    /// next fetch so recovery is driven by the jobs that actually need the
+    /// data.
     pub fn discard_executor(&self, executor: usize) -> (usize, usize) {
-        for maps in self.outputs.lock().values_mut() {
-            maps.retain(|_, origin| !origin.lives_on(executor));
+        let mut shuffles = self.shuffles.lock();
+        for entry in shuffles.values_mut() {
+            entry.outputs.retain(|_, origin| !origin.lives_on(executor));
         }
         self.blocks.retain(|_, origin| !origin.lives_on(executor))
-    }
-
-    /// Map partitions of `shuffle_id` with no registered output, ascending.
-    fn missing_maps(&self, shuffle_id: usize, num_maps: usize) -> Vec<usize> {
-        let outputs = self.outputs.lock();
-        let maps = outputs.get(&shuffle_id);
-        (0..num_maps)
-            .filter(|m| !maps.is_some_and(|maps| maps.contains_key(m)))
-            .collect()
     }
 
     /// Atomically claims the *recovery* of a shuffle whose completed map
@@ -529,42 +451,27 @@ impl ShuffleService {
     /// stage transitions back to in-flight (so dependent schedulers
     /// subscribe rather than fetch) while surviving partitions' blocks and
     /// registrations are kept — the owner re-runs *only* the missing maps.
-    /// An unclaimed shuffle (e.g. abandoned by an aborting job) counts as
+    /// A shuffle nobody owns (e.g. abandoned by an aborting job) counts as
     /// fully missing.
     pub fn claim_recovery(&self, shuffle_id: usize, num_maps: usize) -> RecoveryClaim {
-        let mut stages = self.stages.lock();
-        match stages.get(&shuffle_id) {
-            Some(MapStageState::InFlight { .. }) => RecoveryClaim::InFlight,
-            Some(MapStageState::Completed { num_maps: recorded }) => {
-                assert_eq!(
-                    *recorded, num_maps,
-                    "shuffle {shuffle_id}: recovery claimed with a different map count \
-                     than the completed stage recorded"
-                );
-                self.claim_recovery_locked(&mut stages, shuffle_id, num_maps)
-            }
-            None => self.claim_recovery_locked(&mut stages, shuffle_id, num_maps),
+        let mut shuffles = self.shuffles.lock();
+        let entry = shuffles.entry(shuffle_id).or_default();
+        match entry.stage {
+            MapStage::InFlight { .. } => return RecoveryClaim::InFlight,
+            MapStage::Completed { num_maps: recorded } => assert_eq!(
+                recorded, num_maps,
+                "shuffle {shuffle_id}: recovery claimed with a different map count \
+                 than the completed stage recorded"
+            ),
+            MapStage::Unclaimed | MapStage::Removed => {}
         }
-    }
-
-    /// Second half of [`ShuffleService::claim_recovery`], with the stage
-    /// lock held and the in-flight case already ruled out.
-    fn claim_recovery_locked(
-        &self,
-        stages: &mut HashMap<usize, MapStageState>,
-        shuffle_id: usize,
-        num_maps: usize,
-    ) -> RecoveryClaim {
-        let missing = self.missing_maps(shuffle_id, num_maps);
+        let missing = entry.missing_maps(num_maps);
         if missing.is_empty() {
             return RecoveryClaim::Recovered;
         }
-        stages.insert(
-            shuffle_id,
-            MapStageState::InFlight {
-                waiters: Subscribers::new(),
-            },
-        );
+        entry.stage = MapStage::InFlight {
+            waiters: Subscribers::new(),
+        };
         RecoveryClaim::Owner { missing }
     }
 
@@ -610,17 +517,78 @@ impl ShuffleService {
 mod tests {
     use super::*;
 
+    /// Commits `records` as map `map_id`'s bucket for reduce partition 0
+    /// (an empty `records` commits no bucket at all: registered, empty).
+    fn commit(
+        ctx: &SpangleContext,
+        svc: &ShuffleService,
+        (shuffle_id, map_id): (usize, usize),
+        records: Vec<u64>,
+        origin: BlockOrigin,
+    ) -> bool {
+        let bytes = 8 * records.len();
+        let buckets = if records.is_empty() {
+            vec![]
+        } else {
+            vec![(0, records, bytes)]
+        };
+        svc.commit_map_output(ctx, shuffle_id, map_id, buckets, origin)
+    }
+
+    /// What a reduce task reading reduce partition 0 of `(shuffle, map)`
+    /// gets: the bucket, or the typed failure its fetch panicked with.
+    fn fetch(
+        ctx: &SpangleContext,
+        svc: &ShuffleService,
+        (shuffle_id, map_id): (usize, usize),
+    ) -> Result<Vec<u64>, FetchFailedError> {
+        let id = BlockId {
+            shuffle_id,
+            map_id,
+            reduce_id: 0,
+        };
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            svc.fetch_block::<u64>(ctx, id).to_vec()
+        }))
+        .map_err(|payload| {
+            *payload
+                .downcast_ref::<FetchFailedError>()
+                .expect("a fetch fails typed or not at all")
+        })
+    }
+
+    fn gone(shuffle_id: usize, map_id: usize) -> Result<Vec<u64>, FetchFailedError> {
+        Err(FetchFailedError { shuffle_id, map_id })
+    }
+
+    /// Seeds a completed two-map shuffle whose blocks (`[0]` and `[1]`)
+    /// live on executors 0 and 1.
+    fn seed_two_map_shuffle(ctx: &SpangleContext, svc: &ShuffleService, shuffle_id: usize) {
+        for map_id in 0..2 {
+            let origin = BlockOrigin::executor(map_id, 0);
+            assert!(commit(
+                ctx,
+                svc,
+                (shuffle_id, map_id),
+                vec![map_id as u64],
+                origin
+            ));
+        }
+        assert!(svc.mark_completed(shuffle_id, 2).is_empty());
+    }
+
     #[test]
     fn put_fetch_roundtrip_charges_bytes() {
         let ctx = SpangleContext::new(2);
         let svc = ShuffleService::default();
+        let before = ctx.metrics_snapshot();
+        let records = vec![(1u64, 2.0f64); 10];
+        assert!(svc.commit_map_output(&ctx, 1, 0, vec![(3, records, 160)], BlockOrigin::DRIVER));
         let id = BlockId {
             shuffle_id: 1,
             map_id: 0,
             reduce_id: 3,
         };
-        let before = ctx.metrics_snapshot();
-        svc.put_block(&ctx, id, vec![(1u64, 2.0f64); 10], 160, BlockOrigin::DRIVER);
         let got: Arc<Vec<(u64, f64)>> = svc.fetch_block(&ctx, id);
         assert_eq!(got.len(), 10);
         let delta = ctx.metrics_snapshot() - before;
@@ -633,12 +601,18 @@ mod tests {
     fn fetches_share_the_block_instead_of_cloning_it() {
         let ctx = SpangleContext::new(1);
         let svc = ShuffleService::default();
+        assert!(commit(
+            &ctx,
+            &svc,
+            (1, 0),
+            vec![1, 2, 3],
+            BlockOrigin::DRIVER
+        ));
         let id = BlockId {
             shuffle_id: 1,
             map_id: 0,
             reduce_id: 0,
         };
-        svc.put_block(&ctx, id, vec![1u64, 2, 3], 24, BlockOrigin::DRIVER);
         let a: Arc<Vec<u64>> = svc.fetch_block(&ctx, id);
         let b: Arc<Vec<u64>> = svc.fetch_block(&ctx, id);
         assert!(
@@ -647,20 +621,15 @@ mod tests {
         );
     }
 
+    /// A registered map's bucket for a reduce partition it produced
+    /// nothing for: empty, and no read volume charged.
     #[test]
     fn missing_block_is_empty_and_free() {
         let ctx = SpangleContext::new(1);
         let svc = ShuffleService::default();
+        assert!(svc.commit_map_output(&ctx, 9, 0, vec![(3, vec![1u64], 8)], BlockOrigin::DRIVER));
         let before = ctx.metrics_snapshot();
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 9,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert!(got.is_empty());
+        assert_eq!(fetch(&ctx, &svc, (9, 0)), Ok(vec![]));
         assert_eq!((ctx.metrics_snapshot() - before).shuffle_read_bytes, 0);
     }
 
@@ -668,121 +637,61 @@ mod tests {
     fn remove_shuffle_clears_state() {
         let ctx = SpangleContext::new(1);
         let svc = ShuffleService::default();
-        let id = BlockId {
-            shuffle_id: 5,
-            map_id: 1,
-            reduce_id: 1,
-        };
-        svc.put_block(&ctx, id, vec![1u64], 8, BlockOrigin::DRIVER);
+        assert!(commit(&ctx, &svc, (5, 1), vec![1], BlockOrigin::DRIVER));
         svc.mark_completed(5, 2);
-        assert!(svc.is_completed(5));
+        assert_eq!(svc.try_claim(5), ShuffleClaim::Completed);
         assert_eq!(svc.num_blocks(), 1);
         svc.remove_shuffle(5);
-        assert!(!svc.is_completed(5));
+        assert_eq!(
+            svc.claim_recovery(5, 2),
+            RecoveryClaim::Owner {
+                missing: vec![0, 1]
+            }
+        );
         assert_eq!(svc.num_blocks(), 0);
         assert_eq!(svc.resident_bytes(), 0);
     }
 
     /// Bugfix regression: a reduce fetch straggling in after lineage GC
-    /// removed its shuffle used to read an empty bucket silently (the
-    /// `!stages.contains_key` branch). The data existed and is *gone*, not
-    /// empty — the fetch must fail typed.
+    /// removed its shuffle used to read an empty bucket silently. The data
+    /// existed and is *gone*, not empty — the fetch must fail typed, and
+    /// so must a fetch against a shuffle the service never heard of.
     #[test]
     fn fetch_after_remove_shuffle_fails_typed() {
         let ctx = SpangleContext::new(1);
         let svc = ShuffleService::default();
-        let id = BlockId {
-            shuffle_id: 5,
-            map_id: 0,
-            reduce_id: 0,
-        };
-        svc.put_block(&ctx, id, vec![1u64], 8, BlockOrigin::DRIVER);
-        svc.register_map_output(&ctx, 5, 0, BlockOrigin::DRIVER);
+        assert!(commit(&ctx, &svc, (5, 0), vec![1], BlockOrigin::DRIVER));
         svc.mark_completed(5, 1);
         svc.remove_shuffle(5);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _: Arc<Vec<u64>> = svc.fetch_block(&ctx, id);
-        }))
-        .expect_err("a fetch against a GC'd shuffle must not read as empty");
-        assert_eq!(
-            *err.downcast_ref::<FetchFailedError>()
-                .expect("typed payload"),
-            FetchFailedError {
-                shuffle_id: 5,
-                map_id: 0
-            }
-        );
-        // A shuffle that never had stage state keeps the historical
-        // empty-fetch behavior (test-seeded block maps).
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 99,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert!(got.is_empty());
+        assert_eq!(fetch(&ctx, &svc, (5, 0)), gone(5, 0));
+        assert_eq!(fetch(&ctx, &svc, (99, 0)), gone(99, 0));
+        // The tombstone also refuses a straggler's late commit.
+        assert!(!commit(&ctx, &svc, (5, 0), vec![2], BlockOrigin::DRIVER));
+        assert_eq!(svc.num_blocks(), 0);
     }
 
-    /// Bugfix regression: `put_block` used to install unconditionally,
-    /// letting a late speculative loser (live, but beaten to the commit)
-    /// overwrite the winner's block through the legacy path.
+    /// First write wins: a late speculative loser (live, but beaten to the
+    /// commit) is refused as a unit and charged nothing.
     #[test]
-    fn put_block_cannot_overwrite_a_live_winner() {
+    fn a_beaten_live_attempts_commit_is_refused_as_a_unit() {
         let ctx = SpangleContext::new(2);
         let svc = ShuffleService::default();
         let winner = BlockOrigin::executor(0, 0);
         let loser = BlockOrigin::executor(1, 0);
-        assert!(svc.commit_map_output(&ctx, 7, 0, vec![(0, vec![111u64], 8)], winner));
-        // The loser is alive — only *beaten*. Its late put must be refused.
+        assert!(commit(&ctx, &svc, (7, 0), vec![111], winner));
         let before = ctx.metrics_snapshot();
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 7,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![222u64],
-            8,
-            loser,
-        );
+        assert!(!commit(&ctx, &svc, (7, 0), vec![222], loser));
         assert_eq!(
             (ctx.metrics_snapshot() - before).shuffle_write_bytes,
             0,
             "refused deposits charge nothing"
         );
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 7,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert_eq!(*got, vec![111], "the committed winner's block survives");
-        // The winner itself may still re-deposit (recovery re-seeds).
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 7,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![333u64],
-            8,
-            winner,
-        );
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 7,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert_eq!(*got, vec![333]);
+        assert_eq!(fetch(&ctx, &svc, (7, 0)), Ok(vec![111]));
+        // Once the winner's incarnation is dead its registration no longer
+        // holds the slot: the replay's commit wins.
+        ctx.kill_executor(0);
+        assert!(commit(&ctx, &svc, (7, 0), vec![333], loser));
+        assert_eq!(fetch(&ctx, &svc, (7, 0)), Ok(vec![333]));
     }
 
     #[test]
@@ -801,27 +710,8 @@ mod tests {
         );
         // Map 0's spilled block survives and rehydrates; map 1's is gone
         // from disk too and raises a typed fetch failure.
-        let ok: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 6,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert_eq!(*ok, vec![0]);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _: Arc<Vec<u64>> = svc.fetch_block(
-                &ctx,
-                BlockId {
-                    shuffle_id: 6,
-                    map_id: 1,
-                    reduce_id: 0,
-                },
-            );
-        }))
-        .expect_err("a dead incarnation's spilled block must not rehydrate");
-        assert!(err.downcast_ref::<FetchFailedError>().is_some());
+        assert_eq!(fetch(&ctx, &svc, (6, 0)), Ok(vec![0]));
+        assert_eq!(fetch(&ctx, &svc, (6, 1)), gone(6, 1));
     }
 
     /// The shuffle's reading of a torn spill file: the map output is
@@ -835,24 +725,7 @@ mod tests {
         seed_two_map_shuffle(&ctx, &svc, 6);
         svc.spill_up_to(&ctx, usize::MAX);
         spill.tear_files();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _: Arc<Vec<u64>> = svc.fetch_block(
-                &ctx,
-                BlockId {
-                    shuffle_id: 6,
-                    map_id: 1,
-                    reduce_id: 0,
-                },
-            );
-        }))
-        .expect_err("a torn block must not decode");
-        assert_eq!(
-            err.downcast_ref::<FetchFailedError>(),
-            Some(&FetchFailedError {
-                shuffle_id: 6,
-                map_id: 1
-            })
-        );
+        assert_eq!(fetch(&ctx, &svc, (6, 1)), gone(6, 1));
         assert_eq!(svc.num_blocks(), 1, "the torn block is dropped");
         assert_eq!(
             svc.claim_recovery(6, 2),
@@ -874,7 +747,6 @@ mod tests {
         let svc = ShuffleService::default();
         assert_eq!(svc.try_claim(1), ShuffleClaim::Owner);
         svc.abandon(1);
-        assert!(!svc.wait_finished(1), "abandoned, not completed");
         assert_eq!(svc.try_claim(1), ShuffleClaim::Owner);
     }
 
@@ -884,29 +756,15 @@ mod tests {
         let svc = ShuffleService::default();
         assert_eq!(svc.try_claim(4), ShuffleClaim::Owner);
         // The owner's map tasks deposit some output, then the job aborts.
-        svc.put_block(
+        assert!(commit(
             &ctx,
-            BlockId {
-                shuffle_id: 4,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![1u64, 2, 3],
-            24,
-            BlockOrigin::DRIVER,
-        );
+            &svc,
+            (4, 0),
+            vec![1, 2, 3],
+            BlockOrigin::DRIVER
+        ));
         // An unrelated completed shuffle must survive the abandon.
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 5,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![9u64],
-            8,
-            BlockOrigin::DRIVER,
-        );
+        assert!(commit(&ctx, &svc, (5, 0), vec![9], BlockOrigin::DRIVER));
         svc.mark_completed(5, 1);
         assert_eq!(svc.resident_bytes(), 32);
         svc.abandon(4);
@@ -975,23 +833,26 @@ mod tests {
         );
     }
 
+    /// A callback subscribed on one thread fires from the thread that
+    /// completes the stage.
     #[test]
     fn waiters_wake_on_completion() {
         let svc = Arc::new(ShuffleService::default());
         assert_eq!(svc.try_claim(2), ShuffleClaim::Owner);
-        let waiter = {
+        let (tx, rx) = crate::sync::channel::unbounded();
+        svc.subscribe(2, Box::new(move |done| tx.send(done).unwrap()));
+        let owner = {
             let svc = Arc::clone(&svc);
-            std::thread::spawn(move || svc.wait_finished(2))
+            std::thread::spawn(move || svc.mark_completed(2, 1))
         };
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        svc.mark_completed(2, 1);
-        assert!(waiter.join().unwrap(), "waiter must see completion");
+        assert!(rx.recv().unwrap(), "waiter must see completion");
+        owner.join().unwrap();
     }
 
     /// The historical check-then-act race: two schedulers checking
-    /// `is_completed` before running would both run the map stage. With
-    /// the claim API exactly one of N concurrent claimants owns the
-    /// stage, no matter the interleaving.
+    /// "completed?" before running would both run the map stage. With the
+    /// claim API exactly one of N concurrent claimants owns the stage, no
+    /// matter the interleaving.
     #[test]
     fn concurrent_claims_elect_exactly_one_owner() {
         for round in 0..50usize {
@@ -1013,32 +874,12 @@ mod tests {
         }
     }
 
-    /// Seeds a two-map shuffle whose blocks live on executors 0 and 1.
-    fn seed_two_map_shuffle(ctx: &SpangleContext, svc: &ShuffleService, shuffle_id: usize) {
-        for map_id in 0..2 {
-            let origin = BlockOrigin::executor(map_id, 0);
-            svc.put_block(
-                ctx,
-                BlockId {
-                    shuffle_id,
-                    map_id,
-                    reduce_id: 0,
-                },
-                vec![map_id as u64],
-                8,
-                origin,
-            );
-            svc.register_map_output(ctx, shuffle_id, map_id, origin);
-        }
-        assert!(svc.mark_completed(shuffle_id, 2).is_empty());
-    }
-
     #[test]
     fn mark_completed_reports_unregistered_maps() {
         let ctx = SpangleContext::new(1);
         let svc = ShuffleService::default();
         assert_eq!(svc.mark_completed(9, 3), vec![0, 1, 2]);
-        svc.register_map_output(&ctx, 9, 1, BlockOrigin::DRIVER);
+        assert!(commit(&ctx, &svc, (9, 1), vec![], BlockOrigin::DRIVER));
         assert_eq!(svc.mark_completed(9, 3), vec![0, 2]);
     }
 
@@ -1046,17 +887,9 @@ mod tests {
     fn registered_empty_buckets_stay_empty_fetches() {
         let ctx = SpangleContext::new(1);
         let svc = ShuffleService::default();
-        svc.register_map_output(&ctx, 2, 0, BlockOrigin::DRIVER);
+        assert!(commit(&ctx, &svc, (2, 0), vec![], BlockOrigin::DRIVER));
         svc.mark_completed(2, 1);
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 2,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert!(got.is_empty());
+        assert_eq!(fetch(&ctx, &svc, (2, 0)), Ok(vec![]));
     }
 
     #[test]
@@ -1066,38 +899,10 @@ mod tests {
         seed_two_map_shuffle(&ctx, &svc, 6);
         let (dropped, bytes) = svc.discard_executor(1);
         assert_eq!((dropped, bytes), (1, 8));
-        // The surviving map's block still fetches.
-        let ok: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 6,
-                map_id: 0,
-                reduce_id: 0,
-            },
-        );
-        assert_eq!(*ok, vec![0]);
-        // The lost one raises a typed fetch failure, not an empty vec.
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _: Arc<Vec<u64>> = svc.fetch_block(
-                &ctx,
-                BlockId {
-                    shuffle_id: 6,
-                    map_id: 1,
-                    reduce_id: 0,
-                },
-            );
-        }))
-        .expect_err("lost output must not fetch as empty");
-        let fetch = err
-            .downcast_ref::<FetchFailedError>()
-            .expect("panic payload is a FetchFailedError");
-        assert_eq!(
-            *fetch,
-            FetchFailedError {
-                shuffle_id: 6,
-                map_id: 1
-            }
-        );
+        // The surviving map's block still fetches; the lost one raises a
+        // typed fetch failure, not an empty vec.
+        assert_eq!(fetch(&ctx, &svc, (6, 0)), Ok(vec![0]));
+        assert_eq!(fetch(&ctx, &svc, (6, 1)), gone(6, 1));
     }
 
     #[test]
@@ -1106,13 +911,10 @@ mod tests {
         let svc = ShuffleService::default();
         seed_two_map_shuffle(&ctx, &svc, 3);
         svc.discard_executor(0);
-        let claim = svc.claim_recovery(3, 2);
         assert_eq!(
-            claim,
-            RecoveryClaim::Owner {
-                missing: vec![0],
-                // map 1's block survived; only map 0 is re-run
-            }
+            svc.claim_recovery(3, 2),
+            // map 1's block survived; only map 0 is re-run
+            RecoveryClaim::Owner { missing: vec![0] }
         );
         assert_eq!(
             svc.claim_recovery(3, 2),
@@ -1121,30 +923,154 @@ mod tests {
         );
         assert_eq!(svc.resident_bytes(), 8, "survivor block kept");
         // The owner re-runs the missing map and closes the stage again.
-        let origin = BlockOrigin::executor(1, 0);
-        svc.put_block(
+        assert!(commit(
             &ctx,
-            BlockId {
-                shuffle_id: 3,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![7u64],
-            8,
-            origin,
-        );
-        svc.register_map_output(&ctx, 3, 0, origin);
+            &svc,
+            (3, 0),
+            vec![7],
+            BlockOrigin::executor(1, 0)
+        ));
         assert!(svc.mark_completed(3, 2).is_empty());
         assert_eq!(svc.claim_recovery(3, 2), RecoveryClaim::Recovered);
-        let got: Arc<Vec<u64>> = svc.fetch_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 3,
-                map_id: 0,
-                reduce_id: 0,
-            },
+        assert_eq!(fetch(&ctx, &svc, (3, 0)), Ok(vec![7]));
+    }
+
+    /// Bugfix regression: a job that aborts while it owns a shuffle's
+    /// *recovery* abandons it, which drops the surviving maps' blocks too.
+    /// A concurrent job's reduce task still reading a survivor used to get
+    /// an empty bucket — "abandoned" was encoded as absence, which the
+    /// fetch could not tell from a test-seeded shuffle — and settle with
+    /// records missing. It must fail typed so that job recovers instead.
+    #[test]
+    fn a_fetch_after_an_abandoned_recovery_fails_typed() {
+        let ctx = SpangleContext::new(2);
+        let svc = ShuffleService::default();
+        seed_two_map_shuffle(&ctx, &svc, 3);
+        svc.discard_executor(0);
+        assert_eq!(
+            svc.claim_recovery(3, 2),
+            RecoveryClaim::Owner { missing: vec![0] }
         );
-        assert_eq!(*got, vec![7]);
+        svc.abandon(3);
+        assert_eq!(
+            fetch(&ctx, &svc, (3, 1)),
+            gone(3, 1),
+            "the survivor's bucket held [1]; it is gone, not empty"
+        );
+        assert_eq!(
+            svc.claim_recovery(3, 2),
+            RecoveryClaim::Owner {
+                missing: vec![0, 1]
+            },
+            "the reader's scheduler re-runs the whole stage"
+        );
+    }
+
+    /// One shuffle walked through every state, asserting at each step what
+    /// a claimant, a subscriber, a recovery claimant and a reader are
+    /// told. No threads, no sleeps. Map 0 writes `[10]`, map 1 registers
+    /// an empty bucket, map 2 never exists.
+    #[test]
+    fn every_state_answers_claims_subscriptions_and_fetches() {
+        let ctx = SpangleContext::new(2);
+        let svc = ShuffleService::default();
+        let subscribed = |svc: &ShuffleService| {
+            let (tx, rx) = crate::sync::channel::unbounded();
+            // A parked callback outlives `rx`; its late send just fails.
+            svc.subscribe(
+                1,
+                Box::new(move |done| {
+                    let _ = tx.send(done);
+                }),
+            );
+            rx.try_recv().ok()
+        };
+        let reads = |svc: &ShuffleService| [0, 1, 2].map(|map| fetch(&ctx, svc, (1, map)));
+        let all_gone = [gone(1, 0), gone(1, 1), gone(1, 2)];
+        let whole = [Ok(vec![10]), Ok(vec![]), gone(1, 2)];
+
+        // Never seen: nobody owns it, nothing can be read.
+        assert_eq!(subscribed(&svc), Some(false));
+        assert_eq!(reads(&svc), all_gone);
+
+        // Unclaimed -> InFlight.
+        assert_eq!(svc.try_claim(1), ShuffleClaim::Owner);
+        assert_eq!(svc.try_claim(1), ShuffleClaim::InFlight);
+        assert_eq!(svc.claim_recovery(1, 2), RecoveryClaim::InFlight);
+        assert_eq!(subscribed(&svc), None, "parked until the stage resolves");
+        assert!(commit(
+            &ctx,
+            &svc,
+            (1, 0),
+            vec![10],
+            BlockOrigin::executor(0, 0)
+        ));
+        assert_eq!(reads(&svc), [Ok(vec![10]), gone(1, 1), gone(1, 2)]);
+
+        // InFlight -> Unclaimed (abandon) -> InFlight again, from scratch.
+        svc.abandon(1);
+        assert_eq!(reads(&svc), all_gone);
+        assert_eq!(subscribed(&svc), Some(false));
+        assert_eq!(svc.try_claim(1), ShuffleClaim::Owner);
+        assert!(commit(
+            &ctx,
+            &svc,
+            (1, 0),
+            vec![10],
+            BlockOrigin::executor(0, 0)
+        ));
+        assert!(commit(
+            &ctx,
+            &svc,
+            (1, 1),
+            vec![],
+            BlockOrigin::executor(1, 0)
+        ));
+
+        // InFlight -> Completed.
+        assert!(svc.mark_completed(1, 2).is_empty());
+        assert_eq!(svc.try_claim(1), ShuffleClaim::Completed);
+        assert_eq!(subscribed(&svc), Some(true));
+        assert_eq!(svc.claim_recovery(1, 2), RecoveryClaim::Recovered);
+        assert_eq!(reads(&svc), whole);
+
+        // Completed, with holes: still `Completed` to a claimant, typed to
+        // a reader of the hole, the survivor readable.
+        ctx.kill_executor(1);
+        svc.discard_executor(1);
+        assert_eq!(svc.try_claim(1), ShuffleClaim::Completed);
+        assert_eq!(reads(&svc), [Ok(vec![10]), gone(1, 1), gone(1, 2)]);
+
+        // Completed -> recovery InFlight -> Completed.
+        assert_eq!(
+            svc.claim_recovery(1, 2),
+            RecoveryClaim::Owner { missing: vec![1] }
+        );
+        assert_eq!(svc.try_claim(1), ShuffleClaim::InFlight);
+        assert_eq!(subscribed(&svc), None);
+        assert_eq!(reads(&svc)[0], Ok(vec![10]), "survivors stay readable");
+        assert!(commit(
+            &ctx,
+            &svc,
+            (1, 1),
+            vec![],
+            BlockOrigin::executor(1, 1)
+        ));
+        assert!(svc.mark_completed(1, 2).is_empty());
+        assert_eq!(reads(&svc), whole);
+
+        // -> Removed: terminal for readers and depositors.
+        svc.remove_shuffle(1);
+        assert_eq!(subscribed(&svc), Some(false));
+        assert_eq!(reads(&svc), all_gone);
+        assert!(!commit(
+            &ctx,
+            &svc,
+            (1, 0),
+            vec![10],
+            BlockOrigin::executor(0, 0)
+        ));
+        assert_eq!(svc.num_blocks(), 0);
     }
 
     #[test]
@@ -1154,18 +1080,7 @@ mod tests {
         let stale = BlockOrigin::executor(0, 0);
         ctx.inner.pool.kill(0);
         let before = ctx.metrics_snapshot();
-        svc.put_block(
-            &ctx,
-            BlockId {
-                shuffle_id: 1,
-                map_id: 0,
-                reduce_id: 0,
-            },
-            vec![1u64],
-            8,
-            stale,
-        );
-        svc.register_map_output(&ctx, 1, 0, stale);
+        assert!(!commit(&ctx, &svc, (1, 0), vec![1], stale));
         assert_eq!(svc.num_blocks(), 0, "dead incarnations cannot deposit");
         assert_eq!((ctx.metrics_snapshot() - before).shuffle_write_bytes, 0);
         assert_eq!(svc.mark_completed(1, 1), vec![0], "nor register output");

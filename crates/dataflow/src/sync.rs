@@ -270,10 +270,6 @@ struct QueuesState<T> {
     /// Global submission counter, the FIFO tie-breaker within a priority.
     next_seq: u64,
     closed: bool,
-    /// Workers banned from stealing (quarantined executors). A banned
-    /// worker still drains its own queue, and siblings may still steal
-    /// *from* it — the ban only stops it taking new work from others.
-    steal_banned: Vec<bool>,
 }
 
 /// A fixed set of priority work queues with locality-aware stealing.
@@ -315,7 +311,6 @@ impl<T> StealQueues<T> {
                 queues: (0..n).map(|_| BTreeMap::new()).collect(),
                 next_seq: 0,
                 closed: false,
-                steal_banned: vec![false; n],
             }),
             available: Condvar::new(),
         }
@@ -354,27 +349,30 @@ impl<T> StealQueues<T> {
 
     /// Blocks until an item is available for `worker` (own queue first,
     /// then the busiest stealable sibling) or the queues are closed and
-    /// drained.
-    pub fn next(&self, worker: usize) -> Next<T> {
+    /// drained. `may_steal` is asked, under the queue lock, each time the
+    /// worker's own queue comes up empty: a worker told no (a quarantined
+    /// executor) still drains its own queue, and siblings may still steal
+    /// *from* it — it just takes no new work from others. Whoever changes
+    /// the answer to yes calls [`StealQueues::wake`].
+    pub fn next(&self, worker: usize, may_steal: impl Fn() -> bool) -> Next<T> {
         let mut st = self.state.lock();
         loop {
             if let Some((_, item)) = st.queues[worker].pop_first() {
                 return Next::Local(item);
             }
             let min_len = if st.closed { 1 } else { Self::MIN_STEAL_LEN };
-            // A steal-banned worker only serves its own queue while the
-            // queues are open; on close it may steal again so the drain
-            // guarantee (every queued item runs exactly once) holds even
-            // if every unbanned sibling has already exited.
-            let victim = if st.steal_banned[worker] && !st.closed {
-                None
-            } else {
+            // On close every worker may steal, whatever `may_steal` says,
+            // so the drain guarantee (every queued item runs exactly once)
+            // holds even if every other sibling has already exited.
+            let victim = if st.closed || may_steal() {
                 st.queues
                     .iter()
                     .enumerate()
                     .filter(|(i, q)| *i != worker && q.len() >= min_len)
                     .max_by_key(|(_, q)| q.len())
                     .map(|(i, _)| i)
+            } else {
+                None
             };
             if let Some(victim) = victim {
                 let (_, item) = st.queues[victim]
@@ -401,14 +399,13 @@ impl<T> StealQueues<T> {
         self.state.lock().closed
     }
 
-    /// Bans or re-admits `worker` as a thief (quarantine drain). Banning
-    /// never strands work: the worker keeps draining its own queue, and
-    /// lifting the ban wakes it in case siblings have stealable backlog.
-    pub fn set_steal_ban(&self, worker: usize, banned: bool) {
-        self.state.lock().steal_banned[worker] = banned;
-        if !banned {
-            self.available.notify_all();
-        }
+    /// Wakes every blocked worker to look again: a `may_steal` answer
+    /// turned to yes, and siblings may have stealable backlog. Passing
+    /// through the lock first orders the wake after the check of any
+    /// worker that is between asking and going to sleep.
+    pub fn wake(&self) {
+        drop(self.state.lock());
+        self.available.notify_all();
     }
 
     /// Current length of queue `i` (racy; for reporting only).
@@ -501,9 +498,9 @@ mod tests {
         q.push(0, 1u64).unwrap();
         q.push(0, 2).unwrap();
         q.push(1, 9).unwrap();
-        assert!(matches!(q.next(0), Next::Local(1)));
-        assert!(matches!(q.next(0), Next::Local(2)));
-        assert!(matches!(q.next(1), Next::Local(9)));
+        assert!(matches!(q.next(0, || true), Next::Local(1)));
+        assert!(matches!(q.next(0, || true), Next::Local(2)));
+        assert!(matches!(q.next(1, || true), Next::Local(9)));
     }
 
     #[test]
@@ -515,7 +512,7 @@ mod tests {
         q.push(1, 4).unwrap();
         // Worker 2 owns nothing; queue 0 (len 3) beats queue 1 (len 1,
         // below the steal threshold), and the steal comes from the back.
-        match q.next(2) {
+        match q.next(2, || true) {
             Next::Stolen { item, victim } => {
                 assert_eq!(item, 3);
                 assert_eq!(victim, 0);
@@ -532,12 +529,12 @@ mod tests {
         // own arrives.
         let t = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.next(1))
+            std::thread::spawn(move || q.next(1, || true))
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.push(1, 8).unwrap();
         assert!(matches!(t.join().unwrap(), Next::Local(8)));
-        assert!(matches!(q.next(0), Next::Local(7)));
+        assert!(matches!(q.next(0, || true), Next::Local(7)));
     }
 
     #[test]
@@ -551,7 +548,7 @@ mod tests {
         // its own item and then steals worker 0's lone leftover.
         let mut seen = vec![];
         loop {
-            match q.next(1) {
+            match q.next(1, || true) {
                 Next::Local(v) => seen.push(v),
                 Next::Stolen { item, .. } => seen.push(item),
                 Next::Closed => break,
@@ -559,43 +556,47 @@ mod tests {
         }
         seen.sort();
         assert_eq!(seen, vec![1, 2]);
-        assert!(matches!(q.next(0), Next::Closed));
+        assert!(matches!(q.next(0, || true), Next::Closed));
     }
 
     #[test]
     fn steal_ban_stops_thieving_but_not_draining() {
+        use std::sync::atomic::{AtomicBool, Ordering};
         let q = Arc::new(StealQueues::new(2));
+        let allowed = Arc::new(AtomicBool::new(false));
+        let next_1 = {
+            let (q, allowed) = (Arc::clone(&q), Arc::clone(&allowed));
+            move || q.next(1, || allowed.load(Ordering::SeqCst))
+        };
         q.push(0, 1u64).unwrap();
         q.push(0, 2).unwrap();
         q.push(0, 3).unwrap();
         q.push(1, 9).unwrap();
-        // Banned worker 1 still serves its own queue but must not steal
-        // from queue 0's stealable backlog; it blocks instead.
-        q.set_steal_ban(1, true);
-        assert!(matches!(q.next(1), Next::Local(9)));
-        let t = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.next(1))
-        };
+        // Worker 1, told not to steal, still serves its own queue but must
+        // leave queue 0's stealable backlog alone; it blocks instead.
+        assert!(matches!(next_1(), Next::Local(9)));
+        let t = std::thread::spawn(next_1.clone());
         std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!t.is_finished(), "banned worker must not steal");
-        // Siblings may still steal *from* the banned worker's queue.
+        assert!(!t.is_finished(), "a worker told no must not steal");
+        // Siblings may still steal *from* its queue.
         q.push(1, 10).unwrap();
         q.push(1, 11).unwrap();
         assert!(matches!(t.join().unwrap(), Next::Local(10)));
-        match q.next(0) {
-            Next::Local(1) => {}
-            other => panic!("owner keeps its queue, got {other:?}"),
-        }
-        // Lifting the ban re-admits the thief.
-        q.set_steal_ban(1, false);
-        assert!(matches!(q.next(1), Next::Local(11)));
-        assert!(matches!(q.next(1), Next::Stolen { item: 3, victim: 0 }));
-        // On close the ban is overridden so the drain guarantee holds.
-        q.set_steal_ban(1, true);
+        assert!(matches!(q.next(0, || true), Next::Local(1)));
+        assert!(matches!(next_1(), Next::Local(11)));
+        // A yes, and the wake that announces it, re-admit the thief.
+        let t = std::thread::spawn(next_1.clone());
+        allowed.store(true, Ordering::SeqCst);
+        q.wake();
+        assert!(matches!(
+            t.join().unwrap(),
+            Next::Stolen { item: 3, victim: 0 }
+        ));
+        // On close the no is overridden so the drain guarantee holds.
+        allowed.store(false, Ordering::SeqCst);
         q.close();
-        assert!(matches!(q.next(1), Next::Stolen { item: 2, victim: 0 }));
-        assert!(matches!(q.next(1), Next::Closed));
+        assert!(matches!(next_1(), Next::Stolen { item: 2, victim: 0 }));
+        assert!(matches!(next_1(), Next::Closed));
     }
 
     #[test]
@@ -623,7 +624,7 @@ mod tests {
         q.push_prio(0, 5, "high").unwrap();
         q.push_prio(0, 0, "low-3").unwrap();
         fn pop(q: &StealQueues<&'static str>) -> &'static str {
-            match q.next(0) {
+            match q.next(0, || true) {
                 Next::Local(v) => v,
                 other => panic!("expected local pop, got {other:?}"),
             }
@@ -643,14 +644,14 @@ mod tests {
         q.push_prio(0, 0, "bulk-2").unwrap();
         // Worker 1 is idle: its steal must leave the owner's urgent work
         // alone and take the back of the queue (lowest priority, newest).
-        match q.next(1) {
+        match q.next(1, || true) {
             Next::Stolen { item, victim } => {
                 assert_eq!(item, "bulk-2");
                 assert_eq!(victim, 0);
             }
             other => panic!("expected a steal, got {other:?}"),
         }
-        assert!(matches!(q.next(0), Next::Local("urgent")));
+        assert!(matches!(q.next(0, || true), Next::Local("urgent")));
     }
 
     #[test]

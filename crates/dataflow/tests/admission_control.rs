@@ -10,8 +10,7 @@
 //! tasks sleep, to hold the slot while later submissions are routed.
 
 use spangle_dataflow::{
-    submit_job, HashPartitioner, JobHandle, JobOutcome, PairRdd, SpangleContext, SpeculationConfig,
-    TaskError,
+    submit_job, HashPartitioner, JobHandle, JobOutcome, PairRdd, SpangleContext, TaskError,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -310,16 +309,7 @@ fn deadline_aborts_a_running_job_and_reclaims_its_shuffle() {
 /// point — within one chunk boundary.
 #[test]
 fn deadline_preempts_a_wedged_running_task_body() {
-    // Speculation off: a clean duplicate of the wedged task would finish
-    // the job before its deadline, which is exactly not what this test
-    // is about.
-    let ctx = SpangleContext::builder()
-        .executors(2)
-        .speculation(SpeculationConfig {
-            enabled: false,
-            ..SpeculationConfig::default()
-        })
-        .build();
+    let ctx = SpangleContext::new(2);
     let base = ctx.parallelize((0u64..40).map(|i| (i % 4, i)).collect(), 2);
     let reduced = base.reduce_by_key(Arc::new(HashPartitioner::new(2)), |a, b| a + b);
     // Wedge one map task: it spins at a cancellation point in place of

@@ -6,9 +6,7 @@
 //! speculation-style duplicate, quarantine + canary re-admission) with
 //! results bit-identical to a clean run.
 
-use spangle_dataflow::{
-    HashPartitioner, PairRdd, RetryBackoffConfig, SpangleContext, SpeculationConfig,
-};
+use spangle_dataflow::{HashPartitioner, PairRdd, RetryBackoffConfig, SpangleContext};
 use spangle_testkit::{run_cases, Rng};
 use std::sync::Arc;
 use std::time::Duration;
@@ -82,10 +80,6 @@ fn wedged_silent_executor_is_detected_and_recovered_autonomously() {
             // suppresses progress ticks, and this scenario must be
             // resolved by loss detection alone.
             .watchdog_interval(Duration::from_secs(30))
-            .speculation(SpeculationConfig {
-                enabled: false,
-                ..SpeculationConfig::default()
-            })
             .coalesce_partitions(false)
             .max_resubmissions(10_000)
             .build();
@@ -149,12 +143,8 @@ fn stalled_task_trips_the_watchdog_and_loses_to_its_duplicate() {
             .executors(executors)
             .health_monitoring(true)
             .watchdog_interval(Duration::from_millis(50))
-            // The PR 7 median-based scan is off: the duplicate below can
-            // only come from the watchdog.
-            .speculation(SpeculationConfig {
-                enabled: false,
-                ..SpeculationConfig::default()
-            })
+            // The median-based scan is off (the default): the duplicate
+            // below can only come from the watchdog.
             .coalesce_partitions(false)
             .max_resubmissions(10_000)
             .build();
@@ -219,10 +209,6 @@ fn flaky_executor_is_quarantined_and_rejoins_through_a_canary() {
         .retry_backoff(RetryBackoffConfig {
             enabled: true,
             ..RetryBackoffConfig::default()
-        })
-        .speculation(SpeculationConfig {
-            enabled: false,
-            ..SpeculationConfig::default()
         })
         .coalesce_partitions(false)
         .max_resubmissions(10_000)
@@ -299,10 +285,6 @@ fn disabled_health_restores_announced_failures_only() {
         .retry_backoff(RetryBackoffConfig {
             enabled: false,
             ..RetryBackoffConfig::default()
-        })
-        .speculation(SpeculationConfig {
-            enabled: false,
-            ..SpeculationConfig::default()
         })
         .coalesce_partitions(false)
         .max_resubmissions(10_000)

@@ -2,7 +2,7 @@
 //! broadcast variables inside jobs, stage reuse across actions, metrics
 //! plumbing, and executor-loss fault tolerance.
 
-use spangle_dataflow::{HashPartitioner, JobOutcome, PairRdd, SpangleContext, SpeculationConfig};
+use spangle_dataflow::{HashPartitioner, JobOutcome, PairRdd, SpangleContext};
 use std::sync::Arc;
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
@@ -28,23 +28,9 @@ fn dropping_a_shuffled_rdd_frees_its_shuffle_blocks() {
     );
 }
 
-/// A two-executor context that launches no speculative duplicates. A
-/// cancelled duplicate keeps its lineage until its next cancellation
-/// point, so with speculation the last handle can go a moment *after* the
-/// action returned, on an executor; these tests assert on the moment.
-fn ctx_without_speculation() -> SpangleContext {
-    SpangleContext::builder()
-        .executors(2)
-        .speculation(SpeculationConfig {
-            enabled: false,
-            ..SpeculationConfig::default()
-        })
-        .build()
-}
-
 #[test]
 fn cached_partitions_live_exactly_as_long_as_the_dataset_can_be_named() {
-    let ctx = ctx_without_speculation();
+    let ctx = SpangleContext::new(2);
     let cached = ctx.parallelize((0u64..1000).collect(), 4).map(|x| x * 3);
     cached.persist();
     let child = cached.map(|x| x + 1);
@@ -71,7 +57,7 @@ fn cached_partitions_live_exactly_as_long_as_the_dataset_can_be_named() {
 
 #[test]
 fn unpersist_drops_blocks_now_and_the_next_action_recaches() {
-    let ctx = ctx_without_speculation();
+    let ctx = SpangleContext::new(2);
     let cached = ctx.parallelize((0u64..1000).collect(), 4).map(|x| x * 3);
     cached.persist();
     cached.count().unwrap();

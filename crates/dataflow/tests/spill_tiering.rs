@@ -13,19 +13,10 @@ use std::time::Duration;
 /// never wedges on one unspillable deposit.
 const LOW_WATERMARK: usize = 16 * 1024;
 
-/// No speculative duplicates: a cancelled one keeps its lineage until its
-/// next cancellation point, so shuffle GC would run a moment after the
-/// last handle here is dropped instead of with it (about one run in a
-/// hundred), and these tests assert on the moment. Speculation over the
-/// spill tier has its own test below.
 fn low_watermark_ctx(executors: usize) -> SpangleContext {
     SpangleContext::builder()
         .executors(executors)
         .memory_high_watermark_bytes(LOW_WATERMARK)
-        .speculation(SpeculationConfig {
-            enabled: false,
-            ..SpeculationConfig::default()
-        })
         .build()
 }
 

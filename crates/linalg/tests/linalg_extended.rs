@@ -2,7 +2,7 @@
 //! and property-based equivalence of the two multiplication plans.
 
 use spangle_core::ChunkPolicy;
-use spangle_dataflow::{SpangleContext, SpeculationConfig};
+use spangle_dataflow::SpangleContext;
 use spangle_linalg::{DenseVector, DistMatrix, Orientation};
 
 fn entry(seed: u64) -> impl Fn(usize, usize) -> Option<f64> + Send + Sync + Clone + 'static {
@@ -167,25 +167,11 @@ fn product_transpose_identity() {
     });
 }
 
-/// A two-executor context that launches no speculative duplicates. A
-/// cancelled duplicate keeps its lineage until its next cancellation
-/// point, so with speculation the last handle can go a moment *after* the
-/// action returned, on an executor; these tests assert on the moment.
-fn ctx_without_speculation() -> SpangleContext {
-    SpangleContext::builder()
-        .executors(2)
-        .speculation(SpeculationConfig {
-            enabled: false,
-            ..SpeculationConfig::default()
-        })
-        .build()
-}
-
 /// `gram()` persists the row-block layout both operands read; that layout
 /// must go with the product that owns it, not stay for the context's life.
 #[test]
 fn repeated_gram_calls_leave_nothing_behind() {
-    let ctx = ctx_without_speculation();
+    let ctx = SpangleContext::new(2);
     let m = DistMatrix::generate(&ctx, 96, 64, (16, 16), ChunkPolicy::default(), entry(7));
     m.persist();
     let nnz = m.gram().nnz().unwrap();

@@ -1,6 +1,6 @@
 //! Extended ML tests: PageRank invariants and SGD determinism.
 
-use spangle_dataflow::{SpangleContext, SpeculationConfig};
+use spangle_dataflow::SpangleContext;
 use spangle_ml::pagerank::pagerank_reference;
 use spangle_ml::{datasets, pagerank, Graph, LogisticRegression, SgdConfig};
 
@@ -106,25 +106,11 @@ fn pagerank_matches_reference_on_random_graphs() {
     });
 }
 
-/// A two-executor context that launches no speculative duplicates. A
-/// cancelled duplicate keeps its lineage until its next cancellation
-/// point, so with speculation the last handle can go a moment *after* the
-/// action returned, on an executor; these tests assert on the moment.
-fn ctx_without_speculation() -> SpangleContext {
-    SpangleContext::builder()
-        .executors(2)
-        .speculation(SpeculationConfig {
-            enabled: false,
-            ..SpeculationConfig::default()
-        })
-        .build()
-}
-
 /// Each call builds and persists its own adjacency matrix; it must be
 /// released when the call returns.
 #[test]
 fn pagerank_releases_its_adjacency_matrix() {
-    let ctx = ctx_without_speculation();
+    let ctx = SpangleContext::new(2);
     let g = Graph::power_law(&ctx, 256, 4000, 5, 2);
     let cached_before = ctx.cached_bytes();
     for _ in 0..2 {
