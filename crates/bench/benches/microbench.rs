@@ -8,11 +8,15 @@ use spangle_bitmask::{
     harley_seal, Bitmask, DeltaCursor, HierarchicalBitmask, Milestones, OffsetArray,
 };
 use spangle_core::{Chunk, ChunkPolicy, ColumnWalk};
+use spangle_dataflow::cache::{BlockManager, CacheKey};
+use spangle_dataflow::{BlockOrigin, MemSize, SpangleContext};
 use spangle_linalg::block::{
     block_from_triplets, block_multiply_dense_into, block_multiply_into,
     block_multiply_offsets_into, block_multiply_sparse, ColumnIndex, SparseAccumulator,
 };
 use std::hint::black_box;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn pattern_mask(len: usize, every: usize) -> Bitmask {
     Bitmask::from_fn(len, |i| (i * 2654435761) % every == 0)
@@ -441,6 +445,73 @@ fn bench_partial_reduce(c: &mut Criterion) {
     group.finish();
 }
 
+/// The spill tier's three moves on one 1 MiB `(u64, Vec<(u32, f64)>)`
+/// block (64 rows of 1 364 entries, the shape of `MᵀM`'s partials),
+/// through a block manager: first demotion (encode + write), rehydration
+/// (read + verify + decode) and re-demotion of the rehydrated block, which
+/// keeps its file as a clean copy — a flip, not an encode. Each times its
+/// own move; the moves that set it up run untimed in between.
+fn bench_spill_tier(c: &mut Criterion) {
+    type Row = (u64, Vec<(u32, f64)>);
+    let mut group = c.benchmark_group("spill_tier");
+    group.sample_size(10);
+    let ctx = SpangleContext::new(1);
+    let cache = BlockManager::default();
+    let key = CacheKey {
+        rdd_id: 0,
+        partition: 0,
+    };
+    let block: Arc<Vec<Row>> = Arc::new(
+        (0..64u64)
+            .map(|row| {
+                let entries = (0..1_364u32).map(|i| (i * 3, (row << 16 | i as u64) as f64 * 0.5));
+                (row, entries.collect())
+            })
+            .collect(),
+    );
+    let bytes: usize = block.iter().map(MemSize::mem_size).sum();
+    let deposit = || cache.put(&ctx, key, Arc::clone(&block), bytes, BlockOrigin::DRIVER);
+    let demote = || assert_eq!(cache.spill_up_to(&ctx, usize::MAX), bytes);
+    let rehydrate = || cache.get::<Row>(&ctx, key).expect("a cached block");
+    group.bench_function("first_demotion/1MiB", |b| {
+        b.iter_custom(|iters| time_after(iters, deposit, demote))
+    });
+    group.bench_function("rehydration/1MiB", |b| {
+        b.iter_custom(|iters| {
+            let set_up = || {
+                deposit();
+                demote();
+            };
+            time_after(iters, set_up, rehydrate)
+        })
+    });
+    group.bench_function("re_demotion/1MiB", |b| {
+        b.iter_custom(|iters| {
+            let set_up = || {
+                deposit();
+                demote();
+                rehydrate()
+            };
+            time_after(iters, set_up, demote)
+        })
+    });
+    group.finish();
+}
+
+/// Times `timed` alone, `iters` times, each after an untimed `set_up`
+/// whose result (and the timed move's) is dropped after the clock stops.
+fn time_after<H, R>(iters: u64, set_up: impl Fn() -> H, timed: impl Fn() -> R) -> Duration {
+    let mut total = Duration::ZERO;
+    for _ in 0..iters {
+        let held = set_up();
+        let started = Instant::now();
+        let out = black_box(timed());
+        total += started.elapsed();
+        drop((held, out));
+    }
+    total
+}
+
 /// Short measurement windows so `cargo bench --workspace` stays quick;
 /// raise `measurement_time`/`sample_size` here for tighter numbers.
 fn quick_config() -> Criterion {
@@ -453,6 +524,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_popcount, bench_rank_strategies, bench_chunk_access, bench_block_kernels, bench_hierarchical, bench_adjacency_walk, bench_chunk_scan, bench_frame_checksum, bench_partial_reduce
+    targets = bench_popcount, bench_rank_strategies, bench_chunk_access, bench_block_kernels, bench_hierarchical, bench_adjacency_walk, bench_chunk_scan, bench_frame_checksum, bench_partial_reduce, bench_spill_tier
 }
 criterion_main!(benches);

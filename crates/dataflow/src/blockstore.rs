@@ -8,9 +8,12 @@
 //! cache + shuffle memory crosses the admission watermark — see
 //! [`SpangleContext`]'s `enforce_memory_watermark`. A [`TieredStore::get`]
 //! that touches a spilled block *rehydrates* it: the file is read back,
-//! verified, decoded, reinstated as resident, and deleted. Spill victims
-//! are picked coldest-first by a touch clock that every read bumps. Blocks
-//! whose element type opted out of the codec simply stay resident —
+//! verified, decoded and reinstated as resident — as a *clean copy* that
+//! keeps its file, so each block is encoded and written at most once.
+//! Spill victims are clean copies first (demoting one only drops its heap
+//! bytes: no encode, no write), then the least recently read by a touch
+//! clock that every read bumps. A block's file goes when the block does.
+//! Blocks whose element type opted out of the codec simply stay resident —
 //! spilling is an optimization, never a correctness requirement.
 //!
 //! This module is the only code that sees a block's tier, charges the
@@ -35,10 +38,25 @@ pub(crate) type Block = Arc<dyn Any + Send + Sync>;
 
 /// Where one block's records currently live.
 enum StoredBlock {
-    /// On the heap; reads clone the `Arc`, not the records.
-    Resident(Block),
+    /// On the heap; reads clone the `Arc`, not the records. `copy` is the
+    /// spill file `(file, disk_len)` a rehydrated block was read from,
+    /// kept so demoting the block again writes nothing.
+    Resident {
+        block: Block,
+        copy: Option<(u64, usize)>,
+    },
     /// Encoded in the spill store; `disk_len` is the framed file size.
     Spilled { file: u64, disk_len: usize },
+}
+
+impl StoredBlock {
+    /// The spill file holding this block's records, in either tier.
+    fn file(&self) -> Option<(u64, usize)> {
+        match *self {
+            StoredBlock::Resident { copy, .. } => copy,
+            StoredBlock::Spilled { file, disk_len } => Some((file, disk_len)),
+        }
+    }
 }
 
 /// One block with its tier, accounting, and spill identity.
@@ -75,8 +93,9 @@ pub(crate) struct TieredStore<K> {
     /// lock on every insert/remove/tier-flip, so reading it is an O(1)
     /// load instead of a map walk per deposit.
     resident: AtomicUsize,
-    /// Framed bytes of this store's spilled blocks (the spill directory
-    /// may be shared with another store).
+    /// Framed bytes of this store's spill files — spilled blocks and the
+    /// clean copies of rehydrated ones (the spill directory may be shared
+    /// with another store).
     disk: AtomicUsize,
     /// Monotone read clock feeding each entry's `touch`.
     clock: AtomicU64,
@@ -107,7 +126,8 @@ impl<K> TieredStore<K> {
         self.resident.load(Ordering::Relaxed)
     }
 
-    /// Bytes this store currently holds on disk (framed file sizes).
+    /// Bytes this store currently holds on disk (framed file sizes),
+    /// clean copies of resident blocks included.
     pub(crate) fn disk_bytes(&self) -> usize {
         self.disk.load(Ordering::Relaxed)
     }
@@ -121,34 +141,42 @@ impl<K> TieredStore<K> {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Asserts the O(1) resident counter against the ground-truth walk.
-    /// Called in debug builds by every mutating operation *while still
-    /// holding the blocks write lock* — the counter only moves under that
-    /// lock, so the comparison is exact, never racy.
-    fn check_resident(&self, blocks: &HashMap<K, Entry>) {
+    /// Asserts the O(1) resident and disk counters against the
+    /// ground-truth walk. Called in debug builds by every mutating
+    /// operation *while still holding the blocks write lock* — the
+    /// counters only move under that lock, so the comparison is exact,
+    /// never racy.
+    fn check_counters(&self, blocks: &HashMap<K, Entry>) {
         debug_assert_eq!(
             self.resident.load(Ordering::Relaxed),
             blocks
                 .values()
-                .filter(|e| matches!(e.data, StoredBlock::Resident(_)))
+                .filter(|e| matches!(e.data, StoredBlock::Resident { .. }))
                 .map(|e| e.bytes)
                 .sum::<usize>(),
             "resident-bytes counter drifted from the block map"
         );
+        debug_assert_eq!(
+            self.disk.load(Ordering::Relaxed),
+            blocks
+                .values()
+                .filter_map(|e| e.data.file())
+                .map(|(_, disk_len)| disk_len)
+                .sum::<usize>(),
+            "disk-bytes counter drifted from the block map"
+        );
     }
 
     /// Releases one entry's accounting: resident bytes for the in-memory
-    /// tier, the spill file for the disk tier. Caller holds the blocks
-    /// write lock.
+    /// tier, and the spill file of either tier — a spilled block's or a
+    /// resident block's clean copy. Caller holds the blocks write lock.
     fn release(&self, entry: &Entry) {
-        match entry.data {
-            StoredBlock::Resident(_) => {
-                self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-            }
-            StoredBlock::Spilled { file, disk_len } => {
-                self.spill.remove(file);
-                self.disk.fetch_sub(disk_len, Ordering::Relaxed);
-            }
+        if let StoredBlock::Resident { .. } = entry.data {
+            self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
+        }
+        if let Some((file, disk_len)) = entry.data.file() {
+            self.spill.remove(file);
+            self.disk.fetch_sub(disk_len, Ordering::Relaxed);
         }
     }
 }
@@ -169,7 +197,10 @@ impl<K: Copy + Eq + Hash> TieredStore<K> {
             let mut blocks = self.blocks.write();
             for (key, records, bytes) in deposits {
                 let entry = Entry {
-                    data: StoredBlock::Resident(records),
+                    data: StoredBlock::Resident {
+                        block: records,
+                        copy: None,
+                    },
                     bytes,
                     origin,
                     codec,
@@ -180,7 +211,7 @@ impl<K: Copy + Eq + Hash> TieredStore<K> {
                     self.release(&old);
                 }
             }
-            self.check_resident(&blocks);
+            self.check_counters(&blocks);
         }
         ctx.enforce_memory_watermark();
     }
@@ -217,7 +248,7 @@ impl<K: Copy + Eq + Hash> TieredStore<K> {
             return Ok(Fetched::Absent);
         };
         match &entry.data {
-            StoredBlock::Resident(block) => {
+            StoredBlock::Resident { block, .. } => {
                 entry.touch.store(self.tick(), Ordering::Relaxed);
                 Ok(Fetched::Hit {
                     block: block.clone(),
@@ -230,30 +261,33 @@ impl<K: Copy + Eq + Hash> TieredStore<K> {
         }
     }
 
-    /// Installs what a rehydrator decoded from spill file `file`. `None`
-    /// means the entry changed since [`TieredStore::lookup`] — another
-    /// rehydrator or a re-deposit won the race — and the caller looks up
-    /// again.
+    /// Installs what a rehydrator decoded from spill file `file`, keeping
+    /// the file as the block's clean copy. `None` means the entry changed
+    /// since [`TieredStore::lookup`] — another rehydrator or a re-deposit
+    /// won the race — and the caller looks up again.
     fn reinstate(&self, key: &K, file: u64, decoded: Option<Block>) -> Option<Fetched> {
         let mut blocks = self.blocks.write();
         let Some(entry) = blocks.get_mut(key) else {
             return Some(Fetched::Absent);
         };
-        if !matches!(entry.data, StoredBlock::Spilled { file: f, .. } if f == file) {
-            return None;
-        }
+        let disk_len = match entry.data {
+            StoredBlock::Spilled { file: f, disk_len } if f == file => disk_len,
+            _ => return None,
+        };
         let Some(block) = decoded else {
             let entry = blocks.remove(key).expect("entry checked above");
             self.release(&entry);
-            self.check_resident(&blocks);
+            self.check_counters(&blocks);
             return Some(Fetched::Torn);
         };
-        self.release(entry);
-        entry.data = StoredBlock::Resident(block.clone());
+        entry.data = StoredBlock::Resident {
+            block: block.clone(),
+            copy: Some((file, disk_len)),
+        };
         entry.touch.store(self.tick(), Ordering::Relaxed);
         let bytes = entry.bytes;
         self.resident.fetch_add(bytes, Ordering::Relaxed);
-        self.check_resident(&blocks);
+        self.check_counters(&blocks);
         Some(Fetched::Hit { block, bytes })
     }
 
@@ -263,7 +297,7 @@ impl<K: Copy + Eq + Hash> TieredStore<K> {
         let removed = blocks.remove(key);
         if let Some(entry) = &removed {
             self.release(entry);
-            self.check_resident(&blocks);
+            self.check_counters(&blocks);
         }
         removed.is_some()
     }
@@ -283,7 +317,7 @@ impl<K: Copy + Eq + Hash> TieredStore<K> {
             }
             keep
         });
-        self.check_resident(&blocks);
+        self.check_counters(&blocks);
         (before - blocks.len(), bytes_dropped)
     }
 
@@ -294,44 +328,59 @@ impl<K: Copy + Eq + Hash> TieredStore<K> {
         }
     }
 
-    /// Demotes cold resident blocks to the disk tier until roughly `need`
+    /// Demotes resident blocks to the disk tier until roughly `need`
     /// resident bytes are freed (or no spillable candidates remain).
-    /// Victims are picked least-recently-read first. Returns the bytes
-    /// actually freed. Blocks without a codec are skipped; an IO error
-    /// stops the sweep (memory pressure is better than cascading disk
-    /// failures).
+    /// Victims are clean copies first — demoting one drops its heap bytes
+    /// and keeps its file, writing nothing — then least-recently-read
+    /// first. Only dirty victims are encoded, written and counted as
+    /// spilled. Returns the bytes actually freed. Blocks without a codec
+    /// are skipped; an IO error stops the sweep (memory pressure is
+    /// better than cascading disk failures).
     pub(crate) fn spill_up_to(&self, ctx: &SpangleContext, need: usize) -> usize {
         let mut freed = 0usize;
         let mut spilled_blocks = 0u64;
         let mut spilled_disk = 0usize;
         {
             let mut blocks = self.blocks.write();
-            let mut candidates: Vec<(K, u64)> = blocks
+            // Sort key: dirty after clean, then by touch.
+            let mut candidates: Vec<(K, (bool, u64))> = blocks
                 .iter()
-                .filter(|(_, e)| e.codec.is_some() && matches!(e.data, StoredBlock::Resident(_)))
-                .map(|(key, e)| (*key, e.touch.load(Ordering::Relaxed)))
+                .filter_map(|(key, e)| match e.data {
+                    StoredBlock::Resident { copy, .. } if e.codec.is_some() => {
+                        Some((*key, (copy.is_none(), e.touch.load(Ordering::Relaxed))))
+                    }
+                    _ => None,
+                })
                 .collect();
-            candidates.sort_unstable_by_key(|&(_, touch)| touch);
+            candidates.sort_unstable_by_key(|&(_, order)| order);
             for (key, _) in candidates {
                 if freed >= need {
                     break;
                 }
                 let entry = blocks.get_mut(&key).expect("candidate under write lock");
-                let (StoredBlock::Resident(payload), Some(codec)) = (&entry.data, entry.codec)
+                let (StoredBlock::Resident { block, copy }, Some(codec)) =
+                    (&entry.data, entry.codec)
                 else {
                     unreachable!("candidates are resident and carry a codec");
                 };
-                let Ok((file, disk_len)) = self.spill.write(&codec.encode(payload.as_ref())) else {
-                    break;
+                let (file, disk_len) = match *copy {
+                    Some(clean) => clean,
+                    None => {
+                        let payload = codec.encode(block.as_ref(), entry.bytes);
+                        let Ok((file, disk_len)) = self.spill.write(&payload) else {
+                            break;
+                        };
+                        self.disk.fetch_add(disk_len, Ordering::Relaxed);
+                        spilled_blocks += 1;
+                        spilled_disk += disk_len;
+                        (file, disk_len)
+                    }
                 };
                 entry.data = StoredBlock::Spilled { file, disk_len };
                 self.resident.fetch_sub(entry.bytes, Ordering::Relaxed);
-                self.disk.fetch_add(disk_len, Ordering::Relaxed);
                 freed += entry.bytes;
-                spilled_blocks += 1;
-                spilled_disk += disk_len;
             }
-            self.check_resident(&blocks);
+            self.check_counters(&blocks);
         }
         if spilled_blocks > 0 {
             ctx.metrics()
@@ -415,12 +464,17 @@ mod tests {
             2408,
             "rehydration restores the tier"
         );
-        assert_eq!(store.disk_bytes(), 0, "rehydrated files are deleted");
+        assert_eq!(
+            store.disk_bytes(),
+            one_file,
+            "a rehydrated block keeps its file as a clean copy"
+        );
 
         assert!(store.remove(&0) && !store.remove(&0));
         assert!(matches!(store.get(&ctx, &0), Fetched::Absent));
         assert_eq!(store.retain(|key, _| *key == 3), (2, 1600));
         assert_eq!((store.resident_bytes(), store.len()), (800, 1));
+        assert_eq!((store.disk_bytes(), store.spill.files()), (0, 0));
     }
 
     #[test]
@@ -457,6 +511,7 @@ mod tests {
         let ctx = SpangleContext::new(1);
         let store = store_of(&ctx, 2);
         store.spill_up_to(&ctx, usize::MAX);
+        let one_file = store.disk_bytes() / 2;
         let stale = |key: u32| {
             let Err((file, codec)) = store.lookup(&key) else {
                 panic!("block {key} must be spilled");
@@ -488,9 +543,105 @@ mod tests {
             store.reinstate(&1, file, decoded),
             Some(Fetched::Absent)
         ));
-        // Block 0 went back to disk in that second sweep; nothing leaked.
+        // Block 0 went back to its clean copy in that second sweep and
+        // reads from it again; nothing leaked.
         assert_eq!(hit(&store, &ctx, 0), records(0));
-        assert_eq!((store.resident_bytes(), store.disk_bytes()), (800, 0));
+        assert_eq!(
+            (store.resident_bytes(), store.disk_bytes()),
+            (800, one_file)
+        );
+        assert_eq!(store.spill.files(), 1);
+    }
+
+    /// The spill file of block `key`, in either tier.
+    fn file_of(store: &TieredStore<u32>, key: u32) -> Option<(u64, usize)> {
+        store.blocks.read().get(&key).and_then(|e| e.data.file())
+    }
+
+    #[test]
+    fn re_demoting_a_rehydrated_block_writes_nothing_but_frees_its_bytes() {
+        let ctx = SpangleContext::new(1);
+        let store = store_of(&ctx, 2);
+        store.spill_up_to(&ctx, usize::MAX);
+        let on_disk = store.disk_bytes();
+        hit(&store, &ctx, 0);
+        let copy = file_of(&store, 0).expect("a rehydrated block keeps its file");
+
+        let before = ctx.metrics_snapshot();
+        assert_eq!(store.spill_up_to(&ctx, usize::MAX), 800);
+        let delta = ctx.metrics_snapshot() - before;
+        assert_eq!((delta.blocks_spilled, delta.spill_bytes), (0, 0));
+        assert_eq!((store.resident_bytes(), store.disk_bytes()), (0, on_disk));
+        assert_eq!(
+            file_of(&store, 0),
+            Some(copy),
+            "the same file, not a new one"
+        );
+        assert_eq!(store.spill.files(), 2);
+
+        // And it reads back from that file, bit-identically.
+        assert_eq!(hit(&store, &ctx, 0), records(0));
+        assert_eq!((ctx.metrics_snapshot() - before).blocks_rehydrated, 1);
+    }
+
+    #[test]
+    fn a_clean_block_is_demoted_before_a_dirty_one_whatever_their_touch() {
+        for clean_read_last in [true, false] {
+            let ctx = SpangleContext::new(1);
+            let store = store_of(&ctx, 2);
+            store.spill_up_to(&ctx, 1);
+            hit(&store, &ctx, 0);
+            if !clean_read_last {
+                hit(&store, &ctx, 1);
+            }
+            // Block 0 is clean; block 1 is dirty and, unless read above,
+            // the less recently read of the two.
+            let before = ctx.metrics_snapshot();
+            assert_eq!(store.spill_up_to(&ctx, 1), 800);
+            assert_eq!((ctx.metrics_snapshot() - before).blocks_spilled, 0);
+            assert!(matches!(
+                store.blocks.read()[&0].data,
+                StoredBlock::Spilled { .. }
+            ));
+            assert_eq!(file_of(&store, 1), None, "the dirty block stayed resident");
+        }
+    }
+
+    #[test]
+    fn replace_remove_and_retain_delete_a_clean_copy() {
+        let ctx = SpangleContext::new(1);
+        let store = store_of(&ctx, 4);
+        store.spill_up_to(&ctx, usize::MAX);
+        for key in 0..4 {
+            hit(&store, &ctx, key);
+        }
+        assert_eq!((store.resident_bytes(), store.spill.files()), (3200, 4));
+        let one_file = store.disk_bytes() / 4;
+
+        store.put_many(&ctx, [(0, records(9), 800)], BlockOrigin::DRIVER);
+        assert_eq!((store.disk_bytes(), store.spill.files()), (3 * one_file, 3));
+        assert!(store.remove(&1));
+        assert_eq!((store.disk_bytes(), store.spill.files()), (2 * one_file, 2));
+        assert_eq!(store.retain(|key, _| *key == 0), (2, 1600));
+        assert_eq!((store.disk_bytes(), store.spill.files()), (0, 0));
+        assert_eq!(store.resident_bytes(), 800);
+    }
+
+    #[test]
+    fn a_copy_torn_after_its_re_demotion_reads_torn() {
+        let ctx = SpangleContext::new(1);
+        let store = store_of(&ctx, 2);
+        store.spill_up_to(&ctx, usize::MAX);
+        hit(&store, &ctx, 0);
+        store.spill_up_to(&ctx, usize::MAX);
+        store.spill.tear_files();
+        assert!(matches!(store.get(&ctx, &0), Fetched::Torn));
+        assert_eq!((store.len(), store.spill.files()), (1, 1));
+        assert!(matches!(store.get(&ctx, &0), Fetched::Absent));
+        assert!(matches!(store.get(&ctx, &1), Fetched::Torn));
+        assert_eq!((store.resident_bytes(), store.disk_bytes()), (0, 0));
+        assert_eq!(store.spill.files(), 0);
+        assert_eq!(ctx.metrics_snapshot().blocks_rehydrated, 1);
     }
 
     #[test]

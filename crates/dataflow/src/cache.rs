@@ -50,8 +50,10 @@ impl BlockManager {
     }
 
     /// Looks up a cached partition, downcasting to its element vector. A
-    /// spilled partition is rehydrated transparently; a torn spill file
-    /// reads as a miss (`None`) and the caller recomputes from lineage.
+    /// spilled partition is rehydrated transparently and keeps its spill
+    /// file as a clean copy, so dropping it again writes nothing; a torn
+    /// spill file reads as a miss (`None`) and the caller recomputes from
+    /// lineage.
     pub fn get<T: Data>(&self, ctx: &SpangleContext, key: CacheKey) -> Option<Arc<Vec<T>>> {
         match self.blocks.get(ctx, &key) {
             Fetched::Hit { block, .. } => Some(
@@ -77,9 +79,12 @@ impl BlockManager {
         self.blocks.put_many(ctx, [(key, data, bytes)], origin);
     }
 
-    /// Demotes cold resident partitions to the disk tier until roughly
-    /// `need` resident bytes are freed; see [`TieredStore::spill_up_to`].
-    pub(crate) fn spill_up_to(&self, ctx: &SpangleContext, need: usize) -> usize {
+    /// Demotes resident partitions to the disk tier until roughly `need`
+    /// resident bytes are freed, clean copies of rehydrated partitions
+    /// first, then the least recently read. Returns the bytes freed. The
+    /// context's watermark calls this on its own block manager; it is
+    /// public for the `spill_tier` microbenchmark.
+    pub fn spill_up_to(&self, ctx: &SpangleContext, need: usize) -> usize {
         self.blocks.spill_up_to(ctx, need)
     }
 

@@ -243,7 +243,8 @@ impl ShuffleService {
     /// without cloning the underlying vector. Returns an empty block when
     /// the map task registered its output but produced nothing for this
     /// reduce partition. A spilled block is rehydrated (read back,
-    /// verified, reinstated resident) transparently.
+    /// verified, reinstated resident as a clean copy that keeps its spill
+    /// file, so demoting it again writes nothing) transparently.
     ///
     /// # Panics
     ///

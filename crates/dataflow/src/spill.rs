@@ -6,7 +6,9 @@
 //! private temp directory, freeing their heap bytes while keeping them
 //! fetchable. A later read *rehydrates* the block — reads the file back,
 //! verifies the frame, decodes, and reinstates the records in memory —
-//! instead of failing the fetch or recomputing lineage.
+//! instead of failing the fetch or recomputing lineage. The file stays as
+//! the block's clean copy until the block itself goes, so a block is
+//! written at most once however often it is demoted and read back.
 //!
 //! The store is deliberately primitive: one file per block, written whole
 //! and read whole, so the per-chunk IO cost model used by the local-engine
@@ -136,7 +138,7 @@ impl Drop for SpillStore {
 /// boxing a closure per block.
 #[derive(Clone, Copy)]
 pub(crate) struct SpillCodec {
-    encode: fn(&(dyn Any + Send + Sync)) -> Vec<u8>,
+    encode: fn(&(dyn Any + Send + Sync), usize) -> Vec<u8>,
     decode: fn(&[u8]) -> Option<Arc<dyn Any + Send + Sync>>,
 }
 
@@ -144,11 +146,11 @@ impl SpillCodec {
     /// The codec for `Vec<T>` blocks, or `None` when `T` opted out of
     /// spilling (no stable byte representation, e.g. `&'static str`).
     pub(crate) fn of<T: Data>() -> Option<SpillCodec> {
-        fn encode<T: Data>(payload: &(dyn Any + Send + Sync)) -> Vec<u8> {
+        fn encode<T: Data>(payload: &(dyn Any + Send + Sync), deep_size: usize) -> Vec<u8> {
             let records = payload
                 .downcast_ref::<Vec<T>>()
                 .expect("spill codec applied to a block of a different type");
-            let mut out = Vec::new();
+            let mut out = Vec::with_capacity(deep_size + 8);
             encode_records(records, &mut out);
             out
         }
@@ -164,8 +166,12 @@ impl SpillCodec {
         })
     }
 
-    pub(crate) fn encode(&self, payload: &(dyn Any + Send + Sync)) -> Vec<u8> {
-        (self.encode)(payload)
+    /// Encodes a block into one buffer sized up front from `deep_size`,
+    /// the block's deep size, plus the count prefix. That covers every
+    /// primitive and `(u64, Vec<(u32, f64)>)` block; a type whose encoding
+    /// outgrows its deep size pays one growth.
+    pub(crate) fn encode(&self, payload: &(dyn Any + Send + Sync), deep_size: usize) -> Vec<u8> {
+        (self.encode)(payload, deep_size)
     }
 
     pub(crate) fn decode(&self, payload: &[u8]) -> Option<Arc<dyn Any + Send + Sync>> {
@@ -176,8 +182,14 @@ impl SpillCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemSize;
 
     impl SpillStore {
+        /// Test hook: how many spill files exist right now.
+        pub(crate) fn files(&self) -> usize {
+            fs::read_dir(&self.root).map_or(0, |dir| dir.count())
+        }
+
         /// Test hook: truncates every spill file by one byte, tearing it.
         pub(crate) fn tear_files(&self) {
             for entry in fs::read_dir(&self.root).unwrap() {
@@ -235,7 +247,7 @@ mod tests {
         let codec = SpillCodec::of::<(u64, f64)>().expect("pairs are spillable");
         let block: Vec<(u64, f64)> = (0..64).map(|i| (i, i as f64 * 0.5)).collect();
         let payload: Arc<dyn Any + Send + Sync> = Arc::new(block.clone());
-        let bytes = codec.encode(payload.as_ref());
+        let bytes = codec.encode(payload.as_ref(), 0);
         let back = codec.decode(&bytes).expect("decode");
         assert_eq!(back.downcast_ref::<Vec<(u64, f64)>>().unwrap(), &block);
         // Truncated payloads are rejected, as are trailing bytes.
@@ -243,6 +255,22 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(codec.decode(&padded).is_none());
+    }
+
+    /// The encode buffer is sized once, from the block's deep size, which
+    /// covers a `(u64, Vec<(u32, f64)>)` block's encoding; an encoding
+    /// that outgrows the size it was given grows the buffer, no more.
+    #[test]
+    fn encode_reserves_its_buffer_once_from_the_deep_size() {
+        let block: Vec<(u64, Vec<(u32, f64)>)> = (0..16)
+            .map(|row| (row, (0..100).map(|i| (i, i as f64)).collect()))
+            .collect();
+        let deep_size = block.iter().map(MemSize::mem_size).sum();
+        let payload: Arc<dyn Any + Send + Sync> = Arc::new(block);
+        let codec = SpillCodec::of::<(u64, Vec<(u32, f64)>)>().expect("spillable");
+        let bytes = codec.encode(payload.as_ref(), deep_size);
+        assert!(bytes.len() <= bytes.capacity() && bytes.capacity() == deep_size + 8);
+        assert!(codec.decode(&codec.encode(payload.as_ref(), 0)).is_some());
     }
 
     #[test]

@@ -271,3 +271,80 @@ fn blocks_of_zero_byte_elements_survive_the_spill_tier() {
     assert!(snap.blocks_rehydrated > 0, "{snap:?}");
     assert_eq!(snap.fetch_failures, 0, "{snap:?}");
 }
+
+/// A read-once shuffle under a watermark a third of its volume writes each
+/// block at most once and reads it back at most once: a rehydrated block
+/// keeps its file as a clean copy, so making room again costs no encode.
+/// Before clean copies this job wrote 27 blocks for the 16 it deposited:
+/// each rehydration made room by encoding a block again.
+#[test]
+fn a_read_once_shuffle_writes_and_reads_each_block_at_most_once() {
+    const MAPS: u64 = 4;
+    const REDUCES: u64 = 4;
+    // 2 048 records of 16 bytes: 32 KiB a bucket, 512 KiB a shuffle.
+    const PER_BUCKET: u64 = 2_048;
+    let run = |ctx: &SpangleContext| {
+        let records: Vec<(u64, u64)> = (0..MAPS * REDUCES * PER_BUCKET)
+            .map(|i| (i, i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect();
+        let mut out = ctx
+            .parallelize(records, MAPS as usize)
+            .partition_by(Arc::new(HashPartitioner::new(REDUCES as usize)))
+            .collect()
+            .unwrap();
+        out.sort();
+        out
+    };
+    let expected = run(&SpangleContext::builder().executors(1).build());
+
+    let ctx = SpangleContext::builder()
+        .executors(1)
+        .memory_high_watermark_bytes(((MAPS * REDUCES * PER_BUCKET * 16) / 3) as usize)
+        .build();
+    assert_eq!(run(&ctx), expected, "spilled run must be bit-identical");
+    let snap = ctx.metrics_snapshot();
+    assert!(snap.blocks_rehydrated > 0, "{snap:?}");
+    assert!(
+        snap.blocks_spilled <= MAPS * REDUCES,
+        "a block was written twice: {snap:?}"
+    );
+    assert!(
+        snap.blocks_rehydrated <= snap.blocks_spilled,
+        "a block was read back twice: {snap:?}"
+    );
+}
+
+/// ROADMAP 4(b)'s cache tier under a scan: a persisted RDD four times the
+/// watermark, counted twice. The second scan reads every spilled partition
+/// back from disk and makes room by dropping the clean copies it just
+/// read — it writes nothing. Before clean copies it re-encoded a partition
+/// for each one it read.
+#[test]
+fn a_second_scan_of_a_spilled_cache_writes_nothing() {
+    // Six 16 KiB partitions against a 24 KiB watermark: every deposit past
+    // the first demotes the one before it, leaving one partition resident.
+    let ctx = SpangleContext::builder()
+        .executors(1)
+        .memory_high_watermark_bytes(24 * 1024)
+        .build();
+    let cached = ctx
+        .parallelize((0u64..6 * 2_048).collect(), 6)
+        .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    cached.persist();
+    assert_eq!(cached.count().unwrap(), 6 * 2_048);
+    let after_first = ctx.metrics_snapshot();
+    assert!(after_first.blocks_spilled > 0, "{after_first:?}");
+
+    assert_eq!(cached.count().unwrap(), 6 * 2_048);
+    let second = ctx.metrics_snapshot() - after_first;
+    assert!(second.blocks_rehydrated > 0, "{second:?}");
+    assert_eq!(
+        (second.spill_bytes, second.blocks_spilled),
+        (0, 0),
+        "the second scan re-wrote what it read: {second:?}"
+    );
+    assert_eq!(second.cache_misses, 0, "{second:?}");
+
+    cached.unpersist();
+    assert_eq!(ctx.disk_resident_bytes(), 0);
+}
