@@ -11,7 +11,7 @@
 
 use spangle_baselines::{pagerank_edge_list, pagerank_pregel_like};
 use spangle_bench::{banner, ms, secs, time, write_bench_json, Json, Table};
-use spangle_dataflow::SpangleContext;
+use spangle_dataflow::{JobReport, MetricsSnapshot, SpangleContext};
 use spangle_ml::{pagerank, Graph};
 use std::time::Duration;
 
@@ -129,22 +129,12 @@ fn main() {
             .map(|r| r.max_concurrent_stages)
             .max()
             .unwrap_or(0);
-        let stolen: usize = reports.iter().map(|r| r.tasks_stolen()).sum();
         let worst_skew = reports
             .iter()
             .filter_map(|r| r.busy_skew())
             .fold(0.0f64, f64::max);
         let queue_wait_ms: u64 = reports.iter().map(|r| r.queue_wait_nanos / 1_000_000).sum();
-        let fetch_failures: usize = reports.iter().map(|r| r.fetch_failures()).sum();
-        let maps_recomputed: usize = reports.iter().map(|r| r.map_partitions_recomputed()).sum();
-        let fused: usize = reports.iter().map(|r| r.stages_fused()).sum();
-        let elided: usize = reports.iter().map(|r| r.shuffles_elided()).sum();
-        let coalesced: usize = reports.iter().map(|r| r.partitions_coalesced()).sum();
-        let speculated: usize = reports.iter().map(|r| r.tasks_speculated()).sum();
-        let spec_wins: usize = reports.iter().map(|r| r.speculation_wins()).sum();
-        let cancelled: usize = reports.iter().map(|r| r.tasks_cancelled()).sum();
-        let watchdogs: usize = reports.iter().map(|r| r.watchdog_trips()).sum();
-        let backoff_nanos: u64 = reports.iter().map(|r| r.backoff_nanos()).sum();
+        let c: MetricsSnapshot = reports.iter().map(JobReport::counts).sum();
         println!(
             "-- {}: spangle scheduler ran {} jobs ({} stages run, {} skipped, peak {} concurrent stages, {} tasks stolen, worst busy skew {:.2}, total queue wait {} ms, {} fetch failures, {} map partitions recomputed)",
             spec.name,
@@ -152,23 +142,25 @@ fn main() {
             stages_run,
             stages_skipped,
             peak,
-            stolen,
+            c.tasks_stolen,
             worst_skew,
             queue_wait_ms,
-            fetch_failures,
-            maps_recomputed,
+            c.fetch_failures,
+            c.map_partitions_recomputed,
         );
         println!(
-            "   planner: {fused} narrow chains fused, {elided} shuffles elided, \
-             {coalesced} partitions coalesced"
+            "   planner: {} narrow chains fused, {} shuffles elided, \
+             {} partitions coalesced",
+            c.stages_fused, c.shuffles_elided, c.partitions_coalesced,
         );
         println!(
-            "   speculation: {speculated} launched, {spec_wins} won, \
-             {cancelled} tasks cancelled"
+            "   speculation: {} launched, {} won, {} tasks cancelled",
+            c.tasks_speculated, c.speculation_wins, c.tasks_cancelled,
         );
         println!(
-            "   health: {watchdogs} watchdog trips, {:.1} ms retry backoff",
-            backoff_nanos as f64 / 1e6,
+            "   health: {} watchdog trips, {:.1} ms retry backoff",
+            c.watchdog_trips,
+            c.backoff_nanos as f64 / 1e6,
         );
         if let Some(longest) = reports.iter().max_by_key(|r| r.wall_nanos) {
             println!("   slowest job: {longest}");
@@ -192,14 +184,14 @@ fn main() {
                 "shuffle_read_bytes",
                 Json::U64(run_delta.shuffle_read_bytes),
             ),
-            ("stages_fused", Json::U64(fused as u64)),
-            ("shuffles_elided", Json::U64(elided as u64)),
-            ("partitions_coalesced", Json::U64(coalesced as u64)),
-            ("tasks_speculated", Json::U64(speculated as u64)),
-            ("speculation_wins", Json::U64(spec_wins as u64)),
-            ("tasks_cancelled", Json::U64(cancelled as u64)),
-            ("watchdog_trips", Json::U64(watchdogs as u64)),
-            ("backoff_nanos", Json::U64(backoff_nanos)),
+            ("stages_fused", Json::U64(c.stages_fused)),
+            ("shuffles_elided", Json::U64(c.shuffles_elided)),
+            ("partitions_coalesced", Json::U64(c.partitions_coalesced)),
+            ("tasks_speculated", Json::U64(c.tasks_speculated)),
+            ("speculation_wins", Json::U64(c.speculation_wins)),
+            ("tasks_cancelled", Json::U64(c.tasks_cancelled)),
+            ("watchdog_trips", Json::U64(c.watchdog_trips)),
+            ("backoff_nanos", Json::U64(c.backoff_nanos)),
             ("blocks_spilled", Json::U64(run_delta.blocks_spilled)),
             ("blocks_rehydrated", Json::U64(run_delta.blocks_rehydrated)),
             ("spill_bytes", Json::U64(run_delta.spill_bytes)),

@@ -32,9 +32,8 @@
 //!
 //! `analyze_stages` walks the type-erased [`LineageNode`] graph before
 //! the scheduler submits anything and produces per-stage plan statistics
-//! (`stages_fused`, `shuffles_elided`) that surface in
-//! [`crate::metrics::StageReport`] / [`crate::metrics::JobReport`] and the
-//! cumulative [`crate::metrics::MetricsSnapshot`].
+//! that a stage's first run counts as `stages_fused` and `shuffles_elided`
+//! (DESIGN.md, "Counters and reports").
 
 use crate::rdd::{Dependency, LineageNode};
 use std::collections::{HashMap, HashSet};

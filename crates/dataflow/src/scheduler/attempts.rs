@@ -101,8 +101,7 @@ struct Policy {
     budget: Budget,
     /// Whether the new attempt takes the next attempt number.
     advances: bool,
-    /// Counters ticked per relaunch (context-wide, and in the run's own
-    /// report where it carries the same counter).
+    /// Counters ticked per relaunch (see [`StageRun::count`]).
     counters: &'static [MetricField],
 }
 
@@ -240,8 +239,6 @@ impl StageRun {
                 stage_id,
                 shuffle_id: stage.shuffle_id,
                 num_tasks: stage.num_tasks,
-                stages_fused: stage.plan.fused_chains,
-                shuffles_elided: stage.plan.elided_shuffles,
                 ..StageReport::default()
             },
             started: now,
@@ -255,20 +252,12 @@ impl StageRun {
         }
     }
 
-    /// Bumps a context-wide counter and, where the stage report carries
-    /// the same counter, the run's own.
-    fn count(&mut self, ledger: &Ledger, field: MetricField) {
-        ledger.metrics.add(field, 1);
-        let report = &mut self.report;
-        let own = match field {
-            MetricField::FetchFailures => &mut report.fetch_failures,
-            MetricField::TasksSpeculated => &mut report.tasks_speculated,
-            MetricField::SpeculationWins => &mut report.speculation_wins,
-            MetricField::TasksCancelled => &mut report.tasks_cancelled,
-            MetricField::WatchdogTrips => &mut report.watchdog_trips,
-            _ => return,
-        };
-        *own += 1;
+    /// Adds `n` to a counter of the context and of the run's own
+    /// `counts`: the one way the scheduler counts against a stage, so its
+    /// report cannot disagree with the context.
+    pub(super) fn count(&mut self, ledger: &Ledger, field: MetricField, n: u64) {
+        ledger.metrics.add(field, n);
+        self.report.counts.bump(field, n);
     }
 
     /// First launch of `partitions` as one executor task (a coalesced
@@ -343,7 +332,7 @@ impl StageRun {
                 // its eventual event misses.
                 self.durations.push(nanos);
                 if side == 1 {
-                    self.count(ledger, MetricField::SpeculationWins);
+                    self.count(ledger, MetricField::SpeculationWins, 1);
                 }
                 self.cancel_slot(partition, ledger);
                 self.unsettled -= 1;
@@ -356,7 +345,7 @@ impl StageRun {
         };
         let reason = match err {
             TaskError::FetchFailed { shuffle_id, map_id } => {
-                self.count(ledger, MetricField::FetchFailures);
+                self.count(ledger, MetricField::FetchFailures, 1);
                 Reason::Repaired { shuffle_id, map_id }
             }
             TaskError::ExecutorLost { .. } | TaskError::Cancelled => Reason::Lost(err),
@@ -395,7 +384,7 @@ impl StageRun {
             ledger.resubmissions_left -= 1;
         }
         for &field in policy.counters {
-            self.count(ledger, field);
+            self.count(ledger, field, 1);
         }
         self.slots[partition].attempt += policy.advances as usize;
         Ok(match reason {
@@ -424,9 +413,7 @@ impl StageRun {
         let due = now + delay;
         slot.state = State::Backoff(due);
         self.next_due = Some(self.next_due.map_or(due, |d| d.min(due)));
-        let nanos = delay.as_nanos() as u64;
-        self.report.backoff_nanos += nanos;
-        ledger.metrics.add(MetricField::BackoffNanos, nanos);
+        self.count(ledger, MetricField::BackoffNanos, delay.as_nanos() as u64);
         Step::Nothing
     }
 
@@ -556,7 +543,7 @@ impl StageRun {
         if let State::Running { lives, .. } = state {
             for loser in lives.into_iter().flatten() {
                 loser.token.cancel();
-                self.count(ledger, MetricField::TasksCancelled);
+                self.count(ledger, MetricField::TasksCancelled, 1);
             }
         }
     }
@@ -571,19 +558,18 @@ impl StageRun {
     }
 
     /// Closes the run's report at `now`, with the context's counters at
-    /// `snap`. A skipped stage reports an empty run: it executed nothing,
-    /// so none of its planned rewrites ran either.
-    pub(super) fn close(&mut self, outcome: StageOutcome, snap: &MetricsSnapshot, now: Instant) {
+    /// `snap`: the spill tier's three fields become the context's spill
+    /// activity while the run was open.
+    pub(super) fn close(&mut self, outcome: StageOutcome, snap: MetricsSnapshot, now: Instant) {
         let report = &mut self.report;
         report.outcome = outcome;
-        if outcome == StageOutcome::Skipped {
-            (report.stages_fused, report.shuffles_elided) = (0, 0);
-        }
         report.wall_nanos = now.duration_since(self.started).as_nanos() as u64;
-        report.blocks_spilled = (snap.blocks_spilled - self.baseline.blocks_spilled) as usize;
-        report.blocks_rehydrated =
-            (snap.blocks_rehydrated - self.baseline.blocks_rehydrated) as usize;
-        report.spill_bytes = snap.spill_bytes - self.baseline.spill_bytes;
+        report.tasks_stolen = report.counts.tasks_stolen as usize;
+        let spill = snap - self.baseline;
+        let counts = &mut report.counts;
+        counts.blocks_spilled = spill.blocks_spilled;
+        counts.blocks_rehydrated = spill.blocks_rehydrated;
+        counts.spill_bytes = spill.spill_bytes;
     }
 }
 
@@ -741,7 +727,7 @@ mod tests {
             "the caller must repair shuffle 9"
         );
         assert_eq!(
-            (ledger.resubmissions_left, run.report.fetch_failures),
+            (ledger.resubmissions_left, run.report.counts.fetch_failures),
             (1, 1)
         );
         assert_eq!(ledger.metrics.snapshot().fetch_failures, 1);
@@ -756,7 +742,7 @@ mod tests {
             due > t0 + ms(20) && due <= t0 + ms(21),
             "first strike waits ≤ base"
         );
-        assert!(run.report.backoff_nanos > 0);
+        assert!(run.report.counts.backoff_nanos > 0);
         assert!(run.due(t0 + ms(20), &mut ledger).is_empty(), "not due yet");
         let replays = run.due(due, &mut ledger);
         assert_eq!(replays.len(), 1);
@@ -783,7 +769,7 @@ mod tests {
             (0, Some(0)),
             "same number, away from the straggler"
         );
-        assert_eq!((lives(&run, 1), run.report.tasks_speculated), (2, 1));
+        assert_eq!((lives(&run, 1), run.report.counts.tasks_speculated), (2, 1));
         // A racing slot is not duplicated again.
         assert!(run
             .scan(t0 + ms(50), &executing, &mut ledger)
@@ -794,7 +780,10 @@ mod tests {
         assert!(matches!(step, Ok(Step::Settled)));
         assert!(slow.token.is_cancelled() && !dup.token.is_cancelled());
         assert_eq!(
-            (run.report.speculation_wins, run.report.tasks_cancelled),
+            (
+                run.report.counts.speculation_wins,
+                run.report.counts.tasks_cancelled
+            ),
             (1, 1)
         );
         assert_eq!(run.unsettled, 0);
@@ -902,7 +891,10 @@ mod tests {
         let (dups, lost) = run.scan(t0 + ms(1001), &at(4), &mut ledger).unwrap();
         assert_eq!((dups.len(), dups[0].avoid, lost.len()), (1, Some(1), 0));
         assert_eq!(
-            (run.report.watchdog_trips, run.report.tasks_speculated),
+            (
+                run.report.counts.watchdog_trips,
+                run.report.counts.tasks_speculated
+            ),
             (1, 1)
         );
         // The duplicate drops out; the original is lone again, still
@@ -983,6 +975,6 @@ mod tests {
         // An abort cancels what is live, and counts it.
         run.cancel_all(&ledger);
         assert!(alone.token.is_cancelled());
-        assert_eq!(run.report.tasks_cancelled, 1);
+        assert_eq!(run.report.counts.tasks_cancelled, 1);
     }
 }

@@ -286,11 +286,11 @@ impl JobRun {
     /// Marks a stage satisfied-without-running and accounts the skip.
     pub(super) fn skip(&mut self, idx: usize) {
         self.stages[idx].state = StageState::Skipped;
-        self.ctx.metrics().add(MetricField::StagesSkipped, 1);
         let (now, snap) = (Instant::now(), self.ctx.metrics_snapshot());
         let stage_id = self.ctx.new_stage_id();
         let mut empty = StageRun::new(idx, &self.stages[idx], stage_id, 0, now, snap);
-        empty.close(StageOutcome::Skipped, &snap, now);
+        empty.count(&self.ledger, MetricField::StagesSkipped, 1);
+        empty.close(StageOutcome::Skipped, snap, now);
         self.reports.push(empty.report);
     }
 

@@ -798,7 +798,9 @@ impl JobRun {
             return Ok(());
         };
         run.report.task_nanos += done.nanos;
-        run.report.tasks_stolen += done.stolen as usize;
+        if done.stolen {
+            run.count(&self.ledger, MetricField::TasksStolen, 1);
+        }
         let (result, outcome) = match done.outcome {
             Ok(result) => (result, Ok(done.nanos)),
             Err(err) => (None, Err(err)),
@@ -828,32 +830,37 @@ impl JobRun {
         let stage = &mut self.stages[idx];
         let stage_id = self.ctx.new_stage_id();
         let mut run = StageRun::new(idx, stage, stage_id, stage.num_tasks, now, snap);
-        run.report.map_partitions_recomputed = recovered_maps;
+        run.count(&self.ledger, MetricField::StagesRun, 1);
+        let recomputed = MetricField::MapPartitionsRecomputed;
+        run.count(&self.ledger, recomputed, recovered_maps as u64);
         stage.run = Some(run);
         stage.state = StageState::Running;
-        self.ctx.metrics().add(MetricField::StagesRun, 1);
         self.running += 1;
         self.max_concurrent = self.max_concurrent.max(self.running);
     }
 
     /// Submits every task of a stage to the executor pool, grouped by the
     /// runtime coalescing plan when the stage reads shuffle output.
+    ///
+    /// Only a stage's first run counts its planned rewrites: a recovery
+    /// run re-executes them but decides nothing new.
     fn submit_stage(&mut self, idx: usize) -> Result<(), JobError> {
         self.start_run(idx, 0);
-        let Stage {
-            num_tasks, plan, ..
-        } = self.stages[idx];
-        let metrics = self.ctx.metrics();
-        metrics.add(MetricField::StagesFused, plan.fused_chains as u64);
-        metrics.add(MetricField::ShufflesElided, plan.elided_shuffles as u64);
-        if num_tasks == 0 {
+        let groups = self.plan_task_groups(idx);
+        let stage = &mut self.stages[idx];
+        let merged = stage.num_tasks - groups.len();
+        let rewrites = [
+            (MetricField::StagesFused, stage.plan.fused_chains),
+            (MetricField::ShufflesElided, stage.plan.elided_shuffles),
+            (MetricField::PartitionsCoalesced, merged),
+        ];
+        let run = stage.run.as_mut().expect("started above");
+        for (field, n) in rewrites {
+            run.count(&self.ledger, field, n as u64);
+        }
+        if groups.is_empty() {
             return self.finish_stage(idx);
         }
-        let groups = self.plan_task_groups(idx);
-        let merged = num_tasks - groups.len();
-        metrics.add(MetricField::PartitionsCoalesced, merged as u64);
-        let run = self.stages[idx].run.as_mut().expect("started above");
-        run.report.partitions_coalesced = merged;
         groups.into_iter().try_for_each(|g| self.launch(idx, g))
     }
 
@@ -933,9 +940,6 @@ impl JobRun {
             let last = partitions.len() - 1;
             for (i, &partition) in partitions.iter().enumerate() {
                 ctx.metrics().add(MetricField::TasksRun, 1);
-                if info.stolen {
-                    ctx.metrics().add(MetricField::TasksStolen, 1);
-                }
                 let site = TaskSite {
                     rdd_id: site_rdd,
                     partition,
@@ -1092,7 +1096,7 @@ impl JobRun {
                 .mark_completed(shuffle_id, stage.num_tasks);
             self.owned.remove(&shuffle_id);
         }
-        run.close(StageOutcome::Ran, &snap, Instant::now());
+        run.close(StageOutcome::Ran, snap, Instant::now());
         self.reports.push(run.report);
         self.satisfy_children(idx)
     }
@@ -1143,8 +1147,6 @@ impl JobRun {
                 // unsettled — surviving output is reused, never recomputed.
                 self.owned.insert(shuffle_id);
                 self.start_run(parent_idx, missing.len());
-                let recomputed = MetricField::MapPartitionsRecomputed;
-                self.ctx.metrics().add(recomputed, missing.len() as u64);
                 missing
                     .into_iter()
                     .try_for_each(|p| self.launch(parent_idx, vec![p]))
@@ -1204,7 +1206,7 @@ impl JobRun {
     fn fail_with(mut self, outcome: JobOutcome, err: JobError) {
         let (snap, now) = (self.ctx.metrics_snapshot(), Instant::now());
         for mut run in self.stages.iter_mut().filter_map(|stage| stage.run.take()) {
-            run.close(StageOutcome::Aborted, &snap, now);
+            run.close(StageOutcome::Aborted, snap, now);
             self.reports.push(run.report);
         }
         self.record(outcome);
@@ -1582,10 +1584,10 @@ mod tests {
         let delta = ctx.metrics_snapshot() - before;
         let report = ctx.last_job_report().unwrap();
         assert!(
-            report.tasks_stolen() >= 1,
+            report.counts().tasks_stolen >= 1,
             "idle executor must steal from the skewed backlog, report was: {report}"
         );
-        assert_eq!(delta.tasks_stolen, report.tasks_stolen() as u64);
+        assert_eq!(delta.tasks_stolen, report.counts().tasks_stolen);
         assert_eq!(report.executor_busy_nanos.len(), 2);
         assert!(
             report.executor_busy_nanos.iter().sum::<u64>() > 0,
@@ -1619,7 +1621,7 @@ mod tests {
         assert_eq!(n, 8);
         let report = ctx.last_job_report().unwrap();
         assert_eq!(
-            report.tasks_stolen(),
+            report.counts().tasks_stolen,
             0,
             "balanced one-task-per-executor stages must stay local: {report}"
         );
@@ -1744,7 +1746,7 @@ mod tests {
         let runs: Vec<_> = report
             .stages
             .iter()
-            .map(|s| (s.shuffle_id.is_some(), s.map_partitions_recomputed))
+            .map(|s| (s.shuffle_id.is_some(), s.counts.map_partitions_recomputed))
             .collect();
         assert_eq!(
             runs,
@@ -1752,7 +1754,10 @@ mod tests {
             "A, A's recovery, B, then C: {report}"
         );
         let join = report.stages.last().unwrap();
-        assert_eq!(join.fetch_failures, 0, "C never read a parent mid-run");
+        assert_eq!(
+            join.counts.fetch_failures, 0,
+            "C never read a parent mid-run"
+        );
         assert!(report.stages.iter().all(|s| s.stage_id <= join.stage_id));
     }
 
@@ -1779,7 +1784,8 @@ mod tests {
             "{scans} scans in {elapsed:?} ({ticks} ticks) for 2048 task events"
         );
         let report = ctx.last_job_report().unwrap();
-        assert_eq!((report.tasks_speculated(), report.watchdog_trips()), (0, 0));
+        let counts = report.counts();
+        assert_eq!((counts.tasks_speculated, counts.watchdog_trips), (0, 0));
     }
 
     /// Jobs submitted inside `run_with_priority` carry the priority into

@@ -40,10 +40,11 @@
 //! which registers the map under the same lock that deposits its blocks.
 //! When an executor dies, [`ShuffleService::discard_executor`] drops its
 //! blocks and registrations; the stage stays `Completed`, with holes. A
-//! fetch is answered from the registry alone: a registered map's absent
-//! block is a genuinely empty bucket, and *anything else* — a hole, an
-//! abandoned or removed shuffle, one the service never heard of — panics
-//! with a typed [`FetchFailedError`], never reads as empty. The scheduler
+//! fetch that misses is decided under the lock, with one more look at the
+//! blocks: a registered map's absent block is a genuinely empty bucket,
+//! and *anything else* — a hole, an abandoned or removed shuffle, one the
+//! service never heard of — panics with a typed [`FetchFailedError`],
+//! never reads as empty. The scheduler
 //! catches that panic, claims the *recovery* of the shuffle
 //! ([`ShuffleService::claim_recovery`]) and resubmits only the missing map
 //! partitions from lineage.
@@ -53,7 +54,7 @@
 //! keyed by [`BlockId`]. Lock order: the entry table before the block
 //! store, never the reverse.
 
-use crate::blockstore::{Fetched, TieredStore};
+use crate::blockstore::{Block, Fetched, TieredStore};
 use crate::executor::BlockOrigin;
 use crate::metrics::MetricField;
 use crate::spill::SpillStore;
@@ -256,19 +257,25 @@ impl ShuffleService {
     /// scheduler converts this panic into
     /// [`crate::TaskError::FetchFailed`] and recovers.
     pub fn fetch_block<T: Data>(&self, ctx: &SpangleContext, id: BlockId) -> Arc<Vec<T>> {
-        let torn = match self.blocks.get(ctx, &id) {
-            Fetched::Hit { block, bytes } => {
-                ctx.metrics()
-                    .add(MetricField::ShuffleReadBytes, bytes as u64);
-                return block.downcast::<Vec<T>>().expect(
-                    "shuffle block type mismatch: reduce side fetched a different \
-                     type than the map side wrote",
-                );
-            }
-            Fetched::Torn => true,
-            Fetched::Absent => false,
-        };
+        match self.blocks.get(ctx, &id) {
+            Fetched::Hit { block, bytes } => read(ctx, block, bytes),
+            missed => self.fetch_missed(ctx, id, matches!(missed, Fetched::Torn)),
+        }
+    }
+
+    /// Decides a fetch whose lock-free lookup missed (`torn`: found the
+    /// spill file torn, which dropped the block) under the table lock,
+    /// after one more look at the blocks: every commit, loss and abandon
+    /// changes the registry and the blocks together under that lock, so a
+    /// recovery's commit landing between the lookup and the registry
+    /// check would otherwise make a lost bucket read as empty.
+    fn fetch_missed<T: Data>(&self, ctx: &SpangleContext, id: BlockId, torn: bool) -> Arc<Vec<T>> {
         let mut shuffles = self.shuffles.lock();
+        let torn = match self.blocks.get(ctx, &id) {
+            Fetched::Hit { block, bytes } => return read(ctx, block, bytes),
+            Fetched::Torn => true,
+            Fetched::Absent => torn,
+        };
         let outputs = shuffles.get_mut(&id.shuffle_id).map(|e| &mut e.outputs);
         let empty = if torn {
             // The spill file is torn or unreadable: the block is gone for
@@ -514,6 +521,16 @@ impl ShuffleService {
     }
 }
 
+/// A fetched block's records, its bytes charged as shuffle reads.
+fn read<T: Data>(ctx: &SpangleContext, block: Block, bytes: usize) -> Arc<Vec<T>> {
+    ctx.metrics()
+        .add(MetricField::ShuffleReadBytes, bytes as u64);
+    block.downcast::<Vec<T>>().expect(
+        "shuffle block type mismatch: reduce side fetched a different \
+         type than the map side wrote",
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,6 +686,34 @@ mod tests {
         // The tombstone also refuses a straggler's late commit.
         assert!(!commit(&ctx, &svc, (5, 0), vec![2], BlockOrigin::DRIVER));
         assert_eq!(svc.num_blocks(), 0);
+    }
+
+    /// Regression (chaos PageRank's wrong ranks, 2–3 % of stress runs): a
+    /// reduce task's lock-free lookup of a lost map's bucket misses, and
+    /// the recovery's commit lands before the fetch takes the table lock.
+    /// The map is registered again by then, so answering from the registry
+    /// alone read the recovered bucket as empty.
+    #[test]
+    fn a_commit_between_a_missed_lookup_and_its_verdict_is_read() {
+        let ctx = SpangleContext::new(2);
+        let svc = ShuffleService::default();
+        seed_two_map_shuffle(&ctx, &svc, 8);
+        svc.discard_executor(1);
+        let id = BlockId {
+            shuffle_id: 8,
+            map_id: 1,
+            reduce_id: 0,
+        };
+        assert!(matches!(svc.blocks.get(&ctx, &id), Fetched::Absent));
+        assert!(commit(
+            &ctx,
+            &svc,
+            (8, 1),
+            vec![1],
+            BlockOrigin::executor(0, 0)
+        ));
+        let got: Arc<Vec<u64>> = svc.fetch_missed(&ctx, id, false);
+        assert_eq!(*got, vec![1]);
     }
 
     /// First write wins: a late speculative loser (live, but beaten to the

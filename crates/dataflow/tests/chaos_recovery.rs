@@ -232,11 +232,12 @@ fn speculative_winners_are_bit_identical_with_exact_counters() {
         assert_eq!(got, expected, "speculative winners must be bit-identical");
         let delta = ctx.metrics_snapshot() - before;
         let report = ctx.last_job_report().expect("job report");
+        let counts = report.counts();
         assert_eq!(
             (
-                report.tasks_speculated(),
-                report.speculation_wins(),
-                report.tasks_cancelled()
+                counts.tasks_speculated,
+                counts.speculation_wins,
+                counts.tasks_cancelled
             ),
             (2, 2, 2),
             "one launch, one win, one cancelled loser per wedged stage: {report}"

@@ -169,12 +169,13 @@ fn stalled_task_trips_the_watchdog_and_loses_to_its_duplicate() {
 
         let delta = ctx.metrics_snapshot() - before;
         let report = ctx.last_job_report().expect("job report");
+        let counts = report.counts();
         assert_eq!(
             (
-                report.watchdog_trips(),
-                report.tasks_speculated(),
-                report.speculation_wins(),
-                report.tasks_cancelled()
+                counts.watchdog_trips,
+                counts.tasks_speculated,
+                counts.speculation_wins,
+                counts.tasks_cancelled
             ),
             (1, 1, 1, 1),
             "one trip, one duplicate, one win, one cancelled original: {report}"

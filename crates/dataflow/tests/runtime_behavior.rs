@@ -2,7 +2,9 @@
 //! broadcast variables inside jobs, stage reuse across actions, metrics
 //! plumbing, and executor-loss fault tolerance.
 
-use spangle_dataflow::{HashPartitioner, JobOutcome, PairRdd, SpangleContext};
+use spangle_dataflow::{
+    HashPartitioner, JobOutcome, MetricsSnapshot, PairRdd, SpangleContext, StageOutcome,
+};
 use std::sync::Arc;
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
@@ -270,8 +272,77 @@ fn killing_an_executor_between_map_and_reduce_recomputes_only_its_maps() {
 
     let report = ctx.last_job_report().expect("recovery job report");
     assert_eq!(report.outcome, JobOutcome::Succeeded);
-    assert!(report.fetch_failures() >= 1);
-    assert_eq!(report.map_partitions_recomputed(), 1);
+    assert!(report.counts().fetch_failures >= 1);
+    assert_eq!(report.counts().map_partitions_recomputed, 1);
+}
+
+/// A job's stage reports add up to what the context counted, field for
+/// field, on every counter the scheduler attributes to a stage — here
+/// across a skip, a recovery run and a retried reduce. The defect this
+/// pins: every run of a stage, a recovery run included, used to copy the
+/// plan's fused chains into its report while the context counted them
+/// only at the stage's first submission (report 1, context 0).
+#[test]
+fn a_jobs_stage_counts_equal_the_context_delta() {
+    let attributed = |s: MetricsSnapshot| {
+        [
+            s.stages_run,
+            s.stages_skipped,
+            s.fetch_failures,
+            s.map_partitions_recomputed,
+            s.stages_fused,
+            s.shuffles_elided,
+            s.partitions_coalesced,
+            s.task_retries,
+            s.recomputations,
+            s.tasks_speculated,
+            s.speculation_wins,
+            s.tasks_cancelled,
+            s.watchdog_trips,
+            s.backoff_nanos,
+            s.tasks_stolen,
+        ]
+    };
+    // Same placement as above: map partition 1's output lives on
+    // executor 1. The map stage fuses `map` and `filter`.
+    let ctx = SpangleContext::new(2);
+    let reduced = ctx
+        .parallelize((0u64..100).collect(), 2)
+        .map(|i| (i % 4, i))
+        .filter(|(_, v)| v % 3 != 0)
+        .reduce_by_key(Arc::new(HashPartitioner::new(2)), |a, b| a + b);
+    let s0 = ctx.metrics_snapshot();
+    let baseline = sorted(reduced.collect().unwrap());
+    let s1 = ctx.metrics_snapshot();
+    let first = ctx.last_job_report().expect("first job report");
+    assert_eq!(attributed(first.counts()), attributed(s1 - s0), "{first}");
+    assert_eq!(first.counts().stages_fused, 1, "{first}");
+
+    // Second job: the map stage is skipped, the reduce trips over the
+    // lost map output, a recovery run rebuilds it, and an injected
+    // failure makes one reduce attempt retry after a backoff.
+    ctx.kill_executor(1);
+    ctx.failure_injector().fail_task(reduced.id(), 0, 1);
+    assert_eq!(sorted(reduced.collect().unwrap()), baseline);
+    let delta = ctx.metrics_snapshot() - s1;
+    let report = ctx.last_job_report().expect("recovery job report");
+    let outcomes: Vec<_> = report.stages.iter().map(|s| s.outcome).collect();
+    assert_eq!(
+        outcomes,
+        [StageOutcome::Skipped, StageOutcome::Ran, StageOutcome::Ran],
+        "skip, recovery run, reduce: {report}"
+    );
+    assert_eq!(attributed(report.counts()), attributed(delta), "{report}");
+    assert_eq!(delta.map_partitions_recomputed, 1, "{delta:?}");
+    assert!(delta.fetch_failures >= 1, "{delta:?}");
+    assert!(
+        delta.task_retries >= 1 && delta.backoff_nanos > 0,
+        "{delta:?}"
+    );
+    assert_eq!(
+        report.stages[1].counts.stages_fused, 0,
+        "a recovery run re-executes the chain but fuses nothing new"
+    );
 }
 
 /// Mid-job executor loss: the injector kills executor 1 right after it

@@ -76,8 +76,8 @@ fn mixed_priority_jobs_share_the_service_with_per_job_accounting() {
         assert_eq!(report.executor_busy_nanos.len(), 4);
     }
     // Per-job steal accounting partitions the cluster-wide counter.
-    let stolen: usize = reports.iter().map(|r| r.tasks_stolen()).sum();
-    assert_eq!(delta.tasks_stolen, stolen as u64);
+    let stolen: u64 = reports.iter().map(|r| r.counts().tasks_stolen).sum();
+    assert_eq!(delta.tasks_stolen, stolen);
     assert_eq!(delta.tasks_run, priorities.len() as u64 * (4 + 3));
 }
 

@@ -79,7 +79,7 @@ fn forced_low_watermark_completes_via_spill_bit_identically() {
         assert_eq!(report.outcome, JobOutcome::Succeeded);
         assert_eq!(
             (
-                report.blocks_spilled() > 0 || report.blocks_rehydrated() > 0,
+                report.counts().blocks_spilled > 0 || report.counts().blocks_rehydrated > 0,
                 snap.blocks_spilled > 0
             ),
             (true, true),

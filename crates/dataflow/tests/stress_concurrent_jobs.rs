@@ -164,8 +164,8 @@ fn concurrent_jobs_with_failure_injection_hold_all_invariants() {
             assert_eq!(report.outcome, spangle_dataflow::JobOutcome::Succeeded);
             assert!((-1..=1).contains(&report.priority));
         }
-        let stolen: usize = reports.iter().map(|r| r.tasks_stolen()).sum();
-        assert_eq!(delta.tasks_stolen, stolen as u64);
+        let stolen: u64 = reports.iter().map(|r| r.counts().tasks_stolen).sum();
+        assert_eq!(delta.tasks_stolen, stolen);
 
         // Shuffle state is fully reclaimed once the lineage drops.
         drop((base, reduced));

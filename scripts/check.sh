@@ -11,10 +11,12 @@
 #   scripts/check.sh --quick          full gate minus the release build
 #   scripts/check.sh <step> [...]     run only the named steps, in order
 #
-# Steps: fmt clippy build test spill health doc stress bench benchmark
+# Steps: fmt clippy build test spill health doc stress bench benchmark loc
 # (stress, bench and benchmark are not part of the default full gate
 # because of their runtime; stress and benchmark have CI jobs of their
-# own, bench is for whoever refreshes the committed figure artifacts.)
+# own, bench is for whoever refreshes the committed figure artifacts.
+# loc gates nothing: it prints the code-line count a [simplicity] PR
+# reports before → after.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -120,11 +122,23 @@ run_benchmark() {
     watchdog benchmark/run.sh --quick
 }
 
+# The acceptance count a [simplicity] PR reports: non-blank lines that are
+# not `//` comments (docs included) in crates/dataflow/src, per file and in
+# total, up to each file's column-0 `#[cfg(test)]`. awk only — no `bc`.
+run_loc() {
+    echo "== code lines of crates/dataflow/src before each file's tests"
+    find crates/dataflow/src -name '*.rs' | sort | xargs awk '
+        FNR == 1 { if (file != "") printf "%6d %s\n", n, file; file = FILENAME; n = 0; tests = 0 }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        !tests && !/^[[:space:]]*(\/\/|$)/ { n++; total++ }
+        END { printf "%6d %s\n%6d total\n", n, file, total }'
+}
+
 steps=()
 for arg in "$@"; do
     case "$arg" in
     --quick) steps+=(fmt clippy test spill health doc) ;;
-    fmt | clippy | build | test | spill | health | doc | stress | bench | benchmark) steps+=("$arg") ;;
+    fmt | clippy | build | test | spill | health | doc | stress | bench | benchmark | loc) steps+=("$arg") ;;
     -h | --help | *) usage ;;
     esac
 done
