@@ -166,9 +166,14 @@ fn bench_block_kernels(c: &mut Criterion) {
     // `index_build` is what a block pays once per contraction key;
     // `bitmask` at the same shape is the dense-output kernel, index
     // included.
-    for (label, n, per_million) in [
-        ("512_1e-3", 512usize, 1_000u64),
-        ("256_1.4e-2", 256, 14_000),
+    //
+    // `output_block` is the call the multiply stage makes per output
+    // block: every pair one partition holds for it, 6 at the hardesty-like
+    // shape (24 contraction keys over 4 partitions) and 4 at the
+    // mouse-like one (16 over 4).
+    for (label, n, per_million, pairs) in [
+        ("512_1e-3", 512usize, 1_000u64, 6u64),
+        ("256_1.4e-2", 256, 14_000, 4),
     ] {
         let block = |seed: u64| {
             block_from_triplets(
@@ -189,6 +194,21 @@ fn bench_block_kernels(c: &mut Criterion) {
         let mut acc = SparseAccumulator::default();
         group.bench_with_input(BenchmarkId::new("sparse_acc", label), &n, |bch, _| {
             bch.iter(|| block_multiply_sparse(&[(&a_index, &b_index)], &mut acc))
+        });
+        let indexed: Vec<(ColumnIndex, ColumnIndex)> = (0..pairs)
+            .map(|k| {
+                let (a, b) = (block(2 * k + 3), block(2 * k + 4));
+                (
+                    ColumnIndex::of_block(&a, n, n),
+                    ColumnIndex::of_block(&b, n, n),
+                )
+            })
+            .collect();
+        let block_pairs: Vec<(&ColumnIndex, &ColumnIndex)> =
+            indexed.iter().map(|(a, b)| (a, b)).collect();
+        let id = format!("{label}/{pairs}_pairs");
+        group.bench_with_input(BenchmarkId::new("output_block", id), &n, |bch, _| {
+            bch.iter(|| block_multiply_sparse(black_box(&block_pairs), &mut acc))
         });
         group.bench_with_input(BenchmarkId::new("index_build", label), &n, |bch, _| {
             bch.iter(|| ColumnIndex::of_block(black_box(&a), n, n))
@@ -430,18 +450,44 @@ fn bench_partial_reduce(c: &mut Criterion) {
             Chunk::from_sorted_cells(volume, cells, &policy)
         })
     });
-    group.bench_function(format!("take_chunk/{cells}_cells"), |b| {
-        b.iter_custom(|iters| {
-            let mut timed = std::time::Duration::ZERO;
-            for _ in 0..iters {
-                acc.add_runs(black_box(&runs).iter().map(Vec::as_slice));
-                let started = std::time::Instant::now();
-                black_box(acc.take_chunk(&policy));
-                timed += started.elapsed();
-            }
-            timed
+    let mut time_take_chunk = |name: String, volume: usize, runs: &[Vec<(u32, f64)>]| {
+        acc.fit(volume);
+        group.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let mut timed = std::time::Duration::ZERO;
+                for _ in 0..iters {
+                    acc.add_runs(black_box(runs).iter().map(Vec::as_slice));
+                    let started = std::time::Instant::now();
+                    black_box(acc.take_chunk(&policy));
+                    timed += started.elapsed();
+                }
+                timed
+            })
+        });
+    };
+    time_take_chunk(format!("take_chunk/{cells}_cells"), volume, &runs);
+    // The hardesty-like reduce: four runs of ≈ 820 entries into one 512²
+    // block, a SuperSparse chunk.
+    let volume = 512 * 512;
+    let runs: Vec<Vec<(u32, f64)>> = (1..=4u64)
+        .map(|seed| {
+            let mut run: Vec<(u32, f64)> = (0..820u64)
+                .map(|e| {
+                    let h = (e + (seed << 32)).wrapping_mul(0x9E3779B97F4A7C15);
+                    ((h >> 20) as u32 % volume as u32, ((h >> 40) + 1) as f64)
+                })
+                .collect();
+            run.sort_unstable_by_key(|&(i, _)| i);
+            run.dedup_by_key(|&mut (i, _)| i);
+            run
         })
-    });
+        .collect();
+    let entries: usize = runs.iter().map(Vec::len).sum();
+    time_take_chunk(
+        format!("take_chunk_supersparse/512x512/{entries}_entries"),
+        volume,
+        &runs,
+    );
     group.finish();
 }
 

@@ -96,7 +96,9 @@ impl BenchmarkGroup {
 
     fn run(&self, id: &str, routine: &mut dyn FnMut(&mut Bencher)) {
         // Calibrate: run single iterations until the warm-up budget is
-        // spent, tracking the cost of one iteration.
+        // spent, tracking the cost of one iteration — both the part the
+        // routine times and the whole call, which for `iter_custom` also
+        // pays an untimed set-up.
         let warm_up_started = Instant::now();
         let mut per_iter = Duration::MAX;
         loop {
@@ -104,8 +106,9 @@ impl BenchmarkGroup {
                 iters: 1,
                 elapsed: Duration::ZERO,
             };
+            let call_started = Instant::now();
             routine(&mut b);
-            per_iter = per_iter.min(b.elapsed);
+            per_iter = per_iter.min(b.elapsed.max(call_started.elapsed()));
             if warm_up_started.elapsed() >= self.warm_up_time {
                 break;
             }
@@ -113,7 +116,8 @@ impl BenchmarkGroup {
         let per_iter = per_iter.max(Duration::from_nanos(1));
 
         // Split the measurement budget into `sample_size` samples and fit
-        // as many iterations as the per-sample budget allows.
+        // as many iterations as the per-sample budget allows, set-ups
+        // included.
         let sample_budget = self.measurement_time / self.sample_size as u32;
         let iters = (sample_budget.as_nanos() / per_iter.as_nanos()).clamp(1, 1_000_000) as u64;
         let deadline = Instant::now() + self.measurement_time;

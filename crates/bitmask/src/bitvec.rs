@@ -302,7 +302,7 @@ impl Bitmask {
 
 /// Calls `f` with `base + b` for every set bit `b` of `word`, lowest first.
 #[inline]
-pub(crate) fn for_each_bit(mut word: u64, base: usize, f: &mut impl FnMut(usize)) {
+pub fn for_each_bit(mut word: u64, base: usize, f: &mut impl FnMut(usize)) {
     while word != 0 {
         f(base + word.trailing_zeros() as usize);
         word &= word - 1;

@@ -68,6 +68,29 @@ impl HierarchicalBitmask {
         HierarchicalBitmask { upper, lower, len }
     }
 
+    /// Assembles the mask from its two levels as they stand — `upper` with
+    /// one bit per 64-bit word of a `len`-bit mask, `lower` the non-zero
+    /// words its set bits name, in word order — so a producer that already
+    /// tracks which words are occupied skips [`HierarchicalBitmask::compress`]'s
+    /// scan of every word. The invariants are the decoder's and are checked
+    /// in debug builds.
+    pub fn from_parts(len: usize, upper: Bitmask, lower: Vec<u64>) -> Self {
+        debug_assert_eq!(upper.len(), len.div_ceil(WORD_BITS), "upper mask length");
+        debug_assert_eq!(
+            upper.count_ones(),
+            lower.len(),
+            "one lower word per upper bit"
+        );
+        debug_assert!(!lower.contains(&0), "lower words are non-zero");
+        debug_assert!(
+            len.is_multiple_of(WORD_BITS)
+                || !upper.get(upper.len() - 1)
+                || lower[lower.len() - 1] >> (len % WORD_BITS) == 0,
+            "no bit at or beyond len"
+        );
+        HierarchicalBitmask { upper, lower, len }
+    }
+
     /// Serialises the mask in its own two-level form — `len:u64`, the
     /// upper mask ([`Bitmask::write_le`]), then `count:u64 | lower words` —
     /// all little-endian: a super-sparse block spills at the size it is
@@ -296,6 +319,16 @@ mod tests {
             HierarchicalBitmask::from_sorted_ones(70, []),
             HierarchicalBitmask::compress(&Bitmask::zeros(70))
         );
+    }
+
+    #[test]
+    fn from_parts_equals_compress() {
+        let m = Bitmask::from_ones(5000, [3, 64, 65, 4095, 4096, 4999]);
+        let words = m.words();
+        let upper = Bitmask::from_fn(words.len(), |w| words[w] != 0);
+        let lower = words.iter().copied().filter(|&w| w != 0).collect();
+        let built = HierarchicalBitmask::from_parts(5000, upper, lower);
+        assert_eq!(built, HierarchicalBitmask::compress(&m));
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod hierarchical;
 pub mod offsets;
 pub mod popcount;
 
-pub use bitvec::Bitmask;
+pub use bitvec::{for_each_bit, Bitmask};
 pub use hierarchical::HierarchicalBitmask;
 pub use offsets::{choose_validity_repr, OffsetArray, ValidityRepr};
 pub use popcount::{harley_seal, DeltaCursor, Milestones};

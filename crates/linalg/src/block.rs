@@ -6,15 +6,22 @@
 //! pairs that survive the bitmask AND, "avoid\[ing\] the multiplication if
 //! one of them is zero".
 //!
-//! Every product here is a Gustavson column walk over a [`ColumnIndex`]:
-//! `A` is indexed once as compressed columns, `B`'s valid cells are visited
-//! in offset order (column by column, `k` ascending inside a column), and
-//! each `B[k, c]` scales column `k` of `A` into output column `c`. Work is
-//! proportional to the non-zeros and the multiplications they imply, never
-//! to the block volume, and every output cell receives its terms in
-//! ascending `k` — so all kernels below agree bit for bit.
+//! Every product here is a Gustavson walk over a [`ColumnIndex`]: `A` is
+//! indexed once as compressed columns, `B`'s valid cells are visited in
+//! offset order (column by column, `k` ascending inside a column, empty
+//! columns never visited), and each `B[k, c]` scales column `k` of `A` into
+//! output column `c`. Work is proportional to the non-zeros and the
+//! multiplications they imply, never to the block volume or its column
+//! count, and every output cell receives its terms in ascending `k` — so
+//! all kernels below agree bit for bit. The sparse-output kernel sums into
+//! a [`SparseAccumulator`] of the output block's volume whose two-level
+//! touched mask names the occupied words, so draining it costs the
+//! entries, not the volume.
 
-use spangle_bitmask::{choose_validity_repr, Bitmask, OffsetArray, ValidityRepr};
+use spangle_bitmask::{
+    choose_validity_repr, for_each_bit, Bitmask, HierarchicalBitmask, OffsetArray, ValidityRepr,
+    WORD_BITS,
+};
 use spangle_core::{Chunk, ChunkMode, ChunkPolicy};
 
 /// Builds a block chunk from a dense column-last buffer, dropping zeros
@@ -42,7 +49,9 @@ pub fn block_from_triplets(
 }
 
 /// A block's valid cells as compressed columns: column `c` owns the slots
-/// `col_ptr[c]..col_ptr[c + 1]` of `row` / `val`, rows ascending.
+/// `col_ptr[c]..col_ptr[c + 1]` of `row` / `val`, rows ascending, and `col`
+/// names each cell's column, so a walk of the cells in offset order never
+/// visits an empty column.
 ///
 /// One pass over the block's valid cells builds it (they arrive in offset
 /// order, which is column-major), with no division per cell. A block that
@@ -51,6 +60,7 @@ pub fn block_from_triplets(
 pub struct ColumnIndex {
     rows: usize,
     col_ptr: Vec<u32>,
+    col: Vec<u32>,
     row: Vec<u32>,
     val: Vec<f64>,
 }
@@ -71,6 +81,7 @@ impl ColumnIndex {
         cells: impl Iterator<Item = (usize, f64)>,
     ) -> Self {
         let mut col_ptr = Vec::with_capacity(cols + 1);
+        let mut col = Vec::with_capacity(nnz);
         let mut row = Vec::with_capacity(nnz);
         let mut val = Vec::with_capacity(nnz);
         // One past the last offset of the column being filled.
@@ -80,6 +91,7 @@ impl ColumnIndex {
                 col_ptr.push(row.len() as u32);
                 col_end += rows;
             }
+            col.push((col_ptr.len() - 1) as u32);
             row.push((local + rows - col_end) as u32);
             val.push(v);
         }
@@ -88,6 +100,7 @@ impl ColumnIndex {
         ColumnIndex {
             rows,
             col_ptr,
+            col,
             row,
             val,
         }
@@ -104,34 +117,77 @@ impl ColumnIndex {
     }
 }
 
-/// Running sums plus the bitmask of the slots touched so far. Draining it
-/// — [`SparseAccumulator::take_chunk`] on the reduce side, the kernel's
-/// per-column flush on the multiply side — walks the mask's set bits, which
-/// yields the non-zeros already sorted, and leaves both all-zero: one
-/// accumulator serves any number of products in a row.
+/// Running sums over one block's volume plus a two-level mask of the slots
+/// touched so far — the [`HierarchicalBitmask`] layout: `touched` has one
+/// bit per slot, `upper` one bit per `touched` word that holds any. Every
+/// drain — [`SparseAccumulator::take_chunk`] on the reduce side,
+/// [`block_multiply_sparse`]'s run on the multiply side — walks `upper`'s
+/// set bits to the occupied words and their set bits, which yields the
+/// non-zeros already sorted, at a cost of the entries plus `volume / 4096`
+/// upper words; and it leaves all three all-zero, so one accumulator serves
+/// any number of blocks in a row.
+#[derive(Default)]
 pub struct SparseAccumulator {
     sums: Vec<f64>,
-    touched: Bitmask,
-}
-
-impl Default for SparseAccumulator {
-    /// An empty accumulator; it takes the length of the block it meets.
-    fn default() -> Self {
-        SparseAccumulator {
-            sums: Vec::new(),
-            touched: Bitmask::zeros(0),
-        }
-    }
+    touched: Vec<u64>,
+    upper: Vec<u64>,
 }
 
 impl SparseAccumulator {
-    /// Sizes the (all-zero) accumulator to exactly `len` slots.
+    /// Sizes the (all-zero) accumulator to exactly `len` slots, writing
+    /// only the slots it grows by. Those are filled by stores, not handed
+    /// out as zero pages: the kernel read-modify-writes its first touch of a
+    /// slot, which on a zero page faults twice (see
+    /// [`SparseAccumulator::add_runs`]).
     pub fn fit(&mut self, len: usize) {
-        if self.sums.len() != len {
-            self.sums.clear();
-            self.sums.resize(len, 0.0);
-            self.touched = Bitmask::zeros(len);
+        debug_assert!(self.is_drained(), "accumulator not drained");
+        let words = len.div_ceil(WORD_BITS);
+        self.sums.resize(len, 0.0);
+        self.touched.resize(words, 0);
+        self.upper.resize(words.div_ceil(WORD_BITS), 0);
+    }
+
+    /// The sums, and a [`Marker`] of the touched mask.
+    fn split(&mut self) -> (&mut [f64], Marker<'_>) {
+        let marker = Marker {
+            touched: &mut self.touched,
+            upper: &mut self.upper,
+            at: 0,
+            bits: 0,
+        };
+        (&mut self.sums, marker)
+    }
+
+    /// The number of touched slots, counted over the occupied words alone.
+    fn touched_count(&self) -> usize {
+        let mut count = 0;
+        for (u, &live) in self.upper.iter().enumerate() {
+            for_each_bit(live, u * WORD_BITS, &mut |w| {
+                count += self.touched[w].count_ones() as usize
+            });
         }
+        count
+    }
+
+    /// Calls `f(w, word, sums)` for every non-zero `touched` word, in
+    /// ascending `w`, found through `upper` without visiting an empty word,
+    /// and clears both mask levels as it goes; `f` owns resetting the sums.
+    fn drain_words(&mut self, mut f: impl FnMut(usize, u64, &mut [f64])) {
+        let SparseAccumulator {
+            sums,
+            touched,
+            upper,
+        } = self;
+        for (u, live) in upper.iter_mut().enumerate() {
+            for_each_bit(std::mem::take(live), u * WORD_BITS, &mut |w| {
+                f(w, std::mem::take(&mut touched[w]), sums)
+            });
+        }
+    }
+
+    /// True when no slot is touched.
+    fn is_drained(&self) -> bool {
+        self.upper.iter().all(|&live| live == 0)
     }
 
     /// Sums sorted partial-product runs into the accumulator, in the order
@@ -150,75 +206,119 @@ impl SparseAccumulator {
     /// `gram_shuffle` reduce task (3 M entries) sum in 7–20 ms this way and
     /// in 125–205 ms when the first run is added like the rest.
     pub fn add_runs<'a>(&mut self, runs: impl IntoIterator<Item = &'a [(u32, f64)]>) {
-        debug_assert!(self.touched.all_zero(), "accumulator not drained");
+        debug_assert!(self.is_drained(), "accumulator not drained");
+        let (sums, mut marker) = self.split();
         let mut runs = runs.into_iter();
         if let Some(first) = runs.next() {
             for &(i, v) in first {
-                self.sums[i as usize] = v;
-                self.touched.set(i as usize, true);
+                sums[i as usize] = v;
+                marker.mark(i as usize);
             }
         }
         for run in runs {
             for &(i, v) in run {
-                self.sums[i as usize] += v;
-                self.touched.set(i as usize, true);
+                sums[i as usize] += v;
+                marker.mark(i as usize);
             }
         }
-    }
-
-    /// Appends the touched slots' sums as `(base + i, sum)` in ascending
-    /// `i`, dropping exact zeros, and resets the accumulator.
-    fn flush_into(&mut self, base: usize, out: &mut Vec<(u32, f64)>) {
-        for i in self.touched.iter_ones() {
-            let v = std::mem::take(&mut self.sums[i]);
-            if v != 0.0 {
-                out.push(((base + i) as u32, v));
-            }
-        }
-        self.touched.clear();
     }
 
     /// Drains the accumulator into the chunk of its non-zero sums — the
-    /// mask from the touched mask, the payload from the sums, with no cell
+    /// mask from the touched words, the payload from the sums, with no cell
     /// list in between — and resets it. `None` when nothing is left: exact
     /// cancellations are zeros, and zeros are invalid cells.
     pub fn take_chunk(&mut self, policy: &ChunkPolicy) -> Option<Chunk<f64>> {
-        let volume = self.sums.len();
-        let touched = self.touched.count_ones();
+        let (volume, words) = (self.sums.len(), self.touched.len());
+        let touched = self.touched_count();
         if policy.mode_for(volume, touched) == ChunkMode::Dense {
             // The sums are the payload as they stand: the chunk takes the
             // buffer and the accumulator a fresh one. Untouched slots are
             // zero like cancelled ones, so a touched word's valid bits are
             // exactly its non-zero slots.
-            let words = self.touched.words().iter().zip(self.sums.chunks(64));
-            let valid = words.map(|(&word, slots)| match word {
-                0 => 0,
-                _ => slots
-                    .iter()
+            let mut valid = vec![0; words];
+            self.drain_words(|w, _, sums| {
+                let slots = sums[w * WORD_BITS..].iter().take(WORD_BITS);
+                valid[w] = slots
                     .enumerate()
-                    .fold(0, |bits, (j, v)| bits | u64::from(*v != 0.0) << j),
+                    .fold(0, |bits, (j, v)| bits | u64::from(*v != 0.0) << j);
             });
-            let mask = Bitmask::from_words(volume, valid.collect());
-            self.touched.clear();
             let payload = std::mem::replace(&mut self.sums, vec![0.0; volume]);
-            return Chunk::build(payload, mask, policy);
+            return Chunk::build(payload, Bitmask::from_words(volume, valid), policy);
         }
         // Fewer valid cells only lower the density: not Dense either. One
-        // walk over the touched slots copies the non-zero sums out in mask
-        // order and resets every slot it passes.
+        // walk over the touched words copies the non-zero sums out in mask
+        // order, resets every slot it passes and keeps each word's surviving
+        // bits — the two levels of a hierarchical mask, cancelled cells and
+        // words left empty by them already gone.
         let mut compact = Vec::with_capacity(touched);
-        let mut cancelled = Vec::new();
-        let sums = &mut self.sums;
-        self.touched
-            .for_each_one(|i| match std::mem::take(&mut sums[i]) {
-                v if v != 0.0 => compact.push(v),
-                _ => cancelled.push(i),
+        let mut upper = vec![0; words.div_ceil(WORD_BITS)];
+        let mut lower = Vec::new();
+        self.drain_words(|w, word, sums| {
+            let mut valid = 0;
+            for_each_bit(word, 0, &mut |j| {
+                let v = std::mem::take(&mut sums[w * WORD_BITS + j]);
+                if v != 0.0 {
+                    compact.push(v);
+                    valid |= 1 << j;
+                }
             });
-        let mut mask = std::mem::replace(&mut self.touched, Bitmask::zeros(volume));
-        for i in cancelled {
-            mask.set(i, false);
+            if valid != 0 {
+                upper[w / WORD_BITS] |= 1 << (w % WORD_BITS);
+                lower.push(valid);
+            }
+        });
+        if compact.is_empty() {
+            return None;
         }
-        Chunk::from_compact(compact, mask, policy)
+        let upper = Bitmask::from_words(words, upper);
+        if policy.mode_for(volume, compact.len()) == ChunkMode::SuperSparse {
+            let mask = HierarchicalBitmask::from_parts(volume, upper, lower);
+            return Some(Chunk::SuperSparse {
+                payload: compact,
+                mask,
+            });
+        }
+        let mut flat = vec![0; words];
+        for (w, word) in upper.iter_ones().zip(lower) {
+            flat[w] = word;
+        }
+        Chunk::from_compact(compact, Bitmask::from_words(volume, flat), policy)
+    }
+}
+
+/// Marks slots touched in a [`SparseAccumulator`]'s two levels. The upper
+/// word being filled stays in a register, stored when the marks move on to
+/// another one and when the marker drops: marks come clustered — a run
+/// ascends, a kernel column stays inside one 4096-slot span — and a
+/// read-modify-write of the same upper word per mark would chain every mark
+/// on the previous one's store (`microbench`'s `partial_reduce/accumulate`
+/// read 60 % slower that way).
+struct Marker<'a> {
+    touched: &'a mut [u64],
+    upper: &'a mut [u64],
+    at: usize,
+    bits: u64,
+}
+
+impl Marker<'_> {
+    #[inline]
+    fn mark(&mut self, i: usize) {
+        let w = i / WORD_BITS;
+        self.touched[w] |= 1 << (i % WORD_BITS);
+        let u = w / WORD_BITS;
+        if u != self.at {
+            self.upper[self.at] |= self.bits;
+            (self.at, self.bits) = (u, 0);
+        }
+        self.bits |= 1 << (w % WORD_BITS);
+    }
+}
+
+impl Drop for Marker<'_> {
+    fn drop(&mut self) {
+        if let Some(word) = self.upper.get_mut(self.at) {
+            *word |= self.bits;
+        }
     }
 }
 
@@ -227,12 +327,15 @@ impl SparseAccumulator {
 /// sorted `(local offset, value)` run of its non-zeros, the form partial
 /// products cross the shuffle in. Exact cancellations are dropped.
 ///
-/// Output column `c` is accumulated in `acc` over *all* pairs and flushed
-/// through its touched-rows bitmask before column `c + 1` starts, so every
-/// entry is written once however many pairs feed it, offsets come out
-/// strictly ascending, and there is no scratch of the block's volume, no
-/// merge and no sort. With `pairs` in ascending contraction order each cell
-/// receives its terms in ascending global `k`.
+/// The whole output block is summed in `acc` (`rows × cols` slots): pair
+/// after pair, `B`'s non-zeros are walked in offset order and each
+/// `B[k, c]` scatters column `k` of `A` into `sums[r + c · rows]`; then one
+/// drain through the touched mask emits the block. Every entry is written
+/// once however many pairs feed it, offsets come out strictly ascending,
+/// and there is no merge and no sort; an empty column of `B` and an
+/// untouched word of the output cost nothing. Each cell receives its terms
+/// in pair order, then ascending `k` — with `pairs` in ascending
+/// contraction order, ascending global `k`.
 pub fn block_multiply_sparse(
     pairs: &[(&ColumnIndex, &ColumnIndex)],
     acc: &mut SparseAccumulator,
@@ -247,25 +350,29 @@ pub fn block_multiply_sparse(
             .all(|(a, b)| a.rows == rows && b.cols() == cols && a.cols() == b.rows),
         "pairs must share the output extent and agree on their inner extents"
     );
-    acc.fit(rows);
-    let mut out = Vec::new();
-    for c in 0..cols {
-        let mut touched_any = false;
-        for (a, b) in pairs {
-            let (ks, vbs) = b.column(c);
-            for (&k, &vb) in ks.iter().zip(vbs) {
-                let (rs, vas) = a.column(k as usize);
-                touched_any |= !rs.is_empty();
-                for (&r, &va) in rs.iter().zip(vas) {
-                    acc.sums[r as usize] += va * vb;
-                    acc.touched.set(r as usize, true);
-                }
+    acc.fit(rows * cols);
+    let (sums, mut marker) = acc.split();
+    for (a, b) in pairs {
+        for ((&k, &c), &vb) in b.row.iter().zip(&b.col).zip(&b.val) {
+            let base = c as usize * rows;
+            let (rs, vas) = a.column(k as usize);
+            for (&r, &va) in rs.iter().zip(vas) {
+                let i = base + r as usize;
+                sums[i] += va * vb;
+                marker.mark(i);
             }
         }
-        if touched_any {
-            acc.flush_into(c * rows, &mut out);
-        }
     }
+    drop(marker);
+    let mut out = Vec::with_capacity(acc.touched_count());
+    acc.drain_words(|w, word, sums| {
+        for_each_bit(word, w * WORD_BITS, &mut |i| {
+            let v = std::mem::take(&mut sums[i]);
+            if v != 0.0 {
+                out.push((i as u32, v));
+            }
+        })
+    });
     out
 }
 
@@ -391,13 +498,10 @@ pub fn block_transpose(
         next[r + 1] += next[r];
     }
     let mut cells = vec![(0usize, 0.0f64); index.row.len()];
-    for c in 0..cols {
-        let (rs, vs) = index.column(c);
-        for (&r, &v) in rs.iter().zip(vs) {
-            let r = r as usize;
-            cells[next[r]] = (c + r * cols, v);
-            next[r] += 1;
-        }
+    for ((&r, &c), &v) in index.row.iter().zip(&index.col).zip(&index.val) {
+        let r = r as usize;
+        cells[next[r]] = (c as usize + r * cols, v);
+        next[r] += 1;
     }
     Chunk::from_sorted_cells(rows * cols, cells, policy)
 }
@@ -506,6 +610,56 @@ mod tests {
             .collect()
     }
 
+    /// The retired multiply-side kernel, kept as the bit-identity reference
+    /// for the volume accumulator: output column by output column, every
+    /// pair's contribution summed in a `rows`-long scratch and flushed
+    /// through its touched rows before the next column starts.
+    fn retired_column_walk(pairs: &[(&ColumnIndex, &ColumnIndex)]) -> Vec<(u32, f64)> {
+        let Some(&(first_a, first_b)) = pairs.first() else {
+            return Vec::new();
+        };
+        let (rows, cols) = (first_a.rows, first_b.cols());
+        let mut sums = vec![0.0; rows];
+        let mut touched = Bitmask::zeros(rows);
+        let mut out = Vec::new();
+        for c in 0..cols {
+            for (a, b) in pairs {
+                let (ks, vbs) = b.column(c);
+                for (&k, &vb) in ks.iter().zip(vbs) {
+                    let (rs, vas) = a.column(k as usize);
+                    for (&r, &va) in rs.iter().zip(vas) {
+                        sums[r as usize] += va * vb;
+                        touched.set(r as usize, true);
+                    }
+                }
+            }
+            for r in touched.iter_ones() {
+                let v = std::mem::take(&mut sums[r]);
+                if v != 0.0 {
+                    out.push(((c * rows + r) as u32, v));
+                }
+            }
+            touched.clear();
+        }
+        out
+    }
+
+    /// Panics unless the sums and both mask levels are all zero.
+    fn assert_drained(acc: &SparseAccumulator, after: &str) {
+        assert!(
+            acc.sums.iter().all(|v| v.to_bits() == 0),
+            "sums not zero after {after}"
+        );
+        assert!(
+            acc.touched.iter().all(|&w| w == 0),
+            "touched not zero after {after}"
+        );
+        assert!(
+            acc.upper.iter().all(|&w| w == 0),
+            "upper not zero after {after}"
+        );
+    }
+
     /// A `rows × cols` block of `nnz` distinct cells under `policy`.
     /// `integral` values are small integers of both signs (sums cancel
     /// exactly); otherwise reals of both signs (sums round).
@@ -581,11 +735,7 @@ mod tests {
             let a_index = ColumnIndex::of_block(&a, a_rows, inner);
             let b_index = ColumnIndex::of_block(&b, inner, b_cols);
             let got = block_multiply_sparse(&[(&a_index, &b_index)], &mut acc);
-
-            assert!(
-                acc.sums.iter().all(|v| v.to_bits() == 0) && acc.touched.all_zero(),
-                "accumulator must be all-zero after a product"
-            );
+            assert_drained(&acc, "a product");
             assert!(
                 got.windows(2).all(|w| w[0].0 < w[1].0),
                 "offsets must ascend strictly"
@@ -741,10 +891,7 @@ mod tests {
                 indexed.iter().map(|(a, b)| (a, b)).collect();
 
             let got = block_multiply_sparse(&pairs, &mut acc);
-            assert!(
-                acc.sums.iter().all(|v| v.to_bits() == 0) && acc.touched.all_zero(),
-                "accumulator must be all-zero after a product"
-            );
+            assert_drained(&acc, "a product");
             assert!(
                 got.windows(2).all(|w| w[0].0 < w[1].0),
                 "offsets must ascend strictly"
@@ -835,11 +982,8 @@ mod tests {
             acc.fit(volume);
             acc.add_runs(runs.iter().map(Vec::as_slice));
             let got = acc.take_chunk(&policy);
-            assert!(
-                acc.sums.iter().all(|v| v.to_bits() == 0) && acc.touched.all_zero(),
-                "accumulator must be all-zero after a drain"
-            );
-            assert_eq!((acc.sums.len(), acc.touched.len()), (volume, volume));
+            assert_drained(&acc, "a drain");
+            assert_eq!(acc.sums.len(), volume);
 
             let merged = runs.iter().cloned().fold(Vec::new(), merge_sparse_partials);
             let cells: Vec<(usize, f64)> = merged
@@ -865,6 +1009,151 @@ mod tests {
         });
         assert_eq!(modes_seen, [true; 3], "every mode must be generated");
         assert!(cancellations > 0 && empties > 0);
+    }
+
+    /// A `rows × cols` block of one cell up to `volume / 200` cells
+    /// (duplicate draws merge), built from its sorted cells with no scratch
+    /// of its volume. Values never cancel to zero on their own.
+    fn hypersparse_block(
+        rng: &mut spangle_testkit::Rng,
+        rows: usize,
+        cols: usize,
+        integral: bool,
+    ) -> Chunk<f64> {
+        let volume = rows * cols;
+        let nnz = match rng.usize_in(0..3) {
+            0 => 1,
+            1 => rng.usize_in(1..8),
+            _ => rng.usize_in(1..(volume / 200).max(1) + 1),
+        };
+        let mut offsets: Vec<usize> = (0..nnz).map(|_| rng.usize_in(0..volume)).collect();
+        offsets.sort_unstable();
+        offsets.dedup();
+        let cells: Vec<(usize, f64)> = offsets
+            .into_iter()
+            .map(|local| {
+                let sign = [-1.0, 1.0][rng.usize_in(0..2)];
+                let magnitude = if integral {
+                    rng.usize_in(1..3) as f64
+                } else {
+                    rng.f64_unit() + 0.5
+                };
+                (local, sign * magnitude)
+            })
+            .collect();
+        Chunk::from_sorted_cells(volume, cells, &ChunkPolicy::default()).expect("nnz >= 1")
+    }
+
+    /// The sizes the benchmark's gram workloads run — output blocks of
+    /// 4 097 cells up to 512², ragged extents, hypersparse operands, 1–24
+    /// pairs per output block — where the upper mask level spans several
+    /// words. The product equals the retired column walk bit for bit; the
+    /// runs of the same pairs split over up to four map partitions, summed
+    /// as the reduce side sums them, drain into the chunk `from_sorted_cells`
+    /// builds from their merge, byte for byte and — SuperSparse — mask
+    /// structure included. Every product and every drain leaves the sums
+    /// and both mask levels all-zero.
+    #[test]
+    fn benchmark_sized_hypersparse_products_match_the_column_walk_and_drain_clean() {
+        let mut acc = SparseAccumulator::default();
+        let mut modes_seen = [false; 3];
+        let (mut cancellations, mut pair_counts) = (0usize, Vec::new());
+        spangle_testkit::run_cases(0x5A12, 64, |rng| {
+            let (rows, cols) = if rng.usize_in(0..4) == 0 {
+                (512, 512)
+            } else {
+                let rows = rng.usize_in(9..513);
+                (rows, rng.usize_in(4097usize.div_ceil(rows)..513))
+            };
+            let volume = rows * cols;
+            let integral = rng.bool();
+            let num_pairs = rng.usize_in(1..25);
+            pair_counts.push(num_pairs);
+            let mut blocks: Vec<(usize, Chunk<f64>, Chunk<f64>)> = (0..num_pairs)
+                .map(|_| {
+                    let inner = rng.usize_in(1..513);
+                    let a = hypersparse_block(rng, rows, inner, integral);
+                    let b = hypersparse_block(rng, inner, cols, integral);
+                    (inner, a, b)
+                })
+                .collect();
+            // Hypersparse terms rarely meet; a last pair that negates the
+            // first makes every one of its cells cancel in exact arithmetic.
+            if num_pairs > 1 && rng.bool() {
+                let (inner, a, b) = &blocks[0];
+                blocks[num_pairs - 1] = (*inner, a.map_values(|v| -v), b.clone());
+            }
+            let indexed: Vec<(ColumnIndex, ColumnIndex)> = blocks
+                .iter()
+                .map(|(inner, a, b)| {
+                    (
+                        ColumnIndex::of_block(a, rows, *inner),
+                        ColumnIndex::of_block(b, *inner, cols),
+                    )
+                })
+                .collect();
+            let pairs: Vec<(&ColumnIndex, &ColumnIndex)> =
+                indexed.iter().map(|(a, b)| (a, b)).collect();
+
+            let got = block_multiply_sparse(&pairs, &mut acc);
+            assert_drained(&acc, "a product");
+            assert_eq!(
+                bits(&got),
+                bits(&retired_column_walk(&pairs)),
+                "{rows}x{cols}, {num_pairs} pairs: runs must be bit-identical"
+            );
+
+            let per_partition = num_pairs.div_ceil(rng.usize_in(1..5));
+            let runs: Vec<Vec<(u32, f64)>> = pairs
+                .chunks(per_partition)
+                .map(|partition| block_multiply_sparse(partition, &mut acc))
+                .collect();
+            assert_drained(&acc, "a product");
+            let policy = generated_policy(rng);
+            acc.fit(volume);
+            acc.add_runs(runs.iter().map(Vec::as_slice));
+            let chunk = acc.take_chunk(&policy);
+            assert_drained(&acc, "a drain");
+
+            let merged = runs.into_iter().fold(Vec::new(), merge_sparse_partials);
+            let cells: Vec<(usize, f64)> = merged
+                .iter()
+                .filter(|(_, v)| *v != 0.0)
+                .map(|&(i, v)| (i as usize, v))
+                .collect();
+            cancellations += merged.len() - cells.len();
+            let expected = Chunk::from_sorted_cells(volume, cells, &policy);
+            match (&chunk, &expected) {
+                (None, None) => {}
+                (Some(got), Some(expected)) => {
+                    modes_seen[got.mode() as usize] = true;
+                    assert_eq!(got.mode(), expected.mode());
+                    use spangle_dataflow::MemSize;
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    got.spill_encode(&mut a);
+                    expected.spill_encode(&mut b);
+                    assert_eq!(a, b, "encodings must agree byte for byte");
+                    assert_eq!(got.mem_bytes(), expected.mem_bytes());
+                    if let (
+                        Chunk::SuperSparse { mask: got, .. },
+                        Chunk::SuperSparse { mask: expected, .. },
+                    ) = (got, expected)
+                    {
+                        assert_eq!(got, expected, "hierarchical masks must agree");
+                    }
+                }
+                _ => panic!("one path built a chunk, the other none"),
+            }
+        });
+        assert!(
+            modes_seen[ChunkMode::SuperSparse as usize] && modes_seen[ChunkMode::Dense as usize],
+            "SuperSparse and Dense drains must both occur: {modes_seen:?}"
+        );
+        assert!(cancellations > 0, "no case exercised an exact cancellation");
+        assert!(
+            pair_counts.contains(&1) && pair_counts.iter().any(|&n| n > 16),
+            "one pair and many pairs: {pair_counts:?}"
+        );
     }
 
     #[test]

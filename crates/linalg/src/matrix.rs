@@ -225,8 +225,9 @@ impl DistMatrix {
         // Every block is indexed once — under its key it meets every block
         // of the other side — and every output block the partition
         // contributes to is summed over *all* the partition's keys in one
-        // accumulator before it is emitted, so a term costs its
-        // multiply-add and an entry is written once. What crosses the
+        // accumulator of the block's volume (allocated once per task, drained
+        // through its touched words) before it is emitted, so a term costs
+        // its multiply-add and an entry is written once. What crosses the
         // shuffle is one sorted `(local offset, value)` run per partition
         // and output block: hyper-sparse contractions (the MᵀM cases that
         // OOM dense systems, §VII-C) stay proportional to their non-zeros.

@@ -1,0 +1,113 @@
+#!/usr/bin/env bash
+# A/B of the benchmark's contract command: a parent revision against the
+# working tree, in alternating pairs.
+#
+# Usage:
+#   scripts/ab.sh <parent-rev> <workloads> [pairs] [seed] [seconds]
+#
+#   <workloads>  comma-separated, e.g. gram_hypersparse,gram_shuffle
+#   [pairs]      alternating pairs per workload (default 5)
+#   [seed]       --seed of every run (default 11)
+#   [seconds]    --seconds of every run (default 8)
+#
+# The parent is exported with `git archive`, and the working tree (tracked
+# and untracked, ignored files excluded) copied, into a work directory
+# outside the repository: AB_WORK if set, else a fresh `mktemp -d`. Each
+# side's benchmark/ is built there with its own CARGO_TARGET_DIR, and every
+# run's working directory is the work directory, so the benchmark's temp
+# files land there too: nothing is written inside the repository. Pairs
+# alternate which side runs first. Prints one line per run (side,
+# workload, failed ops, the five end-to-end metrics), then per workload
+# each metric's median per side, and for `op_p10_ms` how many change runs
+# are below every parent run.
+set -euo pipefail
+
+[ $# -ge 2 ] || { awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' "$0"; exit 2; }
+parent_rev=$1
+IFS=, read -r -a workloads <<<"$2"
+pairs=${3:-5}
+seed=${4:-11}
+seconds=${5:-8}
+metrics=(setup_s op_p10_ms peak_rss_bytes resident_peak_bytes moved_bytes_per_op)
+
+repo=$(cd "$(dirname "$0")/.." && pwd)
+work=${AB_WORK:-$(mktemp -d)}
+mkdir -p "$work/parent" "$work/change"
+echo "== work directory $work"
+
+git -C "$repo" archive "$(git -C "$repo" rev-parse --verify "$parent_rev^{commit}")" |
+    tar -x -C "$work/parent"
+git -C "$repo" ls-files -z --cached --others --exclude-standard |
+    (cd "$repo" && tar --null -T - -cf -) | tar -x -C "$work/change"
+
+for side in parent change; do
+    echo "== building $side"
+    CARGO_TARGET_DIR="$work/$side-build" cargo build --release --quiet \
+        --manifest-path "$work/$side/benchmark/Cargo.toml"
+done
+
+results="$work/runs.txt"
+: >"$results"
+
+# Runs one side once and appends its line to the results.
+run_one() {
+    local side=$1 workload=$2 line values
+    line=$(cd "$work" && "$work/$side-build/release/spangle_benchmark" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
+    values="failed=$(sed -E 's/.*"failed":([^,}]+).*/\1/' <<<"$line")"
+    for m in "${metrics[@]}"; do
+        values+=" $m=$(sed -E "s/.*\"$m\":\\{\"value\":([^,}]+).*/\\1/" <<<"$line")"
+    done
+    echo "$side $workload $values" | tee -a "$results"
+}
+
+for workload in "${workloads[@]}"; do
+    for ((pair = 0; pair < pairs; pair++)); do
+        if ((pair % 2 == 0)); then order=(parent change); else order=(change parent); fi
+        for side in "${order[@]}"; do run_one "$side" "$workload"; done
+    done
+done
+
+echo "== medians (parent → change)"
+awk -v names="${metrics[*]}" '
+    function median(list,    n, a, i, j, t) {
+        n = split(list, a, " ")
+        for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] + 0 > a[j] + 0; j--) {
+            t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
+        }
+        return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+    }
+    function sum(list,    n, a, i, s) {
+        n = split(list, a, " ")
+        for (i = 1; i <= n; i++) s += a[i]
+        return s
+    }
+    {
+        if (!($2 in seen)) { seen[$2] = 1; order[++workloads] = $2 }
+        for (f = 3; f <= NF; f++) {
+            split($f, kv, "=")
+            runs[$1, $2, kv[1]] = runs[$1, $2, kv[1]] " " kv[2]
+        }
+    }
+    END {
+        n = split(names, metric, " ")
+        for (w = 1; w <= workloads; w++) {
+            wl = order[w]
+            printf "%s  failed ops, all runs: %d → %d\n", wl, sum(runs["parent", wl, "failed"]),
+                sum(runs["change", wl, "failed"])
+            for (i = 1; i <= n; i++) {
+                p = median(runs["parent", wl, metric[i]])
+                c = median(runs["change", wl, metric[i]])
+                printf "  %-20s %16.10g → %-16.10g (%+.1f %%)\n", metric[i], p, c,
+                    p != 0 ? 100 * (c - p) / p : 0
+            }
+            np = split(runs["parent", wl, "op_p10_ms"], pv, " ")
+            nc = split(runs["change", wl, "op_p10_ms"], cv, " ")
+            lowest = pv[1]
+            for (i = 2; i <= np; i++) if (pv[i] + 0 < lowest + 0) lowest = pv[i]
+            below = 0
+            for (i = 1; i <= nc; i++) if (cv[i] + 0 < lowest + 0) below++
+            printf "  op_p10_ms: %d of %d change runs below every parent run\n", below, nc
+        }
+    }' "$results"
+echo "== runs kept in $results"

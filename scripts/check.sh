@@ -17,6 +17,10 @@
 # own, bench is for whoever refreshes the committed figure artifacts.
 # loc gates nothing: it prints the code-line count a [simplicity] PR
 # reports before → after.)
+#
+# A perf change's A/B against its parent revision is not a step here:
+# scripts/ab.sh <parent-rev> <workloads> [pairs] [seed] [seconds] builds
+# both sides' benchmark/ outside the repository and alternates their runs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
