@@ -376,11 +376,8 @@ fn main() {
             snap.tasks_speculated, snap.speculation_wins, snap.tasks_cancelled,
         );
         println!(
-            "   health so far: {} heartbeats missed, {} watchdog trips, \
-             {} executors quarantined, {:.1} ms retry backoff",
-            snap.heartbeats_missed,
+            "   health so far: {} watchdog trips, {:.1} ms retry backoff",
             snap.watchdog_trips,
-            snap.executors_quarantined,
             snap.backoff_nanos as f64 / 1e6,
         );
         json_workloads.push(Json::obj(vec![
@@ -423,12 +420,7 @@ fn main() {
             ("blocks_spilled", Json::U64(final_snap.blocks_spilled)),
             ("blocks_rehydrated", Json::U64(final_snap.blocks_rehydrated)),
             ("spill_bytes", Json::U64(final_snap.spill_bytes)),
-            ("heartbeats_missed", Json::U64(final_snap.heartbeats_missed)),
             ("watchdog_trips", Json::U64(final_snap.watchdog_trips)),
-            (
-                "executors_quarantined",
-                Json::U64(final_snap.executors_quarantined),
-            ),
             ("backoff_nanos", Json::U64(final_snap.backoff_nanos)),
             ("workloads", Json::Arr(json_workloads)),
         ]),

@@ -268,12 +268,7 @@ fn main() {
             ("blocks_spilled", Json::U64(final_snap.blocks_spilled)),
             ("blocks_rehydrated", Json::U64(final_snap.blocks_rehydrated)),
             ("spill_bytes", Json::U64(final_snap.spill_bytes)),
-            ("heartbeats_missed", Json::U64(final_snap.heartbeats_missed)),
             ("watchdog_trips", Json::U64(final_snap.watchdog_trips)),
-            (
-                "executors_quarantined",
-                Json::U64(final_snap.executors_quarantined),
-            ),
             ("backoff_nanos", Json::U64(final_snap.backoff_nanos)),
             ("graphs", Json::Arr(json_graphs)),
         ]),

@@ -37,7 +37,7 @@ fn main() {
     }
     let snap = ctx.metrics_snapshot();
     println!(
-        "speculated {} watchdog trips {} heartbeats missed {} retries {}",
-        snap.tasks_speculated, snap.watchdog_trips, snap.heartbeats_missed, snap.task_retries
+        "speculated {} watchdog trips {} retries {}",
+        snap.tasks_speculated, snap.watchdog_trips, snap.task_retries
     );
 }

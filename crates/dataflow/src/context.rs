@@ -105,11 +105,7 @@ pub struct SpangleContext {
 ///         multiplier: 3.0,
 ///         min_runtime: Duration::from_millis(5),
 ///     })
-///     .heartbeat_interval(Duration::from_millis(50))
-///     .missed_heartbeat_limit(8)
 ///     .watchdog_interval(Duration::from_secs(5))
-///     .quarantine_threshold(0.4)
-///     .quarantine_probation(Duration::from_millis(200))
 ///     .build();
 /// assert_eq!(ctx.num_executors(), 4);
 /// assert_eq!(ctx.max_task_attempts(), 2);
@@ -131,8 +127,7 @@ pub struct SpangleContextBuilder {
     /// Whether crossing the memory watermark demotes cold blocks to the
     /// on-disk spill tier (instead of only shedding/queueing work).
     spill_to_disk: bool,
-    /// Heartbeat/watchdog/quarantine thresholds for the driver's health
-    /// monitor.
+    /// The driver's no-progress watchdog.
     pub(crate) health: HealthConfig,
     /// Seeded exponential backoff applied to every retry path.
     pub(crate) backoff: RetryBackoffConfig,
@@ -300,40 +295,11 @@ impl SpangleContextBuilder {
         self
     }
 
-    /// Expected spacing of executor heartbeats (default 100 ms; the
-    /// `SPANGLE_HEARTBEAT_MS` environment variable overrides the default,
-    /// an explicit call here wins). Heartbeats come from the pool's
-    /// dedicated heartbeater thread — not from task bodies, so a body
-    /// deep in a long compute kernel never looks dead. Together with
-    /// [`SpangleContextBuilder::missed_heartbeat_limit`] this sets the
-    /// loss threshold: a *busy* executor silent for
-    /// `heartbeat_interval * missed_heartbeat_limit` is declared lost by
-    /// the driver's monitor and killed through the normal
-    /// [`SpangleContext::kill_executor`] recovery path. Idle executors
-    /// (blocked on their queues) are exempt.
-    pub fn heartbeat_interval(mut self, interval: std::time::Duration) -> Self {
-        assert!(
-            !interval.is_zero(),
-            "a zero heartbeat interval would declare everything lost"
-        );
-        self.health.heartbeat_interval = interval;
-        self
-    }
-
-    /// Consecutive missed heartbeats before a busy executor is declared
-    /// lost (default 10). The defaults keep the loss threshold well above
-    /// any transient stall of the heartbeater itself.
-    pub fn missed_heartbeat_limit(mut self, limit: u32) -> Self {
-        assert!(limit > 0, "at least one heartbeat must be missable");
-        self.health.missed_heartbeat_limit = limit;
-        self
-    }
-
-    /// No-progress watchdog: a running task whose executor still
-    /// heartbeats but whose chunk-boundary progress counter has not moved
-    /// for this long is duplicated through the speculation path (default
-    /// 10 s; the `SPANGLE_WATCHDOG_MS` environment variable overrides the
-    /// default, an explicit call here wins).
+    /// No-progress watchdog: a running task whose executor's
+    /// chunk-boundary progress counter has not moved for this long is
+    /// duplicated through the speculation path (default 10 s; the
+    /// `SPANGLE_WATCHDOG_MS` environment variable overrides the default,
+    /// an explicit call here wins).
     pub fn watchdog_interval(mut self, interval: std::time::Duration) -> Self {
         assert!(
             !interval.is_zero(),
@@ -343,27 +309,9 @@ impl SpangleContextBuilder {
         self
     }
 
-    /// Recent task-failure rate at or above which an executor is
-    /// quarantined: drained, excluded from placement/steals/speculation,
-    /// re-admitted after probation with one canary task (default 0.5).
-    pub fn quarantine_threshold(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "a failure rate is in [0, 1]");
-        self.health.quarantine_threshold = rate;
-        self
-    }
-
-    /// How long a quarantined executor is drained before probation offers
-    /// it a canary task (default 250 ms; doubled with seeded jitter each
-    /// time a canary fails).
-    pub fn quarantine_probation(mut self, probation: std::time::Duration) -> Self {
-        self.health.probation = probation;
-        self
-    }
-
-    /// Enables or disables the whole health-monitoring layer — heartbeat
-    /// loss detection, the no-progress watchdog, and quarantine (default
-    /// on). Off restores the announced-failures-only behavior: only
-    /// `kill_executor` and injected failures trigger recovery.
+    /// Enables or disables health monitoring — the no-progress watchdog
+    /// (default on). Off restores the announced-failures-only behavior:
+    /// only `kill_executor` and injected failures trigger recovery.
     pub fn health_monitoring(mut self, enabled: bool) -> Self {
         self.health.enabled = enabled;
         self
@@ -381,11 +329,6 @@ impl SpangleContextBuilder {
     /// Starts the cluster.
     pub fn build(self) -> SpangleContext {
         let pool = ExecutorPool::new(self.executors);
-        if self.health.enabled {
-            pool.start_heartbeater(self.health.heartbeat_interval);
-        }
-        let failures = FailureInjector::default();
-        failures.attach_health(Arc::clone(pool.health_board()));
         // Every thread is spawned before the spill store's temp-dir sweep:
         // which malloc arena a new thread inherits from a retired context
         // is a race the sweep's syscalls otherwise tilt (peak RSS +25 MB).
@@ -399,7 +342,7 @@ impl SpangleContextBuilder {
                 shuffle: ShuffleService::new(Arc::clone(&spill)),
                 cache: BlockManager::new(spill),
                 metrics: Arc::default(),
-                failures,
+                failures: FailureInjector::default(),
                 next_rdd_id: AtomicUsize::new(0),
                 next_shuffle_id: AtomicUsize::new(0),
                 next_stage_id: AtomicUsize::new(0),
@@ -603,13 +546,6 @@ impl SpangleContext {
     /// cluster started, indexed by the thief.
     pub fn executor_steals(&self) -> Vec<u64> {
         self.inner.pool.steals_per_executor()
-    }
-
-    /// Executors currently excluded from placement by the failure-rate
-    /// quarantine: drained, on probation, or mid-canary. Empty on a
-    /// healthy cluster (and always empty with health monitoring off).
-    pub fn quarantined_executors(&self) -> Vec<usize> {
-        self.inner.pool.health_board().quarantined_executors()
     }
 
     pub(crate) fn new_rdd_id(&self) -> usize {

@@ -38,14 +38,14 @@
 //! on the replacement incarnation, exactly like Spark rescheduling a lost
 //! executor's pending tasks.
 
-use crate::health::{ExecutorSlot, HealthBoard};
+use crate::health::ExecutorSlot;
 use crate::sync::{Mutex, Next, StealQueues};
 use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Cooperative cancellation handle shared between a task attempt and the
 /// scheduler that may want to interrupt it.
@@ -93,27 +93,16 @@ thread_local! {
     /// Health slot of the executor this worker thread serves, installed
     /// once at thread start so chunk-boundary instrumentation can stamp
     /// progress without reaching for the pool.
-    static CURRENT_HEALTH: RefCell<Option<(Arc<HealthBoard>, usize)>> =
+    static CURRENT_HEALTH: RefCell<Option<(Arc<[ExecutorSlot]>, usize)>> =
         const { RefCell::new(None) };
 }
 
-/// Stamps a chunk-boundary progress tick (which is also a heartbeat) for
-/// the executor running this thread. No-op on driver threads.
+/// Stamps a chunk-boundary progress tick for the executor running this
+/// thread. No-op on driver threads.
 fn stamp_progress_tick() {
     CURRENT_HEALTH.with(|slot| {
-        if let Some((board, executor)) = slot.borrow().as_ref() {
-            board.slot(*executor).stamp_progress();
-        }
-    });
-}
-
-/// Stamps a heartbeat *without* a progress tick for the executor running
-/// this thread — the injected stall spin uses this to look alive but
-/// stuck. No-op on driver threads.
-pub(crate) fn stamp_heartbeat_only() {
-    CURRENT_HEALTH.with(|slot| {
-        if let Some((board, executor)) = slot.borrow().as_ref() {
-            board.slot(*executor).stamp_heartbeat();
+        if let Some((slots, executor)) = slot.borrow().as_ref() {
+            slots[*executor].stamp_progress();
         }
     });
 }
@@ -199,8 +188,6 @@ pub struct Executing {
     pub since: Instant,
     /// The executor's progress-tick count.
     pub progress: u64,
-    /// Time since the executor last stamped a heartbeat.
-    pub silent_for: Duration,
 }
 
 /// Where a task was placed and where it actually ran.
@@ -308,14 +295,10 @@ struct PlacedTask {
 pub struct ExecutorPool {
     queues: Arc<StealQueues<PlacedTask>>,
     /// One [`ExecutorSlot`] per executor — incarnation, running task,
-    /// counters, heartbeat, placement state — shared with the worker
-    /// threads, the heartbeater and the driver's health monitor.
-    board: Arc<HealthBoard>,
+    /// counters, progress — shared with the worker threads and read by
+    /// the driver's straggler scan.
+    slots: Arc<[ExecutorSlot]>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Stop flag for the heartbeater thread (see
-    /// [`ExecutorPool::start_heartbeater`]); the thread's handle joins the
-    /// workers' in `handles`.
-    heartbeater_stop: Arc<AtomicBool>,
     /// Calls of [`ExecutorPool::executing`], the scheduler's only look at
     /// running tasks: its scan-count regression test reads this.
     #[cfg(test)]
@@ -328,23 +311,21 @@ impl ExecutorPool {
         assert!(num_executors > 0, "a cluster needs at least one executor");
         silence_cancellation_panics();
         let queues = Arc::new(StealQueues::<PlacedTask>::new(num_executors));
-        let board = Arc::new(HealthBoard::new(num_executors));
+        let slots: Arc<[ExecutorSlot]> = (0..num_executors).map(|_| Default::default()).collect();
         let mut handles = Vec::with_capacity(num_executors);
         for i in 0..num_executors {
             let queues = Arc::clone(&queues);
-            let board = Arc::clone(&board);
+            let slots = Arc::clone(&slots);
             let handle = std::thread::Builder::new()
                 .name(format!("spangle-executor-{i}"))
                 .spawn(move || {
-                    let slot = board.slot(i);
+                    let slot = &slots[i];
                     // Install this worker's slot so chunk-boundary
                     // instrumentation (cancellation_point) can stamp
                     // progress from inside task bodies.
-                    CURRENT_HEALTH.with(|tls| *tls.borrow_mut() = Some((Arc::clone(&board), i)));
+                    CURRENT_HEALTH.with(|tls| *tls.borrow_mut() = Some((Arc::clone(&slots), i)));
                     loop {
-                        // A quarantined worker drains its own queue but
-                        // pulls no healthy work onto itself.
-                        let (task, stolen) = match queues.next(i, || slot.is_healthy()) {
+                        let (task, stolen) = match queues.next(i) {
                             Next::Local(task) => (task, false),
                             Next::Stolen { item, .. } => (item, true),
                             Next::Closed => break,
@@ -374,60 +355,21 @@ impl ExecutorPool {
         }
         ExecutorPool {
             queues,
-            board,
+            slots,
             handles: Mutex::new(handles),
-            heartbeater_stop: Arc::new(AtomicBool::new(false)),
             #[cfg(test)]
             looks: Default::default(),
         }
     }
 
-    /// Spawns the pool's dedicated heartbeater: one thread stamping every
-    /// executor slot's heartbeat each half-`interval` (paused slots are
-    /// suppressed by the slot, which is how tests inject silence).
-    ///
-    /// Heartbeats deliberately do NOT ride the task bodies alone: a body
-    /// deep in a long compute kernel may not reach a chunk boundary for
-    /// seconds, and a busy executor is not a dead one — killing it would
-    /// discard committed map output and melt down into recompute storms.
-    /// This thread models the dedicated heartbeater a remote executor
-    /// *process* would run (as in Spark's driver-side HeartbeatReceiver):
-    /// heartbeat silence means the executor is gone, not slow. Task-level
-    /// hangs stay the no-progress watchdog's job, whose response (a
-    /// first-completion-wins duplicate) is safe against false positives.
-    /// Idempotent; the thread exits on [`ExecutorPool::shutdown`].
-    pub(crate) fn start_heartbeater(&self, interval: Duration) {
-        let mut handles = self.handles.lock();
-        if self.heartbeater_stop.load(Ordering::SeqCst)
-            || handles
-                .iter()
-                .any(|h| h.thread().name() == Some("spangle-heartbeat"))
-        {
-            return;
-        }
-        let board = Arc::clone(&self.board);
-        let stop = Arc::clone(&self.heartbeater_stop);
-        let step = (interval / 2).clamp(Duration::from_millis(1), Duration::from_millis(50));
-        let handle = std::thread::Builder::new()
-            .name("spangle-heartbeat".into())
-            .spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    board.slots().iter().for_each(ExecutorSlot::stamp_heartbeat);
-                    std::thread::sleep(step);
-                }
-            })
-            .expect("failed to spawn heartbeater thread");
-        handles.push(handle);
-    }
-
     /// Number of executors in the cluster.
     pub fn num_executors(&self) -> usize {
-        self.slots().len()
+        self.slots.len()
     }
 
     /// Current incarnation of an executor slot (0 until its first kill).
     pub fn epoch(&self, executor: usize) -> u64 {
-        self.slot(executor).epoch()
+        self.slots[executor].epoch()
     }
 
     /// Kills the current incarnation of `executor` and seats a replacement
@@ -445,7 +387,7 @@ impl ExecutorPool {
     /// its next cancellation point instead of running its remainder to
     /// completion just to be declared lost.
     pub fn kill(&self, executor: usize) -> u64 {
-        self.slot(executor).kill()
+        self.slots[executor].kill()
     }
 
     /// Whether `executor`'s current incarnation is a warming replacement:
@@ -453,7 +395,7 @@ impl ExecutorPool {
     /// task. A freshly-constructed pool is never warming (epoch 0 counts
     /// as warmed at birth).
     pub fn is_warming(&self, executor: usize) -> bool {
-        self.slot(executor).is_warming()
+        self.slots[executor].is_warming()
     }
 
     /// Number of executor slots whose replacement incarnation has not yet
@@ -462,7 +404,7 @@ impl ExecutorPool {
     /// healthy executors) until they prove themselves.
     pub fn warming_replacements(&self) -> usize {
         let warming = |slot: &&ExecutorSlot| slot.is_warming();
-        self.slots().iter().filter(warming).count()
+        self.slots.iter().filter(warming).count()
     }
 
     /// Whether the incarnation that produced `origin` is still alive.
@@ -485,15 +427,7 @@ impl ExecutorPool {
     /// when the pool has been shut down, so a job racing a teardown can
     /// abort cleanly.
     pub fn submit(&self, partition: usize, task: Task) -> Result<(), PoolShutdown> {
-        self.submit_on(self.place(partition), TaskTag::default(), None, task)
-    }
-
-    /// Where a task for `partition` goes right now: its home executor,
-    /// unless that slot's placement state diverts it (see
-    /// `HealthBoard::place` — a home on probation admits exactly one
-    /// canary, so call this once per task actually submitted).
-    pub fn place(&self, partition: usize) -> usize {
-        self.board.place(self.executor_for(partition))
+        self.submit_on(self.executor_for(partition), TaskTag::default(), None, task)
     }
 
     /// Queues a task on `executor`, ordered by the tag's job priority: a
@@ -522,29 +456,6 @@ impl ExecutorPool {
             .map_err(|_| PoolShutdown)
     }
 
-    /// The slot table, for holders that outlive a borrow of the pool (the
-    /// failure injector's pause flags).
-    pub(crate) fn health_board(&self) -> &Arc<HealthBoard> {
-        &self.board
-    }
-
-    /// Everything the pool knows about `executor`.
-    pub(crate) fn slot(&self, executor: usize) -> &ExecutorSlot {
-        self.board.slot(executor)
-    }
-
-    fn slots(&self) -> &[ExecutorSlot] {
-        self.board.slots()
-    }
-
-    /// Re-admits a quarantined `executor` as fully healthy (its canary
-    /// succeeded), and wakes the workers: its own may be asleep on an
-    /// empty queue beside a sibling's stealable backlog.
-    pub(crate) fn readmit(&self, executor: usize) {
-        self.slot(executor).mark_healthy();
-        self.queues.wake();
-    }
-
     /// Queued (not yet started) tasks per executor, indexed by executor id.
     /// Racy; used by the speculation planner to pick an idle slot for a
     /// duplicate attempt.
@@ -562,7 +473,7 @@ impl ExecutorPool {
     pub fn executing(&self) -> Vec<Option<Executing>> {
         #[cfg(test)]
         self.looks.fetch_add(1, Ordering::Relaxed);
-        self.slots().iter().map(ExecutorSlot::executing).collect()
+        self.slots.iter().map(ExecutorSlot::executing).collect()
     }
 
     /// Whether [`ExecutorPool::shutdown`] has run.
@@ -573,13 +484,13 @@ impl ExecutorPool {
     /// Nanoseconds each executor has spent running task bodies, indexed by
     /// executor id.
     pub fn busy_nanos(&self) -> Vec<u64> {
-        self.slots().iter().map(ExecutorSlot::busy_nanos).collect()
+        self.slots.iter().map(ExecutorSlot::busy_nanos).collect()
     }
 
     /// Tasks each executor ran that were placed on a sibling, indexed by
     /// the executor that did the stealing.
     pub fn steals_per_executor(&self) -> Vec<u64> {
-        self.slots().iter().map(ExecutorSlot::steals).collect()
+        self.slots.iter().map(ExecutorSlot::steals).collect()
     }
 
     /// Total tasks that ran away from their placed executor.
@@ -602,8 +513,7 @@ impl ExecutorPool {
     /// queues.
     pub fn shutdown(&self) {
         self.queues.close();
-        self.heartbeater_stop.store(true, Ordering::SeqCst);
-        self.slots().iter().for_each(ExecutorSlot::cancel_running);
+        self.slots.iter().for_each(ExecutorSlot::cancel_running);
         let handles = std::mem::take(&mut *self.handles.lock());
         let me = std::thread::current().id();
         for handle in handles {
@@ -874,40 +784,6 @@ mod tests {
             .unwrap();
         rx.recv()
             .expect("the worker must survive a panicking task and run the next one");
-    }
-
-    /// The worker hands its slot's placement state to the steal loop: a
-    /// quarantined executor drains what is placed on it and leaves a
-    /// sibling's backlog alone, until its re-admission wakes it to help.
-    #[test]
-    fn a_quarantined_executor_drains_its_queue_but_steals_nothing() {
-        let pool = ExecutorPool::new(2);
-        pool.slot(1).quarantine(Duration::from_secs(60));
-        let (release_tx, release_rx) = unbounded::<()>();
-        let (tx, rx) = unbounded();
-        let report = |tx: &crate::sync::channel::Sender<TaskInfo>| {
-            let tx = tx.clone();
-            Box::new(move |info: &TaskInfo| tx.send(*info).unwrap())
-        };
-        // Executor 0 is held on a task with a backlog of four behind it.
-        let held = Box::new(move |_: &TaskInfo| {
-            let _ = release_rx.recv();
-        });
-        pool.submit_on(0, TaskTag::default(), None, held).unwrap();
-        for _ in 0..4 {
-            pool.submit_on(0, TaskTag::default(), None, report(&tx))
-                .unwrap();
-        }
-        pool.submit_on(1, TaskTag::default(), None, report(&tx))
-            .unwrap();
-        let own = rx.recv().unwrap();
-        assert_eq!((own.ran_on, own.stolen), (1, false), "its own task runs");
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(pool.tasks_stolen(), 0, "the backlog is not its to take");
-        pool.readmit(1);
-        let helped = rx.recv().unwrap();
-        assert_eq!((helped.ran_on, helped.stolen), (1, true));
-        release_tx.send(()).unwrap();
     }
 
     #[test]

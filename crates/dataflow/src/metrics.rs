@@ -141,16 +141,11 @@ counters! {
     /// stays well defined; the live gauge is
     /// `SpangleContext::disk_resident_bytes`).
     disk_resident_bytes: DiskResidentBytes,
-    /// Heartbeat intervals found missed when the monitor declared a busy
-    /// executor lost (each detection adds the full interval count that
-    /// crossed the loss threshold).
+    /// Always zero; kept only because `benchmark/src/measure.rs` reads it.
     heartbeats_missed: HeartbeatsMissed,
     /// Running tasks the no-progress watchdog declared wedged and
     /// duplicated through the speculation path.
     watchdog_trips: WatchdogTrips,
-    /// Executors drained by the failure-rate quarantine (re-quarantines
-    /// after a failed canary count again).
-    executors_quarantined: ExecutorsQuarantined,
     /// Cumulative nanoseconds of seeded retry backoff scheduled before
     /// re-submitted task attempts.
     backoff_nanos: BackoffNanos,
@@ -550,7 +545,7 @@ mod tests {
         assert_eq!(got, expected);
         // Spot-check names against their rows: first, in between, last.
         assert_eq!((a.stages_run, a.tasks_stolen, a.fetch_failures), (1, 4, 14));
-        assert_eq!((a.stages_fused, a.backoff_nanos), (23, 36));
+        assert_eq!((a.stages_fused, a.backoff_nanos, COUNTERS), (23, 35, 35));
         // The arithmetic is field by field too.
         let mut b = MetricsSnapshot::default();
         b.bump(MetricField::SpillBytes, 7);

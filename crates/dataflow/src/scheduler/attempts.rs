@@ -53,7 +53,7 @@ pub(super) struct Ledger {
     /// The context's counters, ticked where the table decides.
     pub(super) metrics: Arc<Metrics>,
     /// The context's configuration: the attempt budget, the backoff, and
-    /// when the scan duplicates or declares lost.
+    /// when the scan duplicates.
     pub(super) config: Arc<SpangleContextBuilder>,
 }
 
@@ -464,41 +464,32 @@ impl StageRun {
     /// interval) and slow (running past `multiplier` × the median
     /// completed duration, floored at `min_runtime`; a stage with no
     /// sample never speculates) — and either launches a duplicate away
-    /// from it. The walk also learns which executors run this stage's
-    /// attempts: one of those silent past the loss threshold for as long
-    /// as its attempt has run is returned as lost, for the caller to
-    /// kill (the attempt's executor-lost event then replays it).
+    /// from it.
     pub(super) fn scan(
         &mut self,
         now: Instant,
         executing: &[Option<Executing>],
         ledger: &mut Ledger,
-    ) -> Result<(Vec<Launch>, Vec<usize>), JobError> {
+    ) -> Result<Vec<Launch>, JobError> {
         let (health, speculation) = (ledger.config.health, ledger.config.speculation);
-        let loss = health.loss_threshold();
         let executor_of = |live: &Live| {
             let runs = |r: &&Executing| r.token.same(&live.token);
             (0..executing.len()).find_map(|e| Some((e, executing[e].as_ref().filter(runs)?)))
         };
-        let (mut lost, mut decided, mut slow_after) = (Vec::new(), Vec::new(), None);
+        let (mut decided, mut slow_after) = (Vec::new(), None);
         for (p, slot) in self.slots.iter_mut().enumerate() {
             let State::Running { lives, watch } = &mut slot.state else {
                 continue;
             };
-            let at = lives.each_ref().map(|l| l.as_ref().and_then(executor_of));
-            for &(e, running) in at.iter().flatten() {
-                let silent = now.duration_since(running.since).min(running.silent_for);
-                if health.enabled && silent > loss && !lost.contains(&e) {
-                    let interval = health.heartbeat_interval.as_nanos().max(1);
-                    let missed = (running.silent_for.as_nanos() / interval) as u64;
-                    ledger.metrics.add(MetricField::HeartbeatsMissed, missed);
-                    lost.push(e);
-                }
-            }
             // Only a lone, original, singleton attempt that is executing
             // can be duplicated.
-            let lone = matches!(lives, [Some(original), None] if !original.grouped);
-            let Some((e, running)) = at[0].filter(|_| lone && executing.len() >= 2) else {
+            let lone = match lives {
+                [Some(original), None] if !original.grouped && executing.len() >= 2 => {
+                    executor_of(original)
+                }
+                _ => None,
+            };
+            let Some((e, running)) = lone else {
                 *watch = None;
                 continue;
             };
@@ -534,7 +525,7 @@ impl StageRun {
                 launches.push(launch);
             }
         }
-        Ok((launches, lost))
+        Ok(launches)
     }
 
     /// Cancels what is left of a settled slot's race.
@@ -607,8 +598,6 @@ mod tests {
                 multiplier: 2.0,
                 min_runtime: Duration::from_millis(10),
             })
-            .heartbeat_interval(Duration::from_millis(100))
-            .missed_heartbeat_limit(10)
             .watchdog_interval(Duration::from_millis(500));
         let ledger = Ledger {
             job_id: 1,
@@ -644,14 +633,12 @@ mod tests {
         launch: &Launch,
         since: Instant,
         progress: u64,
-        silent_for: Duration,
     ) -> Vec<Option<Executing>> {
         let mut executing = vec![None, None];
         executing[e] = Some(Executing {
             token: launch.token.clone(),
             since,
             progress,
-            silent_for,
         });
         executing
     }
@@ -758,10 +745,12 @@ mod tests {
         let step = run.on_outcome(0, fast.id, Ok(1_000_000), t0, &mut ledger);
         assert!(matches!(step, Ok(Step::Settled)));
         // 1 ms median × 2 is under the 10 ms floor: 9 ms is not slow, 11 is.
-        let executing = on_executor(0, &slow, t0, 0, ms(0));
-        let (dups, lost) = run.scan(t0 + ms(9), &executing, &mut ledger).unwrap();
-        assert!(dups.is_empty() && lost.is_empty());
-        let (dups, _) = run.scan(t0 + ms(11), &executing, &mut ledger).unwrap();
+        let executing = on_executor(0, &slow, t0, 0);
+        assert!(run
+            .scan(t0 + ms(9), &executing, &mut ledger)
+            .unwrap()
+            .is_empty());
+        let dups = run.scan(t0 + ms(11), &executing, &mut ledger).unwrap();
         assert_eq!(dups.len(), 1);
         let dup = &dups[0];
         assert_eq!(
@@ -774,7 +763,6 @@ mod tests {
         assert!(run
             .scan(t0 + ms(50), &executing, &mut ledger)
             .unwrap()
-            .0
             .is_empty());
         let step = run.on_outcome(1, dup.id, Ok(2_000_000), t0 + ms(60), &mut ledger);
         assert!(matches!(step, Ok(Step::Settled)));
@@ -865,31 +853,27 @@ mod tests {
     fn a_frozen_slot_trips_once_per_attempt_and_rearms_on_progress() {
         let (mut run, mut ledger, t0) = table(1, false);
         let task = run.launch(vec![0], &mut ledger);
-        let at = |progress| on_executor(1, &task, t0, progress, ms(0));
+        let at = |progress| on_executor(1, &task, t0, progress);
         // First sight baselines the watch; 500 ms without a tick trips it.
         assert!(run
             .scan(t0 + ms(10), &at(3), &mut ledger)
             .unwrap()
-            .0
             .is_empty());
         assert!(run
             .scan(t0 + ms(400), &at(3), &mut ledger)
             .unwrap()
-            .0
             .is_empty());
         // Progress re-arms the full interval from the tick's sighting.
         assert!(run
             .scan(t0 + ms(500), &at(4), &mut ledger)
             .unwrap()
-            .0
             .is_empty());
         assert!(run
             .scan(t0 + ms(990), &at(4), &mut ledger)
             .unwrap()
-            .0
             .is_empty());
-        let (dups, lost) = run.scan(t0 + ms(1001), &at(4), &mut ledger).unwrap();
-        assert_eq!((dups.len(), dups[0].avoid, lost.len()), (1, Some(1), 0));
+        let dups = run.scan(t0 + ms(1001), &at(4), &mut ledger).unwrap();
+        assert_eq!((dups.len(), dups[0].avoid), (1, Some(1)));
         assert_eq!(
             (
                 run.report.counts.watchdog_trips,
@@ -904,44 +888,16 @@ mod tests {
         assert!(run
             .scan(t0 + ms(1010), &at(4), &mut ledger)
             .unwrap()
-            .0
             .is_empty());
         assert!(run
             .scan(t0 + ms(1400), &at(4), &mut ledger)
             .unwrap()
-            .0
             .is_empty());
         assert_eq!(
-            run.scan(t0 + ms(1511), &at(4), &mut ledger)
-                .unwrap()
-                .0
-                .len(),
+            run.scan(t0 + ms(1511), &at(4), &mut ledger).unwrap().len(),
             1
         );
         assert_eq!(ledger.metrics.snapshot().watchdog_trips, 2);
-    }
-
-    #[test]
-    fn a_silent_executor_running_our_attempt_is_reported_lost() {
-        let (mut run, mut ledger, t0) = table(2, false);
-        let task = run.launch(vec![0], &mut ledger);
-        // 1 s loss threshold (100 ms × 10). Silence older than the attempt
-        // is an idle executor's, never charged.
-        let executing = on_executor(0, &task, t0 + ms(900), 0, ms(1500));
-        let (_, lost) = run.scan(t0 + ms(1000), &executing, &mut ledger).unwrap();
-        assert!(lost.is_empty(), "the attempt has only run 100 ms");
-        let (_, lost) = run.scan(t0 + ms(2000), &executing, &mut ledger).unwrap();
-        assert_eq!(lost, vec![0]);
-        assert_eq!(ledger.metrics.snapshot().heartbeats_missed, 15);
-        // An executor running somebody else's task is not ours to judge.
-        let foreign = run.launch(vec![1], &mut ledger);
-        run.cancel_all(&ledger);
-        let executing = on_executor(1, &foreign, t0, 0, ms(5000));
-        assert!(run
-            .scan(t0 + ms(9000), &executing, &mut ledger)
-            .unwrap()
-            .1
-            .is_empty());
     }
 
     #[test]
@@ -955,8 +911,8 @@ mod tests {
             Ok(Step::Settled)
         ));
         // Far past any threshold, frozen or slow: still no duplicate.
-        let executing = on_executor(0, &group, t0, 0, ms(0));
-        let (dups, _) = run.scan(t0 + ms(60_000), &executing, &mut ledger).unwrap();
+        let executing = on_executor(0, &group, t0, 0);
+        let dups = run.scan(t0 + ms(60_000), &executing, &mut ledger).unwrap();
         assert!(dups.is_empty());
         // One event per partition, all under the group's one id; a member
         // that fails is relaunched alone, its group-mates' outcomes stand.

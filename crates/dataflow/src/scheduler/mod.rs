@@ -15,8 +15,8 @@
 //! job-unique attempt id, every further attempt — retry, loss replay,
 //! post-repair replay, straggler duplicate — decided by one `relaunch`
 //! under one policy table. Task events do O(1) work on their own slot.
-//! Everything time-driven — deadline expiry, due backoffs, heartbeat
-//! loss, the straggler scan, the admission poll — runs from one tick,
+//! Everything time-driven — deadline expiry, due backoffs, the straggler
+//! and no-progress scan, the admission poll — runs from one tick,
 //! when its time is due (`Driver::next_wakeup`), never per event.
 //!
 //! Jobs carry a *priority* (see `SpangleContext::run_with_priority`;
@@ -70,7 +70,6 @@ use self::graph::{build_stages, Stage, StageState};
 use crate::context::SpangleContext;
 use crate::executor::{BlockOrigin, CancelledError, TaskInfo, TaskTag};
 use crate::failure::TaskSite;
-use crate::health::QuarantineMonitor;
 use crate::metrics::{JobOutcome, JobReport, MetricField, StageOutcome, StageReport};
 use crate::plan;
 use crate::rdd::Rdd;
@@ -580,14 +579,13 @@ impl Drop for SchedulerService {
 /// The period of everything the driver must poll because it changes
 /// without generating an event: memory freed by out-of-loop RDD drops, a
 /// warming replacement executor completing its first task (both admission
-/// inputs), a straggler ripening, a heartbeat going silent.
+/// inputs), a straggler ripening, a progress counter freezing.
 const ADMISSION_POLL: Duration = Duration::from_millis(5);
 
 /// State of the driver loop.
 struct Driver {
     jobs: HashMap<usize, Box<JobRun>>,
     admission: AdmissionController,
-    quarantine: QuarantineMonitor,
     /// When the next poll is due; `None` while nothing needs polling.
     next_poll: Option<Instant>,
 }
@@ -631,10 +629,6 @@ impl Driver {
         let Some(job) = self.jobs.get_mut(&tag) else {
             return;
         };
-        // The quarantine monitor judges the executor by the job's config,
-        // so only live jobs' events count.
-        let verdict = done.outcome.as_ref().map(drop);
-        self.quarantine.observe_task(&job.ctx, done.ran_on, verdict);
         let step = job.on_task(done, now);
         self.settle(tag, step, now);
     }
@@ -674,7 +668,6 @@ fn drive_loop(rx: Receiver<Tagged<ServiceEvent>>) {
         admission: AdmissionController {
             queue: PriorityFifo::new(),
         },
-        quarantine: QuarantineMonitor::default(),
         next_poll: None,
     };
     let mut now = Instant::now();
@@ -915,8 +908,8 @@ impl JobRun {
     /// one [`ServiceEvent::Task`] per partition, so a partition that fails
     /// inside a coalesced group is relaunched alone while its group-mates'
     /// outcomes stand. It is placed on the executor owning its first
-    /// partition — or, for a duplicate, on the least-loaded healthy
-    /// executor *other than* the one the straggler occupies, so it cannot
+    /// partition — or, for a duplicate, on the least-loaded executor
+    /// *other than* the one the straggler occupies, so it cannot
     /// queue behind the very task it is meant to overtake (a one-task
     /// backlog behind a wedged body is never stolen). A shut-down pool
     /// aborts the job cleanly.
@@ -963,7 +956,7 @@ impl JobRun {
                 // attempt that outlived its executor is lost). Later
                 // partitions of a killed group run under the stale epoch
                 // and take the same executor-lost replay, one event each.
-                let fault = ctx.inner.failures.draw(site, attempt, info.ran_on);
+                let fault = ctx.inner.failures.draw(site, attempt);
                 let ran = std::panic::catch_unwind(AssertUnwindSafe(|| match fault {
                     Some(fault) => Err(fault.play()),
                     None => Ok(body(&tc)),
@@ -995,17 +988,12 @@ impl JobRun {
         });
         let pool = &self.ctx.inner.pool;
         let executor = match launch.avoid {
-            None => pool.place(home),
+            None => pool.executor_for(home),
             Some(avoid) => {
-                // Quarantined slots are drained: never hand a duplicate to
-                // the very kind of executor speculation exists to escape.
-                // With no healthy alternative, any other slot will do.
                 let lens = pool.queue_lens();
-                let others = || (0..lens.len()).filter(|&e| e != avoid);
-                others()
-                    .filter(|&e| pool.slot(e).is_healthy())
+                (0..lens.len())
+                    .filter(|&e| e != avoid)
                     .min_by_key(|&e| lens[e])
-                    .or_else(|| others().min_by_key(|&e| lens[e]))
                     .expect("a duplicate is only decided with two or more executors")
             }
         };
@@ -1026,8 +1014,8 @@ impl JobRun {
     }
 
     /// Whether the driver must keep its poll alive for this job: a
-    /// straggler ripens, a heartbeat goes silent and a progress counter
-    /// freezes without generating any event, so while a stage runs (and a
+    /// straggler ripens and a progress counter freezes without generating
+    /// any event, so while a stage runs (and a
     /// detector is on) the loop must wake on time to notice.
     fn wants_poll(&self) -> bool {
         let config = self.ctx.config();
@@ -1044,10 +1032,7 @@ impl JobRun {
 
     /// The job's share of the driver's tick: launches every backoff that
     /// came due, and — on the poll — runs the straggler scan over each
-    /// running stage, killing executors it found lost (the kill discards
-    /// their blocks and seats a replacement; the attempt's executor-lost
-    /// event then replays it through `relaunch`) and launching the
-    /// duplicates it decided.
+    /// running stage and launches the duplicates it decided.
     fn tick(&mut self, now: Instant, poll: bool) -> Result<(), JobError> {
         let poll = poll && self.wants_poll();
         let executing = poll.then(|| self.ctx.inner.pool.executing());
@@ -1060,12 +1045,7 @@ impl JobRun {
             if poll {
                 match run.scan(now, &executing, &mut self.ledger) {
                     Err(err) => return Err(self.abort(err)),
-                    Ok((duplicates, lost)) => {
-                        launches.extend(duplicates);
-                        for executor in lost {
-                            self.ctx.kill_executor(executor);
-                        }
-                    }
+                    Ok(duplicates) => launches.extend(duplicates),
                 }
             }
             launches

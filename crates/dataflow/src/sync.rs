@@ -349,31 +349,21 @@ impl<T> StealQueues<T> {
 
     /// Blocks until an item is available for `worker` (own queue first,
     /// then the busiest stealable sibling) or the queues are closed and
-    /// drained. `may_steal` is asked, under the queue lock, each time the
-    /// worker's own queue comes up empty: a worker told no (a quarantined
-    /// executor) still drains its own queue, and siblings may still steal
-    /// *from* it — it just takes no new work from others. Whoever changes
-    /// the answer to yes calls [`StealQueues::wake`].
-    pub fn next(&self, worker: usize, may_steal: impl Fn() -> bool) -> Next<T> {
+    /// drained.
+    pub fn next(&self, worker: usize) -> Next<T> {
         let mut st = self.state.lock();
         loop {
             if let Some((_, item)) = st.queues[worker].pop_first() {
                 return Next::Local(item);
             }
             let min_len = if st.closed { 1 } else { Self::MIN_STEAL_LEN };
-            // On close every worker may steal, whatever `may_steal` says,
-            // so the drain guarantee (every queued item runs exactly once)
-            // holds even if every other sibling has already exited.
-            let victim = if st.closed || may_steal() {
-                st.queues
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, q)| *i != worker && q.len() >= min_len)
-                    .max_by_key(|(_, q)| q.len())
-                    .map(|(i, _)| i)
-            } else {
-                None
-            };
+            let victim = st
+                .queues
+                .iter()
+                .enumerate()
+                .filter(|(i, q)| *i != worker && q.len() >= min_len)
+                .max_by_key(|(_, q)| q.len())
+                .map(|(i, _)| i);
             if let Some(victim) = victim {
                 let (_, item) = st.queues[victim]
                     .pop_last()
@@ -397,15 +387,6 @@ impl<T> StealQueues<T> {
     /// Whether [`StealQueues::close`] has run.
     pub fn is_closed(&self) -> bool {
         self.state.lock().closed
-    }
-
-    /// Wakes every blocked worker to look again: a `may_steal` answer
-    /// turned to yes, and siblings may have stealable backlog. Passing
-    /// through the lock first orders the wake after the check of any
-    /// worker that is between asking and going to sleep.
-    pub fn wake(&self) {
-        drop(self.state.lock());
-        self.available.notify_all();
     }
 
     /// Current length of queue `i` (racy; for reporting only).
@@ -498,9 +479,9 @@ mod tests {
         q.push(0, 1u64).unwrap();
         q.push(0, 2).unwrap();
         q.push(1, 9).unwrap();
-        assert!(matches!(q.next(0, || true), Next::Local(1)));
-        assert!(matches!(q.next(0, || true), Next::Local(2)));
-        assert!(matches!(q.next(1, || true), Next::Local(9)));
+        assert!(matches!(q.next(0), Next::Local(1)));
+        assert!(matches!(q.next(0), Next::Local(2)));
+        assert!(matches!(q.next(1), Next::Local(9)));
     }
 
     #[test]
@@ -512,7 +493,7 @@ mod tests {
         q.push(1, 4).unwrap();
         // Worker 2 owns nothing; queue 0 (len 3) beats queue 1 (len 1,
         // below the steal threshold), and the steal comes from the back.
-        match q.next(2, || true) {
+        match q.next(2) {
             Next::Stolen { item, victim } => {
                 assert_eq!(item, 3);
                 assert_eq!(victim, 0);
@@ -529,12 +510,12 @@ mod tests {
         // own arrives.
         let t = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.next(1, || true))
+            std::thread::spawn(move || q.next(1))
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.push(1, 8).unwrap();
         assert!(matches!(t.join().unwrap(), Next::Local(8)));
-        assert!(matches!(q.next(0, || true), Next::Local(7)));
+        assert!(matches!(q.next(0), Next::Local(7)));
     }
 
     #[test]
@@ -548,7 +529,7 @@ mod tests {
         // its own item and then steals worker 0's lone leftover.
         let mut seen = vec![];
         loop {
-            match q.next(1, || true) {
+            match q.next(1) {
                 Next::Local(v) => seen.push(v),
                 Next::Stolen { item, .. } => seen.push(item),
                 Next::Closed => break,
@@ -556,47 +537,7 @@ mod tests {
         }
         seen.sort();
         assert_eq!(seen, vec![1, 2]);
-        assert!(matches!(q.next(0, || true), Next::Closed));
-    }
-
-    #[test]
-    fn steal_ban_stops_thieving_but_not_draining() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let q = Arc::new(StealQueues::new(2));
-        let allowed = Arc::new(AtomicBool::new(false));
-        let next_1 = {
-            let (q, allowed) = (Arc::clone(&q), Arc::clone(&allowed));
-            move || q.next(1, || allowed.load(Ordering::SeqCst))
-        };
-        q.push(0, 1u64).unwrap();
-        q.push(0, 2).unwrap();
-        q.push(0, 3).unwrap();
-        q.push(1, 9).unwrap();
-        // Worker 1, told not to steal, still serves its own queue but must
-        // leave queue 0's stealable backlog alone; it blocks instead.
-        assert!(matches!(next_1(), Next::Local(9)));
-        let t = std::thread::spawn(next_1.clone());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!t.is_finished(), "a worker told no must not steal");
-        // Siblings may still steal *from* its queue.
-        q.push(1, 10).unwrap();
-        q.push(1, 11).unwrap();
-        assert!(matches!(t.join().unwrap(), Next::Local(10)));
-        assert!(matches!(q.next(0, || true), Next::Local(1)));
-        assert!(matches!(next_1(), Next::Local(11)));
-        // A yes, and the wake that announces it, re-admit the thief.
-        let t = std::thread::spawn(next_1.clone());
-        allowed.store(true, Ordering::SeqCst);
-        q.wake();
-        assert!(matches!(
-            t.join().unwrap(),
-            Next::Stolen { item: 3, victim: 0 }
-        ));
-        // On close the no is overridden so the drain guarantee holds.
-        allowed.store(false, Ordering::SeqCst);
-        q.close();
-        assert!(matches!(next_1(), Next::Stolen { item: 2, victim: 0 }));
-        assert!(matches!(next_1(), Next::Closed));
+        assert!(matches!(q.next(0), Next::Closed));
     }
 
     #[test]
@@ -624,7 +565,7 @@ mod tests {
         q.push_prio(0, 5, "high").unwrap();
         q.push_prio(0, 0, "low-3").unwrap();
         fn pop(q: &StealQueues<&'static str>) -> &'static str {
-            match q.next(0, || true) {
+            match q.next(0) {
                 Next::Local(v) => v,
                 other => panic!("expected local pop, got {other:?}"),
             }
@@ -644,14 +585,14 @@ mod tests {
         q.push_prio(0, 0, "bulk-2").unwrap();
         // Worker 1 is idle: its steal must leave the owner's urgent work
         // alone and take the back of the queue (lowest priority, newest).
-        match q.next(1, || true) {
+        match q.next(1) {
             Next::Stolen { item, victim } => {
                 assert_eq!(item, "bulk-2");
                 assert_eq!(victim, 0);
             }
             other => panic!("expected a steal, got {other:?}"),
         }
-        assert!(matches!(q.next(0, || true), Next::Local("urgent")));
+        assert!(matches!(q.next(0), Next::Local("urgent")));
     }
 
     #[test]
