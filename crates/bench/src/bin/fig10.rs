@@ -350,12 +350,7 @@ fn main() {
             snap.map_partitions_recomputed,
         );
         println!(
-            "   admission so far: {} rejected, {} deadlined, queue wait {:.1} ms, \
-             queue peak {}, memory peak {} KiB (cache peak {} KiB), {} partitions evicted",
-            snap.jobs_rejected,
-            snap.jobs_deadlined,
-            snap.admission_queue_wait_nanos as f64 / 1e6,
-            snap.admission_queue_peak,
+            "   memory so far: peak {} KiB (cache peak {} KiB), {} partitions evicted",
             snap.memory_highwater_bytes / 1024,
             snap.cache_highwater_bytes / 1024,
             snap.partitions_evicted,

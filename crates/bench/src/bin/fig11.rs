@@ -197,17 +197,8 @@ fn main() {
             ("spill_bytes", Json::U64(run_delta.spill_bytes)),
         ]));
         let snap = ctx.metrics_snapshot();
-        let admission_wait_ms: u64 = reports
-            .iter()
-            .map(|r| r.admission_wait_nanos / 1_000_000)
-            .sum();
         println!(
-            "   admission: {} rejected, {} deadlined so far, run queue wait {} ms, \
-             queue peak {}, memory peak {} KiB (cache peak {} KiB)",
-            snap.jobs_rejected,
-            snap.jobs_deadlined,
-            admission_wait_ms,
-            snap.admission_queue_peak,
+            "   memory: peak {} KiB (cache peak {} KiB)",
             snap.memory_highwater_bytes / 1024,
             snap.cache_highwater_bytes / 1024,
         );

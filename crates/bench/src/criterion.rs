@@ -41,7 +41,7 @@ impl Criterion {
         self
     }
 
-    /// Time spent warming up (calibrating) before measuring.
+    /// Warm-up (calibration) time before measuring.
     pub fn warm_up_time(mut self, d: Duration) -> Self {
         self.warm_up_time = d;
         self

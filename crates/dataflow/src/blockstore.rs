@@ -5,7 +5,7 @@
 //! records stay on the heap behind an `Arc`, read zero-copy) and may be
 //! demoted to *spilled* (encoded with the [`crate::MemSize`] block codec
 //! into a framed, checksummed spill file, heap bytes freed) when resident
-//! cache + shuffle memory crosses the admission watermark — see
+//! cache + shuffle memory crosses the memory watermark — see
 //! [`SpangleContext`]'s `enforce_memory_watermark`. A [`TieredStore::get`]
 //! that touches a spilled block *rehydrates* it: the file is read back,
 //! verified, decoded and reinstated as resident — as a *clean copy* that
@@ -681,7 +681,7 @@ mod tests {
     /// Bugfix regression: the cache's copy of the rehydrate path forgot to
     /// raise the high-water mark. Every growth of resident bytes — deposit
     /// or rehydration, either store — now ends in the one enforcement
-    /// point, which records the peak after shedding.
+    /// point, which records the peak after spilling.
     #[test]
     fn every_growth_of_resident_bytes_raises_the_high_water_mark() {
         let ctx = SpangleContext::new(1);
@@ -700,7 +700,7 @@ mod tests {
         assert_eq!(peak(), 1600, "rehydration grew the resident tier");
 
         // Under a watermark the mark is taken after enforcement: the
-        // deposit that crosses it is shed to 3/4 before the peak is read.
+        // deposit that crosses it is spilled to 3/4 before the peak is read.
         let tight = SpangleContext::builder()
             .executors(1)
             .memory_high_watermark_bytes(2000)

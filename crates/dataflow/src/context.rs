@@ -17,42 +17,6 @@ use crate::Data;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Admission-control bounds evaluated by the scheduler service on every
-/// job submission; configured through [`SpangleContextBuilder`]. The
-/// defaults are all "unbounded": admission control is opt-in and a context
-/// built without the knobs behaves exactly as before.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct AdmissionConfig {
-    /// Jobs allowed to run concurrently at full cluster health. Further
-    /// submissions wait in the admission queue (FIFO within priority).
-    pub(crate) max_concurrent_jobs: usize,
-    /// Upper bound on a priority level's queued task backlog: a job whose
-    /// planned tasks would push its priority's queued-task total past this
-    /// is shed outright ([`crate::JobOutcome::Rejected`]) instead of
-    /// growing the queue without bound.
-    pub(crate) max_queued_tasks_per_priority: usize,
-    /// Memory saturation threshold, compared against
-    /// `cached_bytes() + shuffle_resident_bytes()` at admission time. At
-    /// or above it the system counts as saturated: no queued job is
-    /// admitted, and sheddable submissions are rejected.
-    pub(crate) memory_high_watermark_bytes: usize,
-    /// While the system is saturated, submissions with priority strictly
-    /// below this threshold are shed ([`crate::JobOutcome::Rejected`])
-    /// instead of queued. `None` means never shed on priority.
-    pub(crate) shed_below_priority: Option<i32>,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            max_concurrent_jobs: usize::MAX,
-            max_queued_tasks_per_priority: usize::MAX,
-            memory_high_watermark_bytes: usize::MAX,
-            shed_below_priority: None,
-        }
-    }
-}
-
 /// Shared state of one simulated cluster.
 pub(crate) struct ContextInner {
     /// Declared before `pool` so the driver loop shuts down and joins
@@ -91,11 +55,7 @@ pub struct SpangleContext {
 ///     .executors(4)
 ///     .max_task_attempts(2)
 ///     .max_resubmissions(8)
-///     .max_concurrent_jobs(8)
-///     .max_queued_tasks_per_priority(1024)
 ///     .memory_high_watermark_bytes(64 << 20)
-///     .spill_to_disk(true)
-///     .shed_below_priority(0)
 ///     .fuse_narrow_chains(true)
 ///     .elide_shuffles(true)
 ///     .coalesce_partitions(true)
@@ -118,15 +78,13 @@ pub struct SpangleContextBuilder {
     /// Per-job budget of executor-loss / fetch-failure resubmissions
     /// before the job aborts.
     pub(crate) max_resubmissions: usize,
-    /// Admission-control bounds enforced by the scheduler service.
-    pub(crate) admission: AdmissionConfig,
+    /// Resident cache + shuffle bytes above which cold blocks spill to
+    /// disk.
+    memory_high_watermark_bytes: usize,
     /// Which plan rewrites (fusion / elision / coalescing) are active.
     pub(crate) planner: PlannerConfig,
     /// When the driver duplicates straggling task attempts.
     pub(crate) speculation: SpeculationConfig,
-    /// Whether crossing the memory watermark demotes cold blocks to the
-    /// on-disk spill tier (instead of only shedding/queueing work).
-    spill_to_disk: bool,
     /// The driver's no-progress watchdog.
     pub(crate) health: HealthConfig,
     /// Seeded exponential backoff applied to every retry path.
@@ -135,22 +93,18 @@ pub struct SpangleContextBuilder {
 
 impl Default for SpangleContextBuilder {
     fn default() -> Self {
-        let mut admission = AdmissionConfig::default();
-        // `SPANGLE_MEMORY_WATERMARK_BYTES` seeds the watermark default so a
-        // whole test/bench run can be forced under memory pressure without
-        // touching code; an explicit builder call still wins (it is applied
-        // after this default).
-        if let Some(bytes) = env_parse::<usize>("SPANGLE_MEMORY_WATERMARK_BYTES") {
-            admission.memory_high_watermark_bytes = bytes;
-        }
         SpangleContextBuilder {
             executors: 2,
             max_task_attempts: 4,
             max_resubmissions: 16,
-            admission,
+            // `SPANGLE_MEMORY_WATERMARK_BYTES` seeds the watermark default
+            // so a whole test/bench run can be forced under memory pressure
+            // without touching code; an explicit builder call still wins
+            // (it is applied after this default).
+            memory_high_watermark_bytes: env_parse("SPANGLE_MEMORY_WATERMARK_BYTES")
+                .unwrap_or(usize::MAX),
             planner: PlannerConfig::default(),
             speculation: SpeculationConfig::default(),
-            spill_to_disk: true,
             health: HealthConfig::default(),
             backoff: RetryBackoffConfig::default(),
         }
@@ -180,60 +134,16 @@ impl SpangleContextBuilder {
         self
     }
 
-    /// Bounds how many jobs run concurrently (default unbounded).
-    /// Submissions past the bound wait in the scheduler's admission queue,
-    /// highest priority first, FIFO within a priority. The bound scales
-    /// down with cluster health: while a replacement executor seated by
-    /// [`SpangleContext::kill_executor`] has not yet completed its first
-    /// task, capacity is derated by `healthy / num_executors` (floored at
-    /// one running job, so admission never deadlocks).
-    pub fn max_concurrent_jobs(mut self, jobs: usize) -> Self {
-        assert!(jobs > 0, "at least one concurrent job is required");
-        self.admission.max_concurrent_jobs = jobs;
-        self
-    }
-
-    /// Bounds the task backlog a single priority level may queue for
-    /// admission (default unbounded). A job whose planned tasks would push
-    /// its priority's queued-task total past the bound is shed with
-    /// [`crate::JobOutcome::Rejected`] — hard backpressure instead of an
-    /// unbounded queue.
-    pub fn max_queued_tasks_per_priority(mut self, tasks: usize) -> Self {
-        self.admission.max_queued_tasks_per_priority = tasks;
-        self
-    }
-
-    /// Memory saturation threshold in bytes, compared against
-    /// `cached_bytes() + shuffle_resident_bytes()` at every admission
-    /// decision and every block deposit (default unbounded; the
-    /// `SPANGLE_MEMORY_WATERMARK_BYTES` environment variable overrides the
-    /// default, an explicit call here wins). Crossing the watermark first
-    /// spills cold blocks to disk (see
-    /// [`SpangleContextBuilder::spill_to_disk`]); only if spilling cannot
-    /// bring residency back down does the system count as saturated —
-    /// queued jobs then wait for memory to drain and sheddable submissions
-    /// are rejected.
+    /// Spill threshold in bytes, compared against `cached_bytes() +
+    /// shuffle_resident_bytes()` at every growth of resident memory
+    /// (default unbounded; the `SPANGLE_MEMORY_WATERMARK_BYTES`
+    /// environment variable overrides the default, an explicit call here
+    /// wins). Crossing it demotes the least-recently-fetched shuffle
+    /// blocks and cached partitions to accounted spill files, which are
+    /// rehydrated on demand. Blocks without a spill codec stay resident:
+    /// the watermark never holds back a job.
     pub fn memory_high_watermark_bytes(mut self, bytes: usize) -> Self {
-        self.admission.memory_high_watermark_bytes = bytes;
-        self
-    }
-
-    /// While the system is saturated, shed submissions whose priority is
-    /// strictly below `threshold` with [`crate::JobOutcome::Rejected`]
-    /// instead of queueing them (default: never shed on priority).
-    pub fn shed_below_priority(mut self, threshold: i32) -> Self {
-        self.admission.shed_below_priority = Some(threshold);
-        self
-    }
-
-    /// Enables or disables the on-disk spill tier (default on). With
-    /// spilling on, crossing the memory watermark demotes the
-    /// least-recently-fetched shuffle blocks and
-    /// cached partitions to accounted spill files and rehydrates them on
-    /// demand; with it off the watermark falls back to shedding and
-    /// queueing work, the pre-spill behavior.
-    pub fn spill_to_disk(mut self, enabled: bool) -> Self {
-        self.spill_to_disk = enabled;
+        self.memory_high_watermark_bytes = bytes;
         self
     }
 
@@ -377,29 +287,6 @@ impl SpangleContext {
         &self.inner.config
     }
 
-    /// Runs `f` with every job submitted from this thread scheduled at
-    /// `priority` (higher is served first; everything outside such a scope
-    /// runs in the default FIFO pool at priority 0). Queued tasks of a
-    /// higher-priority job overtake lower-priority work on the executors;
-    /// [`crate::metrics::JobReport::queue_wait_nanos`] shows the effect.
-    /// Scopes nest, and the previous priority is restored on exit.
-    pub fn run_with_priority<O>(&self, priority: i32, f: impl FnOnce() -> O) -> O {
-        crate::scheduler::with_job_priority(priority, f)
-    }
-
-    /// Runs `f` with every job submitted from this thread carrying a
-    /// wall-clock `budget`: a job that has not finished when the budget
-    /// elapses is aborted through the normal abort path (partial shuffle
-    /// output abandoned, a [`crate::JobOutcome::Deadlined`] report
-    /// recorded) and its action returns a
-    /// [`crate::TaskError::DeadlineExceeded`] error. A job still waiting
-    /// in the admission queue when its deadline passes never runs at all.
-    /// Scopes nest (the inner budget wins for jobs submitted inside it),
-    /// and the previous deadline is restored on exit.
-    pub fn run_with_deadline<O>(&self, budget: std::time::Duration, f: impl FnOnce() -> O) -> O {
-        crate::scheduler::with_job_deadline(budget, f)
-    }
-
     /// Number of executors in the cluster.
     pub fn num_executors(&self) -> usize {
         self.inner.pool.num_executors()
@@ -510,19 +397,17 @@ impl SpangleContext {
         self.inner.shuffle.disk_bytes() + self.inner.cache.disk_bytes()
     }
 
-    /// Brings resident cache + shuffle memory back under the admission
-    /// watermark by demoting cold blocks to the spill tier: shuffle blocks
-    /// first (their reads already pay a fetch), then cached partitions.
-    /// Spills down to a quarter below the watermark so one deposit does
-    /// not thrash the tier boundary. Returns whether residency is below
-    /// the watermark afterwards — `false` means the remaining blocks are
-    /// unspillable (or spilling is disabled) and admission control should
-    /// treat memory as saturated. Every growth of resident memory ends
-    /// here, so this is also where the (post-spill) peak is recorded.
-    pub(crate) fn enforce_memory_watermark(&self) -> bool {
-        let watermark = self.config().admission.memory_high_watermark_bytes;
+    /// Brings resident cache + shuffle memory back under the watermark by
+    /// demoting cold blocks to the spill tier: shuffle blocks first (their
+    /// reads already pay a fetch), then cached partitions. Spills down to
+    /// a quarter below the watermark so one deposit does not thrash the
+    /// tier boundary; blocks without a spill codec stay resident. Every
+    /// growth of resident memory ends here, so this is also where the
+    /// (post-spill) peak is recorded.
+    pub(crate) fn enforce_memory_watermark(&self) {
+        let watermark = self.config().memory_high_watermark_bytes;
         let resident = self.cached_bytes() + self.shuffle_resident_bytes();
-        if resident >= watermark && self.config().spill_to_disk {
+        if resident >= watermark {
             let need = resident - (watermark - watermark / 4);
             let freed = self.inner.shuffle.spill_up_to(self, need);
             if freed < need {
@@ -532,7 +417,6 @@ impl SpangleContext {
         let resident = self.cached_bytes() + self.shuffle_resident_bytes();
         self.metrics()
             .raise(MetricField::MemoryHighwaterBytes, resident as u64);
-        resident < watermark
     }
 
     /// Cumulative nanoseconds each executor has spent running task bodies

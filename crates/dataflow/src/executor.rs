@@ -18,14 +18,6 @@
 //! ran via [`TaskInfo`], so the scheduler can charge stolen ("remote")
 //! executions to the job's metrics.
 //!
-//! Tasks submitted through [`ExecutorPool::submit_on`] carry a
-//! [`TaskTag`] with their job's priority: each executor serves its queue
-//! highest-priority-first (FIFO within a priority), which is how the
-//! shared scheduler service lets a high-priority job's ready tasks
-//! overtake queued lower-priority work. Steals still come from the *back*
-//! of the victim's queue — the lowest-priority, newest item — so helping a
-//! busy sibling never delays its most urgent task.
-//!
 //! Each executor is also a *failure domain*. An executor slot carries an
 //! incarnation number (*epoch*); [`ExecutorPool::kill`] retires the
 //! current incarnation and seats a replacement in the same slot, so
@@ -120,8 +112,8 @@ pub fn is_task_cancelled() -> bool {
 /// A cooperative cancellation point: panics with a [`CancelledError`]
 /// payload when the current task's token was cancelled, and is a cheap
 /// no-op otherwise. Operator loops call this at chunk boundaries so a
-/// kill, job abort, expired deadline, or lost speculation race interrupts
-/// a *running* task body instead of waiting it out. Each call also stamps
+/// kill, job abort or lost speculation race interrupts a *running* task
+/// body instead of waiting it out. Each call also stamps
 /// a progress tick on the executor's health slot, which is what the
 /// driver's no-progress watchdog watches.
 pub fn cancellation_point() {
@@ -250,22 +242,6 @@ impl BlockOrigin {
 /// the task ended up running.
 pub type Task = Box<dyn FnOnce(&TaskInfo) + Send + 'static>;
 
-/// Scheduling tag carried by a submitted task: which job it belongs to and
-/// at what priority it should be served.
-///
-/// The pool orders each executor's queue by `priority` (higher first, FIFO
-/// within a priority), so a high-priority job's ready tasks overtake
-/// already-queued lower-priority work instead of waiting out the
-/// submission interleaving. `job_id` is not used for ordering — it keeps
-/// queue contents attributable when debugging a shared scheduler loop.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TaskTag {
-    /// Job the task belongs to.
-    pub job_id: usize,
-    /// Queue priority (higher runs first; the default FIFO pool is 0).
-    pub priority: i32,
-}
-
 /// Submitting a task to a pool that is (or finished) shutting down.
 ///
 /// Returned instead of panicking so a driver racing a context teardown can
@@ -287,7 +263,7 @@ struct PlacedTask {
     run: Task,
     /// Token the worker installs for the duration of the task body, so
     /// `cancellation_point()` inside the closure observes driver-side
-    /// cancellations (kill, abort, deadline, lost speculation race).
+    /// cancellations (kill, abort, lost speculation race).
     token: Option<CancelToken>,
 }
 
@@ -347,7 +323,7 @@ impl ExecutorPool {
                         // backstop for raw pool users.
                         let _ = std::panic::catch_unwind(AssertUnwindSafe(|| (task.run)(&info)));
                         CURRENT_TOKEN.with(|tls| *tls.borrow_mut() = None);
-                        slot.finish(epoch, started);
+                        slot.finish(started);
                     }
                 })
                 .expect("failed to spawn executor thread");
@@ -390,23 +366,6 @@ impl ExecutorPool {
         self.slots[executor].kill()
     }
 
-    /// Whether `executor`'s current incarnation is a warming replacement:
-    /// it was seated by [`ExecutorPool::kill`] and has not yet completed a
-    /// task. A freshly-constructed pool is never warming (epoch 0 counts
-    /// as warmed at birth).
-    pub fn is_warming(&self, executor: usize) -> bool {
-        self.slots[executor].is_warming()
-    }
-
-    /// Number of executor slots whose replacement incarnation has not yet
-    /// completed its first task. The admission controller treats these
-    /// slots as missing capacity (`num_executors - warming_replacements()`
-    /// healthy executors) until they prove themselves.
-    pub fn warming_replacements(&self) -> usize {
-        let warming = |slot: &&ExecutorSlot| slot.is_warming();
-        self.slots.iter().filter(warming).count()
-    }
-
     /// Whether the incarnation that produced `origin` is still alive.
     /// Driver-side origins are always live.
     pub fn origin_is_live(&self, origin: BlockOrigin) -> bool {
@@ -423,37 +382,28 @@ impl ExecutorPool {
     }
 
     /// Queues a task on the executor owning `partition` (an idle sibling
-    /// may steal it) at the default priority. Fails (instead of panicking)
-    /// when the pool has been shut down, so a job racing a teardown can
-    /// abort cleanly.
+    /// may steal it). Fails (instead of panicking) when the pool has been
+    /// shut down, so a job racing a teardown can abort cleanly.
     pub fn submit(&self, partition: usize, task: Task) -> Result<(), PoolShutdown> {
-        self.submit_on(self.executor_for(partition), TaskTag::default(), None, task)
+        self.submit_on(self.executor_for(partition), None, task)
     }
 
-    /// Queues a task on `executor`, ordered by the tag's job priority: a
-    /// higher-priority task is popped before any queued lower-priority
-    /// work, FIFO within a priority (an idle sibling may still steal it).
-    /// The worker installs `token` around the task body so
-    /// `cancellation_point()` inside the closure observes driver-side
+    /// Appends a task to `executor`'s FIFO queue (an idle sibling may
+    /// still steal it). The worker installs `token` around the task body
+    /// so `cancellation_point()` inside the closure observes driver-side
     /// cancellations. Fails when the pool has been shut down.
     pub fn submit_on(
         &self,
         executor: usize,
-        tag: TaskTag,
         token: Option<CancelToken>,
         task: Task,
     ) -> Result<(), PoolShutdown> {
-        self.queues
-            .push_prio(
-                executor,
-                tag.priority,
-                PlacedTask {
-                    home: executor,
-                    run: task,
-                    token,
-                },
-            )
-            .map_err(|_| PoolShutdown)
+        let placed = PlacedTask {
+            home: executor,
+            run: task,
+            token,
+        };
+        self.queues.push(executor, placed).map_err(|_| PoolShutdown)
     }
 
     /// Queued (not yet started) tasks per executor, indexed by executor id.
@@ -660,44 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn tagged_high_priority_tasks_overtake_queued_default_work() {
-        let pool = ExecutorPool::new(1);
-        let (wedge_tx, wedge_rx) = unbounded::<()>();
-        // Hold the lone executor so the later submissions stack up.
-        pool.submit(
-            0,
-            Box::new(move |_: &TaskInfo| {
-                let _ = wedge_rx.recv();
-            }),
-        )
-        .unwrap();
-        let (tx, rx) = unbounded();
-        for label in ["default-1", "default-2"] {
-            let tx = tx.clone();
-            pool.submit(0, Box::new(move |_: &TaskInfo| tx.send(label).unwrap()))
-                .unwrap();
-        }
-        let high = TaskTag {
-            job_id: 42,
-            priority: 10,
-        };
-        pool.submit_on(
-            0,
-            high,
-            None,
-            Box::new(move |_: &TaskInfo| tx.send("high").unwrap()),
-        )
-        .unwrap();
-        wedge_tx.send(()).unwrap();
-        let order: Vec<&str> = (0..3).map(|_| rx.recv().unwrap()).collect();
-        assert_eq!(
-            order,
-            vec!["high", "default-1", "default-2"],
-            "priority 10 must jump the default-priority backlog"
-        );
-    }
-
-    #[test]
     fn submit_after_shutdown_fails_without_panicking() {
         let pool = ExecutorPool::new(2);
         pool.submit(0, Box::new(|_: &TaskInfo| {})).unwrap();
@@ -792,33 +704,6 @@ mod tests {
         let _ = ExecutorPool::new(0);
     }
 
-    /// A kill leaves the replacement incarnation "warming" until it
-    /// completes its first task; a fresh pool starts fully warmed.
-    #[test]
-    fn replacement_warms_up_by_completing_a_task() {
-        let pool = ExecutorPool::new(2);
-        assert_eq!(pool.warming_replacements(), 0, "fresh pool is warmed");
-        pool.kill(0);
-        assert!(pool.is_warming(0));
-        assert!(!pool.is_warming(1));
-        assert_eq!(pool.warming_replacements(), 1);
-        let (tx, rx) = unbounded();
-        pool.submit(0, Box::new(move |_: &TaskInfo| tx.send(()).unwrap()))
-            .unwrap();
-        rx.recv().unwrap();
-        // The worker stores the warmed epoch just after the task body
-        // returns; poll briefly for it.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while pool.is_warming(0) {
-            assert!(
-                Instant::now() < deadline,
-                "replacement must be warmed after completing a task"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(pool.warming_replacements(), 0);
-    }
-
     /// Killing an executor retires the running incarnation: a task started
     /// before the kill sees a stale epoch at completion, while a task
     /// queued behind it runs on the replacement incarnation in the same
@@ -886,7 +771,6 @@ mod tests {
         let (done_tx, done_rx) = unbounded::<&'static str>();
         pool.submit_on(
             0,
-            TaskTag::default(),
             Some(token.clone()),
             Box::new(move |_: &TaskInfo| {
                 started_tx.send(()).unwrap();
@@ -925,7 +809,6 @@ mod tests {
         let (done_tx, done_rx) = unbounded::<bool>();
         pool.submit_on(
             0,
-            TaskTag::default(),
             Some(token.clone()),
             Box::new(move |_: &TaskInfo| {
                 started_tx.send(()).unwrap();

@@ -150,8 +150,7 @@ impl FailureInjector {
     /// Wedges the next `times` attempts of the task computing `partition`
     /// of `rdd_id`: instead of running its body, a wedged attempt spins at
     /// a cancellation point until cooperative cancellation interrupts it —
-    /// the deterministic straggler for speculation and deadline-preemption
-    /// tests. Each matching attempt consumes one wedge, so with `times =
+    /// the deterministic straggler for speculation tests. Each matching attempt consumes one wedge, so with `times =
     /// 1` the speculative duplicate (or a retry) of the same task runs
     /// clean while the original hangs.
     pub fn wedge_task(&self, rdd_id: usize, partition: usize, times: usize) {

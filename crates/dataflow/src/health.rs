@@ -134,9 +134,6 @@ fn jittered_backoff(base: Duration, cap: Duration, strike: usize, seed: u64) -> 
 pub(crate) struct ExecutorSlot {
     /// Incarnation seated in the slot; bumped by [`ExecutorSlot::kill`].
     epoch: AtomicU64,
-    /// Last incarnation to *complete* a task. A slot whose `epoch` is
-    /// ahead of this is a freshly-seated replacement still warming up.
-    active_epoch: AtomicU64,
     /// Token of the task body the worker is running, if any, with the
     /// instant it started: a kill cancels it so the dead incarnation's
     /// body stops at its next cancellation point, and the straggler scan
@@ -157,13 +154,6 @@ impl ExecutorSlot {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Whether the current incarnation is a warming replacement: seated by
-    /// a kill and yet to complete a task. Epoch 0 counts as warmed at
-    /// birth.
-    pub(crate) fn is_warming(&self) -> bool {
-        self.epoch() != self.active_epoch.load(Ordering::SeqCst)
-    }
-
     /// The worker is about to run a task body: counts a steal and
     /// publishes the body's token so a kill or shutdown can reach it.
     /// Returns the incarnation the task runs under and when it started.
@@ -178,15 +168,10 @@ impl ExecutorSlot {
     }
 
     /// The body [`ExecutorSlot::begin`] announced returned (or unwound).
-    pub(crate) fn finish(&self, epoch: u64, started: Instant) {
+    pub(crate) fn finish(&self, started: Instant) {
         *self.running.lock() = None;
         let nanos = started.elapsed().as_nanos() as u64;
         self.busy_nanos.fetch_add(nanos, Ordering::Relaxed);
-        // The incarnation that started this task has now completed one; it
-        // is no longer a warming replacement. Tasks run serially per
-        // worker, so the stored epoch is monotone without a
-        // compare-exchange.
-        self.active_epoch.store(epoch, Ordering::SeqCst);
     }
 
     /// Retires the current incarnation and seats a replacement, returning
@@ -269,14 +254,14 @@ mod tests {
     }
 
     /// A kill retires the incarnation and re-seats the slot: the running
-    /// body is cancelled, the replacement is warming and keeps ticking
-    /// progress on the same counter.
+    /// body is cancelled, and the replacement runs under the new epoch and
+    /// keeps ticking progress on the same counter.
     #[test]
     fn a_kill_reseats_the_slot_and_cancels_the_running_body() {
         let slot = ExecutorSlot::default();
         let token = CancelToken::new();
         let (epoch, started) = slot.begin(Some(&token), true);
-        assert_eq!((epoch, slot.steals(), slot.is_warming()), (0, 1, false));
+        assert_eq!((epoch, slot.steals()), (0, 1));
         assert!(slot.executing().is_some_and(|run| run.token.same(&token)));
         slot.stamp_progress();
         assert_eq!(slot.executing().map(|run| run.progress), Some(1));
@@ -286,12 +271,10 @@ mod tests {
         slot.stamp_progress();
         assert_eq!(ticks(&slot), 2);
 
-        // The dead incarnation's body returning does not warm the
-        // replacement; the replacement's own first task does.
-        slot.finish(epoch, started);
-        assert!(slot.is_warming() && slot.executing().is_none());
+        slot.finish(started);
+        assert!(slot.executing().is_none());
         let (epoch, started) = slot.begin(None, false);
-        slot.finish(epoch, started);
-        assert_eq!((epoch, slot.is_warming()), (1, false));
+        slot.finish(started);
+        assert_eq!(epoch, 1, "the replacement runs under the new epoch");
     }
 }

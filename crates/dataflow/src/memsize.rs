@@ -7,7 +7,7 @@
 //! measurable without paying for a wire format.
 //!
 //! The one place a wire format *does* exist is the spill tier: when
-//! resident cache + shuffle bytes cross the admission watermark, cold
+//! resident cache + shuffle bytes cross the memory watermark, cold
 //! blocks are written to disk and rehydrated on demand. That codec lives
 //! here too, as optional methods on [`MemSize`] — hand-rolled
 //! little-endian framing, no external serialisation crate, and strictly

@@ -88,25 +88,14 @@ counters! {
     /// Map partitions recomputed from lineage to rebuild lost shuffle
     /// output (only the missing partitions re-run, never whole stages).
     map_partitions_recomputed: MapPartitionsRecomputed,
-    /// Jobs shed by the admission controller (outcome
-    /// [`JobOutcome::Rejected`]); nothing of a rejected job ever ran.
-    jobs_rejected: JobsRejected,
-    /// Jobs whose `run_with_deadline` budget elapsed (outcome
-    /// [`JobOutcome::Deadlined`]).
-    jobs_deadlined: JobsDeadlined,
-    /// Total nanoseconds jobs spent queued for admission before running.
-    admission_queue_wait_nanos: AdmissionQueueWaitNanos,
-    /// High-water mark of the admission queue length (jobs waiting for
-    /// capacity at once).
-    admission_queue_peak: AdmissionQueuePeak,
     /// Cached partitions dropped by manual eviction (`evict_cached_partition`,
     /// `Rdd::unpersist`).
     partitions_evicted: PartitionsEvicted,
     /// High-water mark of resident cached-partition bytes.
     cache_highwater_bytes: CacheHighwaterBytes,
     /// High-water mark of total resident memory (cached partitions plus
-    /// shuffle blocks) — the figure the admission controller's
-    /// `memory_high_watermark_bytes` bound is compared against.
+    /// shuffle blocks) — the figure `memory_high_watermark_bytes` is
+    /// compared against.
     memory_highwater_bytes: MemoryHighwaterBytes,
     /// Narrow operator chains the planner collapsed into fused streaming
     /// execution (no intermediate partition materialisation).
@@ -124,11 +113,10 @@ counters! {
     /// duplicated (the duplicate's result won first-write-wins).
     speculation_wins: SpeculationWins,
     /// Running task bodies asked to stop early through their
-    /// `CancelToken` (speculation losers, job aborts, expired deadlines).
+    /// `CancelToken` (speculation losers, job aborts).
     tasks_cancelled: TasksCancelled,
     /// Blocks demoted from memory to the on-disk spill tier under memory
-    /// pressure (resident cache+shuffle bytes crossed the admission
-    /// watermark).
+    /// pressure (resident cache+shuffle bytes crossed the watermark).
     blocks_spilled: BlocksSpilled,
     /// Spilled blocks read back from disk and reinstated in memory on
     /// demand (a reduce fetch or cache read touched cold data).
@@ -271,16 +259,6 @@ pub enum JobOutcome {
     /// job returned a `JobError`. Stages in flight at that moment appear
     /// in the report as [`StageOutcome::Aborted`].
     Aborted,
-    /// The admission controller shed the job: the system was saturated
-    /// (concurrency bound or memory high-water mark) and the job's
-    /// priority was below the shed threshold, or its tasks did not fit the
-    /// per-priority queue bound. Nothing of the job ever ran.
-    Rejected,
-    /// The job's `run_with_deadline` budget elapsed before it finished.
-    /// If it was already running it was aborted through the normal abort
-    /// path (partial shuffle output abandoned); if it was still queued for
-    /// admission it never ran at all.
-    Deadlined,
 }
 
 /// Accounting of one run of one stage in a job (a recovery re-run of lost
@@ -323,9 +301,6 @@ pub struct JobReport {
     pub job_id: usize,
     /// How the job ended.
     pub outcome: JobOutcome,
-    /// Priority the job was submitted with (higher runs first; the
-    /// default FIFO pool is 0).
-    pub priority: i32,
     /// One entry per stage the job touched, in completion order.
     pub stages: Vec<StageReport>,
     /// Peak number of stages whose tasks were in flight simultaneously.
@@ -335,14 +310,9 @@ pub struct JobReport {
     /// exact per job even when jobs run concurrently).
     pub executor_busy_nanos: Vec<u64>,
     /// Nanoseconds this job's task attempts spent queued on executors
-    /// before starting, summed over attempts. Under a shared scheduler
-    /// this is where priority fairness shows: a high-priority job's queue
-    /// wait stays bounded while lower-priority traffic absorbs the
-    /// backlog.
+    /// before starting, summed over attempts.
     pub queue_wait_nanos: u64,
-    /// Nanoseconds the job waited in the scheduler's admission queue
-    /// before it was admitted (zero when capacity was free at submission,
-    /// or when the job was shed without ever being queued).
+    /// Always zero; kept only because `benchmark/src/trace.rs` reads it.
     pub admission_wait_nanos: u64,
     /// End-to-end wall-clock time of the job, in nanoseconds.
     pub wall_nanos: u64,
@@ -392,13 +362,8 @@ impl std::fmt::Display for JobReport {
         let c = self.counts();
         write!(
             f,
-            "job {}{}: {} stages ({} run, {} skipped{}), max {} concurrent, {} stolen, queue wait {:.2} ms, {:.2} ms wall{}",
+            "job {}: {} stages ({} run, {} skipped{}), max {} concurrent, {} stolen, queue wait {:.2} ms, {:.2} ms wall{}",
             self.job_id,
-            if self.priority != 0 {
-                format!(" (prio {})", self.priority)
-            } else {
-                String::new()
-            },
             self.stages.len(),
             self.stages_run(),
             self.stages_skipped(),
@@ -414,17 +379,8 @@ impl std::fmt::Display for JobReport {
             match self.outcome {
                 JobOutcome::Succeeded => "",
                 JobOutcome::Aborted => " [ABORTED]",
-                JobOutcome::Rejected => " [REJECTED]",
-                JobOutcome::Deadlined => " [DEADLINED]",
             },
         )?;
-        if self.admission_wait_nanos != 0 {
-            write!(
-                f,
-                "\n  admission wait {:.2} ms",
-                self.admission_wait_nanos as f64 / 1e6
-            )?;
-        }
         if c.stages_fused != 0 || c.shuffles_elided != 0 || c.partitions_coalesced != 0 {
             write!(
                 f,
@@ -545,13 +501,13 @@ mod tests {
         assert_eq!(got, expected);
         // Spot-check names against their rows: first, in between, last.
         assert_eq!((a.stages_run, a.tasks_stolen, a.fetch_failures), (1, 4, 14));
-        assert_eq!((a.stages_fused, a.backoff_nanos, COUNTERS), (23, 35, 35));
+        assert_eq!((a.stages_fused, a.backoff_nanos, COUNTERS), (19, 31, 31));
         // The arithmetic is field by field too.
         let mut b = MetricsSnapshot::default();
         b.bump(MetricField::SpillBytes, 7);
         b.bump(MetricField::TasksStolen, 2);
         assert_eq!((a + b) - b, a);
-        assert_eq!((a + b).spill_bytes, 31 + 7);
+        assert_eq!((a + b).spill_bytes, 27 + 7);
         // A job's counts are its stages' counts summed.
         let stage = |counts| StageReport {
             counts,
@@ -571,7 +527,6 @@ mod tests {
         JobReport {
             job_id,
             outcome: JobOutcome::Succeeded,
-            priority: 0,
             stages: Vec::new(),
             max_concurrent_stages: 1,
             executor_busy_nanos: Vec::new(),
@@ -653,7 +608,6 @@ mod tests {
         let report = JobReport {
             job_id: 2,
             outcome: JobOutcome::Aborted,
-            priority: 3,
             stages: vec![stage(StageOutcome::Ran), stage(StageOutcome::Aborted)],
             executor_busy_nanos: vec![10_000_000],
             queue_wait_nanos: 2_000_000,
@@ -665,7 +619,6 @@ mod tests {
         let rendered = format!("{report}");
         assert!(rendered.contains("ABORTED"));
         assert!(rendered.contains("1 aborted"));
-        assert!(rendered.contains("prio 3"));
         assert!(rendered.contains("aborted after"));
         let counts = report.counts();
         assert_eq!(counts.stages_fused, 2);
@@ -685,32 +638,13 @@ mod tests {
         m.raise(MetricField::CacheHighwaterBytes, 100);
         m.raise(MetricField::CacheHighwaterBytes, 40);
         m.raise(MetricField::MemoryHighwaterBytes, 250);
-        m.raise(MetricField::AdmissionQueuePeak, 3);
-        m.raise(MetricField::AdmissionQueuePeak, 2);
+        m.raise(MetricField::MemoryHighwaterBytes, 90);
         let snap = m.snapshot();
         assert_eq!(
             snap.cache_highwater_bytes, 100,
             "lower values never regress"
         );
         assert_eq!(snap.memory_highwater_bytes, 250);
-        assert_eq!(snap.admission_queue_peak, 3);
-    }
-
-    #[test]
-    fn rejected_and_deadlined_reports_render_their_markers() {
-        let rejected = JobReport {
-            outcome: JobOutcome::Rejected,
-            ..empty_report(4)
-        };
-        assert!(format!("{rejected}").contains("[REJECTED]"));
-        let deadlined = JobReport {
-            outcome: JobOutcome::Deadlined,
-            admission_wait_nanos: 3_000_000,
-            ..empty_report(5)
-        };
-        let rendered = format!("{deadlined}");
-        assert!(rendered.contains("[DEADLINED]"));
-        assert!(rendered.contains("admission wait 3.00 ms"));
     }
 
     #[test]

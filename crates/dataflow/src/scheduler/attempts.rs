@@ -539,9 +539,8 @@ impl StageRun {
         }
     }
 
-    /// Cancels every live attempt: a job abort or an expired deadline
-    /// must not leave wedged bodies holding executors until they finish
-    /// on their own.
+    /// Cancels every live attempt: a job abort must not leave wedged
+    /// bodies holding executors until they finish on their own.
     pub(super) fn cancel_all(&mut self, ledger: &Ledger) {
         for p in 0..self.slots.len() {
             self.cancel_slot(p, ledger);

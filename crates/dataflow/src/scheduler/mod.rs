@@ -8,24 +8,20 @@
 //! ([`crate::sync::channel::MuxSender`]), keeping per-job state in a
 //! `HashMap<job_id, JobRun>`. The caller blocks on a [`JobHandle`] until
 //! the service resolves the job; [`submit_job`] exposes the non-blocking
-//! half. New jobs pass the admission controller first (`admission`).
+//! half. A submitted job starts at once.
 //!
 //! What the driver knows about a running stage is one attempt table
 //! (`attempts`): a slot per partition, every launch stamped with a
 //! job-unique attempt id, every further attempt — retry, loss replay,
 //! post-repair replay, straggler duplicate — decided by one `relaunch`
 //! under one policy table. Task events do O(1) work on their own slot.
-//! Everything time-driven — deadline expiry, due backoffs, the straggler
-//! and no-progress scan, the admission poll — runs from one tick,
-//! when its time is due (`Driver::next_wakeup`), never per event.
+//! Everything time-driven — due backoffs and the straggler and
+//! no-progress scan — runs from one tick, when its time is due
+//! (`Driver::next_wakeup`), never per event.
 //!
-//! Jobs carry a *priority* (see `SpangleContext::run_with_priority`;
-//! the default pool is FIFO at priority 0): ready tasks are submitted to
-//! the executors tagged with their job's priority, and each executor
-//! serves its queue highest-priority-first, so a high-priority job's tasks
-//! overtake queued lower-priority work instead of waiting out the
-//! submission interleaving. Every [`JobReport`] records the job's summed
-//! task queue-wait time, which is where that fairness is observable.
+//! Every job is served alike: ready tasks join their executor's FIFO
+//! queue in submission order, whichever job they belong to. Every
+//! [`JobReport`] records the job's summed task queue-wait time.
 //!
 //! Tasks are *placed* on the executor owning their partition but may be
 //! stolen by an idle sibling (see [`crate::executor`]); stolen attempts
@@ -56,31 +52,25 @@
 //!
 //! [`ShuffleService::claim_recovery`]: crate::shuffle::ShuffleService::claim_recovery
 //! [`JobOutcome::Aborted`]: crate::metrics::JobOutcome::Aborted
-//! [`JobOutcome::Deadlined`]: crate::metrics::JobOutcome::Deadlined
 //! [`StageOutcome::Aborted`]: crate::metrics::StageOutcome::Aborted
 //! [`StageReport::tasks_stolen`]: crate::metrics::StageReport::tasks_stolen
 
-mod admission;
 mod attempts;
 mod graph;
 
-use self::admission::AdmissionController;
 use self::attempts::{AttemptId, Launch, Ledger, StageRun, Step};
 use self::graph::{build_stages, Stage, StageState};
 use crate::context::SpangleContext;
-use crate::executor::{BlockOrigin, CancelledError, TaskInfo, TaskTag};
+use crate::executor::{BlockOrigin, CancelledError, TaskInfo};
 use crate::failure::TaskSite;
 use crate::metrics::{JobOutcome, JobReport, MetricField, StageOutcome, StageReport};
 use crate::plan;
 use crate::rdd::Rdd;
 use crate::shuffle::{FetchFailedError, RecoveryClaim};
-use crate::sync::channel::{
-    unbounded, MuxSender, Receiver, RecvTimeoutError, Sender, Tagged, TryRecvError,
-};
-use crate::sync::{Mutex, PriorityFifo};
+use crate::sync::channel::{unbounded, MuxSender, Receiver, RecvTimeoutError, Sender, Tagged};
+use crate::sync::Mutex;
 use crate::Data;
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
@@ -182,22 +172,15 @@ pub enum TaskError {
         map_id: usize,
     },
     /// The attempt was interrupted at a cancellation point: the driver
-    /// cancelled its [`CancelToken`] (a lost speculation race, a job
-    /// abort, or an expired deadline) or its executor was killed while the
-    /// body ran. Never charges the per-task attempt budget — the
-    /// interruption was the scheduler's own doing.
+    /// cancelled its [`CancelToken`] (a lost speculation race or a job
+    /// abort) or its executor was killed while the body ran. Never charges
+    /// the per-task attempt budget — the interruption was the scheduler's
+    /// own doing.
     ///
     /// [`CancelToken`]: crate::executor::CancelToken
     Cancelled,
     /// The executor pool shut down while the job was running.
     ExecutorShutdown,
-    /// Admission control shed the job before any of its tasks ran: the
-    /// scheduler was saturated and the job's priority fell below the shed
-    /// threshold (or its tasks did not fit the per-priority queue bound).
-    Rejected,
-    /// The job's deadline (`SpangleContext::run_with_deadline`) elapsed
-    /// before it finished; it was aborted (or never admitted).
-    DeadlineExceeded,
 }
 
 impl std::fmt::Display for TaskError {
@@ -214,8 +197,6 @@ impl std::fmt::Display for TaskError {
             ),
             TaskError::Cancelled => write!(f, "attempt cancelled at a cancellation point"),
             TaskError::ExecutorShutdown => write!(f, "executor pool shut down"),
-            TaskError::Rejected => write!(f, "shed by admission control (scheduler saturated)"),
-            TaskError::DeadlineExceeded => write!(f, "job deadline exceeded"),
         }
     }
 }
@@ -237,8 +218,8 @@ pub struct JobError {
 }
 
 impl JobError {
-    /// An error of the job as a whole — shed, deadlined, or out of a
-    /// cluster — rather than of one task's attempts.
+    /// An error of the job as a whole — its cluster went away — rather
+    /// than of one task's attempts.
     fn without_task(job_id: usize, last_error: TaskError) -> Self {
         JobError {
             job_id,
@@ -303,48 +284,6 @@ struct TaskDone {
     outcome: Result<Option<ErasedResult>, TaskError>,
 }
 
-thread_local! {
-    /// Priority stamped on jobs submitted from this driver thread; scoped
-    /// by [`with_job_priority`] (`SpangleContext::run_with_priority`).
-    static JOB_PRIORITY: Cell<i32> = const { Cell::new(0) };
-    /// Deadline stamped on jobs submitted from this driver thread; scoped
-    /// by [`with_job_deadline`] (`SpangleContext::run_with_deadline`).
-    static JOB_DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with every job submitted from this thread carrying `priority`
-/// (higher is served first; the default pool is 0). The previous priority
-/// is restored on exit, panic included, so nested scopes compose.
-pub(crate) fn with_job_priority<O>(priority: i32, f: impl FnOnce() -> O) -> O {
-    struct Restore(i32);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            JOB_PRIORITY.set(self.0);
-        }
-    }
-    let _restore = Restore(JOB_PRIORITY.replace(priority));
-    f()
-}
-
-/// Runs `f` with every job submitted from this thread carrying a deadline
-/// of now + `budget`. A job whose deadline elapses before it completes is
-/// resolved as [`JobOutcome::Deadlined`]: if it was still queued for
-/// admission it never runs at all, and if it was running it is aborted
-/// through the normal abandon path (owned shuffles released, stragglers'
-/// deposits reclaimed by lineage GC). The previous deadline is restored on
-/// exit, panic included, so nested scopes compose (the inner, tighter
-/// budget wins while it is in scope).
-pub(crate) fn with_job_deadline<O>(budget: Duration, f: impl FnOnce() -> O) -> O {
-    struct Restore(Option<Instant>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            JOB_DEADLINE.set(self.0);
-        }
-    }
-    let _restore = Restore(JOB_DEADLINE.replace(Some(Instant::now() + budget)));
-    f()
-}
-
 /// Runs `func` over every partition of `rdd`, returning one result per
 /// partition in partition order. This is the single entry point every
 /// action lowers to: it plans the stage graph, hands the job to the
@@ -357,12 +296,11 @@ pub fn run_job<T: Data, R: Send + 'static>(
     submit_job(rdd, func).wait()
 }
 
-/// Submits a job without blocking: plans the stage graph, stamps the
-/// calling thread's priority and deadline scopes on it, and hands it to
-/// the shared service's admission controller. The returned [`JobHandle`]
-/// resolves when the service finishes, aborts, sheds, or deadlines the
-/// job — poll it with [`JobHandle::try_wait`] / [`JobHandle::wait_timeout`]
-/// or block on [`JobHandle::wait`].
+/// Submits a job without blocking: plans the stage graph and hands it to
+/// the shared service, which starts it at once. The returned
+/// [`JobHandle`] resolves when the service finishes or aborts the job —
+/// block on [`JobHandle::wait`], or for at most a while on
+/// [`JobHandle::wait_timeout`].
 pub fn submit_job<T: Data, R: Send + 'static>(
     rdd: &Rdd<T>,
     func: impl Fn(usize, Arc<Vec<T>>) -> R + Send + Sync + 'static,
@@ -377,8 +315,6 @@ pub fn submit_job<T: Data, R: Send + 'static>(
     let (handle, done) = JobHandle::new(job_id);
     let run = Box::new(JobRun {
         job_id,
-        priority: JOB_PRIORITY.get(),
-        deadline: JOB_DEADLINE.get(),
         stages,
         result_idx,
         tx: ctx.inner.scheduler.sender(job_id),
@@ -387,8 +323,6 @@ pub fn submit_job<T: Data, R: Send + 'static>(
         max_concurrent: 0,
         executor_busy: vec![0; ctx.num_executors()],
         queue_wait_nanos: 0,
-        admission_queued_at: None,
-        admission_wait_nanos: 0,
         ledger: Ledger {
             job_id,
             resubmissions_left: ctx.config().max_resubmissions,
@@ -411,10 +345,9 @@ pub fn submit_job<T: Data, R: Send + 'static>(
 }
 
 /// The caller-side half of one submitted job: resolves exactly once, when
-/// the shared service finishes, aborts, sheds, or deadlines the job. The
-/// job's [`JobReport`] is recorded *before* the handle resolves, so
-/// `last_job_report()` observed after a wait always covers this job —
-/// aborted, rejected, and deadlined ones included.
+/// the shared service finishes or aborts the job. The job's [`JobReport`]
+/// is recorded *before* the handle resolves, so `last_job_report()`
+/// observed after a wait always covers this job — aborted ones included.
 pub struct JobHandle<R> {
     job_id: usize,
     done: Receiver<Result<Vec<ErasedResult>, JobError>>,
@@ -460,8 +393,8 @@ impl<R: Send + 'static> JobHandle<R> {
     }
 
     /// Blocks until the service resolves the job. Consumes the handle; a
-    /// handle whose result was already taken by `try_wait`/`wait_timeout`
-    /// resolves as [`TaskError::ExecutorShutdown`].
+    /// handle whose result was already taken by `wait_timeout` resolves as
+    /// [`TaskError::ExecutorShutdown`].
     pub fn wait(mut self) -> Result<Vec<R>, JobError> {
         match self.done.recv() {
             Ok(outcome) => self.decode(outcome),
@@ -469,23 +402,8 @@ impl<R: Send + 'static> JobHandle<R> {
         }
     }
 
-    /// Non-blocking poll: `None` while the job is still queued or running
-    /// (or after the result was already taken), `Some` exactly once when
-    /// it resolves.
-    pub fn try_wait(&mut self) -> Option<Result<Vec<R>, JobError>> {
-        if self.resolved {
-            return None;
-        }
-        match self.done.try_recv() {
-            Ok(outcome) => Some(self.decode(outcome)),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(self.service_gone())),
-        }
-    }
-
     /// Blocks up to `timeout` for the job to resolve; `None` on timeout
-    /// (the job keeps running — this does *not* impose a deadline, see
-    /// `SpangleContext::run_with_deadline` for that).
+    /// (the job keeps running) or after the result was already taken.
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<Vec<R>, JobError>> {
         if self.resolved {
             return None;
@@ -577,50 +495,54 @@ impl Drop for SchedulerService {
 }
 
 /// The period of everything the driver must poll because it changes
-/// without generating an event: memory freed by out-of-loop RDD drops, a
-/// warming replacement executor completing its first task (both admission
-/// inputs), a straggler ripening, a progress counter freezing.
-const ADMISSION_POLL: Duration = Duration::from_millis(5);
+/// without generating an event: a straggler ripening, a progress counter
+/// freezing.
+const POLL: Duration = Duration::from_millis(5);
 
 /// State of the driver loop.
 struct Driver {
     jobs: HashMap<usize, Box<JobRun>>,
-    admission: AdmissionController,
     /// When the next poll is due; `None` while nothing needs polling.
     next_poll: Option<Instant>,
 }
 
 impl Driver {
     /// The one instant the loop must wake at with no event arriving: the
-    /// nearest deadline (queued or running), the nearest backoff coming
-    /// due, or the next poll — armed one [`ADMISSION_POLL`] ahead while
-    /// jobs are queued for admission or a running job has attempts to
-    /// watch. `None` means block indefinitely: nothing is waiting on time.
+    /// nearest backoff coming due, or the next poll — armed one [`POLL`]
+    /// ahead while a running job has attempts to watch. `None` means block
+    /// indefinitely: nothing is waiting on time.
     fn next_wakeup(&mut self, now: Instant) -> Option<Instant> {
-        let polling =
-            !self.admission.queue.is_empty() || self.jobs.values().any(|j| j.wants_poll());
-        self.next_poll = polling.then(|| self.next_poll.unwrap_or(now + ADMISSION_POLL));
+        let polling = self.jobs.values().any(|j| j.wants_poll());
+        self.next_poll = polling.then(|| self.next_poll.unwrap_or(now + POLL));
         self.jobs
             .values()
             .filter_map(|j| j.next_due())
-            .chain(self.admission.nearest_deadline())
             .chain(self.next_poll)
             .min()
     }
 
     /// Everything time-driven, run when [`Self::next_wakeup`] comes due:
-    /// expired deadlines, then each job's due backoffs and — on the poll
-    /// — its straggler scan, then the admission queue.
+    /// each job's due backoffs and — on the poll — its straggler scan.
     fn tick(&mut self, now: Instant) {
         let poll = self.next_poll.take_if(|at| *at <= now).is_some();
-        AdmissionController::expire_running(&mut self.jobs, now);
         let ids: Vec<usize> = self.jobs.keys().copied().collect();
         for id in ids {
             let job = self.jobs.get_mut(&id).expect("ids were just listed");
             let step = job.tick(now, poll);
-            self.settle(id, step, now);
+            self.settle(id, step);
         }
-        self.admission.drain(&mut self.jobs, now);
+    }
+
+    /// Starts a submitted job and parks it in the running map unless it
+    /// resolved instantly (zero-stage result, or a failure to even start).
+    fn admit(&mut self, mut job: Box<JobRun>) {
+        match job.activate(job.result_idx) {
+            Err(err) => job.fail(err),
+            Ok(()) if job.is_finished() => job.finish(),
+            Ok(()) => {
+                self.jobs.insert(job.job_id, job);
+            }
+        }
     }
 
     /// Applies one task event to its job. Events of a job that already
@@ -630,21 +552,20 @@ impl Driver {
             return;
         };
         let step = job.on_task(done, now);
-        self.settle(tag, step, now);
+        self.settle(tag, step);
     }
 
     /// An external (other-job) map stage one of `tag`'s stages was
     /// watching resolved.
-    fn on_external(&mut self, tag: usize, stage_idx: usize, completed: bool, now: Instant) {
+    fn on_external(&mut self, tag: usize, stage_idx: usize, completed: bool) {
         if let Some(job) = self.jobs.get_mut(&tag) {
             let step = job.on_external(stage_idx, completed);
-            self.settle(tag, step, now);
+            self.settle(tag, step);
         }
     }
 
-    /// Finalises job `id` if `step` failed or finished it, and lets the
-    /// admission queue have the freed slot.
-    fn settle(&mut self, id: usize, step: Result<(), JobError>, now: Instant) {
+    /// Finalises job `id` if `step` failed or finished it.
+    fn settle(&mut self, id: usize, step: Result<(), JobError>) {
         if step.is_ok() && !self.jobs[&id].is_finished() {
             return;
         }
@@ -653,7 +574,6 @@ impl Driver {
             Err(err) => job.fail(err),
             Ok(()) => job.finish(),
         }
-        self.admission.drain(&mut self.jobs, now);
     }
 }
 
@@ -665,9 +585,6 @@ impl Driver {
 fn drive_loop(rx: Receiver<Tagged<ServiceEvent>>) {
     let mut driver = Driver {
         jobs: HashMap::new(),
-        admission: AdmissionController {
-            queue: PriorityFifo::new(),
-        },
         next_poll: None,
     };
     let mut now = Instant::now();
@@ -691,20 +608,17 @@ fn drive_loop(rx: Receiver<Tagged<ServiceEvent>>) {
             ServiceEvent::Shutdown => break,
             ServiceEvent::Submit(job) => {
                 debug_assert_eq!(tag, job.job_id, "submit tag must be the job id");
-                driver.admission.submit(job, &mut driver.jobs);
+                driver.admit(job);
             }
             ServiceEvent::Task(done) => driver.on_task(tag, done, now),
             ServiceEvent::External {
                 stage_idx,
                 completed,
-            } => driver.on_external(tag, stage_idx, completed, now),
+            } => driver.on_external(tag, stage_idx, completed),
         }
     }
-    // Teardown (or every sender dropped) with jobs still live or queued:
-    // fail them so no caller blocks forever on its handle.
-    for job in driver.admission.queue.drain() {
-        job.resolve_unadmitted(JobOutcome::Aborted, TaskError::ExecutorShutdown);
-    }
+    // Teardown (or every sender dropped) with jobs still live: fail them so
+    // no caller blocks forever on its handle.
     for (id, job) in driver.jobs.drain() {
         job.fail(JobError::without_task(id, TaskError::ExecutorShutdown));
     }
@@ -715,12 +629,6 @@ fn drive_loop(rx: Receiver<Tagged<ServiceEvent>>) {
 struct JobRun {
     ctx: SpangleContext,
     job_id: usize,
-    /// Priority the job was submitted with (higher is served first).
-    priority: i32,
-    /// Absolute deadline from `SpangleContext::run_with_deadline`; the
-    /// driver resolves the job as [`JobOutcome::Deadlined`] once it
-    /// passes, whether the job is queued for admission or running.
-    deadline: Option<Instant>,
     stages: Vec<Stage>,
     /// Index of the result stage (always the last).
     result_idx: usize,
@@ -739,11 +647,6 @@ struct JobRun {
     /// Nanoseconds this job's task attempts spent queued on executors
     /// before starting, summed over attempts.
     queue_wait_nanos: u64,
-    /// When admission control queued the job (None once admitted or when
-    /// it was admitted directly).
-    admission_queued_at: Option<Instant>,
-    /// Time the job spent in the admission queue before starting.
-    admission_wait_nanos: u64,
     /// Budgets, policies and the attempt-id counter every stage run's
     /// attempt table draws on.
     ledger: Ledger,
@@ -759,25 +662,6 @@ impl JobRun {
     /// Whether the result stage (and therefore the job) is done.
     fn is_finished(&self) -> bool {
         self.stages[self.result_idx].state == StageState::Finished
-    }
-
-    /// Tasks the job would run if every stage ran (skipped-stage reuse can
-    /// make the real count smaller): the unit admission control's
-    /// per-priority queue bound is expressed in.
-    fn planned_tasks(&self) -> usize {
-        self.stages.iter().map(|s| s.num_tasks).sum()
-    }
-
-    /// Resolves a job that was never admitted (shed, deadlined while
-    /// queued, or still queued at teardown): records a report with no
-    /// stage entries and resolves the caller's handle with `err`. Nothing
-    /// of the job ever ran, so there is nothing to abandon or reclaim.
-    fn resolve_unadmitted(mut self: Box<Self>, outcome: JobOutcome, err: TaskError) {
-        self.record(outcome);
-        self.stages.clear();
-        let _ = self
-            .done
-            .send(Err(JobError::without_task(self.job_id, err)));
     }
 
     /// Applies one task event: accounts its time, lets the stage run's
@@ -997,11 +881,7 @@ impl JobRun {
                     .expect("a duplicate is only decided with two or more executors")
             }
         };
-        let tag = TaskTag {
-            job_id: self.job_id,
-            priority: self.priority,
-        };
-        pool.submit_on(executor, tag, Some(launch.token), task)
+        pool.submit_on(executor, Some(launch.token), task)
             .map_err(|_| {
                 self.abort(JobError {
                     job_id,
@@ -1023,11 +903,13 @@ impl JobRun {
         self.running > 0 && (config.health.enabled || speculating)
     }
 
-    /// The nearest instant this job needs the driver awake at: its
-    /// deadline, or a backoff coming due in one of its running stages.
+    /// The nearest instant this job needs the driver awake at: a backoff
+    /// coming due in one of its running stages.
     fn next_due(&self) -> Option<Instant> {
-        let backoffs = self.stages.iter().filter_map(|s| s.run.as_ref()?.next_due);
-        backoffs.chain(self.deadline).min()
+        self.stages
+            .iter()
+            .filter_map(|s| s.run.as_ref()?.next_due)
+            .min()
     }
 
     /// The job's share of the driver's tick: launches every backoff that
@@ -1140,8 +1022,8 @@ impl JobRun {
     }
 
     /// Gives the job up over `err`: cancels every live attempt at its next
-    /// cancellation point (an abort or expired deadline must free the
-    /// executors, not wait out wedged bodies) and releases every shuffle
+    /// cancellation point (an abort must free the executors, not wait out
+    /// wedged bodies) and releases every shuffle
     /// claim the job still holds (dropping their partial map output) so
     /// other or future jobs can re-claim and run those map stages.
     fn abort(&mut self, err: JobError) -> JobError {
@@ -1175,21 +1057,13 @@ impl JobRun {
     /// [`JobOutcome::Aborted`], and only then does the caller's handle
     /// resolve with the error — `last_job_report()` after a failed action
     /// therefore describes the failed job, not the previous one.
-    fn fail(self, err: JobError) {
-        self.fail_with(JobOutcome::Aborted, err);
-    }
-
-    /// [`fail`](Self::fail) with an explicit outcome: the deadline path
-    /// records [`JobOutcome::Deadlined`] instead of `Aborted` while
-    /// sharing the abort bookkeeping (in-flight stage reports, shuffle
-    /// abandon already done by the caller, handle resolution last).
-    fn fail_with(mut self, outcome: JobOutcome, err: JobError) {
+    fn fail(mut self, err: JobError) {
         let (snap, now) = (self.ctx.metrics_snapshot(), Instant::now());
         for mut run in self.stages.iter_mut().filter_map(|stage| stage.run.take()) {
             run.close(StageOutcome::Aborted, snap, now);
             self.reports.push(run.report);
         }
-        self.record(outcome);
+        self.record(JobOutcome::Aborted);
         // As in `finish`: the caller must hold the last lineage references
         // once it unblocks.
         self.stages.clear();
@@ -1201,12 +1075,11 @@ impl JobRun {
         self.ctx.metrics().record_job(JobReport {
             job_id: self.job_id,
             outcome,
-            priority: self.priority,
             stages: std::mem::take(&mut self.reports),
             max_concurrent_stages: self.max_concurrent,
             executor_busy_nanos: std::mem::take(&mut self.executor_busy),
             queue_wait_nanos: self.queue_wait_nanos,
-            admission_wait_nanos: self.admission_wait_nanos,
+            admission_wait_nanos: 0,
             wall_nanos: self.started.elapsed().as_nanos() as u64,
         });
     }
@@ -1756,9 +1629,7 @@ mod tests {
         assert_eq!(rdd.count().unwrap(), 2048);
         let elapsed = started.elapsed();
         let scans = ctx.inner.pool.looks.load(Relaxed) - before;
-        let ticks = elapsed
-            .as_nanos()
-            .div_ceil(super::ADMISSION_POLL.as_nanos()) as u64;
+        let ticks = elapsed.as_nanos().div_ceil(super::POLL.as_nanos()) as u64;
         assert!(
             scans <= 1 + ticks,
             "{scans} scans in {elapsed:?} ({ticks} ticks) for 2048 task events"
@@ -1766,22 +1637,5 @@ mod tests {
         let report = ctx.last_job_report().unwrap();
         let counts = report.counts();
         assert_eq!((counts.tasks_speculated, counts.watchdog_trips), (0, 0));
-    }
-
-    /// Jobs submitted inside `run_with_priority` carry the priority into
-    /// their reports; the scope restores the previous priority on exit.
-    #[test]
-    fn run_with_priority_stamps_the_job_report() {
-        let ctx = SpangleContext::new(2);
-        let rdd = ctx.parallelize((0u64..8).collect(), 2);
-        let n = ctx.run_with_priority(7, || rdd.count().unwrap());
-        assert_eq!(n, 8);
-        assert_eq!(ctx.last_job_report().unwrap().priority, 7);
-        rdd.count().unwrap();
-        assert_eq!(
-            ctx.last_job_report().unwrap().priority,
-            0,
-            "priority scope must not leak out of run_with_priority"
-        );
     }
 }

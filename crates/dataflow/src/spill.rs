@@ -1,7 +1,6 @@
 //! On-disk spill tier shared by the shuffle service and the block manager.
 //!
-//! When resident cache + shuffle bytes cross the admission memory
-//! watermark, cold blocks are *demoted*: their records are encoded with the
+//! When resident cache + shuffle bytes cross the memory watermark, cold blocks are *demoted*: their records are encoded with the
 //! hand-rolled [`MemSize`](crate::MemSize) block codec and written to a
 //! private temp directory, freeing their heap bytes while keeping them
 //! fetchable. A later read *rehydrates* the block — reads the file back,

@@ -11,12 +11,11 @@
 //! written against (plus [`channel::MuxSender`], the tagged sender the
 //! shared scheduler service multiplexes every job's events through),
 //! [`StealQueues`] provides the executor pool's locality-aware
-//! work-stealing priority queues, [`PriorityFifo`] is the single-consumer
-//! variant behind the scheduler's admission queue, and [`Subscribers`] is
-//! the one-shot callback list behind the shuffle service's event-driven
-//! completion notifications.
+//! work-stealing FIFO queues, and [`Subscribers`] is the one-shot callback
+//! list behind the shuffle service's event-driven completion
+//! notifications.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::sync::{LockResult, PoisonError};
 
 /// Unwraps a poisoned lock into its inner guard: a panicking task must not
@@ -174,113 +173,16 @@ impl<T> std::fmt::Debug for Closed<T> {
     }
 }
 
-/// Ordering key of one queued item: ascending map order is "highest
-/// priority first, FIFO within a priority" (priority is negated via
-/// [`std::cmp::Reverse`], the sequence number breaks ties submission-first).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct QueueKey {
-    priority: std::cmp::Reverse<i32>,
-    seq: u64,
-}
-
-/// A single-consumer priority queue: highest priority pops first, strict
-/// FIFO within a priority.
-///
-/// This is the ordering discipline of one [`StealQueues`] lane without the
-/// worker/steal machinery — the scheduler service uses it as its admission
-/// queue, where jobs over the concurrency bound wait for capacity. It is a
-/// plain (non-`Sync`) value because the driver loop is the only consumer;
-/// callers needing sharing wrap it in a [`Mutex`] themselves.
-#[derive(Default)]
-pub struct PriorityFifo<T> {
-    items: BTreeMap<QueueKey, T>,
-    /// Submission counter, the FIFO tie-breaker within a priority.
-    next_seq: u64,
-}
-
-impl<T> PriorityFifo<T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        PriorityFifo {
-            items: BTreeMap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Enqueues an item (higher priority pops first; FIFO within a
-    /// priority).
-    pub fn push(&mut self, priority: i32, item: T) {
-        let key = QueueKey {
-            priority: std::cmp::Reverse(priority),
-            seq: self.next_seq,
-        };
-        self.next_seq += 1;
-        self.items.insert(key, item);
-    }
-
-    /// Removes and returns the highest-priority, oldest item.
-    pub fn pop_front(&mut self) -> Option<T> {
-        self.items.pop_first().map(|(_, item)| item)
-    }
-
-    /// The item [`PriorityFifo::pop_front`] would return, without removing
-    /// it.
-    pub fn front(&self) -> Option<&T> {
-        self.items.first_key_value().map(|(_, item)| item)
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Iterates queued items in pop order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.values()
-    }
-
-    /// Removes and returns every item matching `pred`, preserving pop
-    /// order among the extracted items (used to pull expired jobs out of
-    /// the admission queue without disturbing the rest).
-    pub fn extract(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        let keys: Vec<QueueKey> = self
-            .items
-            .iter()
-            .filter(|(_, item)| pred(item))
-            .map(|(key, _)| *key)
-            .collect();
-        keys.into_iter()
-            .map(|key| self.items.remove(&key).expect("key taken from the map"))
-            .collect()
-    }
-
-    /// Removes and returns every queued item in pop order.
-    pub fn drain(&mut self) -> Vec<T> {
-        std::mem::take(&mut self.items).into_values().collect()
-    }
-}
-
 struct QueuesState<T> {
-    queues: Vec<BTreeMap<QueueKey, T>>,
-    /// Global submission counter, the FIFO tie-breaker within a priority.
-    next_seq: u64,
+    queues: Vec<VecDeque<T>>,
     closed: bool,
 }
 
-/// A fixed set of priority work queues with locality-aware stealing.
+/// A fixed set of FIFO work queues with locality-aware stealing.
 ///
-/// Each worker owns one queue: items pushed for it are popped in priority
-/// order (highest first), FIFO within a priority — so equal-priority
-/// traffic behaves exactly like the plain FIFO deques this replaced, while
-/// a high-priority job's tasks overtake queued lower-priority work instead
-/// of waiting out the submission interleaving. A worker whose own queue is
-/// empty steals one item from the *back* of the currently longest sibling
-/// queue (its lowest-priority, newest item, leaving urgent work to the
+/// Each worker owns one queue and pops its front. A worker whose own
+/// queue is empty steals one item from the *back* of the currently
+/// longest sibling queue (its newest item, leaving the oldest to the
 /// owner) — but only when that queue holds at least
 /// [`StealQueues::MIN_STEAL_LEN`] items, so a victim that is merely
 /// keeping up never loses the single task placed on it (the locality
@@ -308,8 +210,7 @@ impl<T> StealQueues<T> {
         assert!(n > 0, "at least one queue is required");
         StealQueues {
             state: Mutex::new(QueuesState {
-                queues: (0..n).map(|_| BTreeMap::new()).collect(),
-                next_seq: 0,
+                queues: (0..n).map(|_| VecDeque::new()).collect(),
                 closed: false,
             }),
             available: Condvar::new(),
@@ -321,27 +222,14 @@ impl<T> StealQueues<T> {
         self.state.lock().queues.len()
     }
 
-    /// Appends an item to `owner`'s queue at the default priority (0),
-    /// waking idle workers. Fails (returning the item) once the queues are
-    /// closed.
+    /// Appends an item to `owner`'s queue, waking idle workers. Fails
+    /// (returning the item) once the queues are closed.
     pub fn push(&self, owner: usize, item: T) -> Result<(), Closed<T>> {
-        self.push_prio(owner, 0, item)
-    }
-
-    /// Enqueues an item on `owner`'s queue with an explicit priority
-    /// (higher pops first; FIFO within a priority), waking idle workers.
-    /// Fails (returning the item) once the queues are closed.
-    pub fn push_prio(&self, owner: usize, priority: i32, item: T) -> Result<(), Closed<T>> {
         let mut st = self.state.lock();
         if st.closed {
             return Err(Closed(item));
         }
-        let key = QueueKey {
-            priority: std::cmp::Reverse(priority),
-            seq: st.next_seq,
-        };
-        st.next_seq += 1;
-        st.queues[owner].insert(key, item);
+        st.queues[owner].push_back(item);
         drop(st);
         self.available.notify_all();
         Ok(())
@@ -353,7 +241,7 @@ impl<T> StealQueues<T> {
     pub fn next(&self, worker: usize) -> Next<T> {
         let mut st = self.state.lock();
         loop {
-            if let Some((_, item)) = st.queues[worker].pop_first() {
+            if let Some(item) = st.queues[worker].pop_front() {
                 return Next::Local(item);
             }
             let min_len = if st.closed { 1 } else { Self::MIN_STEAL_LEN };
@@ -365,8 +253,8 @@ impl<T> StealQueues<T> {
                 .max_by_key(|(_, q)| q.len())
                 .map(|(i, _)| i);
             if let Some(victim) = victim {
-                let (_, item) = st.queues[victim]
-                    .pop_last()
+                let item = st.queues[victim]
+                    .pop_back()
                     .expect("victim emptied while the queue lock was held");
                 return Next::Stolen { item, victim };
             }
@@ -555,74 +443,6 @@ mod tests {
             .map(|_| rx.recv().map(|t| (t.tag, t.msg)).unwrap())
             .collect();
         assert_eq!(got, vec![(7, "x"), (9, "y"), (7, "z")]);
-    }
-
-    #[test]
-    fn higher_priority_items_overtake_queued_work() {
-        let q = StealQueues::new(1);
-        q.push_prio(0, 0, "low-1").unwrap();
-        q.push_prio(0, 0, "low-2").unwrap();
-        q.push_prio(0, 5, "high").unwrap();
-        q.push_prio(0, 0, "low-3").unwrap();
-        fn pop(q: &StealQueues<&'static str>) -> &'static str {
-            match q.next(0) {
-                Next::Local(v) => v,
-                other => panic!("expected local pop, got {other:?}"),
-            }
-        }
-        assert_eq!(pop(&q), "high", "priority 5 overtakes the queued backlog");
-        // Equal priorities keep strict FIFO order.
-        assert_eq!(pop(&q), "low-1");
-        assert_eq!(pop(&q), "low-2");
-        assert_eq!(pop(&q), "low-3");
-    }
-
-    #[test]
-    fn steals_take_the_lowest_priority_newest_item() {
-        let q = StealQueues::new(2);
-        q.push_prio(0, 3, "urgent").unwrap();
-        q.push_prio(0, 0, "bulk-1").unwrap();
-        q.push_prio(0, 0, "bulk-2").unwrap();
-        // Worker 1 is idle: its steal must leave the owner's urgent work
-        // alone and take the back of the queue (lowest priority, newest).
-        match q.next(1) {
-            Next::Stolen { item, victim } => {
-                assert_eq!(item, "bulk-2");
-                assert_eq!(victim, 0);
-            }
-            other => panic!("expected a steal, got {other:?}"),
-        }
-        assert!(matches!(q.next(0), Next::Local("urgent")));
-    }
-
-    #[test]
-    fn priority_fifo_orders_by_priority_then_fifo() {
-        let mut q = PriorityFifo::new();
-        q.push(0, "low-1");
-        q.push(5, "high");
-        q.push(0, "low-2");
-        q.push(-1, "bulk");
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.front(), Some(&"high"));
-        assert_eq!(q.pop_front(), Some("high"));
-        assert_eq!(q.pop_front(), Some("low-1"));
-        assert_eq!(q.pop_front(), Some("low-2"));
-        assert_eq!(q.pop_front(), Some("bulk"));
-        assert!(q.is_empty());
-        assert_eq!(q.pop_front(), None);
-    }
-
-    #[test]
-    fn priority_fifo_extract_pulls_matching_items_only() {
-        let mut q = PriorityFifo::new();
-        for v in [1u64, 2, 3, 4] {
-            q.push(0, v);
-        }
-        let evens = q.extract(|v| v % 2 == 0);
-        assert_eq!(evens, vec![2, 4]);
-        assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(q.drain(), vec![1, 3]);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -138,6 +138,84 @@ fn per_job_metrics_compose_across_interleaved_jobs() {
     assert_eq!((s1 - s0).stages_run, 1);
 }
 
+#[test]
+fn manual_evictions_are_counted() {
+    let ctx = SpangleContext::new(2);
+    let rdd = ctx.parallelize((0u64..10).collect(), 2);
+    rdd.persist();
+    assert_eq!(rdd.count().unwrap(), 10);
+
+    let before = ctx.metrics_snapshot();
+    assert!(ctx.evict_cached_partition(rdd.id(), 0));
+    assert!(!ctx.evict_cached_partition(rdd.id(), 0), "already gone");
+    rdd.unpersist();
+    let delta = ctx.metrics_snapshot() - before;
+    assert_eq!(
+        delta.partitions_evicted, 2,
+        "one manual eviction + one block left for unpersist"
+    );
+}
+
+/// A job abort cancels a body that is still *running*: the abort must free
+/// its executor at the body's next cancellation point instead of waiting
+/// it out, and leave no shuffle bytes behind. Map partition 0's body spins
+/// until it is cancelled; partition 1's fails once partition 0 is known to
+/// be running, and with one attempt per task that failure aborts the job.
+#[test]
+fn an_abort_cancels_a_running_body() {
+    use spangle_dataflow::{cancellation_point, submit_job, TaskError};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    let ctx = SpangleContext::builder()
+        .executors(2)
+        .max_task_attempts(1)
+        .build();
+    let running = Arc::new(AtomicBool::new(false));
+    let base = ctx.parallelize((0u64..40).map(|i| (i % 4, i)).collect(), 2);
+    let mapped = base.map_partitions_with_index(move |partition, records| -> Vec<(u64, u64)> {
+        if partition == 0 {
+            running.store(true, Ordering::SeqCst);
+            loop {
+                cancellation_point();
+                std::hint::spin_loop();
+            }
+        }
+        while !running.load(Ordering::SeqCst) {
+            std::hint::spin_loop();
+        }
+        panic!("partition {partition} fails with {} records", records.len());
+    });
+    let reduced = mapped.reduce_by_key(Arc::new(HashPartitioner::new(2)), |a, b| a + b);
+
+    let before = ctx.metrics_snapshot();
+    let err = reduced.collect().unwrap_err();
+    assert!(matches!(err.last_error, TaskError::Panicked(_)), "{err}");
+    let report = ctx.last_job_report().expect("aborted job report");
+    assert_eq!(report.outcome, JobOutcome::Aborted);
+    let delta = ctx.metrics_snapshot() - before;
+    assert!(delta.tasks_cancelled >= 1, "the spinning body: {delta:?}");
+
+    // One task per executor, and a lone queued task is never stolen: the
+    // barrier's partition 0 runs only once the spinning body stopped.
+    let barrier = ctx.parallelize(vec![0u64, 1], 2);
+    let mut handle = submit_job(&barrier, |_, data: Arc<Vec<u64>>| data.len());
+    let freed = handle
+        .wait_timeout(Duration::from_secs(30))
+        .map(|outcome| outcome.expect("the barrier must not abort"));
+    assert_eq!(
+        freed,
+        Some(vec![1, 1]),
+        "the cancelled body held executor 0"
+    );
+    drop((reduced, mapped, base));
+    assert_eq!(
+        ctx.shuffle_resident_bytes(),
+        0,
+        "an aborted job may leave no resident shuffle bytes"
+    );
+}
+
 /// Names of every live thread in this process, via `/proc` (comm is
 /// truncated to 15 bytes, so match on prefixes).
 #[cfg(target_os = "linux")]

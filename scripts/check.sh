@@ -49,9 +49,9 @@ run_build() {
 }
 
 # Wall-clock watchdog for the test steps: a scheduler regression that
-# wedges a job (admission never draining, a deadline never firing, a lost
-# wake-up) otherwise hangs CI until the runner's global timeout. Override
-# with WATCHDOG_SECS; 0 disables.
+# wedges a job (a lost wake-up, a body that is never cancelled) otherwise
+# hangs CI until the runner's global timeout. Override with WATCHDOG_SECS;
+# 0 disables.
 WATCHDOG_SECS="${WATCHDOG_SECS:-600}"
 
 watchdog() {
@@ -94,7 +94,7 @@ run_doc() {
 }
 
 run_stress() {
-    echo "== stress: concurrent jobs, admission overload (watchdog ${WATCHDOG_SECS}s)"
+    echo "== stress: concurrent jobs, straggler speculation (watchdog ${WATCHDOG_SECS}s)"
     # Serial: both scenarios assert on process-wide thread counts.
     watchdog cargo test -q -p spangle-dataflow --test stress_concurrent_jobs -- \
         --ignored --test-threads=1
