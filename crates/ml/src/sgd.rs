@@ -12,18 +12,26 @@
 //!
 //! in one of three optimisation levels (the Fig. 12b ablation):
 //!
-//! * [`OptLevel::None`] — the textbook `Mᵀ(h(Mx) − y)`: the sampled block
+//! * [`OptLevel::None`] — the textbook `Mᵀ(h(Mx) − y)`: each sampled block
 //!   is physically transposed every step;
-//! * [`OptLevel::Opt1`] — Eq. 3's reformulation: accumulate `errᵀM` row by
-//!   row, then physically transpose the (small) result vector;
-//! * [`OptLevel::Opt1Opt2`] — additionally replace the vector transpose by
-//!   a metadata flip ([`DenseVector::transpose`]).
+//! * [`OptLevel::Opt1`] — Eq. 3's reformulation: accumulate each block's
+//!   `errᵀM` row by row, then physically transpose that result vector;
+//! * [`OptLevel::Opt1Opt2`] — additionally replace the vector transposes by
+//!   one metadata flip ([`DenseVector::transpose`]). A task scatters every
+//!   sampled row's `err · v` into one row accumulator, in one pass per row,
+//!   and flips it once: `(Σ_t errᵀM_t)ᵀ = Σ_t (errᵀM_t)ᵀ`. A step then
+//!   costs its sampled non-zeros plus one dense vector per task.
+//!
+//! The driver folds the task gradients into the first one, in partition
+//! order, so a training run is bit-reproducible. It then hands the task
+//! vectors back for the next step's tasks to zero and reuse, so after the
+//! first step a task allocates no feature-length vector at all.
 
 use crate::graph::mix;
 use spangle_dataflow::rdd::sources::GeneratedRdd;
 use spangle_dataflow::{JobError, MemSize, ModPartitioner, Partitioner, Rdd, SpangleContext};
 use spangle_linalg::DenseVector;
-use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One sample's features: sorted `(feature index, value)` pairs.
@@ -161,8 +169,11 @@ impl TrainSet {
             let mut total = 0usize;
             for (_, block) in blocks {
                 for (row, &label) in block.rows.iter().zip(&block.labels) {
-                    let margin: f64 = row.iter().map(|&(j, v)| w[j as usize] * v).sum();
-                    let predicted = if sigmoid(margin) >= 0.5 { 1.0 } else { 0.0 };
+                    let predicted = if sigmoid(margin(row, w)) >= 0.5 {
+                        1.0
+                    } else {
+                        0.0
+                    };
                     if predicted == label {
                         correct += 1;
                     }
@@ -246,6 +257,11 @@ impl LogisticRegression {
         let mut x = vec![0.0f64; f];
         let started = Instant::now();
         let mut iterations = 0usize;
+        // Task gradient vectors the driver hands back after each fold, for
+        // the next step's tasks to accumulate into. Their pages stay mapped;
+        // a fresh feature-length vector per task faults every page in again
+        // (twice, since the scatter reads before it writes).
+        let spare: Arc<Mutex<Vec<Vec<f64>>>> = Arc::default();
 
         for t in 0..config.max_iters {
             iterations = t + 1;
@@ -255,53 +271,56 @@ impl LogisticRegression {
             let batch = config.batch_chunks.min(cpp);
             let opt = config.opt;
             let seed = config.seed;
-            let num_features = f;
+            let spare_for_tasks = Arc::clone(&spare);
             let partials = data.rdd.run_partitions(move |p, blocks| {
-                // Reverse Eq. 2: draw rIDs, recover this partition's chunk
-                // IDs, and look the chunks up locally.
-                let by_id: HashMap<u64, &SampleBlock> =
-                    blocks.iter().map(|(id, b)| (*id, b)).collect();
+                // Reverse Eq. 2: draw rIDs and recover this partition's
+                // chunk IDs. `generate` emits a partition's chunks in rID
+                // order, so chunk `rID` is `blocks[rID]`.
                 let mut chosen = Vec::with_capacity(batch);
                 let mut cursor = mix(seed ^ ((t as u64) << 32) ^ p as u64);
                 while chosen.len() < batch {
                     cursor = mix(cursor);
                     let r_id = cursor % cpp as u64;
-                    let c_n = n_p * r_id + p as u64;
-                    if !chosen.contains(&c_n) {
-                        chosen.push(c_n);
+                    if !chosen.contains(&r_id) {
+                        chosen.push(r_id);
                     }
                 }
-                let x = bc.value();
-                let mut grad = vec![0.0f64; num_features];
-                let mut count = 0usize;
-                for c_n in chosen {
-                    let block = by_id
-                        .get(&c_n)
-                        .expect("Eq. 2 reversal must land on a local chunk");
-                    accumulate_gradient(block, x, opt, &mut grad);
-                    count += block.rows.len();
-                }
-                (grad, count)
+                let sampled = chosen.into_iter().map(|r_id| {
+                    let (c_n, block) = &blocks[r_id as usize];
+                    assert_eq!(
+                        *c_n,
+                        n_p * r_id + p as u64,
+                        "Eq. 2 reversal must land on a local chunk"
+                    );
+                    block
+                });
+                let reused = spare_for_tasks.lock().expect("spare vectors").pop();
+                task_gradient(sampled, bc.value(), opt, reused)
             })?;
 
-            let mut grad = vec![0.0f64; f];
-            let mut total = 0usize;
+            // Fold the task gradients into the first, in partition order.
+            let mut partials = partials.into_iter();
+            let Some((mut grad, mut total)) = partials.next() else {
+                break;
+            };
             for (g, c) in partials {
-                for (a, b) in grad.iter_mut().zip(&g) {
+                for (a, b) in grad.as_mut_slice().iter_mut().zip(g.as_slice()) {
                     *a += b;
                 }
                 total += c;
+                spare.lock().expect("spare vectors").push(g.into_vec());
             }
             if total == 0 {
                 break;
             }
             let scale = config.step_size / total as f64;
             let mut norm2 = 0.0;
-            for (xi, gi) in x.iter_mut().zip(&grad) {
+            for (xi, gi) in x.iter_mut().zip(grad.as_slice()) {
                 let delta = scale * gi;
                 *xi -= delta;
                 norm2 += delta * delta;
             }
+            spare.lock().expect("spare vectors").push(grad.into_vec());
             if norm2.sqrt() < config.tolerance {
                 break;
             }
@@ -315,56 +334,94 @@ impl LogisticRegression {
     }
 }
 
-/// Adds one block's gradient contribution into `grad`, through the code
-/// path selected by `opt`. All three paths compute the same value; they
-/// differ in how much data movement the transpose costs.
-fn accumulate_gradient(block: &SampleBlock, x: &[f64], opt: OptLevel, grad: &mut [f64]) {
+/// `row · x` for a sparse sample row.
+#[inline]
+fn margin(row: &SparseRow, x: &[f64]) -> f64 {
+    row.iter().map(|&(j, v)| x[j as usize] * v).sum()
+}
+
+/// One task's gradient `Σ_t ((h(M_t·x) − y_t)ᵀ M_t)ᵀ` over its sampled
+/// blocks, as a column vector, with the number of samples it covers. It is
+/// summed into `reused` (a vector of an earlier step, zeroed here) when one
+/// is given, else into a fresh vector.
+///
+/// Under [`OptLevel::Opt1Opt2`] that vector is the task's one row
+/// accumulator: each sample's error is computed and scattered into it in
+/// one pass, and one metadata flip (opt₂) turns `Σ_t errᵀM_t` into the
+/// column — equal to the sum of the per-block flips, since a flip moves no
+/// data. The other two levels keep their per-block transposes, which are
+/// what Fig. 12b measures.
+fn task_gradient<'a>(
+    sampled: impl IntoIterator<Item = &'a SampleBlock>,
+    x: &[f64],
+    opt: OptLevel,
+    reused: Option<Vec<f64>>,
+) -> (DenseVector, usize) {
+    let mut grad = reused.unwrap_or_default();
+    grad.clear();
+    grad.resize(x.len(), 0.0);
+    let mut count = 0usize;
+    if opt != OptLevel::Opt1Opt2 {
+        for block in sampled {
+            add_block_gradient(block, x, opt, &mut grad);
+            count += block.rows.len();
+        }
+        return (DenseVector::column(grad), count);
+    }
+    let mut acc = DenseVector::row(grad);
+    let buf = acc.as_mut_slice();
+    for block in sampled {
+        for (row, &y) in block.rows.iter().zip(&block.labels) {
+            let err = sigmoid(margin(row, x)) - y;
+            for &(j, v) in row {
+                buf[j as usize] += err * v;
+            }
+        }
+        count += block.rows.len();
+    }
+    (acc.transpose(), count)
+}
+
+/// Adds one block's gradient into `grad` with a physical transpose per
+/// block: of the block itself ([`OptLevel::None`]) or of its `errᵀM`
+/// result vector ([`OptLevel::Opt1`]).
+fn add_block_gradient(block: &SampleBlock, x: &[f64], opt: OptLevel, grad: &mut [f64]) {
     let errs: Vec<f64> = block
         .rows
         .iter()
         .zip(&block.labels)
-        .map(|(row, &y)| {
-            let margin: f64 = row.iter().map(|&(j, v)| x[j as usize] * v).sum();
-            sigmoid(margin) - y
-        })
+        .map(|(row, &y)| sigmoid(margin(row, x)) - y)
         .collect();
 
-    match opt {
-        OptLevel::None => {
-            // Physically transpose the sampled block: materialise Mᵀ as a
-            // column-major triplet list (gather + sort, the real cost of a
-            // sparse transpose), then contract it against err.
-            let mut transposed: Vec<(u32, u32, f64)> = Vec::new();
-            for (r, row) in block.rows.iter().enumerate() {
-                for &(j, v) in row {
-                    transposed.push((j, r as u32, v));
-                }
-            }
-            transposed.sort_unstable_by_key(|&(j, r, _)| (j, r));
-            for (j, r, v) in transposed {
-                grad[j as usize] += errs[r as usize] * v;
+    if opt == OptLevel::None {
+        // Physically transpose the sampled block: materialise Mᵀ as a
+        // column-major triplet list (gather + sort, the real cost of a
+        // sparse transpose), then contract it against err.
+        let mut transposed: Vec<(u32, u32, f64)> = Vec::new();
+        for (r, row) in block.rows.iter().enumerate() {
+            for &(j, v) in row {
+                transposed.push((j, r as u32, v));
             }
         }
-        OptLevel::Opt1 | OptLevel::Opt1Opt2 => {
-            // Eq. 3: accumulate errᵀM row by row — no block transpose.
-            let mut partial = DenseVector::row(vec![0.0; grad.len()]);
-            {
-                let buf = partial.as_mut_slice();
-                for (row, &e) in block.rows.iter().zip(&errs) {
-                    for &(j, v) in row {
-                        buf[j as usize] += e * v;
-                    }
-                }
-            }
-            // The result is a row vector; Eq. 3 transposes it back.
-            let partial = match opt {
-                OptLevel::Opt1 => partial.transpose_physical(),
-                _ => partial.transpose(),
-            };
-            for (g, p) in grad.iter_mut().zip(partial.as_slice()) {
-                *g += p;
+        transposed.sort_unstable_by_key(|&(j, r, _)| (j, r));
+        for (j, r, v) in transposed {
+            grad[j as usize] += errs[r as usize] * v;
+        }
+        return;
+    }
+    // Eq. 3: accumulate errᵀM row by row — no block transpose — then
+    // physically transpose the row vector back.
+    let mut partial = DenseVector::row(vec![0.0; grad.len()]);
+    {
+        let buf = partial.as_mut_slice();
+        for (row, &e) in block.rows.iter().zip(&errs) {
+            for &(j, v) in row {
+                buf[j as usize] += e * v;
             }
         }
+    }
+    for (g, p) in grad.iter_mut().zip(partial.transpose_physical().as_slice()) {
+        *g += p;
     }
 }
 
@@ -372,6 +429,7 @@ fn accumulate_gradient(block: &SampleBlock, x: &[f64], opt: OptLevel, grad: &mut
 mod tests {
     use super::*;
     use crate::datasets;
+    use spangle_linalg::Orientation;
 
     #[test]
     fn eq2_numbering_is_unique_and_mod_partitioned() {
@@ -456,26 +514,73 @@ mod tests {
         });
     }
 
+    /// Several blocks accumulated into one task gradient: the per-block
+    /// transposes of `None` and `Opt1` and `Opt1Opt2`'s single flip of
+    /// the task's row accumulator agree, in a fresh vector or in a reused
+    /// one of any length and content.
     #[test]
     fn opt_levels_agree_on_the_gradient() {
-        let block = SampleBlock {
-            rows: vec![
-                vec![(0, 1.0), (2, -2.0)],
-                vec![(1, 0.5)],
-                vec![(0, -1.0), (3, 3.0)],
-            ],
-            labels: vec![1.0, 0.0, 1.0],
-        };
+        let blocks = [
+            SampleBlock {
+                rows: vec![
+                    vec![(0, 1.0), (2, -2.0)],
+                    vec![(1, 0.5)],
+                    vec![(0, -1.0), (3, 3.0)],
+                ],
+                labels: vec![1.0, 0.0, 1.0],
+            },
+            SampleBlock {
+                rows: vec![vec![(1, -1.5), (3, 0.25)], vec![]],
+                labels: vec![0.0, 1.0],
+            },
+            SampleBlock {
+                rows: vec![vec![(0, 2.0), (1, 1.0), (2, 0.5), (3, -0.75)]],
+                labels: vec![1.0],
+            },
+        ];
         let x = vec![0.1, -0.2, 0.3, 0.0];
-        let mut reference = vec![0.0; 4];
-        accumulate_gradient(&block, &x, OptLevel::None, &mut reference);
-        for opt in [OptLevel::Opt1, OptLevel::Opt1Opt2] {
-            let mut got = vec![0.0; 4];
-            accumulate_gradient(&block, &x, opt, &mut got);
-            for (a, b) in got.iter().zip(&reference) {
-                assert!((a - b).abs() < 1e-12, "opt={opt:?}");
+        let (reference, n) = task_gradient(&blocks, &x, OptLevel::None, None);
+        assert_eq!(n, 6);
+        assert_eq!(reference.orientation(), Orientation::Column);
+        assert!(reference.as_slice().iter().all(|g| *g != 0.0));
+        for opt in [OptLevel::None, OptLevel::Opt1, OptLevel::Opt1Opt2] {
+            for reused in [None, Some(vec![7.0; 3]), Some(vec![-1.0; 9])] {
+                let (got, count) = task_gradient(&blocks, &x, opt, reused.clone());
+                let case = format!("opt={opt:?} reused={reused:?}");
+                assert_eq!(count, n, "{case}");
+                assert_eq!(got.orientation(), Orientation::Column, "{case}");
+                assert_eq!(got.len(), x.len(), "{case}");
+                for (a, b) in got.as_slice().iter().zip(reference.as_slice()) {
+                    assert!((a - b).abs() < 1e-12, "{case}");
+                }
             }
         }
+    }
+
+    /// Two `train` calls on one training set give bit-identical weights:
+    /// task results are folded in partition order, whichever task ends
+    /// first.
+    #[test]
+    fn training_is_bit_reproducible() {
+        let ctx = SpangleContext::new(4);
+        let data = datasets::synthetic_logreg(&ctx, 4, 4, 32, 64, 6, 5);
+        data.persist();
+        let config = SgdConfig {
+            max_iters: 30,
+            tolerance: 0.0,
+            batch_chunks: 2,
+            ..SgdConfig::default()
+        };
+        let bits = || -> Vec<u64> {
+            let model = LogisticRegression::train(&data, config).unwrap();
+            model
+                .weights
+                .as_slice()
+                .iter()
+                .map(|w| w.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(), bits());
     }
 
     #[test]

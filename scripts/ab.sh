@@ -18,8 +18,12 @@
 # files land there too: nothing is written inside the repository. Pairs
 # alternate which side runs first. Prints one line per run (side,
 # workload, failed ops, the five end-to-end metrics), then per workload
-# each metric's median per side, and for `op_p10_ms` how many change runs
-# are below every parent run.
+# each metric's median per side with its quartiles [q1, q3] (the exclusive
+# method, as `benchmark compare` computes them), marked `unresolved` when
+# either side's spread (q3 − q1 over the median) is wider than the
+# metric's bound in BENCHMARK.json and some change run is no lower than
+# some parent run, and for `op_p10_ms` how many change runs are below
+# every parent run.
 set -euo pipefail
 
 [ $# -ge 2 ] || { awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' "$0"; exit 2; }
@@ -68,14 +72,40 @@ for workload in "${workloads[@]}"; do
     done
 done
 
-echo "== medians (parent → change)"
-awk -v names="${metrics[*]}" '
-    function median(list,    n, a, i, j, t) {
+# "metric=bound" pairs of the end-to-end metrics, read from BENCHMARK.json.
+bounds=$(awk -F'"' '/"name":/ { name = $4 } /"bound":/ { b = $3; gsub(/[^0-9.]/, "", b); printf "%s=%s ", name, b }' \
+    "$repo/BENCHMARK.json")
+
+echo "== medians [q1, q3] (parent → change)"
+awk -v names="${metrics[*]}" -v bounds="$bounds" '
+    function sorted(list, a,    n, i, j, t) {
         n = split(list, a, " ")
         for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] + 0 > a[j] + 0; j--) {
             t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
         }
+        return n
+    }
+    function median(list,    n, a) {
+        n = sorted(list, a)
         return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+    }
+    # Quartile k (1 or 3) by the exclusive method: Python statistics.quantiles(n=4).
+    function quartile(list, k,    n, a, pos, j) {
+        n = sorted(list, a)
+        if (n < 2) return a[1]
+        pos = k * (n + 1) / 4
+        j = int(pos)
+        if (j < 1) j = 1
+        if (j > n - 1) j = n - 1
+        return a[j] + (a[j + 1] - a[j]) * (pos - j)
+    }
+    # "median [q1, q3]" of a list; sets spread to (q3 − q1) / |median|, and
+    # low and high to its extremes.
+    function summary(list,    m, q1, q3, n, a) {
+        n = sorted(list, a); low = a[1]; high = a[n]
+        m = median(list); q1 = quartile(list, 1); q3 = quartile(list, 3)
+        spread = m != 0 ? (q3 - q1) / (m < 0 ? -m : m) : 0
+        return sprintf("%.10g [%.10g, %.10g]", m, q1, q3)
     }
     function sum(list,    n, a, i, s) {
         n = split(list, a, " ")
@@ -91,6 +121,8 @@ awk -v names="${metrics[*]}" '
     }
     END {
         n = split(names, metric, " ")
+        nb = split(bounds, pairs, " ")
+        for (i = 1; i <= nb; i++) { split(pairs[i], kv, "="); bound[kv[1]] = kv[2] }
         for (w = 1; w <= workloads; w++) {
             wl = order[w]
             printf "%s  failed ops, all runs: %d → %d\n", wl, sum(runs["parent", wl, "failed"]),
@@ -98,8 +130,14 @@ awk -v names="${metrics[*]}" '
             for (i = 1; i <= n; i++) {
                 p = median(runs["parent", wl, metric[i]])
                 c = median(runs["change", wl, metric[i]])
-                printf "  %-20s %16.10g → %-16.10g (%+.1f %%)\n", metric[i], p, c,
-                    p != 0 ? 100 * (c - p) / p : 0
+                ps = summary(runs["parent", wl, metric[i]]); pspread = spread; plow = low
+                cs = summary(runs["change", wl, metric[i]]); cspread = spread; chigh = high
+                # Every metric here is lower-is-better: a change whose every
+                # run beats every parent run is resolved however wide.
+                wide = (metric[i] in bound) && (pspread > bound[metric[i]] || cspread > bound[metric[i]]) &&
+                    chigh + 0 >= plow + 0
+                printf "  %-20s %s → %s (%+.1f %%)%s\n", metric[i], ps, cs,
+                    p != 0 ? 100 * (c - p) / p : 0, wide ? "  unresolved" : ""
             }
             np = split(runs["parent", wl, "op_p10_ms"], pv, " ")
             nc = split(runs["change", wl, "op_p10_ms"], cv, " ")
