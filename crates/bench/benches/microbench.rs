@@ -7,7 +7,8 @@ use spangle_bench::{criterion_group, criterion_main};
 use spangle_bitmask::{
     harley_seal, Bitmask, DeltaCursor, HierarchicalBitmask, Milestones, OffsetArray,
 };
-use spangle_core::{Chunk, ChunkPolicy, ColumnWalk};
+use spangle_core::aggregate::builtin::Count;
+use spangle_core::{ArrayBuilder, ArrayMeta, Chunk, ChunkPolicy, ColumnWalk};
 use spangle_dataflow::cache::{BlockManager, CacheKey};
 use spangle_dataflow::{BlockOrigin, MemSize, SpangleContext};
 use spangle_linalg::block::{
@@ -344,6 +345,51 @@ fn bench_chunk_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// The raster operators' chunk kernels. `filter` (keeping about half the
+/// cells) and `restrict` (by a boundary chunk's range mask, three quarters
+/// of every line) on one 128² chunk at ≈ 7 %, 30 % and 60 % density —
+/// Sparse, Sparse and Dense; then `aggregate_by` counting a persisted
+/// 1024² array of such chunks (30 %, two executors) into groups 4 and 32
+/// cells wide. Divide a time by the entry's `_valid` count for ns per cell.
+fn bench_chunk_ops(c: &mut Criterion) {
+    let mut group = c.benchmark_group("chunk_ops");
+    let policy = ChunkPolicy::default();
+    let side = 128usize;
+    let hash = |i: usize| (i.wrapping_mul(2654435761) >> 7) % 1000;
+    let keep = Bitmask::from_fn(side * side, |i| i % side < side * 3 / 4);
+    for percent in [7usize, 30, 60] {
+        let cells = (0..side * side)
+            .filter(|&i| hash(i) < percent * 10)
+            .map(|i| (i, hash(i * 7 + 3) as f64));
+        let chunk = Chunk::from_sorted_cells(side * side, cells, &policy).expect("chunk");
+        let valid = chunk.valid_count();
+        group.bench_function(format!("filter/{percent}pct/{valid}_valid"), |b| {
+            b.iter(|| black_box(&chunk).filter(|v| v < 500.0, &policy))
+        });
+        group.bench_function(format!("restrict/{percent}pct/{valid}_valid"), |b| {
+            b.iter(|| black_box(&chunk).restrict(&keep, &policy))
+        });
+    }
+    let ctx = SpangleContext::new(2);
+    let arr = ArrayBuilder::new(&ctx, ArrayMeta::new(vec![1024, 1024], vec![side, side]))
+        .ingest(move |c| (hash(c[0] + c[1] * 1024) < 300).then_some(1.0f64))
+        .build();
+    arr.persist();
+    let valid = arr.count_valid().expect("ingest");
+    for width in [4usize, 32] {
+        group.bench_function(format!("aggregate_by/{width}_wide/{valid}_valid"), |b| {
+            b.iter(|| {
+                arr.aggregate_by(
+                    move |c| ((c[0] / width) as u64, (c[1] / width) as u64),
+                    Count,
+                )
+                .expect("aggregate_by")
+            })
+        });
+    }
+    group.finish();
+}
+
 /// The spill frame's checksum at 1 MiB — `spangle-dataflow`'s own
 /// `frame.rs`, compiled into this bench by path because the module is
 /// private to its crate — against the byte-at-a-time FNV-1a it replaced.
@@ -570,6 +616,6 @@ fn quick_config() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_config();
-    targets = bench_popcount, bench_rank_strategies, bench_chunk_access, bench_block_kernels, bench_hierarchical, bench_adjacency_walk, bench_chunk_scan, bench_frame_checksum, bench_partial_reduce, bench_spill_tier
+    targets = bench_popcount, bench_rank_strategies, bench_chunk_access, bench_block_kernels, bench_hierarchical, bench_adjacency_walk, bench_chunk_scan, bench_chunk_ops, bench_frame_checksum, bench_partial_reduce, bench_spill_tier
 }
 criterion_main!(benches);

@@ -449,9 +449,7 @@ impl<E: Element> ArrayRdd<E> {
             .run_partitions(move |_, chunks| {
                 let mut state = task_agg.initialize();
                 for (_, chunk) in chunks {
-                    for (_, v) in chunk.iter_valid() {
-                        task_agg.accumulate(&mut state, v);
-                    }
+                    chunk.for_each_valid(|_, v| task_agg.accumulate(&mut state, v));
                 }
                 state
             })
@@ -466,6 +464,11 @@ impl<E: Element> ArrayRdd<E> {
     /// Grouped aggregation: groups valid cells by `key(coords)` and
     /// aggregates each group with `agg`, reducing group states through a
     /// shuffle (this is how Q5's spatial density query runs).
+    ///
+    /// A task decodes a cell's coordinates once per dim-0 line that holds
+    /// a valid cell and steps `coords[0]` along the line, and keeps its
+    /// group table under an Fx-style hasher; the shuffle that reduces the
+    /// tables partitions as every other one does.
     pub fn aggregate_by<K, A>(
         &self,
         key: impl Fn(&[usize]) -> K + Send + Sync + 'static,
@@ -480,17 +483,27 @@ impl<E: Element> ArrayRdd<E> {
         let map_agg = agg.clone();
         let states = self.rdd.map_partitions(move |chunks| {
             let mapper = meta.mapper();
-            let mut groups: HashMap<K, A::State> = HashMap::new();
+            let mut groups: HashMap<K, A::State, FxBuildHasher> = HashMap::default();
             let mut coords = vec![0usize; meta.rank()];
             for (id, chunk) in chunks {
                 let origin = mapper.chunk_origin(*id);
                 let extent = mapper.chunk_extent(*id);
-                for (local, v) in chunk.iter_valid() {
-                    Mapper::unravel(&origin, &extent, local, &mut coords);
-                    let k = key(&coords);
-                    let state = groups.entry(k).or_insert_with(|| map_agg.initialize());
+                // Offsets `line_start..line_end` form the dim-0 line
+                // `coords[1..]` names; offsets only ascend.
+                let (mut line_start, mut line_end) = (0, 0);
+                chunk.for_each_valid(|local, v| {
+                    if local >= line_end {
+                        Mapper::unravel(&origin, &extent, local, &mut coords);
+                        line_start = local - (coords[0] - origin[0]);
+                        line_end = line_start + extent[0];
+                    } else {
+                        coords[0] = origin[0] + (local - line_start);
+                    }
+                    let state = groups
+                        .entry(key(&coords))
+                        .or_insert_with(|| map_agg.initialize());
                     map_agg.accumulate(state, v);
-                }
+                });
             }
             groups.into_iter().collect()
         });
@@ -616,6 +629,57 @@ pub(crate) fn range_mask(
             cursor[d] = loc_lo[d];
             d += 1;
         }
+    }
+}
+
+/// An Fx-style multiply-rotate hasher for task-local tables whose keys
+/// come from the program, not from outside: far cheaper per key than
+/// SipHash and with no flooding resistance. Partitioners and the shuffle
+/// keep `RandomState`, so no record moves because of it.
+#[derive(Default)]
+pub(crate) struct FxHasher {
+    hash: u64,
+}
+
+/// [`FxHasher`] for `HashMap::default()`.
+pub(crate) type FxBuildHasher = std::hash::BuildHasherDefault<FxHasher>;
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl std::hash::Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    /// The product's high bits are its well-mixed ones, but hashbrown picks
+    /// a bucket by the low bits: rotate the high bits down.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
     }
 }
 
@@ -767,6 +831,74 @@ mod tests {
             groups,
             vec![((0, 0), 16), ((0, 1), 16), ((1, 0), 16), ((1, 1), 16)]
         );
+    }
+
+    /// `aggregate_by` equals a driver-side fold of `collect_cells` into a
+    /// `BTreeMap`: ranks 1–3, clipped boundary chunks, keys finer and
+    /// coarser than a dim-0 line, every chunk mode, several partitions.
+    #[test]
+    fn aggregate_by_equals_a_fold_of_collected_cells() {
+        use std::collections::BTreeMap;
+        let ctx = SpangleContext::new(2);
+        spangle_testkit::run_cases(0xA66B, 40, |rng| {
+            let rank = rng.usize_in(1..4);
+            let max_dim = [0, 300, 45, 16][rank];
+            let dims: Vec<usize> = (0..rank).map(|_| rng.usize_in(1..max_dim)).collect();
+            let chunk_shape: Vec<usize> = dims.iter().map(|&d| rng.usize_in(1..d + 3)).collect();
+            // A key width of 1 along dim 0 is finer than a line; one wider
+            // than the chunk's dim-0 extent spans lines and chunks.
+            let widths: Vec<usize> = chunk_shape
+                .iter()
+                .map(|&c| [1, 2, 3, c + 1][rng.usize_in(0..4)])
+                .collect();
+            let policy = match rng.usize_in(0..3) {
+                0 => ChunkPolicy::always_dense(),
+                1 => ChunkPolicy::default(),
+                _ => ChunkPolicy::naive_sparse(),
+            };
+            let keep_one_in = [1, 2, 5, 40][rng.usize_in(0..4)] as u64;
+            let salt = rng.next_u64();
+            let arr = ArrayBuilder::new(&ctx, ArrayMeta::new(dims, chunk_shape))
+                .policy(policy)
+                .num_partitions(rng.usize_in(1..6))
+                .ingest(move |c| {
+                    let h = c.iter().fold(salt, |h, &x| {
+                        (h ^ x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    }) >> 7;
+                    // Small integers: sums are exact in any order.
+                    h.is_multiple_of(keep_one_in).then_some((h % 100) as f64)
+                })
+                .build();
+            let key = move |c: &[usize]| -> Vec<u64> {
+                c.iter()
+                    .zip(&widths)
+                    .map(|(&x, &w)| (x / w) as u64)
+                    .collect()
+            };
+
+            let mut expected: BTreeMap<Vec<u64>, (f64, usize)> = BTreeMap::new();
+            for (coords, v) in arr.collect_cells().unwrap() {
+                let group = expected.entry(key(&coords)).or_default();
+                group.0 += v;
+                group.1 += 1;
+            }
+            let counts: BTreeMap<Vec<u64>, usize> = arr
+                .aggregate_by(key.clone(), Count)
+                .unwrap()
+                .into_iter()
+                .collect();
+            let got: BTreeMap<Vec<u64>, (f64, usize)> = arr
+                .aggregate_by(key, Sum)
+                .unwrap()
+                .into_iter()
+                .map(|(k, sum)| {
+                    let n = counts[&k];
+                    (k, (sum, n))
+                })
+                .collect();
+            assert_eq!(got.len(), counts.len(), "one group per key");
+            assert_eq!(got, expected);
+        });
     }
 
     #[test]

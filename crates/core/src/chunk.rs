@@ -378,13 +378,19 @@ impl<E: Element> Chunk<E> {
         }
     }
 
-    /// Element-wise transformation of valid cells; mode is preserved.
+    /// Element-wise transformation of valid cells; mode is preserved. `f`
+    /// sees valid cells only: a Dense result's invalid slots hold
+    /// `F::default()`.
     pub fn map_values<F: Element>(&self, f: impl Fn(E) -> F) -> Chunk<F> {
         match self {
-            Chunk::Dense { payload, mask } => Chunk::Dense {
-                payload: payload.iter().map(|&v| f(v)).collect(),
-                mask: mask.clone(),
-            },
+            Chunk::Dense { payload, mask } => {
+                let mut mapped = vec![F::default(); payload.len()];
+                mask.for_each_one(|i| mapped[i] = f(payload[i]));
+                Chunk::Dense {
+                    payload: mapped,
+                    mask: mask.clone(),
+                }
+            }
             Chunk::Sparse {
                 payload,
                 mask,
@@ -402,45 +408,56 @@ impl<E: Element> Chunk<E> {
     }
 
     /// Keeps only the cells whose bit is set in `keep` (bitwise AND of the
-    /// validity mask, §V-A). Returns `None` when nothing survives.
+    /// validity mask, §V-A). Returns `None` when nothing survives. The
+    /// masks are ANDed word by word and the survivors' values gathered in
+    /// one walk of the valid cells, so a compressed result costs the cells
+    /// read, never the chunk volume.
     pub fn restrict(&self, keep: &Bitmask, policy: &ChunkPolicy) -> Option<Chunk<E>> {
         assert_eq!(
             keep.len(),
             self.volume(),
             "restriction mask length mismatch"
         );
-        let new_mask = self.mask().and(keep);
-        if new_mask.all_zero() {
+        let mut mask = self.mask();
+        mask.and_assign(keep);
+        let kept = mask.count_ones();
+        if kept == 0 {
             return None;
         }
-        let mut payload = vec![E::default(); self.volume()];
-        for (i, v) in self.iter_valid() {
-            payload[i] = v;
-        }
-        Chunk::build(payload, new_mask, policy)
+        let mut compact = Vec::with_capacity(kept);
+        self.for_each_valid(|i, v| {
+            if keep.get(i) {
+                compact.push(v);
+            }
+        });
+        Chunk::from_compact(compact, mask, policy)
     }
 
     /// Keeps only cells satisfying `pred` — the per-chunk half of the
-    /// Filter operator. Returns `None` when nothing survives.
+    /// Filter operator. Returns `None` when nothing survives. One walk of
+    /// the valid cells sets the survivors' bits and gathers their values.
     pub fn filter(&self, pred: impl Fn(E) -> bool, policy: &ChunkPolicy) -> Option<Chunk<E>> {
-        let mut keep = Bitmask::zeros(self.volume());
-        for (i, v) in self.iter_valid() {
+        let mut mask = Bitmask::zeros(self.volume());
+        // Room for every valid cell, trimmed in place afterwards: one
+        // allocation instead of a reallocation per doubling.
+        let mut compact = Vec::with_capacity(self.valid_count());
+        self.for_each_valid(|i, v| {
             if pred(v) {
-                keep.set(i, true);
+                mask.set(i, true);
+                compact.push(v);
             }
-        }
-        self.restrict(&keep, policy)
+        });
+        compact.shrink_to_fit();
+        Chunk::from_compact(compact, mask, policy)
     }
 
     /// Rebuilds the chunk under a different policy (e.g. re-encoding a
     /// dense chunk sparsely). Returns `None` only for empty chunks, which
     /// cannot exist by construction.
     pub fn reencode(&self, policy: &ChunkPolicy) -> Option<Chunk<E>> {
-        let mut payload = vec![E::default(); self.volume()];
-        for (i, v) in self.iter_valid() {
-            payload[i] = v;
-        }
-        Chunk::build(payload, self.mask(), policy)
+        let mut compact = Vec::with_capacity(self.valid_count());
+        self.for_each_valid(|_, v| compact.push(v));
+        Chunk::from_compact(compact, self.mask(), policy)
     }
 
     /// Deep in-memory size in bytes — the quantity Fig. 9a plots per mode.
@@ -736,6 +753,109 @@ mod tests {
             let expected = (i.is_multiple_of(2) && i.is_multiple_of(3)).then_some(i as f64);
             assert_eq!(r.get(i), expected, "i={i}");
         }
+    }
+
+    /// Bugfix regression: `map_values` ran `f` on a Dense chunk's null
+    /// slots, so `100 / v` panicked on a null's `0`; and a Dense `filter`
+    /// or `restrict` result kept the dropped cells' values in their slots,
+    /// where the spill codec wrote them. Every invalid slot of a Dense
+    /// result holds `default()`.
+    #[test]
+    fn dense_results_hold_default_in_every_invalid_slot() {
+        fn assert_invalid_slots_default(c: &Chunk<i64>) {
+            let Chunk::Dense { payload, mask } = c else {
+                panic!("expected a dense chunk, got {:?}", c.mode());
+            };
+            for (i, &v) in payload.iter().enumerate() {
+                assert!(mask.get(i) || v == 0, "invalid slot {i} holds {v}");
+            }
+        }
+        let dense = ChunkPolicy::always_dense();
+        // Cell 0 is null; its slot holds 0.
+        let c = Chunk::from_cells(64, (1..64).map(|i| (i, i as i64)), &dense).unwrap();
+        let inverted = c.map_values(|v: i64| 100 / v);
+        assert_eq!((inverted.get(0), inverted.get(7)), (None, Some(14)));
+        assert_invalid_slots_default(&inverted);
+        assert_invalid_slots_default(&c.filter(|v| v % 3 == 0, &dense).unwrap());
+        let keep = Bitmask::from_fn(64, |i| i % 5 == 0);
+        assert_invalid_slots_default(&c.restrict(&keep, &dense).unwrap());
+    }
+
+    /// `filter`, `restrict` and `reencode` build, from every source mode
+    /// and under every policy, keeping none, some or all cells, the very
+    /// chunk `from_cells` builds from the survivors of `iter_valid`: the
+    /// same cells and encoding, so the mode is `policy.mode_for(volume,
+    /// kept)` and a Sparse result has milestones exactly when the policy
+    /// asks.
+    #[test]
+    fn filter_restrict_and_reencode_equal_an_iter_valid_reference() {
+        let policies = [
+            ChunkPolicy::default(),
+            ChunkPolicy::always_dense(),
+            ChunkPolicy::naive_sparse(),
+        ];
+        let (mut sources_seen, mut results_seen) = ([false; 3], [false; 3]);
+        spangle_testkit::run_cases(0xF17E, 300, |rng| {
+            let volume = rng.usize_in(1..3000);
+            let keep_one_in = [1, 2, 3, 20, 200, volume][rng.usize_in(0..6)];
+            let mut cells: Vec<(usize, f64)> = Vec::new();
+            for i in 0..volume {
+                if rng.usize_in(0..keep_one_in) == 0 {
+                    cells.push((i, rng.f64_unit()));
+                }
+            }
+            if cells.is_empty() {
+                cells.push((rng.usize_in(0..volume), 0.5));
+            }
+            let source_policy = policies[rng.usize_in(0..3)];
+            let source = Chunk::from_sorted_cells(volume, cells, &source_policy).unwrap();
+            sources_seen[source.mode() as usize] = true;
+            let policy = policies[rng.usize_in(0..3)];
+            // Keep none, some or all of the cells.
+            let (threshold, keep) = match rng.usize_in(0..3) {
+                0 => (0.0, Bitmask::zeros(volume)),
+                1 => (1.0, Bitmask::ones(volume)),
+                _ => {
+                    let one_in = rng.usize_in(1..6);
+                    let keep = Bitmask::from_fn(volume, |_| rng.usize_in(0..one_in) == 0);
+                    (rng.f64_unit(), keep)
+                }
+            };
+            let reference: Vec<(usize, f64)> = source.iter_valid().collect();
+            let mut check = |got: Option<Chunk<f64>>, kept: Vec<(usize, f64)>| {
+                let expected = Chunk::from_cells(volume, kept.iter().copied(), &policy);
+                let (Some(got), Some(expected)) = (got, expected) else {
+                    assert!(kept.is_empty(), "{} cells kept, no chunk built", kept.len());
+                    return;
+                };
+                results_seen[got.mode() as usize] = true;
+                assert_eq!(got, expected);
+                assert_eq!(got.mode(), policy.mode_for(volume, kept.len()));
+                if let Chunk::Sparse { milestones, .. } = &got {
+                    assert_eq!(milestones.is_some(), policy.build_milestones);
+                }
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                got.spill_encode(&mut a);
+                expected.spill_encode(&mut b);
+                assert!(a == b, "encodings differ");
+            };
+            let filtered = reference.iter().filter(|(_, v)| *v < threshold);
+            check(
+                source.filter(|v| v < threshold, &policy),
+                filtered.copied().collect(),
+            );
+            let restricted = reference.iter().filter(|(i, _)| keep.get(*i));
+            check(
+                source.restrict(&keep, &policy),
+                restricted.copied().collect(),
+            );
+            check(source.reencode(&policy), reference.clone());
+        });
+        assert_eq!(
+            sources_seen, [true; 3],
+            "every source mode must be generated"
+        );
+        assert_eq!(results_seen, [true; 3], "every result mode must be built");
     }
 
     #[test]
