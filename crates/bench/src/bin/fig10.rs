@@ -367,13 +367,8 @@ fn main() {
             snap.stages_fused, snap.shuffles_elided, snap.partitions_coalesced,
         );
         println!(
-            "   speculation so far: {} launched, {} won, {} tasks cancelled",
-            snap.tasks_speculated, snap.speculation_wins, snap.tasks_cancelled,
-        );
-        println!(
-            "   health so far: {} watchdog trips, {:.1} ms retry backoff",
-            snap.watchdog_trips,
-            snap.backoff_nanos as f64 / 1e6,
+            "   duplicates so far: {} launched / {} won / {} cancelled, {} watchdog trips",
+            snap.tasks_speculated, snap.speculation_wins, snap.tasks_cancelled, snap.watchdog_trips,
         );
         json_workloads.push(Json::obj(vec![
             ("name", Json::Str(w.name.into())),
@@ -416,7 +411,6 @@ fn main() {
             ("blocks_rehydrated", Json::U64(final_snap.blocks_rehydrated)),
             ("spill_bytes", Json::U64(final_snap.spill_bytes)),
             ("watchdog_trips", Json::U64(final_snap.watchdog_trips)),
-            ("backoff_nanos", Json::U64(final_snap.backoff_nanos)),
             ("workloads", Json::Arr(json_workloads)),
         ]),
     );

@@ -154,13 +154,8 @@ fn main() {
             c.stages_fused, c.shuffles_elided, c.partitions_coalesced,
         );
         println!(
-            "   speculation: {} launched, {} won, {} tasks cancelled",
-            c.tasks_speculated, c.speculation_wins, c.tasks_cancelled,
-        );
-        println!(
-            "   health: {} watchdog trips, {:.1} ms retry backoff",
-            c.watchdog_trips,
-            c.backoff_nanos as f64 / 1e6,
+            "   duplicates: {} launched / {} won / {} cancelled, {} watchdog trips",
+            c.tasks_speculated, c.speculation_wins, c.tasks_cancelled, c.watchdog_trips,
         );
         if let Some(longest) = reports.iter().max_by_key(|r| r.wall_nanos) {
             println!("   slowest job: {longest}");
@@ -191,7 +186,6 @@ fn main() {
             ("speculation_wins", Json::U64(c.speculation_wins)),
             ("tasks_cancelled", Json::U64(c.tasks_cancelled)),
             ("watchdog_trips", Json::U64(c.watchdog_trips)),
-            ("backoff_nanos", Json::U64(c.backoff_nanos)),
             ("blocks_spilled", Json::U64(run_delta.blocks_spilled)),
             ("blocks_rehydrated", Json::U64(run_delta.blocks_rehydrated)),
             ("spill_bytes", Json::U64(run_delta.spill_bytes)),
@@ -260,7 +254,6 @@ fn main() {
             ("blocks_rehydrated", Json::U64(final_snap.blocks_rehydrated)),
             ("spill_bytes", Json::U64(final_snap.spill_bytes)),
             ("watchdog_trips", Json::U64(final_snap.watchdog_trips)),
-            ("backoff_nanos", Json::U64(final_snap.backoff_nanos)),
             ("graphs", Json::Arr(json_graphs)),
         ]),
     );

@@ -728,7 +728,6 @@ mod tests {
         use std::time::Duration;
         let ctx = SpangleContext::builder()
             .executors(2)
-            .health_monitoring(true)
             .watchdog_interval(Duration::from_millis(200))
             .build();
         let before = ctx.metrics_snapshot();

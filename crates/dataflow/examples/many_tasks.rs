@@ -1,11 +1,11 @@
 //! Driver cost per task event: a one-stage `parallelize(..).map(..).count()`
-//! of 8 … 8 192 tasks on a default two-executor context (health
-//! monitoring on, so the driver polls), best and median of 7 runs each.
+//! of 8 … 8 192 tasks on a default two-executor context (the watchdog
+//! polls while a stage runs), best and median of 7 runs each.
 //!
 //! Task bodies are empty, so the reading is the scheduler's own work per
 //! task: launch, one event, the slot's transition. It should stay flat as
-//! the stage grows — the driver's time-driven passes run per tick, not
-//! per event (EXPERIMENTS.md, "Driver events").
+//! the stage grows — the driver's watchdog scan runs per tick, not per
+//! event (EXPERIMENTS.md, "Driver events").
 //!
 //! ```text
 //! cargo run --release -p spangle-dataflow --example many_tasks

@@ -4,18 +4,19 @@ use crate::cache::BlockManager;
 use crate::env::env_parse;
 use crate::executor::ExecutorPool;
 use crate::failure::FailureInjector;
-use crate::health::{HealthConfig, RetryBackoffConfig};
 use crate::memsize::MemSize;
 use crate::metrics::{MetricField, Metrics, MetricsSnapshot};
 use crate::plan::PlannerConfig;
 use crate::rdd::sources::ParallelizeRdd;
 use crate::rdd::Rdd;
-use crate::scheduler::{SchedulerService, SpeculationConfig};
+use crate::scheduler::SchedulerService;
 use crate::shuffle::ShuffleService;
 use crate::spill::SpillStore;
 use crate::Data;
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Shared state of one simulated cluster.
 pub(crate) struct ContextInner {
@@ -48,7 +49,7 @@ pub struct SpangleContext {
 /// [`SpangleContext::builder`].
 ///
 /// ```
-/// use spangle_dataflow::{SpangleContext, SpeculationConfig};
+/// use spangle_dataflow::SpangleContext;
 /// use std::time::Duration;
 ///
 /// let ctx = SpangleContext::builder()
@@ -60,11 +61,6 @@ pub struct SpangleContext {
 ///     .elide_shuffles(true)
 ///     .coalesce_partitions(true)
 ///     .target_partition_bytes(1 << 20)
-///     .speculation(SpeculationConfig {
-///         enabled: true,
-///         multiplier: 3.0,
-///         min_runtime: Duration::from_millis(5),
-///     })
 ///     .watchdog_interval(Duration::from_secs(5))
 ///     .build();
 /// assert_eq!(ctx.num_executors(), 4);
@@ -83,12 +79,9 @@ pub struct SpangleContextBuilder {
     memory_high_watermark_bytes: usize,
     /// Which plan rewrites (fusion / elision / coalescing) are active.
     pub(crate) planner: PlannerConfig,
-    /// When the driver duplicates straggling task attempts.
-    pub(crate) speculation: SpeculationConfig,
-    /// The driver's no-progress watchdog.
-    pub(crate) health: HealthConfig,
-    /// Seeded exponential backoff applied to every retry path.
-    pub(crate) backoff: RetryBackoffConfig,
+    /// How long a running task's executor may go without a progress tick
+    /// before the driver duplicates the task.
+    pub(crate) watchdog_interval: Duration,
 }
 
 impl Default for SpangleContextBuilder {
@@ -104,9 +97,14 @@ impl Default for SpangleContextBuilder {
             memory_high_watermark_bytes: env_parse("SPANGLE_MEMORY_WATERMARK_BYTES")
                 .unwrap_or(usize::MAX),
             planner: PlannerConfig::default(),
-            speculation: SpeculationConfig::default(),
-            health: HealthConfig::default(),
-            backoff: RetryBackoffConfig::default(),
+            // Progress is body-driven, so the margin must clear long
+            // compute kernels: 10 s. The `health` CI step tightens it via
+            // `SPANGLE_WATCHDOG_MS`; a malformed or zero value warns once
+            // and the default stands.
+            watchdog_interval: env_parse::<NonZeroU64>("SPANGLE_WATCHDOG_MS")
+                .map_or(Duration::from_secs(10), |ms| {
+                    Duration::from_millis(ms.get())
+                }),
         }
     }
 }
@@ -189,50 +187,17 @@ impl SpangleContextBuilder {
         self
     }
 
-    /// Configures speculative execution for straggling task attempts (see
-    /// [`SpeculationConfig`]): a running original whose elapsed time
-    /// exceeds the configured multiple of its stage's median completed
-    /// duration is duplicated on an idle executor; the first completion
-    /// wins and the loser is cancelled through its token. Default off;
-    /// [`SpeculationConfig::default`] with `enabled: true` is 4× the
-    /// median with a 10 ms floor.
-    pub fn speculation(mut self, config: SpeculationConfig) -> Self {
-        assert!(
-            config.multiplier >= 1.0,
-            "a speculation multiplier below 1 would duplicate faster-than-median tasks"
-        );
-        self.speculation = config;
-        self
-    }
-
     /// No-progress watchdog: a running task whose executor's
     /// chunk-boundary progress counter has not moved for this long is
-    /// duplicated through the speculation path (default 10 s; the
-    /// `SPANGLE_WATCHDOG_MS` environment variable overrides the default,
-    /// an explicit call here wins).
-    pub fn watchdog_interval(mut self, interval: std::time::Duration) -> Self {
+    /// duplicated on another executor, and the first completion wins
+    /// (default 10 s; the `SPANGLE_WATCHDOG_MS` environment variable
+    /// overrides the default, an explicit call here wins).
+    pub fn watchdog_interval(mut self, interval: Duration) -> Self {
         assert!(
             !interval.is_zero(),
             "a zero watchdog would duplicate every task"
         );
-        self.health.watchdog_interval = interval;
-        self
-    }
-
-    /// Enables or disables health monitoring — the no-progress watchdog
-    /// (default on). Off restores the announced-failures-only behavior:
-    /// only `kill_executor` and injected failures trigger recovery.
-    pub fn health_monitoring(mut self, enabled: bool) -> Self {
-        self.health.enabled = enabled;
-        self
-    }
-
-    /// Seeded deterministic exponential backoff with jitter applied
-    /// before every re-submitted task attempt — failure retries and
-    /// executor-loss/fetch-failure resubmissions (see
-    /// [`RetryBackoffConfig`]). Default on at 1 ms base, 64 ms cap.
-    pub fn retry_backoff(mut self, config: RetryBackoffConfig) -> Self {
-        self.backoff = config;
+        self.watchdog_interval = interval;
         self
     }
 

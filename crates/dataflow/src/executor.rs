@@ -112,7 +112,7 @@ pub fn is_task_cancelled() -> bool {
 /// A cooperative cancellation point: panics with a [`CancelledError`]
 /// payload when the current task's token was cancelled, and is a cheap
 /// no-op otherwise. Operator loops call this at chunk boundaries so a
-/// kill, job abort or lost speculation race interrupts a *running* task
+/// kill, job abort or lost duplicate race interrupts a *running* task
 /// body instead of waiting it out. Each call also stamps
 /// a progress tick on the executor's health slot, which is what the
 /// driver's no-progress watchdog watches.
@@ -125,7 +125,7 @@ pub fn cancellation_point() {
 
 /// Installs (once, process-wide) a panic hook that swallows the default
 /// "thread panicked" report for [`CancelledError`] unwinds. Cancellation
-/// is normal control flow — a speculation loser or an aborted job's task
+/// is normal control flow — a duplicate-race loser or an aborted job's task
 /// stopping early — and the worker catches the unwind anyway, so printing
 /// a backtrace per cancelled task would just flood stderr. Every other
 /// panic still goes to the previously installed hook.
@@ -168,15 +168,15 @@ impl CancelGauge {
     }
 }
 
-/// What an executor is running right now, as the scheduler's straggler
+/// What an executor is running right now, as the scheduler's watchdog
 /// scan sees it ([`ExecutorPool::executing`]).
 #[derive(Debug)]
 pub struct Executing {
     /// Token of the running task.
     pub token: CancelToken,
     /// When the body started: the run stamp keeps queue time out of the
-    /// straggler threshold (a task parked behind a straggler is not
-    /// itself slow).
+    /// watchdog's frozen interval (a task parked behind a stuck one is
+    /// not itself stuck).
     pub since: Instant,
     /// The executor's progress-tick count.
     pub progress: u64,
@@ -263,7 +263,7 @@ struct PlacedTask {
     run: Task,
     /// Token the worker installs for the duration of the task body, so
     /// `cancellation_point()` inside the closure observes driver-side
-    /// cancellations (kill, abort, lost speculation race).
+    /// cancellations (kill, abort, lost duplicate race).
     token: Option<CancelToken>,
 }
 
@@ -407,8 +407,8 @@ impl ExecutorPool {
     }
 
     /// Queued (not yet started) tasks per executor, indexed by executor id.
-    /// Racy; used by the speculation planner to pick an idle slot for a
-    /// duplicate attempt.
+    /// Racy; used by the driver to pick an idle slot for a watchdog
+    /// duplicate.
     pub fn queue_lens(&self) -> Vec<usize> {
         (0..self.num_executors())
             .map(|e| self.queues.len(e))

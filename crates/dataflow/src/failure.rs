@@ -8,14 +8,13 @@
 //! block of the dead incarnation with it); dropping individual cached
 //! blocks is done directly through [`crate::cache::BlockManager::evict`].
 //!
-//! Two further injections model *silent* failure modes — the kind the
+//! A further injection models the *silent* failure mode — the kind the
 //! driver must detect on its own rather than be handed an error for:
-//! [`FailureInjector::wedge_task`] makes an attempt spin at a cancellation
-//! point (a straggler), and [`FailureInjector::stall_progress`] makes one
-//! spin without ticking progress (stuck, the no-progress watchdog's prey).
+//! [`FailureInjector::stall_progress`] makes an attempt spin without
+//! ticking progress (stuck, the no-progress watchdog's prey).
 
 use crate::context::SpangleContext;
-use crate::executor::{cancellation_point, is_task_cancelled, CancelledError, TaskInfo};
+use crate::executor::{is_task_cancelled, CancelledError, TaskInfo};
 use crate::scheduler::TaskError;
 use crate::sync::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -38,9 +37,6 @@ pub struct TaskSite {
 pub(crate) enum Fault {
     /// Fail at once with [`TaskError::Injected`].
     Fail,
-    /// Spin at a cancellation point until cancelled: a deterministic
-    /// straggler.
-    Wedge,
     /// Spin without ticking progress, until cancelled: stuck, yet never
     /// announcing it.
     Stall,
@@ -48,24 +44,19 @@ pub(crate) enum Fault {
 
 impl Fault {
     /// Plays the fault out on the executor thread that drew it. `Fail`
-    /// returns its error; the spins end only by unwinding with
-    /// [`CancelledError`] once the driver's speculation (or an abort)
-    /// cancels the attempt.
+    /// returns its error; the stall ends only by unwinding with
+    /// [`CancelledError`] once the driver's watchdog duplicate wins (or an
+    /// abort or a kill) and cancels the attempt.
     pub(crate) fn play(self) -> TaskError {
-        let pause = || std::thread::sleep(Duration::from_micros(200));
         match self {
             Fault::Fail => TaskError::Injected,
-            Fault::Wedge => loop {
-                cancellation_point();
-                pause();
-            },
             Fault::Stall => loop {
                 // Deliberately NOT cancellation_point(): that would tick
                 // progress and hide the stall from the watchdog.
                 if is_task_cancelled() {
                     std::panic::panic_any(CancelledError);
                 }
-                pause();
+                std::thread::sleep(Duration::from_micros(200));
             },
         }
     }
@@ -73,7 +64,7 @@ impl Fault {
 
 /// One-shot faults armed on a task site: attempts left to play each
 /// [`Fault`], indexed by it.
-type SiteFaults = [usize; 3];
+type SiteFaults = [usize; 2];
 
 /// Every armed fault. An entry exists only while something in it is armed,
 /// so "drained" is "both maps empty".
@@ -147,21 +138,11 @@ impl FailureInjector {
         armed.kills.entry(executor).or_default().push_back(tasks);
     }
 
-    /// Wedges the next `times` attempts of the task computing `partition`
-    /// of `rdd_id`: instead of running its body, a wedged attempt spins at
-    /// a cancellation point until cooperative cancellation interrupts it —
-    /// the deterministic straggler for speculation tests. Each matching attempt consumes one wedge, so with `times =
-    /// 1` the speculative duplicate (or a retry) of the same task runs
-    /// clean while the original hangs.
-    pub fn wedge_task(&self, rdd_id: usize, partition: usize, times: usize) {
-        self.arm_site(rdd_id, partition, times, Fault::Wedge);
-    }
-
     /// Makes the next `times` attempts of the task computing `partition`
     /// of `rdd_id` *stall*: the attempt spins, polling its token, but never
     /// ticks progress. This is the failure mode the no-progress watchdog
-    /// exists for; the median-based speculation trigger only sees it once
-    /// the runtime crosses the straggler threshold.
+    /// exists for: with `times = 1` the watchdog's duplicate of the same
+    /// task runs clean while the original stalls.
     pub fn stall_progress(&self, rdd_id: usize, partition: usize, times: usize) {
         self.arm_site(rdd_id, partition, times, Fault::Stall);
     }
@@ -181,27 +162,24 @@ impl FailureInjector {
 
     /// The one draw before an attempt's body: what attempt number
     /// `attempt` of `site` does instead of it. Every one-shot armed on the
-    /// site is consumed by the attempt that meets it — a wedge and a stall
-    /// even when a failure preempts them — and a failure wins over a
-    /// wedge, a wedge over a stall. Site-independent failures come first
-    /// and apply to first attempts only (see
-    /// [`FailureInjector::fail_next_tasks`]).
+    /// site is consumed by the attempt that meets it — a stall even when a
+    /// failure preempts it — and a failure wins over a stall.
+    /// Site-independent failures come first and apply to first attempts
+    /// only (see [`FailureInjector::fail_next_tasks`]).
     pub(crate) fn draw(&self, site: TaskSite, attempt: usize) -> Option<Fault> {
         let mut armed = self.armed.lock();
         let mut fail = attempt == 0 && take(&mut armed.any);
-        let (mut wedge, mut stall) = (false, false);
+        let mut stall = false;
         if let Some(left) = armed.sites.get_mut(&site) {
-            wedge = take(&mut left[Fault::Wedge as usize]);
             stall = take(&mut left[Fault::Stall as usize]);
             fail = fail || take(&mut left[Fault::Fail as usize]);
-            if *left == [0; 3] {
+            if *left == [0; 2] {
                 armed.sites.remove(&site);
             }
         }
-        match (fail, wedge, stall) {
-            (true, ..) => Some(Fault::Fail),
-            (_, true, _) => Some(Fault::Wedge),
-            (.., true) => Some(Fault::Stall),
+        match (fail, stall) {
+            (true, _) => Some(Fault::Fail),
+            (_, true) => Some(Fault::Stall),
             _ => None,
         }
     }
@@ -261,8 +239,7 @@ impl FailureInjector {
     }
 
     /// True when no injections are pending — site-specific failures,
-    /// site-independent failures, armed executor kills, wedges and stalls
-    /// alike (useful to assert a test consumed everything it armed).
+    /// site-independent failures, armed executor kills and stalls alike (useful to assert a test consumed everything it armed).
     pub fn is_drained(&self) -> bool {
         let armed = self.armed.lock();
         armed.sites.is_empty() && armed.any == 0 && armed.kills.is_empty()
@@ -330,20 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn wedges_are_consumed_one_shot_per_site() {
-        let inj = FailureInjector::default();
-        inj.wedge_task(5, 0, 1);
-        assert!(!inj.is_drained());
-        let first = inj.draw(site(5, 0), 0);
-        assert_eq!(first, Some(Fault::Wedge), "first attempt wedges");
-        let duplicate = inj.draw(site(5, 0), 0);
-        assert_eq!(duplicate, None, "the speculative duplicate runs clean");
-        assert!(inj.is_drained());
-        inj.wedge_task(5, 0, 0);
-        assert!(inj.is_drained(), "arming zero wedges is a no-op");
-    }
-
-    #[test]
     fn stalls_are_consumed_one_shot_per_site() {
         let inj = FailureInjector::default();
         inj.stall_progress(9, 3, 1);
@@ -358,24 +321,23 @@ mod tests {
     }
 
     /// Everything armed on one site is met by one draw: each attempt
-    /// consumes one of every counter that is left — the wedge and the
-    /// stall even when the failure preempts them — and plays the one that
-    /// wins: failure, then wedge, then stall.
+    /// consumes one of every counter that is left — the stall even when
+    /// the failure preempts it — and plays the one that wins: failure,
+    /// then stall.
     #[test]
-    fn one_sites_failure_wedge_and_stall_are_consumed_together_in_precedence_order() {
+    fn one_sites_failure_and_stall_are_consumed_together_in_precedence_order() {
         let inj = FailureInjector::default();
         inj.fail_task(4, 0, 1);
-        inj.wedge_task(4, 0, 2);
         inj.stall_progress(4, 0, 3);
         // A site-independent failure is taken first and spares the site's
-        // own counter, but not its wedge and stall.
+        // own counter, but not its stall.
         inj.fail_next_tasks(1);
         let played: Vec<_> = (0..5).map(|_| inj.draw(site(4, 0), 0)).collect();
         use Fault::*;
         assert_eq!(
             played,
             [Some(Fail), Some(Fail), Some(Stall), None, None],
-            "any+wedge+stall, fail+wedge+stall, stall, then drained"
+            "any+stall, fail+stall, stall, then drained"
         );
         assert!(inj.is_drained());
     }

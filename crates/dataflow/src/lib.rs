@@ -47,7 +47,7 @@ pub(crate) mod env;
 pub mod executor;
 pub mod failure;
 pub(crate) mod frame;
-pub mod health;
+pub(crate) mod health;
 pub mod memsize;
 pub mod metrics;
 pub mod partitioner;
@@ -62,7 +62,6 @@ pub use context::{Broadcast, ExecutorLoss, SpangleContext, SpangleContextBuilder
 pub use executor::{
     cancellation_point, is_task_cancelled, BlockOrigin, CancelGauge, CancelToken, CancelledError,
 };
-pub use health::{HealthConfig, RetryBackoffConfig};
 pub use memsize::{put_len, MemSize, SpillCursor};
 pub use metrics::{JobOutcome, JobReport, MetricsSnapshot, StageOutcome, StageReport};
 pub use partitioner::{
@@ -71,7 +70,7 @@ pub use partitioner::{
 pub use plan::PlanNodeInfo;
 pub use rdd::pair::PairRdd;
 pub use rdd::Rdd;
-pub use scheduler::{submit_job, JobError, JobHandle, SpeculationConfig, TaskError};
+pub use scheduler::{submit_job, JobError, JobHandle, TaskError};
 
 /// Marker for types that can be elements of an [`Rdd`].
 ///

@@ -106,14 +106,15 @@ counters! {
     /// Reduce buckets merged into shared executor tasks at stage launch
     /// because their shuffle bytes fell below the coalescing target.
     partitions_coalesced: PartitionsCoalesced,
-    /// Speculative duplicate attempts the driver launched for tail tasks
-    /// that ran past the stage's duration-median multiple.
+    /// Duplicate attempts the driver launched for running tasks; the
+    /// no-progress watchdog is their one source, so this equals
+    /// `watchdog_trips`.
     tasks_speculated: TasksSpeculated,
-    /// Speculative attempts that finished before the original they
+    /// Duplicate attempts that finished before the original they
     /// duplicated (the duplicate's result won first-write-wins).
     speculation_wins: SpeculationWins,
     /// Running task bodies asked to stop early through their
-    /// `CancelToken` (speculation losers, job aborts).
+    /// `CancelToken` (duplicate-race losers, job aborts).
     tasks_cancelled: TasksCancelled,
     /// Blocks demoted from memory to the on-disk spill tier under memory
     /// pressure (resident cache+shuffle bytes crossed the watermark).
@@ -132,11 +133,8 @@ counters! {
     /// Always zero; kept only because `benchmark/src/measure.rs` reads it.
     heartbeats_missed: HeartbeatsMissed,
     /// Running tasks the no-progress watchdog declared wedged and
-    /// duplicated through the speculation path.
+    /// duplicated on another executor.
     watchdog_trips: WatchdogTrips,
-    /// Cumulative nanoseconds of seeded retry backoff scheduled before
-    /// re-submitted task attempts.
-    backoff_nanos: BackoffNanos,
 }
 
 impl MetricsSnapshot {
@@ -391,8 +389,8 @@ impl std::fmt::Display for JobReport {
         if c.tasks_speculated != 0 || c.tasks_cancelled != 0 {
             write!(
                 f,
-                "\n  speculation: {} launched, {} won, {} tasks cancelled",
-                c.tasks_speculated, c.speculation_wins, c.tasks_cancelled,
+                "\n  duplicates: {} launched, {} won, {} tasks cancelled ({} watchdog trips)",
+                c.tasks_speculated, c.speculation_wins, c.tasks_cancelled, c.watchdog_trips,
             )?;
         }
         if c.blocks_spilled != 0 || c.blocks_rehydrated != 0 {
@@ -409,14 +407,6 @@ impl std::fmt::Display for JobReport {
                 f,
                 "\n  recovery: {} fetch failures, {} map partitions recomputed",
                 c.fetch_failures, c.map_partitions_recomputed,
-            )?;
-        }
-        if c.watchdog_trips != 0 || c.backoff_nanos != 0 {
-            write!(
-                f,
-                "\n  health: {} watchdog trips, {:.2} ms backoff",
-                c.watchdog_trips,
-                c.backoff_nanos as f64 / 1e6,
             )?;
         }
         for s in &self.stages {
@@ -501,7 +491,7 @@ mod tests {
         assert_eq!(got, expected);
         // Spot-check names against their rows: first, in between, last.
         assert_eq!((a.stages_run, a.tasks_stolen, a.fetch_failures), (1, 4, 14));
-        assert_eq!((a.stages_fused, a.backoff_nanos, COUNTERS), (19, 31, 31));
+        assert_eq!((a.stages_fused, a.watchdog_trips, COUNTERS), (19, 30, 30));
         // The arithmetic is field by field too.
         let mut b = MetricsSnapshot::default();
         b.bump(MetricField::SpillBytes, 7);
@@ -600,7 +590,6 @@ mod tests {
                 blocks_rehydrated: 1,
                 spill_bytes: 4096,
                 watchdog_trips: 1,
-                backoff_nanos: 2_000_000,
                 ..MetricsSnapshot::default()
             },
             ..StageReport::default()
@@ -626,10 +615,9 @@ mod tests {
         assert_eq!(counts.tasks_speculated, 2);
         assert_eq!(counts.speculation_wins, 2);
         assert_eq!(counts.tasks_cancelled, 2);
-        assert!(rendered.contains("speculation: 2 launched, 2 won, 2 tasks cancelled"));
         assert_eq!(counts.watchdog_trips, 2);
-        assert_eq!(counts.backoff_nanos, 4_000_000);
-        assert!(rendered.contains("health: 2 watchdog trips, 4.00 ms backoff"));
+        assert!(rendered
+            .contains("duplicates: 2 launched, 2 won, 2 tasks cancelled (2 watchdog trips)"));
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl<K: Key, V: Data, C: Data> ShuffleDepDyn for ShuffleDependency<K, V, C> {
         let buckets = (self.route)(&mut feed, self.num_reduce_partitions);
         cancellation_point();
         // All buckets land in one atomic commit (first-write-wins), so two
-        // racing attempts of the same map task — original vs speculative
+        // racing attempts of the same map task — original vs watchdog
         // duplicate — can never interleave their output. An all-empty
         // commit still registers the map: the registry is how a
         // reduce-side fetch tells "empty bucket" from "output lost with

@@ -8,12 +8,15 @@
 //! ```text
 //!             launch                      ok (first completion wins,
 //!   Settled ---------> Running(1) ------------------------------> Settled
-//!  (not in this run,      |  ^  \   slow / frozen      ok / fail   the twin is
-//!   or delivered)    fail |  |   `--------------> Running(2) ---'  cancelled)
-//!                         v  | due, or repaired        | one side fails:
-//!                  Backoff(instant)                    v the other runs on
-//!                  | Parked(shuffle)               Running(1)
+//!  (not in this run,      |  ^  \       frozen        ok / fail   the twin is
+//!   or delivered)         |  |   `--------------> Running(2) ---'  cancelled)
+//!         fetch failure   |  | repaired                | one side fails:
+//!                         v  |                         v the other runs on
+//!                   Parked(shuffle)                Running(1)
 //! ```
+//!
+//! A failed or lost attempt goes straight back to `Running` under a new
+//! launch; only a fetch failure waits, for its parent's repair.
 //!
 //! Every launch is stamped with a job-unique [`AttemptId`] that its task
 //! events carry back, so an event of a settled race or of a superseded
@@ -21,9 +24,9 @@
 //! attempt goes through [`StageRun::relaunch`], whose [`Reason`] indexes
 //! the policy table ([`Reason::policy`]): which budget is charged,
 //! whether the attempt number advances, which counters tick, and whether
-//! the new attempt *replaces* a dead one (after a seeded backoff, at the
-//! partition's home) or *duplicates* a live one (at once, on another
-//! executor, first completion wins).
+//! the new attempt *replaces* a dead one (at once, at the partition's
+//! home) or *duplicates* a live one (at once, on another executor, first
+//! completion wins).
 //!
 //! Nothing here reads a clock, a channel or the context: transitions take
 //! `now` and the job's [`Ledger`] and hand back the [`Launch`]es their
@@ -36,7 +39,7 @@ use crate::context::SpangleContextBuilder;
 use crate::executor::{CancelToken, Executing};
 use crate::metrics::{MetricField, Metrics, MetricsSnapshot, StageOutcome, StageReport};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Job-unique identity of one launched executor task.
 pub(super) type AttemptId = u64;
@@ -52,8 +55,8 @@ pub(super) struct Ledger {
     pub(super) next_id: AttemptId,
     /// The context's counters, ticked where the table decides.
     pub(super) metrics: Arc<Metrics>,
-    /// The context's configuration: the attempt budget, the backoff, and
-    /// when the scan duplicates.
+    /// The context's configuration: the attempt budget and the watchdog
+    /// interval.
     pub(super) config: Arc<SpangleContextBuilder>,
 }
 
@@ -66,7 +69,7 @@ pub(super) struct Launch {
     pub(super) id: AttemptId,
     pub(super) token: CancelToken,
     /// `Some(executor)` for a duplicate: run anywhere but where the
-    /// straggler sits. `None` places the task at its partition's home.
+    /// frozen attempt sits. `None` places the task at its partition's home.
     pub(super) avoid: Option<usize>,
 }
 
@@ -80,8 +83,6 @@ pub(super) enum Reason {
     /// The attempt found a parent shuffle block gone and waits for that
     /// shuffle's repair.
     Repaired { shuffle_id: usize, map_id: usize },
-    /// Running past the stage's median multiple on executor `on`.
-    Slow { on: usize },
     /// Progress counter frozen past the watchdog interval on executor `on`.
     Frozen { on: usize },
 }
@@ -107,11 +108,11 @@ struct Policy {
 
 impl Reason {
     /// The policy table. What it does not spell out follows from the
-    /// reason's shape: `Slow` and `Frozen` name the executor a live
-    /// straggler sits `on`, so their attempt *duplicates* it — launched
-    /// at once, anywhere else, first completion wins; the other three
-    /// *replace* a dead attempt — at the partition's home, after the
-    /// seeded backoff (and, for `Repaired`, after the parent's repair).
+    /// reason's shape: `Frozen` names the executor a live attempt sits
+    /// `on`, so its attempt *duplicates* it — anywhere else, first
+    /// completion wins; the other three *replace* a dead attempt — at the
+    /// partition's home (for `Repaired`, once the parent is repaired).
+    /// Every new attempt launches at once.
     #[rustfmt::skip]
     fn policy(&self) -> Policy {
         use MetricField::*;
@@ -119,7 +120,6 @@ impl Reason {
             Reason::Retry(_)        => (Budget::Attempt,      true,  &[TaskRetries, Recomputations]),
             Reason::Lost(_)         => (Budget::Resubmission, false, &[Recomputations]),
             Reason::Repaired { .. } => (Budget::Resubmission, false, &[]),
-            Reason::Slow { .. }     => (Budget::Free,         false, &[TasksSpeculated]),
             Reason::Frozen { .. }   => (Budget::Free,         false, &[WatchdogTrips, TasksSpeculated]),
         };
         Policy { budget, advances, counters }
@@ -133,9 +133,7 @@ impl Reason {
             Reason::Repaired { shuffle_id, map_id } => {
                 TaskError::FetchFailed { shuffle_id, map_id }
             }
-            Reason::Slow { .. } | Reason::Frozen { .. } => {
-                unreachable!("a duplicate charges no budget")
-            }
+            Reason::Frozen { .. } => unreachable!("a duplicate charges no budget"),
         }
     }
 }
@@ -144,8 +142,7 @@ impl Reason {
 pub(super) enum Step {
     /// Nothing. The event matched no live attempt (a settled race's loser,
     /// a superseded run's straggler) and only its time counts; or it
-    /// failed while its twin runs on; or its relaunch waits in the table
-    /// for a backoff to come due.
+    /// failed while its twin runs on.
     Nothing,
     /// First completion: the partition is delivered.
     Settled,
@@ -179,8 +176,6 @@ enum State {
     /// Not part of this run, or delivered by its first completion.
     #[default]
     Settled,
-    /// Between attempts, until a seeded backoff comes due.
-    Backoff(Instant),
     /// Between attempts, until this parent shuffle's lost map output is
     /// repaired.
     Parked(usize),
@@ -196,15 +191,12 @@ enum State {
 struct Slot {
     /// Number of the current (or next) attempt.
     attempt: usize,
-    /// Backoff strikes: each delayed relaunch doubles the next delay.
-    strikes: usize,
     state: State,
 }
 
 /// One run of a stage: its attempt table, and the [`StageReport`] it
 /// accumulates as it goes.
 pub(super) struct StageRun {
-    stage_idx: usize,
     /// Accounting of the run so far; final once [`Self::close`]d.
     pub(super) report: StageReport,
     started: Instant,
@@ -214,19 +206,13 @@ pub(super) struct StageRun {
     slots: Vec<Slot>,
     /// Slots not yet settled; the run is complete at zero.
     pub(super) unsettled: usize,
-    /// Earliest backoff instant among waiting slots.
-    pub(super) next_due: Option<Instant>,
-    /// Completed-attempt durations (nanoseconds); stragglers are judged
-    /// against their median.
-    durations: Vec<u64>,
 }
 
 impl StageRun {
-    /// A run of `stage` (index `stage_idx`) under the fresh `stage_id`,
-    /// with `num_slots` slots — all settled until [`Self::launch`]ed —
-    /// started at `now` with the context's counters at `baseline`.
+    /// A run of `stage` under the fresh `stage_id`, with `num_slots`
+    /// slots — all settled until [`Self::launch`]ed — started at `now`
+    /// with the context's counters at `baseline`.
     pub(super) fn new(
-        stage_idx: usize,
         stage: &Stage,
         stage_id: usize,
         num_slots: usize,
@@ -234,7 +220,6 @@ impl StageRun {
         baseline: MetricsSnapshot,
     ) -> Self {
         StageRun {
-            stage_idx,
             report: StageReport {
                 stage_id,
                 shuffle_id: stage.shuffle_id,
@@ -247,8 +232,6 @@ impl StageRun {
                 .take(num_slots)
                 .collect(),
             unsettled: 0,
-            next_due: None,
-            durations: Vec::new(),
         }
     }
 
@@ -268,8 +251,8 @@ impl StageRun {
     }
 
     /// The one place an attempt becomes live: stamps a fresh id and token
-    /// on every covered slot (as the twin when `avoid` names the
-    /// straggler's executor) and describes the executor task to submit.
+    /// on every covered slot (as the twin when `avoid` names the frozen
+    /// attempt's executor) and describes the executor task to submit.
     fn start(
         &mut self,
         partitions: Vec<usize>,
@@ -306,14 +289,12 @@ impl StageRun {
         }
     }
 
-    /// Applies one task event to its slot. A successful `outcome` carries
-    /// the body's nanoseconds (a sample for the straggler median).
+    /// Applies one task event to its slot.
     pub(super) fn on_outcome(
         &mut self,
         partition: usize,
         id: AttemptId,
-        outcome: Result<u64, TaskError>,
-        now: Instant,
+        outcome: Result<(), TaskError>,
         ledger: &mut Ledger,
     ) -> Result<Step, JobError> {
         // Retire the attempt the event names; no such attempt is a miss.
@@ -327,10 +308,9 @@ impl StageRun {
         lives[side] = None;
         let racing = lives[1 - side].is_some();
         let err = match outcome {
-            Ok(nanos) => {
+            Ok(()) => {
                 // First completion wins; the slower twin is cancelled and
                 // its eventual event misses.
-                self.durations.push(nanos);
                 if side == 1 {
                     self.count(ledger, MetricField::SpeculationWins, 1);
                 }
@@ -351,17 +331,15 @@ impl StageRun {
             TaskError::ExecutorLost { .. } | TaskError::Cancelled => Reason::Lost(err),
             _ => Reason::Retry(err),
         };
-        self.relaunch(partition, reason, now, ledger)
+        self.relaunch(partition, reason, ledger)
     }
 
     /// Decides one more attempt of `partition` by the policy table: it
-    /// launches at once, waits in the table for its backoff, or is parked
-    /// on a parent shuffle's repair.
+    /// launches at once, or is parked on a parent shuffle's repair.
     pub(super) fn relaunch(
         &mut self,
         partition: usize,
         reason: Reason,
-        now: Instant,
         ledger: &mut Ledger,
     ) -> Result<Step, JobError> {
         let policy = reason.policy();
@@ -388,95 +366,47 @@ impl StageRun {
         }
         self.slots[partition].attempt += policy.advances as usize;
         Ok(match reason {
-            Reason::Slow { on } | Reason::Frozen { on } => {
-                Step::Launch(self.start(vec![partition], Some(on), ledger))
-            }
+            Reason::Frozen { on } => Step::Launch(self.start(vec![partition], Some(on), ledger)),
             Reason::Repaired { shuffle_id, .. } => {
                 self.slots[partition].state = State::Parked(shuffle_id);
                 Step::Parked(shuffle_id)
             }
-            _ => self.after_backoff(partition, now, ledger),
+            Reason::Retry(_) | Reason::Lost(_) => {
+                Step::Launch(self.start(vec![partition], None, ledger))
+            }
         })
     }
 
-    /// Launches `partition`'s next attempt through its seeded backoff:
-    /// the first strike waits about `base`, each further one doubles it
-    /// up to the cap; a zero delay (backoff off) launches at once.
-    fn after_backoff(&mut self, partition: usize, now: Instant, ledger: &mut Ledger) -> Step {
-        let slot = &mut self.slots[partition];
-        let backoff = &ledger.config.backoff;
-        let delay = backoff.delay(ledger.job_id, self.stage_idx, partition, slot.strikes);
-        slot.strikes += 1;
-        if delay.is_zero() {
-            return Step::Launch(self.start(vec![partition], None, ledger));
-        }
-        let due = now + delay;
-        slot.state = State::Backoff(due);
-        self.next_due = Some(self.next_due.map_or(due, |d| d.min(due)));
-        self.count(ledger, MetricField::BackoffNanos, delay.as_nanos() as u64);
-        Step::Nothing
-    }
-
-    /// Launches every waiting slot whose backoff has come due.
-    pub(super) fn due(&mut self, now: Instant, ledger: &mut Ledger) -> Vec<Launch> {
-        let mut launches = Vec::new();
-        if self.next_due.is_none_or(|due| due > now) {
-            return launches;
-        }
-        self.next_due = None;
-        for p in 0..self.slots.len() {
-            let State::Backoff(due) = self.slots[p].state else {
-                continue;
-            };
-            if due <= now {
-                launches.push(self.start(vec![p], None, ledger));
-            } else {
-                self.next_due = Some(self.next_due.map_or(due, |d| d.min(due)));
-            }
-        }
-        launches
-    }
-
     /// `shuffle_id`'s lost map output is whole again: every slot parked
-    /// on it relaunches (same attempt number — the failure was the
-    /// parent's) through its backoff.
-    pub(super) fn repaired(
-        &mut self,
-        shuffle_id: usize,
-        now: Instant,
-        ledger: &mut Ledger,
-    ) -> Vec<Launch> {
+    /// on it relaunches at once (same attempt number — the failure was
+    /// the parent's).
+    pub(super) fn repaired(&mut self, shuffle_id: usize, ledger: &mut Ledger) -> Vec<Launch> {
         let mut launches = Vec::new();
         for p in 0..self.slots.len() {
             if matches!(self.slots[p].state, State::Parked(s) if s == shuffle_id) {
-                if let Step::Launch(launch) = self.after_backoff(p, now, ledger) {
-                    launches.push(launch);
-                }
+                launches.push(self.start(vec![p], None, ledger));
             }
         }
         launches
     }
 
     /// The tick's one walk over running slots, with `executing[e]` what
-    /// executor `e` runs right now. Two predicates judge every *lone,
-    /// original, singleton* attempt that is actually executing — frozen
-    /// (its executor's progress count has not moved for the watchdog
-    /// interval) and slow (running past `multiplier` × the median
-    /// completed duration, floored at `min_runtime`; a stage with no
-    /// sample never speculates) — and either launches a duplicate away
-    /// from it.
+    /// executor `e` runs right now: a *lone, original, singleton* attempt
+    /// that is actually executing and whose executor's progress count has
+    /// not moved for the watchdog interval is frozen, and gets a duplicate
+    /// away from it.
     pub(super) fn scan(
         &mut self,
         now: Instant,
         executing: &[Option<Executing>],
         ledger: &mut Ledger,
     ) -> Result<Vec<Launch>, JobError> {
-        let (health, speculation) = (ledger.config.health, ledger.config.speculation);
+        let interval = ledger.config.watchdog_interval;
         let executor_of = |live: &Live| {
             let runs = |r: &&Executing| r.token.same(&live.token);
             (0..executing.len()).find_map(|e| Some((e, executing[e].as_ref().filter(runs)?)))
         };
-        let (mut decided, mut slow_after) = (Vec::new(), None);
+        let mut frozen = Vec::new();
         for (p, slot) in self.slots.iter_mut().enumerate() {
             let State::Running { lives, watch } = &mut slot.state else {
                 continue;
@@ -493,35 +423,20 @@ impl StageRun {
                 *watch = None;
                 continue;
             };
-            if health.enabled {
-                let fresh = Watch {
-                    progress: running.progress,
-                    since: now,
-                };
-                let seen = watch.get_or_insert(fresh);
-                if seen.progress != running.progress {
-                    *seen = fresh;
-                } else if now.duration_since(seen.since.max(running.since))
-                    > health.watchdog_interval
-                {
-                    decided.push((p, Reason::Frozen { on: e }));
-                    continue;
-                }
-            }
-            if speculation.enabled && !self.durations.is_empty() {
-                let threshold = *slow_after.get_or_insert_with(|| {
-                    let median = median_nanos(&self.durations) as f64;
-                    Duration::from_nanos((median * speculation.multiplier) as u64)
-                        .max(speculation.min_runtime)
-                });
-                if now.duration_since(running.since) > threshold {
-                    decided.push((p, Reason::Slow { on: e }));
-                }
+            let fresh = Watch {
+                progress: running.progress,
+                since: now,
+            };
+            let seen = watch.get_or_insert(fresh);
+            if seen.progress != running.progress {
+                *seen = fresh;
+            } else if now.duration_since(seen.since.max(running.since)) > interval {
+                frozen.push((p, e));
             }
         }
         let mut launches = Vec::new();
-        for (p, reason) in decided {
-            if let Step::Launch(launch) = self.relaunch(p, reason, now, ledger)? {
+        for (p, on) in frozen {
+            if let Step::Launch(launch) = self.relaunch(p, Reason::Frozen { on }, ledger)? {
                 launches.push(launch);
             }
         }
@@ -563,40 +478,22 @@ impl StageRun {
     }
 }
 
-/// Median of the completed-attempt durations, in nanoseconds (upper
-/// median for even counts — speculation prefers the conservative side).
-fn median_nanos(samples: &[u64]) -> u64 {
-    let mut scratch = samples.to_vec();
-    let mid = scratch.len() / 2;
-    *scratch.select_nth_unstable(mid).1
-}
-
 /// The table's transitions, one case each, with the clock passed in: no
 /// context, no threads, no sleeps.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::health::RetryBackoffConfig;
     use crate::plan::StagePlan;
-    use crate::scheduler::SpeculationConfig;
+    use std::time::Duration;
 
     /// A table over `slots` partitions of a stand-alone stage, its ledger,
     /// and the instant the test calls "now". No context, no threads.
-    fn table(slots: usize, backoff: bool) -> (StageRun, Ledger, Instant) {
+    fn table(slots: usize) -> (StageRun, Ledger, Instant) {
         let stage = Stage::new(None, Arc::new(|_| None), slots, 0, StagePlan::default());
         let t0 = crate::scheduler::tests::origin();
-        let run = StageRun::new(0, &stage, 7, slots, t0, MetricsSnapshot::default());
+        let run = StageRun::new(&stage, 7, slots, t0, MetricsSnapshot::default());
         let config = crate::SpangleContext::builder()
             .max_task_attempts(3)
-            .retry_backoff(RetryBackoffConfig {
-                enabled: backoff,
-                ..RetryBackoffConfig::default()
-            })
-            .speculation(SpeculationConfig {
-                enabled: true,
-                multiplier: 2.0,
-                min_runtime: Duration::from_millis(10),
-            })
             .watchdog_interval(Duration::from_millis(500));
         let ledger = Ledger {
             job_id: 1,
@@ -644,11 +541,10 @@ mod tests {
 
     #[test]
     fn retry_advances_the_attempt_number_and_charges_the_attempt_budget() {
-        let (mut run, mut ledger, t0) = table(2, false);
+        let (mut run, mut ledger, _) = table(2);
         let first = run.launch(vec![1], &mut ledger);
         assert_eq!((first.attempt, first.avoid), (0, None));
-        let retry =
-            launched(run.on_outcome(1, first.id, Err(TaskError::Injected), t0, &mut ledger));
+        let retry = launched(run.on_outcome(1, first.id, Err(TaskError::Injected), &mut ledger));
         assert_eq!(retry.attempt, 1, "a retry takes the next attempt number");
         assert_ne!(retry.id, first.id);
         assert_eq!(
@@ -658,10 +554,10 @@ mod tests {
         let snap = ledger.metrics.snapshot();
         assert_eq!((snap.task_retries, snap.recomputations), (1, 1));
         // Attempt 1 fails too: attempt 2 is the last the budget of 3 allows.
-        let last = launched(run.on_outcome(1, retry.id, Err(TaskError::Injected), t0, &mut ledger));
+        let last = launched(run.on_outcome(1, retry.id, Err(TaskError::Injected), &mut ledger));
         assert_eq!(last.attempt, 2);
         let err = run
-            .on_outcome(1, last.id, Err(TaskError::Injected), t0, &mut ledger)
+            .on_outcome(1, last.id, Err(TaskError::Injected), &mut ledger)
             .err()
             .expect("the attempt budget is spent");
         assert_eq!(
@@ -678,21 +574,20 @@ mod tests {
 
     #[test]
     fn a_lost_attempt_replays_under_its_number_on_the_resubmission_budget() {
-        let (mut run, mut ledger, t0) = table(1, false);
+        let (mut run, mut ledger, _) = table(1);
         let first = run.launch(vec![0], &mut ledger);
         let lost = Err(TaskError::ExecutorLost { executor: 0 });
-        let replay = launched(run.on_outcome(0, first.id, lost, t0, &mut ledger));
+        let replay = launched(run.on_outcome(0, first.id, lost, &mut ledger));
         assert_eq!(replay.attempt, 0, "the loss was not the task's fault");
         assert_eq!(ledger.resubmissions_left, 1);
         // A cancellation with no twin left is the same loss.
-        let again =
-            launched(run.on_outcome(0, replay.id, Err(TaskError::Cancelled), t0, &mut ledger));
+        let again = launched(run.on_outcome(0, replay.id, Err(TaskError::Cancelled), &mut ledger));
         assert_eq!((again.attempt, ledger.resubmissions_left), (0, 0));
         let snap = ledger.metrics.snapshot();
         assert_eq!((snap.task_retries, snap.recomputations), (0, 2));
         // The third loss finds the job's budget spent.
         let err = run
-            .on_outcome(0, again.id, Err(TaskError::Cancelled), t0, &mut ledger)
+            .on_outcome(0, again.id, Err(TaskError::Cancelled), &mut ledger)
             .err()
             .expect("the resubmission budget is spent");
         assert_eq!(err.attempts, 1);
@@ -700,14 +595,14 @@ mod tests {
     }
 
     #[test]
-    fn a_fetch_failure_parks_until_the_parents_repair_then_replays_through_backoff() {
-        let (mut run, mut ledger, t0) = table(2, true);
+    fn a_fetch_failure_parks_until_the_parents_repair_then_replays_at_once() {
+        let (mut run, mut ledger, _) = table(2);
         let first = run.launch(vec![0], &mut ledger);
         let failed = Err(TaskError::FetchFailed {
             shuffle_id: 9,
             map_id: 4,
         });
-        let step = run.on_outcome(0, first.id, failed, t0, &mut ledger);
+        let step = run.on_outcome(0, first.id, failed, &mut ledger);
         assert!(
             matches!(step, Ok(Step::Parked(9))),
             "the caller must repair shuffle 9"
@@ -718,54 +613,78 @@ mod tests {
         );
         assert_eq!(ledger.metrics.snapshot().fetch_failures, 1);
         assert_eq!(run.unsettled, 1, "a parked slot keeps its stage open");
-        // Another shuffle's repair is not ours; nothing is due either.
-        assert!(run.repaired(8, t0, &mut ledger).is_empty());
-        assert!(run.due(t0 + ms(500), &mut ledger).is_empty());
-        // The repair moves the slot into its backoff: about 1 ms (base).
-        assert!(run.repaired(9, t0 + ms(20), &mut ledger).is_empty());
-        let due = run.next_due.expect("a backoff is pending");
-        assert!(
-            due > t0 + ms(20) && due <= t0 + ms(21),
-            "first strike waits ≤ base"
-        );
-        assert!(run.report.counts.backoff_nanos > 0);
-        assert!(run.due(t0 + ms(20), &mut ledger).is_empty(), "not due yet");
-        let replays = run.due(due, &mut ledger);
+        assert_eq!(lives(&run, 0), 0, "nothing runs while parked");
+        // Another shuffle's repair is not ours.
+        assert!(run.repaired(8, &mut ledger).is_empty());
+        let replays = run.repaired(9, &mut ledger);
         assert_eq!(replays.len(), 1);
-        assert_eq!(replays[0].attempt, 0, "the failure was the parent's");
-        assert_eq!((run.next_due, ledger.resubmissions_left), (None, 1));
+        assert_eq!(
+            (replays[0].attempt, replays[0].avoid),
+            (0, None),
+            "the failure was the parent's"
+        );
+        assert_eq!((lives(&run, 0), ledger.resubmissions_left), (1, 1));
+        assert!(run.repaired(9, &mut ledger).is_empty(), "replayed once");
+    }
+
+    /// No relaunch waits on the clock: a retry and a loss replay come
+    /// back as a launch from the very call that saw the failure, and a
+    /// parked slot from the very call that reports its parent repaired.
+    #[test]
+    fn a_retry_a_loss_and_a_post_repair_replay_each_launch_from_the_same_call() {
+        let (mut run, mut ledger, _) = table(3);
+        let [a, b, c] = [0, 1, 2].map(|p| run.launch(vec![p], &mut ledger));
+        let retry = run.on_outcome(0, a.id, Err(TaskError::Injected), &mut ledger);
+        assert!(matches!(retry, Ok(Step::Launch(ref l)) if l.partitions == [0]));
+        let lost = Err(TaskError::ExecutorLost { executor: 1 });
+        let replay = run.on_outcome(1, b.id, lost, &mut ledger);
+        assert!(matches!(replay, Ok(Step::Launch(ref l)) if l.partitions == [1]));
+        let fetch = Err(TaskError::FetchFailed {
+            shuffle_id: 3,
+            map_id: 0,
+        });
+        assert!(matches!(
+            run.on_outcome(2, c.id, fetch, &mut ledger),
+            Ok(Step::Parked(3))
+        ));
+        let repaired = run.repaired(3, &mut ledger);
+        assert_eq!(repaired.len(), 1);
+        assert_eq!(repaired[0].partitions, [2]);
+        assert_eq!([0, 1, 2].map(|p| lives(&run, p)), [1, 1, 1]);
+        assert_eq!(run.unsettled, 3);
     }
 
     #[test]
     fn a_winning_duplicate_cancels_the_original_whose_event_then_misses() {
-        let (mut run, mut ledger, t0) = table(2, false);
+        let (mut run, mut ledger, t0) = table(2);
         let fast = run.launch(vec![0], &mut ledger);
-        let slow = run.launch(vec![1], &mut ledger);
-        let step = run.on_outcome(0, fast.id, Ok(1_000_000), t0, &mut ledger);
+        let frozen = run.launch(vec![1], &mut ledger);
+        let step = run.on_outcome(0, fast.id, Ok(()), &mut ledger);
         assert!(matches!(step, Ok(Step::Settled)));
-        // 1 ms median × 2 is under the 10 ms floor: 9 ms is not slow, 11 is.
-        let executing = on_executor(0, &slow, t0, 0);
-        assert!(run
-            .scan(t0 + ms(9), &executing, &mut ledger)
-            .unwrap()
-            .is_empty());
-        let dups = run.scan(t0 + ms(11), &executing, &mut ledger).unwrap();
+        // Seen at once, then 500 ms without a progress tick: 499 ms is
+        // not frozen, 501 is.
+        let executing = on_executor(0, &frozen, t0, 0);
+        for at in [0, 499] {
+            let dups = run.scan(t0 + ms(at), &executing, &mut ledger);
+            assert!(dups.unwrap().is_empty(), "duplicated at {at} ms");
+        }
+        let dups = run.scan(t0 + ms(501), &executing, &mut ledger).unwrap();
         assert_eq!(dups.len(), 1);
         let dup = &dups[0];
         assert_eq!(
             (dup.attempt, dup.avoid),
             (0, Some(0)),
-            "same number, away from the straggler"
+            "same number, away from the frozen attempt"
         );
         assert_eq!((lives(&run, 1), run.report.counts.tasks_speculated), (2, 1));
         // A racing slot is not duplicated again.
         assert!(run
-            .scan(t0 + ms(50), &executing, &mut ledger)
+            .scan(t0 + ms(5_000), &executing, &mut ledger)
             .unwrap()
             .is_empty());
-        let step = run.on_outcome(1, dup.id, Ok(2_000_000), t0 + ms(60), &mut ledger);
+        let step = run.on_outcome(1, dup.id, Ok(()), &mut ledger);
         assert!(matches!(step, Ok(Step::Settled)));
-        assert!(slow.token.is_cancelled() && !dup.token.is_cancelled());
+        assert!(frozen.token.is_cancelled() && !dup.token.is_cancelled());
         assert_eq!(
             (
                 run.report.counts.speculation_wins,
@@ -775,13 +694,7 @@ mod tests {
         );
         assert_eq!(run.unsettled, 0);
         let (before, budget) = (ledger.metrics.snapshot(), ledger.resubmissions_left);
-        let late = run.on_outcome(
-            1,
-            slow.id,
-            Err(TaskError::Cancelled),
-            t0 + ms(61),
-            &mut ledger,
-        );
+        let late = run.on_outcome(1, frozen.id, Err(TaskError::Cancelled), &mut ledger);
         assert!(
             matches!(late, Ok(Step::Nothing)),
             "the loser's event misses"
@@ -792,11 +705,11 @@ mod tests {
 
     #[test]
     fn both_sides_of_a_race_failing_is_one_retry_and_one_charge() {
-        let (mut run, mut ledger, t0) = table(1, false);
+        let (mut run, mut ledger, _) = table(1);
         let original = run.launch(vec![0], &mut ledger);
-        let reason = Reason::Slow { on: 0 };
-        let dup = launched(run.relaunch(0, reason, t0, &mut ledger));
-        let step = run.on_outcome(0, original.id, Err(TaskError::Injected), t0, &mut ledger);
+        let reason = Reason::Frozen { on: 0 };
+        let dup = launched(run.relaunch(0, reason, &mut ledger));
+        let step = run.on_outcome(0, original.id, Err(TaskError::Injected), &mut ledger);
         assert!(
             matches!(step, Ok(Step::Nothing)),
             "the twin may yet deliver"
@@ -805,7 +718,7 @@ mod tests {
             (lives(&run, 0), ledger.metrics.snapshot().task_retries),
             (1, 0)
         );
-        let retry = launched(run.on_outcome(0, dup.id, Err(TaskError::Injected), t0, &mut ledger));
+        let retry = launched(run.on_outcome(0, dup.id, Err(TaskError::Injected), &mut ledger));
         assert_eq!((retry.attempt, retry.avoid), (1, None));
         let snap = ledger.metrics.snapshot();
         assert_eq!(
@@ -820,19 +733,19 @@ mod tests {
     /// resubmission budget and launch a second concurrent attempt.
     #[test]
     fn a_superseded_runs_loser_cannot_touch_the_recovery_run() {
-        let (mut run1, mut ledger, t0) = table(1, false);
+        let (mut run1, mut ledger, t0) = table(1);
         let original = run1.launch(vec![0], &mut ledger);
-        let dup = launched(run1.relaunch(0, Reason::Slow { on: 0 }, t0, &mut ledger));
-        let step = run1.on_outcome(0, dup.id, Ok(5), t0, &mut ledger);
+        let dup = launched(run1.relaunch(0, Reason::Frozen { on: 0 }, &mut ledger));
+        let step = run1.on_outcome(0, dup.id, Ok(()), &mut ledger);
         assert!(matches!(step, Ok(Step::Settled)) && original.token.is_cancelled());
         // The map output is lost with its executor; a recovery run of the
         // same stage launches the same partition as attempt 0 again.
         let stage = Stage::new(None, Arc::new(|_| None), 1, 0, StagePlan::default());
-        let mut run2 = StageRun::new(0, &stage, 8, 1, t0, MetricsSnapshot::default());
+        let mut run2 = StageRun::new(&stage, 8, 1, t0, MetricsSnapshot::default());
         let recovery = run2.launch(vec![0], &mut ledger);
         assert_eq!(recovery.attempt, original.attempt);
         let (before, budget) = (ledger.metrics.snapshot(), ledger.resubmissions_left);
-        let stale = run2.on_outcome(0, original.id, Err(TaskError::Cancelled), t0, &mut ledger);
+        let stale = run2.on_outcome(0, original.id, Err(TaskError::Cancelled), &mut ledger);
         assert!(
             matches!(stale, Ok(Step::Nothing)),
             "a stale event can only miss"
@@ -844,13 +757,13 @@ mod tests {
         );
         assert_eq!((ledger.resubmissions_left, lives(&run2, 0)), (budget, 1));
         assert!(!recovery.token.is_cancelled());
-        let step = run2.on_outcome(0, recovery.id, Ok(5), t0, &mut ledger);
+        let step = run2.on_outcome(0, recovery.id, Ok(()), &mut ledger);
         assert!(matches!(step, Ok(Step::Settled)));
     }
 
     #[test]
     fn a_frozen_slot_trips_once_per_attempt_and_rearms_on_progress() {
-        let (mut run, mut ledger, t0) = table(1, false);
+        let (mut run, mut ledger, t0) = table(1);
         let task = run.launch(vec![0], &mut ledger);
         let at = |progress| on_executor(1, &task, t0, progress);
         // First sight baselines the watch; 500 ms without a tick trips it.
@@ -882,7 +795,7 @@ mod tests {
         );
         // The duplicate drops out; the original is lone again, still
         // frozen — a new watch, a new full interval, a second trip.
-        let step = run.on_outcome(0, dups[0].id, Err(TaskError::Injected), t0, &mut ledger);
+        let step = run.on_outcome(0, dups[0].id, Err(TaskError::Injected), &mut ledger);
         assert!(matches!(step, Ok(Step::Nothing)));
         assert!(run
             .scan(t0 + ms(1010), &at(4), &mut ledger)
@@ -899,31 +812,57 @@ mod tests {
         assert_eq!(ledger.metrics.snapshot().watchdog_trips, 2);
     }
 
+    /// Running time alone never duplicates: an attempt whose executor
+    /// keeps ticking progress is left alone however long it runs, even
+    /// next to a sibling that finished at once.
+    #[test]
+    fn a_lone_attempt_whose_progress_keeps_moving_is_never_duplicated() {
+        let (mut run, mut ledger, t0) = table(2);
+        let quick = run.launch(vec![1], &mut ledger);
+        assert!(matches!(
+            run.on_outcome(1, quick.id, Ok(()), &mut ledger),
+            Ok(Step::Settled)
+        ));
+        let task = run.launch(vec![0], &mut ledger);
+        // One poll every 400 ms for an hour, one tick between polls.
+        for poll in 0..9_000u64 {
+            let executing = on_executor(0, &task, t0, poll);
+            let dups = run.scan(t0 + ms(400 * poll), &executing, &mut ledger);
+            assert!(dups.unwrap().is_empty(), "duplicated at poll {poll}");
+        }
+        let snap = ledger.metrics.snapshot();
+        assert_eq!((snap.watchdog_trips, snap.tasks_speculated), (0, 0));
+        assert_eq!(lives(&run, 0), 1);
+    }
+
     #[test]
     fn a_coalesced_group_is_one_launch_over_several_slots_and_never_duplicated() {
-        let (mut run, mut ledger, t0) = table(4, false);
+        let (mut run, mut ledger, t0) = table(4);
         let solo = run.launch(vec![0], &mut ledger);
         let group = run.launch(vec![1, 2, 3], &mut ledger);
         assert_eq!((group.partitions.len(), run.unsettled), (3, 4));
         assert!(matches!(
-            run.on_outcome(0, solo.id, Ok(1_000), t0, &mut ledger),
+            run.on_outcome(0, solo.id, Ok(()), &mut ledger),
             Ok(Step::Settled)
         ));
-        // Far past any threshold, frozen or slow: still no duplicate.
+        // Frozen far past the watchdog interval: still no duplicate.
         let executing = on_executor(0, &group, t0, 0);
+        assert!(run
+            .scan(t0 + ms(10), &executing, &mut ledger)
+            .unwrap()
+            .is_empty());
         let dups = run.scan(t0 + ms(60_000), &executing, &mut ledger).unwrap();
         assert!(dups.is_empty());
         // One event per partition, all under the group's one id; a member
         // that fails is relaunched alone, its group-mates' outcomes stand.
         assert!(matches!(
-            run.on_outcome(1, group.id, Ok(1_000), t0, &mut ledger),
+            run.on_outcome(1, group.id, Ok(()), &mut ledger),
             Ok(Step::Settled)
         ));
-        let alone =
-            launched(run.on_outcome(2, group.id, Err(TaskError::Injected), t0, &mut ledger));
+        let alone = launched(run.on_outcome(2, group.id, Err(TaskError::Injected), &mut ledger));
         assert_eq!((alone.partitions.as_slice(), alone.attempt), (&[2][..], 1));
         assert!(matches!(
-            run.on_outcome(3, group.id, Ok(1_000), t0, &mut ledger),
+            run.on_outcome(3, group.id, Ok(()), &mut ledger),
             Ok(Step::Settled)
         ));
         assert_eq!((run.unsettled, group.token.is_cancelled()), (1, false));

@@ -288,7 +288,7 @@ impl JobRun {
         self.stages[idx].state = StageState::Skipped;
         let (now, snap) = (Instant::now(), self.ctx.metrics_snapshot());
         let stage_id = self.ctx.new_stage_id();
-        let mut empty = StageRun::new(idx, &self.stages[idx], stage_id, 0, now, snap);
+        let mut empty = StageRun::new(&self.stages[idx], stage_id, 0, now, snap);
         empty.count(&self.ledger, MetricField::StagesSkipped, 1);
         empty.close(StageOutcome::Skipped, snap, now);
         self.reports.push(empty.report);

@@ -13,11 +13,11 @@
 //! What the driver knows about a running stage is one attempt table
 //! (`attempts`): a slot per partition, every launch stamped with a
 //! job-unique attempt id, every further attempt — retry, loss replay,
-//! post-repair replay, straggler duplicate — decided by one `relaunch`
+//! post-repair replay, watchdog duplicate — decided by one `relaunch`
 //! under one policy table. Task events do O(1) work on their own slot.
-//! Everything time-driven — due backoffs and the straggler and
-//! no-progress scan — runs from one tick, when its time is due
-//! (`Driver::next_wakeup`), never per event.
+//! The one time-driven decision — the no-progress watchdog's scan — runs
+//! from a poll tick while a stage runs (`Driver::next_wakeup`), never per
+//! event.
 //!
 //! Every job is served alike: ready tasks join their executor's FIFO
 //! queue in submission order, whichever job they belong to. Every
@@ -105,48 +105,6 @@ impl TaskContext {
     }
 }
 
-/// When the driver launches speculative duplicates for tail tasks; built
-/// by `SpangleContext::builder().speculation(..)` and immutable for the
-/// context's lifetime. Opt-in: no benchmark workload shows a duplicate
-/// winning, and a cancelled duplicate holds its lineage a moment past the
-/// job (DESIGN.md §4 has the decision record). The no-progress watchdog
-/// duplicates a frozen attempt whether or not this is on.
-///
-/// While a stage runs, the driver keeps the durations of its completed
-/// task attempts. A still-running original attempt whose elapsed time
-/// exceeds `multiplier` × the stage's median completed duration (and the
-/// `min_runtime` floor) gets a duplicate attempt on the least-loaded
-/// *other* executor. The first completion wins the partition — its output
-/// lands atomically in the shuffle registry — and the slower twin is
-/// cancelled through its [`CancelToken`]; neither side charges the
-/// per-task attempt budget.
-///
-/// [`CancelToken`]: crate::executor::CancelToken
-#[derive(Clone, Copy, Debug)]
-pub struct SpeculationConfig {
-    /// Whether speculative duplicates are launched at all.
-    pub enabled: bool,
-    /// A running attempt becomes a candidate once its elapsed time exceeds
-    /// this multiple of the stage's median completed-task duration.
-    pub multiplier: f64,
-    /// Elapsed-time floor below which no attempt is duplicated, whatever
-    /// the median says — very short stages must not breed duplicates over
-    /// scheduling noise.
-    pub min_runtime: Duration,
-}
-
-impl Default for SpeculationConfig {
-    /// Speculation off; a caller that turns it on gets 4× the stage median
-    /// with a 10 ms floor unless it says otherwise.
-    fn default() -> Self {
-        SpeculationConfig {
-            enabled: false,
-            multiplier: 4.0,
-            min_runtime: Duration::from_millis(10),
-        }
-    }
-}
-
 /// Why one task attempt failed.
 #[derive(Clone, Debug)]
 pub enum TaskError {
@@ -172,7 +130,7 @@ pub enum TaskError {
         map_id: usize,
     },
     /// The attempt was interrupted at a cancellation point: the driver
-    /// cancelled its [`CancelToken`] (a lost speculation race or a job
+    /// cancelled its [`CancelToken`] (a lost duplicate race or a job
     /// abort) or its executor was killed while the body ran. Never charges
     /// the per-task attempt budget — the interruption was the scheduler's
     /// own doing.
@@ -494,9 +452,8 @@ impl Drop for SchedulerService {
     }
 }
 
-/// The period of everything the driver must poll because it changes
-/// without generating an event: a straggler ripening, a progress counter
-/// freezing.
+/// The period of the one thing the driver must poll because it changes
+/// without generating an event: a progress counter freezing.
 const POLL: Duration = Duration::from_millis(5);
 
 /// State of the driver loop.
@@ -508,27 +465,23 @@ struct Driver {
 
 impl Driver {
     /// The one instant the loop must wake at with no event arriving: the
-    /// nearest backoff coming due, or the next poll — armed one [`POLL`]
-    /// ahead while a running job has attempts to watch. `None` means block
-    /// indefinitely: nothing is waiting on time.
+    /// next poll, armed one [`POLL`] ahead while a job has a stage
+    /// running. `None` means block indefinitely: nothing is waiting on
+    /// time.
     fn next_wakeup(&mut self, now: Instant) -> Option<Instant> {
-        let polling = self.jobs.values().any(|j| j.wants_poll());
+        let polling = self.jobs.values().any(|j| j.running > 0);
         self.next_poll = polling.then(|| self.next_poll.unwrap_or(now + POLL));
-        self.jobs
-            .values()
-            .filter_map(|j| j.next_due())
-            .chain(self.next_poll)
-            .min()
+        self.next_poll
     }
 
-    /// Everything time-driven, run when [`Self::next_wakeup`] comes due:
-    /// each job's due backoffs and — on the poll — its straggler scan.
+    /// The poll, run when [`Self::next_wakeup`] comes due: each job's
+    /// watchdog scan.
     fn tick(&mut self, now: Instant) {
-        let poll = self.next_poll.take_if(|at| *at <= now).is_some();
+        self.next_poll = None;
         let ids: Vec<usize> = self.jobs.keys().copied().collect();
         for id in ids {
             let job = self.jobs.get_mut(&id).expect("ids were just listed");
-            let step = job.tick(now, poll);
+            let step = job.tick(now);
             self.settle(id, step);
         }
     }
@@ -547,11 +500,11 @@ impl Driver {
 
     /// Applies one task event to its job. Events of a job that already
     /// finished or aborted carry a stale tag and are dropped here.
-    fn on_task(&mut self, tag: usize, done: TaskDone, now: Instant) {
+    fn on_task(&mut self, tag: usize, done: TaskDone) {
         let Some(job) = self.jobs.get_mut(&tag) else {
             return;
         };
-        let step = job.on_task(done, now);
+        let step = job.on_task(done);
         self.settle(tag, step);
     }
 
@@ -610,7 +563,7 @@ fn drive_loop(rx: Receiver<Tagged<ServiceEvent>>) {
                 debug_assert_eq!(tag, job.job_id, "submit tag must be the job id");
                 driver.admit(job);
             }
-            ServiceEvent::Task(done) => driver.on_task(tag, done, now),
+            ServiceEvent::Task(done) => driver.on_task(tag, done),
             ServiceEvent::External {
                 stage_idx,
                 completed,
@@ -666,7 +619,7 @@ impl JobRun {
 
     /// Applies one task event: accounts its time, lets the stage run's
     /// attempt table judge it, and carries out what the table decided.
-    fn on_task(&mut self, done: TaskDone, now: Instant) -> Result<(), JobError> {
+    fn on_task(&mut self, done: TaskDone) -> Result<(), JobError> {
         let stage_idx = done.stage_idx;
         self.executor_busy[done.ran_on] += done.nanos;
         self.queue_wait_nanos += done.wait_nanos;
@@ -679,10 +632,10 @@ impl JobRun {
             run.count(&self.ledger, MetricField::TasksStolen, 1);
         }
         let (result, outcome) = match done.outcome {
-            Ok(result) => (result, Ok(done.nanos)),
+            Ok(result) => (result, Ok(())),
             Err(err) => (None, Err(err)),
         };
-        match run.on_outcome(done.partition, done.id, outcome, now, &mut self.ledger) {
+        match run.on_outcome(done.partition, done.id, outcome, &mut self.ledger) {
             Err(err) => Err(self.abort(err)),
             Ok(Step::Nothing) => Ok(()),
             Ok(Step::Settled) => {
@@ -706,7 +659,7 @@ impl JobRun {
         let (now, snap) = (Instant::now(), self.ctx.metrics_snapshot());
         let stage = &mut self.stages[idx];
         let stage_id = self.ctx.new_stage_id();
-        let mut run = StageRun::new(idx, stage, stage_id, stage.num_tasks, now, snap);
+        let mut run = StageRun::new(stage, stage_id, stage.num_tasks, now, snap);
         run.count(&self.ledger, MetricField::StagesRun, 1);
         let recomputed = MetricField::MapPartitionsRecomputed;
         run.count(&self.ledger, recomputed, recovered_maps as u64);
@@ -785,7 +738,7 @@ impl JobRun {
     }
 
     /// The one place executor tasks are submitted: first launches,
-    /// retries, loss and post-repair replays and straggler duplicates all
+    /// retries, loss and post-repair replays and watchdog duplicates all
     /// arrive here as a [`Launch`] the attempt table decided.
     ///
     /// The task runs each of the launch's partitions in order and posts
@@ -793,7 +746,7 @@ impl JobRun {
     /// inside a coalesced group is relaunched alone while its group-mates'
     /// outcomes stand. It is placed on the executor owning its first
     /// partition — or, for a duplicate, on the least-loaded executor
-    /// *other than* the one the straggler occupies, so it cannot
+    /// *other than* the one the frozen attempt occupies, so it cannot
     /// queue behind the very task it is meant to overtake (a one-task
     /// backlog behind a wedged body is never stolen). A shut-down pool
     /// aborts the job cleanly.
@@ -893,46 +846,23 @@ impl JobRun {
             })
     }
 
-    /// Whether the driver must keep its poll alive for this job: a
-    /// straggler ripens and a progress counter freezes without generating
-    /// any event, so while a stage runs (and a
-    /// detector is on) the loop must wake on time to notice.
-    fn wants_poll(&self) -> bool {
-        let config = self.ctx.config();
-        let speculating = config.speculation.enabled && self.ctx.num_executors() >= 2;
-        self.running > 0 && (config.health.enabled || speculating)
-    }
-
-    /// The nearest instant this job needs the driver awake at: a backoff
-    /// coming due in one of its running stages.
-    fn next_due(&self) -> Option<Instant> {
-        self.stages
-            .iter()
-            .filter_map(|s| s.run.as_ref()?.next_due)
-            .min()
-    }
-
-    /// The job's share of the driver's tick: launches every backoff that
-    /// came due, and — on the poll — runs the straggler scan over each
-    /// running stage and launches the duplicates it decided.
-    fn tick(&mut self, now: Instant, poll: bool) -> Result<(), JobError> {
-        let poll = poll && self.wants_poll();
-        let executing = poll.then(|| self.ctx.inner.pool.executing());
-        let executing = executing.unwrap_or_default();
+    /// The job's share of the driver's poll: runs the watchdog scan over
+    /// each running stage and launches the duplicates it decided.
+    fn tick(&mut self, now: Instant) -> Result<(), JobError> {
+        if self.running == 0 {
+            return Ok(());
+        }
+        let executing = self.ctx.inner.pool.executing();
         for idx in 0..self.stages.len() {
             let Some(run) = self.stages[idx].run.as_mut() else {
                 continue;
             };
-            let mut launches = run.due(now, &mut self.ledger);
-            if poll {
-                match run.scan(now, &executing, &mut self.ledger) {
-                    Err(err) => return Err(self.abort(err)),
-                    Ok(duplicates) => launches.extend(duplicates),
-                }
+            match run.scan(now, &executing, &mut self.ledger) {
+                Err(err) => return Err(self.abort(err)),
+                Ok(duplicates) => duplicates
+                    .into_iter()
+                    .try_for_each(|launch| self.submit(idx, launch))?,
             }
-            launches
-                .into_iter()
-                .try_for_each(|launch| self.submit(idx, launch))?;
         }
         Ok(())
     }
@@ -970,7 +900,7 @@ impl JobRun {
             .run
             .as_mut()
             .expect("parked in a running stage");
-        run.repaired(shuffle_id, Instant::now(), &mut self.ledger)
+        run.repaired(shuffle_id, &mut self.ledger)
             .into_iter()
             .try_for_each(|launch| self.submit(idx, launch))
     }
@@ -1614,7 +1544,7 @@ mod tests {
         assert!(report.stages.iter().all(|s| s.stage_id <= join.stage_id));
     }
 
-    /// Regression (per-event rescans): the straggler scan — the only
+    /// Regression (per-event rescans): the watchdog scan — the only
     /// thing that looks at what the executors are running — is time-driven
     /// work and runs once per poll tick, never per task event. Counts
     /// work, not wall time: the parent scanned on every driver iteration,

@@ -182,8 +182,8 @@ impl ShuffleService {
     }
 
     /// Atomically deposits *all* buckets of one map task and registers its
-    /// output, first-write-wins. Under speculative execution two attempts
-    /// of the same map partition race; whichever commits first installs
+    /// output, first-write-wins. When the watchdog duplicates a map task,
+    /// two attempts of the same map partition race; whichever commits first installs
     /// its complete bucket set, and the loser's deposit is refused as a
     /// unit so two attempts' output can never interleave. Returns whether
     /// this attempt won.
@@ -716,8 +716,8 @@ mod tests {
         assert_eq!(*got, vec![1]);
     }
 
-    /// First write wins: a late speculative loser (live, but beaten to the
-    /// commit) is refused as a unit and charged nothing.
+    /// First write wins: a late duplicate-race loser (live, but beaten to
+    /// the commit) is refused as a unit and charged nothing.
     #[test]
     fn a_beaten_live_attempts_commit_is_refused_as_a_unit() {
         let ctx = SpangleContext::new(2);

@@ -15,7 +15,7 @@
 //! Deliberately `#[ignore]`d: `scripts/check.sh stress` (a separate CI
 //! job) runs it so its runtime does not slow the default gate.
 
-use spangle_dataflow::{HashPartitioner, PairRdd, Rdd, SpangleContext, SpeculationConfig};
+use spangle_dataflow::{HashPartitioner, PairRdd, Rdd, SpangleContext};
 use spangle_testkit::{run_cases, Rng};
 use std::sync::Arc;
 use std::time::Duration;
@@ -161,19 +161,15 @@ fn pagerank_survives_one_executor_kill_per_iteration() {
     });
 }
 
-/// A context whose speculation threshold is low enough for the stress
-/// gate but high enough that only a genuinely wedged task (never one
-/// briefly parked in a queue) is duplicated.
-fn speculating_ctx(executors: usize) -> SpangleContext {
+/// A context whose no-progress watchdog is short enough for the stress
+/// gate but long enough that only a genuinely stalled task (never one
+/// briefly parked in a queue or descheduled) is duplicated.
+fn watchdog_ctx(executors: usize) -> SpangleContext {
     SpangleContext::builder()
         .executors(executors)
-        .speculation(SpeculationConfig {
-            enabled: true,
-            multiplier: 3.0,
-            min_runtime: Duration::from_millis(40),
-        })
-        // Coalesced task groups share one token and are never speculated;
-        // keep every task a singleton so an armed wedge is always
+        .watchdog_interval(Duration::from_millis(100))
+        // Coalesced task groups share one token and are never duplicated;
+        // keep every task a singleton so an armed stall is always
         // eligible for a duplicate.
         .coalesce_partitions(false)
         // One kill can poison the whole shuffle (round 2), and every
@@ -182,12 +178,12 @@ fn speculating_ctx(executors: usize) -> SpangleContext {
         .build()
 }
 
-/// Seeded straggler chaos: one wedged task per stage of a two-stage
-/// shuffle job. The wedged original spins at a cancellation point until
-/// the driver's speculative duplicate (which consumes no wedge) wins the
-/// partition and the loser is cancelled. The result must be bit-identical
-/// to a clean run and the speculation counters exact: one launch, one
-/// win, one cancellation per wedge. A second round arms a concurrent
+/// Seeded stall chaos: one stalled task per stage of a two-stage shuffle
+/// job. The stalled original spins without ticking progress until the
+/// watchdog's duplicate (which consumes no stall) wins the partition and
+/// the loser is cancelled. The result must be bit-identical to a clean
+/// run and the duplicate counters exact: one watchdog trip, one launch,
+/// one win, one cancellation per stall. A second round arms a concurrent
 /// executor kill on top, where only bit-identicality is asserted — the
 /// kill races the duplicate, so the counters legitimately vary.
 #[test]
@@ -202,64 +198,64 @@ fn speculative_winners_are_bit_identical_with_exact_counters() {
             .map(|_| (rng.u64_in(0..num_keys), rng.u64_in(0..1_000_000)))
             .collect();
         let partitioner: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(num_parts));
-        let wedge_map = rng.usize_in(0..num_parts);
-        let wedge_reduce = rng.usize_in(0..num_parts);
+        let stall_map = rng.usize_in(0..num_parts);
+        let stall_reduce = rng.usize_in(0..num_parts);
 
-        let run = |ctx: &SpangleContext, wedge_stages: usize, kill: Option<usize>| {
+        let run = |ctx: &SpangleContext, stall_stages: usize, kill: Option<usize>| {
             let pairs = ctx.parallelize(records.clone(), num_parts);
             let reduced = pairs.reduce_by_key(partitioner.clone(), |a, b| a + b);
-            if wedge_stages >= 1 {
-                ctx.failure_injector().wedge_task(pairs.id(), wedge_map, 1);
-            }
-            if wedge_stages >= 2 {
+            if stall_stages >= 1 {
                 ctx.failure_injector()
-                    .wedge_task(reduced.id(), wedge_reduce, 1);
+                    .stall_progress(pairs.id(), stall_map, 1);
+            }
+            if stall_stages >= 2 {
+                ctx.failure_injector()
+                    .stall_progress(reduced.id(), stall_reduce, 1);
             }
             if let Some(victim) = kill {
                 ctx.failure_injector().kill_executor_after(victim, 1);
             }
-            let mut out = collect_bounded(&reduced, "speculated reduce").unwrap();
+            let mut out = collect_bounded(&reduced, "duplicated reduce").unwrap();
             out.sort();
             out
         };
 
         let expected = run(&SpangleContext::new(executors), 0, None);
 
-        // Round 1: one wedge per stage, no kills — exact counters.
-        let ctx = speculating_ctx(executors);
+        // Round 1: one stall per stage, no kills — exact counters.
+        let ctx = watchdog_ctx(executors);
         let before = ctx.metrics_snapshot();
         let got = run(&ctx, 2, None);
-        assert_eq!(got, expected, "speculative winners must be bit-identical");
+        assert_eq!(got, expected, "duplicate winners must be bit-identical");
         let delta = ctx.metrics_snapshot() - before;
         let report = ctx.last_job_report().expect("job report");
         let counts = report.counts();
         assert_eq!(
             (
+                counts.watchdog_trips,
                 counts.tasks_speculated,
                 counts.speculation_wins,
                 counts.tasks_cancelled
             ),
-            (2, 2, 2),
-            "one launch, one win, one cancelled loser per wedged stage: {report}"
+            (2, 2, 2, 2),
+            "one trip, one launch, one win, one cancelled loser per stalled stage: {report}"
         );
+        assert_eq!(delta.watchdog_trips, 2);
         assert_eq!(delta.tasks_speculated, 2);
         assert_eq!(delta.speculation_wins, 2);
         assert_eq!(delta.tasks_cancelled, 2);
         assert!(ctx.failure_injector().is_drained());
         drop(ctx);
 
-        // Round 2: a wedged map task racing a concurrent executor kill.
+        // Round 2: a stalled map task racing a concurrent executor kill.
         // The kill may take the original, the duplicate, or a bystander —
-        // any interleaving must still produce the clean answer. Only the
-        // map stage is wedged: the kill can fetch-fail every non-wedged
-        // reduce task, and a stage with no completed samples (rightly)
-        // never speculates, so a reduce wedge could hang unresolved.
-        let ctx = speculating_ctx(executors);
+        // any interleaving must still produce the clean answer.
+        let ctx = watchdog_ctx(executors);
         let victim = rng.usize_in(0..executors);
         let got = run(&ctx, 1, Some(victim));
         assert_eq!(
             got, expected,
-            "speculation under an executor kill must stay bit-identical"
+            "a duplicate race under an executor kill must stay bit-identical"
         );
         assert!(ctx.failure_injector().is_drained());
         drop(ctx);

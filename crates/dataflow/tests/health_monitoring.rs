@@ -1,11 +1,10 @@
 //! Autonomous failure detection: no test here ever calls
 //! `kill_executor`. The driver itself must notice a task whose progress
-//! counter froze and route into the existing recovery path (a
-//! speculation-style duplicate) with results bit-identical to a clean
-//! run — and a task that fails on its own data must not cost its executor
+//! counter froze and launch a duplicate of it on another executor, with
+//! results bit-identical to a clean run — and a task that fails on its own data must not cost its executor
 //! anything but the failed attempts.
 
-use spangle_dataflow::{HashPartitioner, PairRdd, RetryBackoffConfig, SpangleContext};
+use spangle_dataflow::{HashPartitioner, PairRdd, SpangleContext};
 use spangle_testkit::{run_cases, Rng};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -50,7 +49,7 @@ fn sum_by_key(ctx: &SpangleContext, records: &[(u64, u64)], num_parts: usize) ->
 
 /// A stalled task announces nothing — only the no-progress watchdog can
 /// catch it. The frozen progress counter must trip the watchdog, launch a
-/// speculative duplicate on another executor, and let first-completion-wins
+/// duplicate on another executor, and let first-completion-wins
 /// cancel the stalled original, bit-identically and with exact counters.
 #[test]
 fn stalled_task_trips_the_watchdog_and_loses_to_its_duplicate() {
@@ -68,10 +67,7 @@ fn stalled_task_trips_the_watchdog_and_loses_to_its_duplicate() {
 
         let ctx = SpangleContext::builder()
             .executors(executors)
-            .health_monitoring(true)
             .watchdog_interval(Duration::from_millis(50))
-            // The median-based scan is off (the default): the duplicate
-            // below can only come from the watchdog.
             .coalesce_partitions(false)
             .max_resubmissions(10_000)
             .build();
@@ -143,59 +139,4 @@ fn a_task_that_panics_on_its_data_leaves_its_executor_placeable() {
         .collect();
     let expected = ["spangle-executor-0", "spangle-executor-1"].map(String::from);
     assert_eq!(ran_on, BTreeSet::from(expected));
-}
-
-/// The off switch: with `health_monitoring(false)` and backoff disabled, a
-/// long quiet task trips no watchdog, a failed attempt retries at once,
-/// and every health counter stays zero — announced-failures-only
-/// behavior, exactly as before this layer.
-#[test]
-fn disabled_health_restores_announced_failures_only() {
-    let baseline_threads = thread_count();
-    let executors = 2;
-
-    let ctx = SpangleContext::builder()
-        .executors(executors)
-        .health_monitoring(false)
-        // A watchdog aggressive enough that the enabled layer would trip
-        // at once — proving the switch, not the margin.
-        .watchdog_interval(Duration::from_millis(20))
-        .retry_backoff(RetryBackoffConfig {
-            enabled: false,
-            ..RetryBackoffConfig::default()
-        })
-        .coalesce_partitions(false)
-        .max_resubmissions(10_000)
-        .build();
-    let before = ctx.metrics_snapshot();
-
-    // Partition 0 sleeps far past the watchdog without ticking progress;
-    // partition 1's first attempt fails. Only the announced failure may
-    // cause a second attempt, and it retries without a backoff.
-    let got = {
-        let rdd = ctx.parallelize(vec![0u64, 1], executors).map(|v| {
-            if v == 0 {
-                std::thread::sleep(Duration::from_millis(120));
-            }
-            v * 10
-        });
-        ctx.failure_injector().fail_task(rdd.id(), 1, 1);
-        rdd.collect().unwrap()
-    };
-    let mut got = got;
-    got.sort();
-    assert_eq!(got, vec![0, 10]);
-
-    let delta = ctx.metrics_snapshot() - before;
-    assert_eq!(delta.executors_lost, 0, "no autonomous kill: {delta:?}");
-    assert_eq!(delta.watchdog_trips, 0);
-    assert_eq!(delta.tasks_speculated, 0);
-    assert_eq!(delta.task_retries, 1, "the announced failure retried");
-    assert_eq!(
-        delta.backoff_nanos, 0,
-        "disabled backoff retries immediately"
-    );
-    assert!(ctx.failure_injector().is_drained());
-    drop(ctx);
-    assert_threads_drain_to(baseline_threads);
 }

@@ -377,7 +377,6 @@ fn a_jobs_stage_counts_equal_the_context_delta() {
             s.speculation_wins,
             s.tasks_cancelled,
             s.watchdog_trips,
-            s.backoff_nanos,
             s.tasks_stolen,
         ]
     };
@@ -398,7 +397,7 @@ fn a_jobs_stage_counts_equal_the_context_delta() {
 
     // Second job: the map stage is skipped, the reduce trips over the
     // lost map output, a recovery run rebuilds it, and an injected
-    // failure makes one reduce attempt retry after a backoff.
+    // failure makes one reduce attempt retry.
     ctx.kill_executor(1);
     ctx.failure_injector().fail_task(reduced.id(), 0, 1);
     assert_eq!(sorted(reduced.collect().unwrap()), baseline);
@@ -413,10 +412,7 @@ fn a_jobs_stage_counts_equal_the_context_delta() {
     assert_eq!(attributed(report.counts()), attributed(delta), "{report}");
     assert_eq!(delta.map_partitions_recomputed, 1, "{delta:?}");
     assert!(delta.fetch_failures >= 1, "{delta:?}");
-    assert!(
-        delta.task_retries >= 1 && delta.backoff_nanos > 0,
-        "{delta:?}"
-    );
+    assert!(delta.task_retries >= 1, "{delta:?}");
     assert_eq!(
         report.stages[1].counts.stages_fused, 0,
         "a recovery run re-executes the chain but fuses nothing new"

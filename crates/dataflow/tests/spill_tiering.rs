@@ -3,9 +3,7 @@
 //! tier and rehydrating them on fetch — never by aborting — and the
 //! answers must be bit-identical to an unconstrained run.
 
-use spangle_dataflow::{
-    submit_job, HashPartitioner, JobOutcome, PairRdd, SpangleContext, SpeculationConfig,
-};
+use spangle_dataflow::{submit_job, HashPartitioner, JobOutcome, PairRdd, SpangleContext};
 use spangle_testkit::{run_cases, Rng};
 use std::sync::Arc;
 use std::time::Duration;
@@ -200,18 +198,19 @@ fn spill_speculation_and_kills_overlap_without_corruption() {
             .map(|_| (rng.u64_in(0..num_keys), rng.u64_in(0..1_000_000)))
             .collect();
         let partitioner: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(num_parts));
-        let wedge_part = rng.usize_in(0..num_parts);
+        let stall_part = rng.usize_in(0..num_parts);
         let victim = rng.usize_in(0..executors);
 
         let run = |ctx: &SpangleContext, chaos: bool| {
             let pairs = ctx.parallelize(records.clone(), num_parts);
             let reduced = pairs.reduce_by_key(partitioner.clone(), |a, b| a + b);
             if chaos {
-                // One wedged map task (resolved by a speculative duplicate
+                // One stalled map task (resolved by the watchdog's duplicate,
                 // whose commit must lose cleanly if the original already
                 // won — or win and see its rival's spilled block ignored)
                 // racing an armed executor kill.
-                ctx.failure_injector().wedge_task(pairs.id(), wedge_part, 1);
+                ctx.failure_injector()
+                    .stall_progress(pairs.id(), stall_part, 1);
                 ctx.failure_injector().kill_executor_after(victim, 1);
             }
             let mut out = reduced.collect().unwrap();
@@ -224,18 +223,14 @@ fn spill_speculation_and_kills_overlap_without_corruption() {
         let ctx = SpangleContext::builder()
             .executors(executors)
             .memory_high_watermark_bytes(LOW_WATERMARK)
-            .speculation(SpeculationConfig {
-                enabled: true,
-                multiplier: 3.0,
-                min_runtime: Duration::from_millis(40),
-            })
+            .watchdog_interval(Duration::from_millis(100))
             .coalesce_partitions(false)
             .max_resubmissions(10_000)
             .build();
         let got = run(&ctx, true);
         assert_eq!(
             got, expected,
-            "spill + speculation + kill must stay bit-identical"
+            "spill + duplicate + kill must stay bit-identical"
         );
         assert!(ctx.failure_injector().is_drained());
         let snap = ctx.metrics_snapshot();

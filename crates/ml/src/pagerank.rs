@@ -34,8 +34,7 @@ use std::time::{Duration, Instant};
 /// *together* (R-MAT at eight partitions: 44 % of all edges in one
 /// partition, 1.4 % in another). Hashed, the heaviest partition holds
 /// about twice the median instead of five times — every task of a build or
-/// an iteration stays within sight of the others, and the slowest no longer
-/// looks like a straggler to speculate on.
+/// an iteration stays within sight of the others.
 struct RowBlockPartitioner {
     layout: BlockGrid,
     num_partitions: usize,

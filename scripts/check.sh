@@ -15,8 +15,8 @@
 # (stress, bench and benchmark are not part of the default full gate
 # because of their runtime; stress and benchmark have CI jobs of their
 # own, bench is for whoever refreshes the committed figure artifacts.
-# loc gates nothing: it prints the code-line count a [simplicity] PR
-# reports before → after.)
+# loc gates nothing: it prints the code-line count and the knob counts a
+# [simplicity] PR reports before → after.)
 #
 # A perf change's A/B against its parent revision is not a step here:
 # scripts/ab.sh <parent-rev> <workloads> [pairs] [seed] [seconds] builds
@@ -78,7 +78,7 @@ run_spill() {
     SPANGLE_MEMORY_WATERMARK_BYTES=262144 watchdog cargo test -q --workspace
 }
 
-# Health monitoring is the no-progress watchdog alone, at a forgiving
+# Health monitoring is the no-progress watchdog, always on, at a forgiving
 # 10 s default; this step tightens it to 1 s and runs the whole suite
 # under it, proving the body-driven watchdog stays false-positive-free
 # near its margin. Tests that assert the watchdog's own behaviour pin
@@ -94,11 +94,11 @@ run_doc() {
 }
 
 run_stress() {
-    echo "== stress: concurrent jobs, straggler speculation (watchdog ${WATCHDOG_SECS}s)"
+    echo "== stress: concurrent jobs under failure injection (watchdog ${WATCHDOG_SECS}s)"
     # Serial: both scenarios assert on process-wide thread counts.
     watchdog cargo test -q -p spangle-dataflow --test stress_concurrent_jobs -- \
         --ignored --test-threads=1
-    echo "== stress: executor-kill chaos recovery"
+    echo "== stress: executor-kill chaos recovery, watchdog duplicates of stalled tasks"
     watchdog cargo test -q -p spangle-dataflow --test chaos_recovery -- --ignored
 }
 
@@ -124,9 +124,11 @@ run_benchmark() {
     watchdog benchmark/run.sh --quick
 }
 
-# The acceptance count a [simplicity] PR reports: non-blank lines that are
+# The acceptance counts a [simplicity] PR reports: non-blank lines that are
 # not `//` comments (docs included) in crates/dataflow/src, per file and in
-# total, up to each file's column-0 `#[cfg(test)]`. awk only — no `bc`.
+# total, up to each file's column-0 `#[cfg(test)]`; then the knobs — the
+# `pub fn`s of `impl SpangleContextBuilder` (its setters and `build`) and
+# the rows of the `counters!` table. awk only — no `bc`.
 run_loc() {
     echo "== code lines of crates/dataflow/src before each file's tests"
     find crates/dataflow/src -name '*.rs' | sort | xargs awk '
@@ -134,6 +136,17 @@ run_loc() {
         /^#\[cfg\(test\)\]/ { tests = 1 }
         !tests && !/^[[:space:]]*(\/\/|$)/ { n++; total++ }
         END { printf "%6d %s\n%6d total\n", n, file, total }'
+    echo "== knobs"
+    awk '/^impl SpangleContextBuilder \{/ { inside = 1; next }
+        inside && /^\}/ { inside = 0 }
+        inside && /^    pub fn / { n++ }
+        END { printf "%6d pub fns of impl SpangleContextBuilder (setters and build)\n", n }' \
+        crates/dataflow/src/context.rs
+    awk '/^counters! \{/ { inside = 1; next }
+        inside && /^\}/ { inside = 0 }
+        inside && /^    [a-z0-9_]+: [A-Z][A-Za-z0-9]*,$/ { n++ }
+        END { printf "%6d rows of counters! in metrics.rs\n", n }' \
+        crates/dataflow/src/metrics.rs
 }
 
 steps=()

@@ -1,60 +1,28 @@
-//! What a switch may change, and what it may not: every feature that
-//! defaults on — the planner's rewrites (fusion, elision, coalescing) and
-//! the driver's watchers (health monitoring, retry backoff, speculation)
-//! — changes how a job executes, never what it computes.
+//! What a switch may change, and what it may not: the planner's rewrites
+//! (fusion, elision, coalescing), which default on, change how a job
+//! executes, never what it computes.
 //!
 //! One representative operator per layer crate (`gram` and `matvec` from
 //! linalg, a PageRank run and a short SGD train from ml, the five raster
-//! queries) runs under the defaults, with every rewrite off, and with
-//! every watcher off; each run absorbs one injected task failure, so the
-//! retry path is taken with its backoff and without. Results must be
-//! bit-identical by `to_bits()` — except raster Q2, whose sum runs over
-//! groups in hash order and is held to 1e-9.
+//! queries) runs under the defaults and with every rewrite off; each run
+//! absorbs one injected task failure, so the retry path is taken too.
+//! Results must be bit-identical by `to_bits()` — except raster Q2, whose
+//! sum runs over groups in hash order and is held to 1e-9.
 
 use spangle::array::{ArrayMeta, ChunkPolicy};
-use spangle::dataflow::{RetryBackoffConfig, SpangleContext, SpeculationConfig};
+use spangle::dataflow::SpangleContext;
 use spangle::linalg::{DenseVector, DistMatrix};
 use spangle::ml::{datasets, pagerank, Graph, LogisticRegression, SgdConfig};
 use spangle::raster::{ChlConfig, QueryRange, RasterSystem, SpangleRaster};
 
-/// Which default-on features a run keeps; set through the builder, whose
-/// unoptimised paths are the reference.
-#[derive(Clone, Copy, Debug)]
-struct Flags {
-    rewrites: bool,
-    watchers: bool,
-}
-
-const DEFAULTS: Flags = Flags {
-    rewrites: true,
-    watchers: true,
-};
-const SWITCHED: [Flags; 2] = [
-    Flags {
-        rewrites: false,
-        watchers: true,
-    },
-    Flags {
-        rewrites: true,
-        watchers: false,
-    },
-];
-
-fn cluster(flags: Flags) -> SpangleContext {
+/// A cluster with the planner's rewrites on (the default) or off; set
+/// through the builder, whose unoptimised paths are the reference.
+fn cluster(rewrites: bool) -> SpangleContext {
     let ctx = SpangleContext::builder()
         .executors(4)
-        .fuse_narrow_chains(flags.rewrites)
-        .elide_shuffles(flags.rewrites)
-        .coalesce_partitions(flags.rewrites)
-        .health_monitoring(flags.watchers)
-        .retry_backoff(RetryBackoffConfig {
-            enabled: flags.watchers,
-            ..RetryBackoffConfig::default()
-        })
-        .speculation(SpeculationConfig {
-            enabled: flags.watchers,
-            ..SpeculationConfig::default()
-        })
+        .fuse_narrow_chains(rewrites)
+        .elide_shuffles(rewrites)
+        .coalesce_partitions(rewrites)
         .build();
     // The first task of the first job fails once and is retried.
     ctx.failure_injector().fail_next_tasks(1);
@@ -65,35 +33,28 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Runs `op` on a fresh cluster per flag set and checks the switched
-/// runs against the defaults with `same`.
+/// Runs `op` on a fresh cluster with the rewrites on and one with them
+/// off, and checks the second against the first with `same`.
 fn check<O: std::fmt::Debug>(
     name: &str,
     op: impl Fn(&SpangleContext) -> O,
     same: impl Fn(&O, &O) -> bool,
 ) {
-    let ctx = cluster(DEFAULTS);
+    let ctx = cluster(true);
     let expected = op(&ctx);
     let run = ctx.metrics_snapshot();
     assert_eq!(run.task_retries, 1, "{name}: the injected failure retries");
+    let ctx = cluster(false);
+    let got = op(&ctx);
     assert!(
-        run.backoff_nanos > 0,
-        "{name}: the retry waited out a backoff"
+        same(&got, &expected),
+        "{name} with the rewrites off: {got:?} != {expected:?}"
     );
-    for flags in SWITCHED {
-        let ctx = cluster(flags);
-        let got = op(&ctx);
-        assert!(
-            same(&got, &expected),
-            "{name} under {flags:?}: {got:?} != {expected:?}"
-        );
-        // The switch was really thrown: no rewrite ran, or no backoff.
-        let run = ctx.metrics_snapshot();
-        let rewrites = run.stages_fused + run.shuffles_elided + run.partitions_coalesced;
-        assert_eq!(run.task_retries, 1);
-        assert!(flags.rewrites || rewrites == 0, "{name}: {run:?}");
-        assert!(flags.watchers || run.backoff_nanos == 0, "{name}: {run:?}");
-    }
+    // The switch was really thrown: no rewrite ran.
+    let run = ctx.metrics_snapshot();
+    let rewrites = run.stages_fused + run.shuffles_elided + run.partitions_coalesced;
+    assert_eq!(run.task_retries, 1);
+    assert_eq!(rewrites, 0, "{name}: {run:?}");
 }
 
 fn sparse_matrix(ctx: &SpangleContext) -> DistMatrix {
