@@ -104,10 +104,6 @@ fn op_json(op: &str, wall: Duration, delta: &MetricsSnapshot, report: Option<&Jo
         ("stages_fused", Json::U64(delta.stages_fused)),
         ("shuffles_elided", Json::U64(delta.shuffles_elided)),
         (
-            "partitions_coalesced",
-            Json::U64(delta.partitions_coalesced),
-        ),
-        (
             "queue_wait_ms",
             Json::F64(report.map_or(0.0, |r| r.queue_wait_nanos as f64 / 1e6)),
         ),
@@ -363,8 +359,8 @@ fn main() {
             snap.disk_resident_bytes / 1024,
         );
         println!(
-            "   planner so far: {} narrow chains fused, {} shuffles elided, {} partitions coalesced",
-            snap.stages_fused, snap.shuffles_elided, snap.partitions_coalesced,
+            "   planner so far: {} narrow chains fused, {} shuffles elided",
+            snap.stages_fused, snap.shuffles_elided,
         );
         println!(
             "   duplicates so far: {} launched / {} won / {} cancelled, {} watchdog trips",

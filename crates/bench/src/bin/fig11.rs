@@ -149,9 +149,8 @@ fn main() {
             c.map_partitions_recomputed,
         );
         println!(
-            "   planner: {} narrow chains fused, {} shuffles elided, \
-             {} partitions coalesced",
-            c.stages_fused, c.shuffles_elided, c.partitions_coalesced,
+            "   planner: {} narrow chains fused, {} shuffles elided",
+            c.stages_fused, c.shuffles_elided,
         );
         println!(
             "   duplicates: {} launched / {} won / {} cancelled, {} watchdog trips",
@@ -181,7 +180,6 @@ fn main() {
             ),
             ("stages_fused", Json::U64(c.stages_fused)),
             ("shuffles_elided", Json::U64(c.shuffles_elided)),
-            ("partitions_coalesced", Json::U64(c.partitions_coalesced)),
             ("tasks_speculated", Json::U64(c.tasks_speculated)),
             ("speculation_wins", Json::U64(c.speculation_wins)),
             ("tasks_cancelled", Json::U64(c.tasks_cancelled)),

@@ -321,13 +321,6 @@ impl<K: Copy + Eq + Hash> TieredStore<K> {
         (before - blocks.len(), bytes_dropped)
     }
 
-    /// Visits every block's key and deep size (both tiers).
-    pub(crate) fn for_each_size(&self, mut visit: impl FnMut(&K, usize)) {
-        for (key, entry) in self.blocks.read().iter() {
-            visit(key, entry.bytes);
-        }
-    }
-
     /// Demotes resident blocks to the disk tier until roughly `need`
     /// resident bytes are freed (or no spillable candidates remain).
     /// Victims are clean copies first — demoting one drops its heap bytes

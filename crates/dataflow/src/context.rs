@@ -6,7 +6,6 @@ use crate::executor::ExecutorPool;
 use crate::failure::FailureInjector;
 use crate::memsize::MemSize;
 use crate::metrics::{MetricField, Metrics, MetricsSnapshot};
-use crate::plan::PlannerConfig;
 use crate::rdd::sources::ParallelizeRdd;
 use crate::rdd::Rdd;
 use crate::scheduler::SchedulerService;
@@ -57,10 +56,6 @@ pub struct SpangleContext {
 ///     .max_task_attempts(2)
 ///     .max_resubmissions(8)
 ///     .memory_high_watermark_bytes(64 << 20)
-///     .fuse_narrow_chains(true)
-///     .elide_shuffles(true)
-///     .coalesce_partitions(true)
-///     .target_partition_bytes(1 << 20)
 ///     .watchdog_interval(Duration::from_secs(5))
 ///     .build();
 /// assert_eq!(ctx.num_executors(), 4);
@@ -77,8 +72,6 @@ pub struct SpangleContextBuilder {
     /// Resident cache + shuffle bytes above which cold blocks spill to
     /// disk.
     memory_high_watermark_bytes: usize,
-    /// Which plan rewrites (fusion / elision / coalescing) are active.
-    pub(crate) planner: PlannerConfig,
     /// How long a running task's executor may go without a progress tick
     /// before the driver duplicates the task.
     pub(crate) watchdog_interval: Duration,
@@ -96,7 +89,6 @@ impl Default for SpangleContextBuilder {
             // (it is applied after this default).
             memory_high_watermark_bytes: env_parse("SPANGLE_MEMORY_WATERMARK_BYTES")
                 .unwrap_or(usize::MAX),
-            planner: PlannerConfig::default(),
             // Progress is body-driven, so the margin must clear long
             // compute kernels: 10 s. The `health` CI step tightens it via
             // `SPANGLE_WATCHDOG_MS`; a malformed or zero value warns once
@@ -142,48 +134,6 @@ impl SpangleContextBuilder {
     /// the watermark never holds back a job.
     pub fn memory_high_watermark_bytes(mut self, bytes: usize) -> Self {
         self.memory_high_watermark_bytes = bytes;
-        self
-    }
-
-    /// Enables or disables narrow-chain fusion: chains of one-parent
-    /// narrow transforms (map / filter / flat_map / map_partitions)
-    /// execute as one fused streaming task instead of materialising an
-    /// intermediate `Vec` per lineage node. Persisted RDDs and
-    /// multi-consumer nodes are fusion barriers, so cache semantics and
-    /// lineage recovery are unchanged. Default on.
-    pub fn fuse_narrow_chains(mut self, enabled: bool) -> Self {
-        self.planner.fuse_narrow_chains = enabled;
-        self
-    }
-
-    /// Enables or disables plan-time shuffle elision: a shuffle whose
-    /// map-side parent already carries the target
-    /// [`crate::PartitionerSig`] is rewritten into a narrow pass-through
-    /// — no shuffle id, no blocks, no map stage. Applies to every shuffle
-    /// site (`partition_by`, `reduce_by_key`, `group_by_key`,
-    /// `combine_by_key`, `cogroup`, `join`). Default on.
-    pub fn elide_shuffles(mut self, enabled: bool) -> Self {
-        self.planner.elide_shuffles = enabled;
-        self
-    }
-
-    /// Enables or disables runtime partition coalescing: when a reduce
-    /// stage becomes ready, adjacent buckets whose recorded shuffle bytes
-    /// fall below the [`SpangleContextBuilder::target_partition_bytes`]
-    /// target are packed into shared executor tasks. Logical partitions
-    /// (and therefore fetch-failure recovery) are unchanged — only the
-    /// scheduling granularity coarsens. Default on.
-    pub fn coalesce_partitions(mut self, enabled: bool) -> Self {
-        self.planner.coalesce_partitions = enabled;
-        self
-    }
-
-    /// Byte target one coalesced reduce task aims to cover (default
-    /// 1 MiB). Balanced stages never coalesce below one group per
-    /// executor regardless of the target.
-    pub fn target_partition_bytes(mut self, bytes: usize) -> Self {
-        assert!(bytes > 0, "the coalescing target must be positive");
-        self.planner.target_partition_bytes = bytes;
         self
     }
 
@@ -278,11 +228,6 @@ impl SpangleContext {
     /// Cumulative metric counters.
     pub(crate) fn metrics(&self) -> &Metrics {
         &self.inner.metrics
-    }
-
-    /// The plan rewrites active for this cluster (fixed at build time).
-    pub(crate) fn planner(&self) -> &PlannerConfig {
-        &self.config().planner
     }
 
     /// Snapshot of the cumulative counters; subtract two to cost a job.

@@ -103,8 +103,8 @@ counters! {
     /// Shuffle edges rewritten to narrow pass-throughs because the
     /// map-side parent already carried the target partitioner signature.
     shuffles_elided: ShufflesElided,
-    /// Reduce buckets merged into shared executor tasks at stage launch
-    /// because their shuffle bytes fell below the coalescing target.
+    /// Always zero: runtime partition coalescing is deleted, and the row
+    /// stays only while `benchmark/src/measure.rs` still reads it.
     partitions_coalesced: PartitionsCoalesced,
     /// Duplicate attempts the driver launched for running tasks; the
     /// no-progress watchdog is their one source, so this equals
@@ -379,11 +379,11 @@ impl std::fmt::Display for JobReport {
                 JobOutcome::Aborted => " [ABORTED]",
             },
         )?;
-        if c.stages_fused != 0 || c.shuffles_elided != 0 || c.partitions_coalesced != 0 {
+        if c.stages_fused != 0 || c.shuffles_elided != 0 {
             write!(
                 f,
-                "\n  planner: {} chains fused, {} shuffles elided, {} partitions coalesced",
-                c.stages_fused, c.shuffles_elided, c.partitions_coalesced,
+                "\n  planner: {} chains fused, {} shuffles elided",
+                c.stages_fused, c.shuffles_elided,
             )?;
         }
         if c.tasks_speculated != 0 || c.tasks_cancelled != 0 {
@@ -611,7 +611,7 @@ mod tests {
         assert!(rendered.contains("aborted after"));
         let counts = report.counts();
         assert_eq!(counts.stages_fused, 2);
-        assert!(rendered.contains("planner: 2 chains fused"));
+        assert!(rendered.contains("planner: 2 chains fused, 0 shuffles elided\n"));
         assert_eq!(counts.tasks_speculated, 2);
         assert_eq!(counts.speculation_wins, 2);
         assert_eq!(counts.tasks_cancelled, 2);

@@ -1,9 +1,9 @@
-//! The adaptive plan layer between lineage and stage submission.
+//! The plan layer between lineage and stage submission.
 //!
-//! The DAG scheduler used to execute the lineage graph exactly as the user
-//! wrote it. This module rewrites the physical execution instead, with
-//! three independently gated optimisations (see
-//! [`crate::SpangleContextBuilder`]; all default on):
+//! The scheduler does not execute the lineage graph exactly as the user
+//! wrote it. Two rewrites change the physical execution, always, with no
+//! switch — Spark's pipelining of narrow dependencies and its use of a
+//! known partitioner:
 //!
 //! 1. **Narrow-chain fusion** — chains of one-parent narrow operators
 //!    (map/filter/flat_map/map_partitions) execute as one fused streaming
@@ -16,19 +16,12 @@
 //!    untouched.
 //! 2. **Shuffle elision** — a shuffle whose map-side parent already
 //!    carries the target [`PartitionerSig`] is rewritten into a narrow
-//!    pass-through at plan (node-lowering) time. This generalises the old
-//!    ad-hoc `CoSide::prepare` check to every shuffle site:
+//!    pass-through at plan (node-lowering) time, at every shuffle site:
 //!    `partition_by`, `reduce_by_key`, `group_by_key`, `combine_by_key`
 //!    and `cogroup`. Elided nodes carry a marker ([`PlanNodeInfo`]) so
 //!    the planner can attribute them to the stage that executes them.
-//! 3. **Runtime partition coalescing** — when a stage that reads shuffle
-//!    output becomes ready, the per-bucket byte counts the
-//!    [`crate::shuffle::ShuffleService`] recorded during the map stages
-//!    are used to pack small adjacent reduce buckets into shared executor
-//!    tasks (`coalesce_task_groups`). Logical partition identity is
-//!    preserved — every bucket still computes and reports as its own
-//!    partition, which is what keeps `BlockOrigin`-checked fetch-failure
-//!    recovery per-bucket — only the scheduling granularity changes.
+//!
+//! Every stage runs one executor task per partition.
 //!
 //! `analyze_stages` walks the type-erased [`LineageNode`] graph before
 //! the scheduler submits anything and produces per-stage plan statistics
@@ -41,37 +34,6 @@ use std::sync::Arc;
 
 #[cfg(doc)]
 use crate::partitioner::PartitionerSig;
-
-/// Default byte target one coalesced reduce task aims to cover
-/// (`SpangleContextBuilder::target_partition_bytes`).
-pub(crate) const DEFAULT_TARGET_PARTITION_BYTES: usize = 1 << 20;
-
-/// Which plan rewrites are active for a context; built by
-/// [`crate::SpangleContextBuilder`] and immutable afterwards.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PlannerConfig {
-    /// Stream narrow chains through composed operators instead of
-    /// materialising a `Vec` per lineage node.
-    pub(crate) fuse_narrow_chains: bool,
-    /// Rewrite provably co-partitioned shuffles into narrow pass-throughs.
-    pub(crate) elide_shuffles: bool,
-    /// Pack small reduce buckets into shared tasks at stage launch.
-    pub(crate) coalesce_partitions: bool,
-    /// Byte target per coalesced task group.
-    pub(crate) target_partition_bytes: usize,
-}
-
-impl Default for PlannerConfig {
-    /// All rewrites on.
-    fn default() -> Self {
-        PlannerConfig {
-            fuse_narrow_chains: true,
-            elide_shuffles: true,
-            coalesce_partitions: true,
-            target_partition_bytes: DEFAULT_TARGET_PARTITION_BYTES,
-        }
-    }
-}
 
 /// Planner-visible attributes of one lineage node, reported through
 /// [`LineageNode::plan_info`].
@@ -105,10 +67,7 @@ pub(crate) struct StagePlan {
 /// the map-side parent of each shuffle dependency, then the result RDD.
 /// A node reachable from several territories is attributed to the first
 /// (parents come before children, matching stage build order).
-pub(crate) fn analyze_stages(
-    territories: &[Arc<dyn LineageNode>],
-    config: &PlannerConfig,
-) -> Vec<StagePlan> {
+pub(crate) fn analyze_stages(territories: &[Arc<dyn LineageNode>]) -> Vec<StagePlan> {
     // Pass 1: full-graph walk (crossing shuffle edges) to count how many
     // edges consume each node. A node feeding two consumers is a fusion
     // barrier for accounting: its output is recomputed per consumer, so
@@ -170,8 +129,7 @@ pub(crate) fn analyze_stages(
             }
 
             let fused_edge = |child: usize, parent: usize| -> bool {
-                config.fuse_narrow_chains
-                    && info.get(&child).is_some_and(|i| i.fusable)
+                info.get(&child).is_some_and(|i| i.fusable)
                     && info.get(&parent).is_some_and(|i| i.fusable && !i.persisted)
                     && consumers.get(&parent).copied().unwrap_or(0) == 1
             };
@@ -194,78 +152,4 @@ pub(crate) fn analyze_stages(
             plan
         })
         .collect()
-}
-
-/// Packs the reduce buckets of a ready stage into contiguous task groups:
-/// greedy accumulation up to the byte target, one group minimum per
-/// oversized bucket. The effective target never exceeds
-/// `total / min_groups` so balanced stages keep at least `min_groups`
-/// (normally the executor count) of parallelism. Returns the partitions of
-/// each group, in partition order.
-pub(crate) fn coalesce_task_groups(
-    bucket_bytes: &[usize],
-    target_bytes: usize,
-    min_groups: usize,
-) -> Vec<Vec<usize>> {
-    let total: usize = bucket_bytes.iter().sum();
-    let target = target_bytes
-        .max(1)
-        .min(total.div_ceil(min_groups.max(1)).max(1));
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = Vec::new();
-    let mut acc = 0usize;
-    for (partition, &bytes) in bucket_bytes.iter().enumerate() {
-        if !current.is_empty() && acc.saturating_add(bytes) > target {
-            groups.push(std::mem::take(&mut current));
-            acc = 0;
-        }
-        current.push(partition);
-        acc = acc.saturating_add(bytes);
-    }
-    if !current.is_empty() {
-        groups.push(current);
-    }
-    groups
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tiny_buckets_coalesce_into_one_group() {
-        let groups = coalesce_task_groups(&[10, 10, 10], 1 << 20, 1);
-        assert_eq!(groups, vec![vec![0, 1, 2]]);
-    }
-
-    #[test]
-    fn min_groups_floor_keeps_executor_parallelism() {
-        // Four balanced buckets on a four-executor cluster must not merge
-        // below four groups even under a huge byte target.
-        let groups = coalesce_task_groups(&[100, 100, 100, 100], 1 << 30, 4);
-        assert_eq!(groups.len(), 4);
-    }
-
-    #[test]
-    fn oversized_buckets_get_their_own_group() {
-        let groups = coalesce_task_groups(&[5, 500, 5, 5], 20, 1);
-        assert_eq!(groups, vec![vec![0], vec![1], vec![2, 3]]);
-    }
-
-    #[test]
-    fn empty_buckets_collapse_fully() {
-        let groups = coalesce_task_groups(&[0, 0, 0, 0], 1024, 2);
-        assert_eq!(groups, vec![vec![0, 1, 2, 3]]);
-    }
-
-    #[test]
-    fn grouping_is_contiguous_and_complete() {
-        let bytes = [3, 9, 1, 1, 1, 40, 2];
-        let groups = coalesce_task_groups(&bytes, 10, 1);
-        let flat: Vec<usize> = groups.iter().flatten().copied().collect();
-        assert_eq!(flat, (0..bytes.len()).collect::<Vec<_>>());
-        for g in &groups {
-            assert!(!g.is_empty());
-        }
-    }
 }

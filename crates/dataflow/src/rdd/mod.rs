@@ -66,9 +66,9 @@ impl Drop for RddBase {
 /// A node of the lineage graph producing elements of type `T`.
 ///
 /// Implementations describe *how to compute one partition*; they never run
-/// eagerly. `compute` may be invoked multiple times for the same split
-/// (task retries, cache eviction) and must be deterministic for
-/// fault-tolerant recomputation to be sound.
+/// eagerly. [`RddNode::compute_into`] may be invoked multiple times for
+/// the same split (task retries, cache eviction) and must be
+/// deterministic for fault-tolerant recomputation to be sound.
 pub trait RddNode<T: Data>: Send + Sync + 'static {
     /// Shared identity/persistence state.
     fn base(&self) -> &RddBase;
@@ -76,31 +76,19 @@ pub trait RddNode<T: Data>: Send + Sync + 'static {
     fn num_partitions(&self) -> usize;
     /// Lineage dependencies (narrow parents and shuffle dependencies).
     fn dependencies(&self) -> Vec<Dependency>;
-    /// Computes the elements of partition `split`.
-    fn compute(&self, split: usize, tc: &TaskContext) -> Vec<T>;
-    /// Streams the elements of partition `split` into `sink`, one at a
-    /// time. Fusable narrow operators override this to pull from their
-    /// parent's stream, so a whole chain composes without materialising a
-    /// `Vec` per node; the default drains [`RddNode::compute`], which is
-    /// the materialising fallback every node must keep correct.
-    fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(T)) {
-        for t in self.compute(split, tc) {
-            sink(t);
-        }
-    }
-    /// Computes partition `split` as a shareable block. Pass-through
-    /// nodes override this to hand back their parent's block without
-    /// copying; the default materialises — streaming the fused chain when
-    /// narrow-chain fusion is on, calling plain [`RddNode::compute`] when
-    /// it is off.
+    /// Computes partition `split`, streaming its elements into `sink` one
+    /// at a time: the one way a node computes a partition. Fusable narrow
+    /// operators pull from their parent's stream, so a whole chain
+    /// composes without materialising a `Vec` per node; operators that
+    /// need their whole input build it and drain it by value.
+    fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(T));
+    /// Partition `split` as a shareable block: [`RddNode::compute_into`]
+    /// collected. Identity nodes override this to hand back their
+    /// parent's block without copying.
     fn compute_arc(&self, split: usize, tc: &TaskContext) -> Arc<Vec<T>> {
-        if self.base().ctx.planner().fuse_narrow_chains {
-            let mut out = Vec::new();
-            self.compute_into(split, tc, &mut |t| out.push(t));
-            Arc::new(out)
-        } else {
-            Arc::new(self.compute(split, tc))
-        }
+        let mut out = Vec::new();
+        self.compute_into(split, tc, &mut |t| out.push(t));
+        Arc::new(out)
     }
     /// How this dataset is partitioned by key, when known. Used to detect
     /// co-partitioning and elide shuffles (the paper's local join).
@@ -256,23 +244,16 @@ impl<T: Data> Rdd<T> {
     ///
     /// Persisted datasets go through [`Rdd::iterator`] first (the cache is
     /// a fusion barrier: the materialised block must exist) and clone out
-    /// of the shared block. Otherwise, with narrow-chain fusion on, the
-    /// node's streaming path runs — a chain of fusable operators composes
-    /// here without intermediate `Vec`s; with fusion off the node
-    /// materialises via plain `compute` and the result is drained by
-    /// value, preserving the unoptimised execution shape.
+    /// of the shared block. Otherwise the node's streaming path runs — a
+    /// chain of fusable operators composes here without intermediate
+    /// `Vec`s.
     pub(crate) fn stream(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(T)) {
-        let base = self.node.base();
-        if base.persist.load(Ordering::Relaxed) {
+        if self.node.base().persist.load(Ordering::Relaxed) {
             for t in self.iterator(split, tc).iter() {
                 sink(t.clone());
             }
-        } else if base.ctx.planner().fuse_narrow_chains {
-            self.node.compute_into(split, tc, sink);
         } else {
-            for t in self.node.compute(split, tc) {
-                sink(t);
-            }
+            self.node.compute_into(split, tc, sink);
         }
     }
 
@@ -442,15 +423,11 @@ impl<T: Data> RddNode<T> for PassThroughRdd<T> {
     fn dependencies(&self) -> Vec<Dependency> {
         vec![Dependency::Narrow(self.parent.lineage())]
     }
-    fn compute(&self, split: usize, tc: &TaskContext) -> Vec<T> {
-        (*self.parent.iterator(split, tc)).clone()
-    }
     fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(T)) {
         self.parent.stream(split, tc, sink);
     }
     fn compute_arc(&self, split: usize, tc: &TaskContext) -> Arc<Vec<T>> {
-        // Identity: share the parent's block instead of copying it. This
-        // holds with the planner off too — sharing is unobservable.
+        // Identity: share the parent's block instead of copying it.
         self.parent.iterator(split, tc)
     }
     fn partitioner_sig(&self) -> Option<PartitionerSig> {

@@ -315,32 +315,32 @@ impl<K: Key, V: Data, C: Data> RddNode<(K, C)> for ShuffledRdd<K, V, C> {
         }
     }
 
-    fn compute(&self, split: usize, tc: &TaskContext) -> Vec<(K, C)> {
-        let dep = match &self.input {
-            ShuffleInput::Wide(dep) => dep,
-            ShuffleInput::Elided {
-                parent,
-                create,
-                merge_value,
-            } => {
+    fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut((K, C))) {
+        let mut merged: Combiners<K, C> = HashMap::new();
+        match (&self.input, &self.merge) {
+            (
+                ShuffleInput::Elided {
+                    parent,
+                    create,
+                    merge_value,
+                },
+                _,
+            ) => {
                 // Per-key combine over the already co-located partition —
                 // the map-side and reduce-side combines of the wide path
                 // collapse into one local pass.
-                let mut merged: Combiners<K, C> = HashMap::new();
                 parent.stream(split, tc, &mut |(k, v)| {
                     combine_owned(&mut merged, k, v, &**create, &**merge_value);
                 });
-                return drain_combiners(merged);
             }
-        };
-        match &self.merge {
-            None => {
-                let mut out: Vec<(K, C)> = Vec::new();
-                dep.fetch_each(split, |block| out.extend_from_slice(&block));
-                out
+            (ShuffleInput::Wide(dep), None) => {
+                // The concatenating wide path streams each fetched block
+                // straight into the sink — no per-partition output vector
+                // at all when this node heads a fused chain.
+                dep.fetch_each(split, |block| block.iter().cloned().for_each(&mut *sink));
+                return;
             }
-            Some(merge) => {
-                let mut merged: Combiners<K, C> = HashMap::new();
+            (ShuffleInput::Wide(dep), Some(merge)) => {
                 dep.fetch_each(split, |block| {
                     for (k, c) in block.iter() {
                         // The key is cloned for the first record of a key
@@ -356,23 +356,9 @@ impl<K: Key, V: Data, C: Data> RddNode<(K, C)> for ShuffledRdd<K, V, C> {
                         }
                     }
                 });
-                drain_combiners(merged)
             }
         }
-    }
-
-    fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut((K, C))) {
-        // The concatenating wide path streams each fetched block straight
-        // into the sink — no per-partition output vector at all when this
-        // node heads a fused chain. Merging and elided paths need their
-        // hash table anyway; they drain the materialising path.
-        if let (ShuffleInput::Wide(dep), None) = (&self.input, &self.merge) {
-            dep.fetch_each(split, |block| block.iter().cloned().for_each(&mut *sink));
-            return;
-        }
-        for t in self.compute(split, tc) {
-            sink(t);
-        }
+        drain_combiners(merged).into_iter().for_each(sink);
     }
 }
 
@@ -384,10 +370,10 @@ type BucketsFn<K, V, U> = Arc<dyn Fn(&[&[(K, V)]]) -> Vec<U> + Send + Sync>;
 /// instead of being concatenated first: the node behind
 /// [`PairRdd::map_shuffled_partitions`]. It fetches through the same
 /// [`ShuffleDependency::plain`] edge as `partition_by` — so lost map
-/// output, first-write-wins commits, spilled blocks and runtime coalescing
-/// behave exactly as they do there — but keeps the fetched blocks' handles
-/// and lends them to the closure, so no record is cloned between the map
-/// side's commit and the closure's own reads.
+/// output, first-write-wins commits and spilled blocks behave exactly as
+/// they do there — but keeps the fetched blocks' handles and lends them
+/// to the closure, so no record is cloned between the map side's commit
+/// and the closure's own reads.
 struct ShuffleReadRdd<K: Key, V: Data, U: Data> {
     base: RddBase,
     dep: Arc<ShuffleDependency<K, V, V>>,
@@ -407,14 +393,14 @@ impl<K: Key, V: Data, U: Data> RddNode<U> for ShuffleReadRdd<K, V, U> {
         vec![Dependency::Shuffle(self.dep.clone())]
     }
 
-    fn compute(&self, split: usize, _tc: &TaskContext) -> Vec<U> {
+    fn compute_into(&self, split: usize, _tc: &TaskContext, sink: &mut dyn FnMut(U)) {
         // Holds one reduce partition's blocks for the length of the call:
         // what a concatenating reader would have copied, not more.
         let mut blocks = Vec::with_capacity(self.dep.num_map_partitions());
         self.dep.fetch_each(split, |block| blocks.push(block));
         let buckets: Vec<&[(K, V)]> = blocks.iter().map(|block| block.as_slice()).collect();
         cancellation_point();
-        (self.f)(&buckets)
+        (self.f)(&buckets).into_iter().for_each(sink);
     }
 }
 
@@ -426,14 +412,10 @@ enum CoSide<K: Key, V: Data> {
 }
 
 impl<K: Key, V: Data> CoSide<K, V> {
-    /// Chooses this side's path. The narrow (local) rewrite fires when the
-    /// side already carries the target partitioner's signature *and* the
-    /// planner's shuffle-elision rewrite is enabled; with it disabled
-    /// every side shuffles, which is the unoptimised A/B baseline.
+    /// Chooses this side's path: the narrow (local) rewrite fires when
+    /// the side already carries the target partitioner's signature.
     fn prepare(rdd: &Rdd<(K, V)>, partitioner: &Arc<dyn Partitioner<K>>) -> Self {
-        if rdd.context().planner().elide_shuffles
-            && rdd.partitioner_sig() == Some(partitioner.sig())
-        {
+        if rdd.partitioner_sig() == Some(partitioner.sig()) {
             CoSide::Local(rdd.clone())
         } else {
             CoSide::Shuffled(ShuffleDependency::plain(rdd.clone(), partitioner.clone()))
@@ -517,7 +499,12 @@ impl<K: Key, V: Data, W: Data> RddNode<(K, (Vec<V>, Vec<W>))> for CoGroupedRdd<K
         }
     }
 
-    fn compute(&self, split: usize, tc: &TaskContext) -> Vec<(K, (Vec<V>, Vec<W>))> {
+    fn compute_into(
+        &self,
+        split: usize,
+        tc: &TaskContext,
+        sink: &mut dyn FnMut((K, (Vec<V>, Vec<W>))),
+    ) {
         let mut groups: HashMap<K, (Vec<V>, Vec<W>)> = HashMap::new();
         self.left.gather_each(split, tc, &mut |(k, v)| {
             groups.entry(k).or_default().0.push(v);
@@ -525,7 +512,7 @@ impl<K: Key, V: Data, W: Data> RddNode<(K, (Vec<V>, Vec<W>))> for CoGroupedRdd<K
         self.right.gather_each(split, tc, &mut |(k, w)| {
             groups.entry(k).or_default().1.push(w);
         });
-        groups.into_iter().collect()
+        groups.into_iter().for_each(sink);
     }
 }
 
@@ -606,7 +593,7 @@ pub trait PairRdd<K: Key, V: Data> {
 impl<K: Key, V: Data> PairRdd<K, V> for Rdd<(K, V)> {
     fn partition_by(&self, partitioner: Arc<dyn Partitioner<K>>) -> Rdd<(K, V)> {
         let sig = partitioner.sig();
-        if self.context().planner().elide_shuffles && self.partitioner_sig() == Some(sig) {
+        if self.partitioner_sig() == Some(sig) {
             // Already laid out exactly this way: the shuffle is elided to
             // a zero-copy pass-through (marked so the planner counts it).
             return PassThroughRdd::create(self.clone(), sig, 1);
@@ -644,7 +631,7 @@ impl<K: Key, V: Data> PairRdd<K, V> for Rdd<(K, V)> {
         merge_combiners: impl Fn(C, C) -> C + Send + Sync + 'static,
     ) -> Rdd<(K, C)> {
         let sig = partitioner.sig();
-        if self.context().planner().elide_shuffles && self.partitioner_sig() == Some(sig) {
+        if self.partitioner_sig() == Some(sig) {
             // Every record of each target partition is already local:
             // rewrite the wide edge to a narrow per-partition combine.
             // `merge_combiners` is unreachable on this path — at most one

@@ -45,8 +45,8 @@ impl<T: Data> RddNode<T> for ParallelizeRdd<T> {
         Vec::new()
     }
 
-    fn compute(&self, split: usize, _tc: &TaskContext) -> Vec<T> {
-        self.partitions[split].clone()
+    fn compute_into(&self, split: usize, _tc: &TaskContext, sink: &mut dyn FnMut(T)) {
+        self.partitions[split].iter().cloned().for_each(sink);
     }
 }
 
@@ -92,8 +92,8 @@ impl<T: Data> RddNode<T> for GeneratedRdd<T> {
         Vec::new()
     }
 
-    fn compute(&self, split: usize, _tc: &TaskContext) -> Vec<T> {
-        (self.generate)(split)
+    fn compute_into(&self, split: usize, _tc: &TaskContext, sink: &mut dyn FnMut(T)) {
+        (self.generate)(split).into_iter().for_each(sink);
     }
 }
 

@@ -44,14 +44,6 @@ impl<T: Data, U: Data> RddNode<U> for MapRdd<T, U> {
     fn dependencies(&self) -> Vec<Dependency> {
         vec![Dependency::Narrow(self.parent.lineage())]
     }
-    fn compute(&self, split: usize, tc: &TaskContext) -> Vec<U> {
-        self.parent
-            .iterator(split, tc)
-            .iter()
-            .cloned()
-            .map(|t| (self.f)(t))
-            .collect()
-    }
     fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(U)) {
         let mut gauge = CancelGauge::new();
         self.parent.stream(split, tc, &mut |t| {
@@ -94,14 +86,6 @@ impl<T: Data> RddNode<T> for FilterRdd<T> {
     }
     fn dependencies(&self) -> Vec<Dependency> {
         vec![Dependency::Narrow(self.parent.lineage())]
-    }
-    fn compute(&self, split: usize, tc: &TaskContext) -> Vec<T> {
-        self.parent
-            .iterator(split, tc)
-            .iter()
-            .filter(|t| (self.pred)(t))
-            .cloned()
-            .collect()
     }
     fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(T)) {
         let mut gauge = CancelGauge::new();
@@ -152,14 +136,6 @@ impl<T: Data, U: Data> RddNode<U> for FlatMapRdd<T, U> {
     fn dependencies(&self) -> Vec<Dependency> {
         vec![Dependency::Narrow(self.parent.lineage())]
     }
-    fn compute(&self, split: usize, tc: &TaskContext) -> Vec<U> {
-        self.parent
-            .iterator(split, tc)
-            .iter()
-            .cloned()
-            .flat_map(|t| (self.f)(t))
-            .collect()
-    }
     fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(U)) {
         let mut gauge = CancelGauge::new();
         self.parent.stream(split, tc, &mut |t| {
@@ -205,15 +181,15 @@ impl<T: Data, U: Data> RddNode<U> for MapPartitionsRdd<T, U> {
     fn dependencies(&self) -> Vec<Dependency> {
         vec![Dependency::Narrow(self.parent.lineage())]
     }
-    fn compute(&self, split: usize, tc: &TaskContext) -> Vec<U> {
+    fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(U)) {
+        // The operator's `&[T]` contract forces its *input* to
+        // materialise, but the upstream chain still fuses to a single
+        // buffer inside `parent.iterator`, and downstream operators
+        // stream from this node's output.
         let data = self.parent.iterator(split, tc);
         cancellation_point();
-        (self.f)(split, &data)
+        (self.f)(split, &data).into_iter().for_each(sink);
     }
-    // compute_into keeps the default (drain `compute`): the operator's
-    // `&[T]` contract forces its *input* to materialise, but the upstream
-    // chain still fuses to a single buffer inside `parent.iterator`, and
-    // downstream operators stream from this node's output.
     fn plan_info(&self) -> PlanNodeInfo {
         FUSABLE
     }
@@ -249,14 +225,6 @@ impl<T: Data> RddNode<T> for UnionRdd<T> {
             Dependency::Narrow(self.left.lineage()),
             Dependency::Narrow(self.right.lineage()),
         ]
-    }
-    fn compute(&self, split: usize, tc: &TaskContext) -> Vec<T> {
-        let n = self.left.num_partitions();
-        if split < n {
-            (*self.left.iterator(split, tc)).clone()
-        } else {
-            (*self.right.iterator(split - n, tc)).clone()
-        }
     }
     fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(T)) {
         let n = self.left.num_partitions();
@@ -321,11 +289,11 @@ impl<T: Data, U: Data, O: Data> RddNode<O> for ZipPartitionsRdd<T, U, O> {
             Dependency::Narrow(self.right.lineage()),
         ]
     }
-    fn compute(&self, split: usize, tc: &TaskContext) -> Vec<O> {
+    fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(O)) {
         let l = self.left.iterator(split, tc);
         let r = self.right.iterator(split, tc);
         cancellation_point();
-        (self.f)(&l, &r)
+        (self.f)(&l, &r).into_iter().for_each(sink);
     }
 }
 

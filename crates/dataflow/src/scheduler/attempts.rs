@@ -60,11 +60,10 @@ pub(super) struct Ledger {
     pub(super) config: Arc<SpangleContextBuilder>,
 }
 
-/// One executor task the caller must submit: it runs `partitions` in
-/// order (several only for a coalesced group) as attempt number `attempt`
-/// and posts one event per partition carrying `id`.
+/// One executor task the caller must submit: it runs `partition` as
+/// attempt number `attempt` and posts one event carrying `id`.
 pub(super) struct Launch {
-    pub(super) partitions: Vec<usize>,
+    pub(super) partition: usize,
     pub(super) attempt: usize,
     pub(super) id: AttemptId,
     pub(super) token: CancelToken,
@@ -157,9 +156,6 @@ pub(super) enum Step {
 struct Live {
     id: AttemptId,
     token: CancelToken,
-    /// Launched as part of a coalesced group: the group shares one body
-    /// and one token, so no single partition of it can be duplicated.
-    grouped: bool,
 }
 
 /// The watchdog's view of a lone running attempt: the executor progress
@@ -243,46 +239,38 @@ impl StageRun {
         self.report.counts.bump(field, n);
     }
 
-    /// First launch of `partitions` as one executor task (a coalesced
-    /// group when more than one).
-    pub(super) fn launch(&mut self, partitions: Vec<usize>, ledger: &mut Ledger) -> Launch {
-        self.unsettled += partitions.len();
-        self.start(partitions, None, ledger)
+    /// First launch of `partition`.
+    pub(super) fn launch(&mut self, partition: usize, ledger: &mut Ledger) -> Launch {
+        self.unsettled += 1;
+        self.start(partition, None, ledger)
     }
 
     /// The one place an attempt becomes live: stamps a fresh id and token
-    /// on every covered slot (as the twin when `avoid` names the frozen
-    /// attempt's executor) and describes the executor task to submit.
-    fn start(
-        &mut self,
-        partitions: Vec<usize>,
-        avoid: Option<usize>,
-        ledger: &mut Ledger,
-    ) -> Launch {
+    /// on the slot (as the twin when `avoid` names the frozen attempt's
+    /// executor) and describes the executor task to submit.
+    fn start(&mut self, partition: usize, avoid: Option<usize>, ledger: &mut Ledger) -> Launch {
         let id = ledger.next_id;
         ledger.next_id += 1;
         let token = CancelToken::new();
-        for &p in &partitions {
-            let live = Some(Live {
-                id,
-                token: token.clone(),
-                grouped: partitions.len() > 1,
-            });
-            match &mut self.slots[p].state {
-                State::Running { lives, watch } if avoid.is_some() => {
-                    (lives[1], *watch) = (live, None);
-                }
-                state => {
-                    *state = State::Running {
-                        lives: [live, None],
-                        watch: None,
-                    }
+        let live = Some(Live {
+            id,
+            token: token.clone(),
+        });
+        let slot = &mut self.slots[partition];
+        match &mut slot.state {
+            State::Running { lives, watch } if avoid.is_some() => {
+                (lives[1], *watch) = (live, None);
+            }
+            state => {
+                *state = State::Running {
+                    lives: [live, None],
+                    watch: None,
                 }
             }
         }
         Launch {
-            attempt: self.slots[partitions[0]].attempt,
-            partitions,
+            partition,
+            attempt: slot.attempt,
             id,
             token,
             avoid,
@@ -366,14 +354,12 @@ impl StageRun {
         }
         self.slots[partition].attempt += policy.advances as usize;
         Ok(match reason {
-            Reason::Frozen { on } => Step::Launch(self.start(vec![partition], Some(on), ledger)),
+            Reason::Frozen { on } => Step::Launch(self.start(partition, Some(on), ledger)),
             Reason::Repaired { shuffle_id, .. } => {
                 self.slots[partition].state = State::Parked(shuffle_id);
                 Step::Parked(shuffle_id)
             }
-            Reason::Retry(_) | Reason::Lost(_) => {
-                Step::Launch(self.start(vec![partition], None, ledger))
-            }
+            Reason::Retry(_) | Reason::Lost(_) => Step::Launch(self.start(partition, None, ledger)),
         })
     }
 
@@ -384,15 +370,15 @@ impl StageRun {
         let mut launches = Vec::new();
         for p in 0..self.slots.len() {
             if matches!(self.slots[p].state, State::Parked(s) if s == shuffle_id) {
-                launches.push(self.start(vec![p], None, ledger));
+                launches.push(self.start(p, None, ledger));
             }
         }
         launches
     }
 
     /// The tick's one walk over running slots, with `executing[e]` what
-    /// executor `e` runs right now: a *lone, original, singleton* attempt
-    /// that is actually executing and whose executor's progress count has
+    /// executor `e` runs right now: a *lone, original* attempt that is
+    /// actually executing and whose executor's progress count has
     /// not moved for the watchdog interval is frozen, and gets a duplicate
     /// away from it.
     pub(super) fn scan(
@@ -411,12 +397,10 @@ impl StageRun {
             let State::Running { lives, watch } = &mut slot.state else {
                 continue;
             };
-            // Only a lone, original, singleton attempt that is executing
-            // can be duplicated.
+            // Only a lone, original attempt that is executing can be
+            // duplicated.
             let lone = match lives {
-                [Some(original), None] if !original.grouped && executing.len() >= 2 => {
-                    executor_of(original)
-                }
+                [Some(original), None] if executing.len() >= 2 => executor_of(original),
                 _ => None,
             };
             let Some((e, running)) = lone else {
@@ -542,7 +526,7 @@ mod tests {
     #[test]
     fn retry_advances_the_attempt_number_and_charges_the_attempt_budget() {
         let (mut run, mut ledger, _) = table(2);
-        let first = run.launch(vec![1], &mut ledger);
+        let first = run.launch(1, &mut ledger);
         assert_eq!((first.attempt, first.avoid), (0, None));
         let retry = launched(run.on_outcome(1, first.id, Err(TaskError::Injected), &mut ledger));
         assert_eq!(retry.attempt, 1, "a retry takes the next attempt number");
@@ -575,7 +559,7 @@ mod tests {
     #[test]
     fn a_lost_attempt_replays_under_its_number_on_the_resubmission_budget() {
         let (mut run, mut ledger, _) = table(1);
-        let first = run.launch(vec![0], &mut ledger);
+        let first = run.launch(0, &mut ledger);
         let lost = Err(TaskError::ExecutorLost { executor: 0 });
         let replay = launched(run.on_outcome(0, first.id, lost, &mut ledger));
         assert_eq!(replay.attempt, 0, "the loss was not the task's fault");
@@ -597,7 +581,7 @@ mod tests {
     #[test]
     fn a_fetch_failure_parks_until_the_parents_repair_then_replays_at_once() {
         let (mut run, mut ledger, _) = table(2);
-        let first = run.launch(vec![0], &mut ledger);
+        let first = run.launch(0, &mut ledger);
         let failed = Err(TaskError::FetchFailed {
             shuffle_id: 9,
             map_id: 4,
@@ -633,12 +617,12 @@ mod tests {
     #[test]
     fn a_retry_a_loss_and_a_post_repair_replay_each_launch_from_the_same_call() {
         let (mut run, mut ledger, _) = table(3);
-        let [a, b, c] = [0, 1, 2].map(|p| run.launch(vec![p], &mut ledger));
-        let retry = run.on_outcome(0, a.id, Err(TaskError::Injected), &mut ledger);
-        assert!(matches!(retry, Ok(Step::Launch(ref l)) if l.partitions == [0]));
+        let [a, b, c] = [0, 1, 2].map(|p| run.launch(p, &mut ledger));
+        let retry = launched(run.on_outcome(0, a.id, Err(TaskError::Injected), &mut ledger));
+        assert_eq!(retry.partition, 0);
         let lost = Err(TaskError::ExecutorLost { executor: 1 });
-        let replay = run.on_outcome(1, b.id, lost, &mut ledger);
-        assert!(matches!(replay, Ok(Step::Launch(ref l)) if l.partitions == [1]));
+        let replay = launched(run.on_outcome(1, b.id, lost, &mut ledger));
+        assert_eq!(replay.partition, 1);
         let fetch = Err(TaskError::FetchFailed {
             shuffle_id: 3,
             map_id: 0,
@@ -649,16 +633,22 @@ mod tests {
         ));
         let repaired = run.repaired(3, &mut ledger);
         assert_eq!(repaired.len(), 1);
-        assert_eq!(repaired[0].partitions, [2]);
+        assert_eq!(repaired[0].partition, 2);
         assert_eq!([0, 1, 2].map(|p| lives(&run, p)), [1, 1, 1]);
         assert_eq!(run.unsettled, 3);
+        // An abort cancels what is live, and counts it.
+        run.cancel_all(&ledger);
+        for launch in [&retry, &replay, &repaired[0]] {
+            assert!(launch.token.is_cancelled());
+        }
+        assert_eq!(run.report.counts.tasks_cancelled, 3);
     }
 
     #[test]
     fn a_winning_duplicate_cancels_the_original_whose_event_then_misses() {
         let (mut run, mut ledger, t0) = table(2);
-        let fast = run.launch(vec![0], &mut ledger);
-        let frozen = run.launch(vec![1], &mut ledger);
+        let fast = run.launch(0, &mut ledger);
+        let frozen = run.launch(1, &mut ledger);
         let step = run.on_outcome(0, fast.id, Ok(()), &mut ledger);
         assert!(matches!(step, Ok(Step::Settled)));
         // Seen at once, then 500 ms without a progress tick: 499 ms is
@@ -706,7 +696,7 @@ mod tests {
     #[test]
     fn both_sides_of_a_race_failing_is_one_retry_and_one_charge() {
         let (mut run, mut ledger, _) = table(1);
-        let original = run.launch(vec![0], &mut ledger);
+        let original = run.launch(0, &mut ledger);
         let reason = Reason::Frozen { on: 0 };
         let dup = launched(run.relaunch(0, reason, &mut ledger));
         let step = run.on_outcome(0, original.id, Err(TaskError::Injected), &mut ledger);
@@ -734,7 +724,7 @@ mod tests {
     #[test]
     fn a_superseded_runs_loser_cannot_touch_the_recovery_run() {
         let (mut run1, mut ledger, t0) = table(1);
-        let original = run1.launch(vec![0], &mut ledger);
+        let original = run1.launch(0, &mut ledger);
         let dup = launched(run1.relaunch(0, Reason::Frozen { on: 0 }, &mut ledger));
         let step = run1.on_outcome(0, dup.id, Ok(()), &mut ledger);
         assert!(matches!(step, Ok(Step::Settled)) && original.token.is_cancelled());
@@ -742,7 +732,7 @@ mod tests {
         // same stage launches the same partition as attempt 0 again.
         let stage = Stage::new(None, Arc::new(|_| None), 1, 0, StagePlan::default());
         let mut run2 = StageRun::new(&stage, 8, 1, t0, MetricsSnapshot::default());
-        let recovery = run2.launch(vec![0], &mut ledger);
+        let recovery = run2.launch(0, &mut ledger);
         assert_eq!(recovery.attempt, original.attempt);
         let (before, budget) = (ledger.metrics.snapshot(), ledger.resubmissions_left);
         let stale = run2.on_outcome(0, original.id, Err(TaskError::Cancelled), &mut ledger);
@@ -764,7 +754,7 @@ mod tests {
     #[test]
     fn a_frozen_slot_trips_once_per_attempt_and_rearms_on_progress() {
         let (mut run, mut ledger, t0) = table(1);
-        let task = run.launch(vec![0], &mut ledger);
+        let task = run.launch(0, &mut ledger);
         let at = |progress| on_executor(1, &task, t0, progress);
         // First sight baselines the watch; 500 ms without a tick trips it.
         assert!(run
@@ -818,12 +808,12 @@ mod tests {
     #[test]
     fn a_lone_attempt_whose_progress_keeps_moving_is_never_duplicated() {
         let (mut run, mut ledger, t0) = table(2);
-        let quick = run.launch(vec![1], &mut ledger);
+        let quick = run.launch(1, &mut ledger);
         assert!(matches!(
             run.on_outcome(1, quick.id, Ok(()), &mut ledger),
             Ok(Step::Settled)
         ));
-        let task = run.launch(vec![0], &mut ledger);
+        let task = run.launch(0, &mut ledger);
         // One poll every 400 ms for an hour, one tick between polls.
         for poll in 0..9_000u64 {
             let executing = on_executor(0, &task, t0, poll);
@@ -833,42 +823,5 @@ mod tests {
         let snap = ledger.metrics.snapshot();
         assert_eq!((snap.watchdog_trips, snap.tasks_speculated), (0, 0));
         assert_eq!(lives(&run, 0), 1);
-    }
-
-    #[test]
-    fn a_coalesced_group_is_one_launch_over_several_slots_and_never_duplicated() {
-        let (mut run, mut ledger, t0) = table(4);
-        let solo = run.launch(vec![0], &mut ledger);
-        let group = run.launch(vec![1, 2, 3], &mut ledger);
-        assert_eq!((group.partitions.len(), run.unsettled), (3, 4));
-        assert!(matches!(
-            run.on_outcome(0, solo.id, Ok(()), &mut ledger),
-            Ok(Step::Settled)
-        ));
-        // Frozen far past the watchdog interval: still no duplicate.
-        let executing = on_executor(0, &group, t0, 0);
-        assert!(run
-            .scan(t0 + ms(10), &executing, &mut ledger)
-            .unwrap()
-            .is_empty());
-        let dups = run.scan(t0 + ms(60_000), &executing, &mut ledger).unwrap();
-        assert!(dups.is_empty());
-        // One event per partition, all under the group's one id; a member
-        // that fails is relaunched alone, its group-mates' outcomes stand.
-        assert!(matches!(
-            run.on_outcome(1, group.id, Ok(()), &mut ledger),
-            Ok(Step::Settled)
-        ));
-        let alone = launched(run.on_outcome(2, group.id, Err(TaskError::Injected), &mut ledger));
-        assert_eq!((alone.partitions.as_slice(), alone.attempt), (&[2][..], 1));
-        assert!(matches!(
-            run.on_outcome(3, group.id, Ok(()), &mut ledger),
-            Ok(Step::Settled)
-        ));
-        assert_eq!((run.unsettled, group.token.is_cancelled()), (1, false));
-        // An abort cancels what is live, and counts it.
-        run.cancel_all(&ledger);
-        assert!(alone.token.is_cancelled());
-        assert_eq!(run.report.counts.tasks_cancelled, 1);
     }
 }

@@ -112,7 +112,7 @@ pub(super) fn build_stages<T: Data, R: Send + 'static>(
         .map(|dep| dep.parent_lineage())
         .chain(std::iter::once(rdd.lineage()))
         .collect();
-    let plans = plan::analyze_stages(&territories, rdd.context().planner());
+    let plans = plan::analyze_stages(&territories);
 
     for (idx, dep) in deps.iter().enumerate() {
         by_shuffle.insert(dep.shuffle_id(), stages.len());

@@ -64,7 +64,6 @@ use crate::context::SpangleContext;
 use crate::executor::{BlockOrigin, CancelledError, TaskInfo};
 use crate::failure::TaskSite;
 use crate::metrics::{JobOutcome, JobReport, MetricField, StageOutcome, StageReport};
-use crate::plan;
 use crate::rdd::Rdd;
 use crate::shuffle::{FetchFailedError, RecoveryClaim};
 use crate::sync::channel::{unbounded, MuxSender, Receiver, RecvTimeoutError, Sender, Tagged};
@@ -669,71 +668,36 @@ impl JobRun {
         self.max_concurrent = self.max_concurrent.max(self.running);
     }
 
-    /// Submits every task of a stage to the executor pool, grouped by the
-    /// runtime coalescing plan when the stage reads shuffle output.
+    /// Submits every task of a stage to the executor pool, one per
+    /// partition.
     ///
     /// Only a stage's first run counts its planned rewrites: a recovery
     /// run re-executes them but decides nothing new.
     fn submit_stage(&mut self, idx: usize) -> Result<(), JobError> {
         self.start_run(idx, 0);
-        let groups = self.plan_task_groups(idx);
         let stage = &mut self.stages[idx];
-        let merged = stage.num_tasks - groups.len();
+        let num_tasks = stage.num_tasks;
         let rewrites = [
             (MetricField::StagesFused, stage.plan.fused_chains),
             (MetricField::ShufflesElided, stage.plan.elided_shuffles),
-            (MetricField::PartitionsCoalesced, merged),
         ];
         let run = stage.run.as_mut().expect("started above");
         for (field, n) in rewrites {
             run.count(&self.ledger, field, n as u64);
         }
-        if groups.is_empty() {
+        if num_tasks == 0 {
             return self.finish_stage(idx);
         }
-        groups.into_iter().try_for_each(|g| self.launch(idx, g))
+        (0..num_tasks).try_for_each(|p| self.launch(idx, p))
     }
 
-    /// Partition grouping for one stage run. When runtime coalescing is on
-    /// and the stage reads shuffle output, the per-bucket byte counts the
-    /// map stages deposited are packed into contiguous task groups
-    /// ([`plan::coalesce_task_groups`]), floored at one group per executor
-    /// so coalescing never costs parallelism. Every other stage (and every
-    /// relaunch or recovery run) runs one task per partition.
-    fn plan_task_groups(&self, idx: usize) -> Vec<Vec<usize>> {
-        let stage = &self.stages[idx];
-        let planner = self.ctx.planner();
-        if !planner.coalesce_partitions || stage.num_tasks <= 1 || stage.parents.is_empty() {
-            return (0..stage.num_tasks).map(|p| vec![p]).collect();
-        }
-        let mut bytes = vec![0usize; stage.num_tasks];
-        for &p in &stage.parents {
-            if let Some(shuffle_id) = self.stages[p].shuffle_id {
-                let per = self
-                    .ctx
-                    .inner
-                    .shuffle
-                    .reduce_bucket_bytes(shuffle_id, stage.num_tasks);
-                for (acc, add) in bytes.iter_mut().zip(per) {
-                    *acc = acc.saturating_add(add);
-                }
-            }
-        }
-        plan::coalesce_task_groups(
-            &bytes,
-            planner.target_partition_bytes,
-            self.ctx.num_executors(),
-        )
-    }
-
-    /// First launch of `partitions` of the running stage `idx` as one
-    /// executor task.
-    fn launch(&mut self, idx: usize, partitions: Vec<usize>) -> Result<(), JobError> {
+    /// First launch of `partition` of the running stage `idx`.
+    fn launch(&mut self, idx: usize, partition: usize) -> Result<(), JobError> {
         let run = self.stages[idx]
             .run
             .as_mut()
             .expect("launch into a running stage");
-        let launch = run.launch(partitions, &mut self.ledger);
+        let launch = run.launch(partition, &mut self.ledger);
         self.submit(idx, launch)
     }
 
@@ -741,91 +705,73 @@ impl JobRun {
     /// retries, loss and post-repair replays and watchdog duplicates all
     /// arrive here as a [`Launch`] the attempt table decided.
     ///
-    /// The task runs each of the launch's partitions in order and posts
-    /// one [`ServiceEvent::Task`] per partition, so a partition that fails
-    /// inside a coalesced group is relaunched alone while its group-mates'
-    /// outcomes stand. It is placed on the executor owning its first
-    /// partition — or, for a duplicate, on the least-loaded executor
-    /// *other than* the one the frozen attempt occupies, so it cannot
-    /// queue behind the very task it is meant to overtake (a one-task
-    /// backlog behind a wedged body is never stolen). A shut-down pool
-    /// aborts the job cleanly.
+    /// The task is placed on the executor owning its partition — or, for
+    /// a duplicate, on the least-loaded executor *other than* the one the
+    /// frozen attempt occupies, so it cannot queue behind the very task
+    /// it is meant to overtake (a one-task backlog behind a wedged body
+    /// is never stolen). A shut-down pool aborts the job cleanly.
     fn submit(&mut self, stage_idx: usize, launch: Launch) -> Result<(), JobError> {
-        let (partitions, attempt, id) = (launch.partitions, launch.attempt, launch.id);
+        let (partition, attempt, id) = (launch.partition, launch.attempt, launch.id);
         let stage = &self.stages[stage_idx];
         let job_id = self.job_id;
         let run = stage.run.as_ref().expect("submit into a running stage");
         let stage_id = run.report.stage_id;
-        let site_rdd = stage.site_rdd;
-        let home = partitions[0];
+        let site = TaskSite {
+            rdd_id: stage.site_rdd,
+            partition,
+        };
         let work = Arc::clone(&stage.work);
         let tx = self.tx.clone();
         let ctx = self.ctx.clone();
         let queued = Instant::now();
         let task = Box::new(move |info: &TaskInfo| {
             let wait_nanos = queued.elapsed().as_nanos() as u64;
-            // Wrapped in an Option so the last partition can release it
-            // before its completion event (see below).
-            let mut work = Some(work);
-            let last = partitions.len() - 1;
-            for (i, &partition) in partitions.iter().enumerate() {
-                ctx.metrics().add(MetricField::TasksRun, 1);
-                let site = TaskSite {
-                    rdd_id: site_rdd,
-                    partition,
-                };
-                // Built here, not at submission: the executor (and its
-                // incarnation) are only known once the attempt starts, and
-                // everything the attempt produces is attributed to them.
-                let tc = TaskContext {
-                    job_id,
-                    stage_id,
-                    partition,
-                    attempt,
-                    executor: info.ran_on,
-                    epoch: info.epoch,
-                };
-                let start = Instant::now();
-                let body = work.as_ref().expect("task group released work early");
-                // The attempt runs its body, or what the injector drew in
-                // its place; what it then reports is the injector's to
-                // settle too (an armed kill fires after the body, and an
-                // attempt that outlived its executor is lost). Later
-                // partitions of a killed group run under the stale epoch
-                // and take the same executor-lost replay, one event each.
-                let fault = ctx.inner.failures.draw(site, attempt);
-                let ran = std::panic::catch_unwind(AssertUnwindSafe(|| match fault {
-                    Some(fault) => Err(fault.play()),
-                    None => Ok(body(&tc)),
-                }));
-                let outcome = ran.unwrap_or_else(|payload| Err(task_error(payload.as_ref())));
-                let outcome = ctx.inner.failures.settle(&ctx, info, outcome);
-                // Release the work closure (and the lineage Arcs it captures)
-                // BEFORE signalling the driver: once the driver sees the
-                // group's final event the job may return and drop its RDDs,
-                // and shuffle garbage collection relies on those being the
-                // last references.
-                if i == last {
-                    drop(work.take());
-                }
-                // The driver may have aborted the job already; its tag is
-                // simply stale by the time this lands. Queue wait is
-                // charged once per executor task, on its first partition.
-                let _ = tx.send(ServiceEvent::Task(TaskDone {
-                    stage_idx,
-                    partition,
-                    id,
-                    nanos: start.elapsed().as_nanos() as u64,
-                    wait_nanos: if i == 0 { wait_nanos } else { 0 },
-                    ran_on: info.ran_on,
-                    stolen: info.stolen,
-                    outcome,
-                }));
-            }
+            ctx.metrics().add(MetricField::TasksRun, 1);
+            // Built here, not at submission: the executor (and its
+            // incarnation) are only known once the attempt starts, and
+            // everything the attempt produces is attributed to them.
+            let tc = TaskContext {
+                job_id,
+                stage_id,
+                partition,
+                attempt,
+                executor: info.ran_on,
+                epoch: info.epoch,
+            };
+            let start = Instant::now();
+            // The attempt runs its body, or what the injector drew in its
+            // place; what it then reports is the injector's to settle too
+            // (an armed kill fires after the body, and an attempt that
+            // outlived its executor is lost).
+            let fault = ctx.inner.failures.draw(site, attempt);
+            let ran = std::panic::catch_unwind(AssertUnwindSafe(|| match fault {
+                Some(fault) => Err(fault.play()),
+                None => Ok(work(&tc)),
+            }));
+            let outcome = ran.unwrap_or_else(|payload| Err(task_error(payload.as_ref())));
+            let outcome = ctx.inner.failures.settle(&ctx, info, outcome);
+            // Release the work closure (and the lineage Arcs it captures)
+            // BEFORE signalling the driver: once the driver sees the final
+            // event the job may return and drop its RDDs, and shuffle
+            // garbage collection relies on those being the last
+            // references.
+            drop(work);
+            // The driver may have aborted the job already; its tag is
+            // simply stale by the time this lands.
+            let _ = tx.send(ServiceEvent::Task(TaskDone {
+                stage_idx,
+                partition,
+                id,
+                nanos: start.elapsed().as_nanos() as u64,
+                wait_nanos,
+                ran_on: info.ran_on,
+                stolen: info.stolen,
+                outcome,
+            }));
         });
         let pool = &self.ctx.inner.pool;
         let executor = match launch.avoid {
-            None => pool.executor_for(home),
+            None => pool.executor_for(partition),
             Some(avoid) => {
                 let lens = pool.queue_lens();
                 (0..lens.len())
@@ -839,7 +785,7 @@ impl JobRun {
                 self.abort(JobError {
                     job_id,
                     stage_id,
-                    partition: home,
+                    partition,
                     attempts: attempt,
                     last_error: TaskError::ExecutorShutdown,
                 })
@@ -941,7 +887,7 @@ impl JobRun {
                 self.start_run(parent_idx, missing.len());
                 missing
                     .into_iter()
-                    .try_for_each(|p| self.launch(parent_idx, vec![p]))
+                    .try_for_each(|p| self.launch(parent_idx, p))
             }
             RecoveryClaim::InFlight => {
                 self.watch(parent_idx, shuffle_id);
@@ -1507,7 +1453,6 @@ mod tests {
         let ctx = SpangleContext::builder()
             .executors(2)
             .max_resubmissions(2)
-            .coalesce_partitions(false)
             .build();
         let one: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(1));
         let base = ctx.parallelize((0u64..40).map(|i| (i % 8, i)).collect(), 2);

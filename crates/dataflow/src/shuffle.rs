@@ -500,21 +500,6 @@ impl ShuffleService {
         self.blocks.disk_bytes()
     }
 
-    /// Bytes deposited for each reduce partition of one shuffle, summed
-    /// over its map-side blocks (logical record bytes, both tiers). The
-    /// planner reads this after a map stage completes to decide which
-    /// reduce buckets are small enough to merge into one task
-    /// ([`crate::SpangleContextBuilder::coalesce_partitions`]).
-    pub fn reduce_bucket_bytes(&self, shuffle_id: usize, num_reduce: usize) -> Vec<usize> {
-        let mut out = vec![0usize; num_reduce];
-        self.blocks.for_each_size(|id, bytes| {
-            if id.shuffle_id == shuffle_id && id.reduce_id < num_reduce {
-                out[id.reduce_id] += bytes;
-            }
-        });
-        out
-    }
-
     /// Number of blocks currently stored (both tiers).
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()

@@ -168,10 +168,6 @@ fn watchdog_ctx(executors: usize) -> SpangleContext {
     SpangleContext::builder()
         .executors(executors)
         .watchdog_interval(Duration::from_millis(100))
-        // Coalesced task groups share one token and are never duplicated;
-        // keep every task a singleton so an armed stall is always
-        // eligible for a duplicate.
-        .coalesce_partitions(false)
         // One kill can poison the whole shuffle (round 2), and every
         // parked fetch failure charges the resubmission budget.
         .max_resubmissions(10_000)

@@ -68,7 +68,6 @@ fn stalled_task_trips_the_watchdog_and_loses_to_its_duplicate() {
         let ctx = SpangleContext::builder()
             .executors(executors)
             .watchdog_interval(Duration::from_millis(50))
-            .coalesce_partitions(false)
             .max_resubmissions(10_000)
             .build();
         let before = ctx.metrics_snapshot();
@@ -116,10 +115,7 @@ fn stalled_task_trips_the_watchdog_and_loses_to_its_duplicate() {
 /// must still run on every executor.
 #[test]
 fn a_task_that_panics_on_its_data_leaves_its_executor_placeable() {
-    let ctx = SpangleContext::builder()
-        .executors(2)
-        .coalesce_partitions(false)
-        .build();
+    let ctx = SpangleContext::new(2);
     for _ in 0..2 {
         let poisoned = ctx
             .parallelize((0..64u64).collect(), 8)

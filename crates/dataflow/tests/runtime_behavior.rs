@@ -370,7 +370,6 @@ fn a_jobs_stage_counts_equal_the_context_delta() {
             s.map_partitions_recomputed,
             s.stages_fused,
             s.shuffles_elided,
-            s.partitions_coalesced,
             s.task_retries,
             s.recomputations,
             s.tasks_speculated,
@@ -586,8 +585,7 @@ type SeenBuckets = Vec<Vec<(u64, usize, u64)>>;
 /// records — not one clone between the commit and the closure — as one
 /// slice per map partition, in map order, an empty slice where a map
 /// partition had nothing for the reduce partition; and what it sees does
-/// not depend on shuffle elision being on or on the reduce tasks having
-/// been coalesced.
+/// not depend on how many executors ran the reduce tasks.
 #[test]
 fn shuffled_partitions_are_read_in_place_in_map_order() {
     use spangle_dataflow::{MemSize, ModPartitioner};
@@ -649,18 +647,10 @@ fn shuffled_partitions_are_read_in_place_in_map_order() {
             "no record may be cloned between the commit and the closure"
         );
         assert_eq!(first, second);
-        (first, delta.partitions_coalesced)
+        first
     };
 
-    let pinned = |elide: bool, coalesce: bool| {
-        SpangleContext::builder()
-            .executors(2)
-            .elide_shuffles(elide)
-            .coalesce_partitions(coalesce)
-            .build()
-    };
-    let (seen, coalesced) = seen_by(&pinned(true, false));
-    assert_eq!(coalesced, 0);
+    let seen = seen_by(&SpangleContext::new(2));
     assert_eq!(seen.len(), REDUCES, "one closure call per reduce partition");
     for (reduce, buckets) in seen.iter().enumerate() {
         assert_eq!(buckets.len(), MAPS, "one bucket per map partition");
@@ -677,13 +667,7 @@ fn shuffled_partitions_are_read_in_place_in_map_order() {
     assert!(seen[1][1].is_empty() && seen[3][1].is_empty());
     assert!(!seen[1][0].is_empty() && !seen[1][2].is_empty());
 
-    let (unelided, _) = seen_by(&pinned(false, false));
-    assert_eq!(unelided, seen);
-    // A few hundred bytes against a 1 MiB target: four reduce partitions
-    // run as two tasks (one per executor).
-    let (coalesced_seen, coalesced) = seen_by(&pinned(true, true));
-    assert!(coalesced > 0, "the reduce tasks must have been coalesced");
-    assert_eq!(coalesced_seen, seen);
+    assert_eq!(seen_by(&SpangleContext::new(3)), seen);
 }
 
 /// The by-reference reader inherits fetch-failure recovery from the plain

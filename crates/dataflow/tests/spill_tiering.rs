@@ -224,7 +224,6 @@ fn spill_speculation_and_kills_overlap_without_corruption() {
             .executors(executors)
             .memory_high_watermark_bytes(LOW_WATERMARK)
             .watchdog_interval(Duration::from_millis(100))
-            .coalesce_partitions(false)
             .max_resubmissions(10_000)
             .build();
         let got = run(&ctx, true);

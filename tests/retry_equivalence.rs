@@ -1,13 +1,13 @@
-//! What a switch may change, and what it may not: the planner's rewrites
-//! (fusion, elision, coalescing), which default on, change how a job
-//! executes, never what it computes.
+//! What a retry may change, and what it may not: a task that fails and
+//! runs again from lineage changes how a job executes, never what it
+//! computes.
 //!
 //! One representative operator per layer crate (`gram` and `matvec` from
 //! linalg, a PageRank run and a short SGD train from ml, the five raster
-//! queries) runs under the defaults and with every rewrite off; each run
-//! absorbs one injected task failure, so the retry path is taken too.
-//! Results must be bit-identical by `to_bits()` — except raster Q2, whose
-//! sum runs over groups in hash order and is held to 1e-9.
+//! queries) runs fault-free, then again on the same cluster with its
+//! first task failing once. Results must be bit-identical by `to_bits()`
+//! — except raster Q2, whose sum runs over groups in hash order and is
+//! held to 1e-9.
 
 use spangle::array::{ArrayMeta, ChunkPolicy};
 use spangle::dataflow::SpangleContext;
@@ -15,46 +15,34 @@ use spangle::linalg::{DenseVector, DistMatrix};
 use spangle::ml::{datasets, pagerank, Graph, LogisticRegression, SgdConfig};
 use spangle::raster::{ChlConfig, QueryRange, RasterSystem, SpangleRaster};
 
-/// A cluster with the planner's rewrites on (the default) or off; set
-/// through the builder, whose unoptimised paths are the reference.
-fn cluster(rewrites: bool) -> SpangleContext {
-    let ctx = SpangleContext::builder()
-        .executors(4)
-        .fuse_narrow_chains(rewrites)
-        .elide_shuffles(rewrites)
-        .coalesce_partitions(rewrites)
-        .build();
-    // The first task of the first job fails once and is retried.
-    ctx.failure_injector().fail_next_tasks(1);
-    ctx
-}
-
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Runs `op` on a fresh cluster with the rewrites on and one with them
-/// off, and checks the second against the first with `same`.
+/// Runs `op` fault-free, then with one injected task failure on the same
+/// cluster, and checks the second result against the first with `same`.
 fn check<O: std::fmt::Debug>(
     name: &str,
     op: impl Fn(&SpangleContext) -> O,
     same: impl Fn(&O, &O) -> bool,
 ) {
-    let ctx = cluster(true);
+    let ctx = SpangleContext::new(4);
     let expected = op(&ctx);
-    let run = ctx.metrics_snapshot();
-    assert_eq!(run.task_retries, 1, "{name}: the injected failure retries");
-    let ctx = cluster(false);
+    assert_eq!(ctx.metrics_snapshot().task_retries, 0, "{name}: fault-free");
+    // The first task of the next job fails once and is retried.
+    ctx.failure_injector().fail_next_tasks(1);
+    let before = ctx.metrics_snapshot();
     let got = op(&ctx);
+    let delta = ctx.metrics_snapshot() - before;
+    assert_eq!(
+        delta.task_retries, 1,
+        "{name}: the injected failure retries"
+    );
+    assert!(ctx.failure_injector().is_drained());
     assert!(
         same(&got, &expected),
-        "{name} with the rewrites off: {got:?} != {expected:?}"
+        "{name} after a retry: {got:?} != {expected:?}"
     );
-    // The switch was really thrown: no rewrite ran.
-    let run = ctx.metrics_snapshot();
-    let rewrites = run.stages_fused + run.shuffles_elided + run.partitions_coalesced;
-    assert_eq!(run.task_retries, 1);
-    assert_eq!(rewrites, 0, "{name}: {run:?}");
 }
 
 fn sparse_matrix(ctx: &SpangleContext) -> DistMatrix {
@@ -66,20 +54,20 @@ fn sparse_matrix(ctx: &SpangleContext) -> DistMatrix {
 }
 
 #[test]
-fn gram_is_bit_identical_under_every_switch() {
+fn gram_is_bit_identical_after_a_retry() {
     let op = |ctx: &SpangleContext| bits(&sparse_matrix(ctx).gram().to_local().unwrap());
     check("gram", op, |a, b| a == b);
 }
 
 #[test]
-fn matvec_is_bit_identical_under_every_switch() {
+fn matvec_is_bit_identical_after_a_retry() {
     let x = DenseVector::column((0..64).map(|i| (i % 9) as f64 / 3.0 - 1.0).collect());
     let op = |ctx: &SpangleContext| bits(sparse_matrix(ctx).matvec(&x).unwrap().as_slice());
     check("matvec", op, |a, b| a == b);
 }
 
 #[test]
-fn pagerank_is_bit_identical_under_every_switch() {
+fn pagerank_is_bit_identical_after_a_retry() {
     let op = |ctx: &SpangleContext| {
         let graph = Graph::power_law(ctx, 300, 3000, 9, 4);
         bits(
@@ -93,7 +81,7 @@ fn pagerank_is_bit_identical_under_every_switch() {
 }
 
 #[test]
-fn sgd_training_is_bit_identical_under_every_switch() {
+fn sgd_training_is_bit_identical_after_a_retry() {
     let op = |ctx: &SpangleContext| {
         let data = datasets::synthetic_logreg(ctx, 4, 4, 64, 256, 6, 77);
         data.persist();
@@ -110,7 +98,7 @@ fn sgd_training_is_bit_identical_under_every_switch() {
 }
 
 #[test]
-fn raster_queries_agree_under_every_switch() {
+fn raster_queries_agree_after_a_retry() {
     let cfg = ChlConfig {
         lon: 128,
         lat: 96,
