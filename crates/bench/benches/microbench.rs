@@ -8,12 +8,13 @@ use spangle_bitmask::{
     harley_seal, Bitmask, DeltaCursor, HierarchicalBitmask, Milestones, OffsetArray,
 };
 use spangle_core::aggregate::builtin::Count;
-use spangle_core::{ArrayBuilder, ArrayMeta, Chunk, ChunkPolicy, ColumnWalk};
+use spangle_core::{ArrayBuilder, ArrayMeta, Chunk, ChunkMode, ChunkPolicy, ColumnWalk};
 use spangle_dataflow::cache::{BlockManager, CacheKey};
 use spangle_dataflow::{BlockOrigin, MemSize, SpangleContext};
 use spangle_linalg::block::{
     block_from_triplets, block_multiply_dense_into, block_multiply_into,
-    block_multiply_offsets_into, block_multiply_sparse, ColumnIndex, SparseAccumulator,
+    block_multiply_offsets_into, block_multiply_sparse, block_transpose, ColumnIndex,
+    SparseAccumulator,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -217,6 +218,33 @@ fn bench_block_kernels(c: &mut Criterion) {
         let mut out = vec![0.0; n * n];
         group.bench_with_input(BenchmarkId::new("bitmask", label), &n, |bch, _| {
             bch.iter(|| block_multiply_into(&a, n, &b_block, n, n, black_box(&mut out)))
+        });
+    }
+    group.finish();
+
+    // `block_transpose` at 256²: a Dense block 55 % valid — the density of
+    // a `gram_shuffle` output block, which the reduce mirrors — and a
+    // Sparse one 10 % valid, through the counting sort.
+    let mut group = c.benchmark_group("block_transpose");
+    group.sample_size(15);
+    let (n, policy) = (256usize, ChunkPolicy::default());
+    for (label, per_million, mode) in [
+        ("dense", 550_000u64, ChunkMode::Dense),
+        ("sparse", 100_000, ChunkMode::Sparse),
+    ] {
+        let block = block_from_triplets(
+            n,
+            n,
+            (0..n * n).filter_map(|i| {
+                let h = (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
+                ((h >> 11) % 1_000_000 < per_million).then(|| (i % n, i / n, (h >> 40) as f64))
+            }),
+            &policy,
+        )
+        .expect("block");
+        assert_eq!(block.mode(), mode, "{label}");
+        group.bench_function(label, |bch| {
+            bch.iter(|| block_transpose(black_box(&block), n, n, &policy))
         });
     }
     group.finish();

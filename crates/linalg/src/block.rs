@@ -202,9 +202,10 @@ impl SparseAccumulator {
     /// the shared zero page, the write then replaces it, with a TLB
     /// shootdown — where a store faults once. Any run dense enough to sum
     /// to a Dense chunk touches every page, so after the first run no slot
-    /// is on a fresh page. On the 2-vCPU box the 64 output blocks of one
-    /// `gram_shuffle` reduce task (3 M entries) sum in 7–20 ms this way and
-    /// in 125–205 ms when the first run is added like the rest.
+    /// is on a fresh page. On the 2-vCPU box, when a `gram_shuffle` reduce
+    /// task still summed all 64 of its output blocks (3 M entries, before
+    /// `gram` computed only the upper block triangle), they took 7–20 ms
+    /// this way and 125–205 ms with the first run added like the rest.
     pub fn add_runs<'a>(&mut self, runs: impl IntoIterator<Item = &'a [(u32, f64)]>) {
         debug_assert!(self.is_drained(), "accumulator not drained");
         let (sums, mut marker) = self.split();
@@ -478,15 +479,25 @@ pub fn preferred_repr(block: &Chunk<f64>) -> ValidityRepr {
 }
 
 /// Transposes a block: `(rows × cols)` column-last to `(cols × rows)`
-/// column-last. A counting sort by source row over the block's
-/// [`ColumnIndex`] emits the transposed cells already in offset order, so
-/// the result is encoded without a scratch of the block's volume.
+/// column-last.
+///
+/// A Dense block is moved as it stands: its payload is copied in 32 × 32
+/// tiles and its mask transposed 64 × 64 bits at a time, so validity is
+/// carried over bit for bit, never re-derived from the values. A Sparse or
+/// SuperSparse block goes through a counting sort by source row over its
+/// [`ColumnIndex`], which emits the transposed cells already in offset
+/// order, so the result is encoded without a scratch of the block's volume.
 pub fn block_transpose(
     block: &Chunk<f64>,
     rows: usize,
     cols: usize,
     policy: &ChunkPolicy,
 ) -> Option<Chunk<f64>> {
+    if let Chunk::Dense { payload, mask } = block {
+        debug_assert_eq!(payload.len(), rows * cols, "block extent mismatch");
+        let payload = transpose_payload(payload, rows, cols);
+        return Chunk::build(payload, transpose_mask(mask, rows, cols), policy);
+    }
     let index = ColumnIndex::of_block(block, rows, cols);
     // next[r]: the slot the next cell of source row r (target column r)
     // lands in.
@@ -504,6 +515,95 @@ pub fn block_transpose(
         next[r] += 1;
     }
     Chunk::from_sorted_cells(rows * cols, cells, policy)
+}
+
+/// `out[c + r * cols] = payload[r + c * rows]`, one 32 × 32 tile at a time:
+/// a tile's strided reads and its row-long writes both stay in L1.
+fn transpose_payload(payload: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+    const TILE: usize = 32;
+    let mut out = vec![0.0; rows * cols];
+    for r0 in (0..rows).step_by(TILE) {
+        for c0 in (0..cols).step_by(TILE) {
+            let c1 = (c0 + TILE).min(cols);
+            for r in r0..(r0 + TILE).min(rows) {
+                let target = &mut out[c0 + r * cols..c1 + r * cols];
+                for (c, slot) in (c0..c1).zip(target) {
+                    *slot = payload[r + c * rows];
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The mask of the transposed block: bit `r + c * rows` moves to
+/// `c + r * cols`. A tile of 64 source rows by 64 columns is gathered as
+/// one word per source column, transposed as a 64 × 64 bit matrix, and
+/// scattered as one word per target column, so a bit costs a fraction of
+/// a word operation instead of a test and a set.
+fn transpose_mask(mask: &Bitmask, rows: usize, cols: usize) -> Bitmask {
+    let source = mask.words();
+    let mut out = vec![0u64; (rows * cols).div_ceil(WORD_BITS)];
+    let mut tile = [0u64; WORD_BITS];
+    for r0 in (0..rows).step_by(WORD_BITS) {
+        let height = (rows - r0).min(WORD_BITS);
+        for c0 in (0..cols).step_by(WORD_BITS) {
+            let width = (cols - c0).min(WORD_BITS);
+            for (j, word) in tile.iter_mut().enumerate() {
+                *word = if j < width {
+                    read_bits(source, r0 + (c0 + j) * rows, height)
+                } else {
+                    0
+                };
+            }
+            transpose_bit_matrix(&mut tile);
+            for (i, &word) in tile[..height].iter().enumerate() {
+                or_bits(&mut out, c0 + (r0 + i) * cols, word);
+            }
+        }
+    }
+    Bitmask::from_words(rows * cols, out)
+}
+
+/// The `len ≤ 64` bits of `words` from bit `at` on, as a word's low bits.
+fn read_bits(words: &[u64], at: usize, len: usize) -> u64 {
+    let (w, shift) = (at / WORD_BITS, at % WORD_BITS);
+    let mut bits = words[w] >> shift;
+    if shift + len > WORD_BITS {
+        bits |= words[w + 1] << (WORD_BITS - shift);
+    }
+    if len < WORD_BITS {
+        bits &= (1 << len) - 1;
+    }
+    bits
+}
+
+/// ORs the word `bits` into `words` from bit `at` on; no set bit of it may
+/// land past the last word.
+fn or_bits(words: &mut [u64], at: usize, bits: u64) {
+    let (w, shift) = (at / WORD_BITS, at % WORD_BITS);
+    words[w] |= bits << shift;
+    if shift != 0 && bits >> (WORD_BITS - shift) != 0 {
+        words[w + 1] |= bits >> (WORD_BITS - shift);
+    }
+}
+
+/// Transposes a 64 × 64 bit matrix in place — bit `i` of word `j` trades
+/// places with bit `j` of word `i` — in six rounds, each swapping the
+/// off-diagonal halves of every diagonal block at half the previous width
+/// (Hacker's Delight, §7-3).
+fn transpose_bit_matrix(m: &mut [u64; WORD_BITS]) {
+    let mut width = WORD_BITS / 2;
+    let mut low = u64::MAX >> width;
+    while width != 0 {
+        for k in (0..WORD_BITS).filter(|k| k & width == 0) {
+            let t = ((m[k] >> width) ^ m[k + width]) & low;
+            m[k] ^= t << width;
+            m[k + width] ^= t;
+        }
+        width /= 2;
+        low ^= low << width;
+    }
 }
 
 #[cfg(test)]
@@ -1172,6 +1272,50 @@ mod tests {
             assert_eq!(got.mem_bytes(), expected.mem_bytes());
             assert_eq!(got, expected);
         });
+    }
+
+    /// A chunk's mode, every payload slot's bits and its flat mask words.
+    fn raw_bits(chunk: &Chunk<f64>) -> (ChunkMode, Vec<u64>, Vec<u64>) {
+        let payload = match chunk {
+            Chunk::Dense { payload, .. }
+            | Chunk::Sparse { payload, .. }
+            | Chunk::SuperSparse { payload, .. } => payload,
+        };
+        let payload = payload.iter().map(|v| v.to_bits()).collect();
+        (chunk.mode(), payload, chunk.mask().words().to_vec())
+    }
+
+    /// Transposing twice returns the block bit for bit — mode, every
+    /// payload slot and every mask word — in each mode, at ragged extents
+    /// that straddle the Dense arm's 64-bit tiles. The Dense arm moves the
+    /// mask instead of re-deriving it from the values, so a valid zero and
+    /// a stale value behind a clear bit both survive the round trip.
+    #[test]
+    fn transposing_twice_is_the_identity_bit_for_bit_in_every_mode() {
+        let mut modes_seen = [false; 3];
+        spangle_testkit::run_cases(0x7A06, 200, |rng| {
+            let (rows, cols) = (rng.usize_in(1..150), rng.usize_in(1..150));
+            let nnz = generated_nnz(rng, rows * cols);
+            let policy = generated_policy(rng);
+            let mut block = generated_block(rng, rows, cols, nnz, false, &policy);
+            if let Chunk::Dense { payload, mask } = &mut block {
+                let valid = mask.iter_ones().next().expect("non-empty");
+                payload[valid] = 0.0;
+                if let Some(invalid) = (0..rows * cols).find(|&i| !mask.get(i)) {
+                    payload[invalid] = 7.0;
+                }
+            }
+            modes_seen[block.mode() as usize] = true;
+            let once = block_transpose(&block, rows, cols, &policy).expect("non-empty");
+            assert_eq!(once.valid_count(), block.valid_count());
+            for (local, v) in block.iter_valid() {
+                let mirrored = once.get(local / rows + (local % rows) * cols);
+                assert_eq!(mirrored.map(f64::to_bits), Some(v.to_bits()));
+            }
+            let twice = block_transpose(&once, cols, rows, &policy).expect("non-empty");
+            assert_eq!(raw_bits(&twice), raw_bits(&block), "{rows}x{cols}");
+        });
+        assert_eq!(modes_seen, [true; 3], "every mode must occur");
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //!   shuffle them" — the join collapses into a single narrow stage and only
 //!   the output reduction crosses the network.
 //!
+//! [`DistMatrix::gram`] runs the local-join plan over one shared layout and
+//! computes only the upper block triangle of the symmetric `MᵀM`; the
+//! reduce mirrors it into the lower one.
+//!
 //! Matrix–vector products keep the vector on the driver and broadcast it,
 //! which is how the tailored PageRank and SGD avoid shuffling anything but
 //! tiny partial vectors.
@@ -145,7 +149,7 @@ impl DistMatrix {
 
     /// Matrix multiplication through the shuffle plan.
     pub fn multiply(&self, other: &DistMatrix) -> DistMatrix {
-        self.multiply_impl(other, None)
+        self.multiply_impl(other, None, false)
     }
 
     /// Matrix multiplication through the local-join plan: both operands
@@ -161,13 +165,20 @@ impl DistMatrix {
             "inner dimensions must agree"
         );
         left.matrix
-            .multiply_impl(&right.matrix, Some((left, right)))
+            .multiply_impl(&right.matrix, Some((left, right)), false)
     }
 
+    /// The product through the shuffle plan, or through the local-join plan
+    /// over `prepared` operands. With `upper_triangle` — only when the
+    /// product is known to be symmetric, as `MᵀM` is — the multiply stage
+    /// computes only the output blocks on or above the block diagonal, and
+    /// the reduce emits each off-diagonal block twice: as computed, and
+    /// transposed under its mirrored id.
     fn multiply_impl(
         &self,
         other: &DistMatrix,
         prepared: Option<(&InnerPartitioned, &InnerPartitioned)>,
+        upper_triangle: bool,
     ) -> DistMatrix {
         assert_eq!(
             self.cols(),
@@ -183,6 +194,10 @@ impl DistMatrix {
         assert_eq!(
             a_bc, b_br,
             "inner block sizes must agree for block multiplication"
+        );
+        debug_assert!(
+            !upper_triangle || (self.rows() == other.cols() && a_br == b_bc),
+            "a symmetric product is square, with square blocks"
         );
         let ctx = self.context().clone();
         let out_meta = Arc::new(ArrayMeta::new(
@@ -268,6 +283,9 @@ impl DistMatrix {
                 for (a_indexed, b_indexed) in &indexed {
                     for (gr, a_index) in a_indexed {
                         for (gc, b_index) in b_indexed {
+                            if upper_triangle && gr > gc {
+                                continue;
+                            }
                             let out_id = gr + gc * out_grid_rows;
                             by_output
                                 .entry(out_id)
@@ -295,6 +313,14 @@ impl DistMatrix {
         // side left them: a block's runs are scatter-added, in map order,
         // into one accumulator of the block's volume, and the chunk is
         // encoded straight from its touched mask and sums.
+        //
+        // Under `upper_triangle` an off-diagonal block `(a, b)` also yields
+        // block `(b, a)` as its transpose. The mirror is bit-identical to
+        // the block the full plan would compute: `G[j, i]` there sums the
+        // same products as `G[i, j]` here, each with its factors commuted,
+        // in the same order — ascending contraction index inside a map
+        // partition, then map-partition order — and a partial cancels to
+        // zero in one exactly when it does in the other.
         let n_out = self.array.rdd().num_partitions();
         let red_meta = out_meta.clone();
         let rdd = partials.map_shuffled_partitions(
@@ -311,13 +337,30 @@ impl DistMatrix {
                     let id = block_runs[0].0;
                     acc.fit(mapper.chunk_volume(id));
                     acc.add_runs(block_runs.iter().map(|(_, run)| run.as_slice()));
-                    out.extend(acc.take_chunk(&policy).map(|chunk| (id, chunk)));
+                    let Some(chunk) = acc.take_chunk(&policy) else {
+                        continue;
+                    };
+                    let (gr, gc) = (id % out_grid_rows, id / out_grid_rows);
+                    let mirror = (upper_triangle && gr != gc).then(|| {
+                        let extent = mapper.chunk_extent(id);
+                        let t = block_transpose(&chunk, extent[0], extent[1], &policy)
+                            .expect("transposing a non-empty block yields a non-empty block");
+                        (gc + gr * out_grid_rows, t)
+                    });
+                    out.push((id, chunk));
+                    out.extend(mirror);
                 }
                 out
             },
         );
-        let sig = spangle_dataflow::Partitioner::<u64>::sig(&HashPartitioner::new(n_out));
-        let rdd = rdd.assert_partitioned(sig);
+        // A mirror sits in its twin's partition, not where the hash of its
+        // own id would put it: only the full product may claim the layout.
+        let rdd = if upper_triangle {
+            rdd
+        } else {
+            let sig = spangle_dataflow::Partitioner::<u64>::sig(&HashPartitioner::new(n_out));
+            rdd.assert_partitioned(sig)
+        };
         DistMatrix {
             array: ArrayRdd::from_parts(&ctx, out_meta, policy, rdd),
         }
@@ -406,6 +449,15 @@ impl DistMatrix {
     /// shared layout is persisted — both operands read it — and is named
     /// only by the returned matrix's lineage: its cached partitions are
     /// released when that matrix is dropped.
+    ///
+    /// `MᵀM` is symmetric, so only the output blocks on or above the block
+    /// diagonal are multiplied, shuffled and reduced — at a `g × g` output
+    /// grid, `g(g + 1)/2` of `g²` — and the reduce emits each off-diagonal
+    /// block's transpose as its mirror, bit-identical to the block the
+    /// full product would compute (MLlib's `computeGramianMatrix` sums the
+    /// packed upper triangle the same way). A mirror lives in its twin's
+    /// partition, so the result claims no partitioner: a later zip with it
+    /// shuffles.
     pub fn gram(&self) -> DistMatrix {
         let n = self.array.rdd().num_partitions();
         let (grid_rows, _) = self.grid();
@@ -438,7 +490,8 @@ impl DistMatrix {
             }),
             num_partitions: n,
         };
-        DistMatrix::multiply_local(&left, &right)
+        left.matrix
+            .multiply_impl(&right.matrix, Some((&left, &right)), true)
     }
 
     /// `y = M·x` with a broadcast column vector: every partition sums its

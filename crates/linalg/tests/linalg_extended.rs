@@ -255,3 +255,107 @@ fn gram_under_a_low_watermark_equals_the_unspilled_bits() {
     );
     assert!(spilled == unspilled, "spilling changed the product's bits");
 }
+
+/// `gram()` computes the upper block triangle and mirrors the rest; the
+/// result equals the full product `MᵀM` on ragged, non-square shapes with
+/// empty blocks. Adding it to a hash-laid-out matrix of the same geometry
+/// pairs every block with its own — a mirrored block sits in its twin's
+/// partition, so the result must not claim the hash layout — and adding it
+/// to itself doubles it exactly.
+#[test]
+fn gram_equals_the_full_transpose_product_on_ragged_shapes() {
+    spangle_testkit::run_cases(0x11A1_0003, 12, |rng| {
+        let block = rng.usize_in(2..7);
+        // Neither dimension a multiple of the block size.
+        let rows = block * rng.usize_in(1..5) + rng.usize_in(1..block);
+        let cols = block * rng.usize_in(1..6) + rng.usize_in(1..block);
+        let seed = rng.u64_in(0..50);
+        let empty = rng.usize_in(2..5);
+        let values = entry(seed);
+        let ctx = SpangleContext::new(2);
+        let m = DistMatrix::generate(
+            &ctx,
+            rows,
+            cols,
+            (block, block),
+            ChunkPolicy::default(),
+            move |r, c| {
+                values(r, c).filter(|_| !(r / block + 2 * (c / block)).is_multiple_of(empty))
+            },
+        );
+        m.persist();
+        let gram = m.gram().to_local().unwrap();
+        let full = m.transpose().multiply(&m).to_local().unwrap();
+        let (gr, gc) = m.grid();
+        assert!(
+            m.array().num_chunks().unwrap() < gr * gc,
+            "block (0, 0) is empty"
+        );
+        assert!(gram.iter().any(|v| *v != 0.0));
+        for (i, (x, y)) in gram.iter().zip(&full).enumerate() {
+            assert!(
+                (x - y).abs() < 1e-12,
+                "{rows}x{cols}/{block}, index {i}: {x} vs {y}"
+            );
+        }
+
+        let doubled = m.gram().add(&m.gram()).to_local().unwrap();
+        for (i, (x, y)) in doubled.iter().zip(&gram).enumerate() {
+            assert_eq!(x.to_bits(), (2.0 * y).to_bits(), "index {i}");
+        }
+        let other = DistMatrix::generate(
+            &ctx,
+            cols,
+            cols,
+            (block, block),
+            ChunkPolicy::default(),
+            entry(seed + 1),
+        );
+        let sum = m.gram().add(&other).to_local().unwrap();
+        for (i, ((s, g), o)) in sum
+            .iter()
+            .zip(&gram)
+            .zip(&other.to_local().unwrap())
+            .enumerate()
+        {
+            assert_eq!(s.to_bits(), (g + o).to_bits(), "index {i}");
+        }
+    });
+}
+
+/// One `gram()` shuffles the layout's records plus, per map partition, one
+/// partial run per output block on or above the block diagonal.
+///
+/// `M` has a `gr × g` block grid, every block non-empty and every entry
+/// positive, over `P` partitions with `gr ≥ P`. The op runs three stages:
+///
+/// * the layout shuffle keys each block by its row block (the contraction
+///   index of `MᵀM`) and writes one record per block: `gr · g`;
+/// * the multiply stage reads that layout on both join legs (their
+///   shuffles are elided) and writes one run per output block each
+///   partition contributes to. A partition holds at least one row block
+///   `k`, and `(Mᵀ)[a, k] · M[k, b]` is a product of non-empty blocks of
+///   positive entries, so every partition writes a non-zero run for every
+///   computed output block: the `g(g + 1)/2` blocks `(a, b)` with `a ≤ b`,
+///   where the full product computes all `g²`;
+/// * the reduce's output is counted on the driver, not shuffled.
+///
+/// Total: `gr · g + P · g(g + 1)/2`.
+#[test]
+fn gram_shuffles_one_partial_per_partition_and_upper_triangle_block() {
+    let ctx = SpangleContext::new(2);
+    let m = DistMatrix::generate(&ctx, 37, 45, (8, 8), ChunkPolicy::default(), |r, c| {
+        (!(r * 3 + c * 5).is_multiple_of(7)).then(|| 1.0 + ((r + c) % 5) as f64)
+    });
+    m.persist();
+    m.nnz().unwrap();
+    let (gr, g) = m.grid();
+    let partitions = m.array().rdd().num_partitions();
+    assert!(gr >= partitions, "every partition holds a contraction key");
+    assert_eq!(m.array().num_chunks().unwrap(), gr * g, "no empty block");
+
+    let before = ctx.metrics_snapshot();
+    m.gram().nnz().unwrap();
+    let records = (ctx.metrics_snapshot() - before).shuffle_records;
+    assert_eq!(records as usize, gr * g + partitions * g * (g + 1) / 2);
+}

@@ -23,7 +23,9 @@
 # either side's spread (q3 − q1 over the median) is wider than the
 # metric's bound in BENCHMARK.json and some change run is no lower than
 # some parent run, and for `op_p10_ms` how many change runs are below
-# every parent run.
+# every parent run. Before the first run it stamps what drifts between
+# boxes: both commits, the core count, the CPU model and the filesystem
+# type of the temp directory (where the spill tier writes).
 set -euo pipefail
 
 [ $# -ge 2 ] || { awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' "$0"; exit 2; }
@@ -39,7 +41,16 @@ work=${AB_WORK:-$(mktemp -d)}
 mkdir -p "$work/parent" "$work/change"
 echo "== work directory $work"
 
-git -C "$repo" archive "$(git -C "$repo" rev-parse --verify "$parent_rev^{commit}")" |
+parent_commit=$(git -C "$repo" rev-parse --verify "$parent_rev^{commit}")
+change_commit=$(git -C "$repo" rev-parse HEAD)
+[ -z "$(git -C "$repo" status --porcelain)" ] || change_commit+=" + working tree changes"
+temp_dir=${TMPDIR:-/tmp}
+echo "== parent $parent_commit"
+echo "== change $change_commit"
+echo "== box: $(nproc) cores, $(awk -F': *' '/^model name/ { print $2; exit }' /proc/cpuinfo)," \
+    "temp directory $temp_dir on $(stat -f -c %T "$temp_dir")"
+
+git -C "$repo" archive "$parent_commit" |
     tar -x -C "$work/parent"
 git -C "$repo" ls-files -z --cached --others --exclude-standard |
     (cd "$repo" && tar --null -T - -cf -) | tar -x -C "$work/change"

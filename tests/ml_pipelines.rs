@@ -151,8 +151,9 @@ fn gram_matrix_is_symmetric_and_positive_semidefinite_on_diagonal() {
     for i in 0..20 {
         assert!(gram[i + i * 20] >= -1e-12, "diagonal [{i}] must be >= 0");
         for j in 0..20 {
-            assert!(
-                (gram[i + j * 20] - gram[j + i * 20]).abs() < 1e-9,
+            assert_eq!(
+                gram[i + j * 20].to_bits(),
+                gram[j + i * 20].to_bits(),
                 "symmetry ({i},{j})"
             );
         }
