@@ -248,6 +248,40 @@ fn bench_block_kernels(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // What `gram()` pays per block and side: the block indexed as itself
+    // and as its transpose. A 512² SuperSparse block ≈ 1.2 % valid — a
+    // `gram_hypersparse` input block — and a 256² Dense one 55 % valid.
+    let mut group = c.benchmark_group("column_index");
+    group.sample_size(15);
+    for (label, n, per_million, mode) in [
+        (
+            "supersparse_512",
+            512usize,
+            12_000u64,
+            ChunkMode::SuperSparse,
+        ),
+        ("dense_256", 256, 550_000, ChunkMode::Dense),
+    ] {
+        let block = block_from_triplets(
+            n,
+            n,
+            (0..n * n).filter_map(|i| {
+                let h = (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
+                ((h >> 11) % 1_000_000 < per_million).then(|| (i % n, i / n, (h >> 40) as f64))
+            }),
+            &policy,
+        )
+        .expect("block");
+        assert_eq!(block.mode(), mode, "{label}");
+        group.bench_with_input(BenchmarkId::new("of_block", label), &n, |bch, _| {
+            bch.iter(|| ColumnIndex::of_block(black_box(&block), n, n))
+        });
+        group.bench_with_input(BenchmarkId::new("of_transpose", label), &n, |bch, _| {
+            bch.iter(|| ColumnIndex::of_transpose(black_box(&block), n, n))
+        });
+    }
+    group.finish();
 }
 
 fn bench_hierarchical(c: &mut Criterion) {

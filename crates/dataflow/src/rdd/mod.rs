@@ -52,7 +52,7 @@ impl Drop for RddBase {
     /// goes — which is when the last [`Rdd`] handle on it *and* the last
     /// child node built on it (children hold their parents) have gone, so
     /// nothing can read the blocks again. This is what lets an operator
-    /// persist a layout only it names (`gram()`, `pagerank`) without
+    /// persist a layout only it names (`pagerank`'s adjacency) without
     /// leaving a copy of its input in the cache on every call — the cache's
     /// counterpart of [`pair::ShuffleDependency`] freeing its shuffle
     /// blocks with its last reader.

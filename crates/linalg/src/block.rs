@@ -22,7 +22,7 @@ use spangle_bitmask::{
     choose_validity_repr, for_each_bit, Bitmask, HierarchicalBitmask, OffsetArray, ValidityRepr,
     WORD_BITS,
 };
-use spangle_core::{Chunk, ChunkMode, ChunkPolicy};
+use spangle_core::{Chunk, ChunkMode, ChunkPolicy, ColumnWalk};
 
 /// Builds a block chunk from a dense column-last buffer, dropping zeros
 /// into the mask (zero == invalid in matrix mode).
@@ -69,36 +69,86 @@ impl ColumnIndex {
     /// Indexes a `rows × cols` block.
     pub fn of_block(block: &Chunk<f64>, rows: usize, cols: usize) -> Self {
         debug_assert_eq!(block.volume(), rows * cols, "block extent mismatch");
-        Self::from_ordered_cells(rows, cols, block.valid_count(), block.iter_valid())
+        let nnz = block.valid_count();
+        let mut col_ptr = Vec::with_capacity(cols + 1);
+        // Written by slot, not pushed: the walk's closure then keeps no
+        // vector length to reload and store per cell.
+        let (mut col, mut row, mut val) = (vec![0; nnz], vec![0; nnz], vec![0.0; nnz]);
+        let mut walk = ColumnWalk::new(rows);
+        let mut slot = 0;
+        block.for_each_valid(|local, v| {
+            let (r, c) = walk.locate(local);
+            open_columns(&mut col_ptr, c, slot);
+            (col[slot], row[slot], val[slot]) = (c as u32, r as u32, v);
+            slot += 1;
+        });
+        Self::closed(rows, cols, col_ptr, col, row, val)
     }
 
-    /// Indexes `(local offset, value)` cells given in ascending offset
-    /// order; `nnz` only sizes the allocation.
-    fn from_ordered_cells(
+    /// Indexes a `rows × cols` block given as its valid cells' ascending
+    /// offsets and their values.
+    fn of_offsets(offsets: &[u32], values: &[f64], rows: usize, cols: usize) -> Self {
+        let mut col_ptr = Vec::with_capacity(cols + 1);
+        let mut col = Vec::with_capacity(offsets.len());
+        let mut row = Vec::with_capacity(offsets.len());
+        let mut walk = ColumnWalk::new(rows);
+        for (slot, &local) in offsets.iter().enumerate() {
+            let (r, c) = walk.locate(local as usize);
+            open_columns(&mut col_ptr, c, slot);
+            col.push(c as u32);
+            row.push(r as u32);
+        }
+        Self::closed(rows, cols, col_ptr, col, row, values.to_vec())
+    }
+
+    /// The index of its parts, the columns no cell opened closed.
+    fn closed(
         rows: usize,
         cols: usize,
-        nnz: usize,
-        cells: impl Iterator<Item = (usize, f64)>,
+        mut col_ptr: Vec<u32>,
+        col: Vec<u32>,
+        row: Vec<u32>,
+        val: Vec<f64>,
     ) -> Self {
-        let mut col_ptr = Vec::with_capacity(cols + 1);
-        let mut col = Vec::with_capacity(nnz);
-        let mut row = Vec::with_capacity(nnz);
-        let mut val = Vec::with_capacity(nnz);
-        // One past the last offset of the column being filled.
-        let mut col_end = 0;
-        for (local, v) in cells {
-            while local >= col_end {
-                col_ptr.push(row.len() as u32);
-                col_end += rows;
-            }
-            col.push((col_ptr.len() - 1) as u32);
-            row.push((local + rows - col_end) as u32);
-            val.push(v);
-        }
         debug_assert!(col_ptr.len() <= cols, "cell beyond the block extent");
-        col_ptr.resize(cols + 1, row.len() as u32);
+        col_ptr.resize(cols + 1, val.len() as u32);
         ColumnIndex {
             rows,
+            col_ptr,
+            col,
+            row,
+            val,
+        }
+    }
+
+    /// Indexes the `cols × rows` transpose of a `rows × cols` block without
+    /// building it: a counting sort of the block's cells by row. Column `r`
+    /// of the transpose is row `r` of the block, and the cells of a row
+    /// arrive in ascending column, so each lands in its column's slots
+    /// already in order. Equal, field for field, to [`ColumnIndex::of_block`]
+    /// of [`block_transpose`]'s chunk.
+    pub fn of_transpose(block: &Chunk<f64>, rows: usize, cols: usize) -> Self {
+        debug_assert_eq!(block.volume(), rows * cols, "block extent mismatch");
+        let nnz = block.valid_count();
+        // col_ptr[r + 1]: the cells of row r, then their running sums.
+        let mut col_ptr = vec![0u32; rows + 1];
+        let mut walk = ColumnWalk::new(rows);
+        block.for_each_valid(|local, _| col_ptr[walk.locate(local).0 + 1] += 1);
+        for r in 0..rows {
+            col_ptr[r + 1] += col_ptr[r];
+        }
+        // next[r]: the slot the next cell of row r lands in.
+        let mut next = col_ptr[..rows].to_vec();
+        let (mut col, mut row, mut val) = (vec![0; nnz], vec![0; nnz], vec![0.0; nnz]);
+        let mut walk = ColumnWalk::new(rows);
+        block.for_each_valid(|local, v| {
+            let (r, c) = walk.locate(local);
+            let slot = next[r] as usize;
+            next[r] += 1;
+            (col[slot], row[slot], val[slot]) = (r as u32, c as u32, v);
+        });
+        ColumnIndex {
+            rows: cols,
             col_ptr,
             col,
             row,
@@ -114,6 +164,16 @@ impl ColumnIndex {
     fn column(&self, c: usize) -> (&[u32], &[f64]) {
         let span = self.col_ptr[c] as usize..self.col_ptr[c + 1] as usize;
         (&self.row[span.clone()], &self.val[span])
+    }
+}
+
+/// Opens every column up to `c` in `col_ptr`, the first of them at `slot`:
+/// an index's cells arrive in ascending offset order, so a cell of column
+/// `c` closes all the columns before it.
+#[inline]
+fn open_columns(col_ptr: &mut Vec<u32>, c: usize, slot: usize) {
+    while col_ptr.len() <= c {
+        col_ptr.push(slot as u32);
     }
 }
 
@@ -378,22 +438,19 @@ pub fn block_multiply_sparse(
 }
 
 /// `out[r + c * a.rows] += A · B` into a dense column-last buffer: the
-/// same walk as [`block_multiply_sparse`] with `B` read straight from its
-/// cells and the buffer itself as the accumulator.
-fn multiply_into_dense(
-    a: &ColumnIndex,
-    b_cells: impl Iterator<Item = (usize, f64)>,
-    inner: usize,
-    out: &mut [f64],
-) {
-    for (local, vb) in b_cells {
-        let (k, c) = (local % inner, local / inner);
+/// same walk as [`block_multiply_sparse`] with `B`'s cells visited where
+/// they are stored, through [`Chunk::for_each_valid`], and the buffer
+/// itself as the accumulator.
+fn multiply_into_dense(a: &ColumnIndex, b: &Chunk<f64>, inner: usize, out: &mut [f64]) {
+    let mut walk = ColumnWalk::new(inner);
+    b.for_each_valid(|local, vb| {
+        let (k, c) = walk.locate(local);
         let out_col = &mut out[c * a.rows..(c + 1) * a.rows];
         let (rs, vas) = a.column(k);
         for (&r, &va) in rs.iter().zip(vas) {
             out_col[r as usize] += va * vb;
         }
-    }
+    });
 }
 
 /// `out[r + c*a_rows] += A · B` for blocks `A (a_rows × inner)` and
@@ -411,7 +468,7 @@ pub fn block_multiply_into(
     debug_assert_eq!(b.volume(), inner * b_cols, "B block extent mismatch");
     debug_assert_eq!(out.len(), a_rows * b_cols);
     let a = ColumnIndex::of_block(a, a_rows, inner);
-    multiply_into_dense(&a, b.iter_valid(), inner, out);
+    multiply_into_dense(&a, b, inner, out);
 }
 
 /// Dense reference kernel: ignores the mask entirely and multiplies every
@@ -425,13 +482,9 @@ pub fn block_multiply_dense_into(
     out: &mut [f64],
 ) {
     let mut a_dense = vec![0.0; a_rows * inner];
-    for (local, v) in a.iter_valid() {
-        a_dense[local] = v;
-    }
+    a.for_each_valid(|local, v| a_dense[local] = v);
     let mut b_dense = vec![0.0; inner * b_cols];
-    for (local, v) in b.iter_valid() {
-        b_dense[local] = v;
-    }
+    b.for_each_valid(|local, v| b_dense[local] = v);
     for c in 0..b_cols {
         for k in 0..inner {
             let vb = b_dense[k + c * inner];
@@ -462,14 +515,8 @@ pub fn block_multiply_offsets_into(
 ) {
     debug_assert_eq!(a_offsets.count_ones(), a_values.len());
     debug_assert_eq!(b.volume(), inner * b_cols);
-    let a_cells = a_offsets.offsets().iter().map(|&off| off as usize);
-    let a = ColumnIndex::from_ordered_cells(
-        a_rows,
-        inner,
-        a_values.len(),
-        a_cells.zip(a_values.iter().copied()),
-    );
-    multiply_into_dense(&a, b.iter_valid(), inner, out);
+    let a = ColumnIndex::of_offsets(a_offsets.offsets(), a_values, a_rows, inner);
+    multiply_into_dense(&a, b, inner, out);
 }
 
 /// The validity representation a static block should use for repeated
@@ -484,9 +531,10 @@ pub fn preferred_repr(block: &Chunk<f64>) -> ValidityRepr {
 /// A Dense block is moved as it stands: its payload is copied in 32 × 32
 /// tiles and its mask transposed 64 × 64 bits at a time, so validity is
 /// carried over bit for bit, never re-derived from the values. A Sparse or
-/// SuperSparse block goes through a counting sort by source row over its
-/// [`ColumnIndex`], which emits the transposed cells already in offset
-/// order, so the result is encoded without a scratch of the block's volume.
+/// SuperSparse block is indexed as its transpose
+/// ([`ColumnIndex::of_transpose`], a counting sort by row), whose cells are
+/// the transposed block's in offset order, so the result is encoded without
+/// a scratch of the block's volume.
 pub fn block_transpose(
     block: &Chunk<f64>,
     rows: usize,
@@ -498,22 +546,9 @@ pub fn block_transpose(
         let payload = transpose_payload(payload, rows, cols);
         return Chunk::build(payload, transpose_mask(mask, rows, cols), policy);
     }
-    let index = ColumnIndex::of_block(block, rows, cols);
-    // next[r]: the slot the next cell of source row r (target column r)
-    // lands in.
-    let mut next = vec![0usize; rows + 1];
-    for &r in &index.row {
-        next[r as usize + 1] += 1;
-    }
-    for r in 0..rows {
-        next[r + 1] += next[r];
-    }
-    let mut cells = vec![(0usize, 0.0f64); index.row.len()];
-    for ((&r, &c), &v) in index.row.iter().zip(&index.col).zip(&index.val) {
-        let r = r as usize;
-        cells[next[r]] = (c as usize + r * cols, v);
-        next[r] += 1;
-    }
+    let t = ColumnIndex::of_transpose(block, rows, cols);
+    let cells = (t.row.iter().zip(&t.col).zip(&t.val))
+        .map(|((&r, &c), &v)| (r as usize + c as usize * cols, v));
     Chunk::from_sorted_cells(rows * cols, cells, policy)
 }
 
@@ -1272,6 +1307,121 @@ mod tests {
             assert_eq!(got.mem_bytes(), expected.mem_bytes());
             assert_eq!(got, expected);
         });
+    }
+
+    /// An index's fields, values as bits.
+    fn fields(index: &ColumnIndex) -> (usize, &[u32], &[u32], &[u32], Vec<u64>) {
+        let val = index.val.iter().map(|v| v.to_bits()).collect();
+        (index.rows, &index.col_ptr, &index.col, &index.row, val)
+    }
+
+    /// The retired indexer, kept as the reference for
+    /// [`ColumnIndex::of_block`]: the boxed [`Chunk::iter_valid`] walk, each
+    /// cell's column found by stepping a running column end past it.
+    fn retired_of_block(block: &Chunk<f64>, rows: usize, cols: usize) -> ColumnIndex {
+        let nnz = block.valid_count();
+        let mut col_ptr = Vec::with_capacity(cols + 1);
+        let (mut col, mut row, mut val) = (
+            Vec::with_capacity(nnz),
+            Vec::with_capacity(nnz),
+            Vec::with_capacity(nnz),
+        );
+        let mut col_end = 0;
+        for (local, v) in block.iter_valid() {
+            while local >= col_end {
+                col_ptr.push(row.len() as u32);
+                col_end += rows;
+            }
+            col.push((col_ptr.len() - 1) as u32);
+            row.push((local + rows - col_end) as u32);
+            val.push(v);
+        }
+        col_ptr.resize(cols + 1, row.len() as u32);
+        ColumnIndex {
+            rows,
+            col_ptr,
+            col,
+            row,
+            val,
+        }
+    }
+
+    /// A `rows × cols` block of one kind, picked at random: a single cell;
+    /// `generated_block`'s cells; or cells confined to some rows and some
+    /// columns, so that whole rows and columns are empty. Under `policy`.
+    fn block_with_empty_lines(
+        rng: &mut spangle_testkit::Rng,
+        rows: usize,
+        cols: usize,
+        policy: &ChunkPolicy,
+    ) -> Chunk<f64> {
+        let kind = rng.usize_in(0..3);
+        if kind == 1 {
+            let nnz = generated_nnz(rng, rows * cols);
+            return generated_block(rng, rows, cols, nnz, false, policy);
+        }
+        let (r0, c0) = (rng.usize_in(0..rows), rng.usize_in(0..cols));
+        let mut cells = vec![(r0, c0, rng.f64_unit() + 0.5)];
+        if kind == 2 {
+            let live_rows: Vec<bool> = (0..rows).map(|r| r == r0 || rng.bool()).collect();
+            let live_cols: Vec<bool> = (0..cols).map(|c| c == c0 || rng.bool()).collect();
+            let keep_one_in = [1, 4, 50][rng.usize_in(0..3)];
+            for c in (0..cols).filter(|&c| live_cols[c]) {
+                for r in (0..rows).filter(|&r| live_rows[r] && (r, c) != (r0, c0)) {
+                    if rng.usize_in(0..keep_one_in) == 0 {
+                        cells.push((r, c, rng.f64_unit() - 0.5));
+                    }
+                }
+            }
+        }
+        block_from_triplets(rows, cols, cells, policy).expect("one cell at least")
+    }
+
+    /// `of_block` builds the index the retired `iter_valid` walk built, and
+    /// `of_transpose` the index of the transposed chunk, field for field —
+    /// in every mode, at ragged extents, with empty rows and columns and
+    /// with single-cell blocks. A Dense block's valid zero and a stale value
+    /// behind a clear bit are indexed as the mask says.
+    #[test]
+    fn column_indexes_equal_the_retired_walk_and_the_transposed_chunks_index() {
+        let mut modes_seen = [false; 3];
+        let (mut single_cells, mut empty_rows, mut empty_cols) = (0, 0, 0);
+        spangle_testkit::run_cases(0x1DE5, 400, |rng| {
+            let (rows, cols) = (rng.usize_in(1..150), rng.usize_in(1..150));
+            let policy = generated_policy(rng);
+            let mut block = block_with_empty_lines(rng, rows, cols, &policy);
+            if let Chunk::Dense { payload, mask } = &mut block {
+                let valid = mask.iter_ones().next().expect("non-empty");
+                payload[valid] = 0.0;
+                if let Some(invalid) = (0..rows * cols).find(|&i| !mask.get(i)) {
+                    payload[invalid] = 7.0;
+                }
+            }
+            modes_seen[block.mode() as usize] = true;
+            single_cells += usize::from(block.valid_count() == 1);
+
+            let index = ColumnIndex::of_block(&block, rows, cols);
+            assert_eq!(
+                fields(&index),
+                fields(&retired_of_block(&block, rows, cols)),
+                "of_block, {rows}x{cols}"
+            );
+            let transposed = block_transpose(&block, rows, cols, &policy).expect("non-empty");
+            let t = ColumnIndex::of_transpose(&block, rows, cols);
+            assert_eq!(
+                fields(&t),
+                fields(&ColumnIndex::of_block(&transposed, cols, rows)),
+                "of_transpose, {rows}x{cols}"
+            );
+            let has_empty = |col_ptr: &[u32]| col_ptr.windows(2).any(|w| w[0] == w[1]);
+            empty_cols += usize::from(has_empty(&index.col_ptr));
+            empty_rows += usize::from(has_empty(&t.col_ptr));
+        });
+        assert_eq!(modes_seen, [true; 3], "every mode must occur");
+        assert!(
+            single_cells > 0 && empty_rows > 0 && empty_cols > 0,
+            "single cells {single_cells}, empty rows {empty_rows}, empty columns {empty_cols}"
+        );
     }
 
     /// A chunk's mode, every payload slot's bits and its flat mask words.

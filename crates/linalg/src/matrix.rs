@@ -12,8 +12,11 @@
 //!   shuffle them" — the join collapses into a single narrow stage and only
 //!   the output reduction crosses the network.
 //!
-//! [`DistMatrix::gram`] runs the local-join plan over one shared layout and
-//! computes only the upper block triangle of the symmetric `MᵀM`; the
+//! [`DistMatrix::gram`] needs no join at all: `M` and `Mᵀ` are the same
+//! blocks, so one shuffle lays them out by row block (the contraction index
+//! of `MᵀM`) and each partition contracts its blocks where the shuffle left
+//! them, indexing every block once as itself and once as its transpose. It
+//! computes only the upper block triangle of the symmetric product; the
 //! reduce mirrors it into the lower one.
 //!
 //! Matrix–vector products keep the vector on the driver and broadcast it,
@@ -149,7 +152,7 @@ impl DistMatrix {
 
     /// Matrix multiplication through the shuffle plan.
     pub fn multiply(&self, other: &DistMatrix) -> DistMatrix {
-        self.multiply_impl(other, None, false)
+        self.multiply_impl(other, None)
     }
 
     /// Matrix multiplication through the local-join plan: both operands
@@ -165,20 +168,15 @@ impl DistMatrix {
             "inner dimensions must agree"
         );
         left.matrix
-            .multiply_impl(&right.matrix, Some((left, right)), false)
+            .multiply_impl(&right.matrix, Some((left, right)))
     }
 
     /// The product through the shuffle plan, or through the local-join plan
-    /// over `prepared` operands. With `upper_triangle` — only when the
-    /// product is known to be symmetric, as `MᵀM` is — the multiply stage
-    /// computes only the output blocks on or above the block diagonal, and
-    /// the reduce emits each off-diagonal block twice: as computed, and
-    /// transposed under its mirrored id.
+    /// over `prepared` operands.
     fn multiply_impl(
         &self,
         other: &DistMatrix,
         prepared: Option<(&InnerPartitioned, &InnerPartitioned)>,
-        upper_triangle: bool,
     ) -> DistMatrix {
         assert_eq!(
             self.cols(),
@@ -194,10 +192,6 @@ impl DistMatrix {
         assert_eq!(
             a_bc, b_br,
             "inner block sizes must agree for block multiplication"
-        );
-        debug_assert!(
-            !upper_triangle || (self.rows() == other.cols() && a_br == b_bc),
-            "a symmetric product is square, with square blocks"
         );
         let ctx = self.context().clone();
         let out_meta = Arc::new(ArrayMeta::new(
@@ -236,21 +230,10 @@ impl DistMatrix {
             }
         };
 
-        // Join on the inner index and contract, one pass per partition.
-        // Every block is indexed once — under its key it meets every block
-        // of the other side — and every output block the partition
-        // contributes to is summed over *all* the partition's keys in one
-        // accumulator of the block's volume (allocated once per task, drained
-        // through its touched words) before it is emitted, so a term costs
-        // its multiply-add and an entry is written once. What crosses the
-        // shuffle is one sorted `(local offset, value)` run per partition
-        // and output block: hyper-sparse contractions (the MᵀM cases that
-        // OOM dense systems, §VII-C) stay proportional to their non-zeros.
-        //
-        // Keys are visited in ascending order — a cogrouped partition lists
-        // them in an order that differs from run to run — so every cell's
-        // terms are added in ascending `k` and the runs are a fixed
-        // function of the layout.
+        // Join on the inner index, index every block once — under its key
+        // it meets every block of the other side — and contract. Keys are
+        // visited in ascending order: a cogrouped partition lists them in
+        // an order that differs from run to run.
         let out_grid_rows = out_meta.grid_dims()[0] as u64;
         let contraction_meta = (a_meta.clone(), b_meta.clone());
         let partials = keyed_a
@@ -263,8 +246,7 @@ impl DistMatrix {
                 let b_grid_rows = b_meta.grid_dims()[0] as u64;
                 let mut groups: Vec<_> = groups.iter().collect();
                 groups.sort_unstable_by_key(|(kb, _)| *kb);
-                type Indexed = Vec<(u64, ColumnIndex)>;
-                let indexed: Vec<(Indexed, Indexed)> = groups
+                let keys: Vec<(Indexed, Indexed)> = groups
                     .into_iter()
                     .map(|(kb, (a_blocks, b_blocks))| {
                         let a_indexed = a_blocks.iter().map(|(gr, chunk)| {
@@ -278,89 +260,12 @@ impl DistMatrix {
                         (a_indexed.collect(), b_indexed.collect())
                     })
                     .collect();
-                let mut by_output: BTreeMap<u64, Vec<(&ColumnIndex, &ColumnIndex)>> =
-                    BTreeMap::new();
-                for (a_indexed, b_indexed) in &indexed {
-                    for (gr, a_index) in a_indexed {
-                        for (gc, b_index) in b_indexed {
-                            if upper_triangle && gr > gc {
-                                continue;
-                            }
-                            let out_id = gr + gc * out_grid_rows;
-                            by_output
-                                .entry(out_id)
-                                .or_default()
-                                .push((a_index, b_index));
-                        }
-                    }
-                }
-                let mut acc = SparseAccumulator::default();
-                let mut out = Vec::with_capacity(by_output.len());
-                for (out_id, pairs) in by_output {
-                    // One poll per output block: a straggling or deadlined
-                    // contraction yields between GEMM kernels rather than
-                    // finishing the tile walk.
-                    cancellation_point();
-                    let run = block_multiply_sparse(&pairs, &mut acc);
-                    if !run.is_empty() {
-                        out.push((out_id, run));
-                    }
-                }
-                out
+                contract(&keys, out_grid_rows, false)
             });
-
-        // Reduce per output chunk, reading the shuffled runs where the map
-        // side left them: a block's runs are scatter-added, in map order,
-        // into one accumulator of the block's volume, and the chunk is
-        // encoded straight from its touched mask and sums.
-        //
-        // Under `upper_triangle` an off-diagonal block `(a, b)` also yields
-        // block `(b, a)` as its transpose. The mirror is bit-identical to
-        // the block the full plan would compute: `G[j, i]` there sums the
-        // same products as `G[i, j]` here, each with its factors commuted,
-        // in the same order — ascending contraction index inside a map
-        // partition, then map-partition order — and a partial cancels to
-        // zero in one exactly when it does in the other.
         let n_out = self.array.rdd().num_partitions();
-        let red_meta = out_meta.clone();
-        let rdd = partials.map_shuffled_partitions(
-            Arc::new(HashPartitioner::new(n_out)),
-            move |buckets| {
-                let mapper = red_meta.mapper();
-                // Stable: a block's runs keep their bucket (= map) order.
-                let mut runs: Vec<_> = buckets.iter().flat_map(|bucket| bucket.iter()).collect();
-                runs.sort_by_key(|(id, _)| *id);
-                let mut acc = SparseAccumulator::default();
-                let mut out = Vec::new();
-                for block_runs in runs.chunk_by(|a, b| a.0 == b.0) {
-                    cancellation_point();
-                    let id = block_runs[0].0;
-                    acc.fit(mapper.chunk_volume(id));
-                    acc.add_runs(block_runs.iter().map(|(_, run)| run.as_slice()));
-                    let Some(chunk) = acc.take_chunk(&policy) else {
-                        continue;
-                    };
-                    let (gr, gc) = (id % out_grid_rows, id / out_grid_rows);
-                    let mirror = (upper_triangle && gr != gc).then(|| {
-                        let extent = mapper.chunk_extent(id);
-                        let t = block_transpose(&chunk, extent[0], extent[1], &policy)
-                            .expect("transposing a non-empty block yields a non-empty block");
-                        (gc + gr * out_grid_rows, t)
-                    });
-                    out.push((id, chunk));
-                    out.extend(mirror);
-                }
-                out
-            },
-        );
-        // A mirror sits in its twin's partition, not where the hash of its
-        // own id would put it: only the full product may claim the layout.
-        let rdd = if upper_triangle {
-            rdd
-        } else {
-            let sig = spangle_dataflow::Partitioner::<u64>::sig(&HashPartitioner::new(n_out));
-            rdd.assert_partitioned(sig)
-        };
+        let sig = spangle_dataflow::Partitioner::<u64>::sig(&HashPartitioner::new(n_out));
+        let rdd = reduce_partials(&partials, out_meta.clone(), policy, n_out, false)
+            .assert_partitioned(sig);
         DistMatrix {
             array: ArrayRdd::from_parts(&ctx, out_meta, policy, rdd),
         }
@@ -433,22 +338,16 @@ impl DistMatrix {
     /// Gram matrix `MᵀM` — the transpose-and-multiply benchmark of
     /// Fig. 10.
     ///
-    /// Because both operands are views of the *same* matrix, the §VI-A
-    /// layout can be built once: a single shuffle lays the blocks out by
-    /// their row-block index (the contraction index of `MᵀM`), the right
-    /// operand reads that layout directly, and the left operand is
-    /// derived narrowly from it by transposing each block in place
-    /// (`map_values` keeps the partitioner signature). The planner then
-    /// proves both legs of the join co-partitioned and elides their
-    /// shuffles, so each input block crosses the network once instead of
-    /// three times (transpose + two join sides).
-    ///
-    /// Under one contraction key every block of `Mᵀ` meets every block of
-    /// `M`, so the product indexes each block once per key (see
-    /// [`ColumnIndex`]) and a pair costs only its multiplications. The
-    /// shared layout is persisted — both operands read it — and is named
-    /// only by the returned matrix's lineage: its cached partitions are
-    /// released when that matrix is dropped.
+    /// Both operands are views of the *same* blocks, and both sit on their
+    /// contraction index once the blocks are laid out by row block, so
+    /// Spangle "does not shuffle them" (§VI-A) beyond that one layout
+    /// shuffle. Each contraction partition then reads its blocks where the
+    /// shuffle left them, by reference, and indexes every block once per
+    /// side: as itself for `M` ([`ColumnIndex::of_block`]) and as its
+    /// transpose for `Mᵀ` ([`ColumnIndex::of_transpose`]), no transposed
+    /// block built. Under one key every block of `Mᵀ` meets every block of
+    /// `M`, so a pair costs only its multiplications. Nothing is persisted:
+    /// the op leaves no cached partition behind.
     ///
     /// `MᵀM` is symmetric, so only the output blocks on or above the block
     /// diagonal are multiplied, shuffled and reduced — at a `g × g` output
@@ -460,38 +359,45 @@ impl DistMatrix {
     /// shuffles.
     pub fn gram(&self) -> DistMatrix {
         let n = self.array.rdd().num_partitions();
-        let (grid_rows, _) = self.grid();
+        let (grid_rows, grid_cols) = self.grid();
         let gr64 = grid_rows as u64;
+        let bc = self.block_shape().1;
+        let meta = self.array.meta_arc();
+        let policy = self.array.policy();
+        let out_meta = Arc::new(ArrayMeta::new(vec![self.cols(), self.cols()], vec![bc, bc]));
+        let out_grid_rows = grid_cols as u64;
+        // Block `(r, c)` keyed by its row block `r`, the contraction index.
         let keyed = self
             .array
             .rdd()
-            .map(move |(id, chunk)| (id % gr64, (id, chunk)));
-        let shared = keyed.partition_by(Arc::new(ModPartitioner::new(n)));
-        shared.persist();
-        // Right operand: `M` keyed by its row block — exactly the layout
-        // `partition_right_by_inner` would build.
-        let right = InnerPartitioned {
-            matrix: self.clone(),
-            rdd: shared.map_values(move |(id, chunk)| (id / gr64, chunk)),
-            num_partitions: n,
-        };
-        // Left operand: `Mᵀ` keyed by its column block — the same key —
-        // with every block transposed where it already sits.
-        let meta = self.array.meta_arc();
-        let policy = self.array.policy();
-        let left = InnerPartitioned {
-            // Lazy: `multiply_local` only reads the transpose's metadata.
-            matrix: self.transpose(),
-            rdd: shared.map_values(move |(id, chunk)| {
-                let extent = meta.mapper().chunk_extent(id);
-                let t = block_transpose(&chunk, extent[0], extent[1], &policy)
-                    .expect("transposing a non-empty block yields a non-empty block");
-                (id / gr64, t)
-            }),
-            num_partitions: n,
-        };
-        left.matrix
-            .multiply_impl(&right.matrix, Some((&left, &right)), true)
+            .map(move |(id, chunk)| (id % gr64, (id / gr64, chunk)));
+        let partials =
+            keyed.map_shuffled_partitions(Arc::new(ModPartitioner::new(n)), move |buckets| {
+                let mapper = meta.mapper();
+                let mut blocks: Vec<_> = buckets.iter().flat_map(|bucket| bucket.iter()).collect();
+                blocks.sort_unstable_by_key(|(k, (c, _))| (*k, *c));
+                let keys: Vec<(Indexed, Indexed)> = blocks
+                    .chunk_by(|a, b| a.0 == b.0)
+                    .map(|key_blocks| {
+                        key_blocks
+                            .iter()
+                            .map(|(k, (c, chunk))| {
+                                let extent = mapper.chunk_extent(k + c * gr64);
+                                let (rows, cols) = (extent[0], extent[1]);
+                                (
+                                    (*c, ColumnIndex::of_transpose(chunk, rows, cols)),
+                                    (*c, ColumnIndex::of_block(chunk, rows, cols)),
+                                )
+                            })
+                            .unzip()
+                    })
+                    .collect();
+                contract(&keys, out_grid_rows, true)
+            });
+        let rdd = reduce_partials(&partials, out_meta.clone(), policy, n, true);
+        DistMatrix {
+            array: ArrayRdd::from_parts(self.context(), out_meta, policy, rdd),
+        }
     }
 
     /// `y = M·x` with a broadcast column vector: every partition sums its
@@ -612,6 +518,110 @@ impl DistMatrix {
             }),
         }
     }
+}
+
+/// The blocks of one contraction key, each indexed: the left operand's by
+/// output block row, the right operand's by output block column.
+type Indexed = Vec<(u64, ColumnIndex)>;
+
+/// The multiply stage's work in one partition: `keys` in ascending
+/// contraction order, contracted into one sorted `(local offset, value)`
+/// run per output block — the form partial products cross the shuffle in.
+/// With `upper_triangle` — only when the product is known to be symmetric,
+/// as `MᵀM` is — only the output blocks on or above the block diagonal are
+/// computed.
+///
+/// Every output block the partition contributes to is summed over *all*
+/// its keys in one accumulator of the block's volume (allocated once per
+/// task, drained through its touched words) before it is emitted, so a term
+/// costs its multiply-add and an entry is written once; hyper-sparse
+/// contractions (the `MᵀM` cases that OOM dense systems, §VII-C) stay
+/// proportional to their non-zeros. A block's pairs are listed in key
+/// order, so every cell's terms are added in ascending `k` and the runs are
+/// a fixed function of the layout.
+fn contract(
+    keys: &[(Indexed, Indexed)],
+    out_grid_rows: u64,
+    upper_triangle: bool,
+) -> Vec<(u64, Vec<(u32, f64)>)> {
+    let mut by_output: BTreeMap<u64, Vec<(&ColumnIndex, &ColumnIndex)>> = BTreeMap::new();
+    for (a_indexed, b_indexed) in keys {
+        for (gr, a_index) in a_indexed {
+            for (gc, b_index) in b_indexed {
+                if upper_triangle && gr > gc {
+                    continue;
+                }
+                by_output
+                    .entry(gr + gc * out_grid_rows)
+                    .or_default()
+                    .push((a_index, b_index));
+            }
+        }
+    }
+    let mut acc = SparseAccumulator::default();
+    let mut out = Vec::with_capacity(by_output.len());
+    for (out_id, pairs) in by_output {
+        // One poll per output block: a straggling or deadlined contraction
+        // yields between GEMM kernels rather than finishing the tile walk.
+        cancellation_point();
+        let run = block_multiply_sparse(&pairs, &mut acc);
+        if !run.is_empty() {
+            out.push((out_id, run));
+        }
+    }
+    out
+}
+
+/// The reduce stage: the shuffled runs are read where the map side left
+/// them, a block's runs scatter-added, in map order, into one accumulator
+/// of the block's volume, and the chunk encoded straight from its touched
+/// mask and sums.
+///
+/// With `mirror` an off-diagonal block `(a, b)` also yields block `(b, a)`
+/// as its transpose. The mirror is bit-identical to the block the full
+/// product would compute: `G[j, i]` there sums the same products as
+/// `G[i, j]` here, each with its factors commuted, in the same order —
+/// ascending contraction index inside a map partition, then map-partition
+/// order — and a partial cancels to zero in one exactly when it does in the
+/// other.
+fn reduce_partials(
+    partials: &Rdd<(u64, Vec<(u32, f64)>)>,
+    out_meta: Arc<ArrayMeta>,
+    policy: ChunkPolicy,
+    num_partitions: usize,
+    mirror: bool,
+) -> Rdd<(u64, Chunk<f64>)> {
+    let out_grid_rows = out_meta.grid_dims()[0] as u64;
+    partials.map_shuffled_partitions(
+        Arc::new(HashPartitioner::new(num_partitions)),
+        move |buckets| {
+            let mapper = out_meta.mapper();
+            // Stable: a block's runs keep their bucket (= map) order.
+            let mut runs: Vec<_> = buckets.iter().flat_map(|bucket| bucket.iter()).collect();
+            runs.sort_by_key(|(id, _)| *id);
+            let mut acc = SparseAccumulator::default();
+            let mut out = Vec::new();
+            for block_runs in runs.chunk_by(|a, b| a.0 == b.0) {
+                cancellation_point();
+                let id = block_runs[0].0;
+                acc.fit(mapper.chunk_volume(id));
+                acc.add_runs(block_runs.iter().map(|(_, run)| run.as_slice()));
+                let Some(chunk) = acc.take_chunk(&policy) else {
+                    continue;
+                };
+                let (gr, gc) = (id % out_grid_rows, id / out_grid_rows);
+                let mirrored = (mirror && gr != gc).then(|| {
+                    let extent = mapper.chunk_extent(id);
+                    let t = block_transpose(&chunk, extent[0], extent[1], &policy)
+                        .expect("transposing a non-empty block yields a non-empty block");
+                    (gc + gr * out_grid_rows, t)
+                });
+                out.push((id, chunk));
+                out.extend(mirrored);
+            }
+            out
+        },
+    )
 }
 
 /// A matrix re-partitioned by its contraction index, ready for

@@ -167,8 +167,8 @@ fn product_transpose_identity() {
     });
 }
 
-/// `gram()` persists the row-block layout both operands read; that layout
-/// must go with the product that owns it, not stay for the context's life.
+/// `gram()` leaves nothing behind: its layout shuffle goes with the
+/// product that owns it, not stays for the context's life.
 #[test]
 fn repeated_gram_calls_leave_nothing_behind() {
     let ctx = SpangleContext::new(2);
@@ -323,6 +323,68 @@ fn gram_equals_the_full_transpose_product_on_ragged_shapes() {
     });
 }
 
+/// A matrix on the ragged, empty-block shapes of
+/// `gram_equals_the_full_transpose_product_on_ragged_shapes`.
+fn ragged_matrix_with_empty_blocks(
+    ctx: &SpangleContext,
+    rng: &mut spangle_testkit::Rng,
+) -> DistMatrix {
+    let block = rng.usize_in(2..7);
+    // Neither dimension a multiple of the block size.
+    let rows = block * rng.usize_in(1..5) + rng.usize_in(1..block);
+    let cols = block * rng.usize_in(1..6) + rng.usize_in(1..block);
+    let seed = rng.u64_in(0..50);
+    let empty = rng.usize_in(2..5);
+    let values = entry(seed);
+    DistMatrix::generate(
+        ctx,
+        rows,
+        cols,
+        (block, block),
+        ChunkPolicy::default(),
+        move |r, c| values(r, c).filter(|_| !(r / block + 2 * (c / block)).is_multiple_of(empty)),
+    )
+}
+
+/// `gram()` equals, bit for bit, the full local-join product of the
+/// physical transpose with the matrix over the same partition count: the
+/// same products, each cell's terms in the same order — ascending
+/// contraction index inside a partition, then partition order — whether a
+/// block is computed or mirrored, and whether `Mᵀ`'s blocks are built or
+/// only indexed.
+#[test]
+fn gram_equals_the_local_join_product_bit_for_bit() {
+    // The seed of the ragged-shape test: the same twelve matrices.
+    spangle_testkit::run_cases(0x11A1_0003, 12, |rng| {
+        let ctx = SpangleContext::new(2);
+        let m = ragged_matrix_with_empty_blocks(&ctx, rng);
+        m.persist();
+        let (gr, gc) = m.grid();
+        assert!(m.array().num_chunks().unwrap() < gr * gc, "an empty block");
+        let n = m.array().rdd().num_partitions();
+        let mt = m.transpose();
+        let full = DistMatrix::multiply_local(
+            &mt.partition_left_by_inner(n),
+            &m.partition_right_by_inner(n),
+        );
+        let gram = bits(m.gram().to_local().unwrap());
+        assert!(gram.iter().any(|b| f64::from_bits(*b) != 0.0));
+        assert!(gram == bits(full.to_local().unwrap()), "bits differ");
+    });
+}
+
+/// `gram()` on an input nobody persisted caches nothing, not even while
+/// its result is alive and has been computed.
+#[test]
+fn gram_of_an_unpersisted_matrix_caches_nothing() {
+    let ctx = SpangleContext::new(2);
+    let m = DistMatrix::generate(&ctx, 96, 64, (16, 16), ChunkPolicy::default(), entry(7));
+    let gram = m.gram();
+    assert!(gram.nnz().unwrap() > 0);
+    assert_eq!(ctx.cached_bytes(), 0, "gram() left cached partitions");
+    drop(gram);
+}
+
 /// One `gram()` shuffles the layout's records plus, per map partition, one
 /// partial run per output block on or above the block diagonal.
 ///
@@ -331,9 +393,8 @@ fn gram_equals_the_full_transpose_product_on_ragged_shapes() {
 ///
 /// * the layout shuffle keys each block by its row block (the contraction
 ///   index of `MᵀM`) and writes one record per block: `gr · g`;
-/// * the multiply stage reads that layout on both join legs (their
-///   shuffles are elided) and writes one run per output block each
-///   partition contributes to. A partition holds at least one row block
+/// * the multiply stage reads that layout in place for both operands and
+///   writes one run per output block each partition contributes to. A partition holds at least one row block
 ///   `k`, and `(Mᵀ)[a, k] · M[k, b]` is a product of non-empty blocks of
 ///   positive entries, so every partition writes a non-zero run for every
 ///   computed output block: the `g(g + 1)/2` blocks `(a, b)` with `a ≤ b`,

@@ -23,9 +23,13 @@
 # either side's spread (q3 − q1 over the median) is wider than the
 # metric's bound in BENCHMARK.json and some change run is no lower than
 # some parent run, and for `op_p10_ms` how many change runs are below
-# every parent run. Before the first run it stamps what drifts between
-# boxes: both commits, the core count, the CPU model and the filesystem
-# type of the temp directory (where the spill tier writes).
+# every parent run. Each run's `checksum:` line is kept too: per workload
+# the script prints `checksums: identical across N runs`, or lists each
+# distinct checksum with the runs (side and run number) that printed it,
+# so a claim of bit-identical results can be read off the output. Before
+# the first run it stamps what drifts between boxes: both commits, the
+# core count, the CPU model and the filesystem type of the temp directory
+# (where the spill tier writes).
 set -euo pipefail
 
 [ $# -ge 2 ] || { awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' "$0"; exit 2; }
@@ -62,18 +66,24 @@ for side in parent change; do
 done
 
 results="$work/runs.txt"
+checksums="$work/checksums.txt"
 : >"$results"
+: >"$checksums"
 
-# Runs one side once and appends its line to the results.
+# Runs one side once, appends its metrics to the results and its checksum
+# to the checksums.
 run_one() {
-    local side=$1 workload=$2 line values
-    line=$(cd "$work" && "$work/$side-build/release/spangle_benchmark" \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
+    local side=$1 workload=$2 output line values checksum
+    output=$(cd "$work" && "$work/$side-build/release/spangle_benchmark" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
+    line=$(tail -n 1 <<<"$output")
+    checksum=$(sed -n '/^checksum: /{s///p;q;}' <<<"$output")
     values="failed=$(sed -E 's/.*"failed":([^,}]+).*/\1/' <<<"$line")"
     for m in "${metrics[@]}"; do
         values+=" $m=$(sed -E "s/.*\"$m\":\\{\"value\":([^,}]+).*/\\1/" <<<"$line")"
     done
     echo "$side $workload $values" | tee -a "$results"
+    echo "$side $workload checksum: $checksum" | tee -a "$checksums"
 }
 
 for workload in "${workloads[@]}"; do
@@ -159,4 +169,26 @@ awk -v names="${metrics[*]}" -v bounds="$bounds" '
             printf "  op_p10_ms: %d of %d change runs below every parent run\n", below, nc
         }
     }' "$results"
-echo "== runs kept in $results"
+echo "== checksums"
+awk '
+    {
+        side = $1; wl = $2; sub(/^[^ ]+ [^ ]+ checksum: ?/, "")
+        if (!(wl in runs)) order[++workloads] = wl
+        runs[wl]++
+        label = side " " ++numbered[wl, side]
+        if (!((wl, $0) in who)) value[wl, ++distinct[wl]] = $0
+        who[wl, $0] = who[wl, $0] (who[wl, $0] == "" ? "" : ", ") label
+    }
+    END {
+        for (w = 1; w <= workloads; w++) {
+            wl = order[w]
+            if (distinct[wl] == 1) {
+                printf "%s  checksums: identical across %d runs (%s)\n", wl, runs[wl], value[wl, 1]
+                continue
+            }
+            printf "%s  checksums: %d distinct over %d runs\n", wl, distinct[wl], runs[wl]
+            for (i = 1; i <= distinct[wl]; i++)
+                printf "    %s: %s\n", value[wl, i], who[wl, value[wl, i]]
+        }
+    }' "$checksums"
+echo "== runs kept in $results, checksums in $checksums"
