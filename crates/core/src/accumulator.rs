@@ -15,7 +15,7 @@
 //! accuracy caveat concerns non-associative updates, which this API rules
 //! out by construction.
 
-use crate::array::ArrayRdd;
+use crate::array::{map_chunks, ArrayRdd};
 use crate::chunk::Chunk;
 use crate::element::Element;
 use crate::meta::ChunkId;
@@ -128,12 +128,12 @@ impl<E: Element> Accumulator<E> {
         let op = self.op.clone();
         let zero = self.zero;
         let scan_meta = meta.clone();
-        let internal = array.rdd().map(move |(id, chunk)| {
+        let internal = map_chunks(array.rdd(), move |id, chunk| {
             let mapper = scan_meta.mapper();
             let empty = HashMap::new();
-            let (new_chunk, totals) =
-                scan_chunk(&mapper, id, &chunk, axis, &empty, zero, &*op, &policy);
-            (id, (new_chunk, totals))
+            Some(scan_chunk(
+                &mapper, id, &chunk, axis, &empty, zero, &*op, &policy,
+            ))
         });
         internal.persist();
 
@@ -165,22 +165,19 @@ impl<E: Element> Accumulator<E> {
         let op = self.op.clone();
         let zero = self.zero;
         let apply_meta = meta.clone();
-        let rdd = internal.map(move |(id, (chunk, _))| {
+        let rdd = map_chunks(&internal, move |id, (chunk, _)| {
             let offsets: HashMap<(u64, LineKey), E> = bc.value().iter().cloned().collect();
             let mapper = apply_meta.mapper();
-            let adjusted = chunk.map_values(|v| v); // clone via identity
-                                                    // Rebuild with per-line offsets applied.
-            let volume = adjusted.volume();
-            let mut cells = Vec::with_capacity(adjusted.valid_count());
-            for (local, v) in adjusted.iter_valid() {
+            // Rebuild with per-line offsets applied.
+            let mut cells = Vec::with_capacity(chunk.valid_count());
+            for (local, v) in chunk.iter_valid() {
                 let coords = mapper.global_coords_of(id, local);
                 let line = line_key(&coords, axis);
                 let off = offsets.get(&(id, line)).copied().unwrap_or(zero);
                 cells.push((local, op(off, v)));
             }
-            let chunk =
-                Chunk::from_cells(volume, cells, &policy).expect("scan preserves non-emptiness");
-            (id, chunk)
+            let chunk = Chunk::from_cells(chunk.volume(), cells, &policy);
+            Some(chunk.expect("scan preserves non-emptiness"))
         });
         Ok(ArrayRdd::from_parts(&ctx, meta, policy, rdd))
     }

@@ -5,6 +5,13 @@
 //! path *generates each chunk on the partition it belongs to*, so the
 //! dataset is born co-partitioned — later chunk-aligned joins are local.
 //! Empty chunks are never materialised.
+//!
+//! That layout is kept in one place. Every operator that keeps chunk ids
+//! where they are goes through `map_chunks`, which carries the input's
+//! partitioner over; every chunk-aligned join goes through
+//! `join_chunks`, which puts both sides on the hash layout (a
+//! pass-through for a side already on it) and claims it for its result. A
+//! chain of such operators over co-partitioned inputs never shuffles.
 
 use crate::aggregate::Aggregator;
 use crate::chunk::{Chunk, ChunkMode, ChunkPolicy};
@@ -13,7 +20,7 @@ use crate::meta::{ArrayMeta, ChunkId, Mapper};
 use spangle_bitmask::Bitmask;
 use spangle_dataflow::rdd::sources::GeneratedRdd;
 use spangle_dataflow::{
-    cancellation_point, HashPartitioner, JobError, PairRdd, Partitioner, Rdd, SpangleContext,
+    cancellation_point, Data, HashPartitioner, JobError, PairRdd, Partitioner, Rdd, SpangleContext,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -289,57 +296,27 @@ impl<E: Element> ArrayRdd<E> {
         let hi = hi.to_vec();
         let policy = self.policy;
         let meta = self.meta.clone();
-        let rdd = self
-            .rdd
-            .filter(move |(id, _)| selected.contains(id))
-            .flat_map(move |(id, chunk)| {
-                let mapper = meta.mapper();
-                // Interior chunks survive unchanged; only boundary chunks
-                // pay for the virtual-mask AND.
-                if mapper.chunk_within_range(id, &lo, &hi) {
-                    return vec![(id, chunk)];
-                }
-                let keep = range_mask(&mapper, id, chunk.volume(), &lo, &hi);
-                chunk
-                    .restrict(&keep, &policy)
-                    .map(|c| (id, c))
-                    .into_iter()
-                    .collect()
-            });
-        // flat_map keeps chunk ids in place.
-        let rdd = match self.rdd.partitioner_sig() {
-            Some(sig) => rdd.assert_partitioned(sig),
-            None => rdd,
-        };
-        ArrayRdd {
-            ctx: self.ctx.clone(),
-            meta: self.meta.clone(),
-            policy: self.policy,
-            rdd,
-        }
+        let rdd = map_chunks(&self.rdd, move |id, chunk| {
+            if !selected.contains(&id) {
+                return None;
+            }
+            let mapper = meta.mapper();
+            // Interior chunks survive unchanged; only boundary chunks
+            // pay for the virtual-mask AND.
+            if mapper.chunk_within_range(id, &lo, &hi) {
+                return Some(chunk);
+            }
+            chunk.restrict(&range_mask(&mapper, id, chunk.volume(), &lo, &hi), &policy)
+        });
+        ArrayRdd::from_parts(&self.ctx, self.meta.clone(), self.policy, rdd)
     }
 
     /// Filter (§V-A2): keeps cells whose value satisfies `pred`; all other
     /// cells become null. Chunks left without valid cells disappear.
     pub fn filter(&self, pred: impl Fn(E) -> bool + Send + Sync + 'static) -> ArrayRdd<E> {
         let policy = self.policy;
-        let rdd = self.rdd.flat_map(move |(id, chunk)| {
-            chunk
-                .filter(&pred, &policy)
-                .map(|c| (id, c))
-                .into_iter()
-                .collect()
-        });
-        let rdd = match self.rdd.partitioner_sig() {
-            Some(sig) => rdd.assert_partitioned(sig),
-            None => rdd,
-        };
-        ArrayRdd {
-            ctx: self.ctx.clone(),
-            meta: self.meta.clone(),
-            policy: self.policy,
-            rdd,
-        }
+        let rdd = map_chunks(&self.rdd, move |_, chunk| chunk.filter(&pred, &policy));
+        ArrayRdd::from_parts(&self.ctx, self.meta.clone(), self.policy, rdd)
     }
 
     /// Element-wise value transformation (nulls stay null).
@@ -347,17 +324,8 @@ impl<E: Element> ArrayRdd<E> {
         &self,
         f: impl Fn(E) -> F + Send + Sync + 'static,
     ) -> ArrayRdd<F> {
-        let rdd = self.rdd.map(move |(id, chunk)| (id, chunk.map_values(&f)));
-        let rdd = match self.rdd.partitioner_sig() {
-            Some(sig) => rdd.assert_partitioned(sig),
-            None => rdd,
-        };
-        ArrayRdd {
-            ctx: self.ctx.clone(),
-            meta: self.meta.clone(),
-            policy: self.policy,
-            rdd,
-        }
+        let rdd = map_chunks(&self.rdd, move |_, chunk| Some(chunk.map_values(&f)));
+        ArrayRdd::from_parts(&self.ctx, self.meta.clone(), self.policy, rdd)
     }
 
     /// Cell-wise combination of two arrays over the same geometry: `f`
@@ -373,29 +341,20 @@ impl<E: Element> ArrayRdd<E> {
             *self.meta, *other.meta,
             "zip_with requires identical array geometry"
         );
-        let n = self.rdd.num_partitions();
-        let partitioner: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(n));
         let policy = self.policy;
-        let cogrouped = self.rdd.cogroup(&other.rdd, partitioner);
-        let rdd = cogrouped.flat_map(move |(id, (ls, rs))| {
-            let left = ls.into_iter().next();
-            let right = rs.into_iter().next();
+        let rdd = join_chunks(&self.rdd, &other.rdd, move |_, left, right| {
             let volume = left
-                .as_ref()
                 .map(Chunk::volume)
-                .or_else(|| right.as_ref().map(Chunk::volume));
-            let Some(volume) = volume else {
-                return Vec::new();
-            };
+                .or_else(|| right.map(Chunk::volume))?;
             let mut lvals: Vec<Option<E>> = vec![None; volume];
-            if let Some(c) = &left {
+            if let Some(c) = left {
                 for (i, v) in c.iter_valid() {
                     lvals[i] = Some(v);
                 }
             }
             let mut cells = Vec::new();
             let mut rvals: Vec<Option<F>> = vec![None; volume];
-            if let Some(c) = &right {
+            if let Some(c) = right {
                 for (i, v) in c.iter_valid() {
                     rvals[i] = Some(v);
                 }
@@ -406,37 +365,14 @@ impl<E: Element> ArrayRdd<E> {
                 }
             }
             Chunk::from_cells(volume, cells, &policy)
-                .map(|c| (id, c))
-                .into_iter()
-                .collect()
         });
-        ArrayRdd {
-            ctx: self.ctx.clone(),
-            meta: self.meta.clone(),
-            policy: self.policy,
-            rdd,
-        }
+        ArrayRdd::from_parts(&self.ctx, self.meta.clone(), self.policy, rdd)
     }
 
     /// Re-encodes every chunk under `policy` (e.g. dense ⇄ sparse).
     pub fn reencode(&self, policy: ChunkPolicy) -> ArrayRdd<E> {
-        let rdd = self.rdd.flat_map(move |(id, chunk)| {
-            chunk
-                .reencode(&policy)
-                .map(|c| (id, c))
-                .into_iter()
-                .collect()
-        });
-        let rdd = match self.rdd.partitioner_sig() {
-            Some(sig) => rdd.assert_partitioned(sig),
-            None => rdd,
-        };
-        ArrayRdd {
-            ctx: self.ctx.clone(),
-            meta: self.meta.clone(),
-            policy,
-            rdd,
-        }
+        let rdd = map_chunks(&self.rdd, move |_, chunk| chunk.reencode(&policy));
+        ArrayRdd::from_parts(&self.ctx, self.meta.clone(), policy, rdd)
     }
 
     /// Aggregates every valid cell with `agg` (§V-B). Returns `None` for
@@ -575,6 +511,58 @@ impl<E: Element> ArrayRdd<E> {
         }
         Ok(out)
     }
+}
+
+/// The chunk-wise map every layout-keeping operator goes through: `f`
+/// turns each chunk into its replacement under the same id, or drops it.
+/// Ids never move, so the result keeps the input's partitioner.
+pub(crate) fn map_chunks<V: Data, W: Data>(
+    rdd: &Rdd<(ChunkId, V)>,
+    f: impl Fn(ChunkId, V) -> Option<W> + Send + Sync + 'static,
+) -> Rdd<(ChunkId, W)> {
+    let mapped = rdd.flat_map(move |(id, v)| f(id, v).map(|w| (id, w)).into_iter().collect());
+    match rdd.partitioner_sig() {
+        Some(sig) => mapped.assert_partitioned(sig),
+        None => mapped,
+    }
+}
+
+/// The chunk-aligned join every two-input operator goes through. Both
+/// sides are put on `HashPartitioner(left.num_partitions())` — a
+/// pass-through for a side already on it, a shuffle otherwise — and each
+/// partition pair is read by reference: `f` runs once per chunk id present
+/// on either side, ids ascending, with that id's chunk from each side (at
+/// most one per side). The result claims the hash layout, so joining it
+/// again is local.
+pub(crate) fn join_chunks<A: Data, B: Data, C: Data>(
+    left: &Rdd<(ChunkId, A)>,
+    right: &Rdd<(ChunkId, B)>,
+    f: impl Fn(ChunkId, Option<&A>, Option<&B>) -> Option<C> + Send + Sync + 'static,
+) -> Rdd<(ChunkId, C)> {
+    let partitioner = Arc::new(HashPartitioner::new(left.num_partitions()));
+    let sig = Partitioner::<u64>::sig(&*partitioner);
+    let left = left.partition_by(partitioner.clone());
+    let right = right.partition_by(partitioner);
+    left.zip_partitions(&right, move |ls, rs| {
+        let mut ls: Vec<_> = ls.iter().collect();
+        let mut rs: Vec<_> = rs.iter().collect();
+        ls.sort_unstable_by_key(|(id, _)| *id);
+        rs.sort_unstable_by_key(|(id, _)| *id);
+        let (mut ls, mut rs) = (ls.into_iter().peekable(), rs.into_iter().peekable());
+        let mut out = Vec::new();
+        loop {
+            let id = match (ls.peek(), rs.peek()) {
+                (Some(l), Some(r)) => l.0.min(r.0),
+                (Some(l), None) => l.0,
+                (None, Some(r)) => r.0,
+                (None, None) => return out,
+            };
+            let l = ls.next_if(|(lid, _)| *lid == id).map(|(_, a)| a);
+            let r = rs.next_if(|(rid, _)| *rid == id).map(|(_, b)| b);
+            out.extend(f(id, l, r).map(|c| (id, c)));
+        }
+    })
+    .assert_partitioned(sig)
 }
 
 /// Builds the "virtual bitmask" of Subarray: bits set for the cells of
@@ -959,6 +947,120 @@ mod tests {
         let delta = ctx.metrics_snapshot() - before;
         assert_eq!(delta.shuffle_write_bytes, 0, "chunk-aligned zip is local");
         assert_eq!(delta.stages_run, 1);
+    }
+
+    /// Three persisted, materialised 64² arrays of 16² chunks on two
+    /// executors.
+    fn persisted_inputs(ctx: &SpangleContext) -> [ArrayRdd<f64>; 3] {
+        let meta = ArrayMeta::new(vec![64, 64], vec![16, 16]);
+        [0usize, 1, 2].map(|k| {
+            let arr = ArrayBuilder::new(ctx, meta.clone())
+                .ingest(move |c| {
+                    (c[0] + c[1] + k)
+                        .is_multiple_of(3)
+                        .then(|| (c[0] + k) as f64)
+                })
+                .build();
+            arr.persist();
+            arr.count_valid().unwrap();
+            arr
+        })
+    }
+
+    /// Bugfix regression: a zip's result forgot the layout its cogroup
+    /// had, so zipping it again shuffled it.
+    #[test]
+    fn chained_zips_stay_local() {
+        let ctx = SpangleContext::new(2);
+        let [a, b, c] = persisted_inputs(&ctx);
+        let sum =
+            |x: Option<f64>, y: Option<f64>| x.or(y).map(|_| x.unwrap_or(0.0) + y.unwrap_or(0.0));
+        let ab = a.zip_with(&b, sum);
+        ab.persist();
+        ab.count_valid().unwrap();
+        let before = ctx.metrics_snapshot();
+        let abc = ab.zip_with(&c, sum);
+        assert_eq!(abc.count_valid().unwrap(), 64 * 64);
+        let delta = ctx.metrics_snapshot() - before;
+        assert_eq!(delta.shuffle_write_bytes, 0, "the second zip is local");
+        assert_eq!(delta.stages_run, 1);
+    }
+
+    fn sorted(rdd: &Rdd<(ChunkId, u64)>) -> Vec<(ChunkId, u64)> {
+        let mut records = rdd.collect().unwrap();
+        records.sort_unstable();
+        records
+    }
+
+    /// `join_chunks` calls `f` once per id on either side, ids ascending
+    /// within a partition, shuffles only a side that is not on the hash
+    /// layout, and claims that layout for its result.
+    #[test]
+    fn join_chunks_meets_every_id_once_and_claims_the_hash_layout() {
+        let ctx = SpangleContext::new(2);
+        let n = 4;
+        let on_layout = |ids: Vec<u64>| {
+            ctx.parallelize(ids.into_iter().map(|id| (id, id * 10)).collect(), 3)
+                .partition_by(Arc::new(HashPartitioner::new(n)))
+        };
+        // Overlapping ids 4..8, ids only on the left 0..4, only on the
+        // right 8..12.
+        let left = on_layout((0..8).collect());
+        let right = on_layout((4..12).collect());
+        left.persist();
+        right.persist();
+        left.count().unwrap();
+        right.count().unwrap();
+        let joined = join_chunks(&left, &right, |id, l, r| {
+            Some(id * 1000 + l.map_or(0, |v| v + 1) * 100 + r.map_or(0, |v| v + 1))
+        });
+        let per_partition = joined
+            .run_partitions(|p, records| (p, records.to_vec()))
+            .unwrap();
+        for (p, records) in &per_partition {
+            assert!(records.windows(2).all(|w| w[0].0 < w[1].0), "ids ascend");
+            for (id, _) in records {
+                assert_eq!(
+                    Partitioner::<u64>::partition(&HashPartitioner::new(n), id),
+                    *p
+                );
+            }
+        }
+        let expected: Vec<(ChunkId, u64)> = (0..12)
+            .map(|id| {
+                let l = if id < 8 { id * 10 + 1 } else { 0 };
+                let r = if id >= 4 { id * 10 + 1 } else { 0 };
+                (id, id * 1000 + l * 100 + r)
+            })
+            .collect();
+        assert_eq!(sorted(&joined), expected);
+
+        // `f` may drop an id; an empty side meets every id of the other.
+        let empty = on_layout(Vec::new());
+        let evens = join_chunks(&left, &empty, |id, l, r| {
+            assert!(r.is_none());
+            id.is_multiple_of(2).then(|| *l.unwrap())
+        });
+        assert_eq!(sorted(&evens), vec![(0, 0), (2, 20), (4, 40), (6, 60)]);
+
+        // Both sides on the layout: one stage, nothing shuffled — and the
+        // result claims `HashPartitioner(n)`, so putting it on that layout
+        // is a pass-through too. A side off the layout is shuffled — one
+        // map stage — and the other is not.
+        let before = ctx.metrics_snapshot();
+        let rehashed = joined.partition_by(Arc::new(HashPartitioner::new(n)));
+        assert_eq!(rehashed.count().unwrap(), 12);
+        let local = ctx.metrics_snapshot() - before;
+        assert_eq!((local.stages_run, local.shuffle_write_bytes), (1, 0));
+        let off_layout = ctx.parallelize((4..12).map(|id| (id, id)).collect::<Vec<_>>(), n);
+        let mixed = join_chunks(&left, &off_layout, |_, l, r| {
+            Some(l.or(r).copied().unwrap())
+        });
+        let before = ctx.metrics_snapshot();
+        assert_eq!(mixed.count().unwrap(), 12);
+        let delta = ctx.metrics_snapshot() - before;
+        assert_eq!(delta.stages_run, 2, "one map stage for the off-layout side");
+        assert_eq!(delta.shuffle_records, 8, "only that side's records");
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! Spangle evaluates all ArrayRDDs on-demand"). Fig. 9b measures exactly
 //! this lazy/eager contrast.
 
-use crate::array::{range_mask, ArrayRdd};
+use crate::array::{join_chunks, map_chunks, range_mask, ArrayRdd};
 use crate::element::Element;
 use crate::meta::{ArrayMeta, ChunkId};
 use spangle_bitmask::Bitmask;
-use spangle_dataflow::{HashPartitioner, JobError, MemSize, PairRdd, Rdd};
+use spangle_dataflow::{JobError, MemSize, Rdd};
 use std::sync::Arc;
 
 /// Newtype for bitmasks travelling through RDDs (gives them shuffle-size
@@ -56,12 +56,9 @@ impl MaskRdd {
 
     /// Derives the initial mask RDD from an attribute's chunk validity.
     pub fn from_array<E: Element>(array: &ArrayRdd<E>) -> Self {
-        let rdd = array.rdd().map(|(id, chunk)| (id, AttrMask(chunk.mask())));
-        let rdd = match array.rdd().partitioner_sig() {
-            Some(sig) => rdd.assert_partitioned(sig),
-            None => rdd,
-        };
-        MaskRdd { rdd }
+        MaskRdd {
+            rdd: map_chunks(array.rdd(), |_, chunk| Some(AttrMask(chunk.mask()))),
+        }
     }
 
     /// The underlying RDD.
@@ -75,46 +72,29 @@ impl MaskRdd {
         &self,
         f: impl Fn(ChunkId, &Bitmask) -> Bitmask + Send + Sync + 'static,
     ) -> MaskRdd {
-        let rdd = self.rdd.flat_map(move |(id, m)| {
-            let new = f(id, &m.0);
-            if new.all_zero() {
-                Vec::new()
-            } else {
-                vec![(id, AttrMask(new))]
-            }
-        });
-        let rdd = match self.rdd.partitioner_sig() {
-            Some(sig) => rdd.assert_partitioned(sig),
-            None => rdd,
-        };
-        MaskRdd { rdd }
+        MaskRdd {
+            rdd: map_chunks(&self.rdd, move |id, m| {
+                let new = f(id, &m.0);
+                (!new.all_zero()).then_some(AttrMask(new))
+            }),
+        }
     }
 
     /// Combines two mask RDDs chunk-wise with AND or OR (Fig. 4c): the
     /// mask half of the Join operator.
     pub fn combine(&self, other: &MaskRdd, mode: JoinMode) -> MaskRdd {
-        let n = self.rdd.num_partitions();
-        let partitioner: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(n));
-        let rdd = self
-            .rdd
-            .cogroup(other.rdd(), partitioner)
-            .flat_map(move |(id, (ls, rs))| {
-                let l = ls.into_iter().next();
-                let r = rs.into_iter().next();
+        MaskRdd {
+            rdd: join_chunks(&self.rdd, &other.rdd, move |_, l, r| {
                 let out = match (l, r, mode) {
-                    (Some(a), Some(b), JoinMode::And) => Some(a.0.and(&b.0)),
-                    (Some(a), Some(b), JoinMode::Or) => Some(a.0.or(&b.0)),
+                    (Some(a), Some(b), JoinMode::And) => a.0.and(&b.0),
+                    (Some(a), Some(b), JoinMode::Or) => a.0.or(&b.0),
                     // AND with a missing (all-empty) chunk is empty.
-                    (_, _, JoinMode::And) => None,
-                    (Some(a), None, JoinMode::Or) | (None, Some(a), JoinMode::Or) => Some(a.0),
-                    (None, None, JoinMode::Or) => None,
+                    (_, _, JoinMode::And) | (None, None, JoinMode::Or) => return None,
+                    (Some(a), None, JoinMode::Or) | (None, Some(a), JoinMode::Or) => a.0.clone(),
                 };
-                out.filter(|m| !m.all_zero())
-                    .map(|m| (id, AttrMask(m)))
-                    .into_iter()
-                    .collect::<Vec<_>>()
-            });
-        MaskRdd { rdd }
+                (!out.all_zero()).then_some(AttrMask(out))
+            }),
+        }
     }
 
     /// Marks the mask RDD for caching.
@@ -340,26 +320,11 @@ impl<E: Element> SpangleArray<E> {
 /// Restricts an attribute's chunks by a mask RDD (AND), dropping emptied
 /// chunks. Local when co-partitioned.
 fn apply_mask<E: Element>(array: &ArrayRdd<E>, mask: &MaskRdd) -> ArrayRdd<E> {
-    let n = array.rdd().num_partitions();
-    let partitioner: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(n));
     let policy = array.policy();
-    let rdd =
-        array
-            .rdd()
-            .cogroup(mask.rdd(), partitioner)
-            .flat_map(move |(id, (chunks, masks))| {
-                let chunk = chunks.into_iter().next();
-                let mask = masks.into_iter().next();
-                match (chunk, mask) {
-                    (Some(c), Some(m)) => c
-                        .restrict(&m.0, &policy)
-                        .map(|c| (id, c))
-                        .into_iter()
-                        .collect::<Vec<_>>(),
-                    // No mask chunk: every cell of this chunk is invalid.
-                    _ => Vec::new(),
-                }
-            });
+    let rdd = join_chunks(array.rdd(), mask.rdd(), move |_, chunk, mask| {
+        // No mask chunk: every cell of this chunk is invalid.
+        chunk?.restrict(&mask?.0, &policy)
+    });
     ArrayRdd::from_parts(array.context(), array.meta_arc(), policy, rdd)
 }
 

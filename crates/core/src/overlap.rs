@@ -6,7 +6,7 @@
 //! carry `overlap` extra cells along each dimension at ingest time; window
 //! operators then run entirely chunk-locally.
 
-use crate::array::ArrayRdd;
+use crate::array::{map_chunks, ArrayRdd};
 use crate::chunk::{Chunk, ChunkPolicy};
 use crate::element::Element;
 use crate::meta::{ArrayMeta, ChunkId};
@@ -175,7 +175,7 @@ impl<E: Element> OverlapArrayRdd<E> {
     pub fn to_array(&self) -> ArrayRdd<E> {
         let meta = self.meta.clone();
         let policy = self.policy;
-        let rdd = self.rdd.flat_map(move |(id, oc)| {
+        let rdd = map_chunks(&self.rdd, move |id, oc| {
             let mapper = meta.mapper();
             let volume = mapper.chunk_volume(id);
             let mut cells = Vec::new();
@@ -186,9 +186,6 @@ impl<E: Element> OverlapArrayRdd<E> {
                 }
             }
             Chunk::from_cells(volume, cells, &policy)
-                .map(|c| (id, c))
-                .into_iter()
-                .collect::<Vec<_>>()
         });
         ArrayRdd::from_parts(&self.ctx, self.meta.clone(), self.policy, rdd)
     }
@@ -210,7 +207,7 @@ impl OverlapArrayRdd<f64> {
         let radii = radii.to_vec();
         let meta = self.meta.clone();
         let policy = self.policy;
-        let rdd = self.rdd.flat_map(move |(id, oc)| {
+        let rdd = map_chunks(&self.rdd, move |id, oc| {
             let mapper = meta.mapper();
             let volume = mapper.chunk_volume(id);
             let mut cells = Vec::new();
@@ -256,9 +253,6 @@ impl OverlapArrayRdd<f64> {
                 }
             }
             Chunk::from_cells(volume, cells, &policy)
-                .map(|c| (id, c))
-                .into_iter()
-                .collect::<Vec<_>>()
         });
         ArrayRdd::from_parts(&self.ctx, self.meta.clone(), self.policy, rdd)
     }
@@ -307,7 +301,7 @@ impl<E: Element> ArrayRdd<E> {
         let policy = self.policy();
         let in_meta = meta.clone();
         let gen_out_meta = out_meta.clone();
-        let rdd = self.rdd().flat_map(move |(id, chunk)| {
+        let rdd = map_chunks(self.rdd(), move |id, chunk| {
             let in_mapper = in_meta.mapper();
             let out_mapper = gen_out_meta.mapper();
             // Input chunk id == output chunk id: the grids coincide.
@@ -329,9 +323,6 @@ impl<E: Element> ArrayRdd<E> {
                 .map(|(i, (s, n))| (i, s / n as f64))
                 .collect();
             Chunk::from_cells(out_volume, cells, &policy)
-                .map(|c| (id, c))
-                .into_iter()
-                .collect::<Vec<_>>()
         });
         ArrayRdd::from_parts(self.context(), out_meta, policy, rdd)
     }

@@ -119,3 +119,71 @@ fn global_mask_reflects_pending_operators() {
         "the pending subarray lives in the mask"
     );
 }
+
+/// Three persisted, materialised 64² attributes of 16² chunks.
+fn persisted_bands(ctx: &SpangleContext) -> Vec<(String, spangle_core::ArrayRdd<f64>)> {
+    (0..3usize)
+        .map(|k| {
+            let arr = ArrayBuilder::new(ctx, ArrayMeta::new(vec![64, 64], vec![16, 16]))
+                .ingest(move |c| (c[0] * 7 + c[1]).is_multiple_of(k + 2).then(|| c[0] as f64))
+                .build();
+            arr.persist();
+            arr.count_valid().unwrap();
+            (format!("b{k}"), arr)
+        })
+        .collect()
+}
+
+/// Bugfix regression: a combined mask forgot the layout of its inputs, so
+/// combining it again shuffled it.
+#[test]
+fn chained_mask_combines_stay_local() {
+    let ctx = SpangleContext::new(2);
+    let bands = persisted_bands(&ctx);
+    let mask = |i: usize| MaskRdd::from_array(&bands[i].1);
+    let before = ctx.metrics_snapshot();
+    let chained = mask(0)
+        .combine(&mask(1), JoinMode::Or)
+        .combine(&mask(2), JoinMode::And);
+    assert!(chained.rdd().count().unwrap() > 0);
+    let delta = ctx.metrics_snapshot() - before;
+    assert_eq!(delta.shuffle_write_bytes, 0, "{delta:?}");
+    assert_eq!(delta.stages_run, 1);
+}
+
+/// Bugfix regression: Fig. 9b's pipeline (subarray → filter on one
+/// attribute → subarray → count every attribute) did more work lazily than
+/// eagerly, because the lazy mask shuffled after its first `combine`. Over
+/// persisted attributes it now shuffles nothing in either mode, and lazy
+/// mode runs no more stages than eager mode.
+#[test]
+fn lazy_fig9b_pipeline_runs_no_more_stages_than_eager_and_shuffles_nothing() {
+    let ctx = SpangleContext::new(2);
+    let bands = persisted_bands(&ctx);
+    let run = |lazy: bool| {
+        let arr = SpangleArray::new(bands.clone(), lazy);
+        let before = ctx.metrics_snapshot();
+        let chained = arr
+            .subarray(&[8, 8], &[56, 56])
+            .filter_attribute("b0", |v| v > 20.0)
+            .subarray(&[16, 16], &[48, 48]);
+        let counts: Vec<usize> = arr
+            .attribute_names()
+            .iter()
+            .map(|name| chained.count_valid(name).unwrap())
+            .collect();
+        (counts, ctx.metrics_snapshot() - before)
+    };
+    let (lazy_counts, lazy) = run(true);
+    let (eager_counts, eager) = run(false);
+    assert_eq!(lazy_counts, eager_counts);
+    assert!(lazy_counts.iter().all(|&n| n > 0));
+    assert_eq!(lazy.shuffle_write_bytes, 0, "lazy: {lazy:?}");
+    assert_eq!(eager.shuffle_write_bytes, 0, "eager: {eager:?}");
+    assert!(
+        lazy.stages_run <= eager.stages_run,
+        "lazy ran {} stages, eager {}",
+        lazy.stages_run,
+        eager.stages_run
+    );
+}

@@ -351,8 +351,11 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Pairs partition `i` of `self` with partition `i` of `other` and
-    /// transforms both together — the narrow, shuffle-free join used by the
-    /// local-join optimisation. Panics if partition counts differ.
+    /// transforms both together, by reference — the narrow, shuffle-free
+    /// join used by the local-join optimisation: `partition_by` both sides
+    /// onto one partitioner (a pass-through for a side already on it), then
+    /// zip them. `spangle-core`'s chunk joins and `spangle-linalg`'s
+    /// multiply join this way. Panics if partition counts differ.
     pub fn zip_partitions<U: Data, O: Data>(
         &self,
         other: &Rdd<U>,

@@ -246,8 +246,8 @@ impl<T: Data> RddNode<T> for UnionRdd<T> {
 }
 
 /// Pairs equal-indexed partitions of two datasets — the narrow join that
-/// the local-join optimisation (paper §VI-A) lowers matrix multiplication
-/// to when both sides are co-partitioned.
+/// chunk-aligned joins and the local-join optimisation (paper §VI-A) lower
+/// to once both sides are co-partitioned.
 pub struct ZipPartitionsRdd<T: Data, U: Data, O: Data> {
     base: RddBase,
     left: Rdd<T>,

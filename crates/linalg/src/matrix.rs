@@ -12,6 +12,13 @@
 //!   shuffle them" — the join collapses into a single narrow stage and only
 //!   the output reduction crosses the network.
 //!
+//! Both plans join the same way: each side is `partition_by` the
+//! contraction layout — a shuffle for the shuffle plan, a pass-through for
+//! [`InnerPartitioned`] operands — and `zip_partitions` lends both
+//! partitions to the contraction by reference, which groups each side's
+//! blocks by sorting them by key and merges the two. A prepared operand's
+//! cached blocks are read where they are, not cloned.
+//!
 //! [`DistMatrix::gram`] needs no join at all: `M` and `Mᵀ` are the same
 //! blocks, so one shuffle lays them out by row block (the contraction index
 //! of `MᵀM`) and each partition contracts its blocks where the shuffle left
@@ -202,11 +209,11 @@ impl DistMatrix {
         let b_meta = other.array.meta_arc();
         let policy = self.array.policy();
 
-        // Key both operands by the contraction (inner) block index.
-        type Keyed = Rdd<(u64, (u64, Chunk<f64>))>;
+        // Key both operands by the contraction (inner) block index and lay
+        // them out by it: a pass-through for prepared operands.
         let (keyed_a, keyed_b, partitioner): (
-            Keyed,
-            Keyed,
+            Rdd<KeyedBlock>,
+            Rdd<KeyedBlock>,
             Arc<dyn spangle_dataflow::Partitioner<u64>>,
         ) = match prepared {
             Some((l, r)) => (
@@ -229,39 +236,43 @@ impl DistMatrix {
                 (a, b, Arc::new(HashPartitioner::new(n)) as _)
             }
         };
+        let keyed_a = keyed_a.partition_by(partitioner.clone());
+        let keyed_b = keyed_b.partition_by(partitioner);
 
-        // Join on the inner index, index every block once — under its key
-        // it meets every block of the other side — and contract. Keys are
-        // visited in ascending order: a cogrouped partition lists them in
-        // an order that differs from run to run.
+        // Join each partition's keys by merging both sides sorted by key,
+        // index every block once — under its key it meets every block of
+        // the other side — and contract. A key on one side only multiplies
+        // nothing. Keys are visited in ascending order, so every cell
+        // receives its terms in a fixed order.
         let out_grid_rows = out_meta.grid_dims()[0] as u64;
         let contraction_meta = (a_meta.clone(), b_meta.clone());
-        let partials = keyed_a
-            .cogroup(&keyed_b, partitioner)
-            .map_partitions(move |groups| {
-                let (a_meta, b_meta) = &contraction_meta;
-                let a_mapper = a_meta.mapper();
-                let b_mapper = b_meta.mapper();
-                let a_grid_rows = a_meta.grid_dims()[0] as u64;
-                let b_grid_rows = b_meta.grid_dims()[0] as u64;
-                let mut groups: Vec<_> = groups.iter().collect();
-                groups.sort_unstable_by_key(|(kb, _)| *kb);
-                let keys: Vec<(Indexed, Indexed)> = groups
-                    .into_iter()
-                    .map(|(kb, (a_blocks, b_blocks))| {
-                        let a_indexed = a_blocks.iter().map(|(gr, chunk)| {
-                            let extent = a_mapper.chunk_extent(gr + kb * a_grid_rows);
-                            (*gr, ColumnIndex::of_block(chunk, extent[0], extent[1]))
-                        });
-                        let b_indexed = b_blocks.iter().map(|(gc, chunk)| {
-                            let extent = b_mapper.chunk_extent(kb + gc * b_grid_rows);
-                            (*gc, ColumnIndex::of_block(chunk, extent[0], extent[1]))
-                        });
-                        (a_indexed.collect(), b_indexed.collect())
-                    })
-                    .collect();
-                contract(&keys, out_grid_rows, false)
-            });
+        let partials = keyed_a.zip_partitions(&keyed_b, move |a_blocks, b_blocks| {
+            let (a_meta, b_meta) = &contraction_meta;
+            let a_mapper = a_meta.mapper();
+            let b_mapper = b_meta.mapper();
+            let a_grid_rows = a_meta.grid_dims()[0] as u64;
+            let b_grid_rows = b_meta.grid_dims()[0] as u64;
+            let (a_blocks, b_blocks) = (sorted_by_key(a_blocks), sorted_by_key(b_blocks));
+            let mut b_keys = b_blocks.chunk_by(|x, y| x.0 == y.0).peekable();
+            let keys: Vec<(Indexed, Indexed)> = a_blocks
+                .chunk_by(|x, y| x.0 == y.0)
+                .filter_map(|a_key| {
+                    let kb = a_key[0].0;
+                    while b_keys.next_if(|b_key| b_key[0].0 < kb).is_some() {}
+                    let b_key = b_keys.next_if(|b_key| b_key[0].0 == kb)?;
+                    let a_indexed = a_key.iter().map(|(_, (gr, chunk))| {
+                        let extent = a_mapper.chunk_extent(gr + kb * a_grid_rows);
+                        (*gr, ColumnIndex::of_block(chunk, extent[0], extent[1]))
+                    });
+                    let b_indexed = b_key.iter().map(|(_, (gc, chunk))| {
+                        let extent = b_mapper.chunk_extent(kb + gc * b_grid_rows);
+                        (*gc, ColumnIndex::of_block(chunk, extent[0], extent[1]))
+                    });
+                    Some((a_indexed.collect(), b_indexed.collect()))
+                })
+                .collect();
+            contract(&keys, out_grid_rows, false)
+        });
         let n_out = self.array.rdd().num_partitions();
         let sig = spangle_dataflow::Partitioner::<u64>::sig(&HashPartitioner::new(n_out));
         let rdd = reduce_partials(&partials, out_meta.clone(), policy, n_out, false)
@@ -374,8 +385,7 @@ impl DistMatrix {
         let partials =
             keyed.map_shuffled_partitions(Arc::new(ModPartitioner::new(n)), move |buckets| {
                 let mapper = meta.mapper();
-                let mut blocks: Vec<_> = buckets.iter().flat_map(|bucket| bucket.iter()).collect();
-                blocks.sort_unstable_by_key(|(k, (c, _))| (*k, *c));
+                let blocks = sorted_by_key(buckets.iter().copied().flatten());
                 let keys: Vec<(Indexed, Indexed)> = blocks
                     .chunk_by(|a, b| a.0 == b.0)
                     .map(|key_blocks| {
@@ -520,6 +530,19 @@ impl DistMatrix {
     }
 }
 
+/// A block keyed by its contraction index: `(key, (output block index,
+/// block))`.
+type KeyedBlock = (u64, (u64, Chunk<f64>));
+
+/// `blocks` sorted by contraction key, then output block index — the
+/// order every contraction visits them in; `chunk_by` on the key then
+/// yields one run per key.
+fn sorted_by_key<'a>(blocks: impl IntoIterator<Item = &'a KeyedBlock>) -> Vec<&'a KeyedBlock> {
+    let mut blocks: Vec<_> = blocks.into_iter().collect();
+    blocks.sort_unstable_by_key(|(k, (c, _))| (*k, *c));
+    blocks
+}
+
 /// The blocks of one contraction key, each indexed: the left operand's by
 /// output block row, the right operand's by output block column.
 type Indexed = Vec<(u64, ColumnIndex)>;
@@ -630,7 +653,7 @@ fn reduce_partials(
 /// the entire point of §VI-A.
 pub struct InnerPartitioned {
     matrix: DistMatrix,
-    rdd: Rdd<(u64, (u64, Chunk<f64>))>,
+    rdd: Rdd<KeyedBlock>,
     num_partitions: usize,
 }
 

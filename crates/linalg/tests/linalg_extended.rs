@@ -148,6 +148,65 @@ fn local_join_equals_shuffle_plan() {
     });
 }
 
+/// Both plans equal the dense product when some contraction keys exist on
+/// one side only: on ragged shapes, a block column of `A` and a different
+/// block row of `B` are empty, so the first key has blocks of `B` alone and
+/// the second blocks of `A` alone.
+#[test]
+fn multiply_with_one_sided_contraction_keys_equals_the_dense_product() {
+    spangle_testkit::run_cases(0x11A1_0004, 10, |rng| {
+        let block = rng.usize_in(2..6);
+        // Neither dimension a multiple of the block size; at least two
+        // contraction keys.
+        let m = block * rng.usize_in(0..4) + rng.usize_in(1..block);
+        let k = block * rng.usize_in(1..5) + rng.usize_in(1..block);
+        let n = block * rng.usize_in(0..4) + rng.usize_in(1..block);
+        let keys = k.div_ceil(block);
+        let a_empty = rng.usize_in(0..keys);
+        let b_empty = (a_empty + rng.usize_in(1..keys)) % keys;
+        let seed = rng.u64_in(0..50);
+        let ctx = SpangleContext::new(2);
+        let (va, vb) = (entry(seed), entry(seed + 1));
+        let a = DistMatrix::generate(
+            &ctx,
+            m,
+            k,
+            (block, block),
+            ChunkPolicy::default(),
+            move |r, c| va(r, c).filter(|_| c / block != a_empty),
+        );
+        let b = DistMatrix::generate(
+            &ctx,
+            k,
+            n,
+            (block, block),
+            ChunkPolicy::default(),
+            move |r, c| vb(r, c).filter(|_| r / block != b_empty),
+        );
+        let (al, bl) = (a.to_local().unwrap(), b.to_local().unwrap());
+        let expected: Vec<f64> = (0..m * n)
+            .map(|i| {
+                let (r, c) = (i % m, i / m);
+                (0..k).map(|j| al[r + j * m] * bl[j + c * k]).sum()
+            })
+            .collect();
+        let parts = rng.usize_in(1..5);
+        let via_local = DistMatrix::multiply_local(
+            &a.partition_left_by_inner(parts),
+            &b.partition_right_by_inner(parts),
+        );
+        for product in [a.multiply(&b), via_local] {
+            let got = product.to_local().unwrap();
+            for (i, (x, y)) in got.iter().zip(&expected).enumerate() {
+                assert!(
+                    (x - y).abs() < 1e-9,
+                    "{m}x{k}x{n}/{block}, index {i}: {x} vs {y}"
+                );
+            }
+        }
+    });
+}
+
 /// `(A·B)ᵀ == Bᵀ·Aᵀ` for arbitrary shapes.
 #[test]
 fn product_transpose_identity() {

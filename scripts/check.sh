@@ -130,12 +130,14 @@ run_benchmark() {
 # `pub fn`s of `impl SpangleContextBuilder` (its setters and `build`) and
 # the rows of the `counters!` table. awk only — no `bc`.
 run_loc() {
-    echo "== code lines of crates/dataflow/src before each file's tests"
-    find crates/dataflow/src -name '*.rs' | sort | xargs awk '
-        FNR == 1 { if (file != "") printf "%6d %s\n", n, file; file = FILENAME; n = 0; tests = 0 }
-        /^#\[cfg\(test\)\]/ { tests = 1 }
-        !tests && !/^[[:space:]]*(\/\/|$)/ { n++; total++ }
-        END { printf "%6d %s\n%6d total\n", n, file, total }'
+    for dir in crates/dataflow/src crates/core/src crates/linalg/src; do
+        echo "== code lines of $dir before each file's tests"
+        find "$dir" -name '*.rs' | sort | xargs awk '
+            FNR == 1 { if (file != "") printf "%6d %s\n", n, file; file = FILENAME; n = 0; tests = 0 }
+            /^#\[cfg\(test\)\]/ { tests = 1 }
+            !tests && !/^[[:space:]]*(\/\/|$)/ { n++; total++ }
+            END { printf "%6d %s\n%6d total\n", n, file, total }'
+    done
     echo "== knobs"
     awk '/^impl SpangleContextBuilder \{/ { inside = 1; next }
         inside && /^\}/ { inside = 0 }
