@@ -380,20 +380,17 @@ impl<E: Element> ArrayRdd<E> {
     pub fn aggregate<A: Aggregator<E>>(&self, agg: A) -> Option<A::Output> {
         let agg = Arc::new(agg);
         let task_agg = agg.clone();
-        let states = self
+        let merged = self
             .rdd
-            .run_partitions(move |_, chunks| {
-                let mut state = task_agg.initialize();
-                for (_, chunk) in chunks {
+            .aggregate(
+                agg.initialize(),
+                move |mut state, (_, chunk)| {
                     chunk.for_each_valid(|_, v| task_agg.accumulate(&mut state, v));
-                }
-                state
-            })
+                    state
+                },
+                |a, b| agg.merge(a, b),
+            )
             .expect("aggregate job failed");
-        let merged = states
-            .into_iter()
-            .reduce(|a, b| agg.merge(a, b))
-            .unwrap_or_else(|| agg.initialize());
         agg.evaluate(merged)
     }
 

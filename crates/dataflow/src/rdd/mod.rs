@@ -82,13 +82,12 @@ pub trait RddNode<T: Data>: Send + Sync + 'static {
     /// composes without materialising a `Vec` per node; operators that
     /// need their whole input build it and drain it by value.
     fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(T));
-    /// Partition `split` as a shareable block: [`RddNode::compute_into`]
-    /// collected. Identity nodes override this to hand back their
-    /// parent's block without copying.
-    fn compute_arc(&self, split: usize, tc: &TaskContext) -> Arc<Vec<T>> {
-        let mut out = Vec::new();
-        self.compute_into(split, tc, &mut |t| out.push(t));
-        Arc::new(out)
+    /// Partition `split` when it already exists as a block, without
+    /// computing one: identity nodes override this to hand back their
+    /// parent's block — a persisted partition, or an identity's over one.
+    /// `None` by default.
+    fn existing_block(&self, _split: usize, _tc: &TaskContext) -> Option<Arc<Vec<T>>> {
+        None
     }
     /// How this dataset is partitioned by key, when known. Used to detect
     /// co-partitioning and elide shuffles (the paper's local join).
@@ -218,7 +217,7 @@ impl<T: Data> Rdd<T> {
                 return block;
             }
             base.ctx.metrics().add(MetricField::CacheMisses, 1);
-            let data = self.node.compute_arc(split, tc);
+            let data = self.materialise(split, tc);
             let bytes = data.iter().map(MemSize::mem_size).sum();
             // Attribute the block to the computing executor incarnation —
             // and drop it on the floor if that incarnation was killed
@@ -237,7 +236,44 @@ impl<T: Data> Rdd<T> {
             }
             return data;
         }
-        self.node.compute_arc(split, tc)
+        self.materialise(split, tc)
+    }
+
+    /// Partition `split` as a shareable block: the node's existing block,
+    /// else [`RddNode::compute_into`] collected.
+    fn materialise(&self, split: usize, tc: &TaskContext) -> Arc<Vec<T>> {
+        self.node.existing_block(split, tc).unwrap_or_else(|| {
+            let mut out = Vec::new();
+            self.node.compute_into(split, tc, &mut |t| out.push(t));
+            Arc::new(out)
+        })
+    }
+
+    /// Partition `split` when a block of it exists or is due anyway: a
+    /// persisted partition (from the cache, or computed into it now), or an
+    /// identity node over one. `None` when it would be built only to be
+    /// read.
+    pub(crate) fn existing_block(&self, split: usize, tc: &TaskContext) -> Option<Arc<Vec<T>>> {
+        if self.node.base().persist.load(Ordering::Relaxed) {
+            return Some(self.iterator(split, tc));
+        }
+        self.node.existing_block(split, tc)
+    }
+
+    /// What a fold action reads of partition `split`: the existing block,
+    /// lent whole, or else every element streamed into `sink` as the
+    /// lineage produces it, so no partition is materialised to be folded.
+    fn lend_or_stream(
+        &self,
+        split: usize,
+        tc: &TaskContext,
+        sink: &mut dyn FnMut(T),
+    ) -> Option<Arc<Vec<T>>> {
+        let block = self.existing_block(split, tc);
+        if block.is_none() {
+            self.node.compute_into(split, tc, sink);
+        }
+        block
     }
 
     /// Streams partition `split` element-by-element into `sink`.
@@ -258,6 +294,10 @@ impl<T: Data> Rdd<T> {
     }
 
     // ---- Actions -------------------------------------------------------
+    //
+    // `collect` and `run_partitions` need a partition whole and take it as
+    // a block; the fold actions (`count`, `reduce`, `aggregate`) read it
+    // through `lend_or_stream` and hold one element at a time.
 
     /// Materialises the whole dataset on the driver, partitions in order.
     pub fn collect(&self) -> Result<Vec<T>, JobError> {
@@ -267,7 +307,12 @@ impl<T: Data> Rdd<T> {
 
     /// Number of elements.
     pub fn count(&self) -> Result<usize, JobError> {
-        let parts = scheduler::run_job(self, |_, data: Arc<Vec<T>>| data.len())?;
+        let parts = scheduler::submit_tasks(self, |rdd, tc| {
+            let mut n = 0;
+            let block = rdd.lend_or_stream(tc.partition, tc, &mut |_| n += 1);
+            block.map_or(n, |block| block.len())
+        })
+        .wait()?;
         Ok(parts.into_iter().sum())
     }
 
@@ -278,9 +323,20 @@ impl<T: Data> Rdd<T> {
     ) -> Result<Option<T>, JobError> {
         let f = Arc::new(f);
         let g = Arc::clone(&f);
-        let parts = scheduler::run_job(self, move |_, data: Arc<Vec<T>>| {
-            data.iter().cloned().reduce(|a, b| g(a, b))
-        })?;
+        let parts = scheduler::submit_tasks(self, move |rdd, tc| {
+            let mut acc = None;
+            let mut fold = |t| {
+                acc = Some(match acc.take() {
+                    Some(a) => g(a, t),
+                    None => t,
+                })
+            };
+            if let Some(block) = rdd.lend_or_stream(tc.partition, tc, &mut fold) {
+                block.iter().cloned().for_each(fold);
+            }
+            acc
+        })
+        .wait()?;
         Ok(parts.into_iter().flatten().reduce(|a, b| f(a, b)))
     }
 
@@ -296,9 +352,15 @@ impl<T: Data> Rdd<T> {
         A: Clone + Send + Sync + 'static,
     {
         let zero2 = zero.clone();
-        let parts = scheduler::run_job(self, move |_, data: Arc<Vec<T>>| {
-            data.iter().fold(zero2.clone(), &f)
-        })?;
+        let parts = scheduler::submit_tasks(self, move |rdd, tc| {
+            let mut acc = Some(zero2.clone());
+            let mut fold = |t: &T| acc = acc.take().map(|a| f(a, t));
+            if let Some(block) = rdd.lend_or_stream(tc.partition, tc, &mut |t| fold(&t)) {
+                block.iter().for_each(&mut fold);
+            }
+            acc.expect("a fold leaves its accumulator in place")
+        })
+        .wait()?;
         Ok(parts.into_iter().fold(zero, combine))
     }
 
@@ -395,7 +457,8 @@ impl<T: Data> Rdd<T> {
 /// [`Rdd::assert_partitioned`], by `map_values` (whose transformation
 /// cannot move keys), and as the narrow stand-in for a shuffle the planner
 /// elided (`partition_by` onto the partitioner the data already follows).
-/// `iterator` hands back the parent's block by `Arc` — never a deep clone.
+/// Where the parent's block exists it is handed back by `Arc` — never a
+/// deep clone.
 pub(crate) struct PassThroughRdd<T: Data> {
     base: RddBase,
     parent: Rdd<T>,
@@ -429,9 +492,9 @@ impl<T: Data> RddNode<T> for PassThroughRdd<T> {
     fn compute_into(&self, split: usize, tc: &TaskContext, sink: &mut dyn FnMut(T)) {
         self.parent.stream(split, tc, sink);
     }
-    fn compute_arc(&self, split: usize, tc: &TaskContext) -> Arc<Vec<T>> {
+    fn existing_block(&self, split: usize, tc: &TaskContext) -> Option<Arc<Vec<T>>> {
         // Identity: share the parent's block instead of copying it.
-        self.parent.iterator(split, tc)
+        self.parent.existing_block(split, tc)
     }
     fn partitioner_sig(&self) -> Option<PartitionerSig> {
         Some(self.sig)

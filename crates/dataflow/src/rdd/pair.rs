@@ -362,9 +362,9 @@ impl<K: Key, V: Data, C: Data> RddNode<(K, C)> for ShuffledRdd<K, V, C> {
     }
 }
 
-/// A reduce partition as its reader meets it: one slice per map partition,
-/// in map order.
-type BucketsFn<K, V, U> = Arc<dyn Fn(&[&[(K, V)]]) -> Vec<U> + Send + Sync>;
+/// A reduce partition as its reader meets it — one slice per map
+/// partition, in map order — and the sink its output goes to.
+type BucketsFn<K, V, U> = Arc<dyn Fn(&[&[(K, V)]], &mut dyn FnMut(U)) + Send + Sync>;
 
 /// Reduce side of a plain shuffle that is *transformed where it lands*
 /// instead of being concatenated first: the node behind
@@ -400,7 +400,7 @@ impl<K: Key, V: Data, U: Data> RddNode<U> for ShuffleReadRdd<K, V, U> {
         self.dep.fetch_each(split, |block| blocks.push(block));
         let buckets: Vec<&[(K, V)]> = blocks.iter().map(|block| block.as_slice()).collect();
         cancellation_point();
-        (self.f)(&buckets).into_iter().for_each(sink);
+        (self.f)(&buckets, sink);
     }
 }
 
@@ -527,7 +527,9 @@ pub trait PairRdd<K: Key, V: Data> {
     /// slice per map partition, in map order, an empty slice where a map
     /// partition had nothing for it — and no record is cloned on the way.
     /// Where each key's records sit inside a bucket is the order the map
-    /// partition emitted them in.
+    /// partition emitted them in. `f` hands each output to the sink it is
+    /// given as soon as it is built: a fold action over the result then
+    /// holds one output at a time, not the partition's.
     ///
     /// This is the reduce for values that are large and only *read* to be
     /// combined (sorted runs summed into an accumulator): `reduce_by_key`
@@ -539,7 +541,7 @@ pub trait PairRdd<K: Key, V: Data> {
     fn map_shuffled_partitions<U: Data>(
         &self,
         partitioner: Arc<dyn Partitioner<K>>,
-        f: impl Fn(&[&[(K, V)]]) -> Vec<U> + Send + Sync + 'static,
+        f: impl Fn(&[&[(K, V)]], &mut dyn FnMut(U)) + Send + Sync + 'static,
     ) -> Rdd<U>;
 
     /// Merges all values of each key with `f`, combining map-side first.
@@ -605,7 +607,7 @@ impl<K: Key, V: Data> PairRdd<K, V> for Rdd<(K, V)> {
     fn map_shuffled_partitions<U: Data>(
         &self,
         partitioner: Arc<dyn Partitioner<K>>,
-        f: impl Fn(&[&[(K, V)]]) -> Vec<U> + Send + Sync + 'static,
+        f: impl Fn(&[&[(K, V)]], &mut dyn FnMut(U)) + Send + Sync + 'static,
     ) -> Rdd<U> {
         Rdd::from_node(Arc::new(ShuffleReadRdd {
             base: RddBase::new(self.context()),
@@ -687,15 +689,10 @@ impl<K: Key, V: Data> PairRdd<K, V> for Rdd<(K, V)> {
     }
 
     fn map_values<U: Data>(&self, f: impl Fn(V) -> U + Send + Sync + 'static) -> Rdd<(K, U)> {
-        // map_values cannot move keys, so the partitioning survives; model
-        // it with map_partitions to keep the signature.
-        let sig = self.partitioner_sig();
-        let mapped = self.map_partitions(move |data| {
-            data.iter()
-                .map(|(k, v)| (k.clone(), f(v.clone())))
-                .collect()
-        });
-        match sig {
+        // map_values cannot move keys, so the partitioning survives: a
+        // streaming map that moves each pair, re-tagged with the signature.
+        let mapped = self.map(move |(k, v)| (k, f(v)));
+        match self.partitioner_sig() {
             Some(sig) => PassThroughRdd::create(mapped, sig, 0),
             None => mapped,
         }

@@ -234,13 +234,13 @@ impl<T: Data> RddNode<T> for UnionRdd<T> {
             self.right.stream(split - n, tc, sink);
         }
     }
-    fn compute_arc(&self, split: usize, tc: &TaskContext) -> Arc<Vec<T>> {
+    fn existing_block(&self, split: usize, tc: &TaskContext) -> Option<Arc<Vec<T>>> {
         // Identity per partition: share the parent's block.
         let n = self.left.num_partitions();
         if split < n {
-            self.left.iterator(split, tc)
+            self.left.existing_block(split, tc)
         } else {
-            self.right.iterator(split - n, tc)
+            self.right.existing_block(split - n, tc)
         }
     }
 }

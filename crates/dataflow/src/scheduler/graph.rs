@@ -98,7 +98,7 @@ impl Stage {
 /// stage at the end.
 pub(super) fn build_stages<T: Data, R: Send + 'static>(
     rdd: &Rdd<T>,
-    func: impl Fn(usize, Arc<Vec<T>>) -> R + Send + Sync + 'static,
+    task: impl Fn(&Rdd<T>, &TaskContext) -> R + Send + Sync + 'static,
 ) -> Vec<Stage> {
     let deps = topo_shuffle_deps(rdd.lineage());
     let mut by_shuffle: HashMap<usize, usize> = HashMap::new();
@@ -146,10 +146,7 @@ pub(super) fn build_stages<T: Data, R: Send + 'static>(
     let result_idx = stages.len();
     let work: StageWork = {
         let target = rdd.clone();
-        let func = Arc::new(func);
-        Arc::new(move |tc: &TaskContext| {
-            Some(Box::new(func(tc.partition, target.iterator(tc.partition, tc))) as ErasedResult)
-        })
+        Arc::new(move |tc: &TaskContext| Some(Box::new(task(&target, tc)) as ErasedResult))
     };
     let mut result = Stage::new(
         None,

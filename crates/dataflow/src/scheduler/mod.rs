@@ -262,10 +262,22 @@ pub fn submit_job<T: Data, R: Send + 'static>(
     rdd: &Rdd<T>,
     func: impl Fn(usize, Arc<Vec<T>>) -> R + Send + Sync + 'static,
 ) -> JobHandle<R> {
+    submit_tasks(rdd, move |rdd, tc| {
+        func(tc.partition, rdd.iterator(tc.partition, tc))
+    })
+}
+
+/// [`submit_job`] for a task that reads its partition itself: `task` gets
+/// the target dataset and the task's context instead of the materialised
+/// partition, which is how the fold actions stream theirs.
+pub(crate) fn submit_tasks<T: Data, R: Send + 'static>(
+    rdd: &Rdd<T>,
+    task: impl Fn(&Rdd<T>, &TaskContext) -> R + Send + Sync + 'static,
+) -> JobHandle<R> {
     let ctx = rdd.context().clone();
     let job_id = ctx.new_job_id();
 
-    let stages = build_stages(rdd, func);
+    let stages = build_stages(rdd, task);
     let result_idx = stages.len() - 1;
     let num_results = stages[result_idx].num_tasks;
 

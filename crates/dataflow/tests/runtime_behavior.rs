@@ -625,12 +625,12 @@ fn shuffled_partitions_are_read_in_place_in_map_order() {
                     .map(|&x| (x % 8, Counted { map, payload: x }))
                     .collect()
             })
-            .map_shuffled_partitions(Arc::new(ModPartitioner::new(REDUCES)), |buckets| {
+            .map_shuffled_partitions(Arc::new(ModPartitioner::new(REDUCES)), |buckets, emit| {
                 let seen: SeenBuckets = buckets
                     .iter()
                     .map(|bucket| bucket.iter().map(|(k, v)| (*k, v.map, v.payload)).collect())
                     .collect();
-                vec![seen]
+                emit(seen);
             });
         let first = read.collect().unwrap();
         // The map output is committed; a second action reads it again and
@@ -679,12 +679,12 @@ fn a_lost_map_output_under_the_by_reference_reader_reruns_only_that_map() {
     let ctx = SpangleContext::new(2);
     let read = ctx
         .parallelize((0u64..100).map(|i| (i % 4, i)).collect(), 2)
-        .map_shuffled_partitions(Arc::new(HashPartitioner::new(2)), |buckets| {
+        .map_shuffled_partitions(Arc::new(HashPartitioner::new(2)), |buckets, emit| {
             let sums: Vec<u64> = buckets
                 .iter()
                 .map(|bucket| bucket.iter().map(|(_, v)| v).sum())
                 .collect();
-            vec![sums]
+            emit(sums);
         });
     let baseline = read.collect().unwrap();
     assert!(baseline.iter().all(|sums| sums.len() == 2));

@@ -401,6 +401,17 @@ pub fn block_multiply_sparse(
     pairs: &[(&ColumnIndex, &ColumnIndex)],
     acc: &mut SparseAccumulator,
 ) -> Vec<(u32, f64)> {
+    block_multiply_sparse_in(pairs, acc, Vec::with_capacity)
+}
+
+/// [`block_multiply_sparse`] into the empty buffer `buffer(n)` returns for
+/// the block's `n` touched slots — at least the run's length, so the run
+/// never grows it.
+pub(crate) fn block_multiply_sparse_in(
+    pairs: &[(&ColumnIndex, &ColumnIndex)],
+    acc: &mut SparseAccumulator,
+    buffer: impl FnOnce(usize) -> Vec<(u32, f64)>,
+) -> Vec<(u32, f64)> {
     let Some(&(first_a, first_b)) = pairs.first() else {
         return Vec::new();
     };
@@ -425,7 +436,7 @@ pub fn block_multiply_sparse(
         }
     }
     drop(marker);
-    let mut out = Vec::with_capacity(acc.touched_count());
+    let mut out = buffer(acc.touched_count());
     acc.drain_words(|w, word, sums| {
         for_each_bit(word, w * WORD_BITS, &mut |i| {
             let v = std::mem::take(&mut sums[i]);

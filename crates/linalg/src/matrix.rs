@@ -30,33 +30,35 @@
 //! which is how the tailored PageRank and SGD avoid shuffling anything but
 //! tiny partial vectors.
 
-use crate::block::{block_multiply_sparse, block_transpose, ColumnIndex, SparseAccumulator};
+use crate::block::{block_multiply_sparse_in, block_transpose, ColumnIndex, SparseAccumulator};
 use crate::vector::{DenseVector, Orientation};
 use spangle_core::{ArrayBuilder, ArrayMeta, ArrayRdd, Chunk, ChunkPolicy, ColumnWalk};
+use spangle_dataflow::sync::Mutex;
 use spangle_dataflow::{
-    cancellation_point, HashPartitioner, JobError, ModPartitioner, PairRdd, Rdd, SpangleContext,
+    cancellation_point, HashPartitioner, JobError, MemSize, ModPartitioner, PairRdd, Rdd,
+    SpangleContext, SpillCursor,
 };
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 
-/// A distributed block matrix over bitmask chunks.
+/// A distributed block matrix over bitmask chunks. It owns the pool its
+/// products' partial-product runs are drawn from (`RunPool`); clones
+/// share it.
+#[derive(Clone)]
 pub struct DistMatrix {
     array: ArrayRdd<f64>,
-}
-
-impl Clone for DistMatrix {
-    fn clone(&self) -> Self {
-        DistMatrix {
-            array: self.array.clone(),
-        }
-    }
+    runs: Arc<RunPool>,
 }
 
 impl DistMatrix {
     /// Wraps a rank-2 array as a matrix (dim 0 = rows, dim 1 = columns).
     pub fn from_array(array: ArrayRdd<f64>) -> Self {
         assert_eq!(array.meta().rank(), 2, "matrices are rank-2 arrays");
-        DistMatrix { array }
+        DistMatrix {
+            array,
+            runs: Arc::default(),
+        }
     }
 
     /// Generates a matrix from an entry function; `f(r, c)` returning
@@ -74,7 +76,7 @@ impl DistMatrix {
             .policy(policy)
             .ingest(move |c| f(c[0], c[1]).filter(|v| *v != 0.0))
             .build();
-        DistMatrix { array }
+        DistMatrix::from_array(array)
     }
 
     /// Builds from `(row, col, value)` triplets through the distributed
@@ -94,9 +96,8 @@ impl DistMatrix {
             .filter(|&(_, _, v)| v != 0.0)
             .map(|(r, c, v)| (vec![r, c], v))
             .collect();
-        DistMatrix {
-            array: ArrayRdd::from_cells(ctx, meta, policy, cells, num_partitions),
-        }
+        let array = ArrayRdd::from_cells(ctx, meta, policy, cells, num_partitions);
+        DistMatrix::from_array(array)
     }
 
     /// Number of rows.
@@ -246,6 +247,7 @@ impl DistMatrix {
         // receives its terms in a fixed order.
         let out_grid_rows = out_meta.grid_dims()[0] as u64;
         let contraction_meta = (a_meta.clone(), b_meta.clone());
+        let pool = Arc::clone(&self.runs);
         let partials = keyed_a.zip_partitions(&keyed_b, move |a_blocks, b_blocks| {
             let (a_meta, b_meta) = &contraction_meta;
             let a_mapper = a_meta.mapper();
@@ -271,15 +273,13 @@ impl DistMatrix {
                     Some((a_indexed.collect(), b_indexed.collect()))
                 })
                 .collect();
-            contract(&keys, out_grid_rows, false)
+            contract(&keys, out_grid_rows, false, &pool)
         });
         let n_out = self.array.rdd().num_partitions();
         let sig = spangle_dataflow::Partitioner::<u64>::sig(&HashPartitioner::new(n_out));
         let rdd = reduce_partials(&partials, out_meta.clone(), policy, n_out, false)
             .assert_partitioned(sig);
-        DistMatrix {
-            array: ArrayRdd::from_parts(&ctx, out_meta, policy, rdd),
-        }
+        DistMatrix::from_array(ArrayRdd::from_parts(&ctx, out_meta, policy, rdd))
     }
 
     /// Re-partitions this matrix by its *column* (inner, when used as the
@@ -341,9 +341,7 @@ impl DistMatrix {
         // Keys moved: restore the canonical hash layout.
         let n = self.array.rdd().num_partitions();
         let rdd = rdd.partition_by(Arc::new(HashPartitioner::new(n)));
-        DistMatrix {
-            array: ArrayRdd::from_parts(self.context(), out_meta, policy, rdd),
-        }
+        DistMatrix::from_array(ArrayRdd::from_parts(self.context(), out_meta, policy, rdd))
     }
 
     /// Gram matrix `MᵀM` — the transpose-and-multiply benchmark of
@@ -382,8 +380,10 @@ impl DistMatrix {
             .array
             .rdd()
             .map(move |(id, chunk)| (id % gr64, (id / gr64, chunk)));
-        let partials =
-            keyed.map_shuffled_partitions(Arc::new(ModPartitioner::new(n)), move |buckets| {
+        let pool = Arc::clone(&self.runs);
+        let partials = keyed.map_shuffled_partitions(
+            Arc::new(ModPartitioner::new(n)),
+            move |buckets, emit| {
                 let mapper = meta.mapper();
                 let blocks = sorted_by_key(buckets.iter().copied().flatten());
                 let keys: Vec<(Indexed, Indexed)> = blocks
@@ -402,12 +402,13 @@ impl DistMatrix {
                             .unzip()
                     })
                     .collect();
-                contract(&keys, out_grid_rows, true)
-            });
+                contract(&keys, out_grid_rows, true, &pool)
+                    .into_iter()
+                    .for_each(emit);
+            },
+        );
         let rdd = reduce_partials(&partials, out_meta.clone(), policy, n, true);
-        DistMatrix {
-            array: ArrayRdd::from_parts(self.context(), out_meta, policy, rdd),
-        }
+        DistMatrix::from_array(ArrayRdd::from_parts(self.context(), out_meta, policy, rdd))
     }
 
     /// `y = M·x` with a broadcast column vector: every partition sums its
@@ -502,18 +503,15 @@ impl DistMatrix {
     /// Hadamard (element-wise) product; the bitmask AND makes this skip
     /// every pair with an invalid side (Fig. 5's element-wise case).
     pub fn hadamard(&self, other: &DistMatrix) -> DistMatrix {
-        DistMatrix {
-            array: self
-                .array
+        DistMatrix::from_array(
+            self.array
                 .zip_with(&other.array, |a, b| a.zip(b).map(|(x, y)| x * y)),
-        }
+        )
     }
 
     /// Scales every entry.
     pub fn scale(&self, s: f64) -> DistMatrix {
-        DistMatrix {
-            array: self.array.map_values(move |v| v * s),
-        }
+        DistMatrix::from_array(self.array.map_values(move |v| v * s))
     }
 
     fn elementwise(
@@ -521,12 +519,10 @@ impl DistMatrix {
         other: &DistMatrix,
         f: impl Fn(f64, f64) -> f64 + Send + Sync + 'static,
     ) -> DistMatrix {
-        DistMatrix {
-            array: self.array.zip_with(&other.array, move |a, b| {
-                let v = f(a.unwrap_or(0.0), b.unwrap_or(0.0));
-                (v != 0.0).then_some(v)
-            }),
-        }
+        DistMatrix::from_array(self.array.zip_with(&other.array, move |a, b| {
+            let v = f(a.unwrap_or(0.0), b.unwrap_or(0.0));
+            (v != 0.0).then_some(v)
+        }))
     }
 }
 
@@ -561,12 +557,14 @@ type Indexed = Vec<(u64, ColumnIndex)>;
 /// contractions (the `MᵀM` cases that OOM dense systems, §VII-C) stay
 /// proportional to their non-zeros. A block's pairs are listed in key
 /// order, so every cell's terms are added in ascending `k` and the runs are
-/// a fixed function of the layout.
+/// a fixed function of the layout. Each run is written into a buffer from
+/// `pool`.
 fn contract(
     keys: &[(Indexed, Indexed)],
     out_grid_rows: u64,
     upper_triangle: bool,
-) -> Vec<(u64, Vec<(u32, f64)>)> {
+    pool: &Arc<RunPool>,
+) -> Vec<(u64, Run)> {
     let mut by_output: BTreeMap<u64, Vec<(&ColumnIndex, &ColumnIndex)>> = BTreeMap::new();
     for (a_indexed, b_indexed) in keys {
         for (gr, a_index) in a_indexed {
@@ -587,12 +585,98 @@ fn contract(
         // One poll per output block: a straggling or deadlined contraction
         // yields between GEMM kernels rather than finishing the tile walk.
         cancellation_point();
-        let run = block_multiply_sparse(&pairs, &mut acc);
-        if !run.is_empty() {
+        let run = Run {
+            entries: block_multiply_sparse_in(&pairs, &mut acc, |n| pool.buffer(n)),
+            pool: Arc::downgrade(pool),
+        };
+        // An empty run's buffer goes straight back.
+        if !run.entries.is_empty() {
             out.push((out_id, run));
         }
     }
     out
+}
+
+/// The idle buffers of the partial-product runs an operand's products
+/// emitted, sorted by capacity. The shuffle frees a product's runs when the
+/// product is dropped, so without the pool every product would fault its
+/// runs' pages in afresh; with it, the next product refills the same
+/// buffers. A run returns its buffer when dropped ([`Run`]); a fresh buffer
+/// replaces the largest idle one, so the pool holds at most as many
+/// buffers as runs were ever live at once, and dropping the operand (with
+/// every product built on it) frees it.
+#[derive(Default)]
+struct RunPool {
+    idle: Mutex<Vec<Vec<(u32, f64)>>>,
+    /// Buffers allocated because no idle one fitted.
+    fresh: AtomicUsize,
+}
+
+impl RunPool {
+    /// The smallest idle buffer that holds `n` entries, else a fresh one.
+    fn buffer(&self, n: usize) -> Vec<(u32, f64)> {
+        let mut idle = self.idle.lock();
+        let fit = idle.partition_point(|buf| buf.capacity() < n);
+        if fit < idle.len() {
+            return idle.remove(fit);
+        }
+        // None fits: the largest idle buffer makes way for the fresh one.
+        idle.pop();
+        self.fresh.fetch_add(1, Ordering::Relaxed);
+        Vec::with_capacity(n)
+    }
+
+    fn give_back(&self, mut buf: Vec<(u32, f64)>) {
+        buf.clear();
+        let mut idle = self.idle.lock();
+        let at = idle.partition_point(|idle| idle.capacity() < buf.capacity());
+        idle.insert(at, buf);
+    }
+}
+
+/// One output block's partial product as it crosses the shuffle: its sorted
+/// `(local offset, value)` entries, in a buffer drawn from the computing
+/// operand's [`RunPool`], which gets it back when the run drops. A clone,
+/// or a run decoded from the spill tier, owns its buffer and frees it. Its
+/// size and spill encoding are exactly those of its entries' `Vec`.
+struct Run {
+    entries: Vec<(u32, f64)>,
+    pool: Weak<RunPool>,
+}
+
+impl Drop for Run {
+    fn drop(&mut self) {
+        if let Some(pool) = self.pool.upgrade() {
+            pool.give_back(std::mem::take(&mut self.entries));
+        }
+    }
+}
+
+impl Clone for Run {
+    fn clone(&self) -> Self {
+        Run {
+            entries: self.entries.clone(),
+            pool: Weak::new(),
+        }
+    }
+}
+
+impl MemSize for Run {
+    fn mem_size(&self) -> usize {
+        self.entries.mem_size()
+    }
+    fn spillable() -> bool {
+        true
+    }
+    fn spill_encode(&self, out: &mut Vec<u8>) {
+        self.entries.spill_encode(out);
+    }
+    fn spill_decode(input: &mut SpillCursor<'_>) -> Option<Self> {
+        Some(Run {
+            entries: Vec::spill_decode(input)?,
+            pool: Weak::new(),
+        })
+    }
 }
 
 /// The reduce stage: the shuffled runs are read where the map side left
@@ -607,8 +691,12 @@ fn contract(
 /// ascending contraction index inside a map partition, then map-partition
 /// order — and a partial cancels to zero in one exactly when it does in the
 /// other.
+///
+/// Each block goes to the sink as soon as it is built, then its mirror: a
+/// fold over the product holds two blocks at a time, and the next block's
+/// buffers reuse the pages the last one freed.
 fn reduce_partials(
-    partials: &Rdd<(u64, Vec<(u32, f64)>)>,
+    partials: &Rdd<(u64, Run)>,
     out_meta: Arc<ArrayMeta>,
     policy: ChunkPolicy,
     num_partitions: usize,
@@ -617,18 +705,17 @@ fn reduce_partials(
     let out_grid_rows = out_meta.grid_dims()[0] as u64;
     partials.map_shuffled_partitions(
         Arc::new(HashPartitioner::new(num_partitions)),
-        move |buckets| {
+        move |buckets, emit| {
             let mapper = out_meta.mapper();
             // Stable: a block's runs keep their bucket (= map) order.
             let mut runs: Vec<_> = buckets.iter().flat_map(|bucket| bucket.iter()).collect();
             runs.sort_by_key(|(id, _)| *id);
             let mut acc = SparseAccumulator::default();
-            let mut out = Vec::new();
             for block_runs in runs.chunk_by(|a, b| a.0 == b.0) {
                 cancellation_point();
                 let id = block_runs[0].0;
                 acc.fit(mapper.chunk_volume(id));
-                acc.add_runs(block_runs.iter().map(|(_, run)| run.as_slice()));
+                acc.add_runs(block_runs.iter().map(|(_, run)| run.entries.as_slice()));
                 let Some(chunk) = acc.take_chunk(&policy) else {
                     continue;
                 };
@@ -639,10 +726,9 @@ fn reduce_partials(
                         .expect("transposing a non-empty block yields a non-empty block");
                     (gc + gr * out_grid_rows, t)
                 });
-                out.push((id, chunk));
-                out.extend(mirrored);
+                emit((id, chunk));
+                mirrored.into_iter().for_each(&mut *emit);
             }
-            out
         },
     )
 }
@@ -932,5 +1018,105 @@ mod tests {
             nnz <= 8,
             "rows 2..4 are zero and must not be stored, nnz={nnz}"
         );
+    }
+
+    /// 96², 6 % dense, 16² blocks: 36 blocks, several runs per partition.
+    fn pooled_mat(ctx: &SpangleContext) -> DistMatrix {
+        let m = DistMatrix::generate(ctx, 96, 96, (16, 16), ChunkPolicy::default(), |r, c| {
+            ((r * 7 + c * 13) % 17 == 0).then_some((r + 2 * c + 1) as f64)
+        });
+        m.persist();
+        m
+    }
+
+    fn bits(m: &DistMatrix) -> Vec<u64> {
+        m.to_local()
+            .unwrap()
+            .into_iter()
+            .map(f64::to_bits)
+            .collect()
+    }
+
+    fn idle_runs(m: &DistMatrix) -> usize {
+        m.runs.idle.lock().len()
+    }
+
+    /// Pinned unbounded: the suite also runs with a low watermark in the
+    /// environment, and a spilled run hands its buffer back mid-product.
+    fn unspilled_ctx() -> SpangleContext {
+        SpangleContext::builder()
+            .executors(2)
+            .memory_high_watermark_bytes(usize::MAX)
+            .build()
+    }
+
+    #[test]
+    fn a_repeated_gram_refills_the_runs_the_first_one_freed() {
+        let ctx = unspilled_ctx();
+        let m = pooled_mat(&ctx);
+        let first = bits(&m.gram());
+        let fresh = m.runs.fresh.load(Ordering::Relaxed);
+        assert!(fresh > 0 && idle_runs(&m) == fresh, "every run came back");
+        let second = bits(&m.gram());
+        assert_eq!(
+            m.runs.fresh.load(Ordering::Relaxed),
+            fresh,
+            "no fresh run buffer"
+        );
+        assert!(second == first, "a refilled run changed the product's bits");
+        assert!(
+            bits(&pooled_mat(&ctx).gram()) == first,
+            "a fresh operand disagrees"
+        );
+    }
+
+    #[test]
+    fn a_run_takes_the_smallest_idle_buffer_and_a_fresh_one_replaces_the_largest() {
+        let pool = RunPool::default();
+        pool.give_back(Vec::with_capacity(8));
+        pool.give_back(Vec::with_capacity(4));
+        assert_eq!(pool.buffer(3).capacity(), 4);
+        pool.give_back(Vec::with_capacity(4));
+        assert_eq!(pool.buffer(16).capacity(), 16);
+        let idle: Vec<usize> = pool.idle.lock().iter().map(Vec::capacity).collect();
+        assert_eq!(idle, [4], "the 8-entry buffer made way for the fresh one");
+        assert_eq!(pool.fresh.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn spilled_runs_keep_the_pool_within_one_products_runs() {
+        let m = pooled_mat(&unspilled_ctx());
+        m.gram().nnz().unwrap();
+        let runs_per_product = idle_runs(&m);
+
+        let ctx = SpangleContext::builder()
+            .executors(2)
+            .memory_high_watermark_bytes(16 << 10)
+            .build();
+        let m = pooled_mat(&ctx);
+        for call in 0..8 {
+            m.gram().nnz().unwrap();
+            assert!(
+                idle_runs(&m) <= runs_per_product,
+                "call {call}: {}",
+                idle_runs(&m)
+            );
+        }
+        assert!(ctx.metrics_snapshot().blocks_spilled > 0, "nothing spilled");
+    }
+
+    #[test]
+    fn the_pool_goes_with_the_operand_and_its_products() {
+        let ctx = ctx();
+        let m = pooled_mat(&ctx);
+        let pool = Arc::downgrade(&m.runs);
+        let product = m.gram();
+        let clone = m.clone();
+        drop(m);
+        product.nnz().unwrap();
+        drop(product);
+        assert!(pool.upgrade().is_some(), "a clone shares the pool");
+        drop(clone);
+        assert!(pool.upgrade().is_none(), "the pool outlived its operand");
     }
 }

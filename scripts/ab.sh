@@ -17,7 +17,8 @@
 # run's working directory is the work directory, so the benchmark's temp
 # files land there too: nothing is written inside the repository. Pairs
 # alternate which side runs first. Prints one line per run (side,
-# workload, failed ops, the five end-to-end metrics), then per workload
+# workload, failed ops, the five end-to-end metrics, and the run's minor
+# page faults `minflt` and system CPU seconds `sys_s`), then per workload
 # each metric's median per side with its quartiles [q1, q3] (the exclusive
 # method, as `benchmark compare` computes them), marked `unresolved` when
 # either side's spread (q3 − q1 over the median) is wider than the
@@ -30,6 +31,12 @@
 # the first run it stamps what drifts between boxes: both commits, the
 # core count, the CPU model and the filesystem type of the temp directory
 # (where the spill tier writes).
+#
+# `minflt` and `sys_s` are what the whole run cost — set-up, oracle and
+# ops alike, not the ops alone: the growth across the run of this shell's
+# `cminflt` and `cstime` (fields 11 and 17 of /proc/$$/stat, which count
+# the children it has waited for; `cstime` over `getconf CLK_TCK`). They
+# are printed as medians [q1, q3] per side, without a bound.
 set -euo pipefail
 
 [ $# -ge 2 ] || { awk 'NR > 1 && !/^#/ { exit } NR > 1 { sub(/^# ?/, ""); print }' "$0"; exit 2; }
@@ -39,6 +46,8 @@ pairs=${3:-5}
 seed=${4:-11}
 seconds=${5:-8}
 metrics=(setup_s op_p10_ms peak_rss_bytes resident_peak_bytes moved_bytes_per_op)
+counts=(minflt sys_s)
+clk_tck=$(getconf CLK_TCK)
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 work=${AB_WORK:-$(mktemp -d)}
@@ -70,18 +79,34 @@ checksums="$work/checksums.txt"
 : >"$results"
 : >"$checksums"
 
+# Sets child_minflt and child_ticks to this shell's cminflt and cstime:
+# fields 11 and 17 of /proc/$$/stat, counted after the `)` that closes the
+# command name (which may hold spaces). Builtins only, so reading them
+# starts no child of its own.
+read_child_usage() {
+    local stat fields
+    read -r stat <"/proc/$$/stat"
+    read -r -a fields <<<"${stat##*) }"
+    child_minflt=${fields[8]} child_ticks=${fields[14]}
+}
+
 # Runs one side once, appends its metrics to the results and its checksum
 # to the checksums.
 run_one() {
-    local side=$1 workload=$2 output line values checksum
+    local side=$1 workload=$2 output line values checksum minflt ticks
+    read_child_usage
+    minflt=$child_minflt ticks=$child_ticks
     output=$(cd "$work" && "$work/$side-build/release/spangle_benchmark" \
         --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0)
+    read_child_usage
     line=$(tail -n 1 <<<"$output")
     checksum=$(sed -n '/^checksum: /{s///p;q;}' <<<"$output")
     values="failed=$(sed -E 's/.*"failed":([^,}]+).*/\1/' <<<"$line")"
     for m in "${metrics[@]}"; do
         values+=" $m=$(sed -E "s/.*\"$m\":\\{\"value\":([^,}]+).*/\\1/" <<<"$line")"
     done
+    values+=" minflt=$((child_minflt - minflt))"
+    values+=" sys_s=$(awk -v t=$((child_ticks - ticks)) -v hz="$clk_tck" 'BEGIN { printf "%.2f", t / hz }')"
     echo "$side $workload $values" | tee -a "$results"
     echo "$side $workload checksum: $checksum" | tee -a "$checksums"
 }
@@ -98,7 +123,7 @@ bounds=$(awk -F'"' '/"name":/ { name = $4 } /"bound":/ { b = $3; gsub(/[^0-9.]/,
     "$repo/BENCHMARK.json")
 
 echo "== medians [q1, q3] (parent → change)"
-awk -v names="${metrics[*]}" -v bounds="$bounds" '
+awk -v names="${metrics[*]}" -v counts="${counts[*]}" -v bounds="$bounds" '
     function sorted(list, a,    n, i, j, t) {
         n = split(list, a, " ")
         for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] + 0 > a[j] + 0; j--) {
@@ -159,6 +184,14 @@ awk -v names="${metrics[*]}" -v bounds="$bounds" '
                     chigh + 0 >= plow + 0
                 printf "  %-20s %s → %s (%+.1f %%)%s\n", metric[i], ps, cs,
                     p != 0 ? 100 * (c - p) / p : 0, wide ? "  unresolved" : ""
+            }
+            nk = split(counts, count, " ")
+            for (i = 1; i <= nk; i++) {
+                p = median(runs["parent", wl, count[i]])
+                c = median(runs["change", wl, count[i]])
+                printf "  %-20s %s → %s (%+.1f %%), whole runs\n", count[i],
+                    summary(runs["parent", wl, count[i]]), summary(runs["change", wl, count[i]]),
+                    p != 0 ? 100 * (c - p) / p : 0
             }
             np = split(runs["parent", wl, "op_p10_ms"], pv, " ")
             nc = split(runs["change", wl, "op_p10_ms"], cv, " ")
