@@ -107,8 +107,6 @@ fn op_json(op: &str, wall: Duration, delta: &MetricsSnapshot, report: Option<&Jo
             "queue_wait_ms",
             Json::F64(report.map_or(0.0, |r| r.queue_wait_nanos as f64 / 1e6)),
         ),
-        ("tasks_speculated", Json::U64(delta.tasks_speculated)),
-        ("speculation_wins", Json::U64(delta.speculation_wins)),
         ("tasks_cancelled", Json::U64(delta.tasks_cancelled)),
     ])
 }
@@ -362,10 +360,6 @@ fn main() {
             "   planner so far: {} narrow chains fused, {} shuffles elided",
             snap.stages_fused, snap.shuffles_elided,
         );
-        println!(
-            "   duplicates so far: {} launched / {} won / {} cancelled, {} watchdog trips",
-            snap.tasks_speculated, snap.speculation_wins, snap.tasks_cancelled, snap.watchdog_trips,
-        );
         json_workloads.push(Json::obj(vec![
             ("name", Json::Str(w.name.into())),
             ("rows", Json::U64(w.rows as u64)),
@@ -406,7 +400,6 @@ fn main() {
             ("blocks_spilled", Json::U64(final_snap.blocks_spilled)),
             ("blocks_rehydrated", Json::U64(final_snap.blocks_rehydrated)),
             ("spill_bytes", Json::U64(final_snap.spill_bytes)),
-            ("watchdog_trips", Json::U64(final_snap.watchdog_trips)),
             ("workloads", Json::Arr(json_workloads)),
         ]),
     );

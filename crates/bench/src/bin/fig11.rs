@@ -152,10 +152,6 @@ fn main() {
             "   planner: {} narrow chains fused, {} shuffles elided",
             c.stages_fused, c.shuffles_elided,
         );
-        println!(
-            "   duplicates: {} launched / {} won / {} cancelled, {} watchdog trips",
-            c.tasks_speculated, c.speculation_wins, c.tasks_cancelled, c.watchdog_trips,
-        );
         if let Some(longest) = reports.iter().max_by_key(|r| r.wall_nanos) {
             println!("   slowest job: {longest}");
         }
@@ -180,10 +176,7 @@ fn main() {
             ),
             ("stages_fused", Json::U64(c.stages_fused)),
             ("shuffles_elided", Json::U64(c.shuffles_elided)),
-            ("tasks_speculated", Json::U64(c.tasks_speculated)),
-            ("speculation_wins", Json::U64(c.speculation_wins)),
             ("tasks_cancelled", Json::U64(c.tasks_cancelled)),
-            ("watchdog_trips", Json::U64(c.watchdog_trips)),
             ("blocks_spilled", Json::U64(run_delta.blocks_spilled)),
             ("blocks_rehydrated", Json::U64(run_delta.blocks_rehydrated)),
             ("spill_bytes", Json::U64(run_delta.spill_bytes)),
@@ -251,7 +244,6 @@ fn main() {
             ("blocks_spilled", Json::U64(final_snap.blocks_spilled)),
             ("blocks_rehydrated", Json::U64(final_snap.blocks_rehydrated)),
             ("spill_bytes", Json::U64(final_snap.spill_bytes)),
-            ("watchdog_trips", Json::U64(final_snap.watchdog_trips)),
             ("graphs", Json::Arr(json_graphs)),
         ]),
     );

@@ -705,33 +705,68 @@ mod tests {
         assert_eq!(arr.count_valid().unwrap(), 16 * 64);
     }
 
-    /// Bugfix regression: the generator stamped no progress, so a partition
-    /// whose ingest was merely slow looked wedged to the no-progress
-    /// watchdog (and could not be cancelled until it returned).
+    /// A job abort stops a running ingest at its next chunk boundary, not
+    /// at the end of its partition. Whichever partition's generator is
+    /// called first spins until its task is cancelled, then counts its
+    /// further calls; the other partition's fails, and with one attempt
+    /// per task that aborts the job. The cancelled generator finishes the
+    /// one-row chunk it was in — three more cells — and is not called
+    /// again.
     #[test]
-    fn slow_ingest_over_many_chunks_trips_no_watchdog() {
+    fn an_abort_stops_a_running_ingest_at_its_next_chunk_boundary() {
+        use spangle_dataflow::{is_task_cancelled, submit_job};
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        use std::sync::OnceLock;
         use std::time::Duration;
+
         let ctx = SpangleContext::builder()
             .executors(2)
-            .watchdog_interval(Duration::from_millis(200))
+            .max_task_attempts(1)
             .build();
-        let before = ctx.metrics_snapshot();
-        // 320 one-row chunks over two partitions, 5 ms of modelled ingest
-        // cost per chunk: each generator lives ≈ 0.8 s — four watchdog
-        // intervals — while reaching a chunk boundary every 5 ms.
-        let arr = ArrayBuilder::new(&ctx, ArrayMeta::new(vec![320, 2], vec![1, 2]))
+        let spinner = Arc::new(OnceLock::new());
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let calls_after = Arc::new(AtomicUsize::new(0));
+        let (first, seen, after) = (spinner.clone(), cancelled.clone(), calls_after.clone());
+        // 64 chunks of one four-cell row each, over two partitions.
+        let arr = ArrayBuilder::new(&ctx, ArrayMeta::new(vec![64, 4], vec![1, 4]))
             .num_partitions(2)
-            .ingest(|c| {
-                if c[1] == 0 {
-                    std::thread::sleep(Duration::from_millis(5));
+            .ingest(move |_| {
+                let me = std::thread::current().id();
+                assert_eq!(*first.get_or_init(|| me), me, "the other partition fails");
+                if seen.load(Ordering::SeqCst) {
+                    after.fetch_add(1, Ordering::SeqCst);
+                } else {
+                    while !is_task_cancelled() {
+                        std::hint::spin_loop();
+                    }
+                    seen.store(true, Ordering::SeqCst);
                 }
                 Some(1.0f64)
             })
             .build();
-        assert_eq!(arr.count_valid().unwrap(), 640);
-        let delta = ctx.metrics_snapshot() - before;
-        assert_eq!(delta.watchdog_trips, 0, "a clean run tripped: {delta:?}");
-        assert_eq!(delta.tasks_speculated, 0);
+        assert!(arr.count_valid().is_err(), "the failing partition aborts");
+
+        // One task per executor, and a lone queued task is never stolen:
+        // the barrier runs only once the cancelled ingest stopped.
+        let barrier = ctx.parallelize(vec![0u64, 1], 2);
+        let mut handle = submit_job(&barrier, |_, data: Arc<Vec<u64>>| data.len());
+        let freed = handle
+            .wait_timeout(Duration::from_secs(30))
+            .map(|outcome| outcome.expect("the barrier must not abort"));
+        assert_eq!(
+            freed,
+            Some(vec![1, 1]),
+            "the cancelled ingest held its executor"
+        );
+        assert!(
+            cancelled.load(Ordering::SeqCst),
+            "the spinner saw the abort"
+        );
+        assert_eq!(
+            calls_after.load(Ordering::SeqCst),
+            3,
+            "the rest of its chunk, and no further chunk"
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Driver cost per task event: a one-stage `parallelize(..).map(..).count()`
-//! of 8 … 8 192 tasks on a default two-executor context (the watchdog
-//! polls while a stage runs), best and median of 7 runs each.
+//! of 8 … 8 192 tasks on a default two-executor context, best and median
+//! of 7 runs each.
 //!
 //! Task bodies are empty, so the reading is the scheduler's own work per
 //! task: launch, one event, the slot's transition. It should stay flat as
-//! the stage grows — the driver's watchdog scan runs per tick, not per
-//! event (EXPERIMENTS.md, "Driver events").
+//! the stage grows — the driver has no timer and does O(1) work per event
+//! (EXPERIMENTS.md, "Driver events").
 //!
 //! ```text
 //! cargo run --release -p spangle-dataflow --example many_tasks
@@ -37,7 +37,7 @@ fn main() {
     }
     let snap = ctx.metrics_snapshot();
     println!(
-        "speculated {} watchdog trips {} retries {}",
-        snap.tasks_speculated, snap.watchdog_trips, snap.task_retries
+        "retries {} cancelled {}",
+        snap.task_retries, snap.tasks_cancelled
     );
 }

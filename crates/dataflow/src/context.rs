@@ -12,10 +12,8 @@ use crate::scheduler::SchedulerService;
 use crate::shuffle::ShuffleService;
 use crate::spill::SpillStore;
 use crate::Data;
-use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Shared state of one simulated cluster.
 pub(crate) struct ContextInner {
@@ -49,14 +47,12 @@ pub struct SpangleContext {
 ///
 /// ```
 /// use spangle_dataflow::SpangleContext;
-/// use std::time::Duration;
 ///
 /// let ctx = SpangleContext::builder()
 ///     .executors(4)
 ///     .max_task_attempts(2)
 ///     .max_resubmissions(8)
 ///     .memory_high_watermark_bytes(64 << 20)
-///     .watchdog_interval(Duration::from_secs(5))
 ///     .build();
 /// assert_eq!(ctx.num_executors(), 4);
 /// assert_eq!(ctx.max_task_attempts(), 2);
@@ -72,9 +68,6 @@ pub struct SpangleContextBuilder {
     /// Resident cache + shuffle bytes above which cold blocks spill to
     /// disk.
     memory_high_watermark_bytes: usize,
-    /// How long a running task's executor may go without a progress tick
-    /// before the driver duplicates the task.
-    pub(crate) watchdog_interval: Duration,
 }
 
 impl Default for SpangleContextBuilder {
@@ -89,14 +82,6 @@ impl Default for SpangleContextBuilder {
             // (it is applied after this default).
             memory_high_watermark_bytes: env_parse("SPANGLE_MEMORY_WATERMARK_BYTES")
                 .unwrap_or(usize::MAX),
-            // Progress is body-driven, so the margin must clear long
-            // compute kernels: 10 s. The `health` CI step tightens it via
-            // `SPANGLE_WATCHDOG_MS`; a malformed or zero value warns once
-            // and the default stands.
-            watchdog_interval: env_parse::<NonZeroU64>("SPANGLE_WATCHDOG_MS")
-                .map_or(Duration::from_secs(10), |ms| {
-                    Duration::from_millis(ms.get())
-                }),
         }
     }
 }
@@ -134,20 +119,6 @@ impl SpangleContextBuilder {
     /// the watermark never holds back a job.
     pub fn memory_high_watermark_bytes(mut self, bytes: usize) -> Self {
         self.memory_high_watermark_bytes = bytes;
-        self
-    }
-
-    /// No-progress watchdog: a running task whose executor's
-    /// chunk-boundary progress counter has not moved for this long is
-    /// duplicated on another executor, and the first completion wins
-    /// (default 10 s; the `SPANGLE_WATCHDOG_MS` environment variable
-    /// overrides the default, an explicit call here wins).
-    pub fn watchdog_interval(mut self, interval: Duration) -> Self {
-        assert!(
-            !interval.is_zero(),
-            "a zero watchdog would duplicate every task"
-        );
-        self.watchdog_interval = interval;
         self
     }
 

@@ -4,8 +4,9 @@
 //! invalid value is never silently ignored: the first time a malformed
 //! knob is seen, one warning goes to stderr naming the variable, the
 //! rejected value, and the default that will be used instead. (Silently
-//! falling back used to turn a typo like `SPANGLE_WATCHDOG_MS=abc` into a
-//! whole CI leg running at defaults while claiming otherwise.)
+//! falling back would turn a typo like
+//! `SPANGLE_MEMORY_WATERMARK_BYTES=abc` into a whole CI leg running at
+//! defaults while claiming otherwise.)
 
 use crate::sync::Mutex;
 use std::collections::HashSet;

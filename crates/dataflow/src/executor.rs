@@ -37,7 +37,6 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Cooperative cancellation handle shared between a task attempt and the
 /// scheduler that may want to interrupt it.
@@ -64,12 +63,6 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::SeqCst)
     }
-
-    /// Whether two handles share one underlying token — i.e. name the
-    /// same executor task.
-    pub(crate) fn same(&self, other: &CancelToken) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
 }
 
 /// Panic payload raised by [`cancellation_point`] when the running task's
@@ -82,21 +75,6 @@ pub struct CancelledError;
 thread_local! {
     /// Token of the task currently executing on this worker thread, if any.
     static CURRENT_TOKEN: RefCell<Option<CancelToken>> = const { RefCell::new(None) };
-    /// Health slot of the executor this worker thread serves, installed
-    /// once at thread start so chunk-boundary instrumentation can stamp
-    /// progress without reaching for the pool.
-    static CURRENT_HEALTH: RefCell<Option<(Arc<[ExecutorSlot]>, usize)>> =
-        const { RefCell::new(None) };
-}
-
-/// Stamps a chunk-boundary progress tick for the executor running this
-/// thread. No-op on driver threads.
-fn stamp_progress_tick() {
-    CURRENT_HEALTH.with(|slot| {
-        if let Some((slots, executor)) = slot.borrow().as_ref() {
-            slots[*executor].stamp_progress();
-        }
-    });
 }
 
 /// Whether the task running on the current thread has been cancelled.
@@ -112,12 +90,9 @@ pub fn is_task_cancelled() -> bool {
 /// A cooperative cancellation point: panics with a [`CancelledError`]
 /// payload when the current task's token was cancelled, and is a cheap
 /// no-op otherwise. Operator loops call this at chunk boundaries so a
-/// kill, job abort or lost duplicate race interrupts a *running* task
-/// body instead of waiting it out. Each call also stamps
-/// a progress tick on the executor's health slot, which is what the
-/// driver's no-progress watchdog watches.
+/// kill or a job abort interrupts a *running* task body instead of
+/// waiting it out.
 pub fn cancellation_point() {
-    stamp_progress_tick();
     if is_task_cancelled() {
         std::panic::panic_any(CancelledError);
     }
@@ -125,7 +100,7 @@ pub fn cancellation_point() {
 
 /// Installs (once, process-wide) a panic hook that swallows the default
 /// "thread panicked" report for [`CancelledError`] unwinds. Cancellation
-/// is normal control flow — a duplicate-race loser or an aborted job's task
+/// is normal control flow — an aborted job's or a killed executor's task
 /// stopping early — and the worker catches the unwind anyway, so printing
 /// a backtrace per cancelled task would just flood stderr. Every other
 /// panic still goes to the previously installed hook.
@@ -166,20 +141,6 @@ impl CancelGauge {
             cancellation_point();
         }
     }
-}
-
-/// What an executor is running right now, as the scheduler's watchdog
-/// scan sees it ([`ExecutorPool::executing`]).
-#[derive(Debug)]
-pub struct Executing {
-    /// Token of the running task.
-    pub token: CancelToken,
-    /// When the body started: the run stamp keeps queue time out of the
-    /// watchdog's frozen interval (a task parked behind a stuck one is
-    /// not itself stuck).
-    pub since: Instant,
-    /// The executor's progress-tick count.
-    pub progress: u64,
 }
 
 /// Where a task was placed and where it actually ran.
@@ -263,7 +224,7 @@ struct PlacedTask {
     run: Task,
     /// Token the worker installs for the duration of the task body, so
     /// `cancellation_point()` inside the closure observes driver-side
-    /// cancellations (kill, abort, lost duplicate race).
+    /// cancellations (kill, abort).
     token: Option<CancelToken>,
 }
 
@@ -271,14 +232,9 @@ struct PlacedTask {
 pub struct ExecutorPool {
     queues: Arc<StealQueues<PlacedTask>>,
     /// One [`ExecutorSlot`] per executor — incarnation, running task,
-    /// counters, progress — shared with the worker threads and read by
-    /// the driver's straggler scan.
+    /// counters — shared with the worker threads.
     slots: Arc<[ExecutorSlot]>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Calls of [`ExecutorPool::executing`], the scheduler's only look at
-    /// running tasks: its scan-count regression test reads this.
-    #[cfg(test)]
-    pub(crate) looks: std::sync::atomic::AtomicU64,
 }
 
 impl ExecutorPool {
@@ -296,10 +252,6 @@ impl ExecutorPool {
                 .name(format!("spangle-executor-{i}"))
                 .spawn(move || {
                     let slot = &slots[i];
-                    // Install this worker's slot so chunk-boundary
-                    // instrumentation (cancellation_point) can stamp
-                    // progress from inside task bodies.
-                    CURRENT_HEALTH.with(|tls| *tls.borrow_mut() = Some((Arc::clone(&slots), i)));
                     loop {
                         let (task, stolen) = match queues.next(i) {
                             Next::Local(task) => (task, false),
@@ -333,8 +285,6 @@ impl ExecutorPool {
             queues,
             slots,
             handles: Mutex::new(handles),
-            #[cfg(test)]
-            looks: Default::default(),
         }
     }
 
@@ -406,26 +356,6 @@ impl ExecutorPool {
         self.queues.push(executor, placed).map_err(|_| PoolShutdown)
     }
 
-    /// Queued (not yet started) tasks per executor, indexed by executor id.
-    /// Racy; used by the driver to pick an idle slot for a watchdog
-    /// duplicate.
-    pub fn queue_lens(&self) -> Vec<usize> {
-        (0..self.num_executors())
-            .map(|e| self.queues.len(e))
-            .collect()
-    }
-
-    /// What each executor is executing right now, indexed by executor id
-    /// (`None` for an idle executor, or one running an untokened task).
-    /// Racy like [`ExecutorPool::queue_lens`] — a completion can slip in
-    /// after the look — but a straggler stays put, which is what the
-    /// scheduler's straggler scan needs this for.
-    pub fn executing(&self) -> Vec<Option<Executing>> {
-        #[cfg(test)]
-        self.looks.fetch_add(1, Ordering::Relaxed);
-        self.slots.iter().map(ExecutorSlot::executing).collect()
-    }
-
     /// Whether [`ExecutorPool::shutdown`] has run.
     pub fn is_shut_down(&self) -> bool {
         self.queues.is_closed()
@@ -486,7 +416,7 @@ mod tests {
     use crate::sync::channel::unbounded;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn unstolen_tasks_run_on_their_assigned_executor() {

@@ -7,18 +7,14 @@
 //! an executor finishes its Nth task, taking that task's attempt and every
 //! block of the dead incarnation with it); dropping individual cached
 //! blocks is done directly through [`crate::cache::BlockManager::evict`].
-//!
-//! A further injection models the *silent* failure mode — the kind the
-//! driver must detect on its own rather than be handed an error for:
-//! [`FailureInjector::stall_progress`] makes an attempt spin without
-//! ticking progress (stuck, the no-progress watchdog's prey).
+//! Every injected failure is announced: the scheduler is handed an error
+//! or a loss, never left to notice on its own.
 
 use crate::context::SpangleContext;
-use crate::executor::{is_task_cancelled, CancelledError, TaskInfo};
+use crate::executor::TaskInfo;
 use crate::scheduler::TaskError;
 use crate::sync::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::time::Duration;
 
 /// Identifies a schedulable task: the RDD whose partition the task produces
 /// (for result stages) or the shuffle map side's parent RDD (for shuffle
@@ -37,40 +33,24 @@ pub struct TaskSite {
 pub(crate) enum Fault {
     /// Fail at once with [`TaskError::Injected`].
     Fail,
-    /// Spin without ticking progress, until cancelled: stuck, yet never
-    /// announcing it.
-    Stall,
 }
 
 impl Fault {
-    /// Plays the fault out on the executor thread that drew it. `Fail`
-    /// returns its error; the stall ends only by unwinding with
-    /// [`CancelledError`] once the driver's watchdog duplicate wins (or an
-    /// abort or a kill) and cancels the attempt.
+    /// Plays the fault out on the executor thread that drew it: the error
+    /// the attempt reports.
     pub(crate) fn play(self) -> TaskError {
         match self {
             Fault::Fail => TaskError::Injected,
-            Fault::Stall => loop {
-                // Deliberately NOT cancellation_point(): that would tick
-                // progress and hide the stall from the watchdog.
-                if is_task_cancelled() {
-                    std::panic::panic_any(CancelledError);
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            },
         }
     }
 }
-
-/// One-shot faults armed on a task site: attempts left to play each
-/// [`Fault`], indexed by it.
-type SiteFaults = [usize; 2];
 
 /// Every armed fault. An entry exists only while something in it is armed,
 /// so "drained" is "both maps empty".
 #[derive(Default)]
 struct Armed {
-    sites: HashMap<TaskSite, SiteFaults>,
+    /// Attempts left to fail, per task site.
+    sites: HashMap<TaskSite, usize>,
     /// Remaining site-independent failures (first attempts only).
     any: usize,
     /// Armed kills per executor: each entry is a countdown of tasks until
@@ -96,16 +76,6 @@ pub struct FailureInjector {
 }
 
 impl FailureInjector {
-    /// Arms `times` more attempts of a site to play `fault`.
-    fn arm_site(&self, rdd_id: usize, partition: usize, times: usize, fault: Fault) {
-        if times > 0 {
-            let mut armed = self.armed.lock();
-            let site = TaskSite { rdd_id, partition };
-            let left = &mut armed.sites.entry(site).or_default()[fault as usize];
-            *left = left.saturating_add(times);
-        }
-    }
-
     /// Makes the next `times` attempts of the task computing `partition` of
     /// `rdd_id` fail with [`crate::TaskError::Injected`].
     ///
@@ -119,7 +89,14 @@ impl FailureInjector {
     /// separate sites — use [`FailureInjector::fail_next_tasks`] to kill
     /// tasks without knowing the plan.
     pub fn fail_task(&self, rdd_id: usize, partition: usize, times: usize) {
-        self.arm_site(rdd_id, partition, times, Fault::Fail);
+        if times > 0 {
+            let mut armed = self.armed.lock();
+            let left = armed
+                .sites
+                .entry(TaskSite { rdd_id, partition })
+                .or_default();
+            *left = left.saturating_add(times);
+        }
     }
 
     /// Arms a kill of `executor` that fires right after it finishes its
@@ -138,15 +115,6 @@ impl FailureInjector {
         armed.kills.entry(executor).or_default().push_back(tasks);
     }
 
-    /// Makes the next `times` attempts of the task computing `partition`
-    /// of `rdd_id` *stall*: the attempt spins, polling its token, but never
-    /// ticks progress. This is the failure mode the no-progress watchdog
-    /// exists for: with `times = 1` the watchdog's duplicate of the same
-    /// task runs clean while the original stalls.
-    pub fn stall_progress(&self, rdd_id: usize, partition: usize, times: usize) {
-        self.arm_site(rdd_id, partition, times, Fault::Stall);
-    }
-
     /// Makes the next `n` distinct tasks fail their first attempt, whatever
     /// they compute.
     ///
@@ -161,27 +129,20 @@ impl FailureInjector {
     }
 
     /// The one draw before an attempt's body: what attempt number
-    /// `attempt` of `site` does instead of it. Every one-shot armed on the
-    /// site is consumed by the attempt that meets it — a stall even when a
-    /// failure preempts it — and a failure wins over a stall.
-    /// Site-independent failures come first and apply to first attempts
-    /// only (see [`FailureInjector::fail_next_tasks`]).
+    /// `attempt` of `site` does instead of it. Site-independent failures
+    /// come first and apply to first attempts only (see
+    /// [`FailureInjector::fail_next_tasks`]); one taken spares the site's
+    /// own count.
     pub(crate) fn draw(&self, site: TaskSite, attempt: usize) -> Option<Fault> {
         let mut armed = self.armed.lock();
         let mut fail = attempt == 0 && take(&mut armed.any);
-        let mut stall = false;
         if let Some(left) = armed.sites.get_mut(&site) {
-            stall = take(&mut left[Fault::Stall as usize]);
-            fail = fail || take(&mut left[Fault::Fail as usize]);
-            if *left == [0; 2] {
+            fail = fail || take(left);
+            if *left == 0 {
                 armed.sites.remove(&site);
             }
         }
-        match (fail, stall) {
-            (true, _) => Some(Fault::Fail),
-            (_, true) => Some(Fault::Stall),
-            _ => None,
-        }
+        fail.then_some(Fault::Fail)
     }
 
     /// Counts one finished scheduled task on `executor`; `true` when an
@@ -239,7 +200,8 @@ impl FailureInjector {
     }
 
     /// True when no injections are pending — site-specific failures,
-    /// site-independent failures, armed executor kills and stalls alike (useful to assert a test consumed everything it armed).
+    /// site-independent failures and armed executor kills alike (useful to
+    /// assert a test consumed everything it armed).
     pub fn is_drained(&self) -> bool {
         let armed = self.armed.lock();
         armed.sites.is_empty() && armed.any == 0 && armed.kills.is_empty()
@@ -306,38 +268,18 @@ mod tests {
         assert!(inj.is_drained());
     }
 
+    /// A site-independent failure is taken first and spares the site's
+    /// own count, which the next attempt then meets.
     #[test]
-    fn stalls_are_consumed_one_shot_per_site() {
-        let inj = FailureInjector::default();
-        inj.stall_progress(9, 3, 1);
-        assert!(!inj.is_drained());
-        let first = inj.draw(site(9, 3), 0);
-        assert_eq!(first, Some(Fault::Stall), "first attempt stalls");
-        let duplicate = inj.draw(site(9, 3), 0);
-        assert_eq!(duplicate, None, "the duplicate attempt runs clean");
-        assert!(inj.is_drained());
-        inj.stall_progress(9, 3, 0);
-        assert!(inj.is_drained(), "arming zero stalls is a no-op");
-    }
-
-    /// Everything armed on one site is met by one draw: each attempt
-    /// consumes one of every counter that is left — the stall even when
-    /// the failure preempts it — and plays the one that wins: failure,
-    /// then stall.
-    #[test]
-    fn one_sites_failure_and_stall_are_consumed_together_in_precedence_order() {
+    fn a_site_independent_failure_spares_the_sites_own_count() {
         let inj = FailureInjector::default();
         inj.fail_task(4, 0, 1);
-        inj.stall_progress(4, 0, 3);
-        // A site-independent failure is taken first and spares the site's
-        // own counter, but not its stall.
         inj.fail_next_tasks(1);
-        let played: Vec<_> = (0..5).map(|_| inj.draw(site(4, 0), 0)).collect();
-        use Fault::*;
+        let played: Vec<_> = (0..3).map(|_| inj.draw(site(4, 0), 0)).collect();
         assert_eq!(
             played,
-            [Some(Fail), Some(Fail), Some(Stall), None, None],
-            "any+stall, fail+stall, stall, then drained"
+            [Some(Fault::Fail), Some(Fault::Fail), None],
+            "the site-independent failure, the site's own, then drained"
         );
         assert!(inj.is_drained());
     }

@@ -1,45 +1,36 @@
-//! Autonomous failure detection: the per-executor slot table (incarnations,
-//! the running task, progress ticks).
+//! The per-executor slot table: incarnations, the running task, busy
+//! time and steals.
 //!
-//! Executors are worker threads of one process, so the one failure the
-//! driver must notice on its own is a task that stops making progress.
-//! Each worker publishes the task it runs in its `ExecutorSlot`, and task
-//! bodies tick the slot's *progress* (a monotone per-executor counter) at
-//! chunk boundaries through `cancellation_point`. The driver's watchdog
-//! scan reads both back and declares a task wedged once its executor's
-//! progress has not moved for a no-progress watchdog interval, then
-//! launches a duplicate of it on another executor — first completion wins.
+//! Executors are worker threads of one process, so every failure the
+//! driver acts on is announced: a body's panic or typed fetch failure, or
+//! an explicit kill. A kill is what this table serves: it retires the
+//! slot's incarnation and cancels the body the slot is running, through
+//! the token the worker published when the body began.
 //!
-//! Everything in a slot but the running-task handle is an atomic: stamping
-//! sits on the task hot path and must cost no more than a TLS read and an
-//! increment.
+//! Everything in a slot but the running-task token is an atomic: the
+//! worker updates it around every body.
 
-use crate::executor::{CancelToken, Executing};
+use crate::executor::CancelToken;
 use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Everything the runtime knows about one executor, in one place (Spark's
 /// `ExecutorData`): which incarnation sits in the slot, what it is running
-/// and how much it has run. Written by the slot's worker thread,
-/// chunk-boundary stamps from task bodies and kills; read by the steal
-/// loop, the watchdog scan and the reports.
+/// and how much it has run. Written by the slot's worker thread and by
+/// kills; read by the steal loop and the reports.
 #[derive(Default)]
 pub(crate) struct ExecutorSlot {
     /// Incarnation seated in the slot; bumped by [`ExecutorSlot::kill`].
     epoch: AtomicU64,
-    /// Token of the task body the worker is running, if any, with the
-    /// instant it started: a kill cancels it so the dead incarnation's
-    /// body stops at its next cancellation point, and the watchdog
-    /// measures *running* time from the stamp (queue time must not count
-    /// as a frozen interval).
-    running: Mutex<Option<(CancelToken, Instant)>>,
+    /// Token of the task body the worker is running, if any: a kill
+    /// cancels it so the dead incarnation's body stops at its next
+    /// cancellation point.
+    running: Mutex<Option<CancelToken>>,
     /// Nanoseconds spent inside task bodies.
     busy_nanos: AtomicU64,
     /// Tasks run here that were placed on a sibling.
     steals: AtomicU64,
-    /// Monotone chunk-boundary tick counter.
-    progress: AtomicU64,
 }
 
 impl ExecutorSlot {
@@ -57,7 +48,7 @@ impl ExecutorSlot {
             self.steals.fetch_add(1, Ordering::Relaxed);
         }
         let started = Instant::now();
-        *self.running.lock() = token.map(|t| (t.clone(), started));
+        *self.running.lock() = token.cloned();
         (epoch, started)
     }
 
@@ -79,20 +70,9 @@ impl ExecutorSlot {
 
     /// Cancels the token of the running body, if any.
     pub(crate) fn cancel_running(&self) {
-        if let Some((token, _)) = self.running.lock().as_ref() {
+        if let Some(token) = self.running.lock().as_ref() {
             token.cancel();
         }
-    }
-
-    /// What the slot is executing right now (`None` when idle, or running
-    /// an untokened task).
-    pub(crate) fn executing(&self) -> Option<Executing> {
-        let (token, since) = self.running.lock().clone()?;
-        Some(Executing {
-            token,
-            since,
-            progress: self.progress.load(Ordering::Relaxed),
-        })
     }
 
     pub(crate) fn busy_nanos(&self) -> u64 {
@@ -102,41 +82,25 @@ impl ExecutorSlot {
     pub(crate) fn steals(&self) -> u64 {
         self.steals.load(Ordering::Relaxed)
     }
-
-    /// Stamp a chunk-boundary progress tick.
-    pub(crate) fn stamp_progress(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ticks(slot: &ExecutorSlot) -> u64 {
-        slot.progress.load(Ordering::Relaxed)
-    }
-
     /// A kill retires the incarnation and re-seats the slot: the running
-    /// body is cancelled, and the replacement runs under the new epoch and
-    /// keeps ticking progress on the same counter.
+    /// body is cancelled, and the replacement runs under the new epoch.
     #[test]
     fn a_kill_reseats_the_slot_and_cancels_the_running_body() {
         let slot = ExecutorSlot::default();
         let token = CancelToken::new();
         let (epoch, started) = slot.begin(Some(&token), true);
         assert_eq!((epoch, slot.steals()), (0, 1));
-        assert!(slot.executing().is_some_and(|run| run.token.same(&token)));
-        slot.stamp_progress();
-        assert_eq!(slot.executing().map(|run| run.progress), Some(1));
 
         assert_eq!(slot.kill(), 1);
         assert!(token.is_cancelled(), "the dead incarnation's body stops");
-        slot.stamp_progress();
-        assert_eq!(ticks(&slot), 2);
 
         slot.finish(started);
-        assert!(slot.executing().is_none());
         let (epoch, started) = slot.begin(None, false);
         slot.finish(started);
         assert_eq!(epoch, 1, "the replacement runs under the new epoch");

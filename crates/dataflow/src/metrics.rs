@@ -106,15 +106,12 @@ counters! {
     /// Always zero: runtime partition coalescing is deleted, and the row
     /// stays only while `benchmark/src/measure.rs` still reads it.
     partitions_coalesced: PartitionsCoalesced,
-    /// Duplicate attempts the driver launched for running tasks; the
-    /// no-progress watchdog is their one source, so this equals
-    /// `watchdog_trips`.
+    /// Always zero; kept only because `benchmark/src/measure.rs` reads it.
     tasks_speculated: TasksSpeculated,
-    /// Duplicate attempts that finished before the original they
-    /// duplicated (the duplicate's result won first-write-wins).
+    /// Always zero; kept only because `benchmark/src/measure.rs` reads it.
     speculation_wins: SpeculationWins,
     /// Running task bodies asked to stop early through their
-    /// `CancelToken` (duplicate-race losers, job aborts).
+    /// `CancelToken` by a job abort.
     tasks_cancelled: TasksCancelled,
     /// Blocks demoted from memory to the on-disk spill tier under memory
     /// pressure (resident cache+shuffle bytes crossed the watermark).
@@ -132,8 +129,7 @@ counters! {
     disk_resident_bytes: DiskResidentBytes,
     /// Always zero; kept only because `benchmark/src/measure.rs` reads it.
     heartbeats_missed: HeartbeatsMissed,
-    /// Running tasks the no-progress watchdog declared wedged and
-    /// duplicated on another executor.
+    /// Always zero; kept only because `benchmark/src/measure.rs` reads it.
     watchdog_trips: WatchdogTrips,
 }
 
@@ -386,13 +382,6 @@ impl std::fmt::Display for JobReport {
                 c.stages_fused, c.shuffles_elided,
             )?;
         }
-        if c.tasks_speculated != 0 || c.tasks_cancelled != 0 {
-            write!(
-                f,
-                "\n  duplicates: {} launched, {} won, {} tasks cancelled ({} watchdog trips)",
-                c.tasks_speculated, c.speculation_wins, c.tasks_cancelled, c.watchdog_trips,
-            )?;
-        }
         if c.blocks_spilled != 0 || c.blocks_rehydrated != 0 {
             write!(
                 f,
@@ -616,8 +605,7 @@ mod tests {
         assert_eq!(counts.speculation_wins, 2);
         assert_eq!(counts.tasks_cancelled, 2);
         assert_eq!(counts.watchdog_trips, 2);
-        assert!(rendered
-            .contains("duplicates: 2 launched, 2 won, 2 tasks cancelled (2 watchdog trips)"));
+        assert!(!rendered.contains("duplicates"));
     }
 
     #[test]

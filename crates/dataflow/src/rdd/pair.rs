@@ -159,9 +159,9 @@ impl<K: Key, V: Data, C: Data> ShuffleDepDyn for ShuffleDependency<K, V, C> {
         };
         let buckets = (self.route)(&mut feed, self.num_reduce_partitions);
         cancellation_point();
-        // All buckets land in one atomic commit (first-write-wins), so two
-        // racing attempts of the same map task — original vs watchdog
-        // duplicate — can never interleave their output. An all-empty
+        // All buckets land in one atomic commit (first-write-wins), so a
+        // late attempt of the same map task (see `commit_map_output`) can
+        // never interleave its output with the winner's. An all-empty
         // commit still registers the map: the registry is how a
         // reduce-side fetch tells "empty bucket" from "output lost with
         // its executor".

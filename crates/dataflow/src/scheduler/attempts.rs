@@ -3,40 +3,38 @@
 //!
 //! A [`StageRun`] is created where a run starts (a stage's first
 //! submission, or a recovery re-run of its lost map partitions) and holds
-//! one [`Slot`] per partition:
+//! one [`Slot`] per partition, with at most one live attempt each:
 //!
 //! ```text
-//!             launch                      ok (first completion wins,
-//!   Settled ---------> Running(1) ------------------------------> Settled
-//!  (not in this run,      |  ^  \       frozen        ok / fail   the twin is
-//!   or delivered)         |  |   `--------------> Running(2) ---'  cancelled)
-//!         fetch failure   |  | repaired                | one side fails:
-//!                         v  |                         v the other runs on
-//!                   Parked(shuffle)                Running(1)
+//!             launch                 ok
+//!   Settled ---------> Running ------------> Settled
+//!  (not in this run,    |  ^  ^   |         (delivered)
+//!   or delivered)       |  |  `---' failed or lost: the next
+//!         fetch failure |  | repaired  attempt launches at once
+//!                       v  |
+//!                 Parked(shuffle)
 //! ```
 //!
 //! A failed or lost attempt goes straight back to `Running` under a new
 //! launch; only a fetch failure waits, for its parent's repair.
 //!
 //! Every launch is stamped with a job-unique [`AttemptId`] that its task
-//! events carry back, so an event of a settled race or of a superseded
-//! run matches no live attempt and can only ever *miss*. Every further
-//! attempt goes through [`StageRun::relaunch`], whose [`Reason`] indexes
-//! the policy table ([`Reason::policy`]): which budget is charged,
-//! whether the attempt number advances, which counters tick, and whether
-//! the new attempt *replaces* a dead one (at once, at the partition's
-//! home) or *duplicates* a live one (at once, on another executor, first
-//! completion wins).
+//! event carries back, so an event that names no live attempt can only
+//! ever *miss*. Every further attempt goes through [`StageRun::relaunch`],
+//! whose [`Reason`] indexes the policy table ([`Reason::policy`]): which
+//! budget is charged, whether the attempt number advances and which
+//! counters tick. Every new attempt replaces a dead one, at once, at the
+//! partition's home.
 //!
 //! Nothing here reads a clock, a channel or the context: transitions take
-//! `now` and the job's [`Ledger`] and hand back the [`Launch`]es their
-//! caller must submit — which is what makes the table testable without
-//! threads or sleeps.
+//! the job's [`Ledger`] and hand back the [`Launch`]es their caller must
+//! submit — which is what makes the table testable without threads or
+//! sleeps.
 
 use super::graph::Stage;
 use super::{JobError, TaskError};
 use crate::context::SpangleContextBuilder;
-use crate::executor::{CancelToken, Executing};
+use crate::executor::CancelToken;
 use crate::metrics::{MetricField, Metrics, MetricsSnapshot, StageOutcome, StageReport};
 use std::sync::Arc;
 use std::time::Instant;
@@ -55,35 +53,29 @@ pub(super) struct Ledger {
     pub(super) next_id: AttemptId,
     /// The context's counters, ticked where the table decides.
     pub(super) metrics: Arc<Metrics>,
-    /// The context's configuration: the attempt budget and the watchdog
-    /// interval.
+    /// The context's configuration: the attempt budget.
     pub(super) config: Arc<SpangleContextBuilder>,
 }
 
-/// One executor task the caller must submit: it runs `partition` as
-/// attempt number `attempt` and posts one event carrying `id`.
+/// One executor task the caller must submit at its partition's home: it
+/// runs `partition` as attempt number `attempt` and posts one event
+/// carrying `id`.
 pub(super) struct Launch {
     pub(super) partition: usize,
     pub(super) attempt: usize,
     pub(super) id: AttemptId,
     pub(super) token: CancelToken,
-    /// `Some(executor)` for a duplicate: run anywhere but where the
-    /// frozen attempt sits. `None` places the task at its partition's home.
-    pub(super) avoid: Option<usize>,
 }
 
 /// Why another attempt of a partition is launched, with its evidence.
-pub(super) enum Reason {
+enum Reason {
     /// The attempt failed on its own (a panic, an injected fault).
     Retry(TaskError),
-    /// The attempt died with its executor, or was cancelled with no twin
-    /// left to deliver the partition.
+    /// The attempt died with its executor, or was cancelled.
     Lost(TaskError),
     /// The attempt found a parent shuffle block gone and waits for that
     /// shuffle's repair.
     Repaired { shuffle_id: usize, map_id: usize },
-    /// Progress counter frozen past the watchdog interval on executor `on`.
-    Frozen { on: usize },
 }
 
 /// Which budget a relaunch charges.
@@ -92,8 +84,6 @@ enum Budget {
     Attempt,
     /// The job's recovery budget (`max_resubmissions`).
     Resubmission,
-    /// Nothing: the scheduler's own doing.
-    Free,
 }
 
 /// One row of the policy table.
@@ -106,12 +96,9 @@ struct Policy {
 }
 
 impl Reason {
-    /// The policy table. What it does not spell out follows from the
-    /// reason's shape: `Frozen` names the executor a live attempt sits
-    /// `on`, so its attempt *duplicates* it — anywhere else, first
-    /// completion wins; the other three *replace* a dead attempt — at the
-    /// partition's home (for `Repaired`, once the parent is repaired).
-    /// Every new attempt launches at once.
+    /// The policy table. Every new attempt replaces a dead one at the
+    /// partition's home — at once, or for `Repaired` once the parent is
+    /// repaired.
     #[rustfmt::skip]
     fn policy(&self) -> Policy {
         use MetricField::*;
@@ -119,7 +106,6 @@ impl Reason {
             Reason::Retry(_)        => (Budget::Attempt,      true,  &[TaskRetries, Recomputations]),
             Reason::Lost(_)         => (Budget::Resubmission, false, &[Recomputations]),
             Reason::Repaired { .. } => (Budget::Resubmission, false, &[]),
-            Reason::Frozen { .. }   => (Budget::Free,         false, &[WatchdogTrips, TasksSpeculated]),
         };
         Policy { budget, advances, counters }
     }
@@ -132,18 +118,16 @@ impl Reason {
             Reason::Repaired { shuffle_id, map_id } => {
                 TaskError::FetchFailed { shuffle_id, map_id }
             }
-            Reason::Frozen { .. } => unreachable!("a duplicate charges no budget"),
         }
     }
 }
 
 /// What one task event asks of its caller.
 pub(super) enum Step {
-    /// Nothing. The event matched no live attempt (a settled race's loser,
-    /// a superseded run's straggler) and only its time counts; or it
-    /// failed while its twin runs on.
+    /// Nothing: the event matched no live attempt, and only its time
+    /// counts.
     Nothing,
-    /// First completion: the partition is delivered.
+    /// The partition is delivered.
     Settled,
     /// Another attempt was decided and launches at once.
     Launch(Launch),
@@ -152,34 +136,22 @@ pub(super) enum Step {
     Parked(usize),
 }
 
-/// One live attempt of a slot.
+/// The live attempt of a slot.
 struct Live {
     id: AttemptId,
     token: CancelToken,
 }
 
-/// The watchdog's view of a lone running attempt: the executor progress
-/// count last seen, and since when. A trip launches a duplicate, which
-/// ends the watch; should the duplicate drop out, a fresh one starts.
-#[derive(Clone, Copy)]
-struct Watch {
-    progress: u64,
-    since: Instant,
-}
-
 #[derive(Default)]
 enum State {
-    /// Not part of this run, or delivered by its first completion.
+    /// Not part of this run, or delivered.
     #[default]
     Settled,
     /// Between attempts, until this parent shuffle's lost map output is
     /// repaired.
     Parked(usize),
-    /// Live: `[original, duplicate]`, either alone or both racing.
-    Running {
-        lives: [Option<Live>; 2],
-        watch: Option<Watch>,
-    },
+    /// One attempt is live.
+    Running(Live),
 }
 
 /// One partition of one stage run.
@@ -242,38 +214,25 @@ impl StageRun {
     /// First launch of `partition`.
     pub(super) fn launch(&mut self, partition: usize, ledger: &mut Ledger) -> Launch {
         self.unsettled += 1;
-        self.start(partition, None, ledger)
+        self.start(partition, ledger)
     }
 
     /// The one place an attempt becomes live: stamps a fresh id and token
-    /// on the slot (as the twin when `avoid` names the frozen attempt's
-    /// executor) and describes the executor task to submit.
-    fn start(&mut self, partition: usize, avoid: Option<usize>, ledger: &mut Ledger) -> Launch {
+    /// on the slot and describes the executor task to submit.
+    fn start(&mut self, partition: usize, ledger: &mut Ledger) -> Launch {
         let id = ledger.next_id;
         ledger.next_id += 1;
         let token = CancelToken::new();
-        let live = Some(Live {
+        let slot = &mut self.slots[partition];
+        slot.state = State::Running(Live {
             id,
             token: token.clone(),
         });
-        let slot = &mut self.slots[partition];
-        match &mut slot.state {
-            State::Running { lives, watch } if avoid.is_some() => {
-                (lives[1], *watch) = (live, None);
-            }
-            state => {
-                *state = State::Running {
-                    lives: [live, None],
-                    watch: None,
-                }
-            }
-        }
         Launch {
             partition,
             attempt: slot.attempt,
             id,
             token,
-            avoid,
         }
     }
 
@@ -286,45 +245,29 @@ impl StageRun {
         ledger: &mut Ledger,
     ) -> Result<Step, JobError> {
         // Retire the attempt the event names; no such attempt is a miss.
-        let State::Running { lives, .. } = &mut self.slots[partition].state else {
+        let state = &mut self.slots[partition].state;
+        if !matches!(state, State::Running(live) if live.id == id) {
             return Ok(Step::Nothing);
-        };
-        let named = |l: &Option<Live>| l.as_ref().is_some_and(|l| l.id == id);
-        let Some(side) = lives.iter().position(named) else {
-            return Ok(Step::Nothing);
-        };
-        lives[side] = None;
-        let racing = lives[1 - side].is_some();
-        let err = match outcome {
+        }
+        *state = State::Settled;
+        let reason = match outcome {
             Ok(()) => {
-                // First completion wins; the slower twin is cancelled and
-                // its eventual event misses.
-                if side == 1 {
-                    self.count(ledger, MetricField::SpeculationWins, 1);
-                }
-                self.cancel_slot(partition, ledger);
                 self.unsettled -= 1;
                 return Ok(Step::Settled);
             }
-            // The twin may yet deliver the partition: this side just
-            // drops out, no relaunch and no charge.
-            Err(_) if racing => return Ok(Step::Nothing),
-            Err(err) => err,
-        };
-        let reason = match err {
-            TaskError::FetchFailed { shuffle_id, map_id } => {
+            Err(TaskError::FetchFailed { shuffle_id, map_id }) => {
                 self.count(ledger, MetricField::FetchFailures, 1);
                 Reason::Repaired { shuffle_id, map_id }
             }
-            TaskError::ExecutorLost { .. } | TaskError::Cancelled => Reason::Lost(err),
-            _ => Reason::Retry(err),
+            Err(err @ (TaskError::ExecutorLost { .. } | TaskError::Cancelled)) => Reason::Lost(err),
+            Err(err) => Reason::Retry(err),
         };
         self.relaunch(partition, reason, ledger)
     }
 
     /// Decides one more attempt of `partition` by the policy table: it
     /// launches at once, or is parked on a parent shuffle's repair.
-    pub(super) fn relaunch(
+    fn relaunch(
         &mut self,
         partition: usize,
         reason: Reason,
@@ -335,7 +278,6 @@ impl StageRun {
         let spent = match policy.budget {
             Budget::Attempt => attempt + 1 >= ledger.config.max_task_attempts,
             Budget::Resubmission => ledger.resubmissions_left == 0,
-            Budget::Free => false,
         };
         if spent {
             return Err(JobError {
@@ -354,12 +296,11 @@ impl StageRun {
         }
         self.slots[partition].attempt += policy.advances as usize;
         Ok(match reason {
-            Reason::Frozen { on } => Step::Launch(self.start(partition, Some(on), ledger)),
             Reason::Repaired { shuffle_id, .. } => {
                 self.slots[partition].state = State::Parked(shuffle_id);
                 Step::Parked(shuffle_id)
             }
-            Reason::Retry(_) | Reason::Lost(_) => Step::Launch(self.start(partition, None, ledger)),
+            Reason::Retry(_) | Reason::Lost(_) => Step::Launch(self.start(partition, ledger)),
         })
     }
 
@@ -370,80 +311,23 @@ impl StageRun {
         let mut launches = Vec::new();
         for p in 0..self.slots.len() {
             if matches!(self.slots[p].state, State::Parked(s) if s == shuffle_id) {
-                launches.push(self.start(p, None, ledger));
+                launches.push(self.start(p, ledger));
             }
         }
         launches
     }
 
-    /// The tick's one walk over running slots, with `executing[e]` what
-    /// executor `e` runs right now: a *lone, original* attempt that is
-    /// actually executing and whose executor's progress count has
-    /// not moved for the watchdog interval is frozen, and gets a duplicate
-    /// away from it.
-    pub(super) fn scan(
-        &mut self,
-        now: Instant,
-        executing: &[Option<Executing>],
-        ledger: &mut Ledger,
-    ) -> Result<Vec<Launch>, JobError> {
-        let interval = ledger.config.watchdog_interval;
-        let executor_of = |live: &Live| {
-            let runs = |r: &&Executing| r.token.same(&live.token);
-            (0..executing.len()).find_map(|e| Some((e, executing[e].as_ref().filter(runs)?)))
-        };
-        let mut frozen = Vec::new();
-        for (p, slot) in self.slots.iter_mut().enumerate() {
-            let State::Running { lives, watch } = &mut slot.state else {
-                continue;
-            };
-            // Only a lone, original attempt that is executing can be
-            // duplicated.
-            let lone = match lives {
-                [Some(original), None] if executing.len() >= 2 => executor_of(original),
-                _ => None,
-            };
-            let Some((e, running)) = lone else {
-                *watch = None;
-                continue;
-            };
-            let fresh = Watch {
-                progress: running.progress,
-                since: now,
-            };
-            let seen = watch.get_or_insert(fresh);
-            if seen.progress != running.progress {
-                *seen = fresh;
-            } else if now.duration_since(seen.since.max(running.since)) > interval {
-                frozen.push((p, e));
-            }
-        }
-        let mut launches = Vec::new();
-        for (p, on) in frozen {
-            if let Step::Launch(launch) = self.relaunch(p, Reason::Frozen { on }, ledger)? {
-                launches.push(launch);
-            }
-        }
-        Ok(launches)
-    }
-
-    /// Cancels what is left of a settled slot's race.
-    fn cancel_slot(&mut self, partition: usize, ledger: &Ledger) {
-        let state = std::mem::replace(&mut self.slots[partition].state, State::Settled);
-        if let State::Running { lives, .. } = state {
-            for loser in lives.into_iter().flatten() {
-                loser.token.cancel();
-                self.count(ledger, MetricField::TasksCancelled, 1);
-            }
-        }
-    }
-
     /// Cancels every live attempt: a job abort must not leave wedged
     /// bodies holding executors until they finish on their own.
     pub(super) fn cancel_all(&mut self, ledger: &Ledger) {
-        for p in 0..self.slots.len() {
-            self.cancel_slot(p, ledger);
+        let mut cancelled = 0;
+        for slot in &mut self.slots {
+            if let State::Running(live) = std::mem::take(&mut slot.state) {
+                live.token.cancel();
+                cancelled += 1;
+            }
         }
+        self.count(ledger, MetricField::TasksCancelled, cancelled);
     }
 
     /// Closes the run's report at `now`, with the context's counters at
@@ -462,13 +346,10 @@ impl StageRun {
     }
 }
 
-/// The table's transitions, one case each, with the clock passed in: no
-/// context, no threads, no sleeps.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::StagePlan;
-    use std::time::Duration;
 
     /// A table over `slots` partitions of a stand-alone stage, its ledger,
     /// and the instant the test calls "now". No context, no threads.
@@ -476,9 +357,7 @@ mod tests {
         let stage = Stage::new(None, Arc::new(|_| None), slots, 0, StagePlan::default());
         let t0 = crate::scheduler::tests::origin();
         let run = StageRun::new(&stage, 7, slots, t0, MetricsSnapshot::default());
-        let config = crate::SpangleContext::builder()
-            .max_task_attempts(3)
-            .watchdog_interval(Duration::from_millis(500));
+        let config = crate::SpangleContext::builder().max_task_attempts(3);
         let ledger = Ledger {
             job_id: 1,
             resubmissions_left: 2,
@@ -490,10 +369,7 @@ mod tests {
     }
 
     fn lives(run: &StageRun, partition: usize) -> usize {
-        match &run.slots[partition].state {
-            State::Running { lives, .. } => lives.iter().flatten().count(),
-            _ => 0,
-        }
+        matches!(run.slots[partition].state, State::Running(_)) as usize
     }
 
     fn launched(step: Result<Step, JobError>) -> Launch {
@@ -503,31 +379,11 @@ mod tests {
         }
     }
 
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
-    }
-
-    /// `executing[e]` for a cluster where executor `e` runs `launch`.
-    fn on_executor(
-        e: usize,
-        launch: &Launch,
-        since: Instant,
-        progress: u64,
-    ) -> Vec<Option<Executing>> {
-        let mut executing = vec![None, None];
-        executing[e] = Some(Executing {
-            token: launch.token.clone(),
-            since,
-            progress,
-        });
-        executing
-    }
-
     #[test]
     fn retry_advances_the_attempt_number_and_charges_the_attempt_budget() {
         let (mut run, mut ledger, _) = table(2);
         let first = run.launch(1, &mut ledger);
-        assert_eq!((first.attempt, first.avoid), (0, None));
+        assert_eq!(first.attempt, 0);
         let retry = launched(run.on_outcome(1, first.id, Err(TaskError::Injected), &mut ledger));
         assert_eq!(retry.attempt, 1, "a retry takes the next attempt number");
         assert_ne!(retry.id, first.id);
@@ -564,7 +420,7 @@ mod tests {
         let replay = launched(run.on_outcome(0, first.id, lost, &mut ledger));
         assert_eq!(replay.attempt, 0, "the loss was not the task's fault");
         assert_eq!(ledger.resubmissions_left, 1);
-        // A cancellation with no twin left is the same loss.
+        // A cancellation is the same loss.
         let again = launched(run.on_outcome(0, replay.id, Err(TaskError::Cancelled), &mut ledger));
         assert_eq!((again.attempt, ledger.resubmissions_left), (0, 0));
         let snap = ledger.metrics.snapshot();
@@ -602,11 +458,7 @@ mod tests {
         assert!(run.repaired(8, &mut ledger).is_empty());
         let replays = run.repaired(9, &mut ledger);
         assert_eq!(replays.len(), 1);
-        assert_eq!(
-            (replays[0].attempt, replays[0].avoid),
-            (0, None),
-            "the failure was the parent's"
-        );
+        assert_eq!(replays[0].attempt, 0, "the failure was the parent's");
         assert_eq!((lives(&run, 0), ledger.resubmissions_left), (1, 1));
         assert!(run.repaired(9, &mut ledger).is_empty(), "replayed once");
     }
@@ -644,90 +496,20 @@ mod tests {
         assert_eq!(run.report.counts.tasks_cancelled, 3);
     }
 
-    #[test]
-    fn a_winning_duplicate_cancels_the_original_whose_event_then_misses() {
-        let (mut run, mut ledger, t0) = table(2);
-        let fast = run.launch(0, &mut ledger);
-        let frozen = run.launch(1, &mut ledger);
-        let step = run.on_outcome(0, fast.id, Ok(()), &mut ledger);
-        assert!(matches!(step, Ok(Step::Settled)));
-        // Seen at once, then 500 ms without a progress tick: 499 ms is
-        // not frozen, 501 is.
-        let executing = on_executor(0, &frozen, t0, 0);
-        for at in [0, 499] {
-            let dups = run.scan(t0 + ms(at), &executing, &mut ledger);
-            assert!(dups.unwrap().is_empty(), "duplicated at {at} ms");
-        }
-        let dups = run.scan(t0 + ms(501), &executing, &mut ledger).unwrap();
-        assert_eq!(dups.len(), 1);
-        let dup = &dups[0];
-        assert_eq!(
-            (dup.attempt, dup.avoid),
-            (0, Some(0)),
-            "same number, away from the frozen attempt"
-        );
-        assert_eq!((lives(&run, 1), run.report.counts.tasks_speculated), (2, 1));
-        // A racing slot is not duplicated again.
-        assert!(run
-            .scan(t0 + ms(5_000), &executing, &mut ledger)
-            .unwrap()
-            .is_empty());
-        let step = run.on_outcome(1, dup.id, Ok(()), &mut ledger);
-        assert!(matches!(step, Ok(Step::Settled)));
-        assert!(frozen.token.is_cancelled() && !dup.token.is_cancelled());
-        assert_eq!(
-            (
-                run.report.counts.speculation_wins,
-                run.report.counts.tasks_cancelled
-            ),
-            (1, 1)
-        );
-        assert_eq!(run.unsettled, 0);
-        let (before, budget) = (ledger.metrics.snapshot(), ledger.resubmissions_left);
-        let late = run.on_outcome(1, frozen.id, Err(TaskError::Cancelled), &mut ledger);
-        assert!(
-            matches!(late, Ok(Step::Nothing)),
-            "the loser's event misses"
-        );
-        assert_eq!(ledger.metrics.snapshot(), before);
-        assert_eq!((ledger.resubmissions_left, run.unsettled), (budget, 0));
-    }
-
-    #[test]
-    fn both_sides_of_a_race_failing_is_one_retry_and_one_charge() {
-        let (mut run, mut ledger, _) = table(1);
-        let original = run.launch(0, &mut ledger);
-        let reason = Reason::Frozen { on: 0 };
-        let dup = launched(run.relaunch(0, reason, &mut ledger));
-        let step = run.on_outcome(0, original.id, Err(TaskError::Injected), &mut ledger);
-        assert!(
-            matches!(step, Ok(Step::Nothing)),
-            "the twin may yet deliver"
-        );
-        assert_eq!(
-            (lives(&run, 0), ledger.metrics.snapshot().task_retries),
-            (1, 0)
-        );
-        let retry = launched(run.on_outcome(0, dup.id, Err(TaskError::Injected), &mut ledger));
-        assert_eq!((retry.attempt, retry.avoid), (1, None));
-        let snap = ledger.metrics.snapshot();
-        assert_eq!(
-            (snap.task_retries, snap.recomputations, lives(&run, 0)),
-            (1, 1, 1)
-        );
-    }
-
-    /// The defect ids remove: `(partition, attempt 0, original)` names an
-    /// attempt of *every* run of a stage, so the late `Cancelled` of run
-    /// 1's losing original used to retire run 2's record, charge the
-    /// resubmission budget and launch a second concurrent attempt.
+    /// The defect ids remove: `(partition, attempt 0)` names an attempt of
+    /// *every* run of a stage, so a late event of run 1's lost original
+    /// used to retire run 2's record, charge the resubmission budget and
+    /// launch a second concurrent attempt. With one attempt per slot no
+    /// run closes while an attempt of it is live, so the id is what keeps
+    /// an event of a retired attempt — here replayed — a miss.
     #[test]
     fn a_superseded_runs_loser_cannot_touch_the_recovery_run() {
         let (mut run1, mut ledger, t0) = table(1);
         let original = run1.launch(0, &mut ledger);
-        let dup = launched(run1.relaunch(0, Reason::Frozen { on: 0 }, &mut ledger));
-        let step = run1.on_outcome(0, dup.id, Ok(()), &mut ledger);
-        assert!(matches!(step, Ok(Step::Settled)) && original.token.is_cancelled());
+        let lost = Err(TaskError::ExecutorLost { executor: 0 });
+        let replay = launched(run1.on_outcome(0, original.id, lost, &mut ledger));
+        let step = run1.on_outcome(0, replay.id, Ok(()), &mut ledger);
+        assert!(matches!(step, Ok(Step::Settled)));
         // The map output is lost with its executor; a recovery run of the
         // same stage launches the same partition as attempt 0 again.
         let stage = Stage::new(None, Arc::new(|_| None), 1, 0, StagePlan::default());
@@ -749,79 +531,5 @@ mod tests {
         assert!(!recovery.token.is_cancelled());
         let step = run2.on_outcome(0, recovery.id, Ok(()), &mut ledger);
         assert!(matches!(step, Ok(Step::Settled)));
-    }
-
-    #[test]
-    fn a_frozen_slot_trips_once_per_attempt_and_rearms_on_progress() {
-        let (mut run, mut ledger, t0) = table(1);
-        let task = run.launch(0, &mut ledger);
-        let at = |progress| on_executor(1, &task, t0, progress);
-        // First sight baselines the watch; 500 ms without a tick trips it.
-        assert!(run
-            .scan(t0 + ms(10), &at(3), &mut ledger)
-            .unwrap()
-            .is_empty());
-        assert!(run
-            .scan(t0 + ms(400), &at(3), &mut ledger)
-            .unwrap()
-            .is_empty());
-        // Progress re-arms the full interval from the tick's sighting.
-        assert!(run
-            .scan(t0 + ms(500), &at(4), &mut ledger)
-            .unwrap()
-            .is_empty());
-        assert!(run
-            .scan(t0 + ms(990), &at(4), &mut ledger)
-            .unwrap()
-            .is_empty());
-        let dups = run.scan(t0 + ms(1001), &at(4), &mut ledger).unwrap();
-        assert_eq!((dups.len(), dups[0].avoid), (1, Some(1)));
-        assert_eq!(
-            (
-                run.report.counts.watchdog_trips,
-                run.report.counts.tasks_speculated
-            ),
-            (1, 1)
-        );
-        // The duplicate drops out; the original is lone again, still
-        // frozen — a new watch, a new full interval, a second trip.
-        let step = run.on_outcome(0, dups[0].id, Err(TaskError::Injected), &mut ledger);
-        assert!(matches!(step, Ok(Step::Nothing)));
-        assert!(run
-            .scan(t0 + ms(1010), &at(4), &mut ledger)
-            .unwrap()
-            .is_empty());
-        assert!(run
-            .scan(t0 + ms(1400), &at(4), &mut ledger)
-            .unwrap()
-            .is_empty());
-        assert_eq!(
-            run.scan(t0 + ms(1511), &at(4), &mut ledger).unwrap().len(),
-            1
-        );
-        assert_eq!(ledger.metrics.snapshot().watchdog_trips, 2);
-    }
-
-    /// Running time alone never duplicates: an attempt whose executor
-    /// keeps ticking progress is left alone however long it runs, even
-    /// next to a sibling that finished at once.
-    #[test]
-    fn a_lone_attempt_whose_progress_keeps_moving_is_never_duplicated() {
-        let (mut run, mut ledger, t0) = table(2);
-        let quick = run.launch(1, &mut ledger);
-        assert!(matches!(
-            run.on_outcome(1, quick.id, Ok(()), &mut ledger),
-            Ok(Step::Settled)
-        ));
-        let task = run.launch(0, &mut ledger);
-        // One poll every 400 ms for an hour, one tick between polls.
-        for poll in 0..9_000u64 {
-            let executing = on_executor(0, &task, t0, poll);
-            let dups = run.scan(t0 + ms(400 * poll), &executing, &mut ledger);
-            assert!(dups.unwrap().is_empty(), "duplicated at poll {poll}");
-        }
-        let snap = ledger.metrics.snapshot();
-        assert_eq!((snap.watchdog_trips, snap.tasks_speculated), (0, 0));
-        assert_eq!(lives(&run, 0), 1);
     }
 }

@@ -11,13 +11,12 @@
 //! half. A submitted job starts at once.
 //!
 //! What the driver knows about a running stage is one attempt table
-//! (`attempts`): a slot per partition, every launch stamped with a
-//! job-unique attempt id, every further attempt — retry, loss replay,
-//! post-repair replay, watchdog duplicate — decided by one `relaunch`
-//! under one policy table. Task events do O(1) work on their own slot.
-//! The one time-driven decision — the no-progress watchdog's scan — runs
-//! from a poll tick while a stage runs (`Driver::next_wakeup`), never per
-//! event.
+//! (`attempts`): a slot per partition with at most one live attempt,
+//! every launch stamped with a job-unique attempt id, every further
+//! attempt — retry, loss replay, post-repair replay — decided by one
+//! `relaunch` under one policy table. Task events do O(1) work on their
+//! own slot. The driver has no timer: it blocks on its channel, and only
+//! an event moves it.
 //!
 //! Every job is served alike: ready tasks join their executor's FIFO
 //! queue in submission order, whichever job they belong to. Every
@@ -129,10 +128,9 @@ pub enum TaskError {
         map_id: usize,
     },
     /// The attempt was interrupted at a cancellation point: the driver
-    /// cancelled its [`CancelToken`] (a lost duplicate race or a job
-    /// abort) or its executor was killed while the body ran. Never charges
-    /// the per-task attempt budget — the interruption was the scheduler's
-    /// own doing.
+    /// cancelled its [`CancelToken`] (a job abort) or its executor was
+    /// killed while the body ran. Never charges the per-task attempt
+    /// budget — the interruption was the scheduler's own doing.
     ///
     /// [`CancelToken`]: crate::executor::CancelToken
     Cancelled,
@@ -227,8 +225,8 @@ enum ServiceEvent {
 struct TaskDone {
     stage_idx: usize,
     partition: usize,
-    /// The launch this event belongs to; the attempt number and which
-    /// side of a race it was are the slot's to say.
+    /// The launch this event belongs to; the attempt number is the
+    /// slot's to say.
     id: AttemptId,
     /// Task-body CPU time.
     nanos: u64,
@@ -463,40 +461,12 @@ impl Drop for SchedulerService {
     }
 }
 
-/// The period of the one thing the driver must poll because it changes
-/// without generating an event: a progress counter freezing.
-const POLL: Duration = Duration::from_millis(5);
-
 /// State of the driver loop.
 struct Driver {
     jobs: HashMap<usize, Box<JobRun>>,
-    /// When the next poll is due; `None` while nothing needs polling.
-    next_poll: Option<Instant>,
 }
 
 impl Driver {
-    /// The one instant the loop must wake at with no event arriving: the
-    /// next poll, armed one [`POLL`] ahead while a job has a stage
-    /// running. `None` means block indefinitely: nothing is waiting on
-    /// time.
-    fn next_wakeup(&mut self, now: Instant) -> Option<Instant> {
-        let polling = self.jobs.values().any(|j| j.running > 0);
-        self.next_poll = polling.then(|| self.next_poll.unwrap_or(now + POLL));
-        self.next_poll
-    }
-
-    /// The poll, run when [`Self::next_wakeup`] comes due: each job's
-    /// watchdog scan.
-    fn tick(&mut self, now: Instant) {
-        self.next_poll = None;
-        let ids: Vec<usize> = self.jobs.keys().copied().collect();
-        for id in ids {
-            let job = self.jobs.get_mut(&id).expect("ids were just listed");
-            let step = job.tick(now);
-            self.settle(id, step);
-        }
-    }
-
     /// Starts a submitted job and parks it in the running map unless it
     /// resolved instantly (zero-stage result, or a failure to even start).
     fn admit(&mut self, mut job: Box<JobRun>) {
@@ -543,31 +513,13 @@ impl Driver {
 
 /// The service's event loop: demultiplexes messages by job tag, advances
 /// the owning job's state machine, and finalises jobs that finish or
-/// abort. It blocks on the channel until the next event or the next
-/// [`Driver::next_wakeup`], whichever is first. Runs no user code — task
-/// bodies run on executors, actions block on their handles.
+/// abort. It blocks on the channel until the next event. Runs no user
+/// code — task bodies run on executors, actions block on their handles.
 fn drive_loop(rx: Receiver<Tagged<ServiceEvent>>) {
     let mut driver = Driver {
         jobs: HashMap::new(),
-        next_poll: None,
     };
-    let mut now = Instant::now();
-    loop {
-        let wakeup = driver.next_wakeup(now);
-        let received = match wakeup {
-            Some(at) if at <= now => {
-                driver.tick(now);
-                continue;
-            }
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(at) => rx.recv_timeout(at - now),
-        };
-        now = Instant::now();
-        let Tagged { tag, msg } = match received {
-            Ok(tagged) => tagged,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
+    while let Ok(Tagged { tag, msg }) = rx.recv() {
         match msg {
             ServiceEvent::Shutdown => break,
             ServiceEvent::Submit(job) => {
@@ -714,14 +666,11 @@ impl JobRun {
     }
 
     /// The one place executor tasks are submitted: first launches,
-    /// retries, loss and post-repair replays and watchdog duplicates all
-    /// arrive here as a [`Launch`] the attempt table decided.
+    /// retries and loss and post-repair replays all arrive here as a
+    /// [`Launch`] the attempt table decided.
     ///
-    /// The task is placed on the executor owning its partition — or, for
-    /// a duplicate, on the least-loaded executor *other than* the one the
-    /// frozen attempt occupies, so it cannot queue behind the very task
-    /// it is meant to overtake (a one-task backlog behind a wedged body
-    /// is never stolen). A shut-down pool aborts the job cleanly.
+    /// The task is placed on the executor owning its partition. A
+    /// shut-down pool aborts the job cleanly.
     fn submit(&mut self, stage_idx: usize, launch: Launch) -> Result<(), JobError> {
         let (partition, attempt, id) = (launch.partition, launch.attempt, launch.id);
         let stage = &self.stages[stage_idx];
@@ -782,17 +731,7 @@ impl JobRun {
             }));
         });
         let pool = &self.ctx.inner.pool;
-        let executor = match launch.avoid {
-            None => pool.executor_for(partition),
-            Some(avoid) => {
-                let lens = pool.queue_lens();
-                (0..lens.len())
-                    .filter(|&e| e != avoid)
-                    .min_by_key(|&e| lens[e])
-                    .expect("a duplicate is only decided with two or more executors")
-            }
-        };
-        pool.submit_on(executor, Some(launch.token), task)
+        pool.submit_on(pool.executor_for(partition), Some(launch.token), task)
             .map_err(|_| {
                 self.abort(JobError {
                     job_id,
@@ -802,27 +741,6 @@ impl JobRun {
                     last_error: TaskError::ExecutorShutdown,
                 })
             })
-    }
-
-    /// The job's share of the driver's poll: runs the watchdog scan over
-    /// each running stage and launches the duplicates it decided.
-    fn tick(&mut self, now: Instant) -> Result<(), JobError> {
-        if self.running == 0 {
-            return Ok(());
-        }
-        let executing = self.ctx.inner.pool.executing();
-        for idx in 0..self.stages.len() {
-            let Some(run) = self.stages[idx].run.as_mut() else {
-                continue;
-            };
-            match run.scan(now, &executing, &mut self.ledger) {
-                Err(err) => return Err(self.abort(err)),
-                Ok(duplicates) => duplicates
-                    .into_iter()
-                    .try_for_each(|launch| self.submit(idx, launch))?,
-            }
-        }
-        Ok(())
     }
 
     /// All tasks of a stage completed: publish its shuffle, account it,
@@ -1499,30 +1417,5 @@ mod tests {
             "C never read a parent mid-run"
         );
         assert!(report.stages.iter().all(|s| s.stage_id <= join.stage_id));
-    }
-
-    /// Regression (per-event rescans): the watchdog scan — the only
-    /// thing that looks at what the executors are running — is time-driven
-    /// work and runs once per poll tick, never per task event. Counts
-    /// work, not wall time: the parent scanned on every driver iteration,
-    /// ≥ 2 048 times for this job.
-    #[test]
-    fn straggler_scans_are_per_tick_not_per_event() {
-        use std::sync::atomic::Ordering::Relaxed;
-        let ctx = SpangleContext::new(2);
-        let rdd = ctx.parallelize((0u64..2048).collect(), 2048).map(|x| x + 1);
-        let before = ctx.inner.pool.looks.load(Relaxed);
-        let started = std::time::Instant::now();
-        assert_eq!(rdd.count().unwrap(), 2048);
-        let elapsed = started.elapsed();
-        let scans = ctx.inner.pool.looks.load(Relaxed) - before;
-        let ticks = elapsed.as_nanos().div_ceil(super::POLL.as_nanos()) as u64;
-        assert!(
-            scans <= 1 + ticks,
-            "{scans} scans in {elapsed:?} ({ticks} ticks) for 2048 task events"
-        );
-        let report = ctx.last_job_report().unwrap();
-        let counts = report.counts();
-        assert_eq!((counts.tasks_speculated, counts.watchdog_trips), (0, 0));
     }
 }

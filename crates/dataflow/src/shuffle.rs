@@ -182,11 +182,15 @@ impl ShuffleService {
     }
 
     /// Atomically deposits *all* buckets of one map task and registers its
-    /// output, first-write-wins. When the watchdog duplicates a map task,
-    /// two attempts of the same map partition race; whichever commits first installs
-    /// its complete bucket set, and the loser's deposit is refused as a
-    /// unit so two attempts' output can never interleave. Returns whether
-    /// this attempt won.
+    /// output, first-write-wins. Returns whether this attempt won.
+    ///
+    /// A job runs one attempt of a map partition at a time, so a second
+    /// live deposit is a safety check for what outlives a job: a body of
+    /// an aborted job that was cancelled past its last cancellation point
+    /// commits after the abort abandoned its shuffle, which a later job
+    /// may claim and run again. Whichever commits first installs its
+    /// complete bucket set, and the other deposit is refused as a unit, so
+    /// two attempts' output can never interleave.
     ///
     /// A commit loses when the (shuffle, map) pair is already registered
     /// by a live incarnation, when the depositing incarnation itself is
@@ -701,8 +705,8 @@ mod tests {
         assert_eq!(*got, vec![1]);
     }
 
-    /// First write wins: a late duplicate-race loser (live, but beaten to
-    /// the commit) is refused as a unit and charged nothing.
+    /// First write wins: a late attempt (live, but beaten to the commit —
+    /// an aborted job's body) is refused as a unit and charged nothing.
     #[test]
     fn a_beaten_live_attempts_commit_is_refused_as_a_unit() {
         let ctx = SpangleContext::new(2);

@@ -217,11 +217,6 @@ impl<T> StealQueues<T> {
         }
     }
 
-    /// Number of queues.
-    pub fn num_queues(&self) -> usize {
-        self.state.lock().queues.len()
-    }
-
     /// Appends an item to `owner`'s queue, waking idle workers. Fails
     /// (returning the item) once the queues are closed.
     pub fn push(&self, owner: usize, item: T) -> Result<(), Closed<T>> {
@@ -275,11 +270,6 @@ impl<T> StealQueues<T> {
     /// Whether [`StealQueues::close`] has run.
     pub fn is_closed(&self) -> bool {
         self.state.lock().closed
-    }
-
-    /// Current length of queue `i` (racy; for reporting only).
-    pub fn len(&self, i: usize) -> usize {
-        self.state.lock().queues[i].len()
     }
 }
 

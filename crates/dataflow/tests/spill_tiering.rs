@@ -188,55 +188,6 @@ fn spill_composes_with_executor_kills() {
     });
 }
 
-#[test]
-fn spill_speculation_and_kills_overlap_without_corruption() {
-    run_cases(0x5B11_C405, 4, |rng: &mut Rng| {
-        let executors = rng.usize_in(2..4);
-        let num_parts = executors * 2;
-        let num_keys = rng.u64_in(800..1_500);
-        let records: Vec<(u64, u64)> = (0..rng.u64_in(2_000..3_000))
-            .map(|_| (rng.u64_in(0..num_keys), rng.u64_in(0..1_000_000)))
-            .collect();
-        let partitioner: Arc<HashPartitioner> = Arc::new(HashPartitioner::new(num_parts));
-        let stall_part = rng.usize_in(0..num_parts);
-        let victim = rng.usize_in(0..executors);
-
-        let run = |ctx: &SpangleContext, chaos: bool| {
-            let pairs = ctx.parallelize(records.clone(), num_parts);
-            let reduced = pairs.reduce_by_key(partitioner.clone(), |a, b| a + b);
-            if chaos {
-                // One stalled map task (resolved by the watchdog's duplicate,
-                // whose commit must lose cleanly if the original already
-                // won — or win and see its rival's spilled block ignored)
-                // racing an armed executor kill.
-                ctx.failure_injector()
-                    .stall_progress(pairs.id(), stall_part, 1);
-                ctx.failure_injector().kill_executor_after(victim, 1);
-            }
-            let mut out = reduced.collect().unwrap();
-            out.sort();
-            out
-        };
-
-        let expected = run(&SpangleContext::new(executors), false);
-
-        let ctx = SpangleContext::builder()
-            .executors(executors)
-            .memory_high_watermark_bytes(LOW_WATERMARK)
-            .watchdog_interval(Duration::from_millis(100))
-            .max_resubmissions(10_000)
-            .build();
-        let got = run(&ctx, true);
-        assert_eq!(
-            got, expected,
-            "spill + duplicate + kill must stay bit-identical"
-        );
-        assert!(ctx.failure_injector().is_drained());
-        let snap = ctx.metrics_snapshot();
-        assert!(snap.blocks_spilled > 0, "{snap:?}");
-    });
-}
-
 /// Bugfix regression: blocks of zero-byte-encoded elements never
 /// rehydrated — the codec's count prefix was refused for exceeding the
 /// (empty) remaining input, every spilled block read back as torn, and

@@ -11,7 +11,7 @@
 #   scripts/check.sh --quick          full gate minus the release build
 #   scripts/check.sh <step> [...]     run only the named steps, in order
 #
-# Steps: fmt clippy build test spill health doc stress bench benchmark loc
+# Steps: fmt clippy build test spill doc stress bench benchmark loc
 # (stress, bench and benchmark are not part of the default full gate
 # because of their runtime; stress and benchmark have CI jobs of their
 # own, bench is for whoever refreshes the committed figure artifacts.
@@ -78,16 +78,6 @@ run_spill() {
     SPANGLE_MEMORY_WATERMARK_BYTES=262144 watchdog cargo test -q --workspace
 }
 
-# Health monitoring is the no-progress watchdog, always on, at a forgiving
-# 10 s default; this step tightens it to 1 s and runs the whole suite
-# under it, proving the body-driven watchdog stays false-positive-free
-# near its margin. Tests that assert the watchdog's own behaviour pin
-# their interval through the builder, which wins over the env default.
-run_health() {
-    echo "== cargo test with SPANGLE_WATCHDOG_MS=1000 (watchdog ${WATCHDOG_SECS}s)"
-    SPANGLE_WATCHDOG_MS=1000 watchdog cargo test -q --workspace
-}
-
 run_doc() {
     echo "== cargo doc -D warnings"
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
@@ -98,7 +88,7 @@ run_stress() {
     # Serial: both scenarios assert on process-wide thread counts.
     watchdog cargo test -q -p spangle-dataflow --test stress_concurrent_jobs -- \
         --ignored --test-threads=1
-    echo "== stress: executor-kill chaos recovery, watchdog duplicates of stalled tasks"
+    echo "== stress: executor-kill chaos recovery"
     watchdog cargo test -q -p spangle-dataflow --test chaos_recovery -- --ignored
 }
 
@@ -127,8 +117,9 @@ run_benchmark() {
 # The acceptance counts a [simplicity] PR reports: non-blank lines that are
 # not `//` comments (docs included) in crates/dataflow/src, per file and in
 # total, up to each file's column-0 `#[cfg(test)]`; then the knobs — the
-# `pub fn`s of `impl SpangleContextBuilder` (its setters and `build`) and
-# the rows of the `counters!` table. awk only — no `bc`.
+# `pub fn`s of `impl SpangleContextBuilder` (its setters and `build`), the
+# rows of the `counters!` table and the distinct `SPANGLE_*` variables
+# that `env_parse` is called with. awk only — no `bc`.
 run_loc() {
     for dir in crates/dataflow/src crates/core/src crates/linalg/src; do
         echo "== code lines of $dir before each file's tests"
@@ -149,18 +140,23 @@ run_loc() {
         inside && /^    [a-z0-9_]+: [A-Z][A-Za-z0-9]*,$/ { n++ }
         END { printf "%6d rows of counters! in metrics.rs\n", n }' \
         crates/dataflow/src/metrics.rs
+    find crates/dataflow/src -name '*.rs' | sort | xargs awk '
+        !/^[[:space:]]*\/\// && match($0, /env_parse(::<[^>]*>)?\("SPANGLE_[A-Z0-9_]+"/) {
+            var = substr($0, RSTART, RLENGTH); sub(/^[^"]*"/, "", var); seen[var] = 1
+        }
+        END { for (var in seen) n++; printf "%6d SPANGLE_* knobs read through env_parse\n", n }'
 }
 
 steps=()
 for arg in "$@"; do
     case "$arg" in
-    --quick) steps+=(fmt clippy test spill health doc) ;;
-    fmt | clippy | build | test | spill | health | doc | stress | bench | benchmark | loc) steps+=("$arg") ;;
+    --quick) steps+=(fmt clippy test spill doc) ;;
+    fmt | clippy | build | test | spill | doc | stress | bench | benchmark | loc) steps+=("$arg") ;;
     -h | --help | *) usage ;;
     esac
 done
 if [ ${#steps[@]} -eq 0 ]; then
-    steps=(fmt clippy build test spill health doc)
+    steps=(fmt clippy build test spill doc)
 fi
 
 for step in "${steps[@]}"; do
