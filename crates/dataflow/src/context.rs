@@ -8,7 +8,6 @@ use crate::memsize::MemSize;
 use crate::metrics::{MetricField, Metrics, MetricsSnapshot};
 use crate::rdd::sources::ParallelizeRdd;
 use crate::rdd::Rdd;
-use crate::scheduler::SchedulerService;
 use crate::shuffle::ShuffleService;
 use crate::spill::SpillStore;
 use crate::Data;
@@ -17,9 +16,6 @@ use std::sync::Arc;
 
 /// Shared state of one simulated cluster.
 pub(crate) struct ContextInner {
-    /// Declared before `pool` so the driver loop shuts down and joins
-    /// before the executor workers do on drop.
-    pub(crate) scheduler: SchedulerService,
     pub(crate) pool: ExecutorPool,
     pub(crate) shuffle: ShuffleService,
     pub(crate) cache: BlockManager,
@@ -124,16 +120,15 @@ impl SpangleContextBuilder {
 
     /// Starts the cluster.
     pub fn build(self) -> SpangleContext {
+        // The executors are the context's only threads, and they are
+        // spawned before the spill store's temp-dir sweep: which malloc
+        // arena a new thread inherits from a retired context is a race the
+        // sweep's syscalls otherwise tilt (peak RSS +25 MB).
         let pool = ExecutorPool::new(self.executors);
-        // Every thread is spawned before the spill store's temp-dir sweep:
-        // which malloc arena a new thread inherits from a retired context
-        // is a race the sweep's syscalls otherwise tilt (peak RSS +25 MB).
-        let scheduler = SchedulerService::new();
         // One spill directory for both block stores.
         let spill = Arc::new(SpillStore::default());
         SpangleContext {
             inner: Arc::new(ContextInner {
-                scheduler,
                 pool,
                 shuffle: ShuffleService::new(Arc::clone(&spill)),
                 cache: BlockManager::new(spill),

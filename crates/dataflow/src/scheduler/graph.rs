@@ -8,15 +8,15 @@
 //! skips the stage (Spark's skipped-stage reuse, without even visiting its
 //! ancestors), and a job that finds it `InFlight` treats the stage as
 //! *external*, registering a completion callback on the shuffle service
-//! ([`ShuffleService::subscribe`]) that posts an event into the shared
-//! loop tagged with the waiting job's id. No thread is ever parked on an
-//! awaited shuffle, and an aborting owner wakes its externals immediately.
+//! ([`ShuffleService::subscribe`]) that posts an event into the waiting
+//! job's own channel. No thread is ever parked on an awaited shuffle, and
+//! an aborting owner wakes its externals immediately.
 //!
 //! [`ShuffleService::try_claim`]: crate::shuffle::ShuffleService::try_claim
 //! [`ShuffleService::subscribe`]: crate::shuffle::ShuffleService::subscribe
 
 use super::attempts::StageRun;
-use super::{ErasedResult, JobError, JobRun, ServiceEvent, StageWork, TaskContext};
+use super::{ErasedResult, Event, JobError, JobRun, StageWork, TaskContext};
 use crate::metrics::{MetricField, StageOutcome};
 use crate::plan::{self, StagePlan};
 use crate::rdd::pair::ShuffleDepDyn;
@@ -36,7 +36,7 @@ pub(super) enum StageState {
     /// satisfied.
     Waiting,
     /// Another job is running the stage; a completion callback will post
-    /// back into the shared loop when it resolves.
+    /// into this job's channel when it resolves.
     External,
     /// Tasks submitted; `Stage::run` holds the run's attempt table.
     Running,
@@ -292,16 +292,16 @@ impl JobRun {
     }
 
     /// Subscribes to an in-flight external shuffle: when the owning job
-    /// completes (or abandons) it, the callback posts back into the shared
-    /// loop tagged with this job's id. If this job aborts meanwhile, the
-    /// event is dropped as a stale tag when it fires.
+    /// completes (or abandons) it, the callback posts into this job's
+    /// channel. If this job resolved meanwhile, the send finds the channel
+    /// gone and the event is dropped.
     pub(super) fn watch(&mut self, idx: usize, shuffle_id: usize) {
         self.stages[idx].state = StageState::External;
         let tx = self.tx.clone();
         self.ctx.inner.shuffle.subscribe(
             shuffle_id,
             Box::new(move |completed| {
-                let _ = tx.send(ServiceEvent::External {
+                let _ = tx.send(Event::External {
                     stage_idx: idx,
                     completed,
                 });

@@ -1,22 +1,23 @@
-//! The event-driven DAG scheduler: one shared driver service per context.
+//! The event-driven DAG scheduler: a job runs on the thread that waits
+//! for it.
 //!
 //! An action builds an explicit stage graph from the lineage of its target
 //! RDD (`graph`: one *map stage* per shuffle dependency plus one *result
-//! stage*) and hands the job to the context's `SchedulerService` — a
-//! single long-lived driver loop that multiplexes events from *all*
-//! concurrent jobs over one tagged channel
-//! ([`crate::sync::channel::MuxSender`]), keeping per-job state in a
-//! `HashMap<job_id, JobRun>`. The caller blocks on a [`JobHandle`] until
-//! the service resolves the job; [`submit_job`] exposes the non-blocking
-//! half. A submitted job starts at once.
+//! stage*) and wraps it, with the job's own event channel, in a
+//! [`JobHandle`]. Waiting on the handle drives the job: the first wait
+//! activates the stage graph, and each wait applies the job's events —
+//! task completions and the resolution of another job's map stage it
+//! watches — until the job finishes or fails. [`submit_job`] returns the
+//! handle without waiting; every action waits on it at once. There is no
+//! driver thread: a context runs exactly its executors' threads.
 //!
 //! What the driver knows about a running stage is one attempt table
 //! (`attempts`): a slot per partition with at most one live attempt,
 //! every launch stamped with a job-unique attempt id, every further
 //! attempt — retry, loss replay, post-repair replay — decided by one
 //! `relaunch` under one policy table. Task events do O(1) work on their
-//! own slot. The driver has no timer: it blocks on its channel, and only
-//! an event moves it.
+//! own slot. The driver has no timer: it blocks on its job's channel, and
+//! only an event moves it.
 //!
 //! Every job is served alike: ready tasks join their executor's FIFO
 //! queue in submission order, whichever job they belong to. Every
@@ -45,9 +46,9 @@
 //! [`JobReport`] with [`JobOutcome::Aborted`], its in-flight stages marked
 //! [`StageOutcome::Aborted`], so no busy/steal accounting is lost.
 //!
-//! Tasks must never trigger nested actions: all actions run on driver
-//! (user) threads, tasks run on executor threads, and the service loop
-//! runs only scheduler state transitions (never user code).
+//! Tasks must never trigger nested actions: actions, and the scheduler
+//! state transitions of their jobs, run on the caller's thread; task
+//! bodies run on executor threads.
 //!
 //! [`ShuffleService::claim_recovery`]: crate::shuffle::ShuffleService::claim_recovery
 //! [`JobOutcome::Aborted`]: crate::metrics::JobOutcome::Aborted
@@ -65,14 +66,12 @@ use crate::failure::TaskSite;
 use crate::metrics::{JobOutcome, JobReport, MetricField, StageOutcome, StageReport};
 use crate::rdd::Rdd;
 use crate::shuffle::{FetchFailedError, RecoveryClaim};
-use crate::sync::channel::{unbounded, MuxSender, Receiver, RecvTimeoutError, Sender, Tagged};
-use crate::sync::Mutex;
+use crate::sync::channel::{unbounded, Receiver, Sender};
 use crate::Data;
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Information available to a running task.
@@ -173,8 +172,8 @@ pub struct JobError {
 }
 
 impl JobError {
-    /// An error of the job as a whole — its cluster went away — rather
-    /// than of one task's attempts.
+    /// An error of the job as a whole — its handle was dropped, or its
+    /// result was already taken — rather than of one task's attempts.
     fn without_task(job_id: usize, last_error: TaskError) -> Self {
         JobError {
             job_id,
@@ -197,28 +196,21 @@ impl std::fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
-/// A partition result in type-erased form. The shared service drives every
-/// job through one channel, so result values cross it untyped and
-/// [`run_job`] downcasts them back on the caller's side.
+/// A partition result in type-erased form: the stage graph is untyped, and
+/// [`JobHandle`] downcasts the results back to its own type.
 type ErasedResult = Box<dyn Any + Send>;
 
 /// Task body of a stage: map stages write shuffle blocks and yield `None`,
 /// the result stage yields `Some` type-erased partition result.
 type StageWork = Arc<dyn Fn(&TaskContext) -> Option<ErasedResult> + Send + Sync>;
 
-/// Everything that flows into the shared driver loop. Each message arrives
-/// wrapped in [`Tagged`] with the job id it belongs to, so one channel
-/// serves every concurrent job.
-enum ServiceEvent {
-    /// A new job entering the loop (tag = its job id).
-    Submit(Box<JobRun>),
+/// Everything that moves one job's driver, on the job's own channel.
+enum Event {
     /// A task attempt finished (successfully or not).
     Task(TaskDone),
     /// An external (other-job) map stage finished: `completed` says
     /// whether its owner completed it or abandoned it.
     External { stage_idx: usize, completed: bool },
-    /// Context teardown: exit the loop after failing any stragglers.
-    Shutdown,
 }
 
 /// One partition's outcome from one launched executor task.
@@ -241,21 +233,17 @@ struct TaskDone {
 
 /// Runs `func` over every partition of `rdd`, returning one result per
 /// partition in partition order. This is the single entry point every
-/// action lowers to: it plans the stage graph, hands the job to the
-/// context's shared `SchedulerService` via [`submit_job`], and blocks on
-/// the returned [`JobHandle`] until the service resolves it.
-pub fn run_job<T: Data, R: Send + 'static>(
+/// action lowers to: it plans the stage graph with [`submit_job`] and
+/// drives the job to its end on the calling thread.
+pub(crate) fn run_job<T: Data, R: Send + 'static>(
     rdd: &Rdd<T>,
     func: impl Fn(usize, Arc<Vec<T>>) -> R + Send + Sync + 'static,
 ) -> Result<Vec<R>, JobError> {
     submit_job(rdd, func).wait()
 }
 
-/// Submits a job without blocking: plans the stage graph and hands it to
-/// the shared service, which starts it at once. The returned
-/// [`JobHandle`] resolves when the service finishes or aborts the job —
-/// block on [`JobHandle::wait`], or for at most a while on
-/// [`JobHandle::wait_timeout`].
+/// Plans a job without running it: the returned [`JobHandle`] starts the
+/// job on its first [`JobHandle::wait`] or [`JobHandle::wait_timeout`].
 pub fn submit_job<T: Data, R: Send + 'static>(
     rdd: &Rdd<T>,
     func: impl Fn(usize, Arc<Vec<T>>) -> R + Send + Sync + 'static,
@@ -279,13 +267,14 @@ pub(crate) fn submit_tasks<T: Data, R: Send + 'static>(
     let result_idx = stages.len() - 1;
     let num_results = stages[result_idx].num_tasks;
 
-    let (handle, done) = JobHandle::new(job_id);
-    let run = Box::new(JobRun {
+    let (tx, events) = unbounded();
+    let run = JobRun {
         job_id,
         stages,
         result_idx,
-        tx: ctx.inner.scheduler.sender(job_id),
+        tx,
         owned: HashSet::new(),
+        outstanding: 0,
         running: 0,
         max_concurrent: 0,
         executor_busy: vec![0; ctx.num_executors()],
@@ -299,51 +288,93 @@ pub(crate) fn submit_tasks<T: Data, R: Send + 'static>(
         },
         reports: Vec::new(),
         results: std::iter::repeat_with(|| None).take(num_results).collect(),
-        done,
         started: Instant::now(),
-        ctx: ctx.clone(),
-    });
-    if let Err(run) = ctx.inner.scheduler.submit(run) {
-        // The context is tearing down around this call; resolve the handle
-        // like a job that lost its cluster (this also records its report).
-        run.fail(JobError::without_task(job_id, TaskError::ExecutorShutdown));
+        ctx,
+    };
+    JobHandle {
+        job_id,
+        run: Some(run),
+        events,
+        _result: std::marker::PhantomData,
     }
-    handle
 }
 
-/// The caller-side half of one submitted job: resolves exactly once, when
-/// the shared service finishes or aborts the job. The job's [`JobReport`]
-/// is recorded *before* the handle resolves, so `last_job_report()`
-/// observed after a wait always covers this job — aborted ones included.
+/// One submitted job, driven by whoever waits on it.
+///
+/// A job runs while its handle is waited on: the first wait activates its
+/// stage graph, and every wait applies the job's events on the waiting
+/// thread. Its executor tasks run meanwhile either way, but only a wait
+/// moves the job on from them — launching the next stage, a retry, a
+/// recovery. A [`JobHandle::wait_timeout`] that times out leaves the job
+/// paused where it was, and a later wait resumes it. Dropping a handle
+/// whose job has not resolved aborts the job: its live attempts are
+/// cancelled, the shuffles it owns are abandoned for other jobs to
+/// re-claim, and it records a [`JobOutcome::Aborted`] report. The drop
+/// does not wait for the cancelled bodies; each releases the job's lineage
+/// as it returns.
+///
+/// A job resolves exactly once, and a wait returns only after every attempt
+/// the job launched has reported, so the lineage an action's caller drops
+/// is its last reference — a failed action's included. Its [`JobReport`] is
+/// recorded *before* the wait returns, so `last_job_report()` observed
+/// after a wait always covers this job — aborted ones included.
+///
+/// [`JobOutcome::Aborted`]: crate::metrics::JobOutcome::Aborted
 pub struct JobHandle<R> {
     job_id: usize,
-    done: Receiver<Result<Vec<ErasedResult>, JobError>>,
-    resolved: bool,
+    /// The job's driver state; `None` once the job resolved.
+    run: Option<JobRun>,
+    /// The job's own channel: its tasks and watched shuffles post here.
+    events: Receiver<Event>,
     _result: std::marker::PhantomData<fn() -> R>,
 }
 
 impl<R: Send + 'static> JobHandle<R> {
-    fn new(job_id: usize) -> (Self, Sender<Result<Vec<ErasedResult>, JobError>>) {
-        let (tx, rx) = unbounded();
-        (
-            JobHandle {
-                job_id,
-                done: rx,
-                resolved: false,
-                _result: std::marker::PhantomData,
-            },
-            tx,
-        )
-    }
-
     /// Id of the submitted job.
     pub fn job_id(&self) -> usize {
         self.job_id
     }
 
-    fn decode(&mut self, outcome: Result<Vec<ErasedResult>, JobError>) -> Result<Vec<R>, JobError> {
-        self.resolved = true;
-        outcome.map(|results| {
+    /// Drives the job until it resolves, or until no event arrives within
+    /// `idle` (`None`: block for as long as it takes); the job then stays
+    /// paused in the handle. `None` when paused or already resolved.
+    fn drive(&mut self, idle: Option<Duration>) -> Option<Result<Vec<R>, JobError>> {
+        // The job holds a sender of its own channel, so a receive fails only
+        // on the idle timeout.
+        let next = |events: &Receiver<Event>| match idle {
+            None => events.recv().ok(),
+            Some(idle) => events.recv_timeout(idle).ok(),
+        };
+        let run = self.run.as_mut()?;
+        // Activation is idempotent: only the first wait starts the graph.
+        let mut step = run.activate(run.result_idx);
+        while step.is_ok() && !run.is_finished() {
+            step = match next(&self.events)? {
+                Event::Task(done) => run.on_task(done),
+                Event::External {
+                    stage_idx,
+                    completed,
+                } => run.on_external(stage_idx, completed),
+            };
+        }
+        let mut run = self.run.take().expect("the job was driven above");
+        // The job resolves once every attempt it launched has reported: an
+        // aborted job's cancelled bodies hold its lineage until they return,
+        // and shuffle garbage collection relies on the caller's drop being
+        // the last reference. A body that outlasts the idle timeout is left
+        // to return on its own.
+        while run.outstanding > 0 {
+            match next(&self.events) {
+                Some(Event::Task(_)) => run.outstanding -= 1,
+                Some(Event::External { .. }) => {}
+                None => break,
+            }
+        }
+        let outcome = match step {
+            Ok(()) => Ok(run.finish()),
+            Err(err) => Err(run.fail(err)),
+        };
+        Some(outcome.map(|results| {
             results
                 .into_iter()
                 .map(|r| {
@@ -351,209 +382,58 @@ impl<R: Send + 'static> JobHandle<R> {
                         .expect("job result stage produced a foreign result type")
                 })
                 .collect()
-        })
+        }))
     }
 
-    fn service_gone(&mut self) -> JobError {
-        self.resolved = true;
-        JobError::without_task(self.job_id, TaskError::ExecutorShutdown)
-    }
-
-    /// Blocks until the service resolves the job. Consumes the handle; a
+    /// Drives the job to its end on this thread. Consumes the handle; a
     /// handle whose result was already taken by `wait_timeout` resolves as
     /// [`TaskError::ExecutorShutdown`].
     pub fn wait(mut self) -> Result<Vec<R>, JobError> {
-        match self.done.recv() {
-            Ok(outcome) => self.decode(outcome),
-            Err(_) => Err(self.service_gone()),
-        }
+        self.drive(None).unwrap_or_else(|| {
+            Err(JobError::without_task(
+                self.job_id,
+                TaskError::ExecutorShutdown,
+            ))
+        })
     }
 
-    /// Blocks up to `timeout` for the job to resolve; `None` on timeout
-    /// (the job keeps running) or after the result was already taken.
-    pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<Vec<R>, JobError>> {
-        if self.resolved {
-            return None;
-        }
-        match self.done.recv_timeout(timeout) {
-            Ok(outcome) => Some(self.decode(outcome)),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => Some(Err(self.service_gone())),
-        }
+    /// Drives the job on this thread until it resolves or no event arrives
+    /// for `idle`; `None` in the second case (the job stays paused until
+    /// the next wait) or after the result was already taken. The timeout
+    /// bounds each wait for an event, not the call: it tells a wedged job
+    /// from a busy one.
+    pub fn wait_timeout(&mut self, idle: Duration) -> Option<Result<Vec<R>, JobError>> {
+        self.drive(Some(idle))
     }
 }
 
-/// The shared driver service: one long-lived `spangle-driver` thread
-/// multiplexing every concurrent job of a context over a single tagged
-/// event channel, with per-job [`JobRun`] state keyed by job id.
-///
-/// Owned by the context; dropping the context shuts the loop down and
-/// joins the thread. Events for a job that already left the map (an
-/// aborted job's straggler tasks, a completion callback that lost a race)
-/// are dropped exactly as the old per-job loops dropped them on a closed
-/// channel.
-pub(crate) struct SchedulerService {
-    tx: Sender<Tagged<ServiceEvent>>,
-    driver: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl SchedulerService {
-    /// Spawns the driver loop.
-    pub(crate) fn new() -> Self {
-        let (tx, rx) = unbounded();
-        let driver = std::thread::Builder::new()
-            .name("spangle-driver".to_string())
-            .spawn(move || drive_loop(rx))
-            .expect("failed to spawn the scheduler driver thread");
-        SchedulerService {
-            tx,
-            driver: Mutex::new(Some(driver)),
-        }
-    }
-
-    /// A sender that stamps `job_id` on every event: handed to the job's
-    /// tasks and shuffle subscriptions so they post into the shared loop.
-    fn sender(&self, job_id: usize) -> MuxSender<ServiceEvent> {
-        MuxSender::new(self.tx.clone(), job_id)
-    }
-
-    /// Hands a job to the driver loop. Fails only when the loop is gone
-    /// (context teardown racing the submission), returning the job so the
-    /// caller can resolve its handle.
-    fn submit(&self, job: Box<JobRun>) -> Result<(), Box<JobRun>> {
-        let tag = job.job_id;
-        self.tx
-            .send(Tagged {
-                tag,
-                msg: ServiceEvent::Submit(job),
-            })
-            .map_err(|rejected| match rejected.0.msg {
-                ServiceEvent::Submit(job) => job,
-                _ => unreachable!("submit sends only Submit events"),
-            })
-    }
-
-    /// Stops the driver loop and joins its thread. Idempotent.
-    ///
-    /// The driver itself can end up here: a finished [`JobRun`] holds a
-    /// context clone, and if the caller drops its context the instant its
-    /// handle resolves, the driver's clone is the last one — dropping it
-    /// (inside the loop) tears the service down from the driver thread.
-    /// Joining yourself deadlocks, so that path detaches instead: the
-    /// loop is already draining toward the `Shutdown` event just sent and
-    /// exits on its own.
-    pub(crate) fn shutdown(&self) {
-        let _ = self.tx.send(Tagged {
-            tag: usize::MAX,
-            msg: ServiceEvent::Shutdown,
-        });
-        if let Some(handle) = self.driver.lock().take() {
-            if handle.thread().id() != std::thread::current().id() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-impl Drop for SchedulerService {
+impl<R> Drop for JobHandle<R> {
+    /// Aborts a job nobody waits for any more.
     fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// State of the driver loop.
-struct Driver {
-    jobs: HashMap<usize, Box<JobRun>>,
-}
-
-impl Driver {
-    /// Starts a submitted job and parks it in the running map unless it
-    /// resolved instantly (zero-stage result, or a failure to even start).
-    fn admit(&mut self, mut job: Box<JobRun>) {
-        match job.activate(job.result_idx) {
-            Err(err) => job.fail(err),
-            Ok(()) if job.is_finished() => job.finish(),
-            Ok(()) => {
-                self.jobs.insert(job.job_id, job);
-            }
-        }
-    }
-
-    /// Applies one task event to its job. Events of a job that already
-    /// finished or aborted carry a stale tag and are dropped here.
-    fn on_task(&mut self, tag: usize, done: TaskDone) {
-        let Some(job) = self.jobs.get_mut(&tag) else {
-            return;
-        };
-        let step = job.on_task(done);
-        self.settle(tag, step);
-    }
-
-    /// An external (other-job) map stage one of `tag`'s stages was
-    /// watching resolved.
-    fn on_external(&mut self, tag: usize, stage_idx: usize, completed: bool) {
-        if let Some(job) = self.jobs.get_mut(&tag) {
-            let step = job.on_external(stage_idx, completed);
-            self.settle(tag, step);
-        }
-    }
-
-    /// Finalises job `id` if `step` failed or finished it.
-    fn settle(&mut self, id: usize, step: Result<(), JobError>) {
-        if step.is_ok() && !self.jobs[&id].is_finished() {
-            return;
-        }
-        let job = self.jobs.remove(&id).expect("settling a live job");
-        match step {
-            Err(err) => job.fail(err),
-            Ok(()) => job.finish(),
+        if let Some(mut run) = self.run.take() {
+            let err = run.abort(JobError::without_task(self.job_id, TaskError::Cancelled));
+            run.fail(err);
         }
     }
 }
 
-/// The service's event loop: demultiplexes messages by job tag, advances
-/// the owning job's state machine, and finalises jobs that finish or
-/// abort. It blocks on the channel until the next event. Runs no user
-/// code — task bodies run on executors, actions block on their handles.
-fn drive_loop(rx: Receiver<Tagged<ServiceEvent>>) {
-    let mut driver = Driver {
-        jobs: HashMap::new(),
-    };
-    while let Ok(Tagged { tag, msg }) = rx.recv() {
-        match msg {
-            ServiceEvent::Shutdown => break,
-            ServiceEvent::Submit(job) => {
-                debug_assert_eq!(tag, job.job_id, "submit tag must be the job id");
-                driver.admit(job);
-            }
-            ServiceEvent::Task(done) => driver.on_task(tag, done),
-            ServiceEvent::External {
-                stage_idx,
-                completed,
-            } => driver.on_external(tag, stage_idx, completed),
-        }
-    }
-    // Teardown (or every sender dropped) with jobs still live: fail them so
-    // no caller blocks forever on its handle.
-    for (id, job) in driver.jobs.drain() {
-        job.fail(JobError::without_task(id, TaskError::ExecutorShutdown));
-    }
-}
-
-/// Driver-side state of one job, owned by the scheduler service while the
-/// job is in flight.
+/// Driver-side state of one job, owned by its [`JobHandle`] until the job
+/// resolves.
 struct JobRun {
     ctx: SpangleContext,
     job_id: usize,
     stages: Vec<Stage>,
     /// Index of the result stage (always the last).
     result_idx: usize,
-    /// Sender that stamps this job's id on every task / subscription
-    /// event posted into the shared loop.
-    tx: MuxSender<ServiceEvent>,
+    /// The job's own event channel, cloned into every task it launches
+    /// and every shuffle it watches.
+    tx: Sender<Event>,
     /// Shuffles this job claimed ownership of and has not completed yet;
     /// abandoned on abort so other jobs can re-claim them.
     owned: HashSet<usize>,
+    /// Executor tasks launched and not yet reported: each sends exactly
+    /// one task event.
+    outstanding: usize,
     /// Stages currently in `Running` state.
     running: usize,
     /// High-water mark of `running`.
@@ -569,8 +449,6 @@ struct JobRun {
     reports: Vec<StageReport>,
     /// Result-stage outputs, filled in as task events arrive.
     results: Vec<Option<ErasedResult>>,
-    /// Resolves the caller's [`JobHandle`].
-    done: Sender<Result<Vec<ErasedResult>, JobError>>,
     started: Instant,
 }
 
@@ -583,6 +461,7 @@ impl JobRun {
     /// Applies one task event: accounts its time, lets the stage run's
     /// attempt table judge it, and carries out what the table decided.
     fn on_task(&mut self, done: TaskDone) -> Result<(), JobError> {
+        self.outstanding -= 1;
         let stage_idx = done.stage_idx;
         self.executor_busy[done.ran_on] += done.nanos;
         self.queue_wait_nanos += done.wait_nanos;
@@ -717,9 +596,8 @@ impl JobRun {
             // garbage collection relies on those being the last
             // references.
             drop(work);
-            // The driver may have aborted the job already; its tag is
-            // simply stale by the time this lands.
-            let _ = tx.send(ServiceEvent::Task(TaskDone {
+            // The job may have resolved already, its channel gone with it.
+            let _ = tx.send(Event::Task(TaskDone {
                 stage_idx,
                 partition,
                 id,
@@ -740,7 +618,9 @@ impl JobRun {
                     attempts: attempt,
                     last_error: TaskError::ExecutorShutdown,
                 })
-            })
+            })?;
+        self.outstanding += 1;
+        Ok(())
     }
 
     /// All tasks of a stage completed: publish its shuffle, account it,
@@ -842,28 +722,28 @@ impl JobRun {
         err
     }
 
-    /// Resolves a successful job: records its report (before the handle
-    /// resolves), then hands the caller its results.
-    fn finish(mut self) {
+    /// Resolves a successful job: records its report (before the wait
+    /// returns), then hands the caller its results.
+    fn finish(mut self) -> Vec<ErasedResult> {
         self.record(JobOutcome::Succeeded);
         let results: Vec<ErasedResult> = std::mem::take(&mut self.results)
             .into_iter()
             .map(|r| r.expect("job finished with a missing partition result"))
             .collect();
         // Release the stage graph (and the lineage Arcs its work closures
-        // capture) BEFORE unblocking the caller: shuffle garbage
-        // collection relies on the caller's drop being the last reference.
+        // capture) before the wait returns: shuffle garbage collection
+        // relies on the caller's drop being the last reference.
         self.stages.clear();
-        let _ = self.done.send(Ok(results));
+        results
     }
 
     /// Resolves an aborted job: every stage still in flight gets a
     /// [`StageOutcome::Aborted`] entry so its partial task time and steal
     /// counts are not lost, the report is recorded with
-    /// [`JobOutcome::Aborted`], and only then does the caller's handle
-    /// resolve with the error — `last_job_report()` after a failed action
-    /// therefore describes the failed job, not the previous one.
-    fn fail(mut self, err: JobError) {
+    /// [`JobOutcome::Aborted`], and only then is the error handed back —
+    /// `last_job_report()` after a failed action therefore describes the
+    /// failed job, not the previous one.
+    fn fail(mut self, err: JobError) -> JobError {
         let (snap, now) = (self.ctx.metrics_snapshot(), Instant::now());
         for mut run in self.stages.iter_mut().filter_map(|stage| stage.run.take()) {
             run.close(StageOutcome::Aborted, snap, now);
@@ -871,9 +751,9 @@ impl JobRun {
         }
         self.record(JobOutcome::Aborted);
         // As in `finish`: the caller must hold the last lineage references
-        // once it unblocks.
+        // once the wait returns.
         self.stages.clear();
-        let _ = self.done.send(Err(err));
+        err
     }
 
     /// Records the job's [`JobReport`] on the context's metrics.

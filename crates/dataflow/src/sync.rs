@@ -8,9 +8,7 @@
 //! lineage recomputation assumes the runtime's own state stays usable
 //! after a task panic), the channel module re-exports the unbounded MPSC
 //! channel under the same names the scheduler and executor pool were
-//! written against (plus [`channel::MuxSender`], the tagged sender the
-//! shared scheduler service multiplexes every job's events through),
-//! [`StealQueues`] provides the executor pool's locality-aware
+//! written against, [`StealQueues`] provides the executor pool's locality-aware
 //! work-stealing FIFO queues, and [`Subscribers`] is the one-shot callback
 //! list behind the shuffle service's event-driven completion
 //! notifications.
@@ -93,57 +91,6 @@ pub mod channel {
     /// Creates an unbounded channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         std::sync::mpsc::channel()
-    }
-
-    /// A message labelled with the integer tag of its producer, for many
-    /// logical streams multiplexed onto one shared channel (the scheduler
-    /// service demultiplexes job events by tag).
-    #[derive(Debug)]
-    pub struct Tagged<T> {
-        /// Producer tag stamped by the [`MuxSender`] (a job id, in the
-        /// scheduler's case).
-        pub tag: usize,
-        /// The message itself.
-        pub msg: T,
-    }
-
-    /// A sender that stamps a fixed tag on every message before putting it
-    /// on a shared `Sender<Tagged<T>>`.
-    ///
-    /// Handing a `MuxSender` to a producer (an executor task, a shuffle
-    /// subscription) lets it post into a multiplexed event loop without
-    /// ever knowing — or being able to forge — whose stream it belongs to.
-    pub struct MuxSender<T> {
-        tag: usize,
-        tx: Sender<Tagged<T>>,
-    }
-
-    // Manual impl: `T` itself need not be `Clone`.
-    impl<T> Clone for MuxSender<T> {
-        fn clone(&self) -> Self {
-            MuxSender {
-                tag: self.tag,
-                tx: self.tx.clone(),
-            }
-        }
-    }
-
-    impl<T> MuxSender<T> {
-        /// Wraps `tx`, stamping `tag` on every message sent through.
-        pub fn new(tx: Sender<Tagged<T>>, tag: usize) -> Self {
-            MuxSender { tag, tx }
-        }
-
-        /// The tag stamped on every message.
-        pub fn tag(&self) -> usize {
-            self.tag
-        }
-
-        /// Sends `msg` tagged with this sender's tag. Fails only when the
-        /// receiving loop is gone.
-        pub fn send(&self, msg: T) -> Result<(), SendError<Tagged<T>>> {
-            self.tx.send(Tagged { tag: self.tag, msg })
-        }
     }
 }
 
@@ -416,23 +363,6 @@ mod tests {
         seen.sort();
         assert_eq!(seen, vec![1, 2]);
         assert!(matches!(q.next(0), Next::Closed));
-    }
-
-    #[test]
-    fn mux_sender_tags_every_message() {
-        let (tx, rx) = channel::unbounded();
-        let a = channel::MuxSender::new(tx.clone(), 7);
-        let b = channel::MuxSender::new(tx, 9);
-        let a2 = a.clone();
-        assert_eq!(a.tag(), 7);
-        assert_eq!(a2.tag(), 7);
-        a.send("x").unwrap();
-        b.send("y").unwrap();
-        a2.send("z").unwrap();
-        let got: Vec<(usize, &str)> = (0..3)
-            .map(|_| rx.recv().map(|t| (t.tag, t.msg)).unwrap())
-            .collect();
-        assert_eq!(got, vec![(7, "x"), (9, "y"), (7, "z")]);
     }
 
     #[test]

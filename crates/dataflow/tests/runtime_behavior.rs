@@ -234,55 +234,53 @@ fn thread_names() -> Vec<String> {
 /// A job awaiting a shuffle that another job is producing must not park a
 /// `spangle-stage-waiter-*` thread (the scheduler subscribes a callback on
 /// the shuffle service instead), and the wait must still resolve to the
-/// shared output being computed exactly once.
+/// shared output being computed exactly once. Both jobs are driven from
+/// this one thread: A claims the shuffle while its map bodies are held on
+/// a latch, B finds it in flight and watches it, and only then do the
+/// bodies go on.
 #[test]
 #[cfg(target_os = "linux")]
 fn awaiting_an_in_flight_shuffle_spawns_no_waiter_threads() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
+    use spangle_dataflow::submit_job;
+    use std::sync::RwLock;
     use std::time::Duration;
 
     let ctx = SpangleContext::new(2);
-    // Two map partitions, each sleeping once: a wide window in which the
-    // map stage is in flight and a second job has to wait on it.
-    let slow = ctx.parallelize(vec![(0u64, 1u64), (1, 2)], 2).map(|kv| {
-        std::thread::sleep(Duration::from_millis(120));
-        kv
-    });
-    let reduced = slow.reduce_by_key(Arc::new(HashPartitioner::new(2)), |a, b| a + b);
+    let latch = Arc::new(RwLock::new(()));
+    let held = latch.write().unwrap();
+    let gate = Arc::clone(&latch);
+    let gated = ctx
+        .parallelize(vec![(0u64, 1u64), (1, 2)], 2)
+        .map(move |kv| {
+            drop(gate.read().unwrap());
+            kv
+        });
+    let reduced = gated.reduce_by_key(Arc::new(HashPartitioner::new(2)), |a, b| a + b);
+    let collect = |_: usize, data: Arc<Vec<(u64, u64)>>| (*data).clone();
 
     let before = ctx.metrics_snapshot();
-    let stop = Arc::new(AtomicBool::new(false));
-    let seen = Arc::new(Mutex::new(Vec::<String>::new()));
-    let sampler = {
-        let (stop, seen) = (Arc::clone(&stop), Arc::clone(&seen));
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                let waiters: Vec<String> = thread_names()
-                    .into_iter()
-                    .filter(|n| n.starts_with("spangle-stage"))
-                    .collect();
-                seen.lock().unwrap().extend(waiters);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        })
-    };
+    let mut a = submit_job(&reduced, collect);
+    assert!(
+        a.wait_timeout(Duration::ZERO).is_none(),
+        "A owns the held maps"
+    );
+    let mut b = submit_job(&reduced, collect);
+    assert!(
+        b.wait_timeout(Duration::ZERO).is_none(),
+        "B watches A's maps"
+    );
+    let waiters: Vec<String> = thread_names()
+        .into_iter()
+        .filter(|n| n.starts_with("spangle-stage"))
+        .collect();
+    assert!(
+        waiters.is_empty(),
+        "no spangle-stage-waiter-* thread may ever exist, saw: {waiters:?}"
+    );
+    drop(held);
 
-    let (a, b) = {
-        let ra = reduced.clone();
-        let rb = reduced.clone();
-        let ta = std::thread::spawn(move || ra.collect().unwrap());
-        // Give job A a head start so job B reliably finds the shuffle
-        // in flight and has to await it.
-        std::thread::sleep(Duration::from_millis(30));
-        let tb = std::thread::spawn(move || rb.collect().unwrap());
-        (ta.join().unwrap(), tb.join().unwrap())
-    };
-    stop.store(true, Ordering::Relaxed);
-    sampler.join().unwrap();
-
-    let mut a = a;
-    let mut b = b;
+    let mut a: Vec<_> = a.wait().unwrap().into_iter().flatten().collect();
+    let mut b: Vec<_> = b.wait().unwrap().into_iter().flatten().collect();
     a.sort();
     b.sort();
     assert_eq!(a, b);
@@ -292,11 +290,6 @@ fn awaiting_an_in_flight_shuffle_spawns_no_waiter_threads() {
     assert_eq!(
         delta.stages_skipped, 1,
         "the second job awaited, then skipped"
-    );
-    let seen = seen.lock().unwrap();
-    assert!(
-        seen.is_empty(),
-        "no spangle-stage-waiter-* thread may ever exist, saw: {seen:?}"
     );
 }
 

@@ -1,17 +1,17 @@
-//! Integration tests for the shared scheduler service: many concurrent
-//! jobs multiplexed over one driver loop, per-job accounting, and clean
-//! teardown of aborted jobs.
+//! Integration tests for the scheduler's job handles: concurrent jobs, each
+//! driven by the thread that waits for it, per-job accounting, and clean
+//! teardown of aborted and abandoned jobs.
 
-use spangle_dataflow::{HashPartitioner, JobOutcome, PairRdd, SpangleContext};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use spangle_dataflow::{submit_job, HashPartitioner, JobOutcome, PairRdd, SpangleContext};
+use std::sync::{mpsc, Arc, RwLock};
+use std::time::Duration;
 
 fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
     v.sort();
     v
 }
 
-/// Threads of this process whose name matches the scheduler driver loop.
+/// Threads of this process named `spangle-driver`.
 fn driver_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("procfs task dir")
@@ -24,7 +24,7 @@ fn driver_threads() -> usize {
         .count()
 }
 
-/// Many driver threads share one scheduler loop: every job computes the
+/// Many threads run a job each on one context: every job computes the
 /// right answer, every job records a report of its own with its own
 /// busy/steal split, and the per-job steal counts add up to the
 /// cluster-wide counter.
@@ -122,25 +122,66 @@ fn aborted_and_healthy_jobs_coexist_and_clean_up() {
     assert_eq!(ctx.shuffle_resident_bytes(), 0);
 }
 
-/// One driver loop per context, joined on drop: contexts don't leak their
-/// service thread.
+/// A job runs on the thread that waits for it: a context runs its
+/// executors' threads and no driver thread of its own.
 #[test]
-fn dropping_the_context_joins_the_driver_loop() {
+fn a_context_runs_no_driver_thread() {
     let ctx = SpangleContext::new(2);
-    // A completed job proves the driver loop ran (and, being scheduled,
-    // has set its thread name — it may not have immediately after spawn).
-    ctx.parallelize((0u64..10).collect(), 2).count().unwrap();
-    assert!(driver_threads() >= 1, "the service thread is live");
-    drop(ctx);
-    // Other tests in this binary churn their own contexts concurrently,
-    // so poll until every driver loop (ours included) is gone rather than
-    // asserting a baseline-relative count once.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while driver_threads() > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "driver loop thread leaked past context drop"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    assert_eq!(
+        ctx.parallelize((0u64..10).collect(), 2).count().unwrap(),
+        10
+    );
+    assert_eq!(driver_threads(), 0, "no spangle-driver thread may exist");
+}
+
+/// Dropping a handle whose job has not resolved aborts the job. Job A is
+/// paused while it owns a shuffle, its map bodies running but held on a
+/// latch, and its handle dropped: A records an `Aborted` report and
+/// abandons the shuffle, job B re-claims and completes it, and nothing
+/// stays resident once the lineage is dropped. One map partition per
+/// executor, and a lone queued task is never stolen, so B's tasks run only
+/// after A's cancelled bodies have returned and released the lineage.
+#[test]
+fn dropping_a_paused_handle_aborts_its_job_and_releases_its_shuffle() {
+    let ctx = SpangleContext::new(2);
+    let latch = Arc::new(RwLock::new(()));
+    let held = latch.write().unwrap();
+    let gate = Arc::clone(&latch);
+    let (entered_tx, entered) = mpsc::channel();
+    let base = ctx
+        .parallelize((0u64..60).map(|i| (i % 6, 1u64)).collect(), 2)
+        .map(move |kv| {
+            let _ = entered_tx.send(());
+            drop(gate.read().unwrap());
+            kv
+        });
+    let reduced = base.reduce_by_key(Arc::new(HashPartitioner::new(3)), |a, b| a + b);
+    let count = |_: usize, data: Arc<Vec<(u64, u64)>>| data.len();
+
+    let mut a = submit_job(&reduced, count);
+    assert!(
+        a.wait_timeout(Duration::ZERO).is_none(),
+        "A's maps are held"
+    );
+    // Both map bodies are running, not queued behind the executors.
+    entered.recv().unwrap();
+    entered.recv().unwrap();
+    let a_id = a.job_id();
+    drop(a);
+    let report = ctx.last_job_report().expect("the dropped job's report");
+    assert_eq!((report.job_id, report.outcome), (a_id, JobOutcome::Aborted));
+    drop(held);
+
+    let b = submit_job(&reduced, count);
+    assert_eq!(b.wait().unwrap().into_iter().sum::<usize>(), 6);
+    let report = ctx.last_job_report().expect("B's report");
+    assert_eq!(report.outcome, JobOutcome::Succeeded);
+    assert_eq!(
+        (report.stages_run(), report.stages_skipped()),
+        (2, 0),
+        "B re-claimed the abandoned shuffle and ran its maps"
+    );
+
+    drop((base, reduced));
+    assert_eq!(ctx.shuffle_resident_bytes(), 0);
 }

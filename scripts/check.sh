@@ -15,8 +15,8 @@
 # (stress, bench and benchmark are not part of the default full gate
 # because of their runtime; stress and benchmark have CI jobs of their
 # own, bench is for whoever refreshes the committed figure artifacts.
-# loc gates nothing: it prints the code-line count and the knob counts a
-# [simplicity] PR reports before → after.)
+# loc gates nothing: it prints the code-line count, the knob counts and
+# the sleep and clock-read counts a [simplicity] PR reports before → after.)
 #
 # A perf change's A/B against its parent revision is not a step here:
 # scripts/ab.sh <parent-rev> <workloads> [pairs] [seed] [seconds] builds
@@ -119,7 +119,9 @@ run_benchmark() {
 # total, up to each file's column-0 `#[cfg(test)]`; then the knobs — the
 # `pub fn`s of `impl SpangleContextBuilder` (its setters and `build`), the
 # rows of the `counters!` table and the distinct `SPANGLE_*` variables
-# that `env_parse` is called with. awk only — no `bc`.
+# that `env_parse` is called with; then the `sleep(` calls in the dataflow
+# tests and the `Instant::now()` calls in crates/dataflow/src before each
+# file's tests, `//` comment lines left out of both. awk only — no `bc`.
 run_loc() {
     for dir in crates/dataflow/src crates/core/src crates/linalg/src; do
         echo "== code lines of $dir before each file's tests"
@@ -145,6 +147,15 @@ run_loc() {
             var = substr($0, RSTART, RLENGTH); sub(/^[^"]*"/, "", var); seen[var] = 1
         }
         END { for (var in seen) n++; printf "%6d SPANGLE_* knobs read through env_parse\n", n }'
+    echo "== sleeps and clock reads"
+    find crates/dataflow/tests -name '*.rs' | sort | xargs awk '
+        !/^[[:space:]]*\/\// { n += gsub(/sleep\(/, "&") }
+        END { printf "%6d sleep( calls under crates/dataflow/tests\n", n }'
+    find crates/dataflow/src -name '*.rs' | sort | xargs awk '
+        FNR == 1 { tests = 0 }
+        /^#\[cfg\(test\)\]/ { tests = 1 }
+        !tests && !/^[[:space:]]*\/\// { n += gsub(/Instant::now\(\)/, "&") }
+        END { printf "%6d Instant::now() calls in crates/dataflow/src before its tests\n", n }'
 }
 
 steps=()
